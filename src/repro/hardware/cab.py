@@ -14,7 +14,7 @@ from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
 from ..config import CabConfig, FiberConfig
-from ..sim import Broadcast, Event, Resource, Simulator
+from ..sim import Broadcast, Event, Resource, Simulator, units
 from .checksum import ChecksumUnit
 from .dma import DmaController
 from .frames import Packet, Reply
@@ -191,7 +191,6 @@ class CabBoard:
         self._dispatch_rx(item, wire_size, head_time, tail_time)
 
     def _tail_delay(self, wire_size: int) -> int:
-        from ..sim import units
         return units.transfer_time(wire_size, self.fiber_rate_bytes_per_ns)
 
     def notify_ready(self) -> None:

@@ -11,7 +11,7 @@ count the hardware would see.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, count
+from itertools import count
 from typing import TYPE_CHECKING, Any, Optional
 
 from .hub_commands import CommandOp
@@ -22,36 +22,46 @@ if TYPE_CHECKING:  # pragma: no cover
 _packet_ids = count(1)
 _command_seqs = count(1)
 
-#: Bytes per Fletcher-16 block.  Intermediate sums stay well inside a
-#: machine word: 65536 blocks of prefix sums of 255-valued bytes top out
-#: near 2**40.
-_FLETCHER_BLOCK = 65536
+#: Fletcher-16 works modulo 255; the closed form below works modulo 255².
+_M = 255
+_M2 = _M * _M
+
+#: ``_SUM_INVERSE[(m - 1) % 255]`` is the inverse of ``2 + 255·(m − 1)``
+#: modulo 255².  It always exists: the factor is ≡ 2 modulo each of 3, 5
+#: and 17, the primes of 255.
+_SUM_INVERSE = tuple(pow(2 + _M * k, -1, _M2) for k in range(_M))
 
 
 def fletcher16(data: bytes) -> int:
     """The checksum the CAB's hardware unit computes (Fletcher-16).
 
-    Blocked deferred-modulo form of the classic per-byte recurrence
-    ``low += b; high += low`` (both mod 255).  Over a block ``B`` of
-    ``m`` bytes the recurrence is linear, so::
+    Closed form of the classic per-byte recurrence ``low += b;
+    high += low`` (both mod 255), which over ``m`` bytes ``b₀ … bₘ₋₁``
+    unrolls to ``low = S`` and ``high = W + S`` with ``S = Σ bᵢ`` and
+    ``W = Σ (m−1−i)·bᵢ``.  Since ``256ᵏ = (1 + 255)ᵏ ≡ 1 + 255·k
+    (mod 255²)``, the buffer read as one integer gives both sums at
+    once::
 
-        low'  = low + sum(B)
-        high' = high + m*low + sum(prefix_sums(B))
+        big-endian     A = Σ bᵢ·256^(m−1−i) ≡ S + 255·W
+        little-endian  B = Σ bᵢ·256^i       ≡ S + 255·Σ i·bᵢ
+        A + B ≡ S·(2 + 255·(m−1))                  (mod 255²)
 
-    with a single modulo at the block boundary.  ``sum`` and
-    ``itertools.accumulate`` run at C speed, replacing the per-byte
-    Python loop (~10-50x on kilobyte payloads); the block size keeps the
-    deferred sums word-sized.  Checksums are bit-identical to the
-    per-byte form — pinned by a property test against the reference
-    implementation in ``tests/test_frames.py``.
+    so one multiplication by a precomputed inverse isolates ``S`` and
+    ``(A − S) / 255`` is ``W`` mod 255.  ``int.from_bytes`` and ``%`` by
+    a one-digit modulus are linear C passes, so no Python-level work is
+    done per byte.  Any contiguous byte buffer is accepted.  Checksums
+    are bit-identical to the per-byte form — pinned by differential and
+    property tests against the reference loop in
+    ``tests/test_properties.py``.
     """
-    low = high = 0
-    view = memoryview(data)
-    for start in range(0, len(view), _FLETCHER_BLOCK):
-        block = view[start:start + _FLETCHER_BLOCK]
-        high = (high + len(block) * low + sum(accumulate(block))) % 255
-        low = (low + sum(block)) % 255
-    return (high << 8) | low
+    length = len(data)
+    if not length:
+        return 0
+    big = int.from_bytes(data, "big") % _M2
+    total = ((big + int.from_bytes(data, "little") % _M2)
+             * _SUM_INVERSE[(length - 1) % _M]) % _M2
+    weighted = (big - total) % _M2 // _M
+    return ((weighted + total) % _M) << 8 | total % _M
 
 
 @dataclass(slots=True)

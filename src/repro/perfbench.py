@@ -199,7 +199,7 @@ def _build_wire_integrity(trace: bool):
 
     Every message carries actual data, so the send side pays
     fragmentation and Fletcher-16 sealing and the receive side pays
-    verification and reassembly — the paths the blocked checksum,
+    verification and reassembly — the paths the closed-form checksum,
     memoized :meth:`Payload.seal`, and memoryview slicing optimize.
     Receivers hash the reassembled bytes; the digest of those hashes is
     part of the fingerprint, so a single corrupted or misordered byte

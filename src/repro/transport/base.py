@@ -36,13 +36,20 @@ def message_size(data: Optional[bytes], size: Optional[int]) -> int:
     """Resolve a message body size from ``data``/``size`` arguments.
 
     Raises :class:`TransportError` when neither is given — previously
-    every send path crashed with ``TypeError: len(None)``.
+    every send path crashed with ``TypeError: len(None)`` — and when
+    both are given but disagree: a short ``size`` would silently
+    truncate the message, a long one would crash the sending CAB thread
+    in ``Payload`` after the first fragments are already on the wire.
     """
-    if size is not None:
-        return size
     if data is None:
+        if size is None:
+            raise TransportError(
+                "send needs message data or an explicit size "
+                "(both were None)")
+        return size
+    if size is not None and size != len(data):
         raise TransportError(
-            "send needs message data or an explicit size (both were None)")
+            f"message size {size} != len(data) {len(data)}")
     return len(data)
 
 

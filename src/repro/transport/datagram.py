@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional
 
+from ..hardware.frames import Payload
 from ..kernel.mailbox import Message
 from .base import message_size
 from .reassembly import ReassemblyBuffer
@@ -58,7 +59,6 @@ class DatagramProtocol:
         controls fragmentation so VME and fiber transfers can overlap;
         the receiver reassembles via the normal datagram path.
         """
-        from ..hardware.frames import Payload
         cfg = self.manager.cfg.transport
         header = {"proto": "dg", "dst_mailbox": dst_mailbox, "kind": kind,
                   "msg_id": msg_id, "frag": index, "nfrags": count,

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import NectarConfig
+from repro.hardware.checksum import ChecksumUnit
 from repro.hardware.frames import Payload, fletcher16
 from repro.sim import Container, Simulator, Store
 from repro.stats.recorders import percentile
@@ -66,8 +67,9 @@ class TestFragmentation:
 def fletcher16_per_byte(data: bytes) -> int:
     """The classic per-byte Fletcher-16 recurrence (reference only).
 
-    The production :func:`fletcher16` is the blocked deferred-modulo
-    form; this is the textbook loop it must match bit for bit.
+    The production :func:`fletcher16` is a closed form over the buffer
+    read as one integer; this is the textbook loop it must match bit
+    for bit.
     """
     low = high = 0
     for byte in data:
@@ -76,23 +78,39 @@ def fletcher16_per_byte(data: bytes) -> int:
     return (high << 8) | low
 
 
+#: Every length 0–600 meets each residue of ``(m − 1) mod 255`` (the
+#: inverse-table index) at least twice; the rest straddle 64 KiB and
+#: reach well past any message the workloads send.
+DIFFERENTIAL_LENGTHS = (*range(601), 65_535, 65_536, 65_537, 500_000)
+
+
 class TestChecksumProperties:
     @given(st.binary(max_size=2000))
     def test_checksum_fits_16_bits(self, data):
         assert 0 <= fletcher16(data) <= 0xFFFF
 
     @given(st.binary(max_size=4096))
-    def test_blocked_form_matches_per_byte_reference(self, data):
+    def test_matches_per_byte_reference(self, data):
         assert fletcher16(data) == fletcher16_per_byte(data)
 
-    def test_blocked_form_across_block_boundaries(self):
-        """Deferred modulo must survive the block seam exactly."""
-        from repro.hardware.frames import _FLETCHER_BLOCK
+    def test_closed_form_differential(self):
+        """Every length, extreme contents, every buffer type in use."""
         rng = random.Random(1989)
-        for size in (_FLETCHER_BLOCK - 1, _FLETCHER_BLOCK,
-                     _FLETCHER_BLOCK + 1, 2 * _FLETCHER_BLOCK + 7):
-            data = rng.randbytes(size)
-            assert fletcher16(data) == fletcher16_per_byte(data), size
+        for length in DIFFERENTIAL_LENGTHS:
+            for data in (rng.randbytes(length), bytes(length),
+                         b"\xfe" * length, b"\xff" * length):
+                expected = fletcher16_per_byte(data)
+                label = (length, data[:1])
+                assert fletcher16(data) == expected, label
+                assert fletcher16(bytearray(data)) == expected, label
+                window = memoryview(b"\xa5" + data + b"\x5a")[1:-1]
+                assert fletcher16(window) == expected, label
+
+    def test_slice_data_windows_checksum_without_copy(self):
+        data = random.Random(7).randbytes(10_001)
+        for _size, window in slice_data(data, len(data), 333):
+            assert isinstance(window, memoryview)
+            assert fletcher16(window) == fletcher16_per_byte(window)
 
     @given(st.binary(min_size=1, max_size=500),
            st.integers(min_value=0, max_value=499),
@@ -115,6 +133,23 @@ class TestChecksumProperties:
     def test_sealed_payload_verifies(self, data):
         payload = Payload(len(data), data=data).seal()
         assert payload.verify_checksum()
+
+    def test_memo_means_one_kernel_call_per_payload(self, monkeypatch):
+        calls = []
+
+        def counting(data):
+            calls.append(len(data))
+            return fletcher16(data)
+        monkeypatch.setattr("repro.hardware.frames.fletcher16", counting)
+        unit = ChecksumUnit(NectarConfig().cab)
+        for payload in (Payload(8192, data=bytes(8192)), Payload(64)):
+            calls.clear()
+            unit.seal(payload)
+            assert unit.verify(payload) and unit.verify(payload)
+            assert unit.compute(payload) == payload.checksum
+            payload.corrupt = True
+            assert not unit.verify(payload)
+            assert len(calls) == 1
 
 
 class TestStoreProperties:

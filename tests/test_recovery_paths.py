@@ -138,7 +138,25 @@ class TestSendValidation:
     def test_message_size_accepts_either(self):
         assert message_size(b"abcd", None) == 4
         assert message_size(None, 99) == 99
-        assert message_size(b"abcd", 2) == 2
+        assert message_size(b"abcd", 4) == 4
+
+    @pytest.mark.parametrize("size", [2, 9])
+    def test_message_size_rejects_disagreeing_size(self, size):
+        with pytest.raises(TransportError, match=r"!= len\(data\) 4"):
+            message_size(b"abcd", size)
+
+    @pytest.mark.parametrize("length,size", [(3000, 2000), (1500, 3000)])
+    def test_datagram_send_rejects_size_mismatch_up_front(self, length,
+                                                          size):
+        """A short size used to truncate silently; a long one crashed
+        the CAB thread after fragment 0 was already on the wire."""
+        system = single_hub_system(2)
+        cab = system.cab("cab0")
+        sender = cab.transport.datagram.send(
+            "cab1", "inbox", data=b"x" * length, size=size, mode="packet")
+        with pytest.raises(TransportError, match="message size"):
+            next(sender)
+        assert cab.transport.counters["fragments_sent"] == 0
 
     def test_datagram_send_rejects_empty_call(self):
         system = single_hub_system(2)
