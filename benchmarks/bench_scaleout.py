@@ -18,10 +18,10 @@ with interleaved best-of repeats (every repeat runs the single-process
 reference and every configuration back-to-back, so host noise hits all
 of them alike) and records *steady-state* wall — fork/build setup is
 timed separately (``setup_s``).  The document carries the host's CPU
-count: on a single-CPU container the partitioned configurations sum the
-same event work onto one core plus exchange overhead, so the recorded
-speedup has a hard ceiling of ~1.0x there; multi-core hosts are where
-the partitioned wall-clock win materialises (see docs/PERFORMANCE.md).
+count, and a configuration with more partitions than the host has CPUs
+records ``"speedup": null`` plus a ``note``: there the workers time-share
+cores, so single wall over partitioned wall measures exchange overhead,
+not parallel gain (see docs/PERFORMANCE.md).  The walls stay recorded.
 """
 
 import argparse
@@ -164,7 +164,23 @@ def test_escl6_recovery_overhead(benchmark):
 # script mode: capture BENCH_scaleout.json
 # ----------------------------------------------------------------------
 
-def capture(scenario_name: str, repeats: int) -> dict:
+def host_cpus() -> int:
+    """CPUs this process may run on (affinity-aware where the OS tells)."""
+    return len(os.sched_getaffinity(0)) \
+        if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def speedup_entry(single_wall_s: float, wall_s: float, partitions: int,
+                  cpus: int) -> dict:
+    """``speedup`` (+ ``note`` when withheld) for one configuration."""
+    if cpus < partitions:
+        return {"speedup": None,
+                "note": f"speedup not recorded: {cpus} CPU(s) for "
+                        f"{partitions} partitions cannot show parallel gain"}
+    return {"speedup": round(single_wall_s / wall_s, 3) if wall_s else 0.0}
+
+
+def capture(scenario_name: str, repeats: int, cpus: int) -> dict:
     """Interleaved best-of sweep of one scenario; returns its record."""
     scenario = scenarios()[scenario_name]
     best_single = None
@@ -207,8 +223,8 @@ def capture(scenario_name: str, repeats: int) -> dict:
             "rounds": result.rounds,
             "advances": result.advances,
             "envelopes": result.envelopes,
-            "speedup": round(best_single.wall_s / result.wall_s, 3)
-            if result.wall_s else 0.0,
+            **speedup_entry(best_single.wall_s, result.wall_s, partitions,
+                            cpus),
             "compute_s": round(sum(result.timing["compute_s"]), 6),
             "wait_s": round(sum(result.timing["wait_s"]), 6),
             "exchange_s": round(sum(result.timing["exchange_s"]), 6),
@@ -226,6 +242,7 @@ def main(argv) -> int:
     parser.add_argument("--scenarios", default="escl-torus-256",
                         help="comma-separated E-SCL scenario names")
     args = parser.parse_args(argv)
+    cpus = host_cpus()
     document = {
         "schema": "nectar-bench-scaleout/1",
         "seed": scenarios()["escl-torus-256"].config().seed,
@@ -233,8 +250,7 @@ def main(argv) -> int:
         "method": "interleaved best-of; wall_s is steady-state "
                   "(fork/build setup timed separately as setup_s)",
         "host": {
-            "cpus": len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+            "cpus": cpus,
             "python": platform.python_version(),
             "machine": platform.machine(),
         },
@@ -243,7 +259,7 @@ def main(argv) -> int:
     failed = False
     for name in args.scenarios.split(","):
         print(f"capturing {name} ...", file=sys.stderr)
-        record = capture(name, args.repeats)
+        record = capture(name, args.repeats, cpus)
         document["scenarios"][name] = record
         failed |= any(not run["digest_match"]
                       for run in record["partitioned"])

@@ -42,14 +42,13 @@ class Datalink:
     """Per-CAB datalink engine."""
 
     def __init__(self, cab: "CabBoard", kernel: "CabKernel", router: Router,
-                 cfg: NectarConfig,
-                 rng: Optional[random.Random] = None) -> None:
+                 cfg: NectarConfig) -> None:
         self.cab = cab
         self.kernel = kernel
         self.router = router
         self.cfg = cfg
         self.sim = cab.sim
-        self.rng = rng or cfg.rng(f"datalink:{cab.name}")
+        self._rng: Optional[random.Random] = None
         #: Transport hook: ``classify(packet) -> Optional[deliver]`` where
         #: ``deliver(packet)`` runs after the inbound DMA completes.  The
         #: classification is the transport upcall of §6.2.1.
@@ -64,6 +63,15 @@ class Datalink:
         #: connections down.
         self._port_lock = Resource(cab.sim, capacity=1)
         cab.on_receive(self._receive_interrupt)
+
+    @property
+    def rng(self) -> random.Random:
+        """This CAB's retry-backoff jitter stream (``dl:<cab>``), seeded
+        at the first draw: only a refused circuit ever draws from it."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self.cfg.rng_stream(f"dl:{self.cab.name}")
+        return rng
 
     # ------------------------------------------------------------------
     # observability

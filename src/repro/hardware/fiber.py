@@ -12,13 +12,23 @@ really was where bits died; reliable transports recover from it.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any, Optional, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Optional, Protocol
 
 from ..config import FiberConfig
 from ..sim import Event, Simulator, Store, units
 from .frames import Packet, Reply
 
-__all__ = ["FiberEndpoint", "Fiber", "DuplexFiber"]
+__all__ = ["FiberEndpoint", "Fiber", "DuplexFiber", "RngFactory"]
+
+#: Maps a fiber name to its fault-injection RNG; system builders pass
+#: :meth:`~repro.config.NectarConfig.rng_stream` so every link gets an
+#: independent, seed-derived stream.
+RngFactory = Callable[[str], random.Random]
+
+
+def _unseeded_stream(name: str) -> random.Random:
+    """The stream of a fiber built outside any system: still per link."""
+    return random.Random(f"fiber:{name}")
 
 if TYPE_CHECKING:  # pragma: no cover
     pass
@@ -46,22 +56,25 @@ class Fiber:
     # fibers never allocate one) because instrumentation taps patch
     # per-instance ``send`` wrappers, and subclasses (the scale-out
     # boundary fiber) hang extra attributes off it.
-    __slots__ = ("sim", "cfg", "name", "rng", "endpoint", "_pending",
-                 "_head_latency", "_xfer_cache", "_transmitter",
+    __slots__ = ("sim", "cfg", "name", "_rng", "_rng_factory", "endpoint",
+                 "_pending", "_head_latency", "_xfer_cache", "_transmitter",
                  "fault_down", "fault_drop", "fault_corrupt",
                  "fault_reply_drop", "stats", "__dict__")
 
     def __init__(self, sim: Simulator, cfg: FiberConfig, name: str,
-                 rng: Optional[random.Random] = None) -> None:
+                 rng: Optional[random.Random] = None,
+                 rng_factory: Optional[RngFactory] = None) -> None:
         self.sim = sim
         self.cfg = cfg
         self.name = name
-        # Each link gets its own fault stream.  A shared default (the old
-        # ``random.Random(0)``) made every fiber in a system drop/corrupt
-        # in lockstep; deriving from the link name keeps unseeded fibers
-        # independent, and system builders pass seed-derived streams from
-        # :meth:`~repro.config.NectarConfig.rng_stream`.
-        self.rng = rng or random.Random(f"fiber:{name}")
+        # Each link gets its own fault stream, derived from the link name
+        # so fibers never drop/corrupt in lockstep.  System builders pass
+        # :meth:`~repro.config.NectarConfig.rng_stream` as ``rng_factory``;
+        # the stream is made at the first draw (see :attr:`rng`), because
+        # a fault-free link never draws and a seeded Mersenne Twister is
+        # 2.5 KB per fiber.
+        self._rng = rng
+        self._rng_factory = rng_factory or _unseeded_stream
         self.endpoint: Optional[FiberEndpoint] = None
         self._pending: Store = Store(sim)
         # Per-packet timing is pure arithmetic over a fixed rate, so the
@@ -82,6 +95,14 @@ class Fiber:
         # Statistics, packed into one flat list (see the _SENT.._BYTES
         # index constants); the named views below are the public API.
         self.stats = [0, 0, 0, 0]
+
+    @property
+    def rng(self) -> random.Random:
+        """This link's fault stream, materialised at the first draw."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self._rng_factory(self.name)
+        return rng
 
     @property
     def packets_sent(self) -> int:

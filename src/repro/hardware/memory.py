@@ -174,19 +174,27 @@ class MemoryRegion:
         yield from self.pool.transfer(num_bytes, nominal_rate)
 
 
+def _initial_perms(domain: int) -> int:
+    """What every page of ``domain`` holds before its first grant."""
+    return ALL_ACCESS if domain == KERNEL_DOMAIN else 0
+
+
 class ProtectionUnit:
-    """Per-page, per-domain memory protection (§5.2)."""
+    """Per-page, per-domain memory protection (§5.2).
+
+    One permission byte per page (``ALL_ACCESS`` is 0x7), and a domain's
+    table exists only once that domain has been granted something: a
+    domain with no table denies everything, except the kernel domain,
+    which allows everything.  Of the 32 domains a run touches a handful
+    at most, so a CAB carries a few KB of tables, not 32 full ones.
+    """
 
     def __init__(self, cfg: CabConfig, address_space: int) -> None:
         self.page_bytes = cfg.page_bytes
         self.num_domains = cfg.protection_domains
         self.num_pages = (address_space + cfg.page_bytes - 1) // cfg.page_bytes
-        #: tables[domain][page] -> permission bits.
-        self._tables = [[0] * self.num_pages
-                        for _ in range(self.num_domains)]
-        # The kernel domain starts with full access everywhere.
-        for page in range(self.num_pages):
-            self._tables[KERNEL_DOMAIN][page] = ALL_ACCESS
+        #: tables[domain][page] -> permission bits, for granted domains.
+        self._tables: dict[int, bytearray] = {}
         self.faults = 0
 
     @property
@@ -198,11 +206,24 @@ class ProtectionUnit:
         if not 0 <= domain < self.num_domains:
             raise ProtectionFault(f"no such protection domain {domain}")
 
+    def _page_perms(self, domain: int, page: int) -> int:
+        table = self._tables.get(domain)
+        return _initial_perms(domain) if table is None else table[page]
+
     def grant(self, domain: int, offset: int, size: int, perms: int) -> None:
         """Set permission bits for the pages covering [offset, offset+size)."""
         self._check_domain(domain)
-        for page in self._pages(offset, size):
-            self._tables[domain][page] = perms
+        if not 0 <= perms <= ALL_ACCESS:
+            raise ProtectionFault(
+                f"permission bits {perms:#x} outside 0..{ALL_ACCESS:#x}")
+        pages = self._pages(offset, size)
+        table = self._tables.get(domain)
+        if table is None:
+            # A fresh bytearray per domain: tables are mutable and must
+            # never be shared between domains.
+            table = self._tables[domain] = bytearray(
+                [_initial_perms(domain)]) * self.num_pages
+        table[pages.start:pages.stop] = bytes([perms]) * len(pages)
 
     def revoke(self, domain: int, offset: int, size: int) -> None:
         self.grant(domain, offset, size, 0)
@@ -212,20 +233,21 @@ class ProtectionUnit:
         page = offset // self.page_bytes
         if not 0 <= page < self.num_pages:
             raise ProtectionFault(f"address {offset:#x} outside memory")
-        return self._tables[domain][page]
+        return self._page_perms(domain, page)
 
     def check(self, domain: int, offset: int, size: int, access: int) -> None:
         """Raise :class:`ProtectionFault` unless every page allows
         ``access``.  Costs no simulated time (checked in parallel, §5.2)."""
         self._check_domain(domain)
         for page in self._pages(offset, size):
-            if self._tables[domain][page] & access != access:
+            perms = self._page_perms(domain, page)
+            if perms & access != access:
                 self.faults += 1
                 raise ProtectionFault(
                     f"domain {domain} denied access {access:#x} to page "
-                    f"{page} (perms {self._tables[domain][page]:#x})")
+                    f"{page} (perms {perms:#x})")
 
-    def _pages(self, offset: int, size: int):
+    def _pages(self, offset: int, size: int) -> range:
         if offset < 0 or size < 0:
             raise ProtectionFault(f"bad extent {offset:#x}+{size}")
         first = offset // self.page_bytes

@@ -9,26 +9,14 @@ connections".
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional
+from typing import Optional
 
 from ..config import FiberConfig
 from ..errors import TopologyError
 from ..sim import Simulator
 from .cab import CabBoard
-from .fiber import Fiber
+from .fiber import Fiber, RngFactory
 from .hub import Hub
-
-#: Maps a fiber name to its fault-injection RNG; system builders pass
-#: :meth:`~repro.config.NectarConfig.rng_stream` so every link gets an
-#: independent, seed-derived stream.
-RngFactory = Callable[[str], random.Random]
-
-
-def _link_rng(name: str, rng: Optional[random.Random],
-              rng_factory: Optional[RngFactory]) -> Optional[random.Random]:
-    if rng_factory is not None:
-        return rng_factory(name)
-    return rng
 
 
 def wire_cab_to_hub(sim: Simulator, cab: CabBoard, hub: Hub, port_index: int,
@@ -44,9 +32,8 @@ def wire_cab_to_hub(sim: Simulator, cab: CabBoard, hub: Hub, port_index: int,
         raise TopologyError(f"{cab.name} already wired to a HUB")
     up_name = f"{cab.name}->{hub.name}.p{port_index}"
     down_name = f"{hub.name}.p{port_index}->{cab.name}"
-    uplink = Fiber(sim, cfg, up_name, _link_rng(up_name, rng, rng_factory))
-    downlink = Fiber(sim, cfg, down_name,
-                     _link_rng(down_name, rng, rng_factory))
+    uplink = Fiber(sim, cfg, up_name, rng, rng_factory)
+    downlink = Fiber(sim, cfg, down_name, rng, rng_factory)
     uplink.connect(port)
     downlink.connect(cab)
     cab.out_fiber = uplink
@@ -72,8 +59,8 @@ def wire_hub_to_hub(sim: Simulator, hub_a: Hub, port_a: int,
         raise TopologyError(f"{hub_b.name}.p{port_b} already wired")
     ab_name = f"{hub_a.name}.p{port_a}->{hub_b.name}.p{port_b}"
     ba_name = f"{hub_b.name}.p{port_b}->{hub_a.name}.p{port_a}"
-    a_to_b = Fiber(sim, cfg, ab_name, _link_rng(ab_name, rng, rng_factory))
-    b_to_a = Fiber(sim, cfg, ba_name, _link_rng(ba_name, rng, rng_factory))
+    a_to_b = Fiber(sim, cfg, ab_name, rng, rng_factory)
+    b_to_a = Fiber(sim, cfg, ba_name, rng, rng_factory)
     a_to_b.connect(pb)
     b_to_a.connect(pa)
     pa.out_fiber = a_to_b

@@ -350,7 +350,8 @@ class PartitionSystem:
         # Same fiber name as wire_hub_to_hub builds, hence the same
         # seed-derived fault RNG stream as the single-process run.
         port.out_fiber = _BoundaryFiber(
-            self.sim, self.cfg.fiber, name, self.cfg.rng_stream(name),
+            self.sim, self.cfg.fiber, name,
+            rng_factory=self.cfg.rng_stream,
             outbox=self, dst_hub=remote_hub, dst_port=remote_port)
         port.peer = _RemotePortStub(self, self.sim, remote_hub, remote_port)
 

@@ -22,6 +22,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 INFINITY = float("inf")
 
+#: What every waiter queue is until its first waiter parks: as falsy as
+#: an empty deque, so the ``if self._putters`` fast paths cannot tell the
+#: difference, but shared by all idle primitives.  Most queues of a large
+#: fabric never see a waiter, and an empty ``deque`` pre-allocates a
+#: 64-slot block.
+_IDLE: tuple[()] = ()
+
 
 class Store:
     """A FIFO item queue with optional capacity.
@@ -37,8 +44,8 @@ class Store:
         self.sim = sim
         self.capacity = capacity
         self.items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
+        self._getters: deque[Event] | tuple[()] = _IDLE
+        self._putters: deque[tuple[Event, Any]] | tuple[()] = _IDLE
 
     def __len__(self) -> int:
         return len(self.items)
@@ -58,6 +65,8 @@ class Store:
             if self._getters:
                 self._service()
             return event
+        if self._putters is _IDLE:
+            self._putters = deque()
         self._putters.append((event, item))
         self._service()
         return event
@@ -79,6 +88,8 @@ class Store:
             if self._putters:
                 self._service()
             return event
+        if self._getters is _IDLE:
+            self._getters = deque()
         self._getters.append(event)
         self._service()
         return event
@@ -123,8 +134,8 @@ class Container:
         self.sim = sim
         self.capacity = capacity
         self.level = initial
-        self._getters: deque[tuple[Event, int]] = deque()
-        self._putters: deque[tuple[Event, int]] = deque()
+        self._getters: deque[tuple[Event, int]] | tuple[()] = _IDLE
+        self._putters: deque[tuple[Event, int]] | tuple[()] = _IDLE
 
     @property
     def free(self) -> float:
@@ -137,6 +148,16 @@ class Container:
             raise ValueError(f"put of {amount} exceeds capacity "
                              f"{self.capacity}")
         event = self.sim.event()
+        if not self._putters and self.level + amount <= self.capacity:
+            # Fast path: room available and no queued putter to overtake.
+            # Identical event ordering to _service().
+            self.level += amount
+            event.succeed(amount)
+            if self._getters:
+                self._service()
+            return event
+        if self._putters is _IDLE:
+            self._putters = deque()
         self._putters.append((event, amount))
         self._service()
         return event
@@ -151,6 +172,15 @@ class Container:
             raise ValueError(f"get of {amount} exceeds capacity "
                              f"{self.capacity}")
         event = self.sim.event()
+        if not self._getters and self.level >= amount:
+            # Fast path: enough present and no earlier getter waits.
+            self.level -= amount
+            event.succeed(amount)
+            if self._putters:
+                self._service()
+            return event
+        if self._getters is _IDLE:
+            self._getters = deque()
         self._getters.append((event, amount))
         self._service()
         return event
@@ -188,7 +218,7 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.in_use = 0
-        self._waiters: deque[Event] = deque()
+        self._waiters: deque[Event] | tuple[()] = _IDLE
 
     @property
     def available(self) -> int:
@@ -202,7 +232,10 @@ class Resource:
         if self.in_use < self.capacity and not self._waiters:
             self.in_use += 1
             event.succeed()
-        elif priority:
+            return event
+        if self._waiters is _IDLE:
+            self._waiters = deque()
+        if priority:
             self._waiters.appendleft(event)
         else:
             self._waiters.append(event)

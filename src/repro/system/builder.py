@@ -36,8 +36,7 @@ class CabStack:
         self.board = board
         self.kernel = CabKernel(board, system.cfg.kernel)
         self.datalink = Datalink(board, self.kernel, system.router,
-                                 system.cfg,
-                                 rng=system.cfg.rng(f"dl:{board.name}"))
+                                 system.cfg)
         self.transport = TransportManager(board, self.kernel, self.datalink,
                                           system.cfg)
         self.services = NodeServices(self.kernel)

@@ -2,11 +2,27 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.config import NectarConfig
 from repro.sim import Simulator
 from repro.topology import single_hub_system
+
+
+@pytest.fixture(scope="session")
+def load_script():
+    """Import a repo script that is not in a package (``tools/x.py``,
+    ``benchmarks/bench_x.py``) by its path relative to the repo root."""
+    def load(relative: str):
+        path = Path(__file__).resolve().parents[1] / relative
+        spec = importlib.util.spec_from_file_location(path.stem, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    return load
 
 
 @pytest.fixture

@@ -46,27 +46,19 @@ def test_readme_links_docs():
     assert "docs/OBSERVABILITY.md" in text
 
 
-def _load_check_links():
-    import importlib.util
-    spec = importlib.util.spec_from_file_location(
-        "check_links", REPO_ROOT / "tools" / "check_links.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_documentation_index_is_complete():
+def test_documentation_index_is_complete(load_script):
     """Every docs/*.md is linked from the README's index table."""
-    assert _load_check_links().check_docs_index(REPO_ROOT) == []
+    check_links = load_script("tools/check_links.py")
+    assert check_links.check_docs_index(REPO_ROOT) == []
 
 
-def test_documentation_index_check_catches_omissions(tmp_path):
+def test_documentation_index_check_catches_omissions(load_script, tmp_path):
     """An unlisted docs file must fail the link checker."""
     (tmp_path / "docs").mkdir()
     (tmp_path / "docs" / "LISTED.md").write_text("# Listed\n")
     (tmp_path / "docs" / "ORPHAN.md").write_text("# Orphan\n")
     (tmp_path / "README.md").write_text(
         "[listed](docs/LISTED.md)\n")
-    problems = _load_check_links().check(tmp_path)
+    problems = load_script("tools/check_links.py").check(tmp_path)
     assert any("ORPHAN.md" in problem for problem in problems)
     assert not any("LISTED.md" in problem for problem in problems)

@@ -172,6 +172,77 @@ class TestFaultStreamIndependence:
         assert first != streams(8)
 
 
+class TestStreamsMadeAtFirstDraw:
+    """No fiber or datalink seeds its RNG until something draws from it;
+    when something does, it is the stream an eager build would have made."""
+
+    @staticmethod
+    def draws(rng):
+        return [rng.random() for _ in range(8)]
+
+    def test_wired_fibers_draw_the_config_stream(self):
+        from repro.config import NectarConfig
+        from repro.topology import dual_link_system
+
+        cfg = NectarConfig(seed=11)
+        system = dual_link_system(1, cfg=cfg)
+        port = system.hubs["hub0"].port(0)          # inter-HUB link 0
+        fibers = (system.cab("cab0_0").board.out_fiber, port.out_fiber,
+                  port.peer.out_fiber)
+        for fiber in fibers:
+            assert fiber._rng is None
+            assert self.draws(fiber.rng) \
+                == self.draws(cfg.rng_stream(fiber.name))
+            assert fiber.rng is fiber.rng, "one stream per fiber, kept"
+
+    def test_datalink_draws_the_dl_stream(self):
+        from repro.config import NectarConfig
+        from repro.topology import single_hub_system
+
+        cfg = NectarConfig(seed=11)
+        datalink = single_hub_system(2, cfg=cfg).cab("cab1").datalink
+        assert datalink._rng is None
+        assert self.draws(datalink.rng) \
+            == self.draws(cfg.rng_stream("dl:cab1"))
+        assert datalink.rng is datalink.rng
+
+    def test_boundary_fiber_draws_the_single_process_stream(self):
+        from repro.config import NectarConfig
+        from repro.scaleout import partition_fabric
+        from repro.scaleout.partition import PartitionSystem
+        from repro.topology.fabrics import build_system, torus_fabric
+
+        cfg = NectarConfig(seed=11)
+        fabric = torus_fabric((2, 2))
+        whole = build_system(fabric, cfg)
+        partitioning = partition_fabric(fabric, 2)
+        hub_a, port_a, _hub_b, _port_b = partitioning.cut_links()[0]
+        part = PartitionSystem(partitioning,
+                               partitioning.owner_map()[hub_a], cfg)
+        boundary = part.hubs[hub_a].port(port_a).out_fiber
+        twin = whole.hubs[hub_a].port(port_a).out_fiber
+        assert type(boundary) is not type(twin)
+        assert boundary.name == twin.name and boundary._rng is None
+        assert self.draws(boundary.rng) == self.draws(twin.rng)
+
+    def test_first_fault_draw_seeds_the_stream(self, sim):
+        calls = []
+
+        def factory(name):
+            calls.append(name)
+            return random.Random(name)
+        fiber = Fiber(sim, FiberConfig(), "lazy", rng_factory=factory)
+        fiber.connect(Sink())
+        fiber.send(make_packet(10))
+        sim.run()
+        assert calls == [], "a healthy link never draws"
+        fiber.set_fault(drop=0.5)
+        for _ in range(4):
+            fiber.send(make_packet(10))
+        sim.run()
+        assert calls == ["lazy"], "seeded once, at the first draw"
+
+
 class TestWiring:
     def test_unterminated_fiber_is_error(self, sim):
         fiber = Fiber(sim, FiberConfig(), "f")

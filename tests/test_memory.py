@@ -192,3 +192,54 @@ class TestProtection:
             unit.check(KERNEL_DOMAIN, 64 * 1024, 1, READ)
         with pytest.raises(ProtectionFault):
             unit.permissions(KERNEL_DOMAIN, 1 << 30)
+
+    @pytest.mark.parametrize("perms", [0x100, ALL_ACCESS + 1, -1])
+    def test_grant_rejects_bits_outside_all_access(self, perms):
+        unit = self.make()
+        with pytest.raises(ProtectionFault):
+            unit.grant(3, 0, 1024, perms)
+        with pytest.raises(ProtectionFault):
+            unit.check(3, 0, 1, READ)           # nothing was stored
+
+    def test_untouched_domains_hold_no_table(self):
+        unit = self.make()
+        assert unit._tables == {}
+        unit.check(KERNEL_DOMAIN, 0, 64 * 1024, ALL_ACCESS)
+        with pytest.raises(ProtectionFault):
+            unit.check(3, 0, 1, READ)
+        assert unit.permissions(3, 0) == 0
+        assert unit._tables == {}, "reading must not build a table"
+        unit.grant(3, 0, 1024, READ)
+        assert set(unit._tables) == {3}
+        assert len(unit._tables[3]) == unit.num_pages    # one byte a page
+
+    def test_domains_never_alias_one_table(self):
+        unit = self.make()
+        unit.grant(3, 0, 64 * 1024, ALL_ACCESS)
+        for other in (4, unit.vme_domain):
+            assert unit.permissions(other, 0) == 0
+            with pytest.raises(ProtectionFault):
+                unit.check(other, 0, 1, READ)
+        unit.grant(4, 0, 1024, READ)
+        unit.revoke(3, 0, 1024)
+        assert unit.permissions(4, 0) == READ
+        assert unit._tables[3] is not unit._tables[4]
+
+    def test_grant_and_revoke_straddle_a_page_boundary(self):
+        unit = self.make()
+        unit.grant(3, 1000, 100, READ | WRITE)  # bytes 1000..1099: pages 0, 1
+        assert [unit.permissions(3, page * 1024) for page in range(3)] \
+            == [READ | WRITE, READ | WRITE, 0]
+        unit.revoke(3, 1023, 2)                 # one byte either side
+        assert [unit.permissions(3, page * 1024) for page in range(3)] \
+            == [0, 0, 0]
+
+    def test_kernel_domain_all_access_on_last_page(self):
+        unit = self.make()
+        last = 64 * 1024 - 1
+        unit.check(KERNEL_DOMAIN, last, 1, ALL_ACCESS)
+        assert unit.permissions(KERNEL_DOMAIN, last) == ALL_ACCESS
+        # Narrowing one kernel page leaves every other page wide open.
+        unit.grant(KERNEL_DOMAIN, 0, 1024, READ)
+        assert unit.permissions(KERNEL_DOMAIN, 0) == READ
+        unit.check(KERNEL_DOMAIN, last, 1, ALL_ACCESS)

@@ -357,3 +357,28 @@ def test_single_result_reports_setup(torus16_reference):
     assert torus16_reference.setup_s > 0
     assert torus16_reference.timing == {}
     assert "setup_s" in torus16_reference.summary()
+
+
+# ----------------------------------------------------------------------
+# capture tooling
+# ----------------------------------------------------------------------
+
+def test_capture_withholds_speedup_the_host_cannot_show(load_script, capsys):
+    bench = load_script("benchmarks/bench_scaleout.py")
+    assert bench.speedup_entry(1.0, 0.5, partitions=2, cpus=2) \
+        == {"speedup": 2.0}
+    withheld = bench.speedup_entry(1.0, 0.5, partitions=4, cpus=2)
+    assert withheld["speedup"] is None
+    assert "2 CPU(s) for 4 partitions" in withheld["note"]
+
+    run = {"partitions": 4, "batch": 8, "transport": "shm", "wall_s": 0.5,
+           "setup_s": 0.1, "rounds": 3, "advances": 9, **withheld}
+    document = {"seed": 1, "repeats": 1, "host": {"cpus": 2},
+                "scenarios": {"escl-torus-256": {
+                    "events": 10, "digest": "ab" * 32,
+                    "single": {"wall_s": 1.0, "setup_s": 0.1},
+                    "partitioned": [dict(run), {**run, "partitions": 2,
+                                                "speedup": 2.0}]}}}
+    load_script("tools/perf_report.py").show_scaleout("doc.json", document)
+    rendered = capsys.readouterr().out
+    assert "n/a" in rendered and "2.00x" in rendered

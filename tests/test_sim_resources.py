@@ -1,8 +1,12 @@
 """Unit tests for Store, Container, Resource, Broadcast."""
 
-import pytest
+from collections import deque
 
-from repro.sim import Broadcast, Container, Resource, Store
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim import Broadcast, Container, Resource, Simulator, Store
 
 
 class TestStore:
@@ -231,3 +235,264 @@ class TestBroadcast:
         sim.call_at(20, signal.fire)
         sim.run()
         assert woken == ["first", "second"]
+
+
+# ----------------------------------------------------------------------
+# Waiter queues are made when the first waiter parks.  The oracles below
+# are the textbook definitions -- every request joins its queue, then the
+# queues are served head first -- written over plain lists, so the lazy
+# queues and the fast paths must fire events in exactly that order.
+# ----------------------------------------------------------------------
+
+def fired_order(events):
+    """Tags of ``events`` [(tag, event)] in the order the agenda fires them."""
+    order = []
+    for tag, event in events:
+        event.add_callback(lambda _e, tag=tag: order.append(tag))
+    return order
+
+
+class ModelResource:
+    def __init__(self, capacity):
+        self.capacity, self.in_use, self.waiters, self.granted = \
+            capacity, 0, [], []
+
+    def acquire(self, tag, priority):
+        if self.in_use < self.capacity and not self.waiters:
+            self.in_use += 1
+            self.granted.append(tag)
+        elif priority:
+            self.waiters.insert(0, tag)
+        else:
+            self.waiters.append(tag)
+
+    def release(self):
+        if self.waiters:
+            self.granted.append(self.waiters.pop(0))
+        else:
+            self.in_use -= 1
+
+
+class ModelStore:
+    def __init__(self, capacity):
+        self.capacity, self.items, self.getters, self.putters, self.fired = \
+            capacity, [], [], [], []
+
+    def put(self, tag, item):
+        self.putters.append((tag, item))
+        self.service()
+
+    def get(self, tag):
+        self.getters.append(tag)
+        self.service()
+
+    def try_put(self, item):
+        if len(self.items) >= self.capacity or self.putters:
+            return False
+        self.items.append(item)
+        self.service()
+        return True
+
+    def try_get(self):
+        if not self.items or self.getters:
+            return False, None
+        item = self.items.pop(0)
+        self.service()
+        return True, item
+
+    def service(self):
+        progressed = True
+        while progressed:
+            progressed = False
+            while self.putters and len(self.items) < self.capacity:
+                tag, item = self.putters.pop(0)
+                self.items.append(item)
+                self.fired.append((tag, item))
+                progressed = True
+            while self.getters and self.items:
+                self.fired.append((self.getters.pop(0), self.items.pop(0)))
+                progressed = True
+
+
+class ModelContainer:
+    def __init__(self, capacity, initial):
+        self.capacity, self.level, self.getters, self.putters, self.fired = \
+            capacity, initial, [], [], []
+
+    def put(self, tag, amount):
+        self.putters.append((tag, amount))
+        self.service()
+
+    def get(self, tag, amount):
+        self.getters.append((tag, amount))
+        self.service()
+
+    def service(self):
+        progressed = True
+        while progressed:
+            progressed = False
+            if self.putters and \
+                    self.level + self.putters[0][1] <= self.capacity:
+                tag, amount = self.putters.pop(0)
+                self.level += amount
+                self.fired.append(tag)
+                progressed = True
+            if self.getters and self.level >= self.getters[0][1]:
+                tag, amount = self.getters.pop(0)
+                self.level -= amount
+                self.fired.append(tag)
+                progressed = True
+
+
+class TestLazyWaiterQueues:
+    def test_idle_primitives_hold_no_deque(self, sim):
+        store, tank, lock = Store(sim), Container(sim, 8), Resource(sim)
+        queues = (store._getters, store._putters, tank._getters,
+                  tank._putters, lock._waiters)
+        assert not any(queues)
+        assert not any(isinstance(queue, deque) for queue in queues)
+        # Traffic that never waits never builds one either.
+        store.put("x"), store.get(), tank.put(4), tank.get(4)
+        lock.acquire(), lock.release()
+        sim.run()
+        assert not any(isinstance(queue, deque) for queue in (
+            store._getters, store._putters, tank._getters, tank._putters,
+            lock._waiters))
+
+    def test_queues_are_per_instance_once_made(self, sim):
+        first, second = Store(sim), Store(sim)
+        first.get()
+        assert len(first._getters) == 1
+        assert not second._getters
+        assert first._getters is not second._getters
+
+    @pytest.mark.parametrize("priority", [False, True])
+    def test_first_waiter_is_granted_on_release(self, sim, priority):
+        lock = Resource(sim)
+        events = [("holder", lock.acquire()),
+                  ("waiter", lock.acquire(priority=priority))]
+        order = fired_order(events)
+        sim.run()
+        assert order == ["holder"] and lock.in_use == 1
+        lock.release()
+        sim.run()
+        assert order == ["holder", "waiter"] and lock.in_use == 1
+
+    def test_priority_first_waiter_stays_ahead_of_later_ones(self, sim):
+        lock = Resource(sim)
+        lock.acquire()
+        order = fired_order([("urgent", lock.acquire(priority=True)),
+                             ("plain", lock.acquire()),
+                             ("urgent2", lock.acquire(priority=True))])
+        for _ in range(3):
+            lock.release()
+        sim.run()
+        assert order == ["urgent2", "urgent", "plain"]
+
+    def test_drain_to_empty_then_park_again(self, sim):
+        lock = Resource(sim)
+        lock.acquire()
+        order = fired_order([("a", lock.acquire()), ("b", lock.acquire())])
+        lock.release(), lock.release(), lock.release()
+        sim.run()
+        assert order == ["a", "b"] and lock.in_use == 0
+        assert not lock._waiters
+        lock.acquire()
+        order = fired_order([("c", lock.acquire()),
+                             ("d", lock.acquire(priority=True))])
+        lock.release(), lock.release()
+        sim.run()
+        assert order == ["d", "c"]
+
+    def test_store_getters_then_putters_park_and_drain(self, sim):
+        store = Store(sim, capacity=1)
+        gets = [(f"get{i}", store.get()) for i in range(2)]
+        puts = [(f"put{i}", store.put(i)) for i in range(4)]
+        order = fired_order(gets + puts)
+        sim.run()
+        # put0 feeds get0, put1 feeds get1, put2 fills the slot, put3 parks.
+        assert order == ["put0", "get0", "put1", "get1", "put2"]
+        assert [event.value for _tag, event in gets] == [0, 1]
+        assert len(store._putters) == 1
+        assert store.try_get() == (True, 2)
+        sim.run()
+        assert order[-1] == "put3" and not store._putters
+        assert store.try_get() == (True, 3) and not store.items
+        # Drained on both sides: parking again still works, in order.
+        order = fired_order([("late", store.get())])
+        store.put("again")
+        sim.run()
+        assert order == ["late"]
+
+    @given(capacity=st.integers(1, 3),
+           ops=st.lists(st.one_of(
+               st.tuples(st.just("acquire"), st.booleans()),
+               st.tuples(st.just("release"), st.none())), max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_resource_matches_reference_model(self, capacity, ops):
+        sim = Simulator()
+        lock, model = Resource(sim, capacity), ModelResource(capacity)
+        events = []
+        for tag, (op, priority) in enumerate(ops):
+            if op == "acquire":
+                events.append((tag, lock.acquire(priority=priority)))
+                model.acquire(tag, priority)
+            elif model.in_use:
+                lock.release()
+                model.release()
+        order = fired_order(events)
+        sim.run()
+        assert order == model.granted
+        assert lock.in_use == model.in_use
+        assert [tag for tag, event in events if not event.triggered] \
+            == sorted(model.waiters)
+
+    @given(capacity=st.integers(1, 3),
+           ops=st.lists(st.sampled_from(["put", "get", "try_put", "try_get"]),
+                        max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_store_matches_reference_model(self, capacity, ops):
+        sim = Simulator()
+        store, model = Store(sim, capacity), ModelStore(capacity)
+        events = []
+        for tag, op in enumerate(ops):
+            if op == "put":
+                events.append((tag, store.put(tag)))
+                model.put(tag, tag)
+            elif op == "get":
+                events.append((tag, store.get()))
+                model.get(tag)
+            elif op == "try_put":
+                assert store.try_put(tag) == model.try_put(tag)
+            else:
+                assert store.try_get() == model.try_get()
+        fired = []
+        for tag, event in events:
+            event.add_callback(
+                lambda e, tag=tag: fired.append((tag, e.value)))
+        sim.run()
+        assert fired == model.fired
+        assert list(store.items) == model.items
+
+    @given(capacity=st.integers(1, 6), initial=st.integers(0, 6),
+           ops=st.lists(st.tuples(st.sampled_from(["put", "get"]),
+                                  st.integers(1, 6)), max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_container_matches_reference_model(self, capacity, initial, ops):
+        initial = min(initial, capacity)
+        sim = Simulator()
+        tank = Container(sim, capacity, initial)
+        model = ModelContainer(capacity, initial)
+        events = []
+        for tag, (op, amount) in enumerate(ops):
+            amount = min(amount, capacity)
+            if op == "put":
+                events.append((tag, tank.put(amount)))
+                model.put(tag, amount)
+            else:
+                events.append((tag, tank.get(amount)))
+                model.get(tag, amount)
+        order = fired_order(events)
+        sim.run()
+        assert order == model.fired
+        assert tank.level == model.level

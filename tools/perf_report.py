@@ -11,7 +11,8 @@ The single-file form prints every run the document carries (the file
 accumulates runs, e.g. ``pre-pr-baseline`` then ``optimized``) and the
 speedup of the last run over the first.  A scale-out document instead
 renders the partitions x batch x transport table with each
-configuration's steady-state speedup over the single-process reference.
+configuration's steady-state speedup over the single-process reference
+(``n/a`` where the capture withheld it: fewer CPUs than partitions).
 ``--compare`` lines up one run from each of two engine files — CI's
 perf-smoke job uses it report-only; pass ``--min-ratio`` to turn a
 shortfall into a non-zero exit instead.
@@ -85,7 +86,8 @@ def show_scaleout(path: str, document: dict[str, Any]) -> int:
                          f"{run['setup_s']:.4f}",
                          str(run["rounds"]),
                          str(run["advances"]),
-                         f"{run['speedup']:.2f}x",
+                         "n/a" if run["speedup"] is None
+                         else f"{run['speedup']:.2f}x",
                          "yes" if run.get("digest_match", True) else "NO"))
         if rows:
             print(render_table(
