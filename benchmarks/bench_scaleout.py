@@ -13,7 +13,7 @@ Run as a script to capture the checked-in ``BENCH_scaleout.json``::
 
     PYTHONPATH=src python benchmarks/bench_scaleout.py --out BENCH_scaleout.json
 
-The capture sweeps partitions x batch x transport on ``escl-torus-256``
+The capture sweeps partitions x batch on ``escl-torus-256``
 with interleaved best-of repeats (every repeat runs the single-process
 reference and every configuration back-to-back, so host noise hits all
 of them alike) and records *steady-state* wall — fork/build setup is
@@ -38,10 +38,8 @@ from repro.stats import ExperimentTable
 
 PARTITION_COUNTS = (1, 2, 4)
 
-#: Script-mode sweep: (partitions, batch, transport).
-SWEEP = ((2, 1, "pipe"), (2, 8, "shm"),
-         (4, 1, "pipe"), (4, 8, "pipe"),
-         (4, 1, "shm"), (4, 8, "shm"))
+#: Script-mode sweep: (partitions, batch).
+SWEEP = ((2, 1), (2, 8), (4, 1), (4, 8))
 
 
 def scenario_scaling(name):
@@ -193,14 +191,13 @@ def capture(scenario_name: str, repeats: int, cpus: int) -> dict:
         if best_single is None or single.wall_s < best_single.wall_s:
             best_single = single
         for key in SWEEP:
-            partitions, batch, transport = key
-            result = run_partitioned(scenario, partitions, batch=batch,
-                                     transport=transport)
+            partitions, batch = key
+            result = run_partitioned(scenario, partitions, batch=batch)
             held = best[key]
             if held is None or result.wall_s < held.wall_s:
                 best[key] = result
             print(f"  repeat {repeat + 1}/{repeats} p{partitions} "
-                  f"b{batch} {transport}: wall={result.wall_s:.4f}s "
+                  f"b{batch}: wall={result.wall_s:.4f}s "
                   f"setup={result.setup_s:.4f}s", file=sys.stderr)
     record = {
         "events": best_single.events,
@@ -212,11 +209,10 @@ def capture(scenario_name: str, repeats: int, cpus: int) -> dict:
         },
         "partitioned": [],
     }
-    for (partitions, batch, transport), result in best.items():
+    for (partitions, batch), result in best.items():
         record["partitioned"].append({
             "partitions": partitions,
             "batch": batch,
-            "transport": transport,
             "wall_s": round(result.wall_s, 6),
             "setup_s": round(result.setup_s, 6),
             "events_per_sec": round(result.events_per_sec, 1),

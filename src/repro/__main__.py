@@ -536,8 +536,8 @@ def run_scaleout(args: argparse.Namespace) -> int:
     """E-SCL: partition-count scaling with a hard digest gate."""
     from .errors import ScaleoutError
     from .faults.scenario import FaultScenario
-    from .scaleout import (escl_campaign, run_partitioned, run_single,
-                           scenarios)
+    from .scaleout import (escl_campaign, partition_fabric,
+                           run_partitioned, run_single, scenarios)
 
     registry = scenarios()
     if args.scenario not in registry:
@@ -555,6 +555,14 @@ def run_scaleout(args: argparse.Namespace) -> int:
         print("error: partition counts must be >= 1", file=sys.stderr)
         return 2
     scenario = registry[args.scenario]
+    try:
+        partition_fabric(scenario.fabric, counts[-1])
+    except TopologyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.max_restarts < 0:
+        print("error: --max-restarts must be >= 0", file=sys.stderr)
+        return 2
     fault_events = []
     if args.faults is not None:
         campaign = escl_campaign(args.faults, scenario.config())
@@ -591,8 +599,7 @@ def run_scaleout(args: argparse.Namespace) -> int:
             print(f"    {event.describe()}")
     print()
     if counts != [1]:
-        print(f"  exchange: transport={args.transport}, "
-              f"batch={args.batch} window(s)/round")
+        print(f"  exchange: batch={args.batch} window(s)/round")
     print(f"{'parts':>5s} {'events':>9s} {'wall':>8s} {'setup':>7s} "
           f"{'events/s':>10s} {'goodput':>9s} {'rounds':>6s} "
           f"{'restarts':>8s}  digest")
@@ -602,8 +609,7 @@ def run_scaleout(args: argparse.Namespace) -> int:
             result = run_single(scenario, faults=faults) if count == 1 \
                 else run_partitioned(scenario, count, faults=faults,
                                      max_restarts=args.max_restarts,
-                                     batch=args.batch,
-                                     transport=args.transport)
+                                     batch=args.batch)
         except ScaleoutError as exc:
             print(f"\nSCALE-OUT FAILURE at {count} partitions: {exc}",
                   file=sys.stderr)
@@ -857,10 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch", type=int, default=8, metavar="K",
         help="lookahead-width budget granted per barrier round; 1 = the "
              "classic window-per-round protocol (default: 8)")
-    scaleout.add_argument(
-        "--transport", default="shm", choices=("pipe", "shm"),
-        help="envelope transport: shared-memory rings with a pipe "
-             "doorbell, or the plain pipe (default: shm)")
     scaleout.add_argument(
         "--json", metavar="FILE", default=None,
         help="also write per-run summaries as JSON")

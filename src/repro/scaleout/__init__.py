@@ -4,9 +4,9 @@ Shards a Nectar installation across worker processes — one partition per
 HUB cluster group — synchronized with conservative lookahead equal to
 the inter-HUB fiber propagation delay.  Each worker runs the unmodified
 :mod:`repro.sim` engine over its own hubs and CAB stacks; a coordinator
-exchanges timestamped envelope batches (shared-memory rings by default,
-plain pipes as fallback) and grants each worker multi-window budgets
-bounded by per-boundary lookahead.  Partitioned runs are bit-identical
+exchanges timestamped envelope batches over plain pipes and grants each
+worker multi-window budgets bounded by per-boundary lookahead
+(:mod:`repro.scaleout.planner`).  Partitioned runs are bit-identical
 (hard digest assert) to single-process runs of the same seeded
 scenario.
 
@@ -24,8 +24,7 @@ from .escl import (ScaleoutScenario, Traffic, fingerprint_digest,
 from .partition import (Partitioning, PartitionSystem, lookahead_matrix,
                         lookahead_ns, partition_fabric)
 from .runner import ScaleoutResult, run_partitioned, run_single, verify
-from .supervisor import (TRANSPORTS, Supervisor, SupervisorOutcome,
-                         escl_campaign)
+from .supervisor import Supervisor, SupervisorOutcome, escl_campaign
 
 __all__ = [
     "Partitioning",
@@ -34,7 +33,6 @@ __all__ = [
     "ScaleoutScenario",
     "Supervisor",
     "SupervisorOutcome",
-    "TRANSPORTS",
     "Traffic",
     "escl_campaign",
     "fingerprint_digest",

@@ -1,0 +1,113 @@
+"""The grant planner: one barrier round's window arithmetic, no I/O.
+
+The coordinator's whole knowledge of a partitioned run is two things:
+``peeks[j]``, partition ``j``'s next local event time as of its last
+state report (``None`` = idle), and ``pending[j]``, the envelopes
+captured for ``j`` that no grant has covered yet.  :func:`plan_round`
+turns that knowledge into the round's grants and reads nothing else, so
+the soundness argument below is a property of one function — checked
+without forking a process in ``tests/test_scaleout_planner.py``.  Pipes,
+deadlines, respawn and replay live in :mod:`repro.scaleout.supervisor`.
+
+**The grant.**  ``T[j]``, partition ``j``'s *trigger horizon*, is the
+earliest instant it could commit a new cross-partition message: the min
+of ``peeks[j]`` and its earliest pending arrival (an injected envelope
+can cause an immediate send).  Worker ``i`` may consume every event up
+to ::
+
+    grant_i = min( min over all j of (T[j] + D[j][i]),  N + batch * L ) - 1
+
+where ``D`` is :func:`~repro.scaleout.partition.lookahead_matrix`,
+``N = min T[j]`` the global horizon and ``L`` the global minimum
+lookahead (:func:`~repro.scaleout.partition.lookahead_ns`).
+
+**Causal closure.**  Any yet-unknown envelope reaching ``i`` is the tail
+of a causal chain of commits starting from some trigger ``T[j]``; each
+cross-partition hop pays at least the crossed cut's lookahead, and
+``D[j][i]`` is the shortest-path closure of those hop costs, so nothing
+unknown lands on ``i`` before ``min_j (T[j] + D[j][i]) > grant_i`` —
+however many lookahead-widths the grant spans.  The ``j == i`` term (the
+matrix diagonal: shortest feedback cycle, ``>= 2L``) is what keeps
+*batched* rounds sound: inside a wide grant a neighbour can react to
+``i``'s own sends, so ``i`` may not outrun its own trigger plus the
+round trip (drop the term and a 2-partition torus run injects into a
+worker's past within a few dozen rounds).  The ``N + batch * L`` cap
+only bounds how far one round runs ahead of the global horizon; with
+``batch=1`` it undercuts every chain term and the grants are the
+classic ``N + L - 1`` windows.
+
+**Progress.**  Every chain term is at least ``N + L``, so the worker
+holding the global minimum gets ``grant >= N + L - 1 >= N``: it always
+consumes its next trigger, horizons are monotone, the run terminates.
+
+**Idle elision.**  A worker with ``T[i] > grant_i`` has no due envelope
+and no local event inside its grant; its state cannot change, so it is
+not messaged and its last report stays authoritative.  The
+global-minimum worker is never idle, so elision never stalls a round.
+"""
+
+from __future__ import annotations
+
+import heapq
+from typing import NamedTuple, Optional, Sequence
+
+__all__ = ["Round", "plan_round", "post", "take_due"]
+
+
+class Round(NamedTuple):
+    """One planned barrier round."""
+
+    #: ``N + batch * L``: no grant of this round reaches it.
+    cap: int
+    #: Per worker, the last instant it may consume — ``None`` = elided.
+    grants: list[Optional[int]]
+
+
+def post(heap: list, source: int, envelope: tuple) -> None:
+    """File ``envelope`` (captured by partition ``source``) as pending.
+
+    The heap key ``(arrival, source partition, capture seq)`` is the
+    deterministic injection order; ``seq`` is unique per source, so the
+    comparison never reaches the envelope itself.
+    """
+    heapq.heappush(heap, (envelope[0], source, envelope[1], envelope))
+
+
+def take_due(heap: list, grant: int) -> list[tuple]:
+    """Pop the envelopes arriving at or before ``grant``, in injection
+    order."""
+    due = []
+    while heap and heap[0][0] <= grant:
+        due.append(heapq.heappop(heap)[3])
+    return due
+
+
+def plan_round(peeks: Sequence[Optional[int]], pending: Sequence[list],
+               distance: Sequence[Sequence[int]], lookahead: int,
+               batch: int) -> Optional[Round]:
+    """Plan the next round, or ``None`` when the run is done.
+
+    Pure: reads ``peeks`` and the head of each ``pending`` heap (built
+    by :func:`post`); the caller pops each granted worker's batch with
+    :func:`take_due`.
+    """
+    triggers = []
+    for peek, heap in zip(peeks, pending):
+        if heap and (peek is None or heap[0][0] < peek):
+            peek = heap[0][0]
+        triggers.append(peek)
+    live = [(trigger, source) for source, trigger in enumerate(triggers)
+            if trigger is not None]
+    if not live:
+        return None
+    cap = min(live)[0] + batch * lookahead
+    grants: list[Optional[int]] = []
+    for index, trigger in enumerate(triggers):
+        bound = cap
+        for available, source in live:
+            reach = available + distance[source][index]
+            if reach < bound:
+                bound = reach
+        grant = bound - 1
+        grants.append(None if trigger is None or trigger > grant else grant)
+    return Round(cap, grants)

@@ -5,37 +5,12 @@ every other experiment in the repo — it is the reference every digest
 is compared against.  ``run_partitioned`` shards the same scenario
 across ``num_partitions`` worker processes under the crash-tolerant
 coordinator in :mod:`repro.scaleout.supervisor`, which drives the
-conservative-lookahead barrier protocol:
-
-1. Every worker reports its next local event time and flushes its
-   outbox of captured cross-partition envelopes.
-2. The coordinator computes the global horizon ``N`` — the minimum over
-   all reported next-event times and all undelivered envelope arrivals —
-   and the window end ``W = N + L - 1``, where ``L`` is the fiber
-   propagation lookahead (:func:`~repro.scaleout.partition.lookahead_ns`).
-3. Envelopes arriving at or before ``W`` are routed to their owning
-   partitions (sorted by ``(arrival, source partition, capture seq)`` so
-   injection order is deterministic), and every worker advances to ``W``.
-
-Any message committed during a round happens at ``t >= N`` and arrives
-at ``t + L > W``, so no envelope can land inside the window that
-produced it — each round is causally closed, and each new horizon is
-strictly later than the last window, so the loop always progresses.
-The run terminates when every worker is idle and no envelopes remain.
-
-The supervisor generalizes step 2: with ``batch=k`` it grants each
-worker up to ``k`` lookahead-widths per round (bounded by per-boundary
-horizons from :func:`~repro.scaleout.partition.lookahead_matrix`),
-collapsing ``k`` classic rounds into one exchange; ``batch=1`` with a
-uniform fabric reproduces the windows above exactly.  See
-``docs/SCALEOUT.md`` ("Batched windows") for the soundness argument.
-
-On top of the protocol, the supervisor recovers dead or hung workers by
-respawn + window-log replay (bounded restarts, exponential backoff) and
-can apply fault campaigns — both in-simulation overlays, sliced per
-partition, and process-level ``kill_worker`` chaos.  Failures past the
-restart budget surface as :class:`~repro.errors.ScaleoutError` with
-per-partition forensics.
+conservative-lookahead barrier protocol stated in ``docs/SCALEOUT.md``
+("The synchronization protocol", "Batched windows") with the grants
+:mod:`repro.scaleout.planner` computes, recovers dead or hung workers by
+respawn + window-log replay, and can apply fault campaigns.  Failures
+past the restart budget surface as :class:`~repro.errors.ScaleoutError`
+with per-partition forensics.
 
 The digest of a partitioned run is asserted bit-identical to the
 single-process digest by ``verify`` (the CI scale-out smoke), which is
@@ -166,8 +141,7 @@ def run_partitioned(scenario: ScaleoutScenario, num_partitions: int, *,
                     hang_timeout_s: float = 600.0,
                     backoff_base_s: float = 0.05,
                     snapshot_every: int = 0,
-                    batch: int = 8, transport: str = "shm",
-                    registry=None) -> ScaleoutResult:
+                    batch: int = 8, registry=None) -> ScaleoutResult:
     """Run the scenario sharded across ``num_partitions`` processes.
 
     Delegates to the crash-tolerant :class:`Supervisor`: workers that
@@ -176,9 +150,8 @@ def run_partitioned(scenario: ScaleoutScenario, num_partitions: int, *,
     partition, after which :class:`~repro.errors.ScaleoutError` carries
     the per-partition forensics.  ``batch`` is the budget of
     lookahead-widths granted per barrier round (1 = the classic
-    window-per-round protocol) and ``transport`` selects how envelope
-    blocks travel (``"shm"`` ring buffers or the plain ``"pipe"``); both
-    leave the digest bit-identical.  ``registry`` (a
+    window-per-round protocol); it leaves the digest bit-identical.
+    ``registry`` (a
     :class:`~repro.observe.MetricRegistry`) mirrors the recovery
     counters plus the per-partition round-timing breakdown as
     ``scaleout.*`` metrics.
@@ -189,7 +162,7 @@ def run_partitioned(scenario: ScaleoutScenario, num_partitions: int, *,
         scenario, num_partitions, faults=faults,
         max_restarts=max_restarts, hang_timeout_s=hang_timeout_s,
         backoff_base_s=backoff_base_s, snapshot_every=snapshot_every,
-        batch=batch, transport=transport, registry=registry)
+        batch=batch, registry=registry)
     outcome = supervisor.run()
     return ScaleoutResult(
         scenario.name, num_partitions, outcome.events, outcome.sim_ns,

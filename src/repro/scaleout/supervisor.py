@@ -1,10 +1,8 @@
 """The crash-tolerant scale-out coordinator: supervised workers.
 
-The plain coordinator in :mod:`repro.scaleout.runner` assumed every
-worker answers every barrier round; one SIGKILL'd process stalled the
-run for the full pipe timeout and then aborted it.  This module replaces
-that loop with a :class:`Supervisor` that treats worker death as a
-recoverable event:
+The :class:`Supervisor` drives one worker process per partition through
+barrier rounds over plain :mod:`multiprocessing` pipes and treats worker
+death as a recoverable event:
 
 * **Multiplexed waits.**  Worker pipes *and* process sentinels are
   watched together via :func:`multiprocessing.connection.wait`, with a
@@ -54,40 +52,11 @@ recoverable event:
   supervisor itself, SIGKILLing live workers mid-run to exercise the
   recovery path end-to-end (``scaleout --chaos``).
 
-Beyond crash tolerance, this coordinator is built for wall-clock
-throughput:
-
-* **Multi-window batched rounds.**  Each round grants worker ``i`` a
-  window ``W_i = min(H_i, N + batch * L_min) - 1``, where ``H_i`` is the
-  earliest instant any *other* partition could land a yet-unknown
-  envelope on ``i`` (its per-boundary horizon) and ``batch`` is the
-  budget of lookahead-widths granted per pipe round trip.  Every window
-  in the batch is causally closed at once — see ``docs/SCALEOUT.md`` —
-  so ``batch`` consecutive windows of the classic protocol collapse
-  into one exchange, with the worker's envelopes buffered in its outbox
-  and flushed once per round.
-
-* **Per-boundary lookahead.**  ``H_i`` is computed from
-  :func:`~repro.scaleout.partition.lookahead_matrix`: the minimum fiber
-  latency actually crossing each cut, closed over the partition graph's
-  shortest paths, instead of the single global minimum — partitions
-  separated by multiple cuts get proportionally wider windows.
-
-* **Shared-memory envelope transport.**  With ``transport="shm"``,
-  envelope blocks are batch-pickled into a per-worker-per-direction
-  :class:`~repro.scaleout.wire.ShmRing` and only a doorbell crosses the
-  pipe; ``transport="pipe"`` keeps the original pickle-through-pipe
-  path.  Either way the pipe remains the control channel the
-  multiplexed wait watches, and the window log stores *logical*
-  messages, so replay is transport-agnostic and re-grants identical
-  budgets.
-
-* **Idle-worker elision.**  A worker whose granted window contains no
-  local event and no due envelope is simply not messaged that round —
-  its state cannot change, so its last report stays authoritative.
-
-See ``docs/SCALEOUT.md`` ("Fault tolerance", "Batched windows") for the
-recovery- and batching-soundness arguments.
+The window arithmetic — batched grants bounded by per-boundary
+lookahead, idle-worker elision — is not here: each round asks
+:func:`repro.scaleout.planner.plan_round` what to grant, and this module
+only moves the messages.  ``docs/SCALEOUT.md`` states the protocol
+("Batched windows") and the recovery argument ("Fault tolerance").
 """
 
 from __future__ import annotations
@@ -109,18 +78,21 @@ from .escl import (ScaleoutScenario, fingerprint_digest, scenarios,
                    spawn_traffic)
 from .partition import (PartitionSystem, lookahead_matrix, lookahead_ns,
                         partition_fabric)
-from .wire import DEFAULT_RING_BYTES, Channel, ShmRing
+from .planner import plan_round, post, take_due
 
-__all__ = ["TRANSPORTS", "Supervisor", "SupervisorOutcome",
-           "escl_campaign"]
-
-#: Envelope transports the supervisor speaks.
-TRANSPORTS = ("pipe", "shm")
+__all__ = ["Supervisor", "SupervisorOutcome", "escl_campaign"]
 
 #: Hard ceiling on the exponential restart backoff (seconds).
 _BACKOFF_CAP_S = 2.0
 #: Seconds granted to each escalation step when reaping a worker.
 _REAP_STEP_S = 5.0
+#: The round-timing buckets every worker accumulates (see ``_Worker``),
+#: with what each ``scaleout.p<i>.<bucket>`` gauge says it measures.
+_PHASES = {
+    "compute_s": "worker-reported inject+run time",
+    "wait_s": "coordinator time blocked past the worker's reported compute",
+    "exchange_s": "coordinator CPU time inside pipe send/recv",
+}
 
 #: E-SCL runs finish within a few hundred microseconds of simulated
 #: time (vs the default workload's milliseconds), so campaigns need
@@ -146,14 +118,10 @@ def escl_campaign(name: str, cfg, **overrides) -> FaultScenario:
 
 
 def _worker_main(conn, scenario_name: str, num_partitions: int,
-                 index: int, faults_spec: Optional[dict] = None,
-                 rings: Optional[tuple] = None) -> None:
+                 index: int, faults_spec: Optional[dict] = None) -> None:
     """Worker process: one partition, advanced in coordinator windows.
 
-    Replies in lock-step to coordinator commands (through a
-    :class:`~repro.scaleout.wire.Channel`; ``rings`` is the fork-
-    inherited ``(coordinator->worker, worker->coordinator)`` shm pair,
-    or ``None`` for the plain pipe transport):
+    Replies in lock-step to coordinator commands:
 
     * ``("advance", window, envelopes)`` → inject, run to the window,
       answer ``("state", peek, outbox, events_processed, compute_s)``
@@ -164,24 +132,21 @@ def _worker_main(conn, scenario_name: str, num_partitions: int,
     * ``("finish",)`` → answer ``("result", fragment, events_processed,
       now)`` and exit.
 
-    Any exception is reported as ``("error", traceback_text)`` straight
-    down the raw pipe (never the ring — the ring may be the broken
-    part) before the worker exits non-zero, so the coordinator sees the
-    worker-side stack instead of a silent death.
+    Any exception is reported as ``("error", traceback_text)`` before
+    the worker exits non-zero, so the coordinator sees the worker-side
+    stack instead of a silent death.
     """
     try:
-        channel = Channel(conn) if rings is None \
-            else Channel(conn, tx=rings[1], rx=rings[0])
         scenario = scenarios()[scenario_name]
         partitioning = partition_fabric(scenario.fabric, num_partitions)
         system = PartitionSystem(partitioning, index, scenario.config())
         if faults_spec is not None:
             system.attach_faults(FaultScenario.from_dict(faults_spec))
         traffic = spawn_traffic(scenario, system)
-        channel.send(("state", system.peek(), system.drain_outbox(),
-                      system.sim.events_processed, 0.0))
+        conn.send(("state", system.peek(), system.drain_outbox(),
+                   system.sim.events_processed, 0.0))
         while True:
-            message = channel.recv()
+            message = conn.recv()
             if message[0] == "advance":
                 _tag, window, envelopes = message
                 began = time.perf_counter()
@@ -192,15 +157,14 @@ def _worker_main(conn, scenario_name: str, num_partitions: int,
                 # surface as run()'s in-the-past ValueError mid-run.
                 system.run(until=max(window, system.now))
                 compute = time.perf_counter() - began
-                channel.send(("state", system.peek(),
-                              system.drain_outbox(),
-                              system.sim.events_processed, compute))
+                conn.send(("state", system.peek(), system.drain_outbox(),
+                           system.sim.events_processed, compute))
             elif message[0] == "snapshot":
-                channel.send(("snapshot", traffic.fragment(),
-                              system.sim.events_processed, system.now))
+                conn.send(("snapshot", traffic.fragment(),
+                           system.sim.events_processed, system.now))
             elif message[0] == "finish":
-                channel.send(("result", traffic.fragment(),
-                              system.sim.events_processed, system.now))
+                conn.send(("result", traffic.fragment(),
+                           system.sim.events_processed, system.now))
                 conn.close()
                 return
             else:  # pragma: no cover - protocol misuse
@@ -232,19 +196,16 @@ class _Worker:
         self.index = index
         self.process: Optional[mp.process.BaseProcess] = None
         self.conn = None
-        #: The transport wrapper around ``conn`` (pipe or shm-backed).
-        self.channel: Optional[Channel] = None
-        #: ``(coordinator->worker, worker->coordinator)`` shm rings for
-        #: the current incarnation (``None`` under the pipe transport).
-        self.rings: Optional[tuple] = None
         #: Round-timing breakdown, accumulated across the run:
         #: worker-reported seconds inside inject+run, coordinator-side
         #: seconds blocked on this worker past its reported compute,
-        #: and coordinator-side seconds encoding/decoding its messages.
+        #: and coordinator *CPU* seconds inside its pipe send/recv calls
+        #: (pickling included; CPU, so being descheduled mid-send for
+        #: the worker just woken does not count its compute twice).
         self.compute_s = 0.0
         self.wait_s = 0.0
         self.exchange_s = 0.0
-        #: perf_counter at the last advance send (wait accounting).
+        #: perf_counter when the last send returned (wait accounting).
         self.sent_at: Optional[float] = None
         #: Every message sent since the *first* spawn — the replay log.
         self.log: list[tuple] = []
@@ -310,7 +271,7 @@ class Supervisor:
     """Crash-tolerant barrier-round coordinator for one partitioned run.
 
     Drives ``num_partitions`` worker processes through the conservative
-    lookahead protocol (see :mod:`repro.scaleout.runner`), recovering
+    lookahead protocol (see :mod:`repro.scaleout.planner`), recovering
     dead or hung workers by respawn + window-log replay.  One instance
     runs one scenario once (:meth:`run`).
     """
@@ -319,9 +280,7 @@ class Supervisor:
                  faults: Optional[FaultScenario] = None,
                  max_restarts: int = 2, hang_timeout_s: float = 600.0,
                  backoff_base_s: float = 0.05, snapshot_every: int = 0,
-                 batch: int = 8, transport: str = "shm",
-                 ring_bytes: int = DEFAULT_RING_BYTES,
-                 registry=None) -> None:
+                 batch: int = 8, registry=None) -> None:
         if num_partitions < 2:
             raise ScaleoutError(
                 "the supervisor coordinates >= 2 workers; "
@@ -329,10 +288,6 @@ class Supervisor:
         if batch < 1:
             raise ScaleoutError(
                 f"batch must be >= 1 window per round, got {batch}")
-        if transport not in TRANSPORTS:
-            raise ScaleoutError(
-                f"unknown transport {transport!r} "
-                f"(have: {', '.join(TRANSPORTS)})")
         self.scenario = scenario
         self.num_partitions = num_partitions
         self.max_restarts = max_restarts
@@ -340,8 +295,6 @@ class Supervisor:
         self.backoff_base_s = backoff_base_s
         self.snapshot_every = snapshot_every
         self.batch = batch
-        self.transport = transport
-        self.ring_bytes = ring_bytes
         self.partitioning = partition_fabric(scenario.fabric,
                                              num_partitions)
         self.owners = self.partitioning.owner_map()
@@ -353,7 +306,7 @@ class Supervisor:
         self.distance = lookahead_matrix(self.partitioning, cfg)
         self.ctx = mp.get_context("fork")
         self.workers = [_Worker(i) for i in range(num_partitions)]
-        #: Per destination partition: (arrival, src, seq, envelope).
+        #: Per destination partition: the planner's pending-envelope heap.
         self.pending: list[list[tuple]] = [[] for _ in
                                            range(num_partitions)]
         self.peeks: list[Optional[int]] = [None] * num_partitions
@@ -409,12 +362,7 @@ class Supervisor:
                 self._counters[f"p{index}.restarts"] = registry.counter(
                     f"scaleout.p{index}.restarts",
                     f"partition {index} worker respawns", unit="restarts")
-                for phase, what in (
-                        ("compute_s", "worker-reported inject+run time"),
-                        ("wait_s", "coordinator time blocked past the "
-                                   "worker's reported compute"),
-                        ("exchange_s", "coordinator encode/decode/"
-                                       "send/recv time")):
+                for phase, what in _PHASES.items():
                     self._gauges[f"p{index}.{phase}"] = registry.gauge(
                         f"scaleout.p{index}.{phase}",
                         f"partition {index}: {what}", unit="s")
@@ -459,96 +407,41 @@ class Supervisor:
             worker_kills=self.worker_kills,
             snapshots_verified=self.snapshots_verified,
             setup_s=self.setup_s, advances=self.advances,
-            timing={
-                "compute_s": [w.compute_s for w in self.workers],
-                "wait_s": [w.wait_s for w in self.workers],
-                "exchange_s": [w.exchange_s for w in self.workers],
-            },
+            timing={phase: [getattr(w, phase) for w in self.workers]
+                    for phase in _PHASES},
             forensics=[w.forensics() for w in self.workers])
 
     def _round(self) -> bool:
         """Drive one batched barrier round; False when the run is done.
 
-        Per-partition horizons: ``T[j]`` is the earliest instant
-        partition ``j`` could commit a *new* cross-partition message —
-        the min of its next local event and every undelivered envelope
-        arrival destined to it (an injected envelope can trigger an
-        immediate send).  Worker ``i`` may then safely consume every
-        event up to ``grant_i = min(H_i, N + batch * L_min) - 1`` where
-        ``H_i = min over all j of (T[j] + distance[j][i])``: any
-        yet-unknown envelope reaching ``i`` is the tail of a causal
-        chain of commits starting from some trigger ``T[j]``, and each
-        hop of the chain pays at least the crossed cut's lookahead, so
-        the chain's arrival is bounded below by the shortest-path
-        closure in :func:`~repro.scaleout.partition.lookahead_matrix`.
-        The ``j == i`` term (the matrix diagonal: shortest feedback
-        cycle) is what keeps *batched* rounds sound — inside one wide
-        grant a neighbour can react to ``i``'s own sends, so ``i`` may
-        not outrun its own trigger plus the round trip.  The batch
-        budget then caps how far a round may run ahead of the global
-        horizon ``N``.  Workers with nothing to do inside their grant
-        (no due envelope, no local event) are elided from the round
-        entirely.
+        :func:`~repro.scaleout.planner.plan_round` decides the grants;
+        this sends each non-elided worker its grant with the envelopes
+        due inside it, fires due chaos kills and collects the reports.
         """
-        horizons: list[Optional[int]] = []
-        for index in range(self.num_partitions):
-            earliest = self.peeks[index]
-            for entry in self.pending[index]:
-                if earliest is None or entry[0] < earliest:
-                    earliest = entry[0]
-            horizons.append(earliest)
-        finite = [t for t in horizons if t is not None]
-        if not finite:
+        plan = plan_round(self.peeks, self.pending, self.distance,
+                          self.lookahead, self.batch)
+        if plan is None:
             return False
-        cap = min(finite) + self.batch * self.lookahead
         self.rounds += 1
         self._bump("rounds")
-        distance = self.distance
-        for worker in self.workers:
-            index = worker.index
-            bound = cap
-            for source, available in enumerate(horizons):
-                if available is None:
-                    continue
-                reach = available + distance[source][index]
-                if reach < bound:
-                    bound = reach
-            grant = bound - 1
-            pending = self.pending[index]
-            batch = sorted(e for e in pending if e[0] <= grant)
-            peek = self.peeks[index]
-            if not batch and (peek is None or peek > grant):
-                # Nothing can happen in this worker before ``grant``;
-                # its last state report stays authoritative, so skip
-                # the round trip.  (The worker that owns the global
-                # minimum always has work, so rounds always progress.)
+        for worker, grant in zip(self.workers, plan.grants):
+            if grant is None:
                 continue
-            if batch:
-                self.pending[index] = [e for e in pending
-                                       if e[0] > grant]
             self._send(worker, ("advance", grant,
-                                [entry[3] for entry in batch]))
+                                take_due(self.pending[worker.index], grant)))
             self.advances += 1
             self._bump("advances")
             worker.last_window = grant
-        self._fire_kills(cap - 1)
+        self._fire_kills(plan.cap - 1)
         self._collect()
         return True
 
     def _spawn(self, worker: _Worker) -> None:
         parent, child = self.ctx.Pipe()
-        rings = None
-        if self.transport == "shm":
-            # Fresh rings per incarnation, created *before* the fork so
-            # the child inherits the mappings — replay over a respawn
-            # never reads a segment the dead incarnation wrote.
-            self._unlink_rings(worker)
-            rings = (ShmRing(self.ring_bytes), ShmRing(self.ring_bytes))
-            worker.rings = rings
         process = self.ctx.Process(
             target=_worker_main,
             args=(child, self.scenario.name, self.num_partitions,
-                  worker.index, self._faults_spec, rings),
+                  worker.index, self._faults_spec),
             name=(f"scaleout-{self.scenario.name}-p{worker.index}"
                   f"-r{worker.restarts}"),
             daemon=True)
@@ -557,8 +450,6 @@ class Supervisor:
         child.close()
         worker.process = process
         worker.conn = parent
-        worker.channel = (Channel(parent) if rings is None
-                          else Channel(parent, tx=rings[0], rx=rings[1]))
         worker.deadline = time.monotonic() + self.hang_timeout_s
 
     # ------------------------------------------------------------------
@@ -567,18 +458,13 @@ class Supervisor:
 
     def _send(self, worker: _Worker, message: tuple) -> None:
         """Log then send; a broken pipe triggers recovery (which will
-        resend the just-logged message as the replay tail).
-
-        The log holds the *logical* message; the channel decides how it
-        travels (ring block vs pipe), so replay over a fresh incarnation
-        with fresh rings re-grants byte-identical budgets.
-        """
+        resend the just-logged message as the replay tail)."""
         worker.log.append(message)
-        began = time.perf_counter()
+        cpu = time.process_time()
         try:
-            worker.channel.send(message)
-            worker.exchange_s += time.perf_counter() - began
-            worker.sent_at = began
+            worker.conn.send(message)
+            worker.exchange_s += time.process_time() - cpu
+            worker.sent_at = time.perf_counter()
             worker.deadline = time.monotonic() + self.hang_timeout_s
         except (BrokenPipeError, OSError):
             self._recover(worker, "crash",
@@ -645,17 +531,22 @@ class Supervisor:
                 break
 
     def _recv(self, worker: _Worker) -> tuple:
-        """Raw pipe receive plus timed shm-block decode.
+        """Receive one ready response and split its round trip's time.
 
-        The blocking happens in :func:`multiprocessing.connection.wait`
-        before this is called (that is *wait* time, charged in
-        :meth:`_absorb`); what this times — unpickling the doorbell's
-        ring block — is exchange cost.
+        From the send's return to here the coordinator was blocked on
+        this worker (in :func:`multiprocessing.connection.wait`); the
+        part past the worker's own reported compute is *wait*.  The
+        ``recv()`` itself — read + unpickle — is *exchange*, like the send.
         """
-        raw = worker.conn.recv()
         began = time.perf_counter()
-        message = worker.channel.decode(raw)
-        worker.exchange_s += time.perf_counter() - began
+        cpu = time.process_time()
+        message = worker.conn.recv()
+        worker.exchange_s += time.process_time() - cpu
+        if worker.sent_at is not None:
+            if message[0] == "state":
+                worker.wait_s += max(
+                    began - worker.sent_at - message[4], 0.0)
+            worker.sent_at = None
         return message
 
     def _handle(self, worker: _Worker, message: tuple) -> None:
@@ -695,21 +586,16 @@ class Supervisor:
                 f"{worker.index}: unknown worker response {tag!r}")
 
     def _absorb(self, worker: _Worker, state: tuple) -> None:
-        """Route one state report's envelopes; track peek, events,
-        and the compute/wait split for this round trip."""
+        """Route one state report's envelopes; track peek, events and
+        the worker's reported compute time."""
         _tag, peek, outbox, events, compute = state
         worker.compute_s += compute
-        if worker.sent_at is not None:
-            elapsed = time.perf_counter() - worker.sent_at
-            worker.wait_s += max(elapsed - compute, 0.0)
-            worker.sent_at = None
         self.peeks[worker.index] = peek
         worker.events = events
         self.envelopes += len(outbox)
         for envelope in outbox:
             destination = self.owners[envelope[3]]
-            self.pending[destination].append(
-                (envelope[0], worker.index, envelope[1], envelope))
+            post(self.pending[destination], worker.index, envelope)
             self._bump(f"p{destination}.envelopes")
 
     # ------------------------------------------------------------------
@@ -770,7 +656,7 @@ class Supervisor:
         for position in range(1, log_len + 1):
             entry = worker.log[position - 1]
             try:
-                worker.channel.send(entry)
+                worker.conn.send(entry)
             except (BrokenPipeError, OSError):
                 raise _WorkerDied("crash",
                                   "pipe broke during replay",
@@ -823,7 +709,7 @@ class Supervisor:
                 timeout=remaining)
             if worker.conn in ready or worker.conn.poll(0):
                 try:
-                    return worker.channel.decode(worker.conn.recv())
+                    return worker.conn.recv()
                 except (EOFError, OSError):
                     raise _WorkerDied(
                         "crash", "pipe EOF during replay",
@@ -890,19 +776,7 @@ class Supervisor:
         if worker.conn is not None:
             worker.conn.close()
             worker.conn = None
-        worker.channel = None
-        self._unlink_rings(worker)
         worker.process = None
-
-    def _unlink_rings(self, worker: _Worker) -> None:
-        """Release the worker's shm segments (process already gone)."""
-        rings = worker.rings
-        if rings is None:
-            return
-        worker.rings = None
-        for ring in rings:
-            ring.close()
-            ring.unlink()
 
     def _reap_all(self) -> None:
         for worker in self.workers:
@@ -950,8 +824,6 @@ class Supervisor:
 
     def _publish_timing(self) -> None:
         for worker in self.workers:
-            self._set_gauge(f"p{worker.index}.compute_s",
-                            worker.compute_s)
-            self._set_gauge(f"p{worker.index}.wait_s", worker.wait_s)
-            self._set_gauge(f"p{worker.index}.exchange_s",
-                            worker.exchange_s)
+            for phase in _PHASES:
+                self._set_gauge(f"p{worker.index}.{phase}",
+                                getattr(worker, phase))

@@ -1,11 +1,8 @@
-"""Cross-partition wire format and transport: frames across processes.
+"""Cross-partition envelope codec: frames safe to leave their process.
 
-Two concerns live here.  The **codec** (:func:`encode_item` /
-:func:`decode_item`) makes packets and replies safe to leave their
-process; the **transport** (:class:`ShmRing` / :class:`Channel`) moves
-the encoded bytes between the coordinator and its workers — either
-straight through a :mod:`multiprocessing` pipe, or through a
-shared-memory ring buffer with the pipe demoted to a doorbell.
+The coordinator and its workers exchange envelopes over plain
+:mod:`multiprocessing` pipes (see ``docs/SCALEOUT.md``, "Why one
+transport"); this module only makes the items inside them picklable.
 
 Packets and replies carry two things a :mod:`multiprocessing` pipe
 cannot ship as-is:
@@ -37,14 +34,12 @@ respawned worker is byte-for-byte identical to the first delivery.
 
 from __future__ import annotations
 
-import pickle
-from multiprocessing import shared_memory
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from ..hardware.frames import Packet, Reply
 
-__all__ = ["Channel", "KIND_PACKET", "KIND_READY", "KIND_REPLY",
-           "ShmRing", "decode_item", "encode_item", "kind_of"]
+__all__ = ["KIND_PACKET", "KIND_READY", "KIND_REPLY", "decode_item",
+           "encode_item", "kind_of"]
 
 #: Envelope kinds exchanged between partitions.
 KIND_PACKET = "packet"
@@ -100,132 +95,3 @@ def decode_item(item: Any, resolve: Callable[[str], Any]) -> Any:
             item.info["route"] = _decode_path(route, resolve)
     return item
 
-
-# ----------------------------------------------------------------------
-# shared-memory transport
-# ----------------------------------------------------------------------
-
-#: Default ring capacity per direction per worker.  One E-SCL advance
-#: batch is a few kilobytes of envelope blocks; a megabyte leaves two
-#: orders of magnitude of headroom before the pipe fallback fires.
-DEFAULT_RING_BYTES = 1 << 20
-
-#: Doorbell tags.  Deliberately unlike the protocol verbs ("advance",
-#: "state", ...) so a raw pipe message — the worker's ``("error", tb)``
-#: emergency path bypasses the ring — passes through :meth:`Channel.recv`
-#: untouched.
-_BLOCK = "shm-block"
-_INLINE = "shm-inline"
-
-
-class ShmRing:
-    """A single-writer ring of length-prefixed pickled blocks.
-
-    One :class:`multiprocessing.shared_memory.SharedMemory` segment per
-    direction per worker, created by the supervisor *before* forking so
-    the worker inherits the mapping — no name handshake, no attach race.
-    The scale-out protocol is strictly lock-step (a sender never issues
-    a second message before the previous one was consumed, see
-    :class:`Channel`), so the ring needs no read cursor: the writer
-    bumps a rolling offset, wraps when a block would overrun the end,
-    and the exact ``(offset, length)`` of every block travels out of
-    band in the pipe doorbell.
-    """
-
-    __slots__ = ("_shm", "_write")
-
-    def __init__(self, size: int = DEFAULT_RING_BYTES) -> None:
-        self._shm = shared_memory.SharedMemory(create=True, size=size)
-        self._write = 0
-
-    @property
-    def size(self) -> int:
-        return self._shm.size
-
-    def write(self, blob: bytes) -> Optional[int]:
-        """Copy ``blob`` into the ring; return its offset.
-
-        Returns ``None`` when the blob exceeds the whole ring — the
-        caller falls back to shipping it inline through the pipe.
-        """
-        length = len(blob)
-        if length > self._shm.size:
-            return None
-        offset = self._write
-        if offset + length > self._shm.size:
-            offset = 0
-        self._shm.buf[offset:offset + length] = blob
-        self._write = offset + length
-        return offset
-
-    def read(self, offset: int, length: int) -> bytes:
-        """Materialize one block (bounds-checked against the segment)."""
-        if not 0 <= offset <= offset + length <= self._shm.size:
-            raise ValueError(
-                f"shm block [{offset}:{offset + length}] outside ring "
-                f"of {self._shm.size} bytes")
-        return bytes(self._shm.buf[offset:offset + length])
-
-    def close(self) -> None:
-        """Unmap this process's view (both ends call this)."""
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - exported view alive
-            pass
-
-    def unlink(self) -> None:
-        """Free the segment (creator only — the supervisor, at reap)."""
-        self._shm.unlink()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ShmRing {self._shm.name} {self._shm.size}B>"
-
-
-class Channel:
-    """One end of the coordinator <-> worker message channel.
-
-    ``transport="pipe"`` is the bare pipe: every message is pickled by
-    :mod:`multiprocessing` and copied through the kernel.  With rings
-    attached (``transport="shm"``), the payload is batch-pickled once
-    into the sender's transmit ring and only a three-field doorbell
-    crosses the pipe — the receiver materializes the block from its own
-    mapping of the same segment.  Blocks larger than the ring fall back
-    to the inline pipe path, so correctness never depends on sizing.
-
-    The pipe stays the control channel either way: the supervisor's
-    multiplexed :func:`multiprocessing.connection.wait` watches pipe
-    handles and process sentinels exactly as before, and a worker that
-    dies mid-ring-write is harmless — the coordinator never touches a
-    block it has not received a doorbell for.
-    """
-
-    __slots__ = ("pipe", "tx", "rx")
-
-    def __init__(self, pipe: Any, tx: Optional[ShmRing] = None,
-                 rx: Optional[ShmRing] = None) -> None:
-        self.pipe = pipe
-        self.tx = tx
-        self.rx = rx
-
-    def send(self, message: Any) -> None:
-        if self.tx is None:
-            self.pipe.send(message)
-            return
-        blob = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-        offset = self.tx.write(blob)
-        if offset is None:
-            self.pipe.send((_INLINE, message))
-        else:
-            self.pipe.send((_BLOCK, offset, len(blob)))
-
-    def recv(self) -> Any:
-        return self.decode(self.pipe.recv())
-
-    def decode(self, message: Any) -> Any:
-        """Resolve a doorbell into its payload (raw messages pass)."""
-        if self.rx is not None and type(message) is tuple and message:
-            if message[0] == _BLOCK:
-                return pickle.loads(self.rx.read(message[1], message[2]))
-            if message[0] == _INLINE:
-                return message[1]
-        return message

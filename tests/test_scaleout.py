@@ -1,15 +1,16 @@
 """repro.scaleout: partitioned runs must be bit-identical to single."""
 
+import time
+
 import pytest
 
 from repro.hardware.frames import HubCommand, Packet, Payload, Reply
 from repro.hardware.hub_commands import CommandOp
-from repro.scaleout import (lookahead_matrix, lookahead_ns,
+from repro.scaleout import (Supervisor, lookahead_matrix, lookahead_ns,
                             partition_fabric, run_partitioned,
                             run_single, scenarios)
-from repro.scaleout.wire import (KIND_PACKET, KIND_REPLY, Channel,
-                                 ShmRing, decode_item, encode_item,
-                                 kind_of)
+from repro.scaleout.wire import (KIND_PACKET, KIND_REPLY, decode_item,
+                                 encode_item, kind_of)
 
 
 @pytest.fixture(scope="module")
@@ -112,119 +113,6 @@ def test_reply_without_route_passes_codec_untouched():
 
 
 # ----------------------------------------------------------------------
-# shared-memory transport
-# ----------------------------------------------------------------------
-
-class _LoopPipe:
-    """In-process stand-in for one end of a multiprocessing pipe."""
-
-    def __init__(self):
-        self.queue = []
-
-    def send(self, message):
-        self.queue.append(message)
-
-    def recv(self):
-        return self.queue.pop(0)
-
-
-class TestShmRing:
-    def test_roundtrip_and_rolling_offsets(self):
-        ring = ShmRing(size=64)
-        try:
-            first = ring.write(b"alpha")
-            second = ring.write(b"beta")
-            assert (first, second) == (0, 5)
-            assert ring.read(first, 5) == b"alpha"
-            assert ring.read(second, 4) == b"beta"
-        finally:
-            ring.close()
-            ring.unlink()
-
-    def test_wraps_instead_of_overrunning(self):
-        ring = ShmRing(size=16)
-        try:
-            ring.write(b"0123456789")
-            offset = ring.write(b"abcdefgh")  # 10 + 8 > 16: wraps
-            assert offset == 0
-            assert ring.read(0, 8) == b"abcdefgh"
-        finally:
-            ring.close()
-            ring.unlink()
-
-    def test_oversized_blob_returns_none(self):
-        ring = ShmRing(size=8)
-        try:
-            assert ring.write(b"way too large for the ring") is None
-        finally:
-            ring.close()
-            ring.unlink()
-
-    def test_read_is_bounds_checked(self):
-        ring = ShmRing(size=8)
-        try:
-            with pytest.raises(ValueError, match="outside ring"):
-                ring.read(4, 8)
-            with pytest.raises(ValueError, match="outside ring"):
-                ring.read(-1, 4)
-        finally:
-            ring.close()
-            ring.unlink()
-
-
-class TestChannel:
-    def test_pipe_transport_passes_messages_verbatim(self):
-        pipe = _LoopPipe()
-        channel = Channel(pipe)
-        channel.send(("advance", 7, []))
-        assert pipe.queue == [("advance", 7, [])]
-        assert channel.recv() == ("advance", 7, [])
-
-    def test_shm_transport_sends_doorbell_not_payload(self):
-        pipe = _LoopPipe()
-        ring = ShmRing(size=4096)
-        try:
-            sender = Channel(pipe, tx=ring)
-            receiver = Channel(pipe, rx=ring)
-            message = ("state", 12345, [("env",) * 7], 42, 0.5)
-            sender.send(message)
-            doorbell = pipe.queue[0]
-            assert doorbell[0] == "shm-block"
-            assert receiver.recv() == message
-        finally:
-            ring.close()
-            ring.unlink()
-
-    def test_oversized_message_falls_back_inline(self):
-        pipe = _LoopPipe()
-        ring = ShmRing(size=16)
-        try:
-            sender = Channel(pipe, tx=ring)
-            receiver = Channel(pipe, rx=ring)
-            message = ("state", 1, [b"x" * 1024], 2, 0.0)
-            sender.send(message)
-            assert pipe.queue[0][0] == "shm-inline"
-            assert receiver.recv() == message
-        finally:
-            ring.close()
-            ring.unlink()
-
-    def test_raw_messages_pass_decode_untouched(self):
-        # The worker's ("error", traceback) emergency path bypasses the
-        # ring; decode must hand it through unmodified.
-        channel = Channel(_LoopPipe(), rx=None)
-        assert channel.decode(("error", "boom")) == ("error", "boom")
-        ring = ShmRing(size=64)
-        try:
-            shm_channel = Channel(_LoopPipe(), rx=ring)
-            assert shm_channel.decode(("error", "boom")) == ("error",
-                                                             "boom")
-        finally:
-            ring.close()
-            ring.unlink()
-
-
-# ----------------------------------------------------------------------
 # lookahead
 # ----------------------------------------------------------------------
 
@@ -316,23 +204,20 @@ def test_run_partitioned_with_one_partition_is_single(torus16_reference):
 
 
 # ----------------------------------------------------------------------
-# batched rounds and transports
+# batched rounds
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("transport", ["pipe", "shm"])
 @pytest.mark.parametrize("batch", [1, 8])
-def test_transport_batch_matrix_is_bit_identical(torus16_reference,
-                                                 transport, batch):
-    result = run_partitioned(scenarios()["escl-torus-16"], 2,
-                             batch=batch, transport=transport)
+def test_batch_matrix_is_bit_identical(torus16_reference, batch):
+    result = run_partitioned(scenarios()["escl-torus-16"], 2, batch=batch)
     assert result.digest == torus16_reference.digest
     assert result.events == torus16_reference.events
 
 
 def test_batching_grants_multiple_windows_per_round(torus16_reference):
     scenario = scenarios()["escl-torus-16"]
-    classic = run_partitioned(scenario, 2, batch=1, transport="pipe")
-    batched = run_partitioned(scenario, 2, batch=8, transport="pipe")
+    classic = run_partitioned(scenario, 2, batch=1)
+    batched = run_partitioned(scenario, 2, batch=8)
     assert batched.digest == classic.digest == torus16_reference.digest
     # Wider grants mean strictly fewer barrier rounds...
     assert batched.rounds < classic.rounds
@@ -340,7 +225,26 @@ def test_batching_grants_multiple_windows_per_round(torus16_reference):
     assert batched.advances <= batched.rounds * 2
 
 
-def test_partitioned_result_reports_setup_and_timing():
+def test_partitioned_result_reports_setup_and_timing(monkeypatch):
+    # Clock every worker's round trips from outside the supervisor's own
+    # timers: entering the send to leaving the recv that answers it (the
+    # unprompted initial report counts from entering its recv).
+    trips, began = [0.0, 0.0], {}
+    send, recv = Supervisor._send, Supervisor._recv
+
+    def clocked_send(self, worker, message):
+        began[worker.index] = time.perf_counter()
+        send(self, worker, message)
+
+    def clocked_recv(self, worker):
+        entered = time.perf_counter()
+        message = recv(self, worker)
+        trips[worker.index] += \
+            time.perf_counter() - began.pop(worker.index, entered)
+        return message
+
+    monkeypatch.setattr(Supervisor, "_send", clocked_send)
+    monkeypatch.setattr(Supervisor, "_recv", clocked_recv)
     result = run_partitioned(scenarios()["escl-torus-16"], 2)
     assert result.setup_s > 0
     assert result.advances > 0
@@ -348,6 +252,12 @@ def test_partitioned_result_reports_setup_and_timing():
     for values in result.timing.values():
         assert len(values) == 2
         assert all(value >= 0 for value in values)
+    # The three buckets are disjoint slices of the round trips: no host
+    # second is charged twice (send and recv time are exchange, not wait).
+    for index, trip_s in enumerate(trips):
+        charged = sum(result.timing[phase][index]
+                      for phase in ("compute_s", "wait_s", "exchange_s"))
+        assert 0 < charged <= trip_s
     summary = result.summary()
     assert summary["setup_s"] == round(result.setup_s, 6)
     assert summary["advances"] == result.advances
@@ -371,14 +281,17 @@ def test_capture_withholds_speedup_the_host_cannot_show(load_script, capsys):
     assert withheld["speedup"] is None
     assert "2 CPU(s) for 4 partitions" in withheld["note"]
 
-    run = {"partitions": 4, "batch": 8, "transport": "shm", "wall_s": 0.5,
+    run = {"partitions": 4, "batch": 8, "wall_s": 0.5,
            "setup_s": 0.1, "rounds": 3, "advances": 9, **withheld}
     document = {"seed": 1, "repeats": 1, "host": {"cpus": 2},
                 "scenarios": {"escl-torus-256": {
                     "events": 10, "digest": "ab" * 32,
                     "single": {"wall_s": 1.0, "setup_s": 0.1},
+                    # An older capture's row still names its transport.
                     "partitioned": [dict(run), {**run, "partitions": 2,
+                                                "transport": "shm",
                                                 "speedup": 2.0}]}}}
     load_script("tools/perf_report.py").show_scaleout("doc.json", document)
     rendered = capsys.readouterr().out
     assert "n/a" in rendered and "2.00x" in rendered
+    assert "transport" not in rendered and "shm" not in rendered

@@ -133,19 +133,16 @@ class TestChaosRecovery:
                                     merge_fragments(outcome.fragments))
         assert digest == torus16_reference.digest
 
-    @pytest.mark.parametrize("batch,transport", [(1, "shm"),
-                                                 (8, "pipe"),
-                                                 (8, "shm")])
+    @pytest.mark.parametrize("batch", [1, 8])
     def test_kill_mid_batch_recovers_bit_identical(self, torus16_reference,
-                                                   batch, transport):
-        # The window log stores logical grants, so replay after a kill
-        # that lands mid-batch re-grants identical budgets under every
-        # batch size and transport.
+                                                   batch):
+        # The window log stores the grants themselves, so replay after
+        # a kill that lands mid-batch re-grants identical budgets under
+        # every batch size.
         scenario = scenarios()["escl-torus-16"]
         kills = escl_campaign("worker-kill", scenario.config(),
                               partitions=4)
-        result = run_partitioned(scenario, 4, faults=kills,
-                                 batch=batch, transport=transport,
+        result = run_partitioned(scenario, 4, faults=kills, batch=batch,
                                  backoff_base_s=0.01)
         assert result.worker_kills >= 1
         assert result.restarts >= 1
@@ -190,6 +187,27 @@ class TestChaosRecovery:
         assert summary["restarts"] == 0
         assert summary["replayed_windows"] == 0
         assert summary["worker_kills"] == 0
+
+
+class TestNoLeftovers:
+    """Pipes need no helper process and no named segment to clean up."""
+
+    @pytest.mark.parametrize("chaos", [False, True],
+                             ids=["clean", "worker-kill"])
+    def test_no_tracker_no_shm_segment(self, torus16_reference, chaos):
+        import multiprocessing
+        from multiprocessing import resource_tracker
+        scenario = scenarios()["escl-torus-16"]
+        before = set(os.listdir("/dev/shm"))
+        kills = escl_campaign("worker-kill", scenario.config(),
+                              partitions=4) if chaos else None
+        result = run_partitioned(scenario, 4, faults=kills,
+                                 backoff_base_s=0.01)
+        assert result.digest == torus16_reference.digest
+        assert (result.restarts >= 1) == chaos
+        assert multiprocessing.active_children() == []
+        assert resource_tracker._resource_tracker._pid is None
+        assert set(os.listdir("/dev/shm")) <= before
 
 
 # ----------------------------------------------------------------------
@@ -313,8 +331,29 @@ class TestGuardRails:
         scenario = scenarios()["escl-torus-16"]
         with pytest.raises(ScaleoutError, match="batch must be >= 1"):
             Supervisor(scenario, 2, batch=0)
-        with pytest.raises(ScaleoutError, match="unknown transport"):
-            Supervisor(scenario, 2, transport="carrier-pigeon")
+        # The pipe is the only transport: the knob itself is gone.
+        with pytest.raises(TypeError):
+            Supervisor(scenario, 2, transport="shm")
+        with pytest.raises(TypeError):
+            run_partitioned(scenario, 2, transport="shm")
+
+    def test_cli_rejects_more_partitions_than_hubs(self, capsys):
+        from repro.__main__ import main
+        status = main(["scaleout", "escl-torus-16", "--partitions", "300"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.err == \
+            "error: cannot cut 16 hubs into 300 partitions\n"
+        assert captured.out == ""
+
+    def test_cli_rejects_negative_restart_budget(self, capsys):
+        from repro.__main__ import main
+        status = main(["scaleout", "escl-torus-16", "--partitions", "2",
+                       "--max-restarts", "-1"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.err == "error: --max-restarts must be >= 0\n"
+        assert captured.out == ""
 
     def test_run_single_ignores_process_events(self, torus16_reference):
         scenario = scenarios()["escl-torus-16"]

@@ -10,7 +10,7 @@ Usage::
 The single-file form prints every run the document carries (the file
 accumulates runs, e.g. ``pre-pr-baseline`` then ``optimized``) and the
 speedup of the last run over the first.  A scale-out document instead
-renders the partitions x batch x transport table with each
+renders the partitions x batch table with each
 configuration's steady-state speedup over the single-process reference
 (``n/a`` where the capture withheld it: fewer CPUs than partitions).
 ``--compare`` lines up one run from each of two engine files — CI's
@@ -81,7 +81,6 @@ def show_scaleout(path: str, document: dict[str, Any]) -> int:
         for run in data.get("partitioned", []):
             rows.append((f"p{run['partitions']}",
                          str(run["batch"]),
-                         run["transport"],
                          f"{run['wall_s']:.4f}",
                          f"{run['setup_s']:.4f}",
                          str(run["rounds"]),
@@ -91,9 +90,8 @@ def show_scaleout(path: str, document: dict[str, Any]) -> int:
                          "yes" if run.get("digest_match", True) else "NO"))
         if rows:
             print(render_table(
-                rows, ("parts", "batch", "transport", "wall_s",
-                       "setup_s", "rounds", "advances", "speedup",
-                       "digest=")))
+                rows, ("parts", "batch", "wall_s", "setup_s", "rounds",
+                       "advances", "speedup", "digest=")))
     return 0
 
 
