@@ -26,7 +26,7 @@ def scenario_collectives():
         result = run_scenario(name)
         out[f"{mode}_finish_ms"] = units.to_ms(
             result.fingerprint["finish_ns"])
-        out[f"{mode}_digest"] = result.digest
+        out[f"{mode}_digest"] = result.result_digest
         if mode == "hub":
             counters = result.fingerprint["hub_counters"]["hub0"]
             out["hub_releases"] = counters.get("collective.releases", 0)
@@ -69,9 +69,9 @@ def test_ecol_hub_offload_beats_software_trees(benchmark):
 @pytest.mark.benchmark(group="E-COL-collectives")
 def test_ecol_schedules_are_deterministic(benchmark):
     def twice():
-        first = {mode: run_scenario(name).digest
+        first = {mode: run_scenario(name).result_digest
                  for mode, name in MODES.items()}
-        second = {mode: run_scenario(name).digest
+        second = {mode: run_scenario(name).result_digest
                   for mode, name in MODES.items()}
         return {"match": first == second, **{
             f"{mode}_digest": digest for mode, digest in first.items()}}

@@ -23,7 +23,7 @@ def test_engine_throughput(benchmark, name):
 
     def once():
         result = run_scenario(name, repeat=1)
-        digests.append(result.digest)
+        digests.append(result.result_digest)
         return result
 
     result = benchmark.pedantic(once, rounds=3, iterations=1)
@@ -32,7 +32,7 @@ def test_engine_throughput(benchmark, name):
         "events": result.events,
         "sim_ns": result.sim_ns,
         "events_per_sec": round(result.events_per_sec, 1),
-        "digest": result.digest,
+        "result_digest": result.result_digest,
     })
     assert len(set(digests)) == 1, "non-deterministic scenario"
     assert result.events > 0

@@ -335,9 +335,9 @@ def _bench_compare(args: argparse.Namespace, names: list) -> int:
     The anchor is the *first* run recorded in the baseline document (the
     file accumulates runs oldest-first, so the first is the original
     pre-optimization baseline), or ``--baseline-label`` when given.
-    Digests must match the baseline exactly — a throughput win that
-    changes behaviour is a bug, not a speedup — and with ``--min-ratio``
-    the aggregate (geometric-mean) speedup must clear the bar.
+    Result digests must match the baseline exactly — a win that changes
+    behaviour is a bug, not a speedup — and with ``--min-ratio`` the
+    aggregate (geometric-mean) wall-time speedup must clear the bar.
     """
     import json
     import math
@@ -373,15 +373,19 @@ def _bench_compare(args: argparse.Namespace, names: list) -> int:
     ratios = []
     for name in shared:
         old, new = baseline[name], results[name]
-        ratio = new["events_per_sec"] / old["events_per_sec"]
+        # Wall time, not events/s: eliding agenda entries lowers both.
+        ratio = old["wall_s"] / new["wall_s"]
         ratios.append(ratio)
-        digest_ok = old["digest"] == new["digest"] \
-            and old["events"] == new["events"]
+        # Runs recorded before the result/schedule digest split carry no
+        # result_digest; the final clock is what is left to hold them to.
+        digest_ok = old["sim_ns"] == new["sim_ns"] \
+            and old.get("result_digest", new["result_digest"]) \
+            == new["result_digest"]
         if not digest_ok:
-            failures.append(f"{name}: digest/event-count drifted from "
-                            f"baseline")
-        print(f"{name:18s} {old['events_per_sec']:>12,.0f} -> "
-              f"{new['events_per_sec']:>12,.0f} ev/s  {ratio:5.2f}x  "
+            failures.append(f"{name}: result drifted from baseline")
+        print(f"{name:18s} {old['wall_s']:>9.4f} -> "
+              f"{new['wall_s']:>9.4f} s  {ratio:5.2f}x  "
+              f"events {old['events']:>9,} -> {new['events']:>9,}  "
               f"digest={'yes' if digest_ok else 'NO'}")
     aggregate = math.exp(sum(map(math.log, ratios)) / len(ratios))
     print(f"aggregate speedup (geometric mean over {len(ratios)} "

@@ -6,9 +6,14 @@ tests pin three things:
 * **Golden timelines** — the full traced event interleaving of two macro
   scenarios, captured on the pre-optimization engine and checked in.
   Any reordering, gain or loss of an agenda entry shows up here.
-* **Determinism** — running a scenario twice produces the same digest
-  (the property ``run_scenario(repeat=...)`` enforces at measurement
-  time, and CI's perf-smoke job asserts across processes).
+* **Determinism** — running a scenario twice produces the same result
+  digest and the same event count (the property
+  ``run_scenario(repeat=...)`` enforces at measurement time, and CI's
+  perf-smoke job asserts across processes).
+* **Same answers as the parent** — every scenario's ``result_digest``
+  equals the capture in ``data/perfbench_result_digests.json``, taken
+  before the first hand-off elision.  The event count is free to fall;
+  the result is not free to move.
 * **The disabled-tracing hot path** — a disabled tracer records nothing
   and the counters still advance (the ``trace-disabled`` scenario then
   measures that this costs one attribute check per emission).
@@ -16,6 +21,7 @@ tests pin three things:
 
 import json
 import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -54,9 +60,24 @@ class TestDeterminism:
     def test_repeat_runs_share_a_digest(self, name):
         first = run_scenario(name, repeat=1)
         second = run_scenario(name, repeat=1)
-        assert first.digest == second.digest
+        assert first.result_digest == second.result_digest
         assert first.events == second.events
         assert first.sim_ns == second.sim_ns
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_result_digest_equals_the_pre_elision_capture(self, name):
+        pinned = json.loads(
+            (DATA / "perfbench_result_digests.json").read_text())
+        assert sorted(pinned["result_digests"]) == sorted(SCENARIOS)
+        assert run_scenario(name).result_digest \
+            == pinned["result_digests"][name]
+
+    def test_result_digest_ignores_the_event_count(self):
+        result = run_scenario("timeout-storm")
+        assert "events" not in result.fingerprint
+        fewer = replace(result, events=result.events - 1)
+        assert fewer.result_digest == result.result_digest
+        assert fewer.summary()["events"] == result.events - 1
 
     def test_wire_integrity_delivers_every_message(self):
         result = run_scenario("wire-integrity", repeat=1)

@@ -13,9 +13,11 @@ speedup of the last run over the first.  A scale-out document instead
 renders the partitions x batch table with each
 configuration's steady-state speedup over the single-process reference
 (``n/a`` where the capture withheld it: fewer CPUs than partitions).
-``--compare`` lines up one run from each of two engine files — CI's
-perf-smoke job uses it report-only; pass ``--min-ratio`` to turn a
-shortfall into a non-zero exit instead.
+``--compare`` lines up one run from each of two engine files by wall
+time (``old wall_s / new wall_s``; event counts are shown beside it for
+information, since a change may remove events); pass ``--min-ratio`` —
+as CI's perf-smoke job does — to turn a shortfall, or a scenario with no
+comparable wall time, into a non-zero exit.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def show_document(path: str) -> int:
                  f"{data['events']:,}",
                  f"{data['wall_s']:.4f}",
                  f"{data['events_per_sec']:,.0f}",
-                 data["digest"][:12])
+                 data.get("result_digest", data.get("digest", ""))[:12])
                 for name, data in sorted(scenarios.items())]
         print(f"\nrun: {label}")
         print(render_table(
@@ -120,36 +122,66 @@ def show_document(path: str) -> int:
     return 0
 
 
+def wall_speedup(old: dict[str, Any], new: dict[str, Any]) -> Optional[float]:
+    """``old wall_s / new wall_s`` for one scenario, or ``None``.
+
+    Wall time, not events/s: a change that removes agenda entries lowers
+    the event rate while it lowers the wall time.  ``None`` when the two
+    runs did not simulate the same thing (``sim_ns`` differ) or a wall
+    time is zero — there is no ratio to gate on then, and the gate must
+    say so instead of passing.
+    """
+    if old["sim_ns"] != new["sim_ns"]:
+        return None
+    if not old["wall_s"] > 0 or not new["wall_s"] > 0:
+        return None
+    return old["wall_s"] / new["wall_s"]
+
+
 def compare_runs(old: dict[str, Any], new: dict[str, Any],
                  min_ratio: Optional[float] = None) -> int:
     shared = sorted(set(old) & set(new))
     if not shared:
         raise SystemExit("no scenarios in common")
     rows = []
-    worst = float("inf")
-    log_sum = 0.0
+    ratios = {name: wall_speedup(old[name], new[name]) for name in shared}
     for name in shared:
-        ratio = (new[name]["events_per_sec"] / old[name]["events_per_sec"]
-                 if old[name]["events_per_sec"] else float("nan"))
-        worst = min(worst, ratio)
-        log_sum += math.log(ratio) if ratio > 0 else float("-inf")
-        same = "yes" if old[name]["digest"] == new[name]["digest"] else "NO"
+        ratio = ratios[name]
+        if "result_digest" in old[name] and "result_digest" in new[name]:
+            same = "yes" if old[name]["result_digest"] \
+                == new[name]["result_digest"] else "NO"
+        else:
+            same = "n/a"  # one side predates the result/schedule split
         rows.append((name,
-                     f"{old[name]['events_per_sec']:,.0f}",
-                     f"{new[name]['events_per_sec']:,.0f}",
-                     f"{ratio:.2f}x", same))
+                     f"{old[name]['wall_s']:.4f}",
+                     f"{new[name]['wall_s']:.4f}",
+                     "n/a" if ratio is None else f"{ratio:.2f}x",
+                     f"{old[name]['events']:,}",
+                     f"{new[name]['events']:,}", same))
     print(render_table(
-        rows, ("scenario", "old ev/s", "new ev/s", "speedup", "digest=")))
-    aggregate = math.exp(log_sum / len(shared))
-    print(f"aggregate speedup (geometric mean over {len(shared)} "
-          f"scenarios): {aggregate:.2f}x")
+        rows, ("scenario", "old wall_s", "new wall_s", "speedup",
+               "old events", "new events", "digest=")))
+    measured = [ratio for ratio in ratios.values() if ratio is not None]
+    if measured:
+        aggregate = math.exp(sum(map(math.log, measured)) / len(measured))
+        print(f"aggregate speedup (geometric mean over {len(measured)} "
+              f"scenarios): {aggregate:.2f}x")
     for name in sorted(set(old) ^ set(new)):
         side = "old" if name in old else "new"
         print(f"  ({name}: only in {side})")
-    if min_ratio is not None and worst < min_ratio:
-        print(f"FAIL: worst speedup {worst:.2f}x < required {min_ratio}x")
-        return 1
-    return 0
+    if min_ratio is None:
+        return 0
+    status = 0
+    for name, ratio in ratios.items():
+        if ratio is None:
+            print(f"FAIL: {name}: no wall-time ratio (sim_ns differ or a "
+                  f"wall time is 0)")
+            status = 1
+        elif ratio < min_ratio:
+            print(f"FAIL: {name}: speedup {ratio:.2f}x < required "
+                  f"{min_ratio}x")
+            status = 1
+    return status
 
 
 def main(argv: list[str]) -> int:
@@ -167,8 +199,8 @@ def main(argv: list[str]) -> int:
                         help="run label for the NEW file only "
                              "(overrides --label)")
     parser.add_argument("--min-ratio", type=float, default=None,
-                        help="fail (exit 1) if any scenario's speedup "
-                             "is below this")
+                        help="fail (exit 1) if any scenario's wall-time "
+                             "speedup is below this or cannot be computed")
     args = parser.parse_args(argv)
     if args.compare:
         if len(args.paths) != 2:

@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Sweep the e2e workloads' result fingerprints over many seeds.
+
+Usage::
+
+    python tools/result_sweep.py --seeds 1989,4242,1..16 --out A.json
+    python tools/result_sweep.py --seeds 1989,7 --scale 0.2 --out B.json
+    python tools/result_sweep.py --compare A.json B.json
+
+The gate for a change that is allowed to move the *schedule* (how many
+agenda entries a run takes) but not any *result*: one single-process
+drive of ``smallmsg-hub``, ``rpc-faulted`` and ``bulk-wire`` per seed,
+written as ``{workload: {seed: {"events": n, "digests": {aspect:
+hash}}}}``.  The workloads are ``benchmarks/e2e/workloads.py``, imported
+read-only; the digests are ``Outcome.digests()``, the per-aspect hashes
+``benchmarks/e2e/expected.json`` pins for two seeds.  ``--compare``
+lists every (workload, seed, aspect) whose digest differs between two
+sweeps and exits 1 if any does; event counts are shown, never compared.
+``torus-p2`` is left to ``python -m repro scaleout --verify``, which
+holds its partitioned runs to the single-process one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+from typing import Any
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+WORKLOAD_NAMES = ("smallmsg-hub", "rpc-faulted", "bulk-wire")
+
+Sweep = dict[str, dict[str, dict[str, Any]]]
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``"1989,4242,1..16"`` -> the seeds in order, duplicates dropped."""
+    seeds: list[int] = []
+    for part in text.split(","):
+        first, dots, last = part.partition("..")
+        span = range(int(first), int(last) + 1) if dots else [int(first)]
+        seeds += [seed for seed in span if seed not in seeds]
+    return seeds
+
+
+def load_workloads() -> dict[str, Any]:
+    """The e2e workload classes (the benchmark finds ``src/`` the same way)."""
+    for path in (REPO_ROOT / "src", REPO_ROOT / "benchmarks" / "e2e"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    from workloads import WORKLOADS
+    return WORKLOADS
+
+
+def sweep(seeds: list[int], scale: float,
+          names: tuple[str, ...] = WORKLOAD_NAMES) -> Sweep:
+    """Drive every named workload once per seed, single-process."""
+    workloads = load_workloads()
+    result: Sweep = {}
+    for name in names:
+        rows = result[name] = {}
+        for seed in seeds:
+            _system, drive = workloads[name](seed, scale).build()
+            outcome = drive(None)
+            rows[str(seed)] = {"events": outcome.events,
+                               "digests": outcome.digests()}
+    return result
+
+
+def moved(old: Sweep, new: Sweep) -> list[tuple[str, str, str]]:
+    """Every (workload, seed, aspect) present in both whose digest differs,
+    plus ``"missing"`` for a run or aspect only one side has."""
+    moves = []
+    for name in sorted(set(old) | set(new)):
+        seeds = set(old.get(name, {})) | set(new.get(name, {}))
+        for seed in sorted(seeds, key=int):
+            before = old.get(name, {}).get(seed)
+            after = new.get(name, {}).get(seed)
+            if before is None or after is None:
+                moves.append((name, seed, "missing"))
+                continue
+            aspects = set(before["digests"]) | set(after["digests"])
+            moves += [(name, seed, aspect) for aspect in sorted(aspects)
+                      if before["digests"].get(aspect)
+                      != after["digests"].get(aspect)]
+    return moves
+
+
+def compare(old: Sweep, new: Sweep) -> int:
+    moves = moved(old, new)
+    for name in sorted(set(old) & set(new)):
+        shared = sorted(set(old[name]) & set(new[name]), key=int)
+        before = sum(old[name][seed]["events"] for seed in shared)
+        after = sum(new[name][seed]["events"] for seed in shared)
+        changed = {seed for workload, seed, _ in moves if workload == name}
+        ratio = f"x{after / before:.3f}" if before else "n/a"
+        print(f"{name:14s} {len(shared):3d} seeds  {len(changed):3d} moved  "
+              f"events {before:>11,} -> {after:>11,}  ({ratio})")
+    for name, seed, aspect in moves:
+        print(f"MOVED {name} seed {seed}: {aspect}")
+    print(f"{len(moves)} fingerprint aspect(s) moved")
+    return 1 if moves else 0
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", default="1989,4242,1..16",
+                        help="comma list with A..B ranges")
+    parser.add_argument("--scale", type=float, default=1.0,
+                        help="workload size factor (1 = the benchmark's)")
+    parser.add_argument("--out", help="write the sweep to this JSON file")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="list what moved between two sweeps")
+    args = parser.parse_args(argv)
+    if args.compare:
+        old, new = (json.loads(Path(path).read_text())
+                    for path in args.compare)
+        return compare(old, new)
+    if not args.out:
+        parser.error("--out FILE is required when sweeping")
+    result = sweep(parse_seeds(args.seeds), args.scale)
+    Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True)
+                              + "\n")
+    for name, rows in result.items():
+        print(f"{name:14s} {len(rows):3d} seeds  "
+              f"{sum(row['events'] for row in rows.values()):>11,} events")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
