@@ -136,7 +136,7 @@ class Fiber:
         left this end of the fiber."""
         size = self._size_of(item, wire_size)
         done = self.sim.event()
-        self._pending.put((item, size, done))
+        self._pending.try_put((item, size, done))
         return done
 
     def send_priority(self, item: Any, wire_size: Optional[int] = None) -> None:

@@ -68,11 +68,11 @@ class HubController:
         """Queue a command; the returned event fires with a result dict."""
         job = ControllerJob(command, in_port, reverse_path,
                             done=self.sim.event())
-        self._queue.put(job)
+        self._queue.try_put(job)
         return job.done
 
     def _resubmit(self, job: ControllerJob) -> None:
-        self._queue.put(job)
+        self._queue.try_put(job)
 
     def _run(self):
         while True:

@@ -81,7 +81,7 @@ class HubPort:
             if not self._arrivals.items:
                 self._signal_upstream_drained()
             return
-        self._arrivals.put((item, wire_size, self.sim.now))
+        self._arrivals.try_put((item, wire_size, self.sim.now))
         hub = self.hub
         index = self.index
         depth = len(self._arrivals.items)

@@ -58,7 +58,9 @@ class Mailbox:
         self.messages: list[Message] = []
         self._readers: list[tuple[Optional[Callable[[Message], bool]],
                                   Event]] = []
-        self._writers: list[tuple[Message, Event]] = []
+        #: Blocked writers; the event is None for a ``try_put`` whose
+        #: caller only wanted the yes/no answer.
+        self._writers: list[tuple[Message, Optional[Event]]] = []
         self.closed = False
         self.enqueued = 0
         self.dequeued = 0
@@ -94,7 +96,8 @@ class Mailbox:
             raise MailboxError(f"mailbox {self.name} is closed")
         if self.is_full or self._writers:
             return False
-        self.put(message)
+        self._writers.append((message, None))
+        self._service()
         return True
 
     # ------------------------------------------------------------------
@@ -157,7 +160,8 @@ class Mailbox:
         """Close the mailbox: pending and future reads on empty fail."""
         self.closed = True
         for message, event in self._writers:
-            event.fail(MailboxError(f"mailbox {self.name} closed"))
+            if event is not None:
+                event.fail(MailboxError(f"mailbox {self.name} closed"))
         self._writers.clear()
         if not self.messages:
             for _predicate, event in self._readers:
@@ -182,7 +186,8 @@ class Mailbox:
                 self.messages.append(message)
                 self.enqueued += 1
                 self.peak_depth = max(self.peak_depth, len(self.messages))
-                event.succeed(message)
+                if event is not None:
+                    event.succeed(message)
                 progressed = True
             # Satisfy readers (respecting out-of-order predicates).
             for index, (predicate, event) in enumerate(list(self._readers)):
