@@ -107,13 +107,13 @@ class Process(Event):
                 target = self._generator.throw(trigger._value)
         except StopIteration as stop:
             sim._active_process = None
-            self.succeed(stop.value)
+            self._finish(stop.value)
             return
         except Interrupt as interrupt:
             # An unhandled interrupt terminates the process quietly with
             # the interrupt cause as its value, mirroring thread kill.
             sim._active_process = None
-            self.succeed(interrupt.cause)
+            self._finish(interrupt.cause)
             return
         except BaseException as error:
             sim._active_process = None
@@ -144,6 +144,17 @@ class Process(Event):
             else:
                 target._cb = [cb, self._on_fire]
             self._waiting_on = target
+
+    def _finish(self, value: Any) -> None:
+        if self._cb is None:
+            # Nobody is waiting, so completion needs no agenda entry: go
+            # straight to processed.  A later ``yield proc``/``add_callback``
+            # takes the already-processed path and still gets the value.
+            self._ok = True
+            self._value = value
+            self._cb = _PROCESSED
+        else:
+            self.succeed(value)
 
     def _crash(self, error: BaseException) -> None:
         self._generator.close()
