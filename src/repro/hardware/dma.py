@@ -77,8 +77,8 @@ class DmaController:
         pace for the duration ("gathers the packet when it transfers the
         data to the fiber output queue using DMA", §6.2.1).
         """
-        grant = self.fiber_out.acquire()
-        yield grant
+        if not self.fiber_out.try_acquire():
+            yield self.fiber_out.acquire()
         stream = self.cab.memory_pool.open_stream(
             self.cab.fiber_rate_bytes_per_ns)
         try:
@@ -96,8 +96,8 @@ class DmaController:
         The DMA keeps pace with the fiber, so completion is bounded by the
         tail's arrival plus a small burst residual.
         """
-        grant = self.fiber_in.acquire()
-        yield grant
+        if not self.fiber_in.try_acquire():
+            yield self.fiber_in.acquire()
         stream = self.cab.memory_pool.open_stream(
             self.cab.fiber_rate_bytes_per_ns)
         try:
@@ -118,8 +118,8 @@ class DmaController:
     def vme_transfer(self, num_bytes: int, to_cab: bool):
         """DMA between node memory and CAB data memory over VME (generator)."""
         channel = self.vme_in if to_cab else self.vme_out
-        grant = channel.acquire()
-        yield grant
+        if not channel.try_acquire():
+            yield channel.acquire()
         stream = self.cab.memory_pool.open_stream(self.cfg.vme_bytes_per_ns)
         try:
             yield self.sim.timeout(self.cfg.dma_start_ns)

@@ -60,8 +60,8 @@ class NodeHost:
     def _charge(self, cost_ns: int):
         if cost_ns <= 0:
             return
-        grant = self.cpu.acquire()
-        yield grant
+        if not self.cpu.try_acquire():
+            yield self.cpu.acquire()
         try:
             yield self.sim.timeout(cost_ns)
             self.busy_ns += cost_ns

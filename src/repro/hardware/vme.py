@@ -37,8 +37,8 @@ class VmeBus:
         """Timed bus transfer (generator).  One master at a time."""
         if num_bytes <= 0:
             return
-        grant = self._bus.acquire()
-        yield grant
+        if not self._bus.try_acquire():
+            yield self._bus.acquire()
         try:
             effective = min(rate or self.bytes_per_ns, self.bytes_per_ns)
             yield self.sim.timeout(units.transfer_time(num_bytes, effective))

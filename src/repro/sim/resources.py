@@ -241,6 +241,18 @@ class Resource:
             self._waiters.append(event)
         return event
 
+    def try_acquire(self) -> bool:
+        """Take a slot now if one is free and nobody is queued for it.
+
+        The no-event form of an uncontended FIFO ``acquire()``: holders
+        of resources nobody ever takes with ``priority=True`` write
+        ``if not r.try_acquire(): yield r.acquire()``.
+        """
+        if self.in_use < self.capacity and not self._waiters:
+            self.in_use += 1
+            return True
+        return False
+
     def release(self) -> None:
         if self.in_use <= 0:
             raise RuntimeError("release() without matching acquire()")
