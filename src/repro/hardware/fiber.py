@@ -4,6 +4,12 @@ Each fiber carries 100 Mb/s (TAXI-limited), i.e. 80 ns/byte, plus a small
 propagation delay.  Packets serialise FIFO; replies "steal cycles" and are
 never blocked (§4.2.1), modelled by :meth:`Fiber.send_priority`.
 
+The transmit side is an idle/busy state machine, not a process: an idle
+fiber starts serialising inside :meth:`Fiber.send`, one ``call_in`` ends
+the packet, and only a send that finds the line busy waits in a backlog.
+An agenda entry exists where simulated time passes (the tail leaving,
+the head arriving) or somebody waits (``done``) — nowhere else.
+
 Fault injection (drop/corrupt probabilities from
 :class:`~repro.config.FiberConfig`) lives here because a 1989 fiber run
 really was where bits died; reliable transports recover from it.
@@ -15,7 +21,9 @@ import random
 from typing import TYPE_CHECKING, Any, Callable, Optional, Protocol
 
 from ..config import FiberConfig
-from ..sim import Event, Simulator, Store, units
+from collections import deque
+
+from ..sim import Event, Simulator, units
 from .frames import Packet, Reply
 
 __all__ = ["FiberEndpoint", "Fiber", "DuplexFiber", "RngFactory"]
@@ -43,21 +51,26 @@ class FiberEndpoint(Protocol):
 
 
 #: Indices into :attr:`Fiber.stats` — one flat int list per fiber so the
-#: transmit loop's per-packet accounting is two index stores on a local,
-#: not four attribute chases through the instance dict.
+#: per-packet accounting is two index stores on a local, not four
+#: attribute chases through the instance dict.
 _SENT, _DROPPED, _REPLIES_DROPPED, _BYTES = range(4)
 
 
 class Fiber:
-    """One direction of a fiber pair."""
+    """One direction of a fiber pair.
 
-    # Slots make every hot attribute a fixed-offset load in the transmit
-    # loop.  ``__dict__`` stays in the layout (created lazily, so plain
+    Idle (``_sending is None``) or busy serialising one packet
+    (``_sending`` is its ``(size, done)``); sends that find it busy wait
+    in ``_backlog`` and start, in order, as each tail leaves.
+    """
+
+    # Slots make every hot attribute a fixed-offset load on the transmit
+    # path.  ``__dict__`` stays in the layout (created lazily, so plain
     # fibers never allocate one) because instrumentation taps patch
     # per-instance ``send`` wrappers, and subclasses (the scale-out
     # boundary fiber) hang extra attributes off it.
     __slots__ = ("sim", "cfg", "name", "_rng", "_rng_factory", "endpoint",
-                 "_pending", "_head_latency", "_xfer_cache", "_transmitter",
+                 "_sending", "_backlog", "_head_latency", "_xfer_cache",
                  "fault_down", "fault_drop", "fault_corrupt",
                  "fault_reply_drop", "stats", "__dict__")
 
@@ -76,15 +89,14 @@ class Fiber:
         self._rng = rng
         self._rng_factory = rng_factory or _unseeded_stream
         self.endpoint: Optional[FiberEndpoint] = None
-        self._pending: Store = Store(sim)
+        self._sending: Optional[tuple[int, Event]] = None
+        self._backlog: deque[tuple[Any, int, Event]] = deque()
         # Per-packet timing is pure arithmetic over a fixed rate, so the
         # head latency is computed once and serialization times are memoized
         # per wire size (fragment sizes repeat heavily under load).
         self._head_latency = (cfg.propagation_ns
                               + units.transfer_time(1, cfg.bytes_per_ns))
         self._xfer_cache: dict[int, int] = {}
-        self._transmitter = sim.process(self._transmit_loop(),
-                                        name=f"fiber:{name}")
         # Fault-injection overlay (``repro.faults``).  Per-fiber state so
         # a campaign degrading one link never mutates the FiberConfig,
         # which is shared by every fiber in the system.
@@ -136,7 +148,10 @@ class Fiber:
         left this end of the fiber."""
         size = self._size_of(item, wire_size)
         done = self.sim.event()
-        self._pending.try_put((item, size, done))
+        if self._sending is None:
+            self._start(item, size, done)
+        else:
+            self._backlog.append((item, size, done))
         return done
 
     def send_priority(self, item: Any, wire_size: Optional[int] = None) -> None:
@@ -174,33 +189,38 @@ class Fiber:
             self._xfer_cache[size] = ticks
         return ticks
 
-    def _transmit_loop(self):
-        sim = self.sim
-        pending = self._pending
-        stats = self.stats
-        while True:
-            item, size, done = yield pending.get()
-            serialization = self._serialization(size)
-            # Cut-through: the head arrives after propagation plus one byte
-            # time; the line stays busy until the tail has been serialised.
-            deliver = True
-            if self._faulted(item):
-                stats[_DROPPED] += 1
-                if isinstance(item, Packet):
-                    # A damaged packet still arrives and drains queues —
-                    # the framing error is detected at reception, so
-                    # flow-control (ready bit) accounting stays sound.
-                    item.meta["framing_error"] = True
-                else:
-                    deliver = False  # replies/ready signals just vanish
+    def _start(self, item: Any, size: int, done: Event) -> None:
+        """The line is free: put ``item``'s head on it now."""
+        self._sending = (size, done)
+        # Cut-through: the head arrives after propagation plus one byte
+        # time; the line stays busy until the tail has been serialised.
+        deliver = True
+        if self._faulted(item):
+            self.stats[_DROPPED] += 1
+            if isinstance(item, Packet):
+                # A damaged packet still arrives and drains queues —
+                # the framing error is detected at reception, so
+                # flow-control (ready bit) accounting stays sound.
+                item.meta["framing_error"] = True
             else:
-                self._corrupt_maybe(item)
-            if deliver:
-                self._schedule_delivery(self._head_latency, item, size)
-            yield sim.timeout(serialization)
-            stats[_SENT] += 1
-            stats[_BYTES] += size
-            done.succeed()
+                deliver = False  # replies/ready signals just vanish
+        else:
+            self._corrupt_maybe(item)
+        if deliver:
+            self._schedule_delivery(self._head_latency, item, size)
+        self.sim.call_in(self._serialization(size), self._tail_left)
+
+    def _tail_left(self) -> None:
+        """The tail has been serialised: fire ``done``, start the next."""
+        size, done = self._sending
+        stats = self.stats
+        stats[_SENT] += 1
+        stats[_BYTES] += size
+        done.succeed()
+        if self._backlog:
+            self._start(*self._backlog.popleft())
+        else:
+            self._sending = None
 
     def _schedule_delivery(self, latency: int, item: Any, size: int) -> None:
         """Commit a delivery ``latency`` ticks from now.
