@@ -7,14 +7,20 @@ nanosecond cycle" (§4, goal 2).  Retrying commands do not stall the
 pipeline: a refused ``*_with_retry`` registers as a waiter on its output
 port and is re-issued (costing a fresh cycle) when the port frees or its
 ready bit rises.
+
+The pipeline is an idle/busy state machine: a command that finds it idle
+starts its cycle inside :meth:`HubController.submit`, one ``call_in`` per
+command ends the cycle and dispatches it, and commands arriving meanwhile
+wait in a FIFO backlog.  No process, no queue hand-off events.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
-from ..sim import Event, Store
+from ..sim import Event
 from .frames import HubCommand
 from .hub_commands import (CommandOp, has_retry, is_collective, is_open,
                            is_test_open)
@@ -51,15 +57,16 @@ class HubController:
         self.hub = hub
         self.sim = hub.sim
         self.cfg = hub.cfg
-        self._queue: Store = Store(self.sim)
+        #: The command whose 70 ns cycle is running (None: pipeline idle).
+        self._current: Optional[ControllerJob] = None
+        #: Commands that arrived during a cycle, oldest first.
+        self._backlog: deque[ControllerJob] = deque()
         #: Per-output FIFO of jobs waiting for the port to free or ready.
         self._waiters: dict[int, list[ControllerJob]] = {}
         self.commands_executed = 0
         self.frozen = False
         #: Watchdog limit (cycles) for retrying jobs; 0 disables.
         self.retry_timeout_cycles = 0
-        self._engine = self.sim.process(self._run(),
-                                        name=f"{hub.name}.controller")
 
     # ------------------------------------------------------------------
 
@@ -68,19 +75,29 @@ class HubController:
         """Queue a command; the returned event fires with a result dict."""
         job = ControllerJob(command, in_port, reverse_path,
                             done=self.sim.event())
-        self._queue.try_put(job)
+        self._resubmit(job)
         return job.done
 
     def _resubmit(self, job: ControllerJob) -> None:
-        self._queue.try_put(job)
+        if self._current is None:
+            self._begin(job)
+        else:
+            self._backlog.append(job)
 
-    def _run(self):
-        while True:
-            job = yield self._queue.get()
-            # One command per controller cycle (§4, goal 2).
-            yield self.sim.timeout(self.cfg.cycle_ns)
-            self.commands_executed += 1
-            self._dispatch(job)
+    def _begin(self, job: ControllerJob) -> None:
+        # One command per controller cycle (§4, goal 2).
+        self._current = job
+        self.sim.call_in(self.cfg.cycle_ns, self._cycle_done)
+
+    def _cycle_done(self) -> None:
+        self.commands_executed += 1
+        # Jobs the dispatch re-issues (notify) queue behind the backlog:
+        # the pipeline still reads busy while the command executes.
+        self._dispatch(self._current)
+        if self._backlog:
+            self._begin(self._backlog.popleft())
+        else:
+            self._current = None
 
     # ------------------------------------------------------------------
 
@@ -230,7 +247,7 @@ class HubController:
             description="fraction of controller cycles spent executing")
         sampler.add_probe(
             f"{name}.controller.queue_depth",
-            lambda: float(len(self._queue.items)),
+            lambda: float(len(self._backlog)),
             description="commands queued for the controller pipeline",
             unit="commands")
         sampler.add_probe(
@@ -256,8 +273,5 @@ class HubController:
             for job in jobs:
                 job.finish(False, reason="hub reset")
         self._waiters.clear()
-        while True:
-            ok, job = self._queue.try_get()
-            if not ok:
-                break
-            job.finish(False, reason="hub reset")
+        while self._backlog:
+            self._backlog.popleft().finish(False, reason="hub reset")
