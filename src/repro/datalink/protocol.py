@@ -147,8 +147,8 @@ class Datalink:
         checksum_cost = self.cab.checksum.cost_ns(payload.size)
         if checksum_cost:
             yield from self.kernel.compute(checksum_cost)
-        if not self._port_lock.try_acquire():
-            yield self._port_lock.acquire()
+        grant = self._port_lock.acquire()
+        yield grant
         try:
             if mode == "packet":
                 yield from self._send_packet_switched(route, payload)
@@ -258,8 +258,8 @@ class Datalink:
         checksum_cost = self.cab.checksum.cost_ns(payload.size)
         if checksum_cost:
             yield from self.kernel.compute(checksum_cost)
-        if not self._port_lock.try_acquire():
-            yield self._port_lock.acquire()
+        grant = self._port_lock.acquire()
+        yield grant
         try:
             for index, edges in enumerate(edge_groups):
                 body = payload if index == 0 else dataclasses.replace(payload)
@@ -367,8 +367,8 @@ class Datalink:
                 f"{self.cab.name} cannot probe from {hub_a.name}: "
                 f"not attached there")
         yield from self.kernel.compute(self.cfg.datalink.send_overhead_ns)
-        if not self._port_lock.try_acquire():
-            yield self._port_lock.acquire()
+        grant = self._port_lock.acquire()
+        yield grant
         try:
             open_cmd = self._command(CommandOp.OPEN_RETRY, hub_a.name,
                                      port_a)
@@ -456,8 +456,8 @@ class Datalink:
         local_hub = self.cab.hub_port.hub
         hubs = self.router.hub_path(local_hub.name, target_hub_name)
         yield from self.kernel.compute(self.cfg.datalink.send_overhead_ns)
-        if not self._port_lock.try_acquire():
-            yield self._port_lock.acquire()
+        grant = self._port_lock.acquire()
+        yield grant
         try:
             commands = []
             for here, there in zip(hubs, hubs[1:]):

@@ -85,6 +85,91 @@ class TestTiming:
         assert fiber.tail_delay(100) == 100 * 80 - 80
 
 
+class TestTransmitStateMachine:
+    """The transmit side is idle or busy; there is no transmitter process."""
+
+    def timed_sink(self, sim, fiber):
+        heads = []
+        sink = Sink()
+        sink.deliver = lambda item, size: heads.append((sim.now, item))
+        fiber.connect(sink)
+        return heads
+
+    def test_back_to_back_sends_finish_at_the_closed_form(self, sim):
+        fiber = Fiber(sim, FiberConfig(propagation_ns=40), "f")
+        heads = self.timed_sink(sim, fiber)
+        packets = [make_packet(size) for size in (100, 7, 512, 64)]
+        finished = {}
+        for index, packet in enumerate(packets):
+            fiber.send(packet).add_callback(
+                lambda _e, index=index: finished.setdefault(index, sim.now))
+        assert fiber._sending is not None and len(fiber._backlog) == 3
+        sim.run()
+        tails, starts, clock = [], [], 0
+        for packet in packets:
+            starts.append(clock)
+            clock += packet.wire_size() * 80
+            tails.append(clock)
+        assert [finished[i] for i in range(4)] == tails
+        # A send that found the line busy starts at the previous tail:
+        # its head lands one propagation + one byte time after that.
+        assert heads == [(start + 40 + 80, packet)
+                         for start, packet in zip(starts, packets)]
+        assert fiber._sending is None and not fiber._backlog
+        assert (fiber.packets_sent, fiber.bytes_sent) \
+            == (4, sum(p.wire_size() for p in packets))
+
+    def test_idle_line_starts_inside_send(self, sim):
+        fiber = Fiber(sim, FiberConfig(propagation_ns=0), "f")
+        heads = self.timed_sink(sim, fiber)
+        sim.run(until=1_000)
+        events_before = sim.events_processed
+        done = fiber.send(make_packet(10))
+        assert fiber._sending is not None and not fiber._backlog
+        sim.run()
+        assert heads[0][0] == 1_000 + 80 and done.processed
+        # Head arrival, tail departure, done: time passes twice and one
+        # caller waits.  Nothing else is on the agenda.
+        assert sim.events_processed - events_before == 3
+
+    def test_fault_draws_are_one_per_packet_in_send_order(self, sim):
+        rng, reference = random.Random(7), random.Random(7)
+        fiber = Fiber(sim, FiberConfig(drop_probability=0.5), "f", rng=rng)
+        fiber.connect(Sink())
+        packets = [make_packet(20) for _ in range(32)]
+        for packet in packets[:20]:
+            fiber.send(packet)  # one starts, nineteen wait their turn
+        sim.run()
+        for packet in packets[20:]:
+            fiber.send(packet)
+            sim.run()  # every one of these finds the line idle
+        expected = [reference.random() < 0.5 for _ in packets]
+        assert [bool(p.meta.get("framing_error")) for p in packets] \
+            == expected
+        assert 0 < sum(expected) < 32
+        assert rng.getstate() == reference.getstate()
+        assert fiber.packets_dropped == sum(expected)
+
+    def test_downed_fiber_still_fires_done_and_drains_its_backlog(self, sim):
+        from repro.hardware.frames import Reply
+        fiber = Fiber(sim, FiberConfig(propagation_ns=0), "f")
+        heads = self.timed_sink(sim, fiber)
+        fiber.set_fault(down=True)
+        first, second = make_packet(10), make_packet(10)
+        dones = [fiber.send(first),
+                 fiber.send(Reply(seq=1, ok=True, hub_id="h")),
+                 fiber.send(second)]
+        sim.run()
+        assert all(done.processed and done.ok for done in dones)
+        # Damaged packets still arrive (and drain queues); the reply
+        # vanished but held the line for its serialisation time.
+        assert [item for _t, item in heads] == [first, second]
+        assert first.meta["framing_error"] and second.meta["framing_error"]
+        assert heads[1][0] - heads[0][0] == (12 + 3) * 80
+        assert fiber.packets_dropped == 3 and fiber.packets_sent == 3
+        assert fiber._sending is None and not fiber._backlog
+
+
 class TestFaults:
     def test_drop_probability_one_damages_every_packet(self, sim):
         cfg = FiberConfig(drop_probability=1.0)

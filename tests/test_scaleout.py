@@ -172,6 +172,11 @@ def test_partitioned_digest_matches_single(torus16_reference,
     # the raw event count survives partitioning.
     assert result.events == torus16_reference.events
     assert result.envelopes > 0 and result.rounds > 0
+    if num_partitions == 2:
+        # The boundary fiber's one seam (_schedule_delivery) captures
+        # exactly the deliveries the process-form transmit loop did:
+        # the count measured at PR 16, before the state machine.
+        assert result.envelopes == 128
 
 
 def test_circuit_mode_replies_cross_partitions():

@@ -266,6 +266,11 @@ class ModelResource:
         else:
             self.waiters.append(tag)
 
+    def try_acquire(self):
+        free = self.in_use < self.capacity and not self.waiters
+        self.in_use += free
+        return free
+
     def release(self):
         if self.waiters:
             self.granted.append(self.waiters.pop(0))
@@ -427,6 +432,7 @@ class TestLazyWaiterQueues:
     @given(capacity=st.integers(1, 3),
            ops=st.lists(st.one_of(
                st.tuples(st.just("acquire"), st.booleans()),
+               st.tuples(st.just("try_acquire"), st.none()),
                st.tuples(st.just("release"), st.none())), max_size=40))
     @settings(max_examples=150, deadline=None)
     def test_resource_matches_reference_model(self, capacity, ops):
@@ -437,6 +443,12 @@ class TestLazyWaiterQueues:
             if op == "acquire":
                 events.append((tag, lock.acquire(priority=priority)))
                 model.acquire(tag, priority)
+            elif op == "try_acquire":
+                # Never past a parked waiter, never beyond capacity; a
+                # slot it took is handed on by release() like any other.
+                blocked = bool(lock._waiters) or lock.in_use == capacity
+                assert lock.try_acquire() == model.try_acquire() \
+                    == (not blocked)
             elif model.in_use:
                 lock.release()
                 model.release()
