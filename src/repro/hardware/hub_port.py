@@ -180,30 +180,31 @@ class HubPort:
         # Cut-through forwarding: 5 cycles from input queue to output
         # register (§4), then the output fiber serialises the bytes.
         yield self.sim.timeout(cfg.transfer_ns)
-        if len(outputs) == 1:
-            yield from self._transmit(outputs[0], packet, closing)
-        else:
-            # Multicast: the branches serialise concurrently, each on
-            # its own clone; the input queue holds the packet until the
-            # slowest has left.
-            yield self.sim.all_of([
-                self.sim.process(
-                    self._transmit(out_index, self._clone(packet), closing),
-                    name=f"{hub.name}.p{self.index}->p{out_index}")
-                for out_index in outputs])
+        done_events = []
+        for out_index in outputs:
+            clone = self._clone_for(packet, len(outputs) > 1)
+            done_events.append(self.sim.process(
+                self._transmit(out_index, clone, closing),
+                name=f"{hub.name}.p{self.index}->p{out_index}"))
+        # A unicast packet waits on its one branch directly: the AllOf
+        # only multicast needs would be one more agenda entry per hop.
+        yield done_events[0] if len(done_events) == 1 \
+            else self.sim.all_of(done_events)
         if closing:
             freed = hub.crossbar.disconnect_input(self.index)
             for out_index in freed:
                 hub.notify_output_freed(out_index)
             hub.count("close_all_executed")
 
-    def _clone(self, packet: Packet) -> Packet:
+    def _clone_for(self, packet: Packet, multicast: bool) -> Packet:
         """Copy a packet for one multicast branch.
 
         The byte stream sent down every branch is identical; cloning only
         exists so each branch keeps its own command cursor, reverse path
         and corruption flag.
         """
+        if not multicast:
+            return packet
         payload = None
         if packet.payload is not None:
             payload = dc_replace(packet.payload)
