@@ -303,6 +303,71 @@ class TestSupervisor:
         assert not reply_event.value.ok
 
 
+class TestControllerPipeline:
+    """The controller is idle or one cycle into a command; no process."""
+
+    def submit(self, hub, op, param, in_port, finished, origin=None):
+        cmd = command(op, "hub0", param, origin=origin or f"cab{in_port}")
+        done = hub.controller.submit(cmd, in_port, [])
+        done.add_callback(lambda event: finished.append(
+            (hub.sim.now, in_port, event.value)))
+        return done
+
+    def test_same_instant_commands_take_one_cycle_each_in_order(self, rig):
+        sim, hub, _cabs = rig
+        sim.run(until=1_000)
+        finished = []
+        self.submit(hub, CommandOp.OPEN, 2, 0, finished)
+        self.submit(hub, CommandOp.OPEN, 2, 1, finished)
+        assert hub.controller._current is not None
+        assert len(hub.controller._backlog) == 1
+        sim.run()
+        assert [(when, port, result["ok"])
+                for when, port, result in finished] \
+            == [(1_070, 0, True), (1_140, 1, False)]
+        assert finished[1][2]["reason"] == "busy"
+        assert hub.controller.commands_executed == 2
+        assert hub.controller._current is None and not hub.controller._backlog
+
+    def test_reset_fails_queued_commands(self, rig):
+        sim, hub, _cabs = rig
+        sim.run(until=1_000)
+        finished = []
+        for in_port, out_port in ((0, 1), (0, 2), (1, 2), (2, 2)):
+            self.submit(hub, CommandOp.OPEN, out_port, in_port, finished)
+        # A localized command: executes in the port, one cycle from now,
+        # right after the controller has dispatched the first open.
+        sim.process(hub.execute_command(
+            command(CommandOp.SV_RESET_HUB, "hub0", 0), 0, []))
+        sim.run()
+        # The open already in its cycle when the reset lands still
+        # executes; the two queued behind it were flushed.
+        assert [(when, port, result.get("reason"))
+                for when, port, result in finished] \
+            == [(1_070, 0, None), (1_070, 1, "hub reset"),
+                (1_070, 2, "hub reset"), (1_140, 0, None)]
+        assert hub.controller.commands_executed == 2
+        assert hub.controller._current is None and not hub.controller._backlog
+
+    def test_retry_waiters_reenter_behind_the_inflight_command(self, rig):
+        sim, hub, _cabs = rig
+        finished = []
+        self.submit(hub, CommandOp.OPEN, 2, 0, finished)
+        sim.run()
+        waiter = self.submit(hub, CommandOp.OPEN_RETRY, 2, 1, finished)
+        sim.run()
+        assert not waiter.triggered  # parked on output 2
+        start = sim.now
+        self.submit(hub, CommandOp.OPEN, 1, 0, finished)  # in flight ...
+        hub.close_output(2)                               # ... re-issue
+        assert len(hub.controller._backlog) == 1
+        sim.run()
+        assert [(when - start, port, result["ok"])
+                for when, port, result in finished[1:]] \
+            == [(70, 0, True), (140, 1, True)]
+        assert hub.crossbar.owner_of(2) == 1
+
+
 class TestFlowControlCommands:
     def test_clear_and_set_ready(self, rig):
         sim, hub, cabs = rig

@@ -138,6 +138,27 @@ class TestObservatory:
         assert len(util.values) > 10
         assert all(0.0 <= value <= 1.0 for value in util.values)
 
+    def test_queue_depth_probes_read_the_state_machines(self):
+        """The controller's and ports' ``queue_depth`` probes report what
+        they reported when the controller was a process draining a Store:
+        commands *waiting* (the one in its cycle is not queued).  Values
+        are those of the parent of PR 17 for this exact run."""
+        from repro.config import NectarConfig
+        from repro.sim import units
+        from repro.workload import Workload
+        system = single_hub_system(12, cfg=NectarConfig(seed=1989))
+        observatory = system.observe(interval_ns=500, trace=False)
+        Workload(system, pattern="uniform", arrivals="poisson", mode="open",
+                 message_bytes=64, offered_load=0.3,
+                 warmup_ns=units.ms(0.5), duration_ns=units.ms(2),
+                 drain_ns=units.ms(0.5), salt="e2e").run()
+        depth = {name: series for name, series in observatory.series.items()
+                 if name.endswith(".queue_depth")}
+        controller = depth.pop("hub0.controller.queue_depth")
+        assert (controller.maximum, sum(controller.values)) == (4.0, 56.0)
+        assert len(depth) == 16
+        assert all(series.maximum == 0.0 for series in depth.values())
+
     def test_sweep_points_carry_metrics(self):
         from repro.workload import LoadSweep
         sweep = LoadSweep(lambda: single_hub_system(2), [0.1],

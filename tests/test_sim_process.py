@@ -166,3 +166,77 @@ class TestCrashes:
         proc = sim.process(outer())
         sim.run()
         assert proc.value == "handled: inner failure"
+
+
+class TestUnobservedCompletion:
+    """A process nobody waits on finishes without an agenda entry; anyone
+    who looks later still gets its value (or its failure)."""
+
+    def finished(self, sim, value="done"):
+        def body():
+            yield sim.timeout(10)
+            return value
+        proc = sim.process(body())
+        sim.run()
+        return proc
+
+    def test_completion_costs_no_agenda_entry(self, sim):
+        proc = self.finished(sim)
+        # Bootstrap carrier + the timeout: no third, no-op entry.
+        assert sim.events_processed == 2
+        assert proc.processed and proc.ok and proc.value == "done"
+        assert not proc.is_alive and proc.callbacks is None
+
+    def test_observed_completion_still_fires_in_agenda_order(self, sim):
+        seen = []
+
+        def body():
+            yield sim.timeout(10)
+            seen.append("returned")
+            return "done"
+        proc = sim.process(body())
+        proc.add_callback(lambda event: seen.append(event.value))
+        sim.run()
+        assert seen == ["returned", "done"] and sim.events_processed == 3
+
+    def test_yield_add_callback_and_all_of_deliver_the_value(self, sim):
+        proc = self.finished(sim, value=42)
+        got = []
+        proc.add_callback(lambda event: got.append(event.value))
+        assert got == [42]  # already processed: runs at once
+
+        def late_waiter():
+            got.append((yield proc))
+            got.append((yield sim.all_of([proc]))[proc])
+        sim.process(late_waiter())
+        sim.run()
+        assert got == [42, 42, 42]
+
+    def test_interrupt_killed_process_is_finished_in_place(self, sim):
+        def sleeper():
+            yield sim.timeout(1_000)
+        proc = sim.process(sleeper())
+        sim.run(until=10)
+        proc.interrupt("stop")
+        sim.run()
+        assert proc.processed and proc.value == "stop"
+
+    def test_unobserved_crash_halts_and_still_delivers_the_failure(self, sim):
+        def body():
+            yield sim.timeout(10)
+            raise ValueError("boom")
+        proc = sim.process(body())
+        with pytest.raises(SimulationError, match="boom"):
+            sim.run()
+        assert proc.processed and not proc.ok
+
+        def late_waiter():
+            try:
+                yield proc
+            except ValueError as error:
+                return f"caught {error}"
+        waiter = sim.process(late_waiter())
+        failed = sim.all_of([proc])
+        sim.run()
+        assert waiter.value == "caught boom"
+        assert failed.triggered and not failed.ok
