@@ -60,7 +60,11 @@ class Datalink:
         #: threads must not interleave while a circuit is held open:
         #: further opens from the same input port would create crossbar
         #: fan-out and the travelling closes would tear each other's
-        #: connections down.
+        #: connections down.  FIFO-only, yet its holders still ``yield``
+        #: the uncontended grant instead of ``try_acquire()``: with the
+        #: fiber-out DMA grant also elided the send DMA's ``open_stream``
+        #: overtook a same-nanosecond drain transfer and moved one
+        #: latency (docs/PERFORMANCE.md, "Rejected variants").
         self._port_lock = Resource(cab.sim, capacity=1)
         cab.on_receive(self._receive_interrupt)
 

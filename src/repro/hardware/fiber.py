@@ -18,11 +18,10 @@ really was where bits died; reliable transports recover from it.
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Optional, Protocol
 
 from ..config import FiberConfig
-from collections import deque
-
 from ..sim import Event, Simulator, units
 from .frames import Packet, Reply
 

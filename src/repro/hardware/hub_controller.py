@@ -75,10 +75,10 @@ class HubController:
         """Queue a command; the returned event fires with a result dict."""
         job = ControllerJob(command, in_port, reverse_path,
                             done=self.sim.event())
-        self._resubmit(job)
+        self._enqueue(job)
         return job.done
 
-    def _resubmit(self, job: ControllerJob) -> None:
+    def _enqueue(self, job: ControllerJob) -> None:
         if self._current is None:
             self._begin(job)
         else:
@@ -91,8 +91,8 @@ class HubController:
 
     def _cycle_done(self) -> None:
         self.commands_executed += 1
-        # Jobs the dispatch re-issues (notify) queue behind the backlog:
-        # the pipeline still reads busy while the command executes.
+        # Jobs the dispatch re-issues (notify) join the tail of the
+        # backlog: the pipeline still reads busy while the command executes.
         self._dispatch(self._current)
         if self._backlog:
             self._begin(self._backlog.popleft())
@@ -221,7 +221,7 @@ class HubController:
         if not jobs:
             return
         for job in jobs:
-            self._resubmit(job)
+            self._enqueue(job)
 
     # ------------------------------------------------------------------
     # observability
