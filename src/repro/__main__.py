@@ -379,8 +379,7 @@ def _bench_compare(args: argparse.Namespace, names: list) -> int:
         # Runs recorded before the result/schedule digest split carry no
         # result_digest; the final clock is what is left to hold them to.
         digest_ok = old["sim_ns"] == new["sim_ns"] \
-            and old.get("result_digest", new["result_digest"]) \
-            == new["result_digest"]
+            and old.get("result_digest") in (None, new["result_digest"])
         if not digest_ok:
             failures.append(f"{name}: result drifted from baseline")
         print(f"{name:18s} {old['wall_s']:>9.4f} -> "

@@ -131,9 +131,8 @@ def wall_speedup(old: dict[str, Any], new: dict[str, Any]) -> Optional[float]:
     time is zero — there is no ratio to gate on then, and the gate must
     say so instead of passing.
     """
-    if old["sim_ns"] != new["sim_ns"]:
-        return None
-    if not old["wall_s"] > 0 or not new["wall_s"] > 0:
+    if old["sim_ns"] != new["sim_ns"] \
+            or not (old["wall_s"] > 0 and new["wall_s"] > 0):  # nan too
         return None
     return old["wall_s"] / new["wall_s"]
 

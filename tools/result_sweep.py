@@ -53,12 +53,11 @@ def load_workloads() -> dict[str, Any]:
     return WORKLOADS
 
 
-def sweep(seeds: list[int], scale: float,
-          names: tuple[str, ...] = WORKLOAD_NAMES) -> Sweep:
-    """Drive every named workload once per seed, single-process."""
+def sweep(seeds: list[int], scale: float) -> Sweep:
+    """Drive each of the three workloads once per seed, single-process."""
     workloads = load_workloads()
     result: Sweep = {}
-    for name in names:
+    for name in WORKLOAD_NAMES:
         rows = result[name] = {}
         for seed in seeds:
             _system, drive = workloads[name](seed, scale).build()
