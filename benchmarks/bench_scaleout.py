@@ -22,6 +22,9 @@ count, and a configuration with more partitions than the host has CPUs
 records ``"speedup": null`` plus a ``note``: there the workers time-share
 cores, so single wall over partitioned wall measures exchange overhead,
 not parallel gain (see docs/PERFORMANCE.md).  The walls stay recorded.
+Beside each wall sit the three CPU shares that add up to the run:
+``compute_s`` (workers inside ``run``), ``ipc_s`` (workers receiving,
+decoding + injecting, sending) and ``coordinator_cpu_s``.
 """
 
 import argparse
@@ -224,6 +227,8 @@ def capture(scenario_name: str, repeats: int, cpus: int) -> dict:
             "compute_s": round(sum(result.timing["compute_s"]), 6),
             "wait_s": round(sum(result.timing["wait_s"]), 6),
             "exchange_s": round(sum(result.timing["exchange_s"]), 6),
+            "ipc_s": round(sum(result.timing["ipc_s"]), 6),
+            "coordinator_cpu_s": round(result.coordinator_cpu_s, 6),
             "digest_match": (result.digest == best_single.digest
                              and result.events == best_single.events),
         })

@@ -51,9 +51,11 @@ __all__ = ["Envelope", "Partitioning", "PartitionSystem",
 
 
 #: One cross-partition delivery: ``(arrival, seq, kind, dst_hub,
-#: dst_port, item, wire_size)``.  ``seq`` is the sender-side capture
-#: order; the coordinator sorts merged batches by ``(arrival,
-#: src_partition, seq)`` so injection order is deterministic.
+#: dst_port, blob, wire_size)``.  ``blob`` is the captured frame as
+#: :func:`~repro.scaleout.wire.encode_item` bytes (``None`` for a ready
+#: signal); ``seq`` is the sender-side capture order; the coordinator
+#: sorts merged batches by ``(arrival, src_partition, seq)`` so
+#: injection order is deterministic.
 Envelope = tuple
 
 
@@ -360,10 +362,10 @@ class PartitionSystem:
     # ------------------------------------------------------------------
 
     def capture(self, arrival: int, kind: str, dst_hub: str, dst_port: int,
-                item: Any, size: int) -> None:
+                blob: Optional[bytes], size: int) -> None:
         """Seal one outbound delivery into the current round's outbox."""
         self._outbox.append((arrival, self._seq, kind, dst_hub, dst_port,
-                             item, size))
+                             blob, size))
         self._seq += 1
 
     def drain_outbox(self) -> list[Envelope]:
@@ -379,15 +381,15 @@ class PartitionSystem:
         the earliest, past that round's window end (see
         :func:`lookahead_ns`), so ``call_at`` never lands in the past.
         """
-        for arrival, _seq, kind, dst_hub, dst_port, item, size in envelopes:
+        for arrival, _seq, kind, dst_hub, dst_port, blob, size in envelopes:
             port = self.hubs[dst_hub].port(dst_port)
             if kind == KIND_READY:
                 self.sim.call_at(arrival, port.notify_ready)
             else:
-                decoded = decode_item(item, self._resolve)
+                item = decode_item(blob, self._resolve)
                 self.sim.call_at(
                     arrival,
-                    lambda p=port, i=decoded, s=size: p.deliver(i, s))
+                    lambda p=port, i=item, s=size: p.deliver(i, s))
 
     def _resolve(self, name: str) -> Any:
         hub = self.hubs.get(name)

@@ -57,9 +57,12 @@ class ScaleoutResult:
     #: round, so this can be well below ``rounds * partitions``).
     advances: int = 0
     #: Per-partition ``{"compute_s": [...], "wait_s": [...],
-    #: "exchange_s": [...]}`` round-timing breakdown (empty for
-    #: single-process runs).
+    #: "exchange_s": [...], "ipc_s": [...]}`` round-timing breakdown
+    #: (empty for single-process runs).
     timing: dict[str, list[float]] = field(default_factory=dict)
+    #: Coordinator CPU seconds over ``wall_s`` (0 single-process); with
+    #: the workers' ``compute_s`` and ``ipc_s`` it is the run's CPU.
+    coordinator_cpu_s: float = 0.0
 
     @property
     def digest(self) -> str:
@@ -173,7 +176,8 @@ def run_partitioned(scenario: ScaleoutScenario, num_partitions: int, *,
         replayed_windows=outcome.replayed_windows,
         worker_kills=outcome.worker_kills,
         setup_s=outcome.setup_s, advances=outcome.advances,
-        timing=outcome.timing)
+        timing=outcome.timing,
+        coordinator_cpu_s=outcome.coordinator_cpu_s)
 
 
 def verify(scenario: ScaleoutScenario,

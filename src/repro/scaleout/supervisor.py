@@ -5,12 +5,14 @@ barrier rounds over plain :mod:`multiprocessing` pipes and treats worker
 death as a recoverable event:
 
 * **Multiplexed waits.**  Worker pipes *and* process sentinels are
-  watched together via :func:`multiprocessing.connection.wait`, with a
-  per-worker heartbeat deadline — a crash is detected the moment the
-  kernel reaps the child (sentinel/EOF, with the exit code recorded),
-  and a hang is detected when the deadline lapses, so the two failure
-  modes are distinguished in the forensics instead of both surfacing as
-  an anonymous ``TimeoutError`` minutes later.
+  watched together by one :mod:`selectors` object the supervisor owns
+  (registered at spawn, unregistered at reap; each wake absorbs every
+  ready reply), with a per-worker heartbeat deadline — a crash is
+  detected the moment the kernel reaps the child (sentinel/EOF, with
+  the exit code recorded), and a hang is detected when the deadline
+  lapses, so the two failure modes are distinguished in the forensics
+  instead of both surfacing as an anonymous ``TimeoutError`` minutes
+  later.
 
 * **Window-log replay.**  A partitioned worker is a deterministic pure
   function of ``(scenario, partition index, the sequence of coordinator
@@ -61,12 +63,13 @@ only moves the messages.  ``docs/SCALEOUT.md`` states the protocol
 
 from __future__ import annotations
 
+import gc
 import os
+import selectors
 import signal
 import time
 import traceback
 from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
 import multiprocessing as mp
 from fnmatch import fnmatchcase
 from typing import Any, Optional
@@ -89,9 +92,10 @@ _REAP_STEP_S = 5.0
 #: The round-timing buckets every worker accumulates (see ``_Worker``),
 #: with what each ``scaleout.p<i>.<bucket>`` gauge says it measures.
 _PHASES = {
-    "compute_s": "worker-reported inject+run time",
+    "compute_s": "worker-reported time inside run()",
     "wait_s": "coordinator time blocked past the worker's reported compute",
     "exchange_s": "coordinator CPU time inside pipe send/recv",
+    "ipc_s": "worker CPU time outside run(): recv, decode + inject, send",
 }
 
 #: E-SCL runs finish within a few hundred microseconds of simulated
@@ -126,37 +130,46 @@ def _worker_main(conn, scenario_name: str, num_partitions: int,
     * ``("advance", window, envelopes)`` → inject, run to the window,
       answer ``("state", peek, outbox, events_processed, compute_s)``
       where ``compute_s`` is the wall time this advance spent inside
-      inject + run — the worker's share of the round-timing breakdown.
+      ``run`` — the worker's share of the round-timing breakdown.
     * ``("snapshot",)`` → answer ``("snapshot", fragment,
       events_processed, now)`` — the picklable fragment-so-far.
     * ``("finish",)`` → answer ``("result", fragment, events_processed,
-      now)`` and exit.
+      now, ipc_s)`` and exit; ``ipc_s`` is the CPU time the loop spent
+      *outside* ``run``: receiving, decoding + injecting, sending.
 
     Any exception is reported as ``("error", traceback_text)`` before
     the worker exits non-zero, so the coordinator sees the worker-side
     stack instead of a silent death.
     """
     try:
+        # Everything inherited from the coordinator is immortal here:
+        # without this a full collection during the build walks (and
+        # copy-on-write faults) the parent's whole heap, and whether one
+        # happens depends on the allocation counts the fork inherited.
+        gc.freeze()
         scenario = scenarios()[scenario_name]
         partitioning = partition_fabric(scenario.fabric, num_partitions)
         system = PartitionSystem(partitioning, index, scenario.config())
         if faults_spec is not None:
             system.attach_faults(FaultScenario.from_dict(faults_spec))
         traffic = spawn_traffic(scenario, system)
+        ipc_s, cpu = 0.0, time.process_time()
         conn.send(("state", system.peek(), system.drain_outbox(),
                    system.sim.events_processed, 0.0))
         while True:
             message = conn.recv()
             if message[0] == "advance":
                 _tag, window, envelopes = message
-                began = time.perf_counter()
                 system.inject(envelopes)
+                ipc_s += time.process_time() - cpu
+                began = time.perf_counter()
                 # Grants are monotone per worker (horizons only ever
                 # move forward), so the clamp is normally a no-op; it
                 # pins the invariant instead of letting a violation
                 # surface as run()'s in-the-past ValueError mid-run.
                 system.run(until=max(window, system.now))
                 compute = time.perf_counter() - began
+                cpu = time.process_time()
                 conn.send(("state", system.peek(), system.drain_outbox(),
                            system.sim.events_processed, compute))
             elif message[0] == "snapshot":
@@ -164,7 +177,8 @@ def _worker_main(conn, scenario_name: str, num_partitions: int,
                            system.sim.events_processed, system.now))
             elif message[0] == "finish":
                 conn.send(("result", traffic.fragment(),
-                           system.sim.events_processed, system.now))
+                           system.sim.events_processed, system.now,
+                           ipc_s + time.process_time() - cpu))
                 conn.close()
                 return
             else:  # pragma: no cover - protocol misuse
@@ -196,15 +210,20 @@ class _Worker:
         self.index = index
         self.process: Optional[mp.process.BaseProcess] = None
         self.conn = None
+        #: What the supervisor's selector holds for this incarnation:
+        #: ``(conn, process sentinel)``, or ``()`` once unregistered.
+        self.watched: tuple = ()
         #: Round-timing breakdown, accumulated across the run:
-        #: worker-reported seconds inside inject+run, coordinator-side
+        #: worker-reported seconds inside run(), coordinator-side
         #: seconds blocked on this worker past its reported compute,
-        #: and coordinator *CPU* seconds inside its pipe send/recv calls
+        #: coordinator *CPU* seconds inside its pipe send/recv calls
         #: (pickling included; CPU, so being descheduled mid-send for
-        #: the worker just woken does not count its compute twice).
+        #: the worker just woken does not count its compute twice), and
+        #: the worker's own CPU seconds outside run() (from its result).
         self.compute_s = 0.0
         self.wait_s = 0.0
         self.exchange_s = 0.0
+        self.ipc_s = 0.0
         #: perf_counter when the last send returned (wait accounting).
         self.sent_at: Optional[float] = None
         #: Every message sent since the *first* spawn — the replay log.
@@ -262,8 +281,11 @@ class SupervisorOutcome:
     #: Advance messages actually sent (idle workers are elided).
     advances: int = 0
     #: Per-partition ``{"compute_s": [...], "wait_s": [...],
-    #: "exchange_s": [...]}`` round-timing breakdown.
+    #: "exchange_s": [...], "ipc_s": [...]}`` round-timing breakdown.
     timing: dict[str, list[float]] = field(default_factory=dict)
+    #: Coordinator CPU time over the steady phase (``wall_s``'s span):
+    #: with ``compute_s`` and ``ipc_s`` it adds up to the run's CPU.
+    coordinator_cpu_s: float = 0.0
     forensics: list[dict[str, Any]] = field(default_factory=list)
 
 
@@ -306,6 +328,9 @@ class Supervisor:
         self.distance = lookahead_matrix(self.partitioning, cfg)
         self.ctx = mp.get_context("fork")
         self.workers = [_Worker(i) for i in range(num_partitions)]
+        #: The one wait object: every live worker's pipe end and process
+        #: sentinel, keyed to ``(worker, is_pipe)``.
+        self._selector = selectors.DefaultSelector()
         #: Per destination partition: the planner's pending-envelope heap.
         self.pending: list[list[tuple]] = [[] for _ in
                                            range(num_partitions)]
@@ -351,9 +376,13 @@ class Supervisor:
                     "advance grants actually sent (idle elision skips "
                     "the rest)", unit="messages"),
             }
-            self._gauges = {"setup_s": registry.gauge(
-                "scaleout.setup_s",
-                "worker fork + fabric build time", unit="s")}
+            self._gauges = {
+                "setup_s": registry.gauge(
+                    "scaleout.setup_s",
+                    "worker fork + fabric build time", unit="s"),
+                "coordinator_cpu_s": registry.gauge(
+                    "scaleout.coordinator_cpu_s",
+                    "coordinator CPU time over the steady phase", unit="s")}
             for index in range(num_partitions):
                 self._counters[f"p{index}.envelopes"] = registry.counter(
                     f"scaleout.p{index}.envelopes",
@@ -383,19 +412,24 @@ class Supervisor:
             # fork, fabric build, traffic spawn — not exchange.
             self.setup_s = time.perf_counter() - start
             self._set_gauge("setup_s", self.setup_s)
-            steady = time.perf_counter()
+            steady, cpu = time.perf_counter(), time.process_time()
             while self._round():
                 pass
             for worker in self.workers:
                 self._send(worker, ("finish",))
             self._collect()
             wall = time.perf_counter() - steady
+            coordinator_cpu = time.process_time() - cpu
+            self._set_gauge("coordinator_cpu_s", coordinator_cpu)
             self._publish_timing()
         finally:
-            self._reap_all()
+            try:
+                self._reap_all()
+            finally:
+                self._selector.close()
         events, sim_ns, fragments = 0, 0, []
         for worker in self.workers:
-            _tag, fragment, worker_events, worker_now = worker.result
+            _tag, fragment, worker_events, worker_now, _ipc = worker.result
             fragments.append(fragment)
             events += worker_events
             sim_ns = max(sim_ns, worker_now)
@@ -409,6 +443,7 @@ class Supervisor:
             setup_s=self.setup_s, advances=self.advances,
             timing={phase: [getattr(w, phase) for w in self.workers]
                     for phase in _PHASES},
+            coordinator_cpu_s=coordinator_cpu,
             forensics=[w.forensics() for w in self.workers])
 
     def _round(self) -> bool:
@@ -450,6 +485,10 @@ class Supervisor:
         child.close()
         worker.process = process
         worker.conn = parent
+        worker.watched = (parent, process.sentinel)
+        self._selector.register(parent, selectors.EVENT_READ, (worker, True))
+        self._selector.register(process.sentinel, selectors.EVENT_READ,
+                                (worker, False))
         worker.deadline = time.monotonic() + self.hang_timeout_s
 
     # ------------------------------------------------------------------
@@ -490,53 +529,39 @@ class Supervisor:
                 continue
             timeout = min(w.deadline for w in lagging
                           if w.deadline is not None) - now
-            by_conn = {w.conn: w for w in lagging}
-            by_sentinel = {w.process.sentinel: w for w in lagging}
-            ready = mp_connection.wait(
-                list(by_conn) + list(by_sentinel),
-                timeout=max(timeout, 0.001))
-            progressed = False
-            for obj in ready:
-                worker = by_conn.get(obj)
-                if worker is None:
-                    continue
-                progressed = True
-                try:
-                    message = self._recv(worker)
-                except (EOFError, OSError):
-                    self._recover(worker, "crash",
-                                  "pipe EOF while awaiting a response")
-                    break
-                self._handle(worker, message)
-                break
-            if progressed:
-                continue
-            for obj in ready:
-                worker = by_sentinel.get(obj)
-                if worker is None or not worker.outstanding:
-                    continue
-                # The process is gone, but a complete response may
-                # still be buffered in the pipe — drain it first.
-                if worker.conn.poll(0):
+            restarts = self.restarts
+            for key, _events in self._selector.select(max(timeout, 0.001)):
+                worker, is_pipe = key.data
+                if not worker.outstanding:
+                    # Nothing is asked of it, so it can only have exited
+                    # (after its result, or killed while idle — the next
+                    # send finds the broken pipe): stop it waking us.
+                    self._unwatch(worker)
+                elif is_pipe or worker.conn.poll(0):
+                    # (A sentinel beside a readable pipe: the process is
+                    # gone but its complete answer is still buffered.)
                     try:
                         message = self._recv(worker)
                     except (EOFError, OSError):
                         self._recover(worker, "crash",
-                                      "worker exited mid-response")
-                        break
-                    self._handle(worker, message)
+                                      "pipe EOF while awaiting a response")
+                    else:
+                        self._handle(worker, message)
+                else:
+                    self._recover(worker, "crash",
+                                  "worker process exited without answering")
+                if self.restarts != restarts:
+                    # A recovery replaced a worker's fds; the rest of
+                    # this wake's keys may be stale.
                     break
-                self._recover(worker, "crash",
-                              "worker process exited without answering")
-                break
 
     def _recv(self, worker: _Worker) -> tuple:
         """Receive one ready response and split its round trip's time.
 
         From the send's return to here the coordinator was blocked on
-        this worker (in :func:`multiprocessing.connection.wait`); the
-        part past the worker's own reported compute is *wait*.  The
-        ``recv()`` itself — read + unpickle — is *exchange*, like the send.
+        this worker (in the selector); the part past the worker's own
+        reported compute is *wait*.  The ``recv()`` itself — read +
+        unpickle — is *exchange*, like the send.
         """
         began = time.perf_counter()
         cpu = time.process_time()
@@ -577,7 +602,7 @@ class Supervisor:
             worker.deadline = None
         elif tag == "result":
             worker.result = message
-            worker.events = message[2]
+            worker.events, worker.ipc_s = message[2], message[4]
             worker.acked += 1
             worker.deadline = None
         else:  # pragma: no cover - protocol misuse
@@ -696,28 +721,36 @@ class Supervisor:
     def _recv_replay(self, worker: _Worker) -> tuple:
         """One blocking, deadline-guarded receive during replay."""
         deadline = time.monotonic() + self.hang_timeout_s
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                self._kill_process(worker)
-                raise _WorkerDied(
-                    "hang",
-                    f"no answer within {self.hang_timeout_s:.1f}s "
-                    f"during replay", self._exit_code(worker))
-            ready = mp_connection.wait(
-                [worker.conn, worker.process.sentinel],
-                timeout=remaining)
-            if worker.conn in ready or worker.conn.poll(0):
-                try:
-                    return worker.conn.recv()
-                except (EOFError, OSError):
+        parked = []
+        try:
+            while True:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    self._kill_process(worker)
                     raise _WorkerDied(
-                        "crash", "pipe EOF during replay",
-                        self._exit_code(worker)) from None
-            if worker.process.sentinel in ready:
-                raise _WorkerDied(
-                    "crash", "worker died during replay",
-                    self._exit_code(worker))
+                        "hang",
+                        f"no answer within {self.hang_timeout_s:.1f}s "
+                        f"during replay", self._exit_code(worker))
+                for key, _events in self._selector.select(remaining):
+                    if key.data[0] is not worker:
+                        # Somebody else's answer stays in its pipe for
+                        # _collect; parked so it cannot wake this wait.
+                        self._selector.unregister(key.fileobj)
+                        parked.append(key)
+                    elif key.data[1] or worker.conn.poll(0):
+                        try:
+                            return worker.conn.recv()
+                        except (EOFError, OSError):
+                            raise _WorkerDied(
+                                "crash", "pipe EOF during replay",
+                                self._exit_code(worker)) from None
+                    else:
+                        raise _WorkerDied(
+                            "crash", "worker died during replay",
+                            self._exit_code(worker))
+        finally:
+            for key in parked:
+                self._selector.register(key.fileobj, key.events, key.data)
 
     def _record_failure(self, worker: _Worker, reason: str,
                         detail: str) -> None:
@@ -773,10 +806,18 @@ class Supervisor:
                 f"{worker.index}: worker pid {process.pid} survived "
                 f"terminate and SIGKILL; refusing to leak it silently",
                 forensics=[w.forensics() for w in self.workers])
+        self._unwatch(worker)
         if worker.conn is not None:
             worker.conn.close()
             worker.conn = None
         worker.process = None
+
+    def _unwatch(self, worker: _Worker) -> None:
+        """Take a worker's fds out of the selector (before they close:
+        the number may be reused by the next incarnation's)."""
+        for fileobj in worker.watched:
+            self._selector.unregister(fileobj)
+        worker.watched = ()
 
     def _reap_all(self) -> None:
         for worker in self.workers:

@@ -1,42 +1,50 @@
-"""Cross-partition envelope codec: frames safe to leave their process.
+"""Cross-partition envelope codec: a frame becomes bytes exactly once.
 
 The coordinator and its workers exchange envelopes over plain
 :mod:`multiprocessing` pipes (see ``docs/SCALEOUT.md``, "Why one
-transport"); this module only makes the items inside them picklable.
+transport").  An envelope's body — the :class:`Packet` or
+:class:`Reply` a boundary fiber captured — matters only to the two
+partitions the fiber connects, so it crosses everything in between as
+opaque ``bytes``: :func:`encode_item` flattens the frame to a tuple of
+builtins and pickles it once, at capture; the coordinator routes, heaps,
+logs and replays the blob unopened (it never imports a model class);
+:func:`decode_item` rebuilds the frame at injection.
 
-Packets and replies carry two things a :mod:`multiprocessing` pipe
-cannot ship as-is:
+Two things in a frame cannot leave their process as they are:
 
 * **Live hub references.**  ``Packet.reverse_path`` and
   ``Reply.info["route"]`` hold ``(Hub, port)`` tuples appended by
   :meth:`Packet.record_hop`; :meth:`Hub.route_reply` pops them with an
-  identity check (``hub is not self`` raises).  Crossing a partition
-  boundary, hubs are encoded as names; the receiving partition rebinds
-  each name to its own ``Hub`` (or, for hubs it does not own, its
-  shared proxy object — those entries are only ever popped after the
-  reply crosses into the partition that owns them, so the identity
-  check always sees the real local object).
+  identity check (``hub is not self`` raises).  The flat form carries
+  hub *names*; the receiving partition rebinds each name to its own
+  ``Hub`` (or, for hubs it does not own, its shared proxy object — those
+  entries are only ever popped after the reply crosses into the
+  partition that owns them, so the identity check always sees the real
+  local object).
 * **Zero-copy payload views.**  Fragmented sends slice ``Payload.data``
-  as :class:`memoryview`\\ s, which do not pickle; the boundary
-  materializes them to ``bytes``.
+  as :class:`memoryview`\\ s, which do not pickle; the flat form holds
+  ``bytes``.
 
-Encoding happens at capture time (the item has permanently left the
-sending partition, so in-place mutation is safe); decoding happens at
-injection time in the receiving partition.
+Encoding only *reads* its argument: the sending partition may still
+hold the frame (multicast siblings share ``header`` and ``data``,
+transports keep payloads for retransmit).  Decoding builds fresh
+objects without running ``Packet.__init__`` or the ``HubCommand.seq``
+factory, so packet ids and command sequence numbers cross unchanged and
+the receiver's own counters do not move.
 
-This split is also what makes the supervisor's window-log replay
-(:mod:`repro.scaleout.supervisor`) sound: envelopes held in the
-coordinator's per-partition logs stay in *encoded* form — names and
-bytes, no live references — and decoding mutates only the receiving
-worker's own unpickled copy, so re-sending a logged envelope to a
-respawned worker is byte-for-byte identical to the first delivery.
+This is also what makes the supervisor's window-log replay
+(:mod:`repro.scaleout.supervisor`) sound: the per-partition logs hold
+the blobs themselves, so re-sending a logged envelope to a respawned
+worker is byte-for-byte identical to the first delivery.
 """
 
 from __future__ import annotations
 
+import pickle
 from typing import Any, Callable
 
-from ..hardware.frames import Packet, Reply
+from ..hardware.frames import HubCommand, Packet, Payload, Reply
+from ..hardware.hub_commands import CommandOp
 
 __all__ = ["KIND_PACKET", "KIND_READY", "KIND_REPLY", "decode_item",
            "encode_item", "kind_of"]
@@ -56,42 +64,57 @@ def kind_of(item: Any) -> str:
     raise TypeError(f"cannot ship {item!r} across a partition boundary")
 
 
-def _encode_path(path: list) -> list:
-    return [(hub if isinstance(hub, str) else hub.name, port)
-            for hub, port in path]
+def _names(path: list) -> list:
+    return [(hub.name, port) for hub, port in path]
 
 
-def _decode_path(path: list, resolve: Callable[[str], Any]) -> list:
-    return [(resolve(name), port) for name, port in path]
-
-
-def encode_item(item: Any) -> Any:
-    """Strip live references so ``item`` pickles; returns ``item``."""
+def encode_item(item: Any) -> bytes:
+    """Flatten ``item`` to builtins and pickle it; ``item`` is untouched."""
     if isinstance(item, Packet):
-        item.reverse_path = _encode_path(item.reverse_path)
         payload = item.payload
-        if payload is not None and payload.data is not None \
-                and not isinstance(payload.data, bytes):
-            payload.data = bytes(payload.data)
+        if payload is not None:
+            data = payload.data
+            if data is not None and not isinstance(data, bytes):
+                data = bytes(data)
+            payload = (payload.size, data, payload.header, payload.checksum,
+                       payload.corrupt, payload._computed)
+        flat = (KIND_PACKET, item.packet_id, item.origin,
+                [(c.op.value, c.hub_id, c.param, c.seq, c.origin, c.arg)
+                 for c in item.commands],
+                payload, item.close_after, _names(item.reverse_path),
+                item.meta, item.command_bytes, item.framing_bytes)
     elif isinstance(item, Reply):
-        route = item.info.get("route")
-        if route:
-            item.info["route"] = _encode_path(route)
+        info = item.info
+        if info.get("route"):
+            info = {**info, "route": _names(info["route"])}
+        flat = (KIND_REPLY, item.seq, item.ok, item.hub_id, info,
+                item.wire_size)
     else:
         raise TypeError(f"cannot ship {item!r} across a partition boundary")
-    return item
+    return pickle.dumps(flat, pickle.HIGHEST_PROTOCOL)
 
 
-def decode_item(item: Any, resolve: Callable[[str], Any]) -> Any:
-    """Rebind hub names to this partition's hub objects; returns ``item``.
+def decode_item(blob: bytes, resolve: Callable[[str], Any]) -> Any:
+    """Rebuild the frame :func:`encode_item` flattened.
 
     ``resolve`` maps a hub name to the local ``Hub`` (or proxy).
     """
-    if isinstance(item, Packet):
-        item.reverse_path = _decode_path(item.reverse_path, resolve)
-    elif isinstance(item, Reply):
-        route = item.info.get("route")
-        if route:
-            item.info["route"] = _decode_path(route, resolve)
-    return item
-
+    kind, *fields = pickle.loads(blob)
+    if kind == KIND_REPLY:
+        seq, ok, hub_id, info, wire_size = fields
+        if info.get("route"):
+            info["route"] = [(resolve(name), port)
+                             for name, port in info["route"]]
+        return Reply(seq, ok, hub_id, info, wire_size)
+    packet = Packet.__new__(Packet)
+    (packet.packet_id, packet.origin, commands, payload, packet.close_after,
+     path, packet.meta, packet.command_bytes, packet.framing_bytes) = fields
+    packet.commands = [HubCommand(CommandOp(op), *rest)
+                       for op, *rest in commands]
+    if payload is not None:
+        *init, computed = payload
+        payload = Payload(*init)
+        payload._computed = computed
+    packet.payload = payload
+    packet.reverse_path = [(resolve(name), port) for name, port in path]
+    return packet

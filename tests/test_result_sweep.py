@@ -4,6 +4,11 @@ The pinned sweep in ``data/result_sweep_scale02.json`` was captured on
 the commit before the first hand-off elision (PR 17's parent): 3 seeds
 x 3 single-process e2e workloads at ``--scale 0.2``.  A change may move
 the event counts recorded there; it may not move one digest.
+
+``data/result_sweep_partitioned.json`` pins the smallest cell of the
+partitioned leg (``escl-torus-64``, seed 1989, 2 partitions, batch 1,
+clean, scale 0.2), captured on the commit before envelopes became bytes
+(PR 18's parent); the full leg is ``tools/result_sweep.py``'s to run.
 """
 
 import json
@@ -12,6 +17,7 @@ import pathlib
 import pytest
 
 PINNED = pathlib.Path(__file__).parent / "data" / "result_sweep_scale02.json"
+PINNED_PARTITIONED = PINNED.with_name("result_sweep_partitioned.json")
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +37,17 @@ def test_sweep_reproduces_the_parent_capture(tool, capsys):
     assert tool.moved(pinned, current) == []
     assert tool.compare(pinned, current) == 0
     assert "0 fingerprint aspect(s) moved" in capsys.readouterr().out
+
+
+def test_smallest_partitioned_cell_equals_single_and_the_pin(tool):
+    pinned = json.loads(PINNED_PARTITIONED.read_text())
+    rows, broken = tool.sweep_partitioned([1989], scale=0.2,
+                                          cells=((2, 1, None),))
+    assert broken == []
+    assert {tool.PARTITIONED: rows} == pinned
+    digests = rows["1989"]["digests"]
+    assert digests["p2-b1"] == digests["single"]
+    assert (2, 1, None) in tool.CELLS and len(tool.CELLS) == 8
 
 
 def test_compare_names_every_aspect_that_moved(tool, tmp_path, capsys):

@@ -1,8 +1,12 @@
 """repro.scaleout: partitioned runs must be bit-identical to single."""
 
+import json
+import pathlib
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hardware.frames import HubCommand, Packet, Payload, Reply
 from repro.hardware.hub_commands import CommandOp
@@ -11,6 +15,10 @@ from repro.scaleout import (Supervisor, lookahead_matrix, lookahead_ns,
                             run_single, scenarios)
 from repro.scaleout.wire import (KIND_PACKET, KIND_REPLY, decode_item,
                                  encode_item, kind_of)
+
+
+PROTOCOL_COUNTS = (pathlib.Path(__file__).parent / "data"
+                   / "scaleout_protocol_counts.json")
 
 
 @pytest.fixture(scope="module")
@@ -27,33 +35,82 @@ class _FakeHub:
         self.name = name
 
 
+HUBS = {name: _FakeHub(name) for name in ("hub_a", "hub_b", "hub_c")}
+
+
+def assert_same_frame(original, decoded):
+    """``decoded`` equals ``original`` field by field: hub references
+    are the *same* objects, payload data has become ``bytes``."""
+    assert type(decoded) is type(original)
+    if isinstance(original, Reply):
+        assert (decoded.seq, decoded.ok, decoded.hub_id, decoded.wire_size) \
+            == (original.seq, original.ok, original.hub_id,
+                original.wire_size)
+        assert decoded.info.keys() == original.info.keys()
+        for key, value in original.info.items():
+            if key != "route":
+                assert decoded.info[key] == value
+        paths = [(original.info.get("route", []),
+                  decoded.info.get("route", []))]
+    else:
+        for name in ("packet_id", "origin", "close_after", "meta",
+                     "command_bytes", "framing_bytes"):
+            assert getattr(decoded, name) == getattr(original, name), name
+        fields = ("op", "hub_id", "param", "seq", "origin", "arg")
+        assert [[getattr(c, f) for f in fields] for c in decoded.commands] \
+            == [[getattr(c, f) for f in fields] for c in original.commands]
+        assert all(isinstance(c, HubCommand) for c in decoded.commands)
+        sent, got = original.payload, decoded.payload
+        assert (got is None) == (sent is None)
+        if sent is not None:
+            assert isinstance(got, Payload)
+            assert (got.size, got.header, got.checksum, got.corrupt,
+                    got._computed) == (sent.size, sent.header, sent.checksum,
+                                       sent.corrupt, sent._computed)
+            assert got.data is None if sent.data is None else \
+                (type(got.data) is bytes and got.data == bytes(sent.data))
+        paths = [(original.reverse_path, decoded.reverse_path)]
+    for sent_path, got_path in paths:
+        assert len(got_path) == len(sent_path)
+        for (sent_hub, sent_port), (got_hub, got_port) in zip(sent_path,
+                                                              got_path):
+            assert got_hub is sent_hub and got_port == sent_port
+
+
+def roundtrip(item):
+    blob = encode_item(item)
+    assert type(blob) is bytes
+    return decode_item(blob, HUBS.__getitem__)
+
+
 def test_packet_roundtrip_rebinds_hubs_and_materializes_payload():
-    hubs = {"hub_a": _FakeHub("hub_a"), "hub_b": _FakeHub("hub_b")}
     packet = Packet("cab0",
                     commands=[HubCommand(CommandOp.TEST_OPEN_RETRY,
                                          "hub_b", 3, origin="cab0")],
                     payload=Payload(4, data=memoryview(b"abcdef")[1:5]))
-    packet.reverse_path = [(hubs["hub_a"], 2), (hubs["hub_b"], 7)]
+    packet.reverse_path = [(HUBS["hub_a"], 2), (HUBS["hub_b"], 7)]
     assert kind_of(packet) == KIND_PACKET
-    encode_item(packet)
-    assert packet.reverse_path == [("hub_a", 2), ("hub_b", 7)]
-    assert isinstance(packet.payload.data, bytes)
-    decode_item(packet, hubs.__getitem__)
-    assert packet.reverse_path[0][0] is hubs["hub_a"]
-    assert packet.reverse_path[1][0] is hubs["hub_b"]
-    assert packet.payload.data == b"bcde"
+    minted = (Packet("probe").packet_id, HubCommand(CommandOp.OPEN, "x").seq)
+    decoded = roundtrip(packet)
+    assert decoded is not packet
+    assert_same_frame(packet, decoded)
+    assert decoded.reverse_path[0][0] is HUBS["hub_a"]
+    assert decoded.payload.data == b"bcde"
+    # Rebuilding a frame mints no packet id and no command sequence
+    # number: the receiving partition's own counters do not move.
+    assert (Packet("probe").packet_id,
+            HubCommand(CommandOp.OPEN, "x").seq) == (minted[0] + 1,
+                                                     minted[1] + 1)
 
 
 def test_reply_roundtrip_rebinds_route():
-    hubs = {"hub_a": _FakeHub("hub_a")}
     reply = Reply(seq=9, ok=True, hub_id="hub_a",
-                  info={"route": [(hubs["hub_a"], 4)], "op": "open"})
+                  info={"route": [(HUBS["hub_a"], 4)], "op": "open"})
     assert kind_of(reply) == KIND_REPLY
-    encode_item(reply)
-    assert reply.info["route"] == [("hub_a", 4)]
-    decode_item(reply, hubs.__getitem__)
-    assert reply.info["route"][0][0] is hubs["hub_a"]
-    assert reply.info["op"] == "open"
+    decoded = roundtrip(reply)
+    assert_same_frame(reply, decoded)
+    assert decoded.info["route"][0][0] is HUBS["hub_a"]
+    assert decoded.info["op"] == "open"
 
 
 def test_kind_of_rejects_foreign_items():
@@ -65,30 +122,36 @@ def test_kind_of_rejects_foreign_items():
         encode_item(None)
 
 
-def test_memoryview_payload_materialized_exactly_once():
+def test_encode_leaves_the_senders_objects_untouched():
+    # The sending partition may still hold what it captured: multicast
+    # siblings share header and data, transports keep payloads for
+    # retransmit, and Hub.route_reply pops reverse_path by identity.
+    view = memoryview(b"abcdef")[1:5]
+    header = {"proto": "dg", "frag": 0}
+    packet = Packet("cab0", commands=[HubCommand(CommandOp.OPEN, "hub_b", 1)],
+                    payload=Payload(4, data=view, header=header))
+    path = [(HUBS["hub_a"], 2), (HUBS["hub_b"], 7)]
+    packet.reverse_path = path
+    route = [(HUBS["hub_c"], 0)]
+    reply = Reply(seq=1, ok=True, hub_id="hub_c", info={"route": route})
+    encode_item(packet)
+    encode_item(reply)
+    assert packet.reverse_path is path
+    assert [hub for hub, _port in path] == [HUBS["hub_a"], HUBS["hub_b"]]
+    assert packet.payload.data is view and packet.payload.header is header
+    assert reply.info["route"] is route and route == [(HUBS["hub_c"], 0)]
+
+
+def test_encoding_twice_gives_the_same_bytes():
+    # What the replay log relies on: a frame's blob is a function of the
+    # frame, so nothing about *when* it was captured leaks into it.
     packet = Packet("cab0", commands=[],
-                    payload=Payload(4, data=memoryview(b"abcdef")[1:5]))
-    encode_item(packet)
-    first = packet.payload.data
-    assert isinstance(first, bytes)
-    # A second encode (e.g. an envelope re-logged for replay) must not
-    # copy the already-materialized bytes again.
-    encode_item(packet)
-    assert packet.payload.data is first
-
-
-def test_encode_is_idempotent_on_already_encoded_items():
-    packet = Packet("cab0", commands=[])
-    packet.reverse_path = [(_FakeHub("hub_a"), 2)]
-    encode_item(packet)
-    assert packet.reverse_path == [("hub_a", 2)]
-    encode_item(packet)  # names map to themselves
-    assert packet.reverse_path == [("hub_a", 2)]
+                    payload=Payload(4, data=bytearray(b"bcde")).seal())
+    packet.reverse_path = [(HUBS["hub_a"], 2)]
+    assert encode_item(packet) == encode_item(packet)
     reply = Reply(seq=1, ok=True, hub_id="hub_a",
-                  info={"route": [(_FakeHub("hub_b"), 0)]})
-    encode_item(reply)
-    encode_item(reply)
-    assert reply.info["route"] == [("hub_b", 0)]
+                  info={"route": [(HUBS["hub_b"], 0)]})
+    assert encode_item(reply) == encode_item(reply)
 
 
 def test_nested_route_roundtrip_preserves_order_and_other_info():
@@ -97,19 +160,66 @@ def test_nested_route_roundtrip_preserves_order_and_other_info():
     reply = Reply(seq=3, ok=False, hub_id="hub_0",
                   info={"route": list(route), "op": "close",
                         "detail": {"retries": 2}})
-    encode_item(reply)
-    assert reply.info["route"] == [(f"hub_{i}", i) for i in range(4)]
-    decode_item(reply, hubs.__getitem__)
-    for index, (hub, port) in enumerate(reply.info["route"]):
+    decoded = decode_item(encode_item(reply), hubs.__getitem__)
+    for index, (hub, port) in enumerate(decoded.info["route"]):
         assert hub is hubs[f"hub_{index}"] and port == index
-    assert reply.info["detail"] == {"retries": 2}
+    assert decoded.info["detail"] == {"retries": 2}
+    assert reply.info["route"] == route
 
 
 def test_reply_without_route_passes_codec_untouched():
     reply = Reply(seq=5, ok=True, hub_id="hub_a", info={"op": "noop"})
-    encode_item(reply)
-    decode_item(reply, lambda name: None)
-    assert reply.info == {"op": "noop"}
+    decoded = decode_item(encode_item(reply), lambda name: None)
+    assert decoded == reply and decoded is not reply
+
+
+_hub_refs = st.lists(st.tuples(st.sampled_from(sorted(HUBS)).map(HUBS.get),
+                               st.integers(0, 15)), max_size=4)
+_plain = st.dictionaries(st.text(max_size=6),
+                         st.integers() | st.text(max_size=6) | st.none(),
+                         max_size=3)
+
+
+@st.composite
+def _payloads(draw):
+    data = draw(st.none() | st.binary(max_size=64))
+    size = draw(st.integers(0, 9000)) if data is None else len(data)
+    if data is not None:
+        data = draw(st.sampled_from((bytes, bytearray, memoryview)))(data)
+    payload = Payload(size, data=data, header=draw(_plain),
+                      corrupt=draw(st.booleans()))
+    return payload.seal() if draw(st.booleans()) else payload
+
+
+@st.composite
+def _packets(draw):
+    commands = draw(st.lists(st.builds(
+        HubCommand, st.sampled_from(list(CommandOp)),
+        st.sampled_from(sorted(HUBS)), st.integers(0, 15),
+        origin=st.none() | st.just("cab3"),
+        arg=st.none() | _plain), max_size=4))
+    packet = Packet("cab0", commands=commands,
+                    payload=draw(st.none() | _payloads()),
+                    close_after=draw(st.booleans()),
+                    header_bytes=draw(st.integers(0, 32)))
+    if draw(st.booleans()):
+        packet.meta["framing_error"] = True
+    packet.reverse_path = draw(_hub_refs)
+    return packet
+
+
+_replies = st.builds(
+    Reply, st.integers(0, 1 << 20), st.booleans(),
+    st.sampled_from(sorted(HUBS)),
+    st.builds(lambda info, route: {**info, **route}, _plain,
+              st.just({}) | _hub_refs.map(lambda path: {"route": path})),
+    st.integers(3, 11))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_packets() | _replies)
+def test_decode_inverts_encode_field_by_field(item):
+    assert_same_frame(item, roundtrip(item))
 
 
 # ----------------------------------------------------------------------
@@ -177,6 +287,17 @@ def test_partitioned_digest_matches_single(torus16_reference,
         # exactly the deliveries the process-form transmit loop did:
         # the count measured at PR 16, before the state machine.
         assert result.envelopes == 128
+
+
+@pytest.mark.parametrize("num_partitions", [2, 4])
+def test_protocol_counts_equal_the_checked_in_ones(num_partitions):
+    # CI's scaleout job holds the CLI's JSON to the same file: a
+    # protocol change cannot hide behind an unchanged digest.
+    pinned = json.loads(PROTOCOL_COUNTS.read_text())["escl-torus-64"]
+    result = run_partitioned(scenarios()["escl-torus-64"], num_partitions,
+                             batch=pinned["batch"])
+    wanted = pinned["partitions"][str(num_partitions)]
+    assert {key: getattr(result, key) for key in wanted} == wanted
 
 
 def test_circuit_mode_replies_cross_partitions():
@@ -253,10 +374,15 @@ def test_partitioned_result_reports_setup_and_timing(monkeypatch):
     result = run_partitioned(scenarios()["escl-torus-16"], 2)
     assert result.setup_s > 0
     assert result.advances > 0
-    assert set(result.timing) == {"compute_s", "wait_s", "exchange_s"}
+    assert set(result.timing) == {"compute_s", "wait_s", "exchange_s",
+                                  "ipc_s"}
     for values in result.timing.values():
         assert len(values) == 2
         assert all(value >= 0 for value in values)
+    # Each worker spent CPU outside run() (it decoded and injected
+    # envelopes); the coordinator spent some in the steady phase.
+    assert all(value > 0 for value in result.timing["ipc_s"])
+    assert result.coordinator_cpu_s > 0
     # The three buckets are disjoint slices of the round trips: no host
     # second is charged twice (send and recv time are exchange, not wait).
     for index, trip_s in enumerate(trips):
@@ -292,11 +418,17 @@ def test_capture_withholds_speedup_the_host_cannot_show(load_script, capsys):
                 "scenarios": {"escl-torus-256": {
                     "events": 10, "digest": "ab" * 32,
                     "single": {"wall_s": 1.0, "setup_s": 0.1},
-                    # An older capture's row still names its transport.
-                    "partitioned": [dict(run), {**run, "partitions": 2,
-                                                "transport": "shm",
-                                                "speedup": 2.0}]}}}
+                    # An older capture's row still names its transport
+                    # and knows nothing of ipc_s / coordinator_cpu_s.
+                    "partitioned": [
+                        {**run, "compute_s": 0.75, "ipc_s": 0.25,
+                         "coordinator_cpu_s": 0.125},
+                        {**run, "partitions": 2, "transport": "shm",
+                         "speedup": 2.0}]}}}
     load_script("tools/perf_report.py").show_scaleout("doc.json", document)
     rendered = capsys.readouterr().out
     assert "n/a" in rendered and "2.00x" in rendered
     assert "transport" not in rendered and "shm" not in rendered
+    new_row, old_row = rendered.splitlines()[-2:]
+    assert ["0.7500", "0.2500", "0.1250"] == new_row.split()[6:9]
+    assert ["-", "-", "-"] == old_row.split()[6:9]

@@ -177,10 +177,12 @@ class TestChaosRecovery:
         assert routed == result.envelopes
         for index in range(4):
             assert registry.get(f"scaleout.p{index}.restarts").value() == 0
-            for phase in ("compute_s", "wait_s", "exchange_s"):
+            for phase in ("compute_s", "wait_s", "exchange_s", "ipc_s"):
                 gauge = registry.get(f"scaleout.p{index}.{phase}")
                 assert gauge.value() == \
                     pytest.approx(result.timing[phase][index])
+        assert registry.get("scaleout.coordinator_cpu_s").value() == \
+            pytest.approx(result.coordinator_cpu_s)
 
     def test_summary_includes_recovery_counters(self, torus16_reference):
         summary = torus16_reference.summary()
@@ -208,6 +210,135 @@ class TestNoLeftovers:
         assert multiprocessing.active_children() == []
         assert resource_tracker._resource_tracker._pid is None
         assert set(os.listdir("/dev/shm")) <= before
+
+
+# ----------------------------------------------------------------------
+# the wait path: one selector, bytes-only envelopes
+# ----------------------------------------------------------------------
+
+class TestWaitPath:
+    def test_collect_drains_every_ready_worker_in_one_select(self):
+        supervisor = Supervisor(scenarios()["escl-torus-16"], 2)
+        selects = []
+        select = supervisor._selector.select
+
+        def counting_select(timeout=None):
+            ready = select(timeout)
+            selects.append(len(ready))
+            return ready
+
+        supervisor._selector.select = counting_select
+        try:
+            for worker in supervisor.workers:
+                supervisor._spawn(worker)
+            # Both initial state reports are sitting in their pipes...
+            assert all(worker.conn.poll(30) for worker in supervisor.workers)
+            supervisor._collect()
+            # ...and one wake absorbed both.
+            assert selects == [2]
+            assert [worker.acked for worker in supervisor.workers] == [1, 1]
+            assert None not in supervisor.peeks
+        finally:
+            supervisor._reap_all()
+            supervisor._selector.close()
+        assert all(worker.watched == () for worker in supervisor.workers)
+
+    def test_idle_death_stops_waking_the_wait_and_recovers_at_next_send(
+            self):
+        import signal
+        supervisor = Supervisor(scenarios()["escl-torus-16"], 2,
+                                backoff_base_s=0.01)
+        idle, busy = supervisor.workers
+        wakes = []
+        select = supervisor._selector.select
+
+        def counting_select(timeout=None):
+            wakes.append(1)
+            return select(timeout)
+
+        supervisor._selector.select = counting_select
+        try:
+            for worker in supervisor.workers:
+                supervisor._spawn(worker)
+            supervisor._collect()
+            os.kill(idle.process.pid, signal.SIGKILL)
+            idle.process.join(30)
+            del wakes[:]
+            # Nothing is asked of the dead worker: its ever-ready
+            # sentinel is dropped instead of spinning the wait...
+            supervisor._send(busy, ("snapshot",))
+            supervisor._collect()
+            assert idle.watched == () and supervisor.restarts == 0
+            assert len(wakes) <= 2
+            # ...and the broken pipe at the next send recovers it.
+            supervisor._send(idle, ("snapshot",))
+            supervisor._collect()
+            assert supervisor.restarts == 1 and len(idle.watched) == 2
+            assert idle.failures[0]["exit_code"] == -signal.SIGKILL
+            assert not idle.outstanding and not busy.outstanding
+        finally:
+            supervisor._reap_all()
+            supervisor._selector.close()
+
+    def test_respawn_unregisters_the_dead_incarnations_fds(
+            self, torus16_reference):
+        audits = []
+
+        class Audited(Supervisor):
+            def _spawn(self, worker):
+                super()._spawn(worker)
+                watched = {fileobj if isinstance(fileobj, int)
+                           else fileobj.fileno()
+                           for w in self.workers for fileobj in w.watched}
+                audits.append(set(self._selector.get_map()) == watched
+                              and len(watched) == 2 * sum(
+                                  w.process is not None
+                                  for w in self.workers))
+
+        scenario = scenarios()["escl-torus-16"]
+        kills = escl_campaign("worker-kill", scenario.config(),
+                              partitions=4)
+        outcome = Audited(scenario, 4, faults=kills,
+                          backoff_base_s=0.01).run()
+        # A reused fd number would raise KeyError at register; a stale
+        # one would show up as a registration no live worker owns.
+        assert outcome.restarts >= 1
+        assert len(audits) == 4 + outcome.restarts and all(audits)
+        from repro.scaleout import fingerprint_digest, merge_fragments
+        assert fingerprint_digest(
+            scenario.name, merge_fragments(outcome.fragments)) \
+            == torus16_reference.digest
+
+    def test_envelope_bodies_are_bytes_everywhere_in_the_coordinator(self):
+        import ast
+        import inspect
+        from repro.scaleout import planner, supervisor
+        bodies = set()
+
+        class Inspecting(Supervisor):
+            def _round(self):
+                bodies.update(type(entry[3][5]) for heap in self.pending
+                              for entry in heap)
+                return super()._round()
+
+        run = Inspecting(scenarios()["escl-torus-16-circuit"], 2)
+        run.run()
+        for worker in run.workers:
+            bodies.update(type(envelope[5]) for message in worker.log
+                          if message[0] == "advance"
+                          for envelope in message[2])
+        # Packets and replies as blobs, ready signals as None.
+        assert bodies == {bytes, type(None)}
+        # The coordinator cannot open a blob: it imports no model class.
+        for module in (supervisor, planner):
+            tree = ast.parse(inspect.getsource(module))
+            imported = {node.module or "" for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom)}
+            imported |= {alias.name for node in ast.walk(tree)
+                         if isinstance(node, ast.Import)
+                         for alias in node.names}
+            assert not [name for name in imported
+                        if "hardware" in name or name.endswith("wire")]
 
 
 # ----------------------------------------------------------------------

@@ -16,20 +16,33 @@ read-only; the digests are ``Outcome.digests()``, the per-aspect hashes
 ``benchmarks/e2e/expected.json`` pins for two seeds.  ``--compare``
 lists every (workload, seed, aspect) whose digest differs between two
 sweeps and exits 1 if any does; event counts are shown, never compared.
-``torus-p2`` is left to ``python -m repro scaleout --verify``, which
-holds its partitioned runs to the single-process one.
+
+The partitioned path gets its own leg, ``escl-torus-64``: per seed (the
+seed picks the message size, as ``torus-p2`` does) the single-process
+run, clean and under the ``drop-burst`` campaign, then every cell of
+partitions {2, 4} x batch {1, 8} x faults {none, drop-burst}.  Each
+cell's digest — and, when clean, its event count — must equal the
+single-process one of the same seed; a cell that does not is printed as
+``PARITY ...`` and the sweep exits 1.  The row keeps one digest per
+cell, so ``--compare`` also catches both shapes moving together.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
+from dataclasses import replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Optional
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 WORKLOAD_NAMES = ("smallmsg-hub", "rpc-faulted", "bulk-wire")
+PARTITIONED = "escl-torus-64"
+#: The partitioned leg's cells: (partitions, batch, fault campaign).
+CELLS = tuple((partitions, batch, faults) for partitions in (2, 4)
+              for batch in (1, 8) for faults in (None, "drop-burst"))
 
 Sweep = dict[str, dict[str, dict[str, Any]]]
 
@@ -65,6 +78,45 @@ def sweep(seeds: list[int], scale: float) -> Sweep:
             rows[str(seed)] = {"events": outcome.events,
                                "digests": outcome.digests()}
     return result
+
+
+def sweep_partitioned(seeds: list[int], scale: float,
+                      cells=CELLS) -> tuple[dict[str, Any], list[str]]:
+    """``(rows, broken)``: the partitioned leg's rows, one digest per
+    run shape, and a line per cell that left the single-process run."""
+    load_workloads()
+    from repro.scaleout import (escl_campaign, run_partitioned, run_single,
+                                scenarios)
+    base = scenarios()[PARTITIONED]
+    rows: dict[str, Any] = {}
+    broken = []
+    for seed in seeds:
+        scenario = replace(
+            base, name=f"{PARTITIONED}-s{seed}",
+            messages_per_cab=max(1, round(base.messages_per_cab * scale)),
+            message_bytes=504 + random.Random(f"{seed}:torus").randrange(17))
+        scenarios()[scenario.name] = scenario  # workers look it up by name
+        campaigns: dict[Optional[str], Any] = {None: None}
+        campaigns.update((faults, escl_campaign(faults, scenario.config()))
+                         for _p, _b, faults in cells if faults)
+        single = {faults: run_single(scenario, faults=campaign)
+                  for faults, campaign in campaigns.items()}
+        digests = {f"single+{faults}" if faults else "single": run.digest
+                   for faults, run in single.items()}
+        for partitions, batch, faults in cells:
+            run = run_partitioned(scenario, partitions, batch=batch,
+                                  faults=campaigns[faults])
+            cell = f"p{partitions}-b{batch}" + (f"+{faults}" if faults else "")
+            digests[cell] = run.digest
+            if run.digest != single[faults].digest:
+                broken.append(f"PARITY {PARTITIONED} seed {seed} {cell}: "
+                              f"digest differs from single-process")
+            elif not faults and run.events != single[None].events:
+                broken.append(f"PARITY {PARTITIONED} seed {seed} {cell}: "
+                              f"{run.events} events, single-process "
+                              f"{single[None].events}")
+        rows[str(seed)] = {"events": single[None].events, "digests": digests}
+    return rows, broken
 
 
 def moved(old: Sweep, new: Sweep) -> list[tuple[str, str, str]]:
@@ -118,13 +170,17 @@ def main(argv: list[str]) -> int:
         return compare(old, new)
     if not args.out:
         parser.error("--out FILE is required when sweeping")
-    result = sweep(parse_seeds(args.seeds), args.scale)
+    seeds = parse_seeds(args.seeds)
+    result = sweep(seeds, args.scale)
+    result[PARTITIONED], broken = sweep_partitioned(seeds, args.scale)
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True)
                               + "\n")
     for name, rows in result.items():
         print(f"{name:14s} {len(rows):3d} seeds  "
               f"{sum(row['events'] for row in rows.values()):>11,} events")
-    return 0
+    print("\n".join(broken) or f"{PARTITIONED}: {len(CELLS)} partitioned "
+          f"cells per seed equal single-process")
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":
