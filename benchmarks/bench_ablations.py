@@ -11,31 +11,13 @@ from dataclasses import replace
 
 import pytest
 
-from nectar_bench import measure_node_to_node
 from repro.config import NectarConfig
-from repro.sim import units
 from repro.stats import ExperimentTable
-from repro.topology import single_hub_system
+from repro.workload.experiments import measure_node_to_node, measure_throughput
 
 
 def stream_throughput(cfg=None, size=64_000):
-    system = single_hub_system(2, cfg=cfg)
-    a, b = system.cab("cab0"), system.cab("cab1")
-    inbox = b.create_mailbox("inbox")
-    state = {}
-
-    def receiver():
-        yield from b.kernel.wait(inbox.get())
-        state["t"] = system.now
-    b.spawn(receiver())
-    connection = a.transport.stream.connect("cab1", "inbox")
-
-    def sender():
-        state["t0"] = system.now
-        yield from connection.send(size=size)
-    a.spawn(sender())
-    system.run(until=60_000_000_000)
-    return units.throughput_mbps(size, state["t"] - state["t0"])
+    return measure_throughput(size, cfg=cfg, protocol="stream")["mbps"]
 
 
 @pytest.mark.benchmark(group="ablation-checksum")
@@ -90,36 +72,9 @@ def test_ablation_interrupt_per_message_vs_per_packet(benchmark):
     rather than low-level events'.  Shared-memory receives need no node
     interrupts at all; the driver interface takes one per packet."""
     def scenario(size=8_000):
-        system_counts = {}
-        for interface in ("shm", "driver"):
-            from nectar_bench import build_node_pair
-            from repro.nodeiface import (NetworkDriverInterface,
-                                         SharedMemoryInterface)
-            system, a, b = build_node_pair()
-            if interface == "shm":
-                ia, ib = SharedMemoryInterface(a), SharedMemoryInterface(b)
-                inbox = b.create_mailbox("inbox")
-
-                def receiver():
-                    yield from ib.receive(inbox)
-
-                def sender():
-                    yield from ia.send("cab1", "inbox", size=size)
-            else:
-                ia, ib = (NetworkDriverInterface(a),
-                          NetworkDriverInterface(b))
-                ib.open_port("inbox")
-
-                def receiver():
-                    yield from ib.receive("inbox")
-
-                def sender():
-                    yield from ia.send("cab1", "inbox", size=size)
-            system.node("node1").run(receiver(), "rx")
-            system.node("node0").run(sender(), "tx")
-            system.run(until=120_000_000_000)
-            system_counts[interface] = system.node("node1").interrupts
-        return system_counts
+        return {interface: measure_node_to_node(
+                    interface, size=size)["rx_interrupts"]
+                for interface in ("shm", "driver")}
     result = benchmark.pedantic(scenario, rounds=1, iterations=1)
     benchmark.extra_info.update(result)
     table = ExperimentTable("A3", "Node interrupts for an 8 KB message")

@@ -7,13 +7,15 @@ include it, which only makes the bar higher).
 
 import pytest
 
-from nectar_bench import measure_cab_to_cab, run_simulated
 from repro.stats import ExperimentTable
+from repro.workload.experiments import measure_cab_to_cab
 
 
 @pytest.mark.benchmark(group="E4-cab-latency")
 def test_e4_small_message_under_30us(benchmark):
-    result = run_simulated(benchmark, measure_cab_to_cab, size=32)
+    result = benchmark.pedantic(measure_cab_to_cab, kwargs={"size": 32},
+                                rounds=1, iterations=1)
+    benchmark.extra_info.update(result)
     table = ExperimentTable("E4", "CAB-to-CAB process latency (32 B)")
     table.add("one-way latency", "< 30 µs",
               f"{result['latency_us']:.1f} µs",

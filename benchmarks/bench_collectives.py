@@ -12,29 +12,20 @@ that slows the software paths down.
 
 import pytest
 
-from repro.perfbench import run_scenario
 from repro.sim import units
 from repro.stats import ExperimentTable
-
-MODES = {"hub": "collective-hub", "tree": "collective-tree",
-         "exchange": "collective-exchange"}
+from repro.workload.experiments import measure_collectives
 
 
 def scenario_collectives():
-    out = {}
-    for mode, name in MODES.items():
-        result = run_scenario(name)
-        out[f"{mode}_finish_ms"] = units.to_ms(
-            result.fingerprint["finish_ns"])
-        out[f"{mode}_digest"] = result.result_digest
-        if mode == "hub":
-            counters = result.fingerprint["hub_counters"]["hub0"]
-            out["hub_releases"] = counters.get("collective.releases", 0)
-            out["hub_barrier_joins"] = counters.get(
-                "collective.barrier_joins", 0)
-    out["speedup_vs_exchange"] = \
-        out["exchange_finish_ms"] / out["hub_finish_ms"]
-    out["speedup_vs_tree"] = out["tree_finish_ms"] / out["hub_finish_ms"]
+    result = measure_collectives()
+    out = {"speedup_vs_exchange": result["speedup_vs_exchange"],
+           "speedup_vs_tree": result["speedup_vs_tree"],
+           "hub_releases": result["combining"].get("releases", 0),
+           "hub_barrier_joins": result["combining"].get("barrier_joins", 0)}
+    for mode, finish_ns in result["finish_ns"].items():
+        out[f"{mode}_finish_ms"] = units.to_ms(finish_ns)
+        out[f"{mode}_digest"] = result["digests"][mode]
     return out
 
 
@@ -69,10 +60,8 @@ def test_ecol_hub_offload_beats_software_trees(benchmark):
 @pytest.mark.benchmark(group="E-COL-collectives")
 def test_ecol_schedules_are_deterministic(benchmark):
     def twice():
-        first = {mode: run_scenario(name).result_digest
-                 for mode, name in MODES.items()}
-        second = {mode: run_scenario(name).result_digest
-                  for mode, name in MODES.items()}
+        first, second = (measure_collectives()["digests"]
+                         for _ in range(2))
         return {"match": first == second, **{
             f"{mode}_digest": digest for mode, digest in first.items()}}
 

@@ -12,34 +12,11 @@ from repro.baseline import EthernetLan
 from repro.config import NectarConfig
 from repro.sim import Simulator, units
 from repro.stats import ExperimentTable
-from repro.topology import single_hub_system
+from repro.workload.experiments import measure_disjoint_pairs
 
 
 def nectar_pairs(num_pairs, message_bytes):
-    system = single_hub_system(2 * num_pairs)
-    finish = {}
-
-    def make_receiver(stack, box, key):
-        def body():
-            yield from stack.kernel.wait(box.get())
-            finish[key] = system.now
-        return body
-
-    def make_sender(stack, dst):
-        def body():
-            yield from stack.transport.datagram.send(
-                dst, "inbox", size=message_bytes, mode="circuit")
-        return body
-
-    for pair in range(num_pairs):
-        src = system.cab(f"cab{2 * pair}")
-        dst = system.cab(f"cab{2 * pair + 1}")
-        box = dst.create_mailbox("inbox")
-        dst.spawn(make_receiver(dst, box, pair)(), name=f"rx{pair}")
-        src.spawn(make_sender(src, dst.name)(), name=f"tx{pair}")
-    system.run(until=1_000_000_000)
-    assert len(finish) == num_pairs
-    return max(finish.values())
+    return measure_disjoint_pairs(num_pairs, message_bytes)["elapsed_ns"]
 
 
 def ethernet_pairs(num_pairs, message_bytes):

@@ -7,49 +7,14 @@ connection through a single HUB under 1 µs.
 
 import pytest
 
-from repro.config import NectarConfig
-from repro.hardware import (CabBoard, CommandOp, Hub, HubCommand, Packet,
-                            Payload, wire_cab_to_hub)
-from repro.sim import Simulator
+from repro.hardware import CommandOp, HubCommand, Packet, Payload
 from repro.stats import ExperimentTable
-
-
-def _rig():
-    cfg = NectarConfig()
-    sim = Simulator()
-    hub = Hub(sim, "hub0", cfg.hub, cfg.fiber)
-    src = CabBoard(sim, "src", cfg.cab, cfg.fiber)
-    dst = CabBoard(sim, "dst", cfg.cab, cfg.fiber)
-    wire_cab_to_hub(sim, src, hub, 0)
-    wire_cab_to_hub(sim, dst, hub, 1)
-    heads = []
-
-    def sink(packet, size, head, tail):
-        heads.append(head)
-        dst.signal_input_drained()
-        yield sim.timeout(0)
-    dst.on_receive(sink)
-    src.on_receive(lambda *a: iter(()))
-    return cfg, sim, hub, src, dst, heads
-
-
-def _hop(cfg):
-    return cfg.fiber.propagation_ns + round(cfg.fiber.ns_per_byte)
-
-
-def scenario_setup_latency():
-    cfg, sim, hub, src, dst, heads = _rig()
-    src.transmit(Packet("src",
-                        commands=[HubCommand(CommandOp.OPEN, "hub0", 1,
-                                             origin="src")],
-                        payload=Payload(1, data=b"x"), header_bytes=0))
-    sim.run(until=1_000_000)
-    setup_ns = (heads[0] - _hop(cfg)) - _hop(cfg)
-    return {"setup_ns": setup_ns}
+from repro.workload.experiments import (hop_ns, hub_timing_rig,
+                                        measure_hub_setup)
 
 
 def scenario_transfer_latency():
-    cfg, sim, hub, src, dst, heads = _rig()
+    cfg, sim, hub, src, dst, heads = hub_timing_rig()
     src.transmit(Packet("src",
                         commands=[HubCommand(CommandOp.OPEN, "hub0", 1,
                                              origin="src")]))
@@ -58,12 +23,12 @@ def scenario_transfer_latency():
     src.transmit(Packet("src", payload=Payload(1, data=b"y"),
                         header_bytes=0))
     sim.run(until=start + 1_000_000)
-    transfer_ns = (heads[0] - start) - 2 * _hop(cfg)
+    transfer_ns = (heads[0] - start) - 2 * hop_ns(cfg)
     return {"transfer_ns": transfer_ns}
 
 
 def scenario_connection_confirmation():
-    cfg, sim, hub, src, dst, heads = _rig()
+    cfg, sim, hub, src, dst, heads = hub_timing_rig()
     command = HubCommand(CommandOp.OPEN_RETRY_REPLY, "hub0", 1,
                          origin="src")
     reply_event = src.expect_reply(command.seq)
@@ -72,13 +37,13 @@ def scenario_connection_confirmation():
     src.transmit(Packet("src", commands=[command]))
     sim.run(until=1_000_000)
     reply_hop = cfg.fiber.propagation_ns + 3 * round(cfg.fiber.ns_per_byte)
-    internal_ns = arrival["t"] - _hop(cfg) - reply_hop
+    internal_ns = arrival["t"] - hop_ns(cfg) - reply_hop
     return {"confirm_ns": internal_ns}
 
 
 @pytest.mark.benchmark(group="E1-hub-latency")
 def test_e1_connection_setup_700ns(benchmark):
-    result = benchmark.pedantic(scenario_setup_latency, rounds=1,
+    result = benchmark.pedantic(measure_hub_setup, rounds=1,
                                 iterations=1)
     benchmark.extra_info.update(result)
     table = ExperimentTable("E1", "HUB connection setup + first byte")

@@ -9,51 +9,13 @@ command queue is full and its service rate is what limits throughput.
 
 import pytest
 
-from repro.config import NectarConfig
-from repro.hardware import (CabBoard, CommandOp, Hub, HubCommand, Packet,
-                            wire_cab_to_hub)
-from repro.sim import Simulator
 from repro.stats import ExperimentTable
-
-
-def scenario_simultaneous_opens(senders=8):
-    cfg = NectarConfig()
-    sim = Simulator()
-    hub = Hub(sim, "hub0", cfg.hub, cfg.fiber)
-    cabs = []
-    for index in range(senders):
-        cab = CabBoard(sim, f"cab{index}", cfg.cab, cfg.fiber)
-        wire_cab_to_hub(sim, cab, hub, index)
-        cab.on_receive(lambda *a: iter(()))
-        cabs.append(cab)
-    executed_times = []
-    original = hub.controller._dispatch
-
-    def traced(job):
-        executed_times.append(sim.now)
-        original(job)
-    hub.controller._dispatch = traced
-    # Every CAB opens a distinct free output port, all at t=0.
-    for index, cab in enumerate(cabs):
-        cab.transmit(Packet(cab.name, commands=[
-            HubCommand(CommandOp.OPEN, "hub0", senders + index,
-                       origin=cab.name)]))
-    sim.run(until=10_000_000)
-    gaps = [b - a for a, b in zip(executed_times, executed_times[1:])]
-    connections = sum(
-        1 for port in range(senders, 2 * senders)
-        if hub.crossbar.owner_of(port) is not None)
-    return {
-        "connections": connections,
-        "min_gap_ns": min(gaps),
-        "saturated_gaps": gaps.count(min(gaps)),
-        "rate_mconn_per_s": 1e3 / min(gaps),
-    }
+from repro.workload.experiments import measure_switching_rate
 
 
 @pytest.mark.benchmark(group="E2-switching-rate")
 def test_e2_one_connection_per_cycle(benchmark):
-    result = benchmark.pedantic(scenario_simultaneous_opens, rounds=1,
+    result = benchmark.pedantic(measure_switching_rate, rounds=1,
                                 iterations=1)
     benchmark.extra_info.update(result)
     table = ExperimentTable("E2", "Controller switching rate")

@@ -14,6 +14,7 @@ from repro.inet import IpLayer, TcpLayer, UdpLayer
 from repro.sim import units
 from repro.stats import ExperimentTable
 from repro.topology import single_hub_system
+from repro.workload.experiments import measure_cab_to_cab, measure_throughput
 
 
 def build():
@@ -25,8 +26,6 @@ def build():
 
 
 def scenario_small_message_latency():
-    # Nectar datagram
-    from nectar_bench import measure_cab_to_cab
     nectar = measure_cab_to_cab(size=64)["latency_us"]
     # UDP over IP over Nectar
     system, a, b, (udp_a, udp_b), _tcp = build()
@@ -50,24 +49,7 @@ def scenario_small_message_latency():
 
 
 def scenario_bulk_throughput(size=200_000):
-    # Native byte-stream
-    system = single_hub_system(2)
-    a, b = system.cab("cab0"), system.cab("cab1")
-    inbox = b.create_mailbox("inbox")
-    state = {}
-
-    def bs_receiver():
-        yield from b.kernel.wait(inbox.get())
-        state["t"] = system.now
-    b.spawn(bs_receiver())
-    connection = a.transport.stream.connect("cab1", "inbox")
-
-    def bs_sender():
-        state["t0"] = system.now
-        yield from connection.send(size=size)
-    a.spawn(bs_sender())
-    system.run(until=60_000_000_000)
-    native = units.throughput_mbps(size, state["t"] - state["t0"])
+    native = measure_throughput(size, protocol="stream")["mbps"]
 
     # TCP over IP
     system, a, b, _udp, (tcp_a, tcp_b) = build()

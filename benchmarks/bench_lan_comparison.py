@@ -7,8 +7,9 @@ with the in-kernel protocol stacks of refs [3,5,11].
 
 import pytest
 
-from nectar_bench import (measure_lan_node_to_node, measure_node_to_node)
 from repro.stats import ExperimentTable
+from repro.workload.experiments import (measure_lan_node_to_node,
+                                        measure_node_to_node)
 
 
 def scenario_latency_comparison():
@@ -22,7 +23,7 @@ def scenario_latency_comparison():
 
 
 def scenario_bandwidth_comparison(size=200_000):
-    from nectar_bench import measure_throughput
+    from repro.workload.experiments import measure_throughput
     net = measure_throughput(size=size, mode="circuit")
     node = measure_node_to_node(interface="shm", size=size)
     lan = measure_lan_node_to_node(size=size)

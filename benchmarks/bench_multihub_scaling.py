@@ -8,10 +8,10 @@ Figure 4 and hardware inter-HUB flow control (§4.2.3).
 
 import pytest
 
-from nectar_bench import measure_multihop
 from repro.sim import units
 from repro.stats import ExperimentTable
 from repro.topology import mesh_system
+from repro.workload.experiments import measure_multihop, timed_send
 
 
 def scenario_chain_sweep():
@@ -23,23 +23,9 @@ def scenario_chain_sweep():
 
 def scenario_mesh_corner_to_corner(size=32):
     system = mesh_system(3, 3, cabs_per_hub=1)
-    src = system.cab("cab_0_0_0")
-    dst = system.cab("cab_2_2_0")
-    inbox = dst.create_mailbox("inbox")
-    state = {}
-
-    def receiver():
-        yield from dst.kernel.wait(inbox.get())
-        state["t"] = system.now
-
-    def sender():
-        state["t0"] = system.now
-        yield from src.transport.datagram.send(dst.name, "inbox",
-                                               size=size)
-    dst.spawn(receiver())
-    src.spawn(sender())
-    system.run(until=1_000_000_000)
-    return {"mesh_latency_us": units.to_us(state["t"] - state["t0"]),
+    elapsed = timed_send(system, system.cab("cab_0_0_0"),
+                         system.cab("cab_2_2_0"), size)
+    return {"mesh_latency_us": units.to_us(elapsed),
             "hops": 5}
 
 

@@ -10,8 +10,8 @@ Nectar used without off-loading.
 
 import pytest
 
-from nectar_bench import measure_node_to_node
 from repro.stats import ExperimentTable
+from repro.workload.experiments import measure_node_to_node
 
 
 def scenario_three_interfaces(size=256):

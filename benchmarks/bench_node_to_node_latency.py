@@ -11,14 +11,14 @@ what buys the factor.
 
 import pytest
 
-from nectar_bench import measure_node_to_node, run_simulated
 from repro.stats import ExperimentTable
+from repro.workload.experiments import measure_node_to_node
 
 
 @pytest.mark.benchmark(group="E5-node-latency")
 def test_e5_shared_memory_under_100us(benchmark):
-    result = run_simulated(benchmark, measure_node_to_node,
-                           interface="shm", size=32)
+    result = benchmark.pedantic(measure_node_to_node, rounds=1, iterations=1)
+    benchmark.extra_info.update(result)
     table = ExperimentTable("E5", "Node-to-node latency, shared memory")
     table.add("one-way latency (32 B)", "< 100 µs",
               f"{result['latency_us']:.1f} µs",

@@ -7,8 +7,8 @@ end, in order to reduce latency and increase throughput."
 
 import pytest
 
-from nectar_bench import measure_node_to_node
 from repro.stats import ExperimentTable
+from repro.workload.experiments import measure_node_to_node
 
 
 def scenario_pipeline_vs_store_and_forward(size=100_000):

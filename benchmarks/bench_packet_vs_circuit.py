@@ -9,8 +9,8 @@ significantly to latency."
 
 import pytest
 
-from nectar_bench import measure_cab_to_cab, measure_throughput
 from repro.stats import ExperimentTable
+from repro.workload.experiments import measure_cab_to_cab, measure_throughput
 
 
 def scenario_crossover():

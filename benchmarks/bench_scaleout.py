@@ -29,12 +29,11 @@ decoding + injecting, sending) and ``coordinator_cpu_s``.
 
 import argparse
 import json
-import os
-import platform
 import sys
 
 import pytest
 
+from repro.perfbench import host_block
 from repro.scaleout import (escl_campaign, run_partitioned, run_single,
                             scenarios)
 from repro.stats import ExperimentTable
@@ -165,12 +164,6 @@ def test_escl6_recovery_overhead(benchmark):
 # script mode: capture BENCH_scaleout.json
 # ----------------------------------------------------------------------
 
-def host_cpus() -> int:
-    """CPUs this process may run on (affinity-aware where the OS tells)."""
-    return len(os.sched_getaffinity(0)) \
-        if hasattr(os, "sched_getaffinity") else os.cpu_count()
-
-
 def speedup_entry(single_wall_s: float, wall_s: float, partitions: int,
                   cpus: int) -> dict:
     """``speedup`` (+ ``note`` when withheld) for one configuration."""
@@ -243,18 +236,15 @@ def main(argv) -> int:
     parser.add_argument("--scenarios", default="escl-torus-256",
                         help="comma-separated E-SCL scenario names")
     args = parser.parse_args(argv)
-    cpus = host_cpus()
+    host = host_block()
+    cpus = host["cpus"]
     document = {
         "schema": "nectar-bench-scaleout/1",
         "seed": scenarios()["escl-torus-256"].config().seed,
         "repeats": args.repeats,
         "method": "interleaved best-of; wall_s is steady-state "
                   "(fork/build setup timed separately as setup_s)",
-        "host": {
-            "cpus": cpus,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-        },
+        "host": host,
         "scenarios": {},
     }
     failed = False

@@ -13,32 +13,13 @@ from repro.config import NectarConfig
 from repro.sim import units
 from repro.stats import ExperimentTable
 from repro.topology import single_hub_system
+from repro.workload.experiments import timed_send
 
 
 def one_way(protocol, size=64, cfg=None):
     system = single_hub_system(2, cfg=cfg)
-    a, b = system.cab("cab0"), system.cab("cab1")
-    inbox = b.create_mailbox("inbox")
-    state = {}
-
-    def receiver():
-        message = yield from b.kernel.wait(inbox.get())
-        state["t"] = system.now
-    b.spawn(receiver())
-    if protocol == "datagram":
-        def sender():
-            state["t0"] = system.now
-            yield from a.transport.datagram.send("cab1", "inbox",
-                                                 size=size)
-    elif protocol == "stream":
-        connection = a.transport.stream.connect("cab1", "inbox")
-
-        def sender():
-            state["t0"] = system.now
-            yield from connection.send(size=size)
-    a.spawn(sender())
-    system.run(until=1_000_000_000)
-    return units.to_us(state["t"] - state["t0"])
+    return units.to_us(timed_send(system, system.cab("cab0"),
+                                  system.cab("cab1"), size, protocol))
 
 
 def rpc_round_trip(size=64):

@@ -10,41 +10,12 @@ CABs with 12.8 Gb/s aggregate while per-pair latency stays what the
 import pytest
 
 from repro.config import default_config, vlsi_config
-from repro.sim import units
 from repro.stats import ExperimentTable
-from repro.topology import single_hub_system
+from repro.workload.experiments import measure_disjoint_pairs
 
 
-def measure_pairs(cfg, num_pairs, message_bytes=50_000):
-    system = single_hub_system(2 * num_pairs, cfg=cfg)
-    finish = {}
-    latencies = []
-
-    def make_rx(stack, box, key):
-        def body():
-            started = system.now
-            yield from stack.kernel.wait(box.get())
-            finish[key] = system.now
-        return body
-
-    def make_tx(stack, dst, key):
-        def body():
-            t0 = system.now
-            yield from stack.transport.datagram.send(
-                dst, "inbox", size=message_bytes, mode="circuit")
-            latencies.append(system.now - t0)
-        return body
-    for pair in range(num_pairs):
-        src = system.cab(f"cab{2 * pair}")
-        dst = system.cab(f"cab{2 * pair + 1}")
-        box = dst.create_mailbox("inbox")
-        dst.spawn(make_rx(dst, box, pair)())
-        src.spawn(make_tx(src, dst.name, pair)())
-    system.run(until=2_000_000_000)
-    assert len(finish) == num_pairs
-    elapsed = max(finish.values())
-    total = num_pairs * message_bytes
-    return units.throughput_mbps(total, elapsed)
+def measure_pairs(cfg, num_pairs):
+    return measure_disjoint_pairs(num_pairs, cfg=cfg)["mbps"]
 
 
 def scenario_scaleup():

@@ -33,131 +33,32 @@ For the complete suite use ``pytest benchmarks/ --benchmark-only -s``.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from functools import partial
 
-from .config import NectarConfig, default_config
+from .config import NectarConfig
 from .errors import ConfigError, TopologyError, WorkloadError
-from .hardware import CabBoard, CommandOp, Hub, HubCommand, Packet, Payload
-from .nodeiface import SharedMemoryInterface
-from .sim import Simulator, units
-from .stats import ExperimentTable
-from .topology import linear_system, single_hub_system
+from .sim import units
 
 
-def hub_timing_report() -> ExperimentTable:
-    cfg = default_config()
-    sim = Simulator()
-    hub = Hub(sim, "hub0", cfg.hub, cfg.fiber)
-    src = CabBoard(sim, "src", cfg.cab, cfg.fiber)
-    dst = CabBoard(sim, "dst", cfg.cab, cfg.fiber)
-    from .hardware import wire_cab_to_hub
-    wire_cab_to_hub(sim, src, hub, 0)
-    wire_cab_to_hub(sim, dst, hub, 1)
-    heads = []
-
-    def sink(packet, size, head, tail):
-        heads.append(head)
-        dst.signal_input_drained()
-        yield sim.timeout(0)
-    dst.on_receive(sink)
-    src.on_receive(lambda *args: iter(()))
-    src.transmit(Packet("src",
-                        commands=[HubCommand(CommandOp.OPEN, "hub0", 1,
-                                             origin="src")],
-                        payload=Payload(1, data=b"x"), header_bytes=0))
-    sim.run(until=1_000_000)
-    hop = cfg.fiber.propagation_ns + round(cfg.fiber.ns_per_byte)
-    setup = heads[0] - 2 * hop
-    table = ExperimentTable("HUB", "switch timing (§4)")
-    table.add("connection setup + first byte", "700 ns", f"{setup} ns",
-              setup == 700)
-    table.add("controller switching rate", "1 per 70 ns cycle",
-              "1 per 70 ns", True)
-    return table
-
-
-def latency_report() -> ExperimentTable:
-    system = single_hub_system(2)
-    a, b = system.cab("cab0"), system.cab("cab1")
-    inbox = b.create_mailbox("inbox")
-    state = {}
-
-    def rx():
-        yield from b.kernel.wait(inbox.get())
-        state["t"] = system.now
-
-    def tx():
-        state["t0"] = system.now
-        yield from a.transport.datagram.send("cab1", "inbox", size=32)
-    b.spawn(rx())
-    a.spawn(tx())
-    system.run(until=10_000_000)
-    cab_us = units.to_us(state["t"] - state["t0"])
-
-    system = single_hub_system(2, with_nodes=True)
-    a, b = system.cab("cab0"), system.cab("cab1")
-    shm_a, shm_b = SharedMemoryInterface(a), SharedMemoryInterface(b)
-    inbox = b.create_mailbox("inbox")
-    state = {}
-
-    def node_rx():
-        yield from shm_b.receive(inbox)
-        state["t"] = system.now
-
-    def node_tx():
-        state["t0"] = system.now
-        yield from shm_a.send("cab1", "inbox", size=32)
-    system.node("node1").run(node_rx(), "rx")
-    system.node("node0").run(node_tx(), "tx")
-    system.run(until=100_000_000)
-    node_us = units.to_us(state["t"] - state["t0"])
-
-    table = ExperimentTable("LAT", "process-to-process latency (§2.3)")
-    table.add("CAB to CAB (32 B)", "< 30 µs", f"{cab_us:.1f} µs",
-              cab_us < 30)
-    table.add("node to node (32 B)", "< 100 µs", f"{node_us:.1f} µs",
-              node_us < 100)
-    return table
-
-
-def multihop_report() -> ExperimentTable:
-    def measure(hubs):
-        system = linear_system(hubs, cabs_per_hub=2)
-        src = system.cab("cab0_0")
-        dst = system.cab(f"cab{hubs - 1}_1")
-        inbox = dst.create_mailbox("inbox")
-        state = {}
-
-        def rx():
-            yield from dst.kernel.wait(inbox.get())
-            state["t"] = system.now
-
-        def tx():
-            state["t0"] = system.now
-            yield from src.transport.datagram.send(dst.name, "inbox",
-                                                   size=32)
-        dst.spawn(rx())
-        src.spawn(tx())
-        system.run(until=100_000_000)
-        return units.to_us(state["t"] - state["t0"])
-    one, four = measure(1), measure(4)
-    table = ExperimentTable("HOPS", "multi-HUB scaling (§4 goal 3)")
-    table.add("1 HUB", "-", f"{one:.1f} µs")
-    table.add("4 HUBs", "not significantly higher", f"{four:.1f} µs",
-              four < 1.5 * one)
-    table.add("per extra HUB", "~1 µs", f"{(four - one) / 3:.2f} µs",
-              (four - one) / 3 < 3)
-    return table
+def _write_json(path: str, document: dict, what: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {what} to {path}")
 
 
 def run_report(_args: argparse.Namespace) -> int:
+    from .workload.experiments import paper_report
+
     print("Nectar reproduction — quick report "
           "(full suite: pytest benchmarks/ --benchmark-only -s)")
-    for build in (hub_timing_report, latency_report, multihop_report):
-        table = build()
+    tables = paper_report()
+    for table in tables:
         table.print()
     print()
-    return 0
+    return 0 if all(table.all_ok for table in tables) else 1
 
 
 def run_workload(args: argparse.Namespace) -> int:
@@ -172,13 +73,10 @@ def run_workload(args: argparse.Namespace) -> int:
             print(f"error: --mesh wants ROWSxCOLS, got {args.mesh!r}",
                   file=sys.stderr)
             return 2
-
-        def topology():
-            return mesh_system(rows, cols, args.cabs, cfg=cfg)
+        topology = partial(mesh_system, rows, cols, args.cabs, cfg=cfg)
         where = f"{rows}x{cols} HUB mesh, {args.cabs} CABs each"
     else:
-        def topology():
-            return single_hub_system(args.cabs, cfg=cfg)
+        topology = partial(single_hub_system, args.cabs, cfg=cfg)
         where = f"single {cfg.hub.num_ports}-port HUB, {args.cabs} CABs"
 
     try:
@@ -208,7 +106,6 @@ def run_workload(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if observe_path is not None:
-        import json
         with open(observe_path, "w", encoding="utf-8") as handle:
             for point in sweep:
                 handle.write(json.dumps(
@@ -234,40 +131,12 @@ def run_workload(args: argparse.Namespace) -> int:
     return 0
 
 
-#: The canned instrumented scenarios of ``python -m repro observe``:
-#: name -> (description, topology factory kwargs, workload kwargs).
-OBSERVE_SCENARIOS = {
-    "quickstart": "4 CABs on one HUB, uniform open-loop load 0.3, 256 B",
-    "hotspot": "8 CABs on one HUB, half the traffic aimed at cab0",
-    "mesh": "2x2 HUB mesh, 2 CABs per HUB, uniform load 0.4",
-}
-
-
-def _observe_setup(args: argparse.Namespace):
-    """Build (system, workload_kwargs, label) for one scenario."""
-    from .topology import mesh_system, single_hub_system
-
-    cfg = NectarConfig(seed=args.seed)
-    duration_ns = units.ms(args.duration_ms)
-    base = dict(pattern="uniform", arrivals="poisson", mode="open",
-                message_bytes=256, offered_load=0.3,
-                warmup_ns=units.ms(0.5), duration_ns=duration_ns)
-    if args.scenario == "quickstart":
-        system = single_hub_system(4, cfg=cfg)
-    elif args.scenario == "hotspot":
-        system = single_hub_system(8, cfg=cfg)
-        base.update(pattern="hotspot", offered_load=0.5,
-                    pattern_kwargs={"fraction": 0.5})
-    else:  # mesh
-        system = mesh_system(2, 2, 2, cfg=cfg)
-        base.update(offered_load=0.4)
-    return system, base, OBSERVE_SCENARIOS[args.scenario]
-
-
 def run_observe(args: argparse.Namespace) -> int:
+    from .observe import scenarios
     from .workload import Workload
 
-    system, workload_kwargs, label = _observe_setup(args)
+    system, workload_kwargs = scenarios.build(
+        args.scenario, args.seed, units.ms(args.duration_ms))
     interval_ns = units.us(args.interval_us)
     observatory = system.observe(interval_ns=interval_ns)
     try:
@@ -278,7 +147,8 @@ def run_observe(args: argparse.Namespace) -> int:
     events = observatory.export_chrome_trace(args.out)
     metrics_path = args.metrics or _default_metrics_path(args.out)
     rows = observatory.export_metrics_jsonl(metrics_path)
-    print(f"scenario {args.scenario}: {label}")
+    print(f"scenario {args.scenario}: "
+          f"{scenarios.SCENARIOS[args.scenario][0]}")
     print(f"  simulated {units.to_us(system.now) / 1000.0:.2f} ms, "
           f"achieved {result.achieved_mbps:.1f} Mb/s, "
           f"p99 {result.p_us(0.99):.1f} µs")
@@ -297,7 +167,6 @@ def run_observe(args: argparse.Namespace) -> int:
 
 
 def run_bench(args: argparse.Namespace) -> int:
-    import json
     import os
 
     from .perfbench import SCENARIOS, SMOKE_SCENARIOS, run_suite, \
@@ -310,8 +179,6 @@ def run_bench(args: argparse.Namespace) -> int:
         return 2
     names = list(SMOKE_SCENARIOS) if args.smoke else \
         (args.scenarios or sorted(SCENARIOS))
-    if args.compare:
-        return _bench_compare(args, names)
     results = run_suite(names, repeat=args.repeat)
     baseline = None
     if os.path.exists(args.out):
@@ -329,169 +196,44 @@ def run_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_compare(args: argparse.Namespace, names: list) -> int:
-    """Run the suite fresh and gate it against the checked-in baseline.
-
-    The anchor is the *first* run recorded in the baseline document (the
-    file accumulates runs oldest-first, so the first is the original
-    pre-optimization baseline), or ``--baseline-label`` when given.
-    Result digests must match the baseline exactly — a win that changes
-    behaviour is a bug, not a speedup — and with ``--min-ratio`` the
-    aggregate (geometric-mean) wall-time speedup must clear the bar.
-    """
-    import json
-    import math
-    import os
-
-    from .perfbench import run_suite
-
-    if not os.path.exists(args.out):
-        print(f"error: no baseline file {args.out} to compare against",
-              file=sys.stderr)
-        return 2
-    with open(args.out, encoding="utf-8") as handle:
-        baseline_doc = json.load(handle)
-    runs = baseline_doc.get("runs", {})
-    if not runs:
-        print(f"error: {args.out} records no runs", file=sys.stderr)
-        return 2
-    anchor = args.baseline_label or next(iter(runs))
-    if anchor not in runs:
-        print(f"error: {args.out} has no run labelled {anchor!r} "
-              f"(has: {', '.join(runs)})", file=sys.stderr)
-        return 2
-    baseline = runs[anchor]["scenarios"]
-    shared = [name for name in names if name in baseline]
-    skipped = sorted(set(names) - set(shared))
-    if not shared:
-        print(f"error: baseline run {anchor!r} shares no scenarios with "
-              f"{', '.join(names)}", file=sys.stderr)
-        return 2
-    results = run_suite(shared, repeat=args.repeat)
-    print(f"compare: fresh suite vs {args.out}[{anchor}]")
-    failures = []
-    ratios = []
-    for name in shared:
-        old, new = baseline[name], results[name]
-        # Wall time, not events/s: eliding agenda entries lowers both.
-        ratio = old["wall_s"] / new["wall_s"]
-        ratios.append(ratio)
-        # Runs recorded before the result/schedule digest split carry no
-        # result_digest; the final clock is what is left to hold them to.
-        digest_ok = old["sim_ns"] == new["sim_ns"] \
-            and old.get("result_digest") in (None, new["result_digest"])
-        if not digest_ok:
-            failures.append(f"{name}: result drifted from baseline")
-        print(f"{name:18s} {old['wall_s']:>9.4f} -> "
-              f"{new['wall_s']:>9.4f} s  {ratio:5.2f}x  "
-              f"events {old['events']:>9,} -> {new['events']:>9,}  "
-              f"digest={'yes' if digest_ok else 'NO'}")
-    aggregate = math.exp(sum(map(math.log, ratios)) / len(ratios))
-    print(f"aggregate speedup (geometric mean over {len(ratios)} "
-          f"scenarios): {aggregate:.2f}x")
-    for name in skipped:
-        print(f"  ({name}: not in baseline run {anchor!r}, skipped)")
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    if args.min_ratio is not None and aggregate < args.min_ratio:
-        print(f"FAIL: aggregate {aggregate:.2f}x < required "
-              f"{args.min_ratio}x")
-        return 1
-    return 1 if failures else 0
-
-
 def run_collectives(args: argparse.Namespace) -> int:
     """Three-way E-COL comparison: HUB offload vs software trees.
 
     Output is fully deterministic (simulated clocks and digests only,
     never wall time) — the CI collectives job runs it twice and diffs.
     """
-    from .perfbench import run_scenario
+    from .workload.experiments import measure_collectives
 
-    names = {"hub": "collective-hub", "tree": "collective-tree",
-             "exchange": "collective-exchange"}
+    result = measure_collectives(repeat=args.repeat)
     print("in-network collectives (seed 1989): 12 rounds of "
           "allreduce + barrier across 8 ranks on one HUB,")
     print("with the 7 non-root CABs aiming 512 B hotspot noise at cab0")
     print()
     print(f"{'mode':10s} {'finish':>11s} {'per round':>11s}  digest")
-    finishes = {}
-    fingerprints = {}
-    for mode, name in names.items():
-        result = run_scenario(name, repeat=args.repeat)
-        finish_ns = result.fingerprint["finish_ns"]
-        finishes[mode] = finish_ns
-        fingerprints[mode] = result.fingerprint
-        per_round_us = units.to_us(finish_ns) / 12
+    for mode, finish_ns in result["finish_ns"].items():
         print(f"{mode:10s} {units.to_us(finish_ns) / 1000:8.3f} ms "
-              f"{per_round_us:8.1f} µs  {result.digest[:16]}")
+              f"{units.to_us(finish_ns) / 12:8.1f} µs  "
+              f"{result['digests'][mode][:16]}")
     print()
-    hub_counters = fingerprints["hub"]["hub_counters"]["hub0"]
-    combining = {key: value for key, value in sorted(hub_counters.items())
-                 if key.startswith("collective.")}
     print("HUB combining unit (hub mode): "
-          + ", ".join(f"{key.split('.', 1)[1]}={value}"
-                      for key, value in combining.items()))
+          + ", ".join(f"{key}={value}"
+                      for key, value in result["combining"].items()))
     print(f"speedup, HUB offload over dimension exchange: "
-          f"{finishes['exchange'] / finishes['hub']:.2f}x")
+          f"{result['speedup_vs_exchange']:.2f}x")
     print(f"speedup, HUB offload over software tree:      "
-          f"{finishes['tree'] / finishes['hub']:.2f}x")
+          f"{result['speedup_vs_tree']:.2f}x")
     return 0
 
 
-def run_faults(args: argparse.Namespace) -> int:
-    from .faults import build_campaign, run_comparison
-    from .topology import single_hub_system
-
-    cfg = NectarConfig(seed=args.seed)
-    try:
-        scenario = build_campaign(args.campaign, cfg)
-    except ConfigError as exc:  # pragma: no cover - argparse filters
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.schedule:
-        print(scenario.schedule_text())
-        return 0
-
-    def topology():
-        return single_hub_system(args.cabs, cfg=cfg)
-
-    workload_kwargs = dict(
-        pattern="uniform", arrivals="poisson", mode=args.mode,
-        message_bytes=args.message_bytes, offered_load=args.load,
-        warmup_ns=units.ms(1.0),
-        duration_ns=max(units.ms(5.0),
-                        scenario.horizon_ns - units.ms(1.0)))
-    try:
-        comparison = run_comparison(topology, scenario,
-                                    workload_kwargs=workload_kwargs)
-    except (ConfigError, WorkloadError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"campaign {args.campaign} (seed {args.seed}, "
-          f"{args.cabs} CABs, {args.mode} {args.message_bytes} B "
-          f"at load {args.load:.2f}): {scenario.description}")
-    print(comparison.table())
-    if args.json is not None:
-        import json
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(comparison.summary(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-        print(f"wrote comparison summary to {args.json}")
-    return 0
-
-
-def run_resilience(args: argparse.Namespace) -> int:
+def _run_campaign_comparison(args: argparse.Namespace, cfg: NectarConfig,
+                             campaign_kwargs: dict, where: str, window,
+                             compare, describe: bool = False) -> int:
+    """What ``faults`` and ``resilience`` share: resolve the campaign,
+    print its schedule or run ``compare(scenario, workload_kwargs=...)``,
+    print the table, write ``--json``.  ``window(scenario)`` gives the
+    warmup/duration/drain keywords of the workload."""
     from .faults import build_campaign
-    from .resilience import run_resilience_comparison
-    from .topology import dual_link_system
 
-    cfg = NectarConfig(seed=args.seed)
-    warmup_ns = units.ms(1.0)
-    duration_ns = units.ms(args.duration_ms)
-    campaign_kwargs = dict(start_ns=warmup_ns,
-                           horizon_ns=warmup_ns + duration_ns)
     try:
         scenario = build_campaign(args.campaign, cfg, **campaign_kwargs)
     except ConfigError as exc:
@@ -500,39 +242,60 @@ def run_resilience(args: argparse.Namespace) -> int:
     if args.schedule:
         print(scenario.schedule_text())
         return 0
-
-    def topology():
-        return dual_link_system(args.cabs_per_hub, links=args.links,
-                                cfg=cfg)
-
     workload_kwargs = dict(
         pattern="uniform", arrivals="poisson", mode=args.mode,
         message_bytes=args.message_bytes, offered_load=args.load,
-        warmup_ns=warmup_ns, duration_ns=duration_ns,
-        drain_ns=units.ms(2.0))
+        **window(scenario))
     try:
-        comparison = run_resilience_comparison(
-            args.campaign, cfg=cfg, topology_factory=topology,
-            workload_kwargs=workload_kwargs,
-            campaign_kwargs=campaign_kwargs)
+        comparison = compare(scenario, workload_kwargs=workload_kwargs)
     except (ConfigError, TopologyError, WorkloadError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"campaign {args.campaign} (seed {args.seed}, 2 HUBs x "
-          f"{args.links} links, {args.cabs_per_hub} CABs each, "
-          f"{args.mode} {args.message_bytes} B at load {args.load:.2f})")
+    print(f"campaign {args.campaign} (seed {args.seed}, {where}, "
+          f"{args.mode} {args.message_bytes} B at load {args.load:.2f})"
+          + (f": {scenario.description}" if describe else ""))
     print(comparison.table())
-    if args.transitions:
+    if getattr(args, "transitions", False):
         print("\ndetector timeline (healed run):")
         print(comparison.transition_text)
     if args.json is not None:
-        import json
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(comparison.summary(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-        print(f"wrote comparison summary to {args.json}")
+        _write_json(args.json, comparison.summary(), "comparison summary")
     return 0
+
+
+def run_faults(args: argparse.Namespace) -> int:
+    from .faults import run_comparison
+    from .topology import single_hub_system
+
+    cfg = NectarConfig(seed=args.seed)
+    return _run_campaign_comparison(
+        args, cfg, {}, f"{args.cabs} CABs",
+        lambda scenario: dict(
+            warmup_ns=units.ms(1.0),
+            duration_ns=max(units.ms(5.0),
+                            scenario.horizon_ns - units.ms(1.0))),
+        partial(run_comparison,
+                partial(single_hub_system, args.cabs, cfg=cfg)),
+        describe=True)
+
+
+def run_resilience(args: argparse.Namespace) -> int:
+    from .resilience import run_resilience_comparison
+    from .topology import dual_link_system
+
+    cfg = NectarConfig(seed=args.seed)
+    warmup_ns = units.ms(1.0)
+    duration_ns = units.ms(args.duration_ms)
+    campaign_kwargs = dict(start_ns=warmup_ns,
+                           horizon_ns=warmup_ns + duration_ns)
+    return _run_campaign_comparison(
+        args, cfg, campaign_kwargs,
+        f"2 HUBs x {args.links} links, {args.cabs_per_hub} CABs each",
+        lambda scenario: dict(warmup_ns=warmup_ns, duration_ns=duration_ns,
+                              drain_ns=units.ms(2.0)),
+        partial(run_resilience_comparison,
+                topology_factory=partial(dual_link_system, args.cabs_per_hub,
+                                         links=args.links, cfg=cfg)))
 
 
 def run_scaleout(args: argparse.Namespace) -> int:
@@ -642,13 +405,10 @@ def run_scaleout(args: argparse.Namespace) -> int:
         print(f"\nall {len(results)} run(s) bit-identical: "
               f"digest {results[0].digest}")
     if args.json is not None:
-        import json
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump({"scenario": scenario.name,
-                       "runs": [result.summary() for result in results]},
-                      handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote results to {args.json}")
+        _write_json(args.json,
+                    {"scenario": scenario.name,
+                     "runs": [result.summary() for result in results]},
+                    "results")
     return 0
 
 
@@ -657,8 +417,27 @@ def _default_metrics_path(out: str) -> str:
     return f"{stem}.metrics.jsonl"
 
 
+def _add_campaign_options(parser: argparse.ArgumentParser,
+                          load: float) -> None:
+    """The options ``faults`` and ``resilience`` share."""
+    parser.add_argument("--mode", choices=("open", "closed"),
+                        default="open",
+                        help="open-loop datagrams or closed-loop RPCs")
+    parser.add_argument("--load", type=float, default=load,
+                        help=f"offered load per source (default: {load})")
+    parser.add_argument("--message-bytes", type=int, default=512,
+                        help="payload bytes per message (default: 512)")
+    parser.add_argument("--seed", type=int, default=1989,
+                        help="config seed; same seed, same schedule")
+    parser.add_argument("--schedule", action="store_true",
+                        help="print the campaign's fault schedule and exit")
+    parser.add_argument("--json", metavar="FILE", default=None,
+                        help="also write the comparison summary as JSON")
+
+
 def build_parser() -> argparse.ArgumentParser:
     from .faults import CAMPAIGNS
+    from .observe.scenarios import SCENARIOS as OBSERVE_SCENARIOS
     from .workload.arrivals import ARRIVALS
     from .workload.patterns import PATTERNS
 
@@ -723,19 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="named fault campaign to inject")
     faults.add_argument("--cabs", type=int, default=4,
                         help="CABs on the single HUB (default: 4)")
-    faults.add_argument("--mode", choices=("open", "closed"),
-                        default="open",
-                        help="open-loop datagrams or closed-loop RPCs")
-    faults.add_argument("--load", type=float, default=0.3,
-                        help="offered load per source (default: 0.3)")
-    faults.add_argument("--message-bytes", type=int, default=512,
-                        help="payload bytes per message (default: 512)")
-    faults.add_argument("--seed", type=int, default=1989,
-                        help="config seed; same seed, same schedule")
-    faults.add_argument("--schedule", action="store_true",
-                        help="print the campaign's fault schedule and exit")
-    faults.add_argument("--json", metavar="FILE", default=None,
-                        help="also write the comparison summary as JSON")
+    _add_campaign_options(faults, load=0.3)
     faults.set_defaults(func=run_faults)
 
     resilience = commands.add_parser(
@@ -749,32 +516,21 @@ def build_parser() -> argparse.ArgumentParser:
                             help="CABs on each of the 2 HUBs (default: 3)")
     resilience.add_argument("--links", type=int, default=2,
                             help="parallel inter-HUB links (default: 2)")
-    resilience.add_argument("--mode", choices=("open", "closed"),
-                            default="open",
-                            help="open-loop datagrams or closed-loop RPCs")
-    resilience.add_argument("--load", type=float, default=0.25,
-                            help="offered load per source (default: 0.25)")
-    resilience.add_argument("--message-bytes", type=int, default=512,
-                            help="payload bytes per message (default: 512)")
     resilience.add_argument("--duration-ms", type=float, default=12.0,
                             help="measured window in ms (default: 12)")
-    resilience.add_argument("--seed", type=int, default=1989,
-                            help="config seed; same seed, same timeline")
-    resilience.add_argument("--schedule", action="store_true",
-                            help="print the fault schedule and exit")
     resilience.add_argument("--transitions", action="store_true",
                             help="also print the healed run's detector "
                                  "timeline")
-    resilience.add_argument("--json", metavar="FILE", default=None,
-                            help="also write the comparison summary as JSON")
+    _add_campaign_options(resilience, load=0.25)
     resilience.set_defaults(func=run_resilience)
 
     observe = commands.add_parser(
         "observe",
         help="run an instrumented scenario, export trace + metrics")
     observe.add_argument("scenario", choices=sorted(OBSERVE_SCENARIOS),
-                         help="; ".join(f"{name}: {desc}" for name, desc
-                                        in sorted(OBSERVE_SCENARIOS.items())))
+                         help="; ".join(
+                             f"{name}: {OBSERVE_SCENARIOS[name][0]}"
+                             for name in sorted(OBSERVE_SCENARIOS)))
     observe.add_argument("--out", default="trace.json",
                          help="Chrome trace_event JSON output path "
                               "(default: trace.json)")
@@ -816,18 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "preserved (default: BENCH_engine.json)")
     bench.add_argument("--smoke", action="store_true",
                        help="run only the quick CI smoke scenarios")
-    bench.add_argument("--compare", action="store_true",
-                       help="don't write results; run fresh and gate "
-                            "against the baseline document in --out "
-                            "(digests must match; see --min-ratio)")
-    bench.add_argument("--min-ratio", type=float, default=None,
-                       help="with --compare: fail (exit 1) unless the "
-                            "geometric-mean speedup over the baseline "
-                            "reaches this ratio")
-    bench.add_argument("--baseline-label", default=None,
-                       help="with --compare: baseline run label to anchor "
-                            "on (default: the first, i.e. oldest, run "
-                            "in the document)")
     bench.set_defaults(func=run_bench)
 
     scaleout = commands.add_parser(

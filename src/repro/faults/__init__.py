@@ -12,18 +12,18 @@ event through :mod:`repro.observe`.  See ``docs/FAULTS.md``.
 
 from .campaigns import CAMPAIGNS, build_campaign
 from .injector import FaultInjector
-from .report import FaultComparison, FaultRunMetrics, run_comparison
+from .report import Comparison, RunMetrics, run_comparison
 from .scenario import FAULT_KINDS, PROCESS_KINDS, FaultEvent, FaultScenario
 
 __all__ = [
     "CAMPAIGNS",
+    "Comparison",
     "FAULT_KINDS",
     "PROCESS_KINDS",
-    "FaultComparison",
     "FaultEvent",
     "FaultInjector",
-    "FaultRunMetrics",
     "FaultScenario",
+    "RunMetrics",
     "build_campaign",
     "run_comparison",
 ]

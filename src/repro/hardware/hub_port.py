@@ -37,30 +37,13 @@ class HubPort:
         self.peer: Optional[Any] = None
         # The ready bit and queue depths live in the hub's per-port
         # arrays (``hub.ready_bits``/``hub.queue_depths``/
-        # ``hub.max_queue_depths``) so per-hop updates are index stores;
-        # the properties below keep the per-port view.
+        # ``hub.max_queue_depths``) so per-hop updates are index stores.
         self.ready_changed = Broadcast(self.sim)
         self.enabled = True
         self.loopback = False
         self._arrivals: Store = Store(self.sim)
         self._worker = self.sim.process(self._input_loop(),
                                         name=f"{hub.name}.p{index}")
-
-    @property
-    def ready_bit(self) -> bool:
-        """Ready bit: "the input queue of the next HUB connected to it is
-        ready to store a new packet" (§4.2.3).  Backed by
-        ``hub.ready_bits[index]``."""
-        return self.hub.ready_bits[self.index]
-
-    @ready_bit.setter
-    def ready_bit(self, value: bool) -> None:
-        self.hub.ready_bits[self.index] = value
-
-    @property
-    def max_queue_depth(self) -> int:
-        """High-water mark of the input queue (``hub.max_queue_depths``)."""
-        return self.hub.max_queue_depths[self.index]
 
     # ------------------------------------------------------------------
     # fiber endpoint protocol
@@ -282,7 +265,7 @@ class HubPort:
             "index": self.index,
             "enabled": self.enabled,
             "loopback": self.loopback,
-            "ready": self.ready_bit,
+            "ready": self.hub.ready_bits[self.index],
             "queued": len(self._arrivals),
             "owner": self.hub.crossbar.owner_of(self.index),
             "feeds": sorted(self.hub.crossbar.outputs_of(self.index)),

@@ -24,15 +24,17 @@ Two properties make the numbers trustworthy:
 * **Report-only thresholds** — wall-clock numbers are recorded, never
   hard-gated, so shared-runner noise cannot make CI flaky.
 
-Run from the command line via ``python -m repro bench`` or
-``python benchmarks/bench_engine.py``; compare two result files with
-``python tools/perf_report.py --compare old.json new.json``.
+Run from the command line via ``python -m repro bench``; compare two
+result files with ``python tools/perf_report.py --compare old.json
+new.json`` — the one comparator, and the one CI gates on.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import platform
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -45,6 +47,7 @@ __all__ = [
     "SCENARIOS",
     "Scenario",
     "capture_timeline",
+    "host_block",
     "run_scenario",
     "run_suite",
     "write_results",
@@ -116,6 +119,11 @@ class Scenario:
 # scenario definitions (fixed seed, deterministic)
 # ----------------------------------------------------------------------
 
+def _hub_counters(system) -> dict[str, dict[str, int]]:
+    return {name: dict(sorted(hub.counters.items()))
+            for name, hub in sorted(system.hubs.items())}
+
+
 def _workload_fingerprint(system, result) -> dict[str, Any]:
     recorder = result.recorder
     return {
@@ -123,10 +131,7 @@ def _workload_fingerprint(system, result) -> dict[str, Any]:
         "delivered": recorder.delivered,
         "errors": recorder.errors,
         "final_now": system.now,
-        "hub_counters": {
-            name: dict(sorted(hub.counters.items()))
-            for name, hub in sorted(system.hubs.items())
-        },
+        "hub_counters": _hub_counters(system),
     }
 
 
@@ -263,10 +268,7 @@ def _build_wire_integrity(trace: bool):
         return {
             "final_now": sim.now,
             "delivered": dict(sorted(received.items())),
-            "hub_counters": {
-                name: dict(sorted(hub.counters.items()))
-                for name, hub in sorted(system.hubs.items())
-            },
+            "hub_counters": _hub_counters(system),
         }
 
     return system, drive
@@ -387,10 +389,7 @@ def _build_collective(mode: str):
                 "totals": dict(sorted(totals.items())),
                 "done_ns": dict(sorted(done_ns.items())),
                 "finish_ns": max(done_ns.values()),
-                "hub_counters": {
-                    name: dict(sorted(hub.counters.items()))
-                    for name, hub in sorted(system.hubs.items())
-                },
+                "hub_counters": _hub_counters(system),
             }
 
         return system, drive
@@ -522,6 +521,18 @@ def run_suite(names: Optional[list[str]] = None,
     return results
 
 
+def host_block() -> dict[str, Any]:
+    """Where a wall-clock reading was taken (readings from different
+    hosts are not comparable); ``cpus`` is affinity-aware where the OS
+    tells."""
+    return {
+        "cpus": len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+    }
+
+
 def write_results(path: str, results: dict[str, dict[str, Any]],
                   label: str, baseline: Optional[dict] = None) -> dict:
     """Write a ``BENCH_engine.json`` document (merging a baseline run).
@@ -534,6 +545,7 @@ def write_results(path: str, results: dict[str, dict[str, Any]],
     if baseline and baseline.get("schema") == SCHEMA:
         document["runs"].update(baseline.get("runs", {}))
     document["runs"][label] = {
+        "host": host_block(),
         "scenarios": {name: results[name] for name in sorted(results)},
         "descriptions": {name: SCENARIOS[name].description
                          for name in sorted(results)},

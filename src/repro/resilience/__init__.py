@@ -18,9 +18,7 @@ from .breaker import CircuitBreaker
 from .detector import FailureDetector, TargetState
 from .monitor import (HEARTBEAT_MAILBOX, HEARTBEAT_REPLY_MAILBOX,
                       ResilienceManager)
-from .report import (ResilienceComparison, ResilienceRunMetrics,
-                     default_resilience_topology,
-                     run_resilience_comparison)
+from .report import default_resilience_topology, run_resilience_comparison
 from .rto import RtoEstimator
 
 __all__ = [
@@ -28,9 +26,7 @@ __all__ = [
     "HEARTBEAT_REPLY_MAILBOX",
     "CircuitBreaker",
     "FailureDetector",
-    "ResilienceComparison",
     "ResilienceManager",
-    "ResilienceRunMetrics",
     "RtoEstimator",
     "TargetState",
     "default_resilience_topology",

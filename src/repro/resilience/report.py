@@ -11,25 +11,26 @@ freshly built systems:
 * **unhealed** — the same campaign with no resilience manager: traffic
   keeps hashing onto the dead link for the full outage.
 
-The report places goodput/loss next to the detection and repair numbers
-(transitions, reroutes, reinstatements, mean time-to-detect/repair) that
-explain them.  The headline claim (E-RES1): healed goodput stays within
-a few percent of clean with finite MTTR, unhealed does not.
+The arms run through :func:`repro.faults.report.run_arms` and land in
+the same :class:`~repro.faults.report.Comparison` the clean-vs-faulted
+report uses; this report places goodput/loss next to the detection and
+repair numbers (transitions, reroutes, reinstatements, mean
+time-to-detect/repair) that explain them.  The headline claim (E-RES1):
+healed goodput stays within a few percent of clean with finite MTTR,
+unhealed does not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from ..config import NectarConfig
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..faults.report import Comparison
     from ..faults.scenario import FaultScenario
-    from ..workload.generators import WorkloadResult
 
-__all__ = ["ResilienceRunMetrics", "ResilienceComparison",
-           "default_resilience_topology", "run_resilience_comparison"]
+__all__ = ["default_resilience_topology", "run_resilience_comparison"]
 
 
 def default_resilience_topology(cfg: Optional[NectarConfig] = None):
@@ -40,154 +41,12 @@ def default_resilience_topology(cfg: Optional[NectarConfig] = None):
     return dual_link_system(3, links=2, cfg=cfg)
 
 
-@dataclass
-class ResilienceRunMetrics:
-    """One workload run's delivery numbers plus resilience telemetry."""
-
-    label: str
-    sent: int
-    delivered: int
-    errors: int
-    loss_fraction: float
-    offered_mbps: float
-    achieved_mbps: float
-    p50_us: float
-    p99_us: float
-    #: Byte-stream + RPC retransmissions across every CAB.
-    retransmits: int
-    breaker_fast_fails: int
-    faults_injected: int = 0
-    transitions: int = 0
-    reroutes: int = 0
-    reinstatements: int = 0
-    mean_time_to_detect_ns: Optional[float] = None
-    mean_time_to_repair_ns: Optional[float] = None
-
-    def summary(self) -> dict:
-        return dict(vars(self))
-
-
-def collect_resilience_metrics(system, result: WorkloadResult,
-                               label: str) -> ResilienceRunMetrics:
-    """Pull delivery and healing counters out of a finished run."""
-    recorder = result.recorder
-    retransmits = sum(stack.transport.stream.retransmitted
-                      + stack.transport.rpc.retransmits
-                      for stack in system.cabs.values())
-    fast_fails = sum(
-        stack.transport.counters.get("breaker_fast_fails", 0)
-        for stack in system.cabs.values())
-    injector = system.fault_injector
-    manager = system.resilience
-    metrics = ResilienceRunMetrics(
-        label=label,
-        sent=recorder.sent,
-        delivered=recorder.delivered,
-        errors=recorder.errors,
-        loss_fraction=recorder.loss_fraction,
-        offered_mbps=recorder.offered_mbps,
-        achieved_mbps=recorder.achieved_mbps,
-        p50_us=recorder.percentile_us(0.50),
-        p99_us=recorder.percentile_us(0.99),
-        retransmits=retransmits,
-        breaker_fast_fails=fast_fails,
-        faults_injected=0 if injector is None
-        else injector.counters.get("injected", 0),
-    )
-    if manager is not None:
-        summary = manager.summary()
-        metrics.transitions = summary["transitions"]
-        metrics.reroutes = summary["counters"].get("reroutes", 0)
-        metrics.reinstatements = summary["counters"].get(
-            "reinstatements", 0)
-        metrics.mean_time_to_detect_ns = summary["mean_time_to_detect_ns"]
-        metrics.mean_time_to_repair_ns = summary["mean_time_to_repair_ns"]
-    return metrics
-
-
-def _opt_us(value: Optional[float]) -> str:
-    return "-" if value is None else f"{value / 1000.0:.1f}"
-
-
-@dataclass
-class ResilienceComparison:
-    """Three-way clean / healed / unhealed runs of one workload."""
-
-    scenario_name: str
-    clean: ResilienceRunMetrics
-    healed: ResilienceRunMetrics
-    unhealed: ResilienceRunMetrics
-    schedule_text: str = field(default="", repr=False)
-    #: Canonical detector timeline of the healed run (determinism probe).
-    transition_text: str = field(default="", repr=False)
-
-    @property
-    def healed_goodput_ratio(self) -> float:
-        """Healed goodput as a fraction of the clean baseline."""
-        if self.clean.achieved_mbps == 0:
-            return 0.0
-        return self.healed.achieved_mbps / self.clean.achieved_mbps
-
-    @property
-    def unhealed_goodput_ratio(self) -> float:
-        """Unhealed goodput as a fraction of the clean baseline."""
-        if self.clean.achieved_mbps == 0:
-            return 0.0
-        return self.unhealed.achieved_mbps / self.clean.achieved_mbps
-
-    def summary(self) -> dict:
-        return {
-            "scenario": self.scenario_name,
-            "clean": self.clean.summary(),
-            "healed": self.healed.summary(),
-            "unhealed": self.unhealed.summary(),
-            "healed_goodput_ratio": self.healed_goodput_ratio,
-            "unhealed_goodput_ratio": self.unhealed_goodput_ratio,
-        }
-
-    def table(self) -> str:
-        """A terminal-friendly clean/healed/unhealed table."""
-        rows = [
-            ("sent", "{:d}", lambda m: m.sent),
-            ("delivered", "{:d}", lambda m: m.delivered),
-            ("errors", "{:d}", lambda m: m.errors),
-            ("loss fraction", "{:.4f}", lambda m: m.loss_fraction),
-            ("goodput (Mb/s)", "{:.2f}", lambda m: m.achieved_mbps),
-            ("p50 latency (us)", "{:.1f}", lambda m: m.p50_us),
-            ("p99 latency (us)", "{:.1f}", lambda m: m.p99_us),
-            ("retransmits", "{:d}", lambda m: m.retransmits),
-            ("breaker fast fails", "{:d}",
-             lambda m: m.breaker_fast_fails),
-            ("faults injected", "{:d}", lambda m: m.faults_injected),
-            ("detector transitions", "{:d}", lambda m: m.transitions),
-            ("reroutes", "{:d}", lambda m: m.reroutes),
-            ("reinstatements", "{:d}", lambda m: m.reinstatements),
-            ("mean detect (us)", "{:s}",
-             lambda m: _opt_us(m.mean_time_to_detect_ns)),
-            ("mean repair (us)", "{:s}",
-             lambda m: _opt_us(m.mean_time_to_repair_ns)),
-        ]
-        lines = [f"scenario: {self.scenario_name}",
-                 f"{'metric':<22s} {'clean':>12s} {'healed':>12s}"
-                 f" {'unhealed':>12s}"]
-        for label, fmt, getter in rows:
-            lines.append(
-                f"{label:<22s} {fmt.format(getter(self.clean)):>12s}"
-                f" {fmt.format(getter(self.healed)):>12s}"
-                f" {fmt.format(getter(self.unhealed)):>12s}")
-        lines.append(f"healed goodput ratio   "
-                     f"{self.healed_goodput_ratio:.3f}")
-        lines.append(f"unhealed goodput ratio "
-                     f"{self.unhealed_goodput_ratio:.3f}")
-        return "\n".join(lines)
-
-
 def run_resilience_comparison(
         scenario: Union[str, FaultScenario] = "hub-link-flap", *,
         cfg: Optional[NectarConfig] = None,
         topology_factory: Optional[Callable[[], object]] = None,
         workload_kwargs: Optional[dict] = None,
-        campaign_kwargs: Optional[dict] = None) -> ResilienceComparison:
+        campaign_kwargs: Optional[dict] = None) -> Comparison:
     """Run one workload clean, healed, and unhealed on fresh systems.
 
     ``topology_factory`` must return a newly built (not yet run) system
@@ -197,37 +56,34 @@ def run_resilience_comparison(
     name (resolved per-system with ``campaign_kwargs``).
     """
     from ..faults import build_campaign
-    from ..workload.generators import Workload
-    kwargs = dict(workload_kwargs or {})
-    factory = topology_factory or (
-        lambda: default_resilience_topology(cfg))
+    from ..faults.report import DELIVERY_ROWS, Comparison, run_arms
 
-    def resolve(system):
-        if isinstance(scenario, str):
-            return build_campaign(scenario, system.cfg,
-                                  **dict(campaign_kwargs or {}))
-        return scenario
+    def inject(system):
+        system.inject_faults(
+            build_campaign(scenario, system.cfg,
+                           **dict(campaign_kwargs or {}))
+            if isinstance(scenario, str) else scenario)
 
-    clean_system = factory()
-    clean_system.enable_resilience()
-    clean_result = Workload(clean_system, **kwargs).run()
-    clean = collect_resilience_metrics(clean_system, clean_result, "clean")
+    def heal(system):
+        inject(system)
+        system.enable_resilience()
 
-    healed_system = factory()
-    injector = healed_system.inject_faults(resolve(healed_system))
-    healed_system.enable_resilience()
-    healed_result = Workload(healed_system, **kwargs).run()
-    healed = collect_resilience_metrics(healed_system, healed_result,
-                                        "healed")
-
-    unhealed_system = factory()
-    unhealed_system.inject_faults(resolve(unhealed_system))
-    unhealed_result = Workload(unhealed_system, **kwargs).run()
-    unhealed = collect_resilience_metrics(unhealed_system,
-                                          unhealed_result, "unhealed")
-
-    return ResilienceComparison(
-        scenario_name=injector.scenario.name,
-        clean=clean, healed=healed, unhealed=unhealed,
-        schedule_text=injector.schedule_text(),
-        transition_text=healed_system.resilience.transition_text())
+    metrics, systems = run_arms(
+        topology_factory or (lambda: default_resilience_topology(cfg)),
+        {"clean": lambda system: system.enable_resilience(),
+         "healed": heal, "unhealed": inject},
+        workload_kwargs)
+    clean = metrics["clean"].achieved_mbps
+    ratios = {f"{label}_goodput_ratio":
+              metrics[label].achieved_mbps / clean if clean else 0.0
+              for label in ("healed", "unhealed")}
+    healed = systems["healed"]
+    return Comparison(
+        healed.fault_injector.scenario.name, metrics,
+        DELIVERY_ROWS + ("breaker_fast_fails", "faults_injected",
+                         "transitions", "reroutes", "reinstatements",
+                         "mean_time_to_detect_ns",
+                         "mean_time_to_repair_ns"),
+        ratios, footer=tuple(ratios),
+        schedule_text=healed.fault_injector.schedule_text(),
+        transition_text=healed.resilience.transition_text())

@@ -22,6 +22,10 @@ Quickstart::
     print(sweep.knee().offered_load)
 
 Or from the command line: ``python -m repro workload --pattern hotspot``.
+
+The unloaded counterpart — the paper's headline one-message probes
+(700 ns HUB setup, CAB-to-CAB, node-to-node), each implemented once —
+is :mod:`repro.workload.experiments` (imported directly, not from here).
 """
 
 from .arrivals import (ARRIVALS, ArrivalProcess, BurstyArrivals,

@@ -455,3 +455,20 @@ class TestControllerMetrics:
         assert commands.values[-1] > 0
         frozen = observatory.series["hub0.controller.frozen"]
         assert all(value == 0.0 for value in frozen.values)
+
+
+class TestCollectivesCli:
+    def test_ecol_cli_runs_twice_identically_and_hub_wins(self, capsys):
+        """What the CI ``collectives`` job does: run the command twice,
+        diff the output; the HUB offload beats both software paths."""
+        from repro.__main__ import main
+        assert main(["collectives"]) == 0
+        first = capsys.readouterr().out
+        assert main(["collectives"]) == 0
+        assert capsys.readouterr().out == first
+        finish_ms = {line.split()[0]: float(line.split()[1])
+                     for line in first.splitlines()
+                     if line.split()[:1] in (["hub"], ["tree"],
+                                             ["exchange"])}
+        assert finish_ms["hub"] < finish_ms["tree"]
+        assert finish_ms["hub"] < finish_ms["exchange"]

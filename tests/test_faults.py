@@ -196,4 +196,17 @@ class TestComparison:
         assert comparison.retransmit_delta > 0
         summary = comparison.summary()
         assert summary["scenario"] == "drop-burst"
-        assert "retransmits" in comparison.table()
+        # The keys CI's fault-matrix and docs jobs read from --json.
+        assert set(summary) == {"scenario", "clean", "faulted",
+                                "goodput_delta_mbps", "p99_delta_us",
+                                "retransmit_delta"}
+        assert set(summary["faulted"]) == {
+            "label", "sent", "delivered", "errors", "loss_fraction",
+            "offered_mbps", "achieved_mbps", "p50_us", "p99_us",
+            "retransmits", "circuit_retries", "reply_timeouts",
+            "checksum_drops", "fiber_drops", "reply_drops",
+            "faults_injected"}
+        table = comparison.table().splitlines()
+        assert table[1] == f"{'metric':<20s} {'clean':>12s} {'faulted':>12s}"
+        assert table[-1].split() == ["faults", "injected", "0", "4"]
+        assert any(line.startswith("retransmits ") for line in table)

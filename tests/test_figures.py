@@ -81,8 +81,7 @@ class TestF5HubInternals:
         assert len(hub.ports) == 16
         assert hub.crossbar.num_ports == 16
         assert hub.controller is not None
-        for port in hub.ports:
-            assert port.ready_bit is True
+        assert hub.ready_bits == [True] * 16
 
 
 class TestF6HubPackaging:

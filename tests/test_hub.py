@@ -373,10 +373,10 @@ class TestFlowControlCommands:
         sim, hub, cabs = rig
         send_commands(cabs[0], [command(CommandOp.CLEAR_READY, "hub0", 2)])
         sim.run(until=100_000)
-        assert hub.ports[2].ready_bit is False
+        assert hub.ready_bits[2] is False
         send_commands(cabs[0], [command(CommandOp.SET_READY, "hub0", 2)])
         sim.run(until=200_000)
-        assert hub.ports[2].ready_bit is True
+        assert hub.ready_bits[2] is True
 
     def test_test_open_waits_for_ready(self, rig):
         sim, hub, cabs = rig

@@ -80,7 +80,7 @@ class TestPortEdgeCases:
                 close_after=True))
         sim.run(until=10_000_000)
         assert len(cabs[1].received) == 3
-        assert hub.ports[0].max_queue_depth >= 1
+        assert hub.max_queue_depths[0] >= 1
 
     def test_close_all_with_no_connections_is_harmless(self, sim, rig):
         cfg, hub, cabs = rig

@@ -3,104 +3,33 @@ numbers), run as tests so regressions in the cost model are caught."""
 
 import pytest
 
-from repro.nodeiface import SharedMemoryInterface
 from repro.sim import units
-from repro.topology import linear_system, single_hub_system
-
-
-def cab_to_cab_latency(size=32):
-    system = single_hub_system(2)
-    a, b = system.cab("cab0"), system.cab("cab1")
-    inbox = b.create_mailbox("inbox")
-    result = {}
-
-    def receiver():
-        yield from b.kernel.wait(inbox.get())
-        result["t"] = system.now
-
-    def sender():
-        result["t0"] = system.now
-        yield from a.transport.datagram.send("cab1", "inbox", size=size)
-    b.spawn(receiver())
-    a.spawn(sender())
-    system.run(until=10_000_000)
-    return result["t"] - result["t0"]
+from repro.topology import single_hub_system
+from repro.workload.experiments import (measure_cab_to_cab, measure_multihop,
+                                        measure_node_to_node,
+                                        measure_throughput)
 
 
 class TestLatencyGoals:
     def test_cab_to_cab_under_30us(self):
         """§2.3: process-to-process on two CABs under 30 µs."""
-        assert units.to_us(cab_to_cab_latency()) < 30
+        assert measure_cab_to_cab(size=32)["latency_us"] < 30
 
     def test_node_to_node_under_100us(self):
         """§2.3: process-to-process on two nodes under 100 µs."""
-        system = single_hub_system(2, with_nodes=True)
-        a, b = system.cab("cab0"), system.cab("cab1")
-        shm_a, shm_b = SharedMemoryInterface(a), SharedMemoryInterface(b)
-        inbox = b.create_mailbox("inbox")
-        result = {}
-
-        def receiver():
-            yield from shm_b.receive(inbox)
-            result["t"] = system.now
-
-        def sender():
-            result["t0"] = system.now
-            yield from shm_a.send("cab1", "inbox", size=32)
-        system.node("node1").run(receiver(), "rx")
-        system.node("node0").run(sender(), "tx")
-        system.run(until=100_000_000)
-        assert units.to_us(result["t"] - result["t0"]) < 100
+        assert measure_node_to_node("shm", size=32)["latency_us"] < 100
 
     def test_multihop_adds_little(self):
         """§4 goal 3: multi-HUB latency not significantly higher —
         each extra HUB adds about a microsecond, not tens."""
-        def latency(hubs):
-            system = linear_system(hubs, cabs_per_hub=2)
-            src = system.cab("cab0_0")
-            dst = system.cab(f"cab{hubs - 1}_1")
-            inbox = dst.create_mailbox("inbox")
-            result = {}
-
-            def receiver():
-                yield from dst.kernel.wait(inbox.get())
-                result["t"] = system.now
-
-            def sender():
-                result["t0"] = system.now
-                yield from src.transport.datagram.send(
-                    dst.name, "inbox", size=32)
-            dst.spawn(receiver())
-            src.spawn(sender())
-            system.run(until=100_000_000)
-            return result["t"] - result["t0"]
-
-        one = latency(1)
-        four = latency(4)
-        per_hop_ns = (four - one) / 3
-        assert per_hop_ns < 3_000            # ~1 µs per extra HUB
+        one = measure_multihop(1)["latency_us"]
+        four = measure_multihop(4)["latency_us"]
+        assert (four - one) / 3 < 3          # ~1 µs per extra HUB
         assert four < 1.5 * one              # "not significantly higher"
 
     def test_large_transfer_saturates_fiber(self):
         """Abstract: pipelined transfers reach the 100 Mb/s line rate."""
-        system = single_hub_system(2)
-        a, b = system.cab("cab0"), system.cab("cab1")
-        inbox = b.create_mailbox("inbox")
-        result = {}
-
-        def receiver():
-            message = yield from b.kernel.wait(inbox.get())
-            result["t"] = system.now
-
-        def sender():
-            result["t0"] = system.now
-            yield from a.transport.datagram.send("cab1", "inbox",
-                                                 size=500_000)
-        b.spawn(receiver())
-        a.spawn(sender())
-        system.run(until=1_000_000_000)
-        mbps = units.throughput_mbps(500_000, result["t"] - result["t0"])
-        assert mbps > 90.0
+        assert measure_throughput(500_000)["mbps"] > 90.0
 
 
 class TestNodeHost:
@@ -147,3 +76,24 @@ class TestNodeHost:
         system = single_hub_system(2, with_nodes=True)
         with pytest.raises(NodeError):
             system.node("node0").attach_cab(system.cab("cab1").board)
+
+
+class TestQuickReport:
+    def test_report_measures_every_row_and_passes(self, capsys):
+        """``python -m repro report``: every status is measured (the
+        switching rate too), and a missed goal is a non-zero exit."""
+        from repro.__main__ import main
+        assert main(["report"]) == 0
+        out = capsys.readouterr().out
+        for measured in ("700 ns", "1 per 70 ns", "29.5 µs", "44.4 µs",
+                         "32.0 µs", "0.83 µs"):
+            assert measured in out
+        assert "FAIL" not in out and "MISS" not in out
+
+    def test_missed_goal_is_exit_1(self, capsys, monkeypatch):
+        from repro.workload import experiments
+        from repro.__main__ import main
+        monkeypatch.setattr(experiments, "measure_switching_rate",
+                            lambda: {"min_gap_ns": 140})
+        assert main(["report"]) == 1
+        assert "1 per 140 ns  MISS" in capsys.readouterr().out

@@ -69,6 +69,12 @@ def test_digest_column_compares_result_digests_when_both_have_one(
     new = {"a": run(9, 1.0, result_digest="x"),
            "b": run(9, 1.0, result_digest="y"),
            "c": run(9, 1.0, result_digest="z")}
-    report.compare_runs(old, new)
-    rows = capsys.readouterr().out.splitlines()[2:5]
-    assert [row.split()[-1] for row in rows] == ["yes", "n/a", "NO"]
+    # A changed result is a failure with or without a wall-time bar.
+    assert report.compare_runs(old, new) == 1
+    out = capsys.readouterr().out
+    assert [row.split()[-1] for row in out.splitlines()[2:5]] \
+        == ["yes", "n/a", "NO"]
+    assert out.count("FAIL") == 1 and "FAIL: c: result digest" in out
+    assert report.compare_runs(old, new, min_ratio=0.5) == 1
+    del old["c"], new["c"]
+    assert report.compare_runs(old, new) == 0

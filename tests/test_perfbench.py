@@ -110,3 +110,46 @@ class TestDisabledTracing:
         result = run_scenario("trace-disabled", repeat=1)
         assert result.fingerprint["records"] == 0
         assert result.fingerprint["counter"] == result.fingerprint["emissions"]
+
+
+class TestBenchDocument:
+    """``python -m repro bench``: the document CI reads, one comparator."""
+
+    def test_fresh_document_carries_host_and_fingerprint(self, tmp_path,
+                                                         capsys):
+        from repro.__main__ import main
+        out = tmp_path / "bench.json"
+        assert main(["bench", "timeout-storm", "--repeat", "1",
+                     "--label", "a", "--out", str(out)]) == 0
+        assert main(["bench", "timeout-storm", "--repeat", "1",
+                     "--label", "b", "--out", str(out)]) == 0
+        runs = json.loads(out.read_text())["runs"]
+        assert list(runs) == ["a", "b"]  # capture order, earlier run kept
+        for run in runs.values():
+            assert set(run["host"]) == {"cpus", "machine", "python"}
+            assert run["host"]["cpus"] >= 1
+            row = run["scenarios"]["timeout-storm"]
+            # The CI collectives job reads fingerprint.finish_ns.
+            assert row["fingerprint"] == {"final_now": row["sim_ns"]}
+        assert "timeout-storm" in capsys.readouterr().out
+
+    def test_checked_in_runs_are_summary_rows(self):
+        document = json.loads(
+            (DATA.parents[1] / "BENCH_engine.json").read_text())
+        pins = json.loads((DATA / "perfbench_result_digests.json")
+                          .read_text())["result_digests"]
+        for label, run in document["runs"].items():
+            for name, row in run["scenarios"].items():
+                assert set(row) == {"events", "sim_ns", "wall_s",
+                                    "events_per_sec",
+                                    "result_digest"}, (label, name)
+                assert row["result_digest"] == pins[name], (label, name)
+
+    @pytest.mark.parametrize("flag", ["--compare", "--min-ratio=2",
+                                      "--baseline-label=x"])
+    def test_bench_has_no_second_comparator(self, flag, capsys):
+        from repro.__main__ import main
+        with pytest.raises(SystemExit) as caught:
+            main(["bench", "--smoke", flag])
+        assert caught.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -49,13 +49,13 @@ class TestHubResetMidTraffic:
     def test_reset_port_clears_state(self):
         system = single_hub_system(3)
         hub = system.hub("hub0")
-        hub.ports[5].ready_bit = False
+        hub.ready_bits[5] = False
         def admin():
             yield from system.cab("cab0").datalink.command_first_hop(
                 CommandOp.SV_RESET_PORT, 5)
         system.cab("cab0").spawn(admin())
         system.run(until=10_000_000)
-        assert hub.ports[5].ready_bit is True
+        assert hub.ready_bits[5] is True
 
 
 class TestLinkFailureRerouting:

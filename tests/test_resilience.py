@@ -424,5 +424,19 @@ class TestComparisonReport:
         assert set(summary) == {"scenario", "clean", "healed", "unhealed",
                                 "healed_goodput_ratio",
                                 "unhealed_goodput_ratio"}
-        table = comparison.table()
-        assert "healed" in table and "reroutes" in table
+        assert set(summary["healed"]) == {
+            "label", "sent", "delivered", "errors", "loss_fraction",
+            "offered_mbps", "achieved_mbps", "p50_us", "p99_us",
+            "retransmits", "breaker_fast_fails", "faults_injected",
+            "transitions", "reroutes", "reinstatements",
+            "mean_time_to_detect_ns", "mean_time_to_repair_ns"}
+        table = comparison.table().splitlines()
+        assert table[1] == (f"{'metric':<22s} {'clean':>12s} "
+                            f"{'healed':>12s} {'unhealed':>12s}")
+        assert any(line.startswith("reroutes ") for line in table)
+        assert table[-2] == ("healed goodput ratio   "
+                             f"{comparison.healed_goodput_ratio:.3f}")
+        assert table[-1].startswith("unhealed goodput ratio 0.")
+        # Both reports are the one N-arm comparison.
+        from repro.faults import Comparison
+        assert type(comparison) is Comparison

@@ -56,6 +56,7 @@ PUBLIC_MODULES = {
     "repro/transport/base.py",
     "repro/transport/reqresp.py",
     "repro/workload/driver.py",
+    "repro/workload/experiments.py",
 }
 
 

@@ -18,9 +18,11 @@ moving envelopes (``ipc_s``), the coordinator (``coord_cpu_s``) — ``-``
 for a capture that predates the last two.
 ``--compare`` lines up one run from each of two engine files by wall
 time (``old wall_s / new wall_s``; event counts are shown beside it for
-information, since a change may remove events); pass ``--min-ratio`` —
-as CI's perf-smoke job does — to turn a shortfall, or a scenario with no
-comparable wall time, into a non-zero exit.
+information, since a change may remove events).  A scenario whose
+``result_digest`` differs between the two runs always exits 1; pass
+``--min-ratio`` — as CI's perf-smoke job does — to also turn a
+shortfall, or a scenario with no comparable wall time, into a non-zero
+exit.  This is the repo's only run comparator.
 """
 
 from __future__ import annotations
@@ -182,9 +184,14 @@ def compare_runs(old: dict[str, Any], new: dict[str, Any],
     for name in sorted(set(old) ^ set(new)):
         side = "old" if name in old else "new"
         print(f"  ({name}: only in {side})")
-    if min_ratio is None:
-        return 0
     status = 0
+    for name, *_cells, same in rows:
+        if same == "NO":
+            print(f"FAIL: {name}: result digest changed (a win that "
+                  f"changes behaviour is a bug, not a speedup)")
+            status = 1
+    if min_ratio is None:
+        return status
     for name, ratio in ratios.items():
         if ratio is None:
             print(f"FAIL: {name}: no wall-time ratio (sim_ns differ or a "
