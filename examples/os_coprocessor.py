@@ -20,7 +20,7 @@ def demo_transactions() -> None:
         system, [system.cab(f"cab{i}") for i in range(4)])
     done = {}
 
-    rng = system.cfg.rng("tellers")
+    rng = system.cfg.rng_stream("tellers")
 
     def teller(tag, attempts):
         def body(coordinator):

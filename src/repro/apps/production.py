@@ -57,7 +57,7 @@ class ProductionSystemApp:
         self.steal_attempts = 0
         self._steal_failures: dict[int, int] = {}
         self.last_activity = 0
-        self.rng = system.cfg.rng("production")
+        self.rng = system.cfg.rng_stream("production")
         self.tokens_processed = 0
         self.tokens_emitted = 0
         self.per_worker_processed: dict[int, int] = {}
@@ -112,7 +112,7 @@ class ProductionSystemApp:
     def _worker_body(self, task: Task, index: int):
         kernel = task.location.kernel
         sim = self.system.sim
-        steal_rng = self.system.cfg.rng(f"steal:{index}")
+        steal_rng = self.system.cfg.rng_stream(f"steal:{index}")
         while True:
             if self.work_stealing:
                 data = yield from self._receive_or_steal(task, index,

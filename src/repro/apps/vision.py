@@ -100,7 +100,7 @@ class VisionApplication:
         self.features_per_frame = features_per_frame
         self.queries_per_frame = queries_per_frame
         self.image_extent = image_extent
-        self.rng = system.cfg.rng("vision")
+        self.rng = system.cfg.rng_stream("vision")
         self.shards = [SpatialDatabaseShard(self.runtime, f"db{i}", shard)
                        for i, shard in enumerate(shards)]
         self.warp_task = self.runtime.create_task("warp", warp)

@@ -426,10 +426,6 @@ class NectarConfig:
         """
         return random.Random(f"{self.seed}:{name}")
 
-    def rng(self, salt: str = "") -> random.Random:
-        """Legacy alias for :meth:`rng_stream`."""
-        return self.rng_stream(salt)
-
     def with_overrides(self, **section_overrides) -> "NectarConfig":
         """Copy this config replacing whole sections, e.g.
         ``cfg.with_overrides(fiber=replace(cfg.fiber, drop_probability=0.1))``.

@@ -6,7 +6,7 @@ from .cab import CabBoard, CabCpu
 from .checksum import ChecksumUnit, raw_checksum
 from .crossbar import Crossbar
 from .dma import DmaController
-from .fiber import DuplexFiber, Fiber
+from .fiber import Fiber
 from .frames import (COLLECTIVE_ARG_BYTES, HubCommand, Packet, Payload,
                      Reply, fletcher16)
 from .hub import HARDWARE_VERSION, Hub
@@ -30,7 +30,7 @@ __all__ = [
     "HUB_BACKPLANE", "HUB_IO_BOARD",
     "KERNEL_DOMAIN", "READ", "REDUCE_OPS", "WRITE", "BoardSpec",
     "BandwidthPool", "CabBoard", "CabCpu", "ChecksumUnit", "CommandOp",
-    "Crossbar", "DmaController", "DuplexFiber", "Fiber", "HARDWARE_VERSION",
+    "Crossbar", "DmaController", "Fiber", "HARDWARE_VERSION",
     "HardwareTimers", "Hub", "HubCollectiveUnit", "HubCommand",
     "HubController", "HubPort",
     "InstrumentationBoard",

@@ -25,7 +25,7 @@ from ..config import FiberConfig
 from ..sim import Event, Simulator, units
 from .frames import Packet, Reply
 
-__all__ = ["FiberEndpoint", "Fiber", "DuplexFiber", "RngFactory"]
+__all__ = ["FiberEndpoint", "Fiber", "RngFactory"]
 
 #: Maps a fiber name to its fault-injection RNG; system builders pass
 #: :meth:`~repro.config.NectarConfig.rng_stream` so every link gets an
@@ -304,13 +304,3 @@ class Fiber:
         serialization = units.transfer_time(wire_size, self.cfg.bytes_per_ns)
         return max(serialization - units.transfer_time(1, self.cfg.bytes_per_ns), 0)
 
-
-class DuplexFiber:
-    """The fiber pair connecting a CAB or HUB port to a HUB port (§3.1)."""
-
-    def __init__(self, sim: Simulator, cfg: FiberConfig, name: str,
-                 rng_a: Optional[random.Random] = None,
-                 rng_b: Optional[random.Random] = None) -> None:
-        self.forward = Fiber(sim, cfg, f"{name}:fwd", rng_a)
-        self.backward = Fiber(sim, cfg, f"{name}:bwd", rng_b)
-        self.name = name

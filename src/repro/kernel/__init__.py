@@ -3,7 +3,6 @@
 from .mailbox import Mailbox, Message
 from .services import NodeServices, ServiceRequest
 from .threads import CabKernel, CabThread
-from .timersvc import TimerService
 
 __all__ = [
     "CabKernel",
@@ -12,5 +11,4 @@ __all__ = [
     "Message",
     "NodeServices",
     "ServiceRequest",
-    "TimerService",
 ]

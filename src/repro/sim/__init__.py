@@ -2,7 +2,7 @@
 
 Public surface::
 
-    from repro.sim import Simulator, Interrupt, Store, Container, Resource
+    from repro.sim import Simulator, Interrupt, Store, Resource
 
 Time is integer nanoseconds; see :mod:`repro.sim.units`.
 """
@@ -10,7 +10,7 @@ Time is integer nanoseconds; see :mod:`repro.sim.units`.
 from .engine import SimulationError, Simulator
 from .events import AllOf, AnyOf, Condition, Event, Timeout
 from .process import Interrupt, Process, ProcessCrash
-from .resources import Broadcast, Container, Resource, Store
+from .resources import Broadcast, Resource, Store
 from .trace import TraceRecord, Tracer
 from . import units
 
@@ -19,7 +19,6 @@ __all__ = [
     "AnyOf",
     "Broadcast",
     "Condition",
-    "Container",
     "Event",
     "Interrupt",
     "Process",

@@ -8,12 +8,10 @@ order, with FIFO tie-breaking for determinism.
 Hot-path design (see ``docs/PERFORMANCE.md`` for the full story):
 
 * The agenda is a **calendar queue over timestamp cohorts**: a dict maps
-  each pending timestamp to the plain list of events scheduled at it, an
-  integer min-heap orders the *distinct* timestamps, and a ladder-style
-  overflow rung absorbs sparse far-future events (watchdog/RTO timers)
-  without polluting the heap.  Because the engine's FIFO sequence numbers
-  are globally increasing, appending to a cohort list *is* the classic
-  ``(time, priority, seq)`` ordering — bit for bit — with no per-event
+  each pending timestamp to the plain list of events scheduled at it and
+  an integer min-heap orders the *distinct* timestamps.  There is one
+  lane: appends happen in scheduling order, so a cohort list *is* the
+  classic ``(time, seq)`` ordering — bit for bit — with no per-event
   key allocation and no per-event heap sift.
 * :meth:`Simulator.run` drains whole same-timestamp cohorts per bucket
   lookup: one heap pop, one ``self.now`` write, then a straight scan of
@@ -49,16 +47,6 @@ _POOL_LIMIT = 2048
 #: the cohort list it still sits in (cohorts are scanned, not popped),
 #: the loop local, and ``getrefcount``'s own argument.
 _UNREFERENCED_COHORT = 3
-
-#: Width of the near-future window covered by the calendar proper.
-#: Events scheduled at or past ``_horizon`` (which always sits at least
-#: this far ahead of the clock) drop onto the overflow rung instead —
-#: an unsorted append-only list, promoted wholesale into calendar
-#: buckets when the near window drains.  2^21 ns ≈ 2.1 ms of simulated
-#: time: comfortably past every per-hop/per-packet delay in the model,
-#: so only genuinely sparse timers (retransmit watchdogs, reassembly
-#: GC, health probes) ever take the rung detour.
-_RUNG_SPAN = 1 << 21
 
 
 class SimulationError(Exception):
@@ -105,26 +93,16 @@ class Simulator:
         #: so the read must be one dict lookup.  Treat as read-only.
         self.now: int = 0
         # Calendar-queue agenda.  Invariants (see docs/PERFORMANCE.md):
-        #  * every key of _buckets/_urgent_buckets is on the _times heap
-        #    (duplicates tolerated, deduplicated at pop);
-        #  * every bucket key < _horizon <= every rung entry's time;
-        #  * self.now < _horizon at all times, so scheduling at the
-        #    current instant never needs a horizon check;
+        #  * _times holds exactly the keys of _buckets, each once: a key
+        #    is pushed when its cohort is created and popped with it;
         #  * cohort lists are in FIFO (= global sequence) order, because
         #    appends happen in scheduling order.
         self._buckets: dict[int, list[Any]] = {}
-        self._urgent_buckets: dict[int, list[Any]] = {}
         self._times: list[int] = []
-        self._far: list[tuple[int, Any]] = []
-        self._far_urgent: list[tuple[int, Any]] = []
-        self._horizon: int = _RUNG_SPAN
         #: While :meth:`run` drains the cohort at ``self.now``, the live
         #: cohort list; events scheduled at the current instant append
         #: here and are processed in the same pass.
         self._open_run: Optional[list[Any]] = None
-        #: Urgent arrivals for the open cohort (interrupt delivery).
-        self._open_urgent: list[Any] = []
-        self._active_process: Optional[Process] = None
         self._halted: Optional[BaseException] = None
         self._halt_cause: Optional[BaseException] = None
         #: Agenda entries processed so far (events/sec benchmarking).
@@ -136,16 +114,11 @@ class Simulator:
     # clock and agenda
     # ------------------------------------------------------------------
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
-
     def _schedule(self, time: int, item: Any) -> None:
-        """Place ``item`` (normal urgency) on the agenda at ``time``.
+        """Place ``item`` on the agenda at ``time``.
 
         Internal: callers guarantee ``time >= self.now``.  The hot
-        scheduling sites (``succeed``/``fail``, ``Timeout``, the timeout
+        scheduling sites (``Event.succeed``, ``Timeout``, the timeout
         free-list path) inline this dance; everything else lands here.
         """
         if time == self.now:
@@ -157,74 +130,9 @@ class Simulator:
         bucket = buckets.get(time)
         if bucket is not None:
             bucket.append(item)
-        elif time < self._horizon:
+        else:
             buckets[time] = [item]
             heappush(self._times, time)
-        else:
-            self._far.append((time, item))
-
-    def _schedule_urgent(self, time: int, item: Any) -> None:
-        """Urgent variant: sorts before every normal event at ``time``."""
-        if time == self.now and self._open_run is not None:
-            self._open_urgent.append(item)
-            return
-        buckets = self._urgent_buckets
-        bucket = buckets.get(time)
-        if bucket is not None:
-            bucket.append(item)
-        elif time < self._horizon:
-            buckets[time] = [item]
-            heappush(self._times, time)
-        else:
-            self._far_urgent.append((time, item))
-
-    def _enqueue(self, event: Any, delay: int, urgent: bool = False) -> None:
-        """Place a triggered event on the agenda ``delay`` ticks from now.
-
-        ``urgent`` events sort before normal events at the same timestamp
-        (used for interrupt delivery).  Internal: callers guarantee a
-        non-negative delay (the single authoritative negative-delay check
-        lives in :class:`~repro.sim.events.Timeout`).
-        """
-        if urgent:
-            self._schedule_urgent(self.now + delay, event)
-        else:
-            self._schedule(self.now + delay, event)
-
-    def _promote(self) -> None:
-        """Fold the overflow rung back into calendar buckets.
-
-        Called when the near window has drained (or is peeked) while rung
-        entries remain.  Rung entries are appended in scheduling order, so
-        walking the rung in order preserves per-cohort FIFO; the horizon
-        then jumps past everything just promoted, restoring the
-        bucket-below/rung-above invariant.
-        """
-        buckets = self._buckets
-        urgent_buckets = self._urgent_buckets
-        times = self._times
-        max_time = 0
-        for time, item in self._far:
-            bucket = buckets.get(time)
-            if bucket is not None:
-                bucket.append(item)
-            else:
-                buckets[time] = [item]
-                heappush(times, time)
-            if time > max_time:
-                max_time = time
-        for time, item in self._far_urgent:
-            bucket = urgent_buckets.get(time)
-            if bucket is not None:
-                bucket.append(item)
-            else:
-                urgent_buckets[time] = [item]
-                heappush(times, time)
-            if time > max_time:
-                max_time = time
-        self._far.clear()
-        self._far_urgent.clear()
-        self._horizon = max(self.now + _RUNG_SPAN, max_time + 1)
 
     def _halt(self, error: BaseException,
               cause: Optional[BaseException] = None) -> None:
@@ -281,11 +189,9 @@ class Simulator:
             bucket = buckets.get(time)
             if bucket is not None:
                 bucket.append(timeout)
-            elif time < self._horizon:
+            else:
                 buckets[time] = [timeout]
                 heappush(self._times, time)
-            else:
-                self._far.append((time, timeout))
             return timeout
         return Timeout(self, delay, value)
 
@@ -303,31 +209,18 @@ class Simulator:
         return AnyOf(self, events)
 
     def _carrier(self, ok: bool, value: Any,
-                 callback: Callable[[Event], None],
-                 urgent: bool = False) -> Event:
+                 callback: Callable[[Event], None]) -> Event:
         """A pre-triggered single-callback event (process resume vehicle)."""
         pool = self._event_pool
         event = pool.pop() if pool else Event(self)
         event._ok = ok
         event._value = value
         event._cb = callback
-        if urgent:
-            self._schedule_urgent(self.now, event)
-            return event
         run = self._open_run
         if run is not None:
             run.append(event)
-            return event
-        # Cold path (scheduling from outside a drain): current-instant
-        # inserts never need the horizon check (now < _horizon always).
-        time = self.now
-        buckets = self._buckets
-        bucket = buckets.get(time)
-        if bucket is not None:
-            bucket.append(event)
         else:
-            buckets[time] = [event]
-            heappush(self._times, time)
+            self._schedule(self.now, event)
         return event
 
     def call_at(self, time: int, func: Callable[[], None]) -> None:
@@ -347,69 +240,34 @@ class Simulator:
     def peek(self) -> Optional[int]:
         """Timestamp of the next agenda entry, or None if idle.
 
-        Reads the calendar head (the distinct-timestamp heap); if only
-        rung entries remain they are promoted first, so the answer is
-        exact either way.  The scale-out coordinator's per-window
-        lookahead is computed from this.
+        Exact: the head of the distinct-timestamp heap.  The scale-out
+        coordinator's per-window lookahead is computed from this.
         """
-        if self._times:
-            return self._times[0]
-        if self._far or self._far_urgent:
-            self._promote()
-            return self._times[0]
-        return None
+        return self._times[0] if self._times else None
 
     def step(self) -> None:
-        """Process exactly one agenda entry.
+        """Process exactly one agenda entry: the head of the head cohort.
 
-        The single-stepping path keeps the historical structure (no
-        free-list recycling); :meth:`run` is the optimized drain loop.
-        Both raise a pending halt the same way: immediately on entry,
-        whatever the agenda state, consuming it as they do.
+        Visits entries in exactly :meth:`run` order (without free-list
+        recycling) and raises a pending halt the same way: immediately
+        on entry, whatever the agenda state, consuming it as it does.
         """
         if self._halted is not None:
             self._raise_halt()
         times = self._times
         if not times:
-            if self._far or self._far_urgent:
-                self._promote()
-            else:
-                raise RuntimeError("step() on an empty agenda")
+            raise RuntimeError("step() on an empty agenda")
         time = times[0]
-        urgent_buckets = self._urgent_buckets
-        bucket = urgent_buckets.get(time)
-        if bucket is not None:
-            event = bucket.pop(0)
-            if not bucket:
-                del urgent_buckets[time]
-        else:
-            bucket = self._buckets[time]
-            event = bucket.pop(0)
-            if not bucket:
-                del self._buckets[time]
-        if time not in self._buckets and time not in urgent_buckets:
+        bucket = self._buckets[time]
+        event = bucket.pop(0)
+        if not bucket:
+            del self._buckets[time]
             heappop(times)
-            while times and times[0] == time:  # drop heap duplicates
-                heappop(times)
         self.now = time
         self.events_processed += 1
         event._run_callbacks()
         if self._halted is not None:
             self._raise_halt()
-
-    def _drain_urgent(self) -> int:
-        """Process queued urgent arrivals for the open cohort.
-
-        Rare (interrupt delivery).  Stops at a halt so the drain loop's
-        halt check sees it with the remaining urgents still queued.
-        """
-        queue = self._open_urgent
-        processed = 0
-        while queue and self._halted is None:
-            event = queue.pop(0)
-            processed += 1
-            event._run_callbacks()
-        return processed
 
     def run(self, until: Optional[int] = None) -> int:
         """Run until the agenda drains or the clock would pass ``until``.
@@ -428,10 +286,7 @@ class Simulator:
             self._raise_halt()
         limit: Any = float("inf") if until is None else until
         buckets = self._buckets
-        urgent_buckets = self._urgent_buckets
         times = self._times
-        urgent_queue = self._open_urgent
-        pop_time = heappop
         refcount = getrefcount
         timeout_pool = self._timeout_pool
         event_pool = self._event_pool
@@ -440,31 +295,15 @@ class Simulator:
         run_list: list[Any] = []
         index = -1
         try:
-            while True:
-                if not times:
-                    if self._far or self._far_urgent:
-                        self._promote()
-                    else:
-                        break
+            while times:
                 time = times[0]
                 if time > limit:
                     break
-                pop_time(times)
-                while times and times[0] == time:  # drop heap duplicates
-                    pop_time(times)
-                cohort = buckets.pop(time, None)
-                run_list = [] if cohort is None else cohort
-                if urgent_buckets:
-                    pending = urgent_buckets.pop(time, None)
-                    if pending:
-                        urgent_queue.extend(pending)
+                heappop(times)
+                run_list = buckets.pop(time)
                 index = -1
                 self.now = time
                 self._open_run = run_list
-                if urgent_queue:
-                    processed += self._drain_urgent()
-                    if self._halted is not None:
-                        self._raise_halt()
                 # The cohort scan: run_list may grow while scanned (events
                 # scheduled at this instant append to it); the list
                 # iterator picks the new entries up in FIFO order.  The
@@ -510,8 +349,6 @@ class Simulator:
                                 and refcount(event) == _UNREFERENCED_COHORT:
                             event._cb = None
                             event_pool.append(event)
-                    if urgent_queue:
-                        processed += self._drain_urgent()
                     if self._halted is not None:
                         self._raise_halt()
                 self._open_run = None
@@ -521,24 +358,14 @@ class Simulator:
             if open_run is not None:
                 # Exceptional exit mid-cohort (halt or a callback raise):
                 # push the unprocessed remainder back so a later run() or
-                # step() resumes exactly where the heap engine would have.
+                # step() resumes exactly where this one stopped.
                 self._open_run = None
                 rest = open_run[index + 1:]
-                if rest or urgent_queue:
-                    if rest:
-                        buckets[time] = rest
-                    if urgent_queue:
-                        urgent_buckets[time] = list(urgent_queue)
-                        del urgent_queue[:]
+                if rest:
+                    buckets[time] = rest
                     heappush(times, time)
         if until is not None:
             self.now = until
-            if until >= self._horizon:
-                # Keep the now-below-horizon invariant across idle gaps.
-                if self._far or self._far_urgent:
-                    self._promote()
-                else:
-                    self._horizon = until + _RUNG_SPAN
         return self.now
 
     def run_process(self, generator: Generator[Event, Any, Any],

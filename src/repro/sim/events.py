@@ -14,13 +14,11 @@ case, and a list only once a second waiter appears.  A dedicated
 :attr:`Event.processed` / :attr:`Event.callbacks` views are unchanged).
 Triggering appends the event to its timestamp's cohort list in the
 simulator's calendar-queue agenda — appends happen in scheduling order,
-so the cohort list *is* the classic ``(time, priority, seq)`` FIFO
-order, with no per-event sequence number or heap sift at all.  The
-trigger sites here inline the calendar insert (see
-:meth:`repro.sim.engine.Simulator._schedule` for the annotated copy):
-``succeed``/``fail`` fire at the current instant, which the engine
-guarantees lies below the overflow-rung horizon, while
-:class:`Timeout` may land arbitrarily far out and so checks it.
+so the cohort list *is* the classic ``(time, seq)`` FIFO order, with no
+per-event sequence number or heap sift at all.  The two hot trigger
+sites, :meth:`Event.succeed` and :class:`Timeout`, inline the calendar
+insert (see :meth:`repro.sim.engine.Simulator._schedule` for the
+annotated copy); the cold :meth:`Event.fail` calls it.
 """
 
 from __future__ import annotations
@@ -127,18 +125,7 @@ class Event:
         self._ok = False
         self._value = exception
         sim = self.sim
-        run = sim._open_run
-        if run is not None:
-            run.append(self)
-            return self
-        time = sim.now
-        buckets = sim._buckets
-        bucket = buckets.get(time)
-        if bucket is not None:
-            bucket.append(self)
-        else:
-            buckets[time] = [self]
-            heappush(sim._times, time)
+        sim._schedule(sim.now, self)
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -214,11 +201,9 @@ class Timeout(Event):
         bucket = buckets.get(time)
         if bucket is not None:
             bucket.append(self)
-        elif time < sim._horizon:
+        else:
             buckets[time] = [self]
             heappush(sim._times, time)
-        else:
-            sim._far.append((time, self))
 
 
 class Condition(Event):

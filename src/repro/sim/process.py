@@ -82,9 +82,11 @@ class Process(Event):
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its current yield.
 
-        Interrupting a finished process is an error; interrupting a process
-        that is not waiting (e.g. it is scheduled to run at this instant)
-        delivers the interrupt before its next resumption.
+        Interrupting a finished process is an error.  The interrupt is an
+        ordinary agenda entry at the current instant: it takes its FIFO
+        turn behind whatever that instant already holds, and supersedes
+        the wake-up the process was waiting for, even one already
+        triggered.
         """
         if self._value is not PENDING:
             raise RuntimeError(f"cannot interrupt finished process {self.name}")
@@ -92,36 +94,31 @@ class Process(Event):
         if target is not None and target._cb is not _PROCESSED:
             target.remove_callback(self._on_fire)
         self._waiting_on = self.sim._carrier(
-            False, Interrupt(cause), self._on_fire, urgent=True)
+            False, Interrupt(cause), self._on_fire)
 
     def _resume(self, trigger: Event) -> None:
         if self._value is not PENDING:
             return
         sim = self.sim
         self._waiting_on = None
-        sim._active_process = self
         try:
             if trigger._ok:
                 target = self._generator.send(trigger._value)
             else:
                 target = self._generator.throw(trigger._value)
         except StopIteration as stop:
-            sim._active_process = None
             self._finish(stop.value)
             return
         except Interrupt as interrupt:
             # An unhandled interrupt terminates the process quietly with
             # the interrupt cause as its value, mirroring thread kill.
-            sim._active_process = None
             self._finish(interrupt.cause)
             return
         except BaseException as error:
-            sim._active_process = None
             if isinstance(error, (KeyboardInterrupt, SystemExit)):
                 raise
             self._crash(error)
             return
-        sim._active_process = None
         if not isinstance(target, Event):
             self._crash(TypeError(
                 f"process {self.name!r} yielded {target!r}, expected Event"))

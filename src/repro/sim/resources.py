@@ -3,8 +3,6 @@
 These are the building blocks the hardware and kernel models share:
 
 * :class:`Store` — a bounded FIFO of items (fiber queues, mailboxes).
-* :class:`Container` — a bounded quantity of homogeneous "stuff"
-  (byte-counted buffer occupancy).
 * :class:`Resource` — counted mutual exclusion (bus ownership, DMA
   channels).
 * :class:`Broadcast` — a repeating signal many processes can wait on.
@@ -115,94 +113,6 @@ class Store:
                 event = self._getters.popleft()
                 event.succeed(self.items.popleft())
                 progressed = True
-
-
-class Container:
-    """A bounded quantity of homogeneous units (e.g. bytes in a buffer).
-
-    ``put(n)`` blocks while the container lacks room for ``n`` units;
-    ``get(n)`` blocks until ``n`` units are present.  Requests are served
-    in FIFO order per side.
-    """
-
-    def __init__(self, sim: "Simulator", capacity: float = INFINITY,
-                 initial: int = 0) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if not 0 <= initial <= capacity:
-            raise ValueError(f"initial level {initial} outside [0, {capacity}]")
-        self.sim = sim
-        self.capacity = capacity
-        self.level = initial
-        self._getters: deque[tuple[Event, int]] | tuple[()] = _IDLE
-        self._putters: deque[tuple[Event, int]] | tuple[()] = _IDLE
-
-    @property
-    def free(self) -> float:
-        return self.capacity - self.level
-
-    def put(self, amount: int) -> Event:
-        if amount <= 0:
-            raise ValueError(f"put amount must be positive, got {amount}")
-        if amount > self.capacity:
-            raise ValueError(f"put of {amount} exceeds capacity "
-                             f"{self.capacity}")
-        event = self.sim.event()
-        if not self._putters and self.level + amount <= self.capacity:
-            # Fast path: room available and no queued putter to overtake.
-            # Identical event ordering to _service().
-            self.level += amount
-            event.succeed(amount)
-            if self._getters:
-                self._service()
-            return event
-        if self._putters is _IDLE:
-            self._putters = deque()
-        self._putters.append((event, amount))
-        self._service()
-        return event
-
-    def get(self, amount: int) -> Event:
-        if amount <= 0:
-            raise ValueError(f"get amount must be positive, got {amount}")
-        if amount > self.capacity:
-            # Mirrors put(): a request larger than the container can ever
-            # hold would otherwise park its waiter forever with no
-            # diagnostic.
-            raise ValueError(f"get of {amount} exceeds capacity "
-                             f"{self.capacity}")
-        event = self.sim.event()
-        if not self._getters and self.level >= amount:
-            # Fast path: enough present and no earlier getter waits.
-            self.level -= amount
-            event.succeed(amount)
-            if self._putters:
-                self._service()
-            return event
-        if self._getters is _IDLE:
-            self._getters = deque()
-        self._getters.append((event, amount))
-        self._service()
-        return event
-
-    def _service(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                event, amount = self._putters[0]
-                if self.level + amount <= self.capacity:
-                    self._putters.popleft()
-                    self.level += amount
-                    event.succeed(amount)
-                    progressed = True
-            if self._getters:
-                event, amount = self._getters[0]
-                if self.level >= amount:
-                    self._getters.popleft()
-                    self.level -= amount
-                    event.succeed(amount)
-                    progressed = True
 
 
 class Resource:

@@ -273,7 +273,7 @@ def measure_lan_node_to_node(size: int = 32,
     from ..baseline import EthernetLan
     cfg = cfg or NectarConfig()
     sim = Simulator()
-    lan = EthernetLan(sim, cfg.lan, rng=cfg.rng("lan"))
+    lan = EthernetLan(sim, cfg.lan, rng=cfg.rng_stream("lan"))
     a, b = lan.add_host("a"), lan.add_host("b")
     b.open_port("p")
     state = {}

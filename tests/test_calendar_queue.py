@@ -1,10 +1,9 @@
 """Edge-case tests for the calendar-queue agenda (repro.sim.engine).
 
-The engine replaced its heapq agenda with a calendar queue: dict buckets
-of same-timestamp cohorts, an integer heap over the distinct timestamps,
-and a ladder-style overflow rung for sparse far-future events.  These
-tests pin the structural edge cases — rung demotion/promotion, urgent
-ordering, cohort FIFO — and a randomized differential test replays the
+The agenda is a dict of same-timestamp cohorts plus an integer heap over
+the distinct timestamps, one FIFO lane.  These tests pin cohort FIFO,
+timers far beyond anything else pending, interrupt delivery and
+raise-mid-cohort resume, and a randomized differential test replays the
 same schedule through the *old* heap ordering (kept here as a reference
 implementation) asserting the pop order is identical.
 """
@@ -13,122 +12,68 @@ import random
 
 import pytest
 
-from repro.sim import Simulator
-from repro.sim.engine import _Call, _RUNG_SPAN
+from repro.sim import Interrupt, Simulator
+from repro.sim.engine import _Call
 
-#: The old agenda's packed-key layout, kept as the ordering oracle:
-#: normal events carry the high bit, urgent events do not, so urgent
-#: sorts first at equal timestamps; low bits hold the FIFO sequence.
-NORMAL_KEY = 1 << 62
+#: A delay far past every per-hop delay of the model (watchdogs, RTOs).
+FAR = 500_000_000
 
 
-class TestOverflowRung:
-    def test_far_future_event_demoted_to_rung(self, sim):
-        """An event past the horizon bypasses the bucket heap."""
-        far = _RUNG_SPAN + 123
-        sim.timeout(far)
-        assert sim._far, "expected the timer on the overflow rung"
-        assert not sim._times, "rung events must not pollute the heap"
-
-    def test_near_future_event_stays_in_buckets(self, sim):
-        sim.timeout(_RUNG_SPAN - 1)
-        assert not sim._far
-        assert sim._times == [_RUNG_SPAN - 1]
-
-    def test_rung_promoted_when_near_window_drains(self, sim):
-        fired = []
-        far = _RUNG_SPAN + 500
-        sim.call_at(far, lambda: fired.append(sim.now))
-        sim.timeout(100)
+class TestFarTimers:
+    def test_peek_is_exact_with_only_a_far_timer(self, sim):
+        sim.call_at(FAR + 7, lambda: None)
+        assert sim.peek() == FAR + 7
         sim.run()
-        assert fired == [far]
-        assert sim.now == far
-        assert not sim._far
+        assert sim.peek() is None
 
-    def test_peek_promotes_and_reads_rung_head(self, sim):
-        far = _RUNG_SPAN + 7
-        sim.call_at(far, lambda: None)
-        assert sim.peek() == far
-
-    def test_promotion_preserves_fifo_within_timestamp(self, sim):
-        """Two timers demoted to the rung at the same far timestamp must
-        still fire in scheduling order after promotion."""
+    def test_far_cohort_fires_in_scheduling_order(self, sim):
         fired = []
-        far = _RUNG_SPAN + 40
         for tag in range(4):
-            sim.call_at(far, lambda t=tag: fired.append(t))
+            sim.call_at(FAR + 40, lambda t=tag: fired.append(t))
         sim.run()
         assert fired == [0, 1, 2, 3]
 
-    def test_horizon_advances_past_promoted_events(self, sim):
-        far = _RUNG_SPAN * 3 + 9
-        sim.call_at(far, lambda: None)
-        sim.run()
-        assert sim.now == far
-        assert sim._horizon > far
-
-    def test_run_until_idle_gap_keeps_horizon_ahead(self, sim):
-        """run(until) may fling the clock past the horizon with an empty
-        agenda; scheduling afterwards must still order correctly."""
-        sim.run(until=_RUNG_SPAN * 5)
-        assert sim._horizon > sim.now
+    def test_scheduling_after_run_until_idle_gap(self, sim):
+        """run(until) may fling the clock across an empty agenda;
+        scheduling afterwards must still order correctly."""
+        sim.run(until=FAR * 5)
         fired = []
+        sim.timeout(FAR + 10).add_callback(lambda ev: fired.append(sim.now))
         sim.timeout(10).add_callback(lambda ev: fired.append(sim.now))
-        sim.timeout(_RUNG_SPAN + 10).add_callback(
-            lambda ev: fired.append(sim.now))
         sim.run()
-        base = _RUNG_SPAN * 5
-        assert fired == [base + 10, base + _RUNG_SPAN + 10]
+        assert fired == [FAR * 5 + 10, FAR * 6 + 10]
 
     def test_interleaved_near_and_far_rounds(self, sim):
-        """Alternate near/far work across several promotion cycles."""
+        """Alternate near/far work across several rounds."""
         fired = []
 
         def ping(round_no):
             if round_no >= 4:
                 return
             fired.append((round_no, sim.now))
-            sim.call_in(_RUNG_SPAN + 1, lambda: ping(round_no + 1))
+            sim.call_in(FAR + 1, lambda: ping(round_no + 1))
             sim.call_in(5, lambda: fired.append(("near", sim.now)))
 
         ping(0)
         sim.run()
-        rounds = [entry for entry in fired if isinstance(entry[0], int)]
-        assert [r for r, _ in rounds] == [0, 1, 2, 3]
-        times = [t for _, t in rounds]
-        assert times == sorted(times)
-        assert len([e for e in fired if e[0] == "near"]) == 4
+        assert fired == [
+            (0, 0), ("near", 5),
+            (1, FAR + 1), ("near", FAR + 6),
+            (2, 2 * FAR + 2), ("near", 2 * FAR + 7),
+            (3, 3 * FAR + 3), ("near", 3 * FAR + 8)]
 
 
-class TestUrgentOrdering:
-    def test_urgent_sorts_before_normal_at_same_timestamp(self, sim):
-        """An urgent event scheduled *after* a normal one at the same
-        instant still runs first (the old heap's key layout)."""
-        order = []
-        sim._carrier(True, None, lambda ev: order.append("normal"))
-        sim._carrier(True, None, lambda ev: order.append("urgent"),
-                     urgent=True)
-        sim.run()
-        assert order == ["urgent", "normal"]
-
-    def test_urgent_fifo_among_themselves(self, sim):
-        order = []
-        for tag in range(3):
-            sim._carrier(True, None, lambda ev, t=tag: order.append(t),
-                         urgent=True)
-        sim.run()
-        assert order == [0, 1, 2]
-
-    def test_interrupt_preempts_same_tick_resume(self, sim):
-        """Process.interrupt delivers via the urgent path: the
-        interrupted process resumes before other work at that instant."""
+class TestInterruptDelivery:
+    def test_interrupt_takes_its_fifo_turn(self, sim):
+        """Process.interrupt posts an ordinary agenda entry: work already
+        scheduled at that instant runs before the interrupted process."""
         order = []
 
         def sleeper():
             try:
                 yield sim.timeout(1000)
                 order.append("slept")
-            except Exception:
+            except Interrupt:
                 order.append("interrupted")
 
         proc = sim.process(sleeper())
@@ -140,17 +85,37 @@ class TestUrgentOrdering:
 
         sim.process(poker())
         sim.run()
-        assert order == ["interrupted", "same-tick"]
+        assert order == ["same-tick", "interrupted"]
+        assert sim.now == 1000
 
-    def test_far_future_urgent_takes_rung_detour(self, sim):
-        """Urgent entries past the horizon ride their own rung."""
-        order = []
-        far = _RUNG_SPAN + 30
-        sim._schedule_urgent(far, _Call(lambda: order.append("urgent")))
-        sim._schedule(far, _Call(lambda: order.append("normal")))
-        assert sim._far_urgent and sim._far
+    def test_interrupt_supersedes_wakeup_already_in_cohort(self, sim):
+        """The awaited event has been triggered, and sits in the open
+        cohort ahead of the interrupt, when the interrupt is posted: the
+        process must see Interrupt, not the wake-up value, and the
+        superseded wake-up must leave no callback behind."""
+        gate = sim.event()
+        seen = []
+
+        def waiter():
+            try:
+                seen.append((yield gate))
+            except Interrupt as interrupt:
+                seen.append(interrupt.cause)
+            seen.append((yield sim.timeout(10, "later")))
+
+        proc = sim.process(waiter())
+
+        def poker():
+            gate.succeed("wake-up")
+            proc.interrupt("cause")
+
+        sim.call_at(50, poker)
         sim.run()
-        assert order == ["urgent", "normal"]
+        assert seen == ["cause", "later"]
+        assert gate.processed and proc.processed
+        assert sim.now == 60
+        assert sim.run() == 60 and sim.peek() is None
+        assert seen == ["cause", "later"]
 
 
 class TestCohortFifo:
@@ -193,8 +158,7 @@ class TestCohortFifo:
                 sim.call_at(20, lambda t=tag: record.append(("a", t)))
             sim.call_at(10, lambda: record.append(("b", 0)))
             sim.timeout(20).add_callback(lambda ev: record.append(("c", 0)))
-            sim._carrier(True, None, lambda ev: record.append(("u", 0)),
-                         urgent=True)
+            sim._carrier(True, None, lambda ev: record.append(("d", 0)))
             return sim
 
         via_run = []
@@ -206,12 +170,37 @@ class TestCohortFifo:
         assert via_step == via_run
 
 
+class TestRaiseMidCohort:
+    def test_step_resumes_after_a_raising_callback(self, sim):
+        """A callback that raises out of run() mid-cohort leaves the
+        unprocessed remainder on the agenda, each pending timestamp on
+        the heap exactly once, for step() (or run()) to pick up."""
+        order = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.call_at(10, lambda: order.append("before"))
+        sim.call_at(10, boom)
+        sim.call_at(10, lambda: order.append("after-1"))
+        sim.call_at(10, lambda: order.append("after-2"))
+        sim.call_at(20, lambda: order.append("later"))
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert order == ["before"]
+        assert sorted(sim._times) == sorted(sim._buckets) == [10, 20]
+        sim.step()
+        assert order == ["before", "after-1"] and sim.now == 10
+        sim.run()
+        assert order == ["before", "after-1", "after-2", "later"]
+
+
 class _HeapReference:
     """The pre-calendar-queue agenda, kept as the ordering oracle.
 
     Reimplements the old engine's contract: a single heap of
-    ``(time, NORMAL_KEY-packed key, label)`` entries with a global
-    sequence counter drawn at scheduling time.
+    ``(time, seq, label)`` entries with a global sequence counter drawn
+    at scheduling time.
     """
 
     def __init__(self):
@@ -221,10 +210,9 @@ class _HeapReference:
         self.seq = 0
         self.now = 0
 
-    def schedule(self, time, label, urgent=False):
-        key = (0 if urgent else NORMAL_KEY) | self.seq
+    def schedule(self, time, label):
+        self._heapq.heappush(self.heap, (time, self.seq, label))
         self.seq += 1
-        self._heapq.heappush(self.heap, (time, key, label))
 
     def drain(self, on_pop):
         while self.heap:
@@ -236,8 +224,7 @@ class _HeapReference:
 class TestDifferentialVsHeap:
     """Randomized schedules through both agendas must pop identically."""
 
-    DELAY_CHOICES = (0, 0, 0, 1, 1, 3, 7, 40, 40, 1000,
-                     _RUNG_SPAN + 11, _RUNG_SPAN * 2 + 5)
+    DELAY_CHOICES = (0, 0, 0, 1, 1, 3, 7, 40, 40, 1000, FAR, FAR * 2 + 5)
 
     @pytest.mark.parametrize("seed", [7, 1989, 20260808])
     def test_identical_pop_order(self, seed):
@@ -257,56 +244,51 @@ class TestDifferentialVsHeap:
         assert len(engine_order) == self._count(spec)
 
     def _random_spec(self, rng, breadth, max_children, depth):
-        """An op tree: (delay, urgent, children).  Children are scheduled
+        """An op tree: (delay, children, id).  Children are scheduled
         relative to the moment their parent is *processed*, which is what
         makes the two implementations genuinely diverge if cohort handling
-        or rung promotion reorders anything."""
+        reorders anything."""
         counter = [0]
 
         def node(level):
             counter[0] += 1
             delay = rng.choice(self.DELAY_CHOICES)
-            urgent = rng.random() < 0.15
             children = []
             if level < depth:
                 for _ in range(rng.randrange(max_children + 1)):
                     children.append(node(level + 1))
-            return (delay, urgent, children, counter[0])
+            return (delay, children, counter[0])
 
         return [node(0) for _ in range(breadth)]
 
     def _count(self, spec):
         return sum(1 + self._count(children)
-                   for _delay, _urgent, children, _id in spec)
+                   for _delay, children, _id in spec)
 
     def _drive_engine(self, sim, spec, order):
         def arm(node):
-            delay, urgent, children, node_id = node
+            delay, children, node_id = node
 
             def fire():
                 order.append(node_id)
                 for child in children:
                     arm(child)
 
-            item = _Call(fire)
-            if urgent:
-                sim._schedule_urgent(sim.now + delay, item)
-            else:
-                sim._schedule(sim.now + delay, item)
+            sim._schedule(sim.now + delay, _Call(fire))
 
         for node in spec:
             arm(node)
 
     def _drive_reference(self, ref, spec, order):
         def arm(node):
-            delay, urgent, children, node_id = node
+            delay, children, node_id = node
 
             def fire(_label):
                 order.append(node_id)
                 for child in children:
                     arm(child)
 
-            ref.schedule(ref.now + delay, fire, urgent=urgent)
+            ref.schedule(ref.now + delay, fire)
 
         for node in spec:
             arm(node)

@@ -75,15 +75,15 @@ class TestOverrides:
 
     def test_rng_deterministic_per_salt(self):
         cfg = default_config()
-        a = cfg.rng("x").random()
-        b = cfg.rng("x").random()
-        c = cfg.rng("y").random()
+        a = cfg.rng_stream("x").random()
+        b = cfg.rng_stream("x").random()
+        c = cfg.rng_stream("y").random()
         assert a == b
         assert a != c
 
     def test_rng_differs_by_seed(self):
-        assert NectarConfig(seed=1).rng("s").random() != \
-            NectarConfig(seed=2).rng("s").random()
+        assert NectarConfig(seed=1).rng_stream("s").random() != \
+            NectarConfig(seed=2).rng_stream("s").random()
 
 
 class TestDerived:

@@ -1,10 +1,9 @@
-"""Unit tests for the CAB kernel: threads, mailboxes, timers, services."""
+"""Unit tests for the CAB kernel: threads, mailboxes, services."""
 
 import pytest
 
 from repro.errors import MailboxError, NodeError
 from repro.kernel.mailbox import Mailbox, Message
-from repro.kernel.timersvc import TimerService
 from repro.sim import SimulationError
 from repro.topology import single_hub_system
 
@@ -199,30 +198,6 @@ class TestMailbox:
         assert box.peek().data == b"z"
         assert box.peak_depth == 1
         assert len(box) == 1
-
-
-class TestTimerService:
-    def test_with_deadline_ok(self, stack):
-        service = TimerService(stack.kernel)
-        gate = stack.sim.event()
-        guarded = service.with_deadline(gate, 10_000)
-        stack.sim.call_at(2_000, lambda: gate.succeed("val"))
-        stack.sim.run()
-        assert guarded.value == ("ok", "val")
-
-    def test_with_deadline_timeout(self, stack):
-        service = TimerService(stack.kernel)
-        gate = stack.sim.event()
-        guarded = service.with_deadline(gate, 10_000)
-        stack.sim.run()
-        assert guarded.value == ("timeout", None)
-
-    def test_timeout_event(self, stack):
-        service = TimerService(stack.kernel)
-        event, handle = service.timeout_event(5_000)
-        stack.sim.run()
-        assert event.processed
-        assert stack.sim.now == 5_000
 
 
 class TestNodeServices:

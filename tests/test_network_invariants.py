@@ -70,7 +70,7 @@ def test_counters_balance_on_single_hub(seed):
     it through (commands consumed, data forwarded)."""
     from repro.config import NectarConfig
     system = single_hub_system(4, cfg=NectarConfig(seed=seed))
-    rng = system.cfg.rng("invariant")
+    rng = system.cfg.rng_stream("invariant")
     sends = rng.randrange(1, 6)
     done = []
     for index in range(sends):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.config import NectarConfig
 from repro.hardware.checksum import ChecksumUnit
 from repro.hardware.frames import Payload, fletcher16
-from repro.sim import Container, Simulator, Store
+from repro.sim import Simulator, Store
 from repro.stats.recorders import percentile
 from repro.transport.base import slice_data
 from repro.transport.reassembly import ReassemblyBuffer
@@ -169,26 +169,6 @@ class TestStoreProperties:
         sim.process(consumer())
         sim.run()
         assert got == items
-
-    @given(st.lists(st.tuples(st.booleans(),
-                              st.integers(min_value=1, max_value=20)),
-                    max_size=40))
-    @settings(deadline=None)
-    def test_container_conservation(self, operations):
-        """Level always equals initial + puts - gets, within bounds."""
-        sim = Simulator()
-        tank = Container(sim, capacity=100, initial=50)
-        expected = 50
-        for is_put, amount in operations:
-            if is_put and expected + amount <= 100:
-                tank.put(amount)
-                expected += amount
-            elif not is_put and expected - amount >= 0:
-                tank.get(amount)
-                expected -= amount
-        sim.run()
-        assert tank.level == expected
-        assert 0 <= tank.level <= tank.capacity
 
 
 class TestPercentile:

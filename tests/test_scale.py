@@ -28,7 +28,7 @@ class TestLargeMesh:
 
     def test_random_traffic_on_64_cabs_all_delivered(self):
         system = mesh_system(4, 4, cabs_per_hub=4)
-        rng = system.cfg.rng("scale-traffic")
+        rng = system.cfg.rng_stream("scale-traffic")
         names = sorted(system.cabs)
         pairs = []
         receivers = rng.sample(names, 16)

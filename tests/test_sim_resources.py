@@ -1,4 +1,4 @@
-"""Unit tests for Store, Container, Resource, Broadcast."""
+"""Unit tests for Store, Resource, Broadcast."""
 
 from collections import deque
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Broadcast, Container, Resource, Simulator, Store
+from repro.sim import Broadcast, Resource, Simulator, Store
 
 
 class TestStore:
@@ -83,77 +83,6 @@ class TestStore:
         sim.call_at(20, lambda: store.put("y"))
         sim.run()
         assert winners == [("first", "x"), ("second", "y")]
-
-
-class TestContainer:
-    def test_get_blocks_until_level(self, sim):
-        tank = Container(sim, capacity=100)
-        events = []
-
-        def consumer():
-            yield tank.get(60)
-            events.append(sim.now)
-        sim.process(consumer())
-        sim.call_at(10, lambda: tank.put(30))
-        sim.call_at(50, lambda: tank.put(30))
-        sim.run()
-        assert events == [50]
-        assert tank.level == 0
-
-    def test_put_blocks_when_full(self, sim):
-        tank = Container(sim, capacity=10, initial=10)
-        events = []
-
-        def producer():
-            yield tank.put(5)
-            events.append(sim.now)
-        sim.process(producer())
-        sim.call_at(77, lambda: tank.get(5))
-        sim.run()
-        assert events == [77]
-
-    def test_initial_level_validation(self, sim):
-        with pytest.raises(ValueError):
-            Container(sim, capacity=10, initial=11)
-
-    def test_get_over_capacity_raises(self, sim):
-        """A get() larger than the container can ever hold used to park
-        its waiter forever; it must fail loudly, mirroring put()."""
-        tank = Container(sim, capacity=10, initial=10)
-        with pytest.raises(ValueError,
-                           match=r"^get of 11 exceeds capacity 10$"):
-            tank.get(11)
-        # The container is untouched and still serves valid requests.
-        done = []
-        def consumer():
-            yield tank.get(10)
-            done.append(sim.now)
-        sim.process(consumer())
-        sim.run()
-        assert done == [0]
-        assert tank.level == 0
-
-    def test_put_over_capacity_message_parity(self, sim):
-        tank = Container(sim, capacity=10)
-        with pytest.raises(ValueError,
-                           match=r"^put of 11 exceeds capacity 10$"):
-            tank.put(11)
-
-    def test_put_over_capacity_rejected(self, sim):
-        tank = Container(sim, capacity=10)
-        with pytest.raises(ValueError):
-            tank.put(11)
-
-    def test_nonpositive_amounts_rejected(self, sim):
-        tank = Container(sim, capacity=10)
-        with pytest.raises(ValueError):
-            tank.put(0)
-        with pytest.raises(ValueError):
-            tank.get(-1)
-
-    def test_free_property(self, sim):
-        tank = Container(sim, capacity=10, initial=4)
-        assert tank.free == 6
 
 
 class TestResource:
@@ -319,50 +248,18 @@ class ModelStore:
                 progressed = True
 
 
-class ModelContainer:
-    def __init__(self, capacity, initial):
-        self.capacity, self.level, self.getters, self.putters, self.fired = \
-            capacity, initial, [], [], []
-
-    def put(self, tag, amount):
-        self.putters.append((tag, amount))
-        self.service()
-
-    def get(self, tag, amount):
-        self.getters.append((tag, amount))
-        self.service()
-
-    def service(self):
-        progressed = True
-        while progressed:
-            progressed = False
-            if self.putters and \
-                    self.level + self.putters[0][1] <= self.capacity:
-                tag, amount = self.putters.pop(0)
-                self.level += amount
-                self.fired.append(tag)
-                progressed = True
-            if self.getters and self.level >= self.getters[0][1]:
-                tag, amount = self.getters.pop(0)
-                self.level -= amount
-                self.fired.append(tag)
-                progressed = True
-
-
 class TestLazyWaiterQueues:
     def test_idle_primitives_hold_no_deque(self, sim):
-        store, tank, lock = Store(sim), Container(sim, 8), Resource(sim)
-        queues = (store._getters, store._putters, tank._getters,
-                  tank._putters, lock._waiters)
+        store, lock = Store(sim), Resource(sim)
+        queues = (store._getters, store._putters, lock._waiters)
         assert not any(queues)
         assert not any(isinstance(queue, deque) for queue in queues)
         # Traffic that never waits never builds one either.
-        store.put("x"), store.get(), tank.put(4), tank.get(4)
+        store.put("x"), store.get()
         lock.acquire(), lock.release()
         sim.run()
         assert not any(isinstance(queue, deque) for queue in (
-            store._getters, store._putters, tank._getters, tank._putters,
-            lock._waiters))
+            store._getters, store._putters, lock._waiters))
 
     def test_queues_are_per_instance_once_made(self, sim):
         first, second = Store(sim), Store(sim)
@@ -485,26 +382,3 @@ class TestLazyWaiterQueues:
         sim.run()
         assert fired == model.fired
         assert list(store.items) == model.items
-
-    @given(capacity=st.integers(1, 6), initial=st.integers(0, 6),
-           ops=st.lists(st.tuples(st.sampled_from(["put", "get"]),
-                                  st.integers(1, 6)), max_size=40))
-    @settings(max_examples=150, deadline=None)
-    def test_container_matches_reference_model(self, capacity, initial, ops):
-        initial = min(initial, capacity)
-        sim = Simulator()
-        tank = Container(sim, capacity, initial)
-        model = ModelContainer(capacity, initial)
-        events = []
-        for tag, (op, amount) in enumerate(ops):
-            amount = min(amount, capacity)
-            if op == "put":
-                events.append((tag, tank.put(amount)))
-                model.put(tag, amount)
-            else:
-                events.append((tag, tank.get(amount)))
-                model.get(tag, amount)
-        order = fired_order(events)
-        sim.run()
-        assert order == model.fired
-        assert tank.level == model.level
