@@ -53,8 +53,7 @@ def scenario_scaling(name):
             else run_partitioned(scenario, count)
         if reference is None:
             reference = result
-        out["digests_match"] &= (result.digest == reference.digest
-                                 and result.events == reference.events)
+        out["digests_match"] &= result.mismatch(reference) is None
         out[f"p{count}_events_per_sec"] = round(result.events_per_sec, 1)
         out[f"p{count}_wall_s"] = round(result.wall_s, 4)
         out[f"p{count}_rounds"] = result.rounds
@@ -91,8 +90,7 @@ def test_escl_torus256_partitioned_is_bit_identical(benchmark):
         reference = run_single(scenario)
         sharded = run_partitioned(scenario, 4)
         return {
-            "match": (sharded.digest == reference.digest
-                      and sharded.events == reference.events),
+            "match": sharded.mismatch(reference) is None,
             "events": reference.events,
             "single_events_per_sec": round(reference.events_per_sec, 1),
             "p4_events_per_sec": round(sharded.events_per_sec, 1),
@@ -126,9 +124,8 @@ def test_escl6_recovery_overhead(benchmark):
         chaos = run_partitioned(scenario, 4, faults=kills,
                                 backoff_base_s=0.01)
         return {
-            "match": (clean.digest == reference.digest
-                      and chaos.digest == reference.digest
-                      and chaos.events == reference.events),
+            "match": (clean.mismatch(reference) is None
+                      and chaos.mismatch(reference, kills) is None),
             "events": reference.events,
             "worker_kills": chaos.worker_kills,
             "restarts": chaos.restarts,
@@ -222,8 +219,7 @@ def capture(scenario_name: str, repeats: int, cpus: int) -> dict:
             "exchange_s": round(sum(result.timing["exchange_s"]), 6),
             "ipc_s": round(sum(result.timing["ipc_s"]), 6),
             "coordinator_cpu_s": round(result.coordinator_cpu_s, 6),
-            "digest_match": (result.digest == best_single.digest
-                             and result.events == best_single.events),
+            "digest_match": result.mismatch(best_single) is None,
         })
     return record
 

@@ -351,8 +351,6 @@ def run_scaleout(args: argparse.Namespace) -> int:
         label = args.faults or "worker-kill"
         faults = FaultScenario(label, fault_events,
                                description="scaleout CLI campaign")
-    sim_faulted = faults is not None \
-        and bool(faults.split_process_events()[0].events)
     print(f"E-SCL {scenario.name}: {scenario.description}")
     print(f"  {len(scenario.fabric.hubs)} HUBs, {scenario.num_cabs} CABs, "
           f"{len(scenario.fabric.links)} inter-HUB links; "
@@ -392,15 +390,14 @@ def run_scaleout(args: argparse.Namespace) -> int:
               f"{result.setup_s:6.3f}s {result.events_per_sec:10,.0f} "
               f"{result.goodput_mbps:6.0f} Mb/s {result.rounds:6d} "
               f"{result.restarts:8d}  {result.digest[:16]}")
-    digests = {result.digest for result in results}
-    events = {result.events for result in results}
     if args.verify or len(counts) > 1:
-        # Under in-sim faults, driver processes spawn per partition
-        # holding a matched target, so raw event totals legitimately
-        # differ between run shapes; the digest gate still applies.
-        if len(digests) != 1 or (not sim_faulted and len(events) != 1):
+        broken = [f"  {result.partitions} partitions: {problem}"
+                  for result in results[1:]
+                  if (problem := result.mismatch(results[0], faults))]
+        if broken:
             print("\nDIGEST MISMATCH: partitioned runs are not "
                   "bit-identical to the reference", file=sys.stderr)
+            print("\n".join(broken), file=sys.stderr)
             return 1
         print(f"\nall {len(results)} run(s) bit-identical: "
               f"digest {results[0].digest}")

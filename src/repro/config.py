@@ -80,10 +80,13 @@ class FiberConfig:
 
 @dataclass
 class CabConfig:
-    """CAB (communication accelerator board) parameters (§5)."""
+    """CAB (communication accelerator board) parameters (§5).
 
-    #: CPU clock — "a SPARC processor running at 16 megahertz" (§5.2).
-    cpu_mhz: float = 16.0
+    The CPU is "a SPARC processor running at 16 megahertz" (§5.2); the
+    model has no clock-rate parameter — the software costs below and in
+    :class:`KernelConfig` are stated in nanoseconds at that rate.
+    """
+
     #: Data memory size — "1 megabyte of RAM" (§5.2).
     data_memory_bytes: int = 1 << 20
     #: Program memory size — 128 KB PROM + 512 KB RAM (§5.2).
@@ -98,9 +101,6 @@ class CabConfig:
     protection_domains: int = 32
     #: CAB input queue (same circuit as the HUB I/O port, §5.2).
     input_queue_bytes: int = 1024
-    #: Time the CPU needs to program one DMA transfer.  Calibrated: a dozen
-    #: register writes on a 16 MHz SPARC ≈ 1 µs.
-    dma_setup_ns: int = 1_000
     #: Fixed DMA engine start latency per transfer.
     dma_start_ns: int = 500
     #: Interrupt dispatch overhead.  The SPARC reserves a register window
@@ -135,8 +135,6 @@ class KernelConfig:
     wakeup_ns: int = 1_000
     #: Mailbox enqueue/dequeue bookkeeping cost.
     mailbox_op_ns: int = 1_000
-    #: Buffer allocate/free in the mailbox FIFO region.
-    buffer_alloc_ns: int = 1_000
     #: Default mailbox capacity in messages.
     mailbox_capacity: int = 64
 
@@ -275,8 +273,6 @@ class NodeConfig:
 
     #: System-call entry/exit overhead.
     syscall_ns: int = 25_000
-    #: Full process context switch (scheduler + MMU).
-    context_switch_ns: int = 40_000
     #: Interrupt service overhead (trap, dispatch, return).
     interrupt_ns: int = 30_000
     #: Wakeup-to-run scheduling latency for a blocked process.

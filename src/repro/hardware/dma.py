@@ -129,8 +129,3 @@ class DmaController:
         finally:
             self.cab.memory_pool.close_stream(stream)
             channel.release()
-
-    def memory_copy(self, num_bytes: int):
-        """CPU-initiated memory-to-memory move inside data memory."""
-        yield from self.cab.memory_pool.transfer(
-            num_bytes, self.cab.memory_pool.capacity / 2)

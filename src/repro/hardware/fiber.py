@@ -63,15 +63,11 @@ class Fiber:
     in ``_backlog`` and start, in order, as each tail leaves.
     """
 
-    # Slots make every hot attribute a fixed-offset load on the transmit
-    # path.  ``__dict__`` stays in the layout (created lazily, so plain
-    # fibers never allocate one) because instrumentation taps patch
-    # per-instance ``send`` wrappers, and subclasses (the scale-out
-    # boundary fiber) hang extra attributes off it.
+    # Slots make every hot attribute a fixed-offset load on the transmit path.
     __slots__ = ("sim", "cfg", "name", "_rng", "_rng_factory", "endpoint",
                  "_sending", "_backlog", "_head_latency", "_xfer_cache",
                  "fault_down", "fault_drop", "fault_corrupt",
-                 "fault_reply_drop", "stats", "__dict__")
+                 "fault_reply_drop", "stats")
 
     def __init__(self, sim: Simulator, cfg: FiberConfig, name: str,
                  rng: Optional[random.Random] = None,
@@ -257,13 +253,6 @@ class Fiber:
             self.fault_corrupt = corrupt
         if reply_drop is not None:
             self.fault_reply_drop = reply_drop
-
-    def clear_fault(self) -> None:
-        """Remove every fault overlay; baseline config faults remain."""
-        self.fault_down = False
-        self.fault_drop = 0.0
-        self.fault_corrupt = 0.0
-        self.fault_reply_drop = 0.0
 
     def _faulted(self, item: Any) -> bool:
         if self.fault_down:

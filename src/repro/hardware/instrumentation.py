@@ -5,8 +5,8 @@
 controller."
 
 :class:`InstrumentationBoard` taps a HUB the way the hardware card taps
-backplane signals: it interposes probes on the crossbar, the controller
-and the port output fibers, and accumulates
+backplane signals: it interposes probes on the crossbar and the
+controller, reads the port output fibers' own counters, and accumulates
 
 * connection setup latencies (controller submit → crossbar connect),
 * connection hold times (connect → disconnect, per output port),
@@ -15,11 +15,17 @@ and the port output fibers, and accumulates
 
 Probes add zero simulated time — monitoring hardware watches, it does
 not slow the datapath.
+
+Port bytes and packets are what each output fiber has *serialised*
+since the board was attached (``Fiber.bytes_sent`` / ``packets_sent``
+against a baseline taken at attach), so they include the cycle-stolen
+reply and ready-signal bytes and agree with the ``<hub>.p<i>.util``
+probe of :mod:`repro.observe`, which reads the same counter: there is
+one definition of link bytes, not a second one counted at ``send``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..stats.recorders import LatencyRecorder
@@ -37,8 +43,12 @@ class InstrumentationBoard:
         self.attached_at = self.sim.now
         self.setup_latency = LatencyRecorder("connection-setup")
         self.hold_time = LatencyRecorder("connection-hold")
-        self.port_bytes: dict[int, int] = defaultdict(int)
-        self.port_packets: dict[int, int] = defaultdict(int)
+        #: Output fibers wired at attach: port index -> (fiber, its
+        #: bytes and packets already sent when the board went in).
+        self._fibers = {
+            port.index: (port.out_fiber, port.out_fiber.bytes_sent,
+                         port.out_fiber.packets_sent)
+            for port in hub.ports if port.out_fiber is not None}
         self.connects_seen = 0
         self.disconnects_seen = 0
         self.commands_seen = 0
@@ -99,26 +109,24 @@ class InstrumentationBoard:
             original_dispatch(job)
         controller._dispatch = probed_dispatch
 
-        for port in self.hub.ports:
-            if port.out_fiber is None:
-                continue
-            self._tap_fiber(port)
-
-    def _tap_fiber(self, port) -> None:
-        fiber = port.out_fiber
-        original_send = fiber.send
-
-        def probed_send(item, wire_size=None):
-            size = wire_size if wire_size is not None \
-                else fiber._size_of(item, None)
-            self.port_bytes[port.index] += size
-            self.port_packets[port.index] += 1
-            return original_send(item, size)
-        fiber.send = probed_send
-
     # ------------------------------------------------------------------
     # readout
     # ------------------------------------------------------------------
+
+    @property
+    def port_bytes(self) -> dict[int, int]:
+        """Bytes serialised per output port since attach (ports that
+        sent nothing are absent)."""
+        return {index: fiber.bytes_sent - base
+                for index, (fiber, base, _packets) in self._fibers.items()
+                if fiber.bytes_sent != base}
+
+    @property
+    def port_packets(self) -> dict[int, int]:
+        """Packets serialised per output port since attach."""
+        return {index: fiber.packets_sent - base
+                for index, (fiber, _bytes, base) in self._fibers.items()
+                if fiber.packets_sent != base}
 
     def port_utilization(self, port_index: int) -> float:
         """Fraction of the observation window the port's output fiber
@@ -137,6 +145,7 @@ class InstrumentationBoard:
 
     def report(self) -> dict[str, Any]:
         """A snapshot of everything the board has recorded."""
+        port_bytes = self.port_bytes
         return {
             "hub": self.hub.name,
             "window_ns": self.sim.now - self.attached_at,
@@ -145,7 +154,7 @@ class InstrumentationBoard:
             "commands": self.commands_seen,
             "setup_latency": self.setup_latency.summary(),
             "hold_time": self.hold_time.summary(),
-            "port_bytes": dict(self.port_bytes),
+            "port_bytes": port_bytes,
             "utilization": {index: self.port_utilization(index)
-                            for index in self.port_bytes},
+                            for index in port_bytes},
         }

@@ -169,10 +169,6 @@ class MemoryRegion:
     def free_bytes(self) -> int:
         return self.size - self.allocated_bytes
 
-    def copy_time(self, num_bytes: int, nominal_rate: float):
-        """Timed access through the bandwidth pool (generator)."""
-        yield from self.pool.transfer(num_bytes, nominal_rate)
-
 
 def _initial_perms(domain: int) -> int:
     """What every page of ``domain`` holds before its first grant."""

@@ -86,10 +86,6 @@ class NodeHost:
         """Wakeup-to-run latency for a blocked process."""
         yield from self._charge(self.cfg.scheduling_latency_ns)
 
-    def context_switch_cost(self):
-        """A full process context switch."""
-        yield from self._charge(self.cfg.context_switch_ns)
-
     def copy(self, num_bytes: int):
         """Memory-to-memory copy on the node."""
         if num_bytes <= 0:

@@ -117,11 +117,6 @@ class CabKernel:
         result = yield from self.wait(self.sim.timeout(duration_ns))
         return result
 
-    def yield_cpu(self):
-        """Voluntarily reschedule (one switch, no blocking event)."""
-        result = yield from self.sleep(0)
-        return result
-
     def wakeup_cost(self):
         """Charge the cost of making another thread runnable."""
         yield from self.cab.cpu.execute(self.cfg.wakeup_ns)

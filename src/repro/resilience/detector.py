@@ -87,10 +87,6 @@ class FailureDetector:
     def state(self, target: str) -> str:
         return self.targets[target].state
 
-    def states_of_kind(self, kind: str) -> dict[str, str]:
-        return {name: ts.state for name, ts in self.targets.items()
-                if ts.kind == kind}
-
     # ------------------------------------------------------------------
     # evidence
     # ------------------------------------------------------------------
@@ -155,10 +151,6 @@ class FailureDetector:
     # ------------------------------------------------------------------
     # readout
     # ------------------------------------------------------------------
-
-    def dead_count(self) -> int:
-        return sum(1 for ts in self.targets.values()
-                   if ts.state == "dead")
 
     def transition_text(self) -> str:
         """The transition timeline as canonical text (determinism

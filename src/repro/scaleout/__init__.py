@@ -19,12 +19,13 @@ overlays slice to local targets, ``kill_worker`` events exercise the
 recovery path.  See ``docs/SCALEOUT.md``.
 """
 
-from .escl import (ScaleoutScenario, Traffic, fingerprint_digest,
-                   merge_fragments, scenarios, spawn_traffic)
+from .escl import (ScaleoutResult, ScaleoutScenario, Traffic,
+                   fingerprint_digest, merge_fragments, scenarios,
+                   spawn_traffic)
 from .partition import (Partitioning, PartitionSystem, lookahead_matrix,
                         lookahead_ns, partition_fabric)
-from .runner import ScaleoutResult, run_partitioned, run_single, verify
-from .supervisor import Supervisor, SupervisorOutcome, escl_campaign
+from .runner import run_partitioned, run_single
+from .supervisor import Supervisor, escl_campaign
 
 __all__ = [
     "Partitioning",
@@ -32,7 +33,6 @@ __all__ = [
     "ScaleoutResult",
     "ScaleoutScenario",
     "Supervisor",
-    "SupervisorOutcome",
     "Traffic",
     "escl_campaign",
     "fingerprint_digest",
@@ -44,5 +44,4 @@ __all__ = [
     "run_single",
     "scenarios",
     "spawn_traffic",
-    "verify",
 ]

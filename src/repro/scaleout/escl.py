@@ -35,15 +35,16 @@ import hashlib
 import json
 import random
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 from ..config import NectarConfig
 from ..topology.fabrics import (FabricSpec, fat_tree_fabric,
                                 hypercube_fabric, torus_fabric)
 
-__all__ = ["SEED", "ScaleoutScenario", "Traffic", "fingerprint_digest",
-           "merge_fragments", "scenarios", "spawn_traffic"]
+__all__ = ["SEED", "ScaleoutResult", "ScaleoutScenario", "Traffic",
+           "fingerprint_digest", "merge_fragments", "scenarios",
+           "spawn_traffic"]
 
 SEED = 1989
 
@@ -206,6 +207,113 @@ def fingerprint_digest(scenario_name: str,
     payload = json.dumps({"scenario": scenario_name,
                           "fingerprint": fingerprint}, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@dataclass
+class ScaleoutResult:
+    """One run's outcome: determinism digest plus throughput numbers."""
+
+    scenario: str
+    partitions: int
+    events: int
+    sim_ns: int
+    wall_s: float
+    rounds: int
+    envelopes: int
+    fingerprint: dict[str, Any] = field(default_factory=dict)
+    #: Worker processes respawned after crash/hang/exception.
+    restarts: int = 0
+    #: Advance windows a respawned worker had to be fed again.
+    replayed_windows: int = 0
+    #: Workers SIGKILLed by chaos (``kill_worker``) campaign events.
+    worker_kills: int = 0
+    #: Recorded snapshot digests a respawned worker reproduced.
+    snapshots_verified: int = 0
+    #: One-time startup cost — worker fork + fabric build (partitioned)
+    #: or fabric build + traffic spawn (single-process).  Kept out of
+    #: ``wall_s`` so ``events_per_sec`` measures steady-state work.
+    setup_s: float = 0.0
+    #: Advance messages actually sent (idle workers are elided per
+    #: round, so this can be well below ``rounds * partitions``).
+    advances: int = 0
+    #: Per-partition ``{"compute_s": [...], "wait_s": [...],
+    #: "exchange_s": [...], "ipc_s": [...]}`` round-timing breakdown
+    #: (empty for single-process runs).
+    timing: dict[str, list[float]] = field(default_factory=dict)
+    #: Coordinator CPU seconds over ``wall_s`` (0 single-process); with
+    #: the workers' ``compute_s`` and ``ipc_s`` it is the run's CPU.
+    coordinator_cpu_s: float = 0.0
+    #: Per-partition post-mortem records (restarts, last window, the
+    #: failure history); empty for single-process runs.
+    forensics: list[dict[str, Any]] = field(default_factory=list)
+
+    @property
+    def digest(self) -> str:
+        """Bit-identity contract: equal across partition counts."""
+        return fingerprint_digest(self.scenario, self.fingerprint)
+
+    def mismatch(self, reference: "ScaleoutResult",
+                 faults=None) -> Optional[str]:
+        """The parity rule: how this run departs from ``reference``.
+
+        ``None`` when the digests are equal and — unless ``faults`` (a
+        :class:`~repro.faults.FaultScenario`) carries in-simulation
+        events — so are the event counts.  Under in-sim faults a driver
+        process spawns once per partition holding a matched target (vs
+        once in the single-process run), so raw event totals
+        legitimately differ and only the digest is compared.
+        """
+        against = "single-process" if reference.partitions == 1 \
+            else f"{reference.partitions}-partition"
+        if self.digest != reference.digest:
+            return (f"digest {self.digest} differs from {against} "
+                    f"{reference.digest}")
+        sim_faulted = faults is not None \
+            and bool(faults.split_process_events()[0].events)
+        if not sim_faulted and self.events != reference.events:
+            return f"{self.events} events, {against} {reference.events}"
+        return None
+
+    @property
+    def events_per_sec(self) -> float:
+        return self.events / self.wall_s if self.wall_s > 0 else 0.0
+
+    @property
+    def goodput_mbps(self) -> float:
+        """Delivered payload bits per simulated time, in Mbit/s."""
+        delivered_bits = 8 * sum(
+            self.fingerprint.get("delivered", {}).get(cab, 0) * size
+            for cab, size in self._receiver_sizes())
+        horizon = max(self.fingerprint.get("done_ns", {}).values(),
+                      default=0)
+        return delivered_bits / horizon * 1000 if horizon else 0.0
+
+    def _receiver_sizes(self):
+        scenario = scenarios()[self.scenario]
+        names = scenario.fabric.cab_names
+        count = len(names)
+        for index, name in enumerate(names):
+            sender = (index - count // 2) % count
+            yield name, scenario.sender_bytes(sender)
+
+    def summary(self) -> dict[str, Any]:
+        return {
+            "scenario": self.scenario,
+            "partitions": self.partitions,
+            "events": self.events,
+            "sim_ns": self.sim_ns,
+            "wall_s": round(self.wall_s, 6),
+            "setup_s": round(self.setup_s, 6),
+            "events_per_sec": round(self.events_per_sec, 1),
+            "goodput_mbps": round(self.goodput_mbps, 3),
+            "rounds": self.rounds,
+            "advances": self.advances,
+            "envelopes": self.envelopes,
+            "restarts": self.restarts,
+            "replayed_windows": self.replayed_windows,
+            "worker_kills": self.worker_kills,
+            "digest": self.digest,
+        }
 
 
 _SCENARIOS: Optional[dict[str, ScaleoutScenario]] = None

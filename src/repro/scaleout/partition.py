@@ -23,7 +23,7 @@ partition's worth of real hardware inside its own
   exact arrival timestamp instead of becoming a local event.  The
   ready-bit signal crosses the same way via :class:`_RemotePortStub`.
 
-The coordinator (:mod:`repro.scaleout.runner`) moves envelopes between
+The coordinator (:mod:`repro.scaleout.supervisor`) moves envelopes between
 partitions and advances each worker under conservative lookahead;
 :func:`lookahead_ns` derives that lookahead from the fiber config (see
 ``docs/SCALEOUT.md`` for the proof sketch).
@@ -230,6 +230,8 @@ class _BoundaryFiber(Fiber):
     the base class would schedule the far-end delivery, the item is
     sealed into an outbox envelope stamped with that same arrival time.
     """
+
+    __slots__ = ("_outbox", "_dst_hub", "_dst_port")
 
     def __init__(self, *args: Any, outbox: "PartitionSystem",
                  dst_hub: str, dst_port: int, **kwargs: Any) -> None:

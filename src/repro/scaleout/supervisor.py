@@ -4,27 +4,31 @@ The :class:`Supervisor` drives one worker process per partition through
 barrier rounds over plain :mod:`multiprocessing` pipes and treats worker
 death as a recoverable event:
 
-* **Multiplexed waits.**  Worker pipes *and* process sentinels are
-  watched together by one :mod:`selectors` object the supervisor owns
+* **One wait.**  Worker pipes *and* process sentinels are watched
+  together by one :mod:`selectors` object the supervisor owns
   (registered at spawn, unregistered at reap; each wake absorbs every
   ready reply), with a per-worker heartbeat deadline — a crash is
   detected the moment the kernel reaps the child (sentinel/EOF, with
   the exit code recorded), and a hang is detected when the deadline
   lapses, so the two failure modes are distinguished in the forensics
   instead of both surfacing as an anonymous ``TimeoutError`` minutes
-  later.
+  later.  ``_collect`` is the only place the coordinator blocks.
 
 * **Window-log replay.**  A partitioned worker is a deterministic pure
   function of ``(scenario, partition index, the sequence of coordinator
   messages)``: same seed, same envelope batches, same state — that is
-  the bit-identity contract ``verify`` asserts.  The supervisor
-  therefore keeps, per partition, the full log of messages sent since
-  worker start.  When a worker dies, a fresh process is spawned for the
-  same partition and the log is replayed to reconstruct bit-identical
-  state.  Responses to already-acknowledged positions are discarded
-  (their envelopes were already routed — replay makes them
-  deterministic duplicates); the at-most-one unacknowledged response is
-  absorbed exactly as the dead incarnation's answer would have been.
+  the bit-identity contract ``ScaleoutResult.mismatch`` checks.  The
+  supervisor therefore keeps, per partition, the full log of messages
+  sent since worker start.  When a worker dies, a fresh process is
+  spawned for the same partition and recovery is from then on a *state
+  of that worker*, not a second loop: two per-incarnation cursors say
+  how much of the log it has been sent and how many answers it has
+  given, and each answer absorbed by the ordinary wait pumps the next
+  log entry to it in lock-step.  Answers to already-acknowledged
+  positions are discarded (their envelopes were already routed — replay
+  makes them deterministic duplicates); the at-most-one unacknowledged
+  answer is absorbed exactly as the dead incarnation's would have been.
+  A death or hang *while catching up* is a failure like any other.
   Restarts are bounded (``max_restarts`` per partition) with
   exponential backoff between attempts.
 
@@ -33,9 +37,9 @@ death as a recoverable event:
   the simulator agenda), which cannot pickle, so there is no checkpoint
   to restart from and the log is never truncated.  What the ``snapshot``
   command *can* do is pickle the worker's fragment-so-far; the
-  supervisor records its digest per log position and, during replay,
-  hard-checks that the respawned worker reproduces every recorded
-  snapshot byte-for-byte — a replay-fidelity witness, and fragment
+  supervisor records its digest per log position and hard-checks that
+  a respawned worker catching up reproduces every recorded snapshot
+  byte-for-byte — a replay-fidelity witness, and fragment
   forensics for post-mortems.
 
 * **Graceful degradation.**  When a partition exhausts its restart
@@ -69,7 +73,6 @@ import selectors
 import signal
 import time
 import traceback
-from dataclasses import dataclass, field
 import multiprocessing as mp
 from fnmatch import fnmatchcase
 from typing import Any, Optional
@@ -77,13 +80,13 @@ from typing import Any, Optional
 from ..errors import ScaleoutError
 from ..faults.campaigns import build_campaign
 from ..faults.scenario import FaultEvent, FaultScenario
-from .escl import (ScaleoutScenario, fingerprint_digest, scenarios,
-                   spawn_traffic)
+from .escl import (ScaleoutResult, ScaleoutScenario, fingerprint_digest,
+                   merge_fragments, scenarios, spawn_traffic)
 from .partition import (PartitionSystem, lookahead_matrix, lookahead_ns,
                         partition_fabric)
 from .planner import plan_round, post, take_due
 
-__all__ = ["Supervisor", "SupervisorOutcome", "escl_campaign"]
+__all__ = ["Supervisor", "escl_campaign"]
 
 #: Hard ceiling on the exponential restart backoff (seconds).
 _BACKOFF_CAP_S = 2.0
@@ -192,17 +195,6 @@ def _worker_main(conn, scenario_name: str, num_partitions: int,
         raise SystemExit(1)
 
 
-class _WorkerDied(Exception):
-    """Internal signal: a worker failed (reason, detail, exit code)."""
-
-    def __init__(self, reason: str, detail: str,
-                 exit_code: Optional[int]) -> None:
-        super().__init__(detail)
-        self.reason = reason
-        self.detail = detail
-        self.exit_code = exit_code
-
-
 class _Worker:
     """One partition's process handle plus its replay bookkeeping."""
 
@@ -228,9 +220,15 @@ class _Worker:
         self.sent_at: Optional[float] = None
         #: Every message sent since the *first* spawn — the replay log.
         self.log: list[tuple] = []
-        #: Responses absorbed so far.  Position 0 is the initial state
-        #: report; position ``i >= 1`` answers ``log[i - 1]``.
+        #: Responses absorbed so far, over every incarnation.  Position
+        #: 0 is the initial state report; position ``i >= 1`` answers
+        #: ``log[i - 1]``.
         self.acked = 0
+        #: This incarnation's cursors (``_spawn`` resets both): log
+        #: entries sent to it, and responses heard from it.  It is still
+        #: catching up while ``heard < acked``.
+        self.sent = 0
+        self.heard = 0
         #: Wall-clock deadline for the outstanding response, if any.
         self.deadline: Optional[float] = None
         self.restarts = 0
@@ -261,41 +259,15 @@ class _Worker:
         }
 
 
-@dataclass
-class SupervisorOutcome:
-    """What a completed supervised run hands back to the runner."""
-
-    fragments: list[dict[str, Any]]
-    events: int
-    sim_ns: int
-    wall_s: float
-    rounds: int
-    envelopes: int
-    restarts: int
-    replayed_windows: int
-    worker_kills: int
-    snapshots_verified: int
-    #: Worker fork + fabric-build time (until every initial state
-    #: report landed); ``wall_s`` above is steady-state exchange only.
-    setup_s: float = 0.0
-    #: Advance messages actually sent (idle workers are elided).
-    advances: int = 0
-    #: Per-partition ``{"compute_s": [...], "wait_s": [...],
-    #: "exchange_s": [...], "ipc_s": [...]}`` round-timing breakdown.
-    timing: dict[str, list[float]] = field(default_factory=dict)
-    #: Coordinator CPU time over the steady phase (``wall_s``'s span):
-    #: with ``compute_s`` and ``ipc_s`` it adds up to the run's CPU.
-    coordinator_cpu_s: float = 0.0
-    forensics: list[dict[str, Any]] = field(default_factory=list)
-
-
 class Supervisor:
     """Crash-tolerant barrier-round coordinator for one partitioned run.
 
     Drives ``num_partitions`` worker processes through the conservative
     lookahead protocol (see :mod:`repro.scaleout.planner`), recovering
     dead or hung workers by respawn + window-log replay.  One instance
-    runs one scenario once (:meth:`run`).
+    runs one scenario once (:meth:`run`); ``registry`` (a
+    :class:`~repro.observe.MetricRegistry`) receives the ``scaleout.*``
+    metrics when that run ends, failed or not.
     """
 
     def __init__(self, scenario: ScaleoutScenario, num_partitions: int, *,
@@ -352,55 +324,16 @@ class Supervisor:
         self.worker_kills = 0
         self.snapshots_verified = 0
         self.setup_s = 0.0
-        self._counters = {}
-        self._gauges = {}
-        if registry is not None:
-            self._counters = {
-                "restarts": registry.counter(
-                    "scaleout.restarts",
-                    "worker processes respawned after a failure",
-                    unit="restarts"),
-                "replayed_windows": registry.counter(
-                    "scaleout.replayed_windows",
-                    "advance windows resent during log replay",
-                    unit="windows"),
-                "worker_kills": registry.counter(
-                    "scaleout.worker_kills",
-                    "workers SIGKILLed by chaos campaign events",
-                    unit="kills"),
-                "rounds": registry.counter(
-                    "scaleout.rounds",
-                    "coordinator barrier rounds driven", unit="rounds"),
-                "advances": registry.counter(
-                    "scaleout.advances",
-                    "advance grants actually sent (idle elision skips "
-                    "the rest)", unit="messages"),
-            }
-            self._gauges = {
-                "setup_s": registry.gauge(
-                    "scaleout.setup_s",
-                    "worker fork + fabric build time", unit="s"),
-                "coordinator_cpu_s": registry.gauge(
-                    "scaleout.coordinator_cpu_s",
-                    "coordinator CPU time over the steady phase", unit="s")}
-            for index in range(num_partitions):
-                self._counters[f"p{index}.envelopes"] = registry.counter(
-                    f"scaleout.p{index}.envelopes",
-                    f"envelopes routed to partition {index}",
-                    unit="envelopes")
-                self._counters[f"p{index}.restarts"] = registry.counter(
-                    f"scaleout.p{index}.restarts",
-                    f"partition {index} worker respawns", unit="restarts")
-                for phase, what in _PHASES.items():
-                    self._gauges[f"p{index}.{phase}"] = registry.gauge(
-                        f"scaleout.p{index}.{phase}",
-                        f"partition {index}: {what}", unit="s")
+        self.coordinator_cpu_s = 0.0
+        #: Envelopes routed, per destination partition.
+        self.routed = [0] * num_partitions
+        self.registry = registry
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
 
-    def run(self) -> SupervisorOutcome:
+    def run(self) -> ScaleoutResult:
         """Drive the full protocol; always reaps every worker on exit."""
         start = time.perf_counter()
         try:
@@ -411,7 +344,6 @@ class Supervisor:
             # Everything up to the last initial state report is setup —
             # fork, fabric build, traffic spawn — not exchange.
             self.setup_s = time.perf_counter() - start
-            self._set_gauge("setup_s", self.setup_s)
             steady, cpu = time.perf_counter(), time.process_time()
             while self._round():
                 pass
@@ -419,23 +351,21 @@ class Supervisor:
                 self._send(worker, ("finish",))
             self._collect()
             wall = time.perf_counter() - steady
-            coordinator_cpu = time.process_time() - cpu
-            self._set_gauge("coordinator_cpu_s", coordinator_cpu)
-            self._publish_timing()
+            self.coordinator_cpu_s = time.process_time() - cpu
         finally:
             try:
                 self._reap_all()
             finally:
                 self._selector.close()
-        events, sim_ns, fragments = 0, 0, []
-        for worker in self.workers:
-            _tag, fragment, worker_events, worker_now, _ipc = worker.result
-            fragments.append(fragment)
-            events += worker_events
-            sim_ns = max(sim_ns, worker_now)
-        return SupervisorOutcome(
-            fragments=fragments, events=events, sim_ns=sim_ns,
+                if self.registry is not None:
+                    self._publish(self.registry)
+        results = [worker.result for worker in self.workers]
+        return ScaleoutResult(
+            self.scenario.name, self.num_partitions,
+            events=sum(result[2] for result in results),
+            sim_ns=max(result[3] for result in results),
             wall_s=wall, rounds=self.rounds, envelopes=self.envelopes,
+            fingerprint=merge_fragments([result[1] for result in results]),
             restarts=self.restarts,
             replayed_windows=self.replayed_windows,
             worker_kills=self.worker_kills,
@@ -443,8 +373,43 @@ class Supervisor:
             setup_s=self.setup_s, advances=self.advances,
             timing={phase: [getattr(w, phase) for w in self.workers]
                     for phase in _PHASES},
-            coordinator_cpu_s=coordinator_cpu,
+            coordinator_cpu_s=self.coordinator_cpu_s,
             forensics=[w.forensics() for w in self.workers])
+
+    def _publish(self, registry) -> None:
+        """Write the run's ``scaleout.*`` metrics — once, at its end."""
+        for name, what, unit in (
+                ("restarts", "worker processes respawned after a failure",
+                 "restarts"),
+                ("replayed_windows",
+                 "advance windows resent during log replay", "windows"),
+                ("worker_kills",
+                 "workers SIGKILLed by chaos campaign events", "kills"),
+                ("rounds", "coordinator barrier rounds driven", "rounds"),
+                ("advances", "advance grants actually sent (idle elision "
+                 "skips the rest)", "messages")):
+            registry.counter(f"scaleout.{name}", what,
+                             unit=unit).inc(getattr(self, name))
+        for name, what in (
+                ("setup_s", "worker fork + fabric build time"),
+                ("coordinator_cpu_s",
+                 "coordinator CPU time over the steady phase")):
+            registry.gauge(f"scaleout.{name}", what,
+                           unit="s").set(getattr(self, name))
+        for index, worker in enumerate(self.workers):
+            registry.counter(
+                f"scaleout.p{index}.envelopes",
+                f"envelopes routed to partition {index}",
+                unit="envelopes").inc(self.routed[index])
+            registry.counter(
+                f"scaleout.p{index}.restarts",
+                f"partition {index} worker respawns",
+                unit="restarts").inc(worker.restarts)
+            for phase, what in _PHASES.items():
+                registry.gauge(
+                    f"scaleout.p{index}.{phase}",
+                    f"partition {index}: {what}",
+                    unit="s").set(getattr(worker, phase))
 
     def _round(self) -> bool:
         """Drive one batched barrier round; False when the run is done.
@@ -458,14 +423,12 @@ class Supervisor:
         if plan is None:
             return False
         self.rounds += 1
-        self._bump("rounds")
         for worker, grant in zip(self.workers, plan.grants):
             if grant is None:
                 continue
             self._send(worker, ("advance", grant,
                                 take_due(self.pending[worker.index], grant)))
             self.advances += 1
-            self._bump("advances")
             worker.last_window = grant
         self._fire_kills(plan.cap - 1)
         self._collect()
@@ -489,6 +452,8 @@ class Supervisor:
         self._selector.register(parent, selectors.EVENT_READ, (worker, True))
         self._selector.register(process.sentinel, selectors.EVENT_READ,
                                 (worker, False))
+        worker.sent = worker.heard = 0
+        worker.sent_at = None
         worker.deadline = time.monotonic() + self.hang_timeout_s
 
     # ------------------------------------------------------------------
@@ -496,18 +461,31 @@ class Supervisor:
     # ------------------------------------------------------------------
 
     def _send(self, worker: _Worker, message: tuple) -> None:
-        """Log then send; a broken pipe triggers recovery (which will
-        resend the just-logged message as the replay tail)."""
+        """Log ``message``; it goes out now if the worker has answered
+        everything before it, else when its catch-up gets there."""
         worker.log.append(message)
+        self._pump(worker)
+
+    def _pump(self, worker: _Worker) -> None:
+        """Lock-step: send the next log entry, if there is one and this
+        incarnation has answered every earlier one (its initial state
+        report included).  A broken pipe is a crash like any other."""
+        if worker.heard <= worker.sent or worker.sent == len(worker.log):
+            return
         cpu = time.process_time()
         try:
-            worker.conn.send(message)
-            worker.exchange_s += time.process_time() - cpu
-            worker.sent_at = time.perf_counter()
-            worker.deadline = time.monotonic() + self.hang_timeout_s
-        except (BrokenPipeError, OSError):
+            worker.conn.send(worker.log[worker.sent])
+        except OSError:
             self._recover(worker, "crash",
                           "pipe broke while sending the next command")
+            return
+        worker.exchange_s += time.process_time() - cpu
+        worker.sent += 1
+        # A resent, already-acknowledged position is recovery cost, not
+        # wait: only the round trip that will be absorbed is timed.
+        worker.sent_at = (time.perf_counter()
+                          if worker.sent >= worker.acked else None)
+        worker.deadline = time.monotonic() + self.hang_timeout_s
 
     def _collect(self) -> None:
         """Wait until every worker has answered everything sent so far,
@@ -575,18 +553,29 @@ class Supervisor:
         return message
 
     def _handle(self, worker: _Worker, message: tuple) -> None:
-        """Absorb one in-order response from a live worker."""
+        """Take one in-order response, then pump the worker's next entry.
+
+        A position below ``acked`` is a respawned worker re-answering
+        what its predecessor already answered — a deterministic
+        duplicate: its envelopes were routed then, so the outbox is
+        dropped, and a recorded snapshot digest must reproduce.  The
+        position ``== acked`` is absorbed the same way whichever
+        incarnation gives it.
+        """
         tag = message[0]
         if tag == "error":
             self._recover(worker, "exception", message[1])
             return
-        position = worker.acked
-        entry = None if position == 0 else worker.log[position - 1]
-        if tag == "state":
+        position = worker.heard
+        worker.heard += 1
+        worker.deadline = None
+        if position < worker.acked:
+            if tag == "snapshot":
+                self._verify_snapshot(worker, position, message)
+        elif tag == "state":
             self._absorb(worker, message)
             worker.acked += 1
-            worker.deadline = None
-            if entry is not None and entry[0] == "advance":
+            if position and worker.log[position - 1][0] == "advance":
                 worker.advances_since_snapshot += 1
                 if self.snapshot_every \
                         and worker.advances_since_snapshot \
@@ -599,16 +588,15 @@ class Supervisor:
                 self.scenario.name, fragment)
             worker.events = events
             worker.acked += 1
-            worker.deadline = None
         elif tag == "result":
             worker.result = message
             worker.events, worker.ipc_s = message[2], message[4]
             worker.acked += 1
-            worker.deadline = None
         else:  # pragma: no cover - protocol misuse
             raise ScaleoutError(
                 f"scale-out {self.scenario.name!r} partition "
                 f"{worker.index}: unknown worker response {tag!r}")
+        self._pump(worker)
 
     def _absorb(self, worker: _Worker, state: tuple) -> None:
         """Route one state report's envelopes; track peek, events and
@@ -621,87 +609,31 @@ class Supervisor:
         for envelope in outbox:
             destination = self.owners[envelope[3]]
             post(self.pending[destination], worker.index, envelope)
-            self._bump(f"p{destination}.envelopes")
+            self.routed[destination] += 1
 
     # ------------------------------------------------------------------
-    # failure handling: record, respawn, replay
+    # failure handling: record, reap, respawn
     # ------------------------------------------------------------------
 
     def _recover(self, worker: _Worker, reason: str, detail: str) -> None:
-        """Respawn ``worker`` and replay its log until it is caught up.
+        """Record the failure and respawn ``worker``; the new incarnation
+        catches up on the log through the ordinary wait (``_handle``).
 
         Raises :class:`ScaleoutError` with full forensics once the
         partition's restart budget is exhausted.
         """
-        while True:
-            self._record_failure(worker, reason, detail)
-            self._reap(worker)
-            if worker.restarts >= self.max_restarts:
-                self._give_up(worker, reason)
-            worker.restarts += 1
-            self.restarts += 1
-            self._bump("restarts")
-            self._bump(f"p{worker.index}.restarts")
-            delay = min(self.backoff_base_s * (2 ** (worker.restarts - 1)),
-                        _BACKOFF_CAP_S)
-            time.sleep(delay)
-            self._spawn(worker)
-            try:
-                self._replay(worker)
-                return
-            except _WorkerDied as died:
-                reason, detail = died.reason, died.detail
-
-    def _replay(self, worker: _Worker) -> None:
-        """Feed a fresh incarnation the full log, byte-for-byte.
-
-        Responses to positions ``< worker.acked`` are deterministic
-        duplicates: their envelopes were already routed, so outboxes are
-        discarded and snapshot digests are verified against the record.
-        The at-most-one position ``== worker.acked`` is the response the
-        dead incarnation never gave; it is absorbed normally.
-        """
-        # The pre-crash send timestamp would fold restart backoff into
-        # wait_s; replay round trips are recovery cost, not wait.
-        worker.sent_at = None
-        message = self._recv_replay(worker)
-        if message[0] != "state":  # pragma: no cover - protocol misuse
-            raise ScaleoutError(
-                f"scale-out {self.scenario.name!r} partition "
-                f"{worker.index}: replay expected a state report, "
-                f"got {message[0]!r}")
-        if worker.acked == 0:
-            self._absorb(worker, message)
-            worker.acked = 1
-        replayed = 0
-        # Snapshot the length: absorbing the tail response may append a
-        # fresh ("snapshot",) request (already sent by _send) that must
-        # not be re-sent by this loop.
-        log_len = len(worker.log)
-        for position in range(1, log_len + 1):
-            entry = worker.log[position - 1]
-            try:
-                worker.conn.send(entry)
-            except (BrokenPipeError, OSError):
-                raise _WorkerDied("crash",
-                                  "pipe broke during replay",
-                                  self._exit_code(worker)) from None
-            message = self._recv_replay(worker)
-            if entry[0] == "advance":
-                replayed += 1
-            if message[0] == "error":
-                raise _WorkerDied("exception", message[1],
-                                  self._exit_code(worker))
-            if position < worker.acked:
-                if entry[0] == "snapshot":
-                    self._verify_snapshot(worker, position, message)
-                continue
-            # The single unacknowledged position: absorb for real.
-            self._handle(worker, message)
-        self.replayed_windows += replayed
-        self._bump("replayed_windows", replayed)
-        worker.deadline = (time.monotonic() + self.hang_timeout_s
-                           if worker.outstanding else None)
+        self._record_failure(worker, reason, detail)
+        self._reap(worker)
+        if worker.restarts >= self.max_restarts:
+            self._give_up(worker, reason)
+        worker.restarts += 1
+        self.restarts += 1
+        # Every advance logged so far goes to the new incarnation again.
+        self.replayed_windows += sum(entry[0] == "advance"
+                                     for entry in worker.log)
+        time.sleep(min(self.backoff_base_s * 2 ** (worker.restarts - 1),
+                       _BACKOFF_CAP_S))
+        self._spawn(worker)
 
     def _verify_snapshot(self, worker: _Worker, position: int,
                          message: tuple) -> None:
@@ -717,40 +649,6 @@ class Supervisor:
                 f"{recorded[:16]}); the determinism contract is broken",
                 forensics=[w.forensics() for w in self.workers])
         self.snapshots_verified += 1
-
-    def _recv_replay(self, worker: _Worker) -> tuple:
-        """One blocking, deadline-guarded receive during replay."""
-        deadline = time.monotonic() + self.hang_timeout_s
-        parked = []
-        try:
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._kill_process(worker)
-                    raise _WorkerDied(
-                        "hang",
-                        f"no answer within {self.hang_timeout_s:.1f}s "
-                        f"during replay", self._exit_code(worker))
-                for key, _events in self._selector.select(remaining):
-                    if key.data[0] is not worker:
-                        # Somebody else's answer stays in its pipe for
-                        # _collect; parked so it cannot wake this wait.
-                        self._selector.unregister(key.fileobj)
-                        parked.append(key)
-                    elif key.data[1] or worker.conn.poll(0):
-                        try:
-                            return worker.conn.recv()
-                        except (EOFError, OSError):
-                            raise _WorkerDied(
-                                "crash", "pipe EOF during replay",
-                                self._exit_code(worker)) from None
-                    else:
-                        raise _WorkerDied(
-                            "crash", "worker died during replay",
-                            self._exit_code(worker))
-        finally:
-            for key in parked:
-                self._selector.register(key.fileobj, key.events, key.data)
 
     def _record_failure(self, worker: _Worker, reason: str,
                         detail: str) -> None:
@@ -851,20 +749,3 @@ class Supervisor:
                     continue
                 os.kill(process.pid, signal.SIGKILL)
                 self.worker_kills += 1
-                self._bump("worker_kills")
-
-    def _bump(self, name: str, amount: int = 1) -> None:
-        counter = self._counters.get(name)
-        if counter is not None and amount > 0:
-            counter.inc(amount)
-
-    def _set_gauge(self, name: str, value: float) -> None:
-        gauge = self._gauges.get(name)
-        if gauge is not None:
-            gauge.set(value)
-
-    def _publish_timing(self) -> None:
-        for worker in self.workers:
-            for phase in _PHASES:
-                self._set_gauge(f"p{worker.index}.{phase}",
-                                getattr(worker, phase))

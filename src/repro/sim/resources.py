@@ -184,10 +184,6 @@ class Broadcast:
         self.sim = sim
         self._waiters: list[Event] = []
 
-    @property
-    def waiter_count(self) -> int:
-        return len(self._waiters)
-
     def wait(self) -> Event:
         event = self.sim.event()
         self._waiters.append(event)

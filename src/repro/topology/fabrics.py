@@ -65,10 +65,6 @@ class FabricSpec:
     def cab_names(self) -> tuple[str, ...]:
         return tuple(cab for cab, _hub, _port in self.cabs)
 
-    def hub_index(self) -> dict[str, int]:
-        """Hub name -> position in construction order."""
-        return {name: index for index, name in enumerate(self.hubs)}
-
     def adjacency(self) -> dict[str, set[str]]:
         """Hub-level neighbour sets (for reference BFS in tests)."""
         graph: dict[str, set[str]] = {hub: set() for hub in self.hubs}

@@ -329,6 +329,41 @@ def test_run_partitioned_with_one_partition_is_single(torus16_reference):
     assert result.partitions == 1
 
 
+def test_mismatch_is_the_parity_rule(torus16_reference):
+    from dataclasses import replace
+    from repro.faults import FaultEvent, FaultScenario
+    from repro.scaleout import escl_campaign
+    reference = torus16_reference
+    sharded = replace(reference, partitions=4)
+    assert sharded.mismatch(reference) is None
+    # A moved digest names both digests, whatever the event counts say.
+    other = replace(sharded, fingerprint={**reference.fingerprint,
+                                          "sent": {}})
+    message = other.mismatch(reference)
+    assert other.digest in message and reference.digest in message
+    assert "single-process" in message
+    # Equal digests, moved events: both counts are named...
+    more = replace(sharded, events=reference.events + 3)
+    message = more.mismatch(reference)
+    assert f"{more.events} events" in message
+    assert f"single-process {reference.events}" in message
+    # ...unless in-simulation faults are armed: a driver process spawns
+    # per partition holding a matched target, so totals may differ.
+    campaign = escl_campaign("drop-burst",
+                             scenarios()["escl-torus-16"].config())
+    assert more.mismatch(reference, campaign) is None
+    assert other.mismatch(reference, campaign) is not None
+    # Process-level kills change nothing inside any simulation.
+    kills = FaultScenario("k", [FaultEvent("kill_worker", 0, 0, target="*")])
+    assert more.mismatch(reference, kills) is not None
+    assert "2-partition" in more.mismatch(replace(reference, partitions=2))
+
+
+def test_verify_is_gone():
+    import repro.scaleout
+    assert not hasattr(repro.scaleout, "verify")
+
+
 # ----------------------------------------------------------------------
 # batched rounds
 # ----------------------------------------------------------------------

@@ -128,10 +128,7 @@ class TestChaosRecovery:
         # snapshot position and reproduced the fragment byte-for-byte.
         assert outcome.snapshots_verified >= 1
         assert outcome.worker_kills >= 1
-        from repro.scaleout import fingerprint_digest, merge_fragments
-        digest = fingerprint_digest(scenario.name,
-                                    merge_fragments(outcome.fragments))
-        assert digest == torus16_reference.digest
+        assert outcome.digest == torus16_reference.digest
 
     @pytest.mark.parametrize("batch", [1, 8])
     def test_kill_mid_batch_recovers_bit_identical(self, torus16_reference,
@@ -280,6 +277,41 @@ class TestWaitPath:
             supervisor._reap_all()
             supervisor._selector.close()
 
+    def test_other_workers_answers_are_absorbed_while_one_catches_up(self):
+        import signal
+        supervisor = Supervisor(scenarios()["escl-torus-16"], 2,
+                                backoff_base_s=0.01)
+        victim, other = supervisor.workers
+        try:
+            for worker in supervisor.workers:
+                supervisor._spawn(worker)
+            supervisor._collect()
+            dead_fds = list(victim.watched)
+            os.kill(victim.process.pid, signal.SIGKILL)
+            victim.process.join(30)
+            unregistered = []
+            unregister = supervisor._selector.unregister
+
+            def spying_unregister(fileobj):
+                unregistered.append(fileobj)
+                return unregister(fileobj)
+
+            supervisor._selector.unregister = spying_unregister
+            # The other worker's answer is already on its way when the
+            # broken pipe respawns the victim...
+            supervisor._send(other, ("snapshot",))
+            supervisor._send(victim, ("snapshot",))
+            assert supervisor.restarts == 1 and victim.heard == 0
+            supervisor._collect()
+            # ...and the one wait takes both: nobody's registration is
+            # parked to keep it from waking a second, private wait.
+            assert unregistered == dead_fds
+            assert not victim.outstanding and not other.outstanding
+            assert victim.heard == victim.acked == 2
+        finally:
+            supervisor._reap_all()
+            supervisor._selector.close()
+
     def test_respawn_unregisters_the_dead_incarnations_fds(
             self, torus16_reference):
         audits = []
@@ -304,10 +336,7 @@ class TestWaitPath:
         # one would show up as a registration no live worker owns.
         assert outcome.restarts >= 1
         assert len(audits) == 4 + outcome.restarts and all(audits)
-        from repro.scaleout import fingerprint_digest, merge_fragments
-        assert fingerprint_digest(
-            scenario.name, merge_fragments(outcome.fragments)) \
-            == torus16_reference.digest
+        assert outcome.digest == torus16_reference.digest
 
     def test_envelope_bodies_are_bytes_everywhere_in_the_coordinator(self):
         import ast
@@ -393,10 +422,63 @@ class TestErrorPaths:
         assert outcome.restarts == 1
         entry = outcome.forensics[1]
         assert entry["failures"][0]["reason"] == "hang"
-        from repro.scaleout import fingerprint_digest, merge_fragments
-        digest = fingerprint_digest(scenario.name,
-                                    merge_fragments(outcome.fragments))
-        assert digest == torus16_reference.digest
+        assert outcome.digest == torus16_reference.digest
+
+    @pytest.fixture
+    def dies_twice(self, monkeypatch, tmp_path):
+        """Partition 1 raises in its first two incarnations: mid-run,
+        then *earlier* — while still re-answering acknowledged windows."""
+        counter = tmp_path / "incarnations"
+        counter.write_text("0")
+        limits = {1: 50_000, 2: 20_000}
+        mine = []  # this process's incarnation number, once it has run
+        original = PartitionSystem.run
+
+        def flaky_run(self, until=None):
+            if self.index == 1 and until is not None:
+                if not mine:
+                    mine.append(int(counter.read_text()) + 1)
+                    counter.write_text(str(mine[0]))
+                if until > limits.get(mine[0], until):
+                    raise RuntimeError("injected failure for testing")
+            return original(self, until=until)
+
+        # Workers fork from this process, so they inherit the patch.
+        monkeypatch.setattr(PartitionSystem, "run", flaky_run)
+
+    def test_death_while_catching_up_is_an_ordinary_failure(
+            self, dies_twice, torus16_reference):
+        result = run_partitioned(scenarios()["escl-torus-16"], 4,
+                                 max_restarts=2, backoff_base_s=0.01)
+        assert result.restarts == 2
+        first, second = result.forensics[1]["failures"]
+        assert first["reason"] == second["reason"] == "exception"
+        # The second incarnation never got past what the first had
+        # already answered: nothing new was acknowledged in between.
+        assert second["acked_responses"] == first["acked_responses"]
+        assert result.mismatch(torus16_reference) is None
+
+    def test_death_while_catching_up_counts_against_the_budget(
+            self, dies_twice):
+        import multiprocessing
+        from repro.observe import MetricRegistry
+        registry = MetricRegistry()
+        with pytest.raises(ScaleoutError) as excinfo:
+            run_partitioned(scenarios()["escl-torus-16"], 4,
+                            max_restarts=1, backoff_base_s=0.01,
+                            registry=registry)
+        assert "partition 1" in str(excinfo.value)
+        entry = [f for f in excinfo.value.forensics
+                 if f["partition"] == 1][0]
+        assert entry["restarts"] == 1
+        assert [f["reason"] for f in entry["failures"]] \
+            == ["exception", "exception"]
+        assert multiprocessing.active_children() == []
+        # The metrics are published on the way out of a failed run too.
+        assert registry.get("scaleout.restarts").value() == 1
+        assert [registry.get(f"scaleout.p{i}.restarts").value()
+                for i in range(4)] == [0, 1, 0, 0]
+        assert registry.get("scaleout.rounds").value() > 0
 
     def test_budget_exhaustion_names_scenario_and_partition(self):
         scenario = scenarios()["escl-torus-16"]

@@ -108,13 +108,10 @@ def sweep_partitioned(seeds: list[int], scale: float,
                                   faults=campaigns[faults])
             cell = f"p{partitions}-b{batch}" + (f"+{faults}" if faults else "")
             digests[cell] = run.digest
-            if run.digest != single[faults].digest:
-                broken.append(f"PARITY {PARTITIONED} seed {seed} {cell}: "
-                              f"digest differs from single-process")
-            elif not faults and run.events != single[None].events:
-                broken.append(f"PARITY {PARTITIONED} seed {seed} {cell}: "
-                              f"{run.events} events, single-process "
-                              f"{single[None].events}")
+            problem = run.mismatch(single[faults], campaigns[faults])
+            if problem:
+                broken.append(
+                    f"PARITY {PARTITIONED} seed {seed} {cell}: {problem}")
         rows[str(seed)] = {"events": single[None].events, "digests": digests}
     return rows, broken
 
