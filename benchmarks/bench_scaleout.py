@@ -121,8 +121,7 @@ def test_escl6_recovery_overhead(benchmark):
         clean = run_partitioned(scenario, 4)
         kills = escl_campaign("worker-kill", scenario.config(),
                               partitions=4)
-        chaos = run_partitioned(scenario, 4, faults=kills,
-                                backoff_base_s=0.01)
+        chaos = run_partitioned(scenario, 4, faults=kills)
         return {
             "match": (clean.mismatch(reference) is None
                       and chaos.mismatch(reference, kills) is None),

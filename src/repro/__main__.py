@@ -23,9 +23,9 @@
   see ``docs/PERFORMANCE.md``).
 * ``python -m repro scaleout`` — E-SCL partitioned scale-out runs:
   shard a large fabric across worker processes under conservative
-  lookahead, report events/s and goodput per partition count, and
-  (``--verify``) assert partitioned digests bit-identical to the
-  single-process reference (``docs/SCALEOUT.md``).
+  lookahead, report events/s and goodput per partition count, and —
+  whenever two or more counts are given — assert every run's digest
+  bit-identical to the first (``docs/SCALEOUT.md``).
 
 For the complete suite use ``pytest benchmarks/ --benchmark-only -s``.
 """
@@ -329,6 +329,9 @@ def run_scaleout(args: argparse.Namespace) -> int:
     if args.max_restarts < 0:
         print("error: --max-restarts must be >= 0", file=sys.stderr)
         return 2
+    if args.batch < 1:
+        print("error: --batch must be >= 1", file=sys.stderr)
+        return 2
     fault_events = []
     if args.faults is not None:
         campaign = escl_campaign(args.faults, scenario.config())
@@ -390,7 +393,7 @@ def run_scaleout(args: argparse.Namespace) -> int:
               f"{result.setup_s:6.3f}s {result.events_per_sec:10,.0f} "
               f"{result.goodput_mbps:6.0f} Mb/s {result.rounds:6d} "
               f"{result.restarts:8d}  {result.digest[:16]}")
-    if args.verify or len(counts) > 1:
+    if len(counts) > 1:
         broken = [f"  {result.partitions} partitions: {problem}"
                   for result in results[1:]
                   if (problem := result.mismatch(results[0], faults))]
@@ -581,12 +584,9 @@ def build_parser() -> argparse.ArgumentParser:
              "repro.scaleout.scenarios())")
     scaleout.add_argument(
         "--partitions", default="1,2,4",
-        help="comma-separated partition counts to run "
-             "(default: 1,2,4; 1 = single-process reference)")
-    scaleout.add_argument(
-        "--verify", action="store_true",
-        help="exit non-zero unless every run's digest and event count "
-             "match (implied when multiple counts are given)")
+        help="comma-separated partition counts (default: 1,2,4; 1 = "
+             "single-process reference); later runs are held to the first "
+             "one's digest (and event count, unfaulted): exit 1 on drift")
     scaleout.add_argument(
         "--chaos", action="store_true",
         help="SIGKILL a seeded-random worker mid-run (worker-kill "

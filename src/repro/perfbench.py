@@ -403,7 +403,7 @@ def _build_scaleout(scenario_name: str):
     Runs the scale-out workload single-process so the perf harness
     tracks the same fabrics the partitioned runs shard; the partitioned
     digests are asserted against these runs by ``python -m repro
-    scaleout --verify`` and the CI scale-out smoke.
+    scaleout --partitions 1,2,4`` and the CI scale-out smoke.
     """
     def build(trace: bool):
         from .scaleout import scenarios as scaleout_scenarios

@@ -227,8 +227,6 @@ class ScaleoutResult:
     replayed_windows: int = 0
     #: Workers SIGKILLed by chaos (``kill_worker``) campaign events.
     worker_kills: int = 0
-    #: Recorded snapshot digests a respawned worker reproduced.
-    snapshots_verified: int = 0
     #: One-time startup cost — worker fork + fabric build (partitioned)
     #: or fabric build + traffic spawn (single-process).  Kept out of
     #: ``wall_s`` so ``events_per_sec`` measures steady-state work.

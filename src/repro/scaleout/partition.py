@@ -301,7 +301,6 @@ class PartitionSystem:
         self._seq = 0
 
         local = set(partitioning.parts[index])
-        owners = partitioning.owner_map()
         every: dict[str, Any] = {}
         for name in fabric.hubs:
             if name in local:
@@ -340,11 +339,6 @@ class PartitionSystem:
             wire_cab_to_hub(self.sim, board, hub, port,
                             rng_factory=self.cfg.rng_stream)
             self.cabs[cab_name] = CabStack(self, board)
-        self.neighbour_partitions = tuple(sorted(
-            {owners[a] for a, _pa, b, _pb in partitioning.cut_links()
-             if b in local}
-            | {owners[b] for a, _pa, b, _pb in partitioning.cut_links()
-               if a in local}))
 
     def _wire_boundary(self, local_hub: str, local_port: int,
                        remote_hub: str, remote_port: int) -> None:

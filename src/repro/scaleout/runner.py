@@ -8,15 +8,16 @@ coordinator in :mod:`repro.scaleout.supervisor`, which drives the
 conservative-lookahead barrier protocol stated in ``docs/SCALEOUT.md``
 ("The synchronization protocol", "Batched windows") with the grants
 :mod:`repro.scaleout.planner` computes, recovers dead or hung workers by
-respawn + window-log replay, and can apply fault campaigns.  Failures
-past the restart budget surface as :class:`~repro.errors.ScaleoutError`
-with per-partition forensics.
+respawn + window-log replay (checking every replayed answer against the
+one it duplicates), and can apply fault campaigns.  Failures past the
+restart budget, and a replay that diverges, surface as
+:class:`~repro.errors.ScaleoutError` with per-partition forensics.
 
 Every run shape returns a :class:`~repro.scaleout.escl.ScaleoutResult`;
 ``result.mismatch(reference, faults)`` is the one statement of the
 parity rule — digest bit-identical to the single-process run, and event
-count too unless an in-simulation fault is armed — that the CLI's
-``--verify``, ``benchmarks/bench_scaleout.py`` and
+count too unless an in-simulation fault is armed — that the CLI (given
+two or more partition counts), ``benchmarks/bench_scaleout.py`` and
 ``tools/result_sweep.py`` all gate on: see ``docs/SCALEOUT.md``.
 """
 
@@ -61,28 +62,19 @@ def run_single(scenario: ScaleoutScenario,
 
 
 def run_partitioned(scenario: ScaleoutScenario, num_partitions: int, *,
-                    faults=None, max_restarts: int = 2,
-                    hang_timeout_s: float = 600.0,
-                    backoff_base_s: float = 0.05,
-                    snapshot_every: int = 0,
-                    batch: int = 8, registry=None) -> ScaleoutResult:
+                    faults=None, **options) -> ScaleoutResult:
     """Run the scenario sharded across ``num_partitions`` processes.
 
-    Delegates to the crash-tolerant :class:`Supervisor`: workers that
-    crash, hang, or get SIGKILLed by a chaos campaign are respawned and
-    replayed from the window log, up to ``max_restarts`` times per
-    partition, after which :class:`~repro.errors.ScaleoutError` carries
-    the per-partition forensics.  ``batch`` is the budget of
-    lookahead-widths granted per barrier round (1 = the classic
-    window-per-round protocol); it leaves the digest bit-identical.
-    ``registry`` (a :class:`~repro.observe.MetricRegistry`) receives
-    the recovery counters plus the per-partition round-timing breakdown
-    as ``scaleout.*`` metrics when the run ends, failed or not.
+    With fewer than two partitions this is :func:`run_single`; else the
+    keywords go to the crash-tolerant :class:`Supervisor`, which owns
+    them and their defaults: ``max_restarts`` respawns per partition
+    before :class:`~repro.errors.ScaleoutError` carries the forensics,
+    ``batch`` lookahead-widths granted per barrier round (1 = the
+    classic protocol; the digest is bit-identical either way), and a
+    ``registry`` (:class:`~repro.observe.MetricRegistry`) that receives
+    the ``scaleout.*`` metrics when the run ends, failed or not.
     """
     if num_partitions < 2:
         return run_single(scenario, faults=faults)
-    return Supervisor(
-        scenario, num_partitions, faults=faults,
-        max_restarts=max_restarts, hang_timeout_s=hang_timeout_s,
-        backoff_base_s=backoff_base_s, snapshot_every=snapshot_every,
-        batch=batch, registry=registry).run()
+    return Supervisor(scenario, num_partitions, faults=faults,
+                      **options).run()

@@ -25,22 +25,17 @@ death as a recoverable event:
   how much of the log it has been sent and how many answers it has
   given, and each answer absorbed by the ordinary wait pumps the next
   log entry to it in lock-step.  Answers to already-acknowledged
-  positions are discarded (their envelopes were already routed — replay
-  makes them deterministic duplicates); the at-most-one unacknowledged
-  answer is absorbed exactly as the dead incarnation's would have been.
-  A death or hang *while catching up* is a failure like any other.
-  Restarts are bounded (``max_restarts`` per partition) with
-  exponential backoff between attempts.
-
-* **Snapshot verification.**  True log compaction is impossible here:
-  worker state lives in Python generator frames (the kernel threads on
-  the simulator agenda), which cannot pickle, so there is no checkpoint
-  to restart from and the log is never truncated.  What the ``snapshot``
-  command *can* do is pickle the worker's fragment-so-far; the
-  supervisor records its digest per log position and hard-checks that
-  a respawned worker catching up reproduces every recorded snapshot
-  byte-for-byte — a replay-fidelity witness, and fragment
-  forensics for post-mortems.
+  positions are deterministic duplicates (their envelopes were already
+  routed), so their outboxes are dropped — but each must match the
+  witness ``(peek, events processed, outbox length)`` recorded when the
+  position was first absorbed, or the run stops with "replay
+  diverged".  The at-most-one unacknowledged answer is absorbed exactly
+  as the dead incarnation's would have been.  A death or hang *while
+  catching up* is a failure like any other.  Restarts are bounded
+  (``max_restarts`` per partition) and immediate: a respawn forks a
+  fresh deterministic worker and waits on nothing external.  Worker
+  state lives in Python generator frames, which cannot pickle, so there
+  is no checkpoint to restart from and the log is never truncated.
 
 * **Graceful degradation.**  When a partition exhausts its restart
   budget the supervisor reaps every worker (terminate, then SIGKILL,
@@ -80,16 +75,16 @@ from typing import Any, Optional
 from ..errors import ScaleoutError
 from ..faults.campaigns import build_campaign
 from ..faults.scenario import FaultEvent, FaultScenario
-from .escl import (ScaleoutResult, ScaleoutScenario, fingerprint_digest,
-                   merge_fragments, scenarios, spawn_traffic)
+from .escl import (ScaleoutResult, ScaleoutScenario, merge_fragments,
+                   scenarios, spawn_traffic)
 from .partition import (PartitionSystem, lookahead_matrix, lookahead_ns,
                         partition_fabric)
 from .planner import plan_round, post, take_due
 
 __all__ = ["Supervisor", "escl_campaign"]
 
-#: Hard ceiling on the exponential restart backoff (seconds).
-_BACKOFF_CAP_S = 2.0
+#: Seconds a worker may take over one answer before it counts as hung.
+HANG_TIMEOUT_S = 600.0
 #: Seconds granted to each escalation step when reaping a worker.
 _REAP_STEP_S = 5.0
 #: The round-timing buckets every worker accumulates (see ``_Worker``),
@@ -134,8 +129,6 @@ def _worker_main(conn, scenario_name: str, num_partitions: int,
       answer ``("state", peek, outbox, events_processed, compute_s)``
       where ``compute_s`` is the wall time this advance spent inside
       ``run`` — the worker's share of the round-timing breakdown.
-    * ``("snapshot",)`` → answer ``("snapshot", fragment,
-      events_processed, now)`` — the picklable fragment-so-far.
     * ``("finish",)`` → answer ``("result", fragment, events_processed,
       now, ipc_s)`` and exit; ``ipc_s`` is the CPU time the loop spent
       *outside* ``run``: receiving, decoding + injecting, sending.
@@ -175,9 +168,6 @@ def _worker_main(conn, scenario_name: str, num_partitions: int,
                 cpu = time.process_time()
                 conn.send(("state", system.peek(), system.drain_outbox(),
                            system.sim.events_processed, compute))
-            elif message[0] == "snapshot":
-                conn.send(("snapshot", traffic.fragment(),
-                           system.sim.events_processed, system.now))
             elif message[0] == "finish":
                 conn.send(("result", traffic.fragment(),
                            system.sim.events_processed, system.now,
@@ -233,10 +223,10 @@ class _Worker:
         self.deadline: Optional[float] = None
         self.restarts = 0
         self.failures: list[dict[str, Any]] = []
-        #: Log position -> fragment digest, recorded at ``snapshot``
-        #: responses and re-checked during replay.
-        self.snapshots: dict[int, str] = {}
-        self.advances_since_snapshot = 0
+        #: Per absorbed state report, by response position: ``(peek,
+        #: events processed, outbox length)`` — what a respawned worker
+        #: re-answering that position must reproduce.
+        self.witness: list[tuple] = []
         self.last_window: Optional[int] = None
         self.events = 0
         self.result: Optional[tuple] = None
@@ -272,9 +262,8 @@ class Supervisor:
 
     def __init__(self, scenario: ScaleoutScenario, num_partitions: int, *,
                  faults: Optional[FaultScenario] = None,
-                 max_restarts: int = 2, hang_timeout_s: float = 600.0,
-                 backoff_base_s: float = 0.05, snapshot_every: int = 0,
-                 batch: int = 8, registry=None) -> None:
+                 max_restarts: int = 2, batch: int = 8,
+                 registry=None) -> None:
         if num_partitions < 2:
             raise ScaleoutError(
                 "the supervisor coordinates >= 2 workers; "
@@ -285,9 +274,6 @@ class Supervisor:
         self.scenario = scenario
         self.num_partitions = num_partitions
         self.max_restarts = max_restarts
-        self.hang_timeout_s = hang_timeout_s
-        self.backoff_base_s = backoff_base_s
-        self.snapshot_every = snapshot_every
         self.batch = batch
         self.partitioning = partition_fabric(scenario.fabric,
                                              num_partitions)
@@ -322,7 +308,6 @@ class Supervisor:
         self.restarts = 0
         self.replayed_windows = 0
         self.worker_kills = 0
-        self.snapshots_verified = 0
         self.setup_s = 0.0
         self.coordinator_cpu_s = 0.0
         #: Envelopes routed, per destination partition.
@@ -369,7 +354,6 @@ class Supervisor:
             restarts=self.restarts,
             replayed_windows=self.replayed_windows,
             worker_kills=self.worker_kills,
-            snapshots_verified=self.snapshots_verified,
             setup_s=self.setup_s, advances=self.advances,
             timing={phase: [getattr(w, phase) for w in self.workers]
                     for phase in _PHASES},
@@ -454,7 +438,7 @@ class Supervisor:
                                 (worker, False))
         worker.sent = worker.heard = 0
         worker.sent_at = None
-        worker.deadline = time.monotonic() + self.hang_timeout_s
+        worker.deadline = time.monotonic() + HANG_TIMEOUT_S
 
     # ------------------------------------------------------------------
     # sending and collecting
@@ -485,7 +469,7 @@ class Supervisor:
         # wait: only the round trip that will be absorbed is timed.
         worker.sent_at = (time.perf_counter()
                           if worker.sent >= worker.acked else None)
-        worker.deadline = time.monotonic() + self.hang_timeout_s
+        worker.deadline = time.monotonic() + HANG_TIMEOUT_S
 
     def _collect(self) -> None:
         """Wait until every worker has answered everything sent so far,
@@ -502,7 +486,7 @@ class Supervisor:
                 self._kill_process(worker)
                 self._recover(
                     worker, "hang",
-                    f"no answer within {self.hang_timeout_s:.1f}s "
+                    f"no answer within {HANG_TIMEOUT_S:.1f}s "
                     f"(last window {worker.last_window})")
                 continue
             timeout = min(w.deadline for w in lagging
@@ -558,9 +542,9 @@ class Supervisor:
         A position below ``acked`` is a respawned worker re-answering
         what its predecessor already answered — a deterministic
         duplicate: its envelopes were routed then, so the outbox is
-        dropped, and a recorded snapshot digest must reproduce.  The
-        position ``== acked`` is absorbed the same way whichever
-        incarnation gives it.
+        dropped, but it must match the position's witness or the run
+        stops.  The position ``== acked`` is absorbed the same way
+        whichever incarnation gives it.
         """
         tag = message[0]
         if tag == "error":
@@ -570,23 +554,19 @@ class Supervisor:
         worker.heard += 1
         worker.deadline = None
         if position < worker.acked:
-            if tag == "snapshot":
-                self._verify_snapshot(worker, position, message)
+            # Only state reports precede the last position (the result).
+            replayed = (message[1], message[3], len(message[2]))
+            if replayed != worker.witness[position]:
+                self._reap_all()
+                raise ScaleoutError(
+                    f"scale-out {self.scenario.name!r} partition "
+                    f"{worker.index}: replay diverged at log position "
+                    f"{position} ((peek, events, envelopes) {replayed} != "
+                    f"recorded {worker.witness[position]}); the "
+                    f"determinism contract is broken",
+                    forensics=[w.forensics() for w in self.workers])
         elif tag == "state":
             self._absorb(worker, message)
-            worker.acked += 1
-            if position and worker.log[position - 1][0] == "advance":
-                worker.advances_since_snapshot += 1
-                if self.snapshot_every \
-                        and worker.advances_since_snapshot \
-                        >= self.snapshot_every:
-                    worker.advances_since_snapshot = 0
-                    self._send(worker, ("snapshot",))
-        elif tag == "snapshot":
-            _tag, fragment, events, _now = message
-            worker.snapshots[position] = fingerprint_digest(
-                self.scenario.name, fragment)
-            worker.events = events
             worker.acked += 1
         elif tag == "result":
             worker.result = message
@@ -599,9 +579,10 @@ class Supervisor:
         self._pump(worker)
 
     def _absorb(self, worker: _Worker, state: tuple) -> None:
-        """Route one state report's envelopes; track peek, events and
-        the worker's reported compute time."""
+        """Route one state report's envelopes; track peek, events, the
+        worker's reported compute time and the position's witness."""
         _tag, peek, outbox, events, compute = state
+        worker.witness.append((peek, events, len(outbox)))
         worker.compute_s += compute
         self.peeks[worker.index] = peek
         worker.events = events
@@ -631,24 +612,7 @@ class Supervisor:
         # Every advance logged so far goes to the new incarnation again.
         self.replayed_windows += sum(entry[0] == "advance"
                                      for entry in worker.log)
-        time.sleep(min(self.backoff_base_s * 2 ** (worker.restarts - 1),
-                       _BACKOFF_CAP_S))
         self._spawn(worker)
-
-    def _verify_snapshot(self, worker: _Worker, position: int,
-                         message: tuple) -> None:
-        """Replay-fidelity hard check: same position, same fragment."""
-        digest = fingerprint_digest(self.scenario.name, message[1])
-        recorded = worker.snapshots.get(position)
-        if recorded is not None and recorded != digest:
-            self._reap_all()
-            raise ScaleoutError(
-                f"scale-out {self.scenario.name!r} partition "
-                f"{worker.index}: replay diverged at log position "
-                f"{position} (snapshot digest {digest[:16]} != recorded "
-                f"{recorded[:16]}); the determinism contract is broken",
-                forensics=[w.forensics() for w in self.workers])
-        self.snapshots_verified += 1
 
     def _record_failure(self, worker: _Worker, reason: str,
                         detail: str) -> None:

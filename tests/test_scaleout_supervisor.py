@@ -21,6 +21,7 @@ from repro.faults import (PROCESS_KINDS, FaultEvent, FaultInjector,
                           FaultScenario, build_campaign)
 from repro.scaleout import (Supervisor, escl_campaign, run_partitioned,
                             run_single, scenarios)
+from repro.scaleout import supervisor as supervisor_module
 from repro.scaleout.partition import PartitionSystem
 from repro.topology import single_hub_system
 
@@ -28,6 +29,29 @@ from repro.topology import single_hub_system
 @pytest.fixture(scope="module")
 def torus16_reference():
     return run_single(scenarios()["escl-torus-16"])
+
+
+def _patch_partition_one_run(monkeypatch, tmp_path, until_for):
+    """Make partition 1 run to ``until_for(incarnation, until)``.
+
+    Each incarnation is its own forked process, so they are numbered
+    (from 1) through a counter file; ``until_for`` may also raise.
+    """
+    counter = tmp_path / "incarnations"
+    counter.write_text("0")
+    mine = []  # this process's incarnation number, once it has run
+    original = PartitionSystem.run
+
+    def patched_run(self, until=None):
+        if self.index == 1 and until is not None:
+            if not mine:
+                mine.append(int(counter.read_text()) + 1)
+                counter.write_text(str(mine[0]))
+            until = until_for(mine[0], until)
+        return original(self, until=until)
+
+    # Workers fork from this process, so they inherit the patch.
+    monkeypatch.setattr(PartitionSystem, "run", patched_run)
 
 
 # ----------------------------------------------------------------------
@@ -98,8 +122,7 @@ class TestChaosRecovery:
         reference = run_single(scenario)
         kills = escl_campaign("worker-kill", scenario.config(),
                               partitions=4)
-        result = run_partitioned(scenario, 4, faults=kills,
-                                 backoff_base_s=0.01)
+        result = run_partitioned(scenario, 4, faults=kills)
         assert result.worker_kills >= 1
         assert result.restarts >= 1
         assert result.replayed_windows > 0
@@ -110,25 +133,27 @@ class TestChaosRecovery:
         scenario = scenarios()["escl-torus-16"]
         early = FaultScenario("early-kill", [
             FaultEvent("kill_worker", 0, 0, target="1")])
-        result = run_partitioned(scenario, 4, faults=early,
-                                 backoff_base_s=0.01)
+        result = run_partitioned(scenario, 4, faults=early)
         assert result.worker_kills == 1
         assert result.restarts == 1
         assert result.digest == torus16_reference.digest
         assert result.events == torus16_reference.events
 
-    def test_snapshots_verified_during_replay(self, torus16_reference):
-        scenario = scenarios()["escl-torus-16"]
-        kills = escl_campaign("worker-kill", scenario.config(),
-                              partitions=4)
-        supervisor = Supervisor(scenario, 4, faults=kills,
-                                snapshot_every=8, backoff_base_s=0.01)
-        outcome = supervisor.run()
-        # The killed worker replayed past at least one recorded
-        # snapshot position and reproduced the fragment byte-for-byte.
-        assert outcome.snapshots_verified >= 1
-        assert outcome.worker_kills >= 1
-        assert outcome.digest == torus16_reference.digest
+    def test_replay_divergence_is_caught(self, monkeypatch, tmp_path):
+        import multiprocessing
+        # Partition 1's second incarnation runs a microsecond past every
+        # grant, so its very first re-answer already reports other
+        # events than the first incarnation's did.
+        _patch_partition_one_run(
+            monkeypatch, tmp_path,
+            lambda incarnation, until: until + 1_000 * (incarnation == 2))
+        kill = FaultScenario("k", [
+            FaultEvent("kill_worker", 50_000, 0, target="1")])
+        with pytest.raises(ScaleoutError,
+                           match="partition 1: replay diverged") as excinfo:
+            run_partitioned(scenarios()["escl-torus-16"], 4, faults=kill)
+        assert len(excinfo.value.forensics) == 4
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("batch", [1, 8])
     def test_kill_mid_batch_recovers_bit_identical(self, torus16_reference,
@@ -139,8 +164,7 @@ class TestChaosRecovery:
         scenario = scenarios()["escl-torus-16"]
         kills = escl_campaign("worker-kill", scenario.config(),
                               partitions=4)
-        result = run_partitioned(scenario, 4, faults=kills, batch=batch,
-                                 backoff_base_s=0.01)
+        result = run_partitioned(scenario, 4, faults=kills, batch=batch)
         assert result.worker_kills >= 1
         assert result.restarts >= 1
         assert result.digest == torus16_reference.digest
@@ -152,8 +176,7 @@ class TestChaosRecovery:
         kills = escl_campaign("worker-kill", scenario.config(),
                               partitions=4)
         registry = MetricRegistry()
-        result = run_partitioned(scenario, 4, faults=kills,
-                                 backoff_base_s=0.01, registry=registry)
+        result = run_partitioned(scenario, 4, faults=kills, registry=registry)
         assert registry.get("scaleout.restarts").value() == result.restarts
         assert registry.get("scaleout.worker_kills").value() \
             == result.worker_kills
@@ -200,8 +223,7 @@ class TestNoLeftovers:
         before = set(os.listdir("/dev/shm"))
         kills = escl_campaign("worker-kill", scenario.config(),
                               partitions=4) if chaos else None
-        result = run_partitioned(scenario, 4, faults=kills,
-                                 backoff_base_s=0.01)
+        result = run_partitioned(scenario, 4, faults=kills)
         assert result.digest == torus16_reference.digest
         assert (result.restarts >= 1) == chaos
         assert multiprocessing.active_children() == []
@@ -243,8 +265,7 @@ class TestWaitPath:
     def test_idle_death_stops_waking_the_wait_and_recovers_at_next_send(
             self):
         import signal
-        supervisor = Supervisor(scenarios()["escl-torus-16"], 2,
-                                backoff_base_s=0.01)
+        supervisor = Supervisor(scenarios()["escl-torus-16"], 2)
         idle, busy = supervisor.workers
         wakes = []
         select = supervisor._selector.select
@@ -261,14 +282,15 @@ class TestWaitPath:
             os.kill(idle.process.pid, signal.SIGKILL)
             idle.process.join(30)
             del wakes[:]
-            # Nothing is asked of the dead worker: its ever-ready
-            # sentinel is dropped instead of spinning the wait...
-            supervisor._send(busy, ("snapshot",))
+            # (An advance to window 0 is a no-op probe.)  Nothing is
+            # asked of the dead worker: its ever-ready sentinel is
+            # dropped instead of spinning the wait...
+            supervisor._send(busy, ("advance", 0, []))
             supervisor._collect()
             assert idle.watched == () and supervisor.restarts == 0
             assert len(wakes) <= 2
             # ...and the broken pipe at the next send recovers it.
-            supervisor._send(idle, ("snapshot",))
+            supervisor._send(idle, ("advance", 0, []))
             supervisor._collect()
             assert supervisor.restarts == 1 and len(idle.watched) == 2
             assert idle.failures[0]["exit_code"] == -signal.SIGKILL
@@ -279,8 +301,7 @@ class TestWaitPath:
 
     def test_other_workers_answers_are_absorbed_while_one_catches_up(self):
         import signal
-        supervisor = Supervisor(scenarios()["escl-torus-16"], 2,
-                                backoff_base_s=0.01)
+        supervisor = Supervisor(scenarios()["escl-torus-16"], 2)
         victim, other = supervisor.workers
         try:
             for worker in supervisor.workers:
@@ -299,8 +320,8 @@ class TestWaitPath:
             supervisor._selector.unregister = spying_unregister
             # The other worker's answer is already on its way when the
             # broken pipe respawns the victim...
-            supervisor._send(other, ("snapshot",))
-            supervisor._send(victim, ("snapshot",))
+            supervisor._send(other, ("advance", 0, []))
+            supervisor._send(victim, ("advance", 0, []))
             assert supervisor.restarts == 1 and victim.heard == 0
             supervisor._collect()
             # ...and the one wait takes both: nobody's registration is
@@ -330,8 +351,7 @@ class TestWaitPath:
         scenario = scenarios()["escl-torus-16"]
         kills = escl_campaign("worker-kill", scenario.config(),
                               partitions=4)
-        outcome = Audited(scenario, 4, faults=kills,
-                          backoff_base_s=0.01).run()
+        outcome = Audited(scenario, 4, faults=kills).run()
         # A reused fd number would raise KeyError at register; a stale
         # one would show up as a registration no live worker owns.
         assert outcome.restarts >= 1
@@ -387,8 +407,7 @@ class TestErrorPaths:
         # Workers fork from this process, so they inherit the patch.
         monkeypatch.setattr(PartitionSystem, "run", exploding_run)
         with pytest.raises(ScaleoutError) as excinfo:
-            run_partitioned(scenario, 4, max_restarts=1,
-                            backoff_base_s=0.01)
+            run_partitioned(scenario, 4, max_restarts=1)
         message = str(excinfo.value)
         assert "escl-torus-16" in message and "partition 1" in message
         assert "exception" in message
@@ -416,9 +435,8 @@ class TestErrorPaths:
             return original(self, until=until)
 
         monkeypatch.setattr(PartitionSystem, "run", hanging_run)
-        supervisor = Supervisor(scenario, 4, hang_timeout_s=1.0,
-                                backoff_base_s=0.01)
-        outcome = supervisor.run()
+        monkeypatch.setattr(supervisor_module, "HANG_TIMEOUT_S", 1.0)
+        outcome = Supervisor(scenario, 4).run()
         assert outcome.restarts == 1
         entry = outcome.forensics[1]
         assert entry["failures"][0]["reason"] == "hang"
@@ -428,28 +446,19 @@ class TestErrorPaths:
     def dies_twice(self, monkeypatch, tmp_path):
         """Partition 1 raises in its first two incarnations: mid-run,
         then *earlier* — while still re-answering acknowledged windows."""
-        counter = tmp_path / "incarnations"
-        counter.write_text("0")
         limits = {1: 50_000, 2: 20_000}
-        mine = []  # this process's incarnation number, once it has run
-        original = PartitionSystem.run
 
-        def flaky_run(self, until=None):
-            if self.index == 1 and until is not None:
-                if not mine:
-                    mine.append(int(counter.read_text()) + 1)
-                    counter.write_text(str(mine[0]))
-                if until > limits.get(mine[0], until):
-                    raise RuntimeError("injected failure for testing")
-            return original(self, until=until)
+        def flaky(incarnation, until):
+            if until > limits.get(incarnation, until):
+                raise RuntimeError("injected failure for testing")
+            return until
 
-        # Workers fork from this process, so they inherit the patch.
-        monkeypatch.setattr(PartitionSystem, "run", flaky_run)
+        _patch_partition_one_run(monkeypatch, tmp_path, flaky)
 
     def test_death_while_catching_up_is_an_ordinary_failure(
             self, dies_twice, torus16_reference):
         result = run_partitioned(scenarios()["escl-torus-16"], 4,
-                                 max_restarts=2, backoff_base_s=0.01)
+                                 max_restarts=2)
         assert result.restarts == 2
         first, second = result.forensics[1]["failures"]
         assert first["reason"] == second["reason"] == "exception"
@@ -465,8 +474,7 @@ class TestErrorPaths:
         registry = MetricRegistry()
         with pytest.raises(ScaleoutError) as excinfo:
             run_partitioned(scenarios()["escl-torus-16"], 4,
-                            max_restarts=1, backoff_base_s=0.01,
-                            registry=registry)
+                            max_restarts=1, registry=registry)
         assert "partition 1" in str(excinfo.value)
         entry = [f for f in excinfo.value.forensics
                  if f["partition"] == 1][0]
@@ -524,8 +532,7 @@ class TestFaultedParity:
         mixed = FaultScenario(
             "mixed", list(campaign.events) + [
                 FaultEvent("kill_worker", 60_000, 0, target="0")])
-        result = run_partitioned(scenario, 4, faults=mixed,
-                                 backoff_base_s=0.01)
+        result = run_partitioned(scenario, 4, faults=mixed)
         assert result.worker_kills == 1
         assert result.restarts >= 1
         assert result.digest == faulted_reference.digest
@@ -544,11 +551,15 @@ class TestGuardRails:
         scenario = scenarios()["escl-torus-16"]
         with pytest.raises(ScaleoutError, match="batch must be >= 1"):
             Supervisor(scenario, 2, batch=0)
-        # The pipe is the only transport: the knob itself is gone.
-        with pytest.raises(TypeError):
-            Supervisor(scenario, 2, transport="shm")
-        with pytest.raises(TypeError):
-            run_partitioned(scenario, 2, transport="shm")
+        # The pipe is the only transport, every replayed answer is
+        # checked, restarts are immediate and the hang timeout is a
+        # module constant: none of these knobs exists any more.
+        for gone in ({"transport": "shm"}, {"snapshot_every": 8},
+                     {"backoff_base_s": 0.01}, {"hang_timeout_s": 1.0}):
+            with pytest.raises(TypeError):
+                Supervisor(scenario, 2, **gone)
+            with pytest.raises(TypeError):
+                run_partitioned(scenario, 2, **gone)
 
     def test_cli_rejects_more_partitions_than_hubs(self, capsys):
         from repro.__main__ import main
@@ -566,6 +577,15 @@ class TestGuardRails:
         captured = capsys.readouterr()
         assert status == 2
         assert captured.err == "error: --max-restarts must be >= 0\n"
+        assert captured.out == ""
+
+    def test_cli_rejects_empty_batch_before_running(self, capsys):
+        from repro.__main__ import main
+        status = main(["scaleout", "escl-torus-16", "--partitions", "1,2",
+                       "--batch", "0"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.err == "error: --batch must be >= 1\n"
         assert captured.out == ""
 
     def test_run_single_ignores_process_events(self, torus16_reference):
