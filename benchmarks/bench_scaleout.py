@@ -13,7 +13,7 @@ Run as a script to capture the checked-in ``BENCH_scaleout.json``::
 
     PYTHONPATH=src python benchmarks/bench_scaleout.py --out BENCH_scaleout.json
 
-The capture sweeps partitions x batch on ``escl-torus-256``
+The capture sweeps partition counts on ``escl-torus-256``
 with interleaved best-of repeats (every repeat runs the single-process
 reference and every configuration back-to-back, so host noise hits all
 of them alike) and records *steady-state* wall — fork/build setup is
@@ -40,8 +40,8 @@ from repro.stats import ExperimentTable
 
 PARTITION_COUNTS = (1, 2, 4)
 
-#: Script-mode sweep: (partitions, batch).
-SWEEP = ((2, 1), (2, 8), (4, 1), (4, 8))
+#: Script-mode sweep: partition counts.
+SWEEP = (2, 4)
 
 
 def scenario_scaling(name):
@@ -174,7 +174,7 @@ def capture(scenario_name: str, repeats: int, cpus: int) -> dict:
     """Interleaved best-of sweep of one scenario; returns its record."""
     scenario = scenarios()[scenario_name]
     best_single = None
-    best = {key: None for key in SWEEP}
+    best = dict.fromkeys(SWEEP)
     reference = None
     for repeat in range(repeats):
         single = run_single(scenario)
@@ -182,14 +182,13 @@ def capture(scenario_name: str, repeats: int, cpus: int) -> dict:
         assert single.digest == reference.digest
         if best_single is None or single.wall_s < best_single.wall_s:
             best_single = single
-        for key in SWEEP:
-            partitions, batch = key
-            result = run_partitioned(scenario, partitions, batch=batch)
-            held = best[key]
+        for partitions in SWEEP:
+            result = run_partitioned(scenario, partitions)
+            held = best[partitions]
             if held is None or result.wall_s < held.wall_s:
-                best[key] = result
-            print(f"  repeat {repeat + 1}/{repeats} p{partitions} "
-                  f"b{batch}: wall={result.wall_s:.4f}s "
+                best[partitions] = result
+            print(f"  repeat {repeat + 1}/{repeats} p{partitions}: "
+                  f"wall={result.wall_s:.4f}s "
                   f"setup={result.setup_s:.4f}s", file=sys.stderr)
     record = {
         "events": best_single.events,
@@ -201,10 +200,9 @@ def capture(scenario_name: str, repeats: int, cpus: int) -> dict:
         },
         "partitioned": [],
     }
-    for (partitions, batch), result in best.items():
+    for partitions, result in best.items():
         record["partitioned"].append({
             "partitions": partitions,
-            "batch": batch,
             "wall_s": round(result.wall_s, 6),
             "setup_s": round(result.setup_s, 6),
             "events_per_sec": round(result.events_per_sec, 1),

@@ -329,9 +329,6 @@ def run_scaleout(args: argparse.Namespace) -> int:
     if args.max_restarts < 0:
         print("error: --max-restarts must be >= 0", file=sys.stderr)
         return 2
-    if args.batch < 1:
-        print("error: --batch must be >= 1", file=sys.stderr)
-        return 2
     fault_events = []
     if args.faults is not None:
         campaign = escl_campaign(args.faults, scenario.config())
@@ -365,8 +362,6 @@ def run_scaleout(args: argparse.Namespace) -> int:
         for event in faults.events:
             print(f"    {event.describe()}")
     print()
-    if counts != [1]:
-        print(f"  exchange: batch={args.batch} window(s)/round")
     print(f"{'parts':>5s} {'events':>9s} {'wall':>8s} {'setup':>7s} "
           f"{'events/s':>10s} {'goodput':>9s} {'rounds':>6s} "
           f"{'restarts':>8s}  digest")
@@ -375,8 +370,7 @@ def run_scaleout(args: argparse.Namespace) -> int:
         try:
             result = run_single(scenario, faults=faults) if count == 1 \
                 else run_partitioned(scenario, count, faults=faults,
-                                     max_restarts=args.max_restarts,
-                                     batch=args.batch)
+                                     max_restarts=args.max_restarts)
         except ScaleoutError as exc:
             print(f"\nSCALE-OUT FAILURE at {count} partitions: {exc}",
                   file=sys.stderr)
@@ -603,10 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-restarts", type=int, default=2, metavar="N",
         help="per-partition worker restart budget before the run fails "
              "with forensics (default: 2)")
-    scaleout.add_argument(
-        "--batch", type=int, default=8, metavar="K",
-        help="lookahead-width budget granted per barrier round; 1 = the "
-             "classic window-per-round protocol (default: 8)")
     scaleout.add_argument(
         "--json", metavar="FILE", default=None,
         help="also write per-run summaries as JSON")

@@ -33,7 +33,7 @@ See ``docs/OBSERVABILITY.md`` for the full guide and
 """
 
 from .export import (chrome_trace, series_rows, write_chrome_trace,
-                     write_metrics_jsonl, write_series_csv)
+                     write_metrics_jsonl)
 from .metrics import Counter, Gauge, Histogram, Metric, MetricRegistry
 from .observatory import Observatory
 from .sampler import DEFAULT_INTERVAL_NS, MetricSampler, TimeSeries
@@ -52,5 +52,4 @@ __all__ = [
     "series_rows",
     "write_chrome_trace",
     "write_metrics_jsonl",
-    "write_series_csv",
 ]

@@ -1,4 +1,4 @@
-"""Exporters: Chrome/Perfetto trace JSON, JSONL and CSV metric dumps.
+"""Exporters: Chrome/Perfetto trace JSON and JSONL metric dumps.
 
 Any observed run can be handed to a standard trace viewer: the Chrome
 ``trace_event`` format (the JSON array-of-events dialect, also read by
@@ -15,14 +15,13 @@ Timestamps are microseconds (the format's unit), converted from the
 simulator's integer nanoseconds; sub-microsecond resolution survives as
 fractional ``ts`` values.
 
-The JSONL/CSV dumps are line-oriented so benchmark tooling can stream
-them: every line of a JSONL dump is one self-contained JSON object with
-a ``"type"`` discriminator.
+The JSONL dump is line-oriented so benchmark tooling can stream it:
+every line is one self-contained JSON object with a ``"type"``
+discriminator.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
 
@@ -35,7 +34,6 @@ __all__ = [
     "series_rows",
     "write_chrome_trace",
     "write_metrics_jsonl",
-    "write_series_csv",
 ]
 
 #: pid reserved for sampled counter tracks in the Chrome trace.
@@ -122,18 +120,5 @@ def write_metrics_jsonl(path, rows: Iterable[Mapping[str, Any]]) -> int:
         for row in rows:
             handle.write(json.dumps(row, sort_keys=True))
             handle.write("\n")
-            written += 1
-    return written
-
-
-def write_series_csv(path, series: Mapping[str, "TimeSeries"]) -> int:
-    """Write sampled series as ``metric,unit,time_ns,value`` CSV rows."""
-    written = 0
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["metric", "unit", "time_ns", "value"])
-        for row in series_rows(series):
-            writer.writerow([row["metric"], row["unit"],
-                             row["time_ns"], row["value"]])
             written += 1
     return written

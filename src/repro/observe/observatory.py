@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional
 
-from .export import (series_rows, write_chrome_trace, write_metrics_jsonl,
-                     write_series_csv)
+from .export import series_rows, write_chrome_trace, write_metrics_jsonl
 from .metrics import MetricRegistry
 from .sampler import DEFAULT_INTERVAL_NS, MetricSampler
 
@@ -92,10 +91,6 @@ class Observatory:
     def export_metrics_jsonl(self, path) -> int:
         """Write samples + final snapshot as JSONL; returns line count."""
         return write_metrics_jsonl(path, self.summary_rows())
-
-    def export_series_csv(self, path) -> int:
-        """Write sampled series as CSV; returns the data-row count."""
-        return write_series_csv(path, self.sampler.series)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Observatory metrics={len(self.registry)} "

@@ -5,7 +5,7 @@ HUB cluster group — synchronized with conservative lookahead equal to
 the inter-HUB fiber propagation delay.  Each worker runs the unmodified
 :mod:`repro.sim` engine over its own hubs and CAB stacks; a coordinator
 exchanges timestamped envelope batches over plain pipes and grants each
-worker multi-window budgets bounded by per-boundary lookahead
+worker the window its per-boundary lookahead allows
 (:mod:`repro.scaleout.planner`).  Partitioned runs are bit-identical
 (hard digest assert) to single-process runs of the same seeded
 scenario.

@@ -96,11 +96,11 @@ def lookahead_matrix(partitioning: "Partitioning",
     The diagonal carries the shortest *feedback cycle*
     ``min over j != i of (matrix[i][j] + matrix[j][i])``: the earliest a
     signal committed in partition ``i`` can cause an effect back in
-    ``i`` via some other partition.  A batched coordinator needs this
-    term — inside one multi-window grant, a neighbour can *react* to
-    ``i``'s own sends, so ``i``'s horizon is bounded by its own trigger
-    time plus the round trip, not just by the other partitions'
-    triggers.  Every fabric is connected, so every entry is finite.
+    ``i`` via some other partition.  The coordinator's grants need this
+    term — inside a grant several lookahead widths long, a neighbour
+    can *react* to ``i``'s own sends, so ``i``'s horizon is bounded by
+    its own trigger time plus the round trip, not just by the other
+    partitions' triggers.  Every fabric is connected, so every entry is finite.
     """
     count = partitioning.num_partitions
     base = lookahead_ns(cfg)

@@ -15,11 +15,9 @@ of ``peeks[j]`` and its earliest pending arrival (an injected envelope
 can cause an immediate send).  Worker ``i`` may consume every event up
 to ::
 
-    grant_i = min( min over all j of (T[j] + D[j][i]),  N + batch * L ) - 1
+    grant_i = min over all j of (T[j] + D[j][i]) - 1
 
-where ``D`` is :func:`~repro.scaleout.partition.lookahead_matrix`,
-``N = min T[j]`` the global horizon and ``L`` the global minimum
-lookahead (:func:`~repro.scaleout.partition.lookahead_ns`).
+where ``D`` is :func:`~repro.scaleout.partition.lookahead_matrix`.
 
 **Causal closure.**  Any yet-unknown envelope reaching ``i`` is the tail
 of a causal chain of commits starting from some trigger ``T[j]``; each
@@ -27,18 +25,22 @@ cross-partition hop pays at least the crossed cut's lookahead, and
 ``D[j][i]`` is the shortest-path closure of those hop costs, so nothing
 unknown lands on ``i`` before ``min_j (T[j] + D[j][i]) > grant_i`` —
 however many lookahead-widths the grant spans.  The ``j == i`` term (the
-matrix diagonal: shortest feedback cycle, ``>= 2L``) is what keeps
-*batched* rounds sound: inside a wide grant a neighbour can react to
-``i``'s own sends, so ``i`` may not outrun its own trigger plus the
-round trip (drop the term and a 2-partition torus run injects into a
-worker's past within a few dozen rounds).  The ``N + batch * L`` cap
-only bounds how far one round runs ahead of the global horizon; with
-``batch=1`` it undercuts every chain term and the grants are the
-classic ``N + L - 1`` windows.
+matrix diagonal: shortest feedback cycle, ``>= 2L`` for the global
+minimum lookahead ``L``) is what the classic one-window argument does
+not need: inside a wide grant a neighbour can react to ``i``'s own
+sends, so ``i`` may not outrun its own trigger plus the round trip
+(drop the term and a 2-partition torus run injects into a worker's past
+within a few dozen rounds).
 
-**Progress.**  Every chain term is at least ``N + L``, so the worker
-holding the global minimum gets ``grant >= N + L - 1 >= N``: it always
-consumes its next trigger, horizons are monotone, the run terminates.
+**Progress.**  With ``N = min T[j]`` the global horizon, every term is
+at least ``N + L``, so the worker holding the global minimum gets
+``grant >= N + L - 1 >= N``: it always consumes its next trigger,
+horizons are monotone, the run terminates.
+
+**No cap.**  The term of the worker ``m`` holding ``N`` keeps every
+grant below ``N + D[m][i]`` (for ``m`` itself, one feedback cycle), so
+no grant runs further ahead of the global horizon than one matrix
+entry and the rule needs no separate bound on a grant's width.
 
 **Idle elision.**  A worker with ``T[i] > grant_i`` has no due envelope
 and no local event inside its grant; its state cannot change, so it is
@@ -49,18 +51,9 @@ global-minimum worker is never idle, so elision never stalls a round.
 from __future__ import annotations
 
 import heapq
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
-__all__ = ["Round", "plan_round", "post", "take_due"]
-
-
-class Round(NamedTuple):
-    """One planned barrier round."""
-
-    #: ``N + batch * L``: no grant of this round reaches it.
-    cap: int
-    #: Per worker, the last instant it may consume — ``None`` = elided.
-    grants: list[Optional[int]]
+__all__ = ["plan_round", "post", "take_due"]
 
 
 def post(heap: list, source: int, envelope: tuple) -> None:
@@ -83,13 +76,14 @@ def take_due(heap: list, grant: int) -> list[tuple]:
 
 
 def plan_round(peeks: Sequence[Optional[int]], pending: Sequence[list],
-               distance: Sequence[Sequence[int]], lookahead: int,
-               batch: int) -> Optional[Round]:
-    """Plan the next round, or ``None`` when the run is done.
+               distance: Sequence[Sequence[int]]
+               ) -> Optional[list[Optional[int]]]:
+    """Per worker, the last instant it may consume this round (``None``
+    = elided); ``None`` instead of a list when the run is done.
 
     Pure: reads ``peeks`` and the head of each ``pending`` heap (built
-    by :func:`post`); the caller pops each granted worker's batch with
-    :func:`take_due`.
+    by :func:`post`); the caller pops each granted worker's due
+    envelopes with :func:`take_due`.
     """
     triggers = []
     for peek, heap in zip(peeks, pending):
@@ -100,14 +94,9 @@ def plan_round(peeks: Sequence[Optional[int]], pending: Sequence[list],
             if trigger is not None]
     if not live:
         return None
-    cap = min(live)[0] + batch * lookahead
     grants: list[Optional[int]] = []
     for index, trigger in enumerate(triggers):
-        bound = cap
-        for available, source in live:
-            reach = available + distance[source][index]
-            if reach < bound:
-                bound = reach
-        grant = bound - 1
+        grant = min(available + distance[source][index]
+                    for available, source in live) - 1
         grants.append(None if trigger is None or trigger > grant else grant)
-    return Round(cap, grants)
+    return grants

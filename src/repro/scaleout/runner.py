@@ -6,7 +6,7 @@ is compared against.  ``run_partitioned`` shards the same scenario
 across ``num_partitions`` worker processes under the crash-tolerant
 coordinator in :mod:`repro.scaleout.supervisor`, which drives the
 conservative-lookahead barrier protocol stated in ``docs/SCALEOUT.md``
-("The synchronization protocol", "Batched windows") with the grants
+("The synchronization protocol", "Grants") with the grants
 :mod:`repro.scaleout.planner` computes, recovers dead or hung workers by
 respawn + window-log replay (checking every replayed answer against the
 one it duplicates), and can apply fault campaigns.  Failures past the
@@ -69,10 +69,9 @@ def run_partitioned(scenario: ScaleoutScenario, num_partitions: int, *,
     keywords go to the crash-tolerant :class:`Supervisor`, which owns
     them and their defaults: ``max_restarts`` respawns per partition
     before :class:`~repro.errors.ScaleoutError` carries the forensics,
-    ``batch`` lookahead-widths granted per barrier round (1 = the
-    classic protocol; the digest is bit-identical either way), and a
-    ``registry`` (:class:`~repro.observe.MetricRegistry`) that receives
-    the ``scaleout.*`` metrics when the run ends, failed or not.
+    and a ``registry`` (:class:`~repro.observe.MetricRegistry`) that
+    receives the ``scaleout.*`` metrics when the run ends, failed or
+    not.
     """
     if num_partitions < 2:
         return run_single(scenario, faults=faults)

@@ -53,11 +53,11 @@ death as a recoverable event:
   supervisor itself, SIGKILLing live workers mid-run to exercise the
   recovery path end-to-end (``scaleout --chaos``).
 
-The window arithmetic — batched grants bounded by per-boundary
-lookahead, idle-worker elision — is not here: each round asks
+The window arithmetic — grants bounded by per-boundary lookahead,
+idle-worker elision — is not here: each round asks
 :func:`repro.scaleout.planner.plan_round` what to grant, and this module
 only moves the messages.  ``docs/SCALEOUT.md`` states the protocol
-("Batched windows") and the recovery argument ("Fault tolerance").
+("Grants") and the recovery argument ("Fault tolerance").
 """
 
 from __future__ import annotations
@@ -77,8 +77,7 @@ from ..faults.campaigns import build_campaign
 from ..faults.scenario import FaultEvent, FaultScenario
 from .escl import (ScaleoutResult, ScaleoutScenario, merge_fragments,
                    scenarios, spawn_traffic)
-from .partition import (PartitionSystem, lookahead_matrix, lookahead_ns,
-                        partition_fabric)
+from .partition import PartitionSystem, lookahead_matrix, partition_fabric
 from .planner import plan_round, post, take_due
 
 __all__ = ["Supervisor", "escl_campaign"]
@@ -262,28 +261,22 @@ class Supervisor:
 
     def __init__(self, scenario: ScaleoutScenario, num_partitions: int, *,
                  faults: Optional[FaultScenario] = None,
-                 max_restarts: int = 2, batch: int = 8,
-                 registry=None) -> None:
+                 max_restarts: int = 2, registry=None) -> None:
         if num_partitions < 2:
             raise ScaleoutError(
                 "the supervisor coordinates >= 2 workers; "
                 "use run_single for one process")
-        if batch < 1:
-            raise ScaleoutError(
-                f"batch must be >= 1 window per round, got {batch}")
         self.scenario = scenario
         self.num_partitions = num_partitions
         self.max_restarts = max_restarts
-        self.batch = batch
         self.partitioning = partition_fabric(scenario.fabric,
                                              num_partitions)
         self.owners = self.partitioning.owner_map()
-        cfg = scenario.config()
-        self.lookahead = lookahead_ns(cfg)
         #: ``distance[src][dst]``: earliest a signal committed in
         #: ``src`` can land in ``dst`` (per-boundary lookahead, closed
         #: over multi-cut paths).
-        self.distance = lookahead_matrix(self.partitioning, cfg)
+        self.distance = lookahead_matrix(self.partitioning,
+                                         scenario.config())
         self.ctx = mp.get_context("fork")
         self.workers = [_Worker(i) for i in range(num_partitions)]
         #: The one wait object: every live worker's pipe end and process
@@ -396,25 +389,25 @@ class Supervisor:
                     unit="s").set(getattr(worker, phase))
 
     def _round(self) -> bool:
-        """Drive one batched barrier round; False when the run is done.
+        """Drive one barrier round; False when the run is done.
 
         :func:`~repro.scaleout.planner.plan_round` decides the grants;
         this sends each non-elided worker its grant with the envelopes
-        due inside it, fires due chaos kills and collects the reports.
+        due inside it, fires the kills due by the round's largest grant
+        and collects the reports.
         """
-        plan = plan_round(self.peeks, self.pending, self.distance,
-                          self.lookahead, self.batch)
-        if plan is None:
+        grants = plan_round(self.peeks, self.pending, self.distance)
+        if grants is None:
             return False
         self.rounds += 1
-        for worker, grant in zip(self.workers, plan.grants):
+        for worker, grant in zip(self.workers, grants):
             if grant is None:
                 continue
             self._send(worker, ("advance", grant,
                                 take_due(self.pending[worker.index], grant)))
             self.advances += 1
             worker.last_window = grant
-        self._fire_kills(plan.cap - 1)
+        self._fire_kills(max(grant for grant in grants if grant is not None))
         self._collect()
         return True
 
@@ -694,7 +687,7 @@ class Supervisor:
     def _fire_kills(self, window: int) -> None:
         """SIGKILL workers matched by due ``kill_worker`` events.
 
-        An event is due once the coordinator window reaches its
+        An event is due once a round's largest grant reaches its
         ``at_ns`` (``at_ns <= 0`` fires right after spawn, before the
         first state report).  Each event fires exactly once; whichever
         instant the signal lands, replay restores bit-identical state,

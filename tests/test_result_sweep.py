@@ -6,9 +6,9 @@ x 3 single-process e2e workloads at ``--scale 0.2``.  A change may move
 the event counts recorded there; it may not move one digest.
 
 ``data/result_sweep_partitioned.json`` pins the smallest cell of the
-partitioned leg (``escl-torus-64``, seed 1989, 2 partitions, batch 1,
-clean, scale 0.2), captured on the commit before envelopes became bytes
-(PR 18's parent); the full leg is ``tools/result_sweep.py``'s to run.
+partitioned leg (``escl-torus-64``, seed 1989, 2 partitions, clean,
+scale 0.2), captured on the commit before envelopes became bytes; the
+full leg is ``tools/result_sweep.py``'s to run.
 """
 
 import json
@@ -42,12 +42,12 @@ def test_sweep_reproduces_the_parent_capture(tool, capsys):
 def test_smallest_partitioned_cell_equals_single_and_the_pin(tool):
     pinned = json.loads(PINNED_PARTITIONED.read_text())
     rows, broken = tool.sweep_partitioned([1989], scale=0.2,
-                                          cells=((2, 1, None),))
+                                          cells=((2, None),))
     assert broken == []
     assert {tool.PARTITIONED: rows} == pinned
     digests = rows["1989"]["digests"]
-    assert digests["p2-b1"] == digests["single"]
-    assert (2, 1, None) in tool.CELLS and len(tool.CELLS) == 8
+    assert digests["p2"] == digests["single"]
+    assert (2, None) in tool.CELLS and len(tool.CELLS) == 4
 
 
 def test_compare_names_every_aspect_that_moved(tool, tmp_path, capsys):

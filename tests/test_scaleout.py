@@ -294,8 +294,7 @@ def test_protocol_counts_equal_the_checked_in_ones(num_partitions):
     # CI's scaleout job holds the CLI's JSON to the same file: a
     # protocol change cannot hide behind an unchanged digest.
     pinned = json.loads(PROTOCOL_COUNTS.read_text())["escl-torus-64"]
-    result = run_partitioned(scenarios()["escl-torus-64"], num_partitions,
-                             batch=pinned["batch"])
+    result = run_partitioned(scenarios()["escl-torus-64"], num_partitions)
     wanted = pinned["partitions"][str(num_partitions)]
     assert {key: getattr(result, key) for key in wanted} == wanted
 
@@ -365,26 +364,8 @@ def test_verify_is_gone():
 
 
 # ----------------------------------------------------------------------
-# batched rounds
+# round timing
 # ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("batch", [1, 8])
-def test_batch_matrix_is_bit_identical(torus16_reference, batch):
-    result = run_partitioned(scenarios()["escl-torus-16"], 2, batch=batch)
-    assert result.digest == torus16_reference.digest
-    assert result.events == torus16_reference.events
-
-
-def test_batching_grants_multiple_windows_per_round(torus16_reference):
-    scenario = scenarios()["escl-torus-16"]
-    classic = run_partitioned(scenario, 2, batch=1)
-    batched = run_partitioned(scenario, 2, batch=8)
-    assert batched.digest == classic.digest == torus16_reference.digest
-    # Wider grants mean strictly fewer barrier rounds...
-    assert batched.rounds < classic.rounds
-    # ...and idle elision means advances can undershoot rounds * parts.
-    assert batched.advances <= batched.rounds * 2
-
 
 def test_partitioned_result_reports_setup_and_timing(monkeypatch):
     # Clock every worker's round trips from outside the supervisor's own
@@ -447,7 +428,7 @@ def test_capture_withholds_speedup_the_host_cannot_show(load_script, capsys):
     assert withheld["speedup"] is None
     assert "2 CPU(s) for 4 partitions" in withheld["note"]
 
-    run = {"partitions": 4, "batch": 8, "wall_s": 0.5,
+    run = {"partitions": 4, "wall_s": 0.5,
            "setup_s": 0.1, "rounds": 3, "advances": 9, **withheld}
     document = {"seed": 1, "repeats": 1, "host": {"cpus": 2},
                 "scenarios": {"escl-torus-256": {
@@ -465,5 +446,5 @@ def test_capture_withholds_speedup_the_host_cannot_show(load_script, capsys):
     assert "n/a" in rendered and "2.00x" in rendered
     assert "transport" not in rendered and "shm" not in rendered
     new_row, old_row = rendered.splitlines()[-2:]
-    assert ["0.7500", "0.2500", "0.1250"] == new_row.split()[6:9]
-    assert ["-", "-", "-"] == old_row.split()[6:9]
+    assert ["0.7500", "0.2500", "0.1250"] == new_row.split()[5:8]
+    assert ["-", "-", "-"] == old_row.split()[5:8]

@@ -10,12 +10,12 @@ Usage::
 The single-file form prints every run the document carries (the file
 accumulates runs, e.g. ``pre-pr-baseline`` then ``optimized``) and the
 speedup of the last run over the first.  A scale-out document instead
-renders the partitions x batch table with each
-configuration's steady-state speedup over the single-process reference
-(``n/a`` where the capture withheld it: fewer CPUs than partitions) and
-where its CPU went: workers inside ``run`` (``compute_s``), workers
-moving envelopes (``ipc_s``), the coordinator (``coord_cpu_s``) — ``-``
-for a capture that predates the last two.
+renders one row per partition count with its steady-state speedup over
+the single-process reference (``n/a`` where the capture withheld it:
+fewer CPUs than partitions) and where its CPU went: workers inside
+``run`` (``compute_s``), workers moving envelopes (``ipc_s``), the
+coordinator (``coord_cpu_s``) — ``-`` for a capture that predates the
+last two.
 ``--compare`` lines up one run from each of two engine files by wall
 time (``old wall_s / new wall_s``; event counts are shown beside it for
 information, since a change may remove events).  A scenario whose
@@ -87,7 +87,6 @@ def show_scaleout(path: str, document: dict[str, Any]) -> int:
         rows = []
         for run in data.get("partitioned", []):
             rows.append((f"p{run['partitions']}",
-                         str(run["batch"]),
                          f"{run['wall_s']:.4f}",
                          f"{run['setup_s']:.4f}",
                          str(run["rounds"]),
@@ -100,15 +99,14 @@ def show_scaleout(path: str, document: dict[str, Any]) -> int:
                          "yes" if run.get("digest_match", True) else "NO"))
         if rows:
             print(render_table(
-                rows, ("parts", "batch", "wall_s", "setup_s", "rounds",
+                rows, ("parts", "wall_s", "setup_s", "rounds",
                        "advances", "compute_s", "ipc_s", "coord_cpu_s",
                        "speedup", "digest=")))
     against = document.get("interleaved_against")
     if against:
         print(f"\ninterleaved against: {against['what']}")
         print(f"single-process wall {against['single']['wall_s']:.4f}s; "
-              + "; ".join(f"p{run['partitions']} b{run['batch']} "
-                          f"{run['wall_s']:.4f}s"
+              + "; ".join(f"p{run['partitions']} {run['wall_s']:.4f}s"
                           for run in against["partitioned"]))
     return 0
 

@@ -20,10 +20,10 @@ sweeps and exits 1 if any does; event counts are shown, never compared.
 The partitioned path gets its own leg, ``escl-torus-64``: per seed (the
 seed picks the message size, as ``torus-p2`` does) the single-process
 run, clean and under the ``drop-burst`` campaign, then every cell of
-partitions {2, 4} x batch {1, 8} x faults {none, drop-burst}.  Each
-cell's digest — and, when clean, its event count — must equal the
-single-process one of the same seed; a cell that does not is printed as
-``PARITY ...`` and the sweep exits 1.  The row keeps one digest per
+partitions {2, 4} x faults {none, drop-burst}.  Each cell's digest —
+and, when clean, its event count — must equal the single-process one of
+the same seed; a cell that does not is printed as ``PARITY ...`` and
+the sweep exits 1.  The row keeps one digest per
 cell, so ``--compare`` also catches both shapes moving together.
 """
 
@@ -40,9 +40,9 @@ from typing import Any, Optional
 REPO_ROOT = Path(__file__).resolve().parents[1]
 WORKLOAD_NAMES = ("smallmsg-hub", "rpc-faulted", "bulk-wire")
 PARTITIONED = "escl-torus-64"
-#: The partitioned leg's cells: (partitions, batch, fault campaign).
-CELLS = tuple((partitions, batch, faults) for partitions in (2, 4)
-              for batch in (1, 8) for faults in (None, "drop-burst"))
+#: The partitioned leg's cells: (partitions, fault campaign).
+CELLS = tuple((partitions, faults) for partitions in (2, 4)
+              for faults in (None, "drop-burst"))
 
 Sweep = dict[str, dict[str, dict[str, Any]]]
 
@@ -98,15 +98,15 @@ def sweep_partitioned(seeds: list[int], scale: float,
         scenarios()[scenario.name] = scenario  # workers look it up by name
         campaigns: dict[Optional[str], Any] = {None: None}
         campaigns.update((faults, escl_campaign(faults, scenario.config()))
-                         for _p, _b, faults in cells if faults)
+                         for _partitions, faults in cells if faults)
         single = {faults: run_single(scenario, faults=campaign)
                   for faults, campaign in campaigns.items()}
         digests = {f"single+{faults}" if faults else "single": run.digest
                    for faults, run in single.items()}
-        for partitions, batch, faults in cells:
-            run = run_partitioned(scenario, partitions, batch=batch,
+        for partitions, faults in cells:
+            run = run_partitioned(scenario, partitions,
                                   faults=campaigns[faults])
-            cell = f"p{partitions}-b{batch}" + (f"+{faults}" if faults else "")
+            cell = f"p{partitions}" + (f"+{faults}" if faults else "")
             digests[cell] = run.digest
             problem = run.mismatch(single[faults], campaigns[faults])
             if problem:
