@@ -23,8 +23,8 @@ records ``"speedup": null`` plus a ``note``: there the workers time-share
 cores, so single wall over partitioned wall measures exchange overhead,
 not parallel gain (see docs/PERFORMANCE.md).  The walls stay recorded.
 Beside each wall sit the three CPU shares that add up to the run:
-``compute_s`` (workers inside ``run``), ``ipc_s`` (workers receiving,
-decoding + injecting, sending) and ``coordinator_cpu_s``.
+``compute_s`` (workers inside ``run``), ``ipc_s`` (workers planning,
+exchanging reports, decoding + injecting) and ``coordinator_cpu_s``.
 """
 
 import argparse
@@ -107,13 +107,13 @@ def test_escl_torus256_partitioned_is_bit_identical(benchmark):
 
 @pytest.mark.benchmark(group="E-SCL-scaleout")
 def test_escl6_recovery_overhead(benchmark):
-    """E-SCL6: wall-clock cost of one mid-run worker kill + replay.
+    """E-SCL6: wall-clock cost of one mid-run worker kill + restart.
 
     Runs the 64-CAB torus at 4 partitions clean, then again with a
     seeded worker-kill campaign that SIGKILLs one worker mid-run.  The
-    recovery path — detect the death, respawn, replay the window log —
-    must reproduce the clean digest bit-for-bit; the measured quantity
-    is the recovery overhead factor (chaos wall / clean wall).
+    recovery path — detect the death, reap every worker, run again from
+    t = 0 — must reproduce the clean digest bit-for-bit; the measured
+    quantity is the recovery overhead factor (chaos wall / clean wall).
     """
     def run():
         scenario = scenarios()["escl-torus-64"]
@@ -128,7 +128,6 @@ def test_escl6_recovery_overhead(benchmark):
             "events": reference.events,
             "worker_kills": chaos.worker_kills,
             "restarts": chaos.restarts,
-            "replayed_windows": chaos.replayed_windows,
             "clean_wall_s": round(clean.wall_s, 4),
             "chaos_wall_s": round(chaos.wall_s, 4),
             "recovery_overhead_x": round(
@@ -142,8 +141,6 @@ def test_escl6_recovery_overhead(benchmark):
         "E-SCL6", "64-CAB 4D torus, 4 partitions, one mid-run SIGKILL")
     table.add("workers killed / restarts", "1 / 1",
               f"{result['worker_kills']} / {result['restarts']}")
-    table.add("windows replayed", "-",
-              f"{result['replayed_windows']}")
     table.add("recovery overhead", "-",
               f"{result['recovery_overhead_x']:.2f}x wall "
               f"({result['clean_wall_s']:.3f}s -> "

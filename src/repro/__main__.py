@@ -584,8 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
     scaleout.add_argument(
         "--chaos", action="store_true",
         help="SIGKILL a seeded-random worker mid-run (worker-kill "
-             "campaign); recovery replays the window log and the digest "
-             "gate still applies against the clean reference")
+             "campaign); recovery restarts the run and the digest gate "
+             "still applies against the clean reference")
     scaleout.add_argument(
         "--faults", metavar="CAMPAIGN", default=None,
         choices=("drop-burst", "corrupt-burst", "reply-storm",

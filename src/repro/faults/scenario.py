@@ -42,8 +42,8 @@ __all__ = ["FAULT_KINDS", "PROCESS_KINDS", "FaultEvent", "FaultScenario"]
 #:     the simulated clock reaches ``at_ns`` (``target`` globs partition
 #:     indices, e.g. ``"2"`` or ``"*"``).  Applied by the scale-out
 #:     supervisor (:mod:`repro.scaleout.supervisor`), never by the
-#:     in-simulation injector — recovery replays the window log and the
-#:     run's digest stays bit-identical.
+#:     in-simulation injector — recovery restarts the run and its
+#:     digest stays bit-identical.
 FAULT_KINDS = frozenset({
     "link_degrade", "link_down", "reply_storm",
     "hub_port_down", "cab_stall", "cab_crash", "kill_worker",

@@ -3,17 +3,18 @@
 Shards a Nectar installation across worker processes — one partition per
 HUB cluster group — synchronized with conservative lookahead equal to
 the inter-HUB fiber propagation delay.  Each worker runs the unmodified
-:mod:`repro.sim` engine over its own hubs and CAB stacks; a coordinator
-exchanges timestamped envelope batches over plain pipes and grants each
-worker the window its per-boundary lookahead allows
-(:mod:`repro.scaleout.planner`).  Partitioned runs are bit-identical
+:mod:`repro.sim` engine over its own hubs and CAB stacks, sends its
+timestamped envelope batches straight to its peers over plain pipes and
+plans, like every other worker, the window each partition's
+per-boundary lookahead allows (:mod:`repro.scaleout.worker`,
+:mod:`repro.scaleout.planner`).  Partitioned runs are bit-identical
 (hard digest assert) to single-process runs of the same seeded
 scenario.
 
-The coordinator is crash-tolerant (:mod:`repro.scaleout.supervisor`):
-workers that crash, hang, or get SIGKILLed by a chaos campaign are
-respawned and their window log replayed to reconstruct bit-identical
-state, with bounded restarts and per-partition forensics on failure.
+The supervisor is crash-tolerant (:mod:`repro.scaleout.supervisor`):
+when a worker crashes, hangs, or gets SIGKILLed by a chaos campaign,
+every worker is respawned and the run restarts, reproducing the same
+digest, with bounded restarts and per-partition forensics on failure.
 Fault campaigns (:mod:`repro.faults`) apply partition-aware: in-sim
 overlays slice to local targets, ``kill_worker`` events exercise the
 recovery path.  See ``docs/SCALEOUT.md``.

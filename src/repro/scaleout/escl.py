@@ -221,25 +221,25 @@ class ScaleoutResult:
     rounds: int
     envelopes: int
     fingerprint: dict[str, Any] = field(default_factory=dict)
-    #: Worker processes respawned after crash/hang/exception.
+    #: Runs restarted (every worker respawned) after a crash, hang or
+    #: exception.
     restarts: int = 0
-    #: Advance windows a respawned worker had to be fed again.
-    replayed_windows: int = 0
     #: Workers SIGKILLed by chaos (``kill_worker``) campaign events.
     worker_kills: int = 0
     #: One-time startup cost — worker fork + fabric build (partitioned)
     #: or fabric build + traffic spawn (single-process).  Kept out of
     #: ``wall_s`` so ``events_per_sec`` measures steady-state work.
     setup_s: float = 0.0
-    #: Advance messages actually sent (idle workers are elided per
-    #: round, so this can be well below ``rounds * partitions``).
+    #: Grants actually run (idle workers are elided per round, so this
+    #: can be well below ``rounds * partitions``).
     advances: int = 0
     #: Per-partition ``{"compute_s": [...], "wait_s": [...],
-    #: "exchange_s": [...], "ipc_s": [...]}`` round-timing breakdown
-    #: (empty for single-process runs).
+    #: "exchange_s": [...], "ipc_s": [...]}`` round-timing breakdown,
+    #: measured by each worker (empty for single-process runs).
     timing: dict[str, list[float]] = field(default_factory=dict)
-    #: Coordinator CPU seconds over ``wall_s`` (0 single-process); with
-    #: the workers' ``compute_s`` and ``ipc_s`` it is the run's CPU.
+    #: Coordinator CPU seconds over ``wall_s`` (0 single-process): it
+    #: only waits, so near zero; with the workers' ``compute_s`` and
+    #: ``ipc_s`` it is the run's CPU.
     coordinator_cpu_s: float = 0.0
     #: Per-partition post-mortem records (restarts, last window, the
     #: failure history); empty for single-process runs.
@@ -308,7 +308,6 @@ class ScaleoutResult:
             "advances": self.advances,
             "envelopes": self.envelopes,
             "restarts": self.restarts,
-            "replayed_windows": self.replayed_windows,
             "worker_kills": self.worker_kills,
             "digest": self.digest,
         }

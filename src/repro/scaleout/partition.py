@@ -23,8 +23,8 @@ partition's worth of real hardware inside its own
   exact arrival timestamp instead of becoming a local event.  The
   ready-bit signal crosses the same way via :class:`_RemotePortStub`.
 
-The coordinator (:mod:`repro.scaleout.supervisor`) moves envelopes between
-partitions and advances each worker under conservative lookahead;
+The workers (:mod:`repro.scaleout.worker`) exchange envelopes between
+partitions and advance each one under conservative lookahead;
 :func:`lookahead_ns` derives that lookahead from the fiber config (see
 ``docs/SCALEOUT.md`` for the proof sketch).
 """
@@ -53,8 +53,8 @@ __all__ = ["Envelope", "Partitioning", "PartitionSystem",
 #: One cross-partition delivery: ``(arrival, seq, kind, dst_hub,
 #: dst_port, blob, wire_size)``.  ``blob`` is the captured frame as
 #: :func:`~repro.scaleout.wire.encode_item` bytes (``None`` for a ready
-#: signal); ``seq`` is the sender-side capture order; the coordinator
-#: sorts merged batches by ``(arrival, src_partition, seq)`` so
+#: signal); ``seq`` is the sender-side capture order; the pending heaps
+#: order merged batches by ``(arrival, src_partition, seq)`` so
 #: injection order is deterministic.
 Envelope = tuple
 
@@ -67,8 +67,8 @@ def lookahead_ns(cfg: NectarConfig) -> int:
     exactly ``propagation_ns`` (packet heads add one byte time on top;
     replies add a full serialisation).  A message committed at time ``t``
     therefore arrives no earlier than ``t + propagation_ns``, which is
-    what lets the coordinator advance every partition through a window of
-    that width without waiting on its neighbours.
+    what lets every partition advance through a window of that width
+    without waiting on its neighbours.
     """
     lookahead = cfg.fiber.propagation_ns
     if lookahead < 1:
@@ -91,12 +91,12 @@ def lookahead_matrix(partitioning: "Partitioning",
     shortest path: a signal from ``src`` must transit intermediate
     partitions, paying each cut's lookahead along the way, so
     well-separated slices see a *wider* horizon than the global minimum
-    and the coordinator can grant them correspondingly larger windows.
+    and the planner can grant them correspondingly larger windows.
 
     The diagonal carries the shortest *feedback cycle*
     ``min over j != i of (matrix[i][j] + matrix[j][i])``: the earliest a
     signal committed in partition ``i`` can cause an effect back in
-    ``i`` via some other partition.  The coordinator's grants need this
+    ``i`` via some other partition.  The planner's grants need this
     term — inside a grant several lookahead widths long, a neighbour
     can *react* to ``i``'s own sends, so ``i``'s horizon is bounded by
     its own trigger time plus the round trip, not just by the other
@@ -365,7 +365,7 @@ class PartitionSystem:
         self._seq += 1
 
     def drain_outbox(self) -> list[Envelope]:
-        """Hand the round's captured envelopes to the coordinator."""
+        """Hand the round's captured envelopes to the peer exchange."""
         drained, self._outbox = self._outbox, []
         return drained
 

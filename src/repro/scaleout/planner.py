@@ -1,13 +1,15 @@
 """The grant planner: one barrier round's window arithmetic, no I/O.
 
-The coordinator's whole knowledge of a partitioned run is two things:
+What every worker knows of a partitioned run is two things:
 ``peeks[j]``, partition ``j``'s next local event time as of its last
 state report (``None`` = idle), and ``pending[j]``, the envelopes
 captured for ``j`` that no grant has covered yet.  :func:`plan_round`
 turns that knowledge into the round's grants and reads nothing else, so
 the soundness argument below is a property of one function — checked
-without forking a process in ``tests/test_scaleout_planner.py``.  Pipes,
-deadlines, respawn and replay live in :mod:`repro.scaleout.supervisor`.
+without forking a process in ``tests/test_scaleout_planner.py`` — and
+workers holding the same knowledge plan the same grants.  The peer
+exchange lives in :mod:`repro.scaleout.worker`; deadlines and restarts
+in :mod:`repro.scaleout.supervisor`.
 
 **The grant.**  ``T[j]``, partition ``j``'s *trigger horizon*, is the
 earliest instant it could commit a new cross-partition message: the min
@@ -43,8 +45,8 @@ no grant runs further ahead of the global horizon than one matrix
 entry and the rule needs no separate bound on a grant's width.
 
 **Idle elision.**  A worker with ``T[i] > grant_i`` has no due envelope
-and no local event inside its grant; its state cannot change, so it is
-not messaged and its last report stays authoritative.  The
+and no local event inside its grant; its state cannot change, so it
+neither runs nor reports and its last report stays authoritative.  The
 global-minimum worker is never idle, so elision never stalls a round.
 """
 

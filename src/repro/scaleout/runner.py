@@ -4,14 +4,14 @@
 every other experiment in the repo — it is the reference every digest
 is compared against.  ``run_partitioned`` shards the same scenario
 across ``num_partitions`` worker processes under the crash-tolerant
-coordinator in :mod:`repro.scaleout.supervisor`, which drives the
-conservative-lookahead barrier protocol stated in ``docs/SCALEOUT.md``
-("The synchronization protocol", "Grants") with the grants
-:mod:`repro.scaleout.planner` computes, recovers dead or hung workers by
-respawn + window-log replay (checking every replayed answer against the
-one it duplicates), and can apply fault campaigns.  Failures past the
-restart budget, and a replay that diverges, surface as
-:class:`~repro.errors.ScaleoutError` with per-partition forensics.
+:class:`~repro.scaleout.supervisor.Supervisor`.  The workers run the
+conservative-lookahead protocol stated in ``docs/SCALEOUT.md`` ("The
+synchronization protocol", "Grants") among themselves, each planning
+the grants :mod:`repro.scaleout.planner` computes; the supervisor
+restarts the run when a worker dies or hangs, and can apply fault
+campaigns.  Failures past the restart budget, and workers whose plans
+diverge, surface as :class:`~repro.errors.ScaleoutError` with
+per-partition forensics.
 
 Every run shape returns a :class:`~repro.scaleout.escl.ScaleoutResult`;
 ``result.mismatch(reference, faults)`` is the one statement of the
@@ -67,11 +67,11 @@ def run_partitioned(scenario: ScaleoutScenario, num_partitions: int, *,
 
     With fewer than two partitions this is :func:`run_single`; else the
     keywords go to the crash-tolerant :class:`Supervisor`, which owns
-    them and their defaults: ``max_restarts`` respawns per partition
-    before :class:`~repro.errors.ScaleoutError` carries the forensics,
-    and a ``registry`` (:class:`~repro.observe.MetricRegistry`) that
-    receives the ``scaleout.*`` metrics when the run ends, failed or
-    not.
+    them and their defaults: ``max_restarts`` run restarts charged to
+    one partition before :class:`~repro.errors.ScaleoutError` carries
+    the forensics, and a ``registry``
+    (:class:`~repro.observe.MetricRegistry`) that receives the
+    ``scaleout.*`` metrics when the run ends, failed or not.
     """
     if num_partitions < 2:
         return run_single(scenario, faults=faults)

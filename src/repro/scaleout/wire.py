@@ -1,13 +1,12 @@
 """Cross-partition envelope codec: a frame becomes bytes exactly once.
 
-The coordinator and its workers exchange envelopes over plain
-:mod:`multiprocessing` pipes (see ``docs/SCALEOUT.md``, "Why one
-transport").  An envelope's body — the :class:`Packet` or
-:class:`Reply` a boundary fiber captured — matters only to the two
-partitions the fiber connects, so it crosses everything in between as
-opaque ``bytes``: :func:`encode_item` flattens the frame to a tuple of
-builtins and pickles it once, at capture; the coordinator routes, heaps,
-logs and replays the blob unopened (it never imports a model class);
+Workers exchange envelopes over plain :mod:`multiprocessing` pipes
+(see ``docs/SCALEOUT.md``, "Why one transport").  An envelope's body —
+the :class:`Packet` or :class:`Reply` a boundary fiber captured —
+matters only to the partition that will inject it, so it crosses
+everything in between as opaque ``bytes``: :func:`encode_item`
+flattens the frame to a tuple of builtins and pickles it once, at
+capture; every worker's pending heaps hold the blob unopened;
 :func:`decode_item` rebuilds the frame at injection.
 
 Two things in a frame cannot leave their process as they are:
@@ -31,11 +30,6 @@ transports keep payloads for retransmit).  Decoding builds fresh
 objects without running ``Packet.__init__`` or the ``HubCommand.seq``
 factory, so packet ids and command sequence numbers cross unchanged and
 the receiver's own counters do not move.
-
-This is also what makes the supervisor's window-log replay
-(:mod:`repro.scaleout.supervisor`) sound: the per-partition logs hold
-the blobs themselves, so re-sending a logged envelope to a respawned
-worker is byte-for-byte identical to the first delivery.
 """
 
 from __future__ import annotations

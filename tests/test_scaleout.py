@@ -2,7 +2,6 @@
 
 import json
 import pathlib
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +9,12 @@ from hypothesis import strategies as st
 
 from repro.hardware.frames import HubCommand, Packet, Payload, Reply
 from repro.hardware.hub_commands import CommandOp
-from repro.scaleout import (Supervisor, lookahead_matrix, lookahead_ns,
+from repro.scaleout import (ScaleoutScenario, Supervisor,
+                            lookahead_matrix, lookahead_ns,
                             partition_fabric, run_partitioned,
                             run_single, scenarios)
+from repro.scaleout import supervisor as supervisor_module
+from repro.scaleout import worker as worker_module
 from repro.scaleout.wire import (KIND_PACKET, KIND_REPLY, decode_item,
                                  encode_item, kind_of)
 
@@ -143,7 +145,7 @@ def test_encode_leaves_the_senders_objects_untouched():
 
 
 def test_encoding_twice_gives_the_same_bytes():
-    # What the replay log relies on: a frame's blob is a function of the
+    # What a restarted run relies on: a frame's blob is a function of the
     # frame, so nothing about *when* it was captured leaks into it.
     packet = Packet("cab0", commands=[],
                     payload=Payload(4, data=bytearray(b"bcde")).seal())
@@ -312,6 +314,30 @@ def test_circuit_mode_replies_cross_partitions():
     assert result.envelopes > packets.envelopes
 
 
+def test_odd_partition_count_matches_single(torus16_reference):
+    result = run_partitioned(scenarios()["escl-torus-16"], 3)
+    assert result.mismatch(torus16_reference) is None
+    # Some rounds elide a worker, which then only receives the reports.
+    assert result.rounds < result.advances < 3 * result.rounds
+
+
+@pytest.mark.parametrize("num_partitions", [2, 3])
+def test_reports_larger_than_the_pipe_buffer_cross(monkeypatch,
+                                                   num_partitions):
+    # 80 kB circuit-mode messages: in some rounds two peers each send a
+    # report of more than the 64 KiB pipe buffer, which hangs an
+    # exchange where both send before either receives.
+    scenario = ScaleoutScenario(
+        "escl-torus-16-80k", "2x2x2x2 torus, 80 kB circuit messages",
+        scenarios()["escl-torus-16"].fabric, message_bytes=80_000,
+        mode="circuit")
+    monkeypatch.setitem(scenarios(), scenario.name, scenario)
+    reference = run_single(scenario)
+    result = run_partitioned(scenario, num_partitions, max_restarts=0)
+    assert result.mismatch(reference) is None
+    assert result.events == reference.events
+
+
 def test_fingerprint_covers_delivery_and_content(torus16_reference):
     fingerprint = torus16_reference.fingerprint
     scenario = scenarios()["escl-torus-16"]
@@ -367,26 +393,7 @@ def test_verify_is_gone():
 # round timing
 # ----------------------------------------------------------------------
 
-def test_partitioned_result_reports_setup_and_timing(monkeypatch):
-    # Clock every worker's round trips from outside the supervisor's own
-    # timers: entering the send to leaving the recv that answers it (the
-    # unprompted initial report counts from entering its recv).
-    trips, began = [0.0, 0.0], {}
-    send, recv = Supervisor._send, Supervisor._recv
-
-    def clocked_send(self, worker, message):
-        began[worker.index] = time.perf_counter()
-        send(self, worker, message)
-
-    def clocked_recv(self, worker):
-        entered = time.perf_counter()
-        message = recv(self, worker)
-        trips[worker.index] += \
-            time.perf_counter() - began.pop(worker.index, entered)
-        return message
-
-    monkeypatch.setattr(Supervisor, "_send", clocked_send)
-    monkeypatch.setattr(Supervisor, "_recv", clocked_recv)
+def test_partitioned_result_reports_setup_and_timing():
     result = run_partitioned(scenarios()["escl-torus-16"], 2)
     assert result.setup_s > 0
     assert result.advances > 0
@@ -395,19 +402,68 @@ def test_partitioned_result_reports_setup_and_timing(monkeypatch):
     for values in result.timing.values():
         assert len(values) == 2
         assert all(value >= 0 for value in values)
-    # Each worker spent CPU outside run() (it decoded and injected
-    # envelopes); the coordinator spent some in the steady phase.
+    # Each worker spent CPU outside run() (it planned, pickled, decoded
+    # and injected); the coordinator only waited.
     assert all(value > 0 for value in result.timing["ipc_s"])
-    assert result.coordinator_cpu_s > 0
-    # The three buckets are disjoint slices of the round trips: no host
-    # second is charged twice (send and recv time are exchange, not wait).
-    for index, trip_s in enumerate(trips):
+    assert 0 < result.coordinator_cpu_s < sum(result.timing["ipc_s"])
+    # The worker-side buckets are disjoint slices of its steady phase,
+    # which the coordinator's steady wall contains: no host second is
+    # charged twice.
+    for index in range(2):
         charged = sum(result.timing[phase][index]
                       for phase in ("compute_s", "wait_s", "exchange_s"))
-        assert 0 < charged <= trip_s
+        assert 0 < charged <= result.wall_s
     summary = result.summary()
     assert summary["setup_s"] == round(result.setup_s, 6)
     assert summary["advances"] == result.advances
+
+
+def test_coordinator_holds_no_envelope_in_the_steady_phase(monkeypatch):
+    # Spy on everything the coordinator receives, and on its heap: the
+    # workers exchange envelopes among themselves, so a run with 16
+    # times the traffic costs the coordinator no more memory.
+    import tracemalloc
+    from dataclasses import replace
+    received = []
+    recv = Supervisor._recv
+
+    def spying_recv(self, worker):
+        message = recv(self, worker)
+        received.append(message)
+        return message
+
+    worker_main = worker_module.worker_main
+
+    def untraced_worker(*args):
+        tracemalloc.stop()  # inherited from the fork; not ours to count
+        worker_main(*args)
+
+    monkeypatch.setattr(Supervisor, "_recv", spying_recv)
+    monkeypatch.setattr(supervisor_module, "worker_main", untraced_worker)
+    base = scenarios()["escl-torus-16"]
+    run_partitioned(base, 2)  # first-run imports and caches, untraced
+    peaks = {}
+    for messages in (1, 16):
+        scenario = replace(base, name=f"{base.name}-x{messages}",
+                           messages_per_cab=messages)
+        monkeypatch.setitem(scenarios(), scenario.name, scenario)
+        del received[:]
+        tracemalloc.start()
+        try:
+            result = run_partitioned(scenario, 2)
+            peaks[messages] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.envelopes == 32 * messages
+        tags = sorted(message[0] for message in received
+                      if message[0] != "beat")
+        assert tags == ["ready", "ready", "result", "result"]
+        for _tag, _progress, body in received:
+            if isinstance(body, dict):
+                assert set(body) == {"sim_ns", "plan", "rounds",
+                                     "advances", "envelopes", "inbound",
+                                     "timing", "fragment"}
+    assert peaks[16] - peaks[1] < 32 * 1024, peaks
 
 
 def test_single_result_reports_setup(torus16_reference):

@@ -6,16 +6,22 @@ progress, tightness, idle elision, termination) over random partition
 graphs.  A reference copy of the coordinator loop the planner replaced —
 list-based pending, three linear passes per worker — must agree with it
 grant for grant, due envelope for due envelope, on the same random
-inputs and on the rounds of real ``escl-torus-16`` runs.
+inputs and on the rounds every worker of real ``escl-torus-16`` runs
+planned.
 """
 
+import multiprocessing
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scaleout import Supervisor, run_single, scenarios
+from repro.scaleout import (lookahead_matrix, partition_fabric,
+                            run_partitioned, run_single, scenarios)
+from repro.scaleout import worker as worker_module
+from repro.scaleout.partition import PartitionSystem
 from repro.scaleout.supervisor import escl_campaign
 from repro.scaleout.planner import plan_round, post, take_due
 
@@ -226,50 +232,81 @@ def test_planner_matches_the_replaced_loop(state, shuffle_seed):
 # recorded rounds of real runs
 # ----------------------------------------------------------------------
 
-class _RecordingSupervisor(Supervisor):
-    """Records what the coordinator knew at the top of every round and
-    the advance messages that round then sent."""
+def _record_workers(monkeypatch, directory):
+    """Make every worker process append, to a file named after it, what
+    it knew and planned each round and the envelopes it injected."""
+    plan, inject = worker_module.plan_round, PartitionSystem.inject
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.trace = []
+    def dump(kind, record):
+        name = multiprocessing.current_process().name
+        with open(directory / f"{kind}-{name}", "ab") as handle:
+            pickle.dump(record, handle)
 
-    def _round(self):
-        known = (list(self.peeks), [sorted(heap) for heap in self.pending])
-        logged = [len(worker.log) for worker in self.workers]
-        more = super()._round()
-        sent = {worker.index: worker.log[logged[worker.index]][1:]
-                for worker in self.workers
-                if len(worker.log) > logged[worker.index]}
-        self.trace.append((known, sent if more else None))
-        return more
+    def recording_plan(peeks, pending, distance):
+        grants = plan(peeks, pending, distance)
+        dump("plan", ((list(peeks), [sorted(heap) for heap in pending]),
+                      grants))
+        return grants
+
+    def recording_inject(self, envelopes):
+        dump("inject", list(envelopes))
+        return inject(self, envelopes)
+
+    # Workers fork from this process, so they inherit the patches.
+    monkeypatch.setattr(worker_module, "plan_round", recording_plan)
+    monkeypatch.setattr(PartitionSystem, "inject", recording_inject)
+
+
+def _records(path):
+    with open(path, "rb") as handle:
+        while True:
+            try:
+                yield pickle.load(handle)
+            except EOFError:
+                return
 
 
 @pytest.mark.parametrize("num_partitions", [2, 4])
 @pytest.mark.parametrize("kills", [1, 8])
-def test_recorded_run_matches_the_replaced_loop(num_partitions, kills):
-    # Killed workers are replayed from the log, which never changes
-    # what the coordinator knows or grants: the recorded rounds still
-    # match the reference loop.
+def test_recorded_run_matches_the_replaced_loop(monkeypatch, tmp_path,
+                                                num_partitions, kills):
+    # Every worker plans every round itself, on its mirror of every
+    # partition's state; restarting the run after 1 or 8 kills changes
+    # nothing any worker knows or grants.
     scenario = scenarios()["escl-torus-16"]
+    distance = lookahead_matrix(
+        partition_fabric(scenario.fabric, num_partitions), scenario.config())
     chaos = escl_campaign("worker-kill", scenario.config(),
                           partitions=num_partitions, kills=kills)
-    supervisor = _RecordingSupervisor(scenario, num_partitions, faults=chaos,
-                                     max_restarts=kills)
-    outcome = supervisor.run()
+    _record_workers(monkeypatch, tmp_path)
+    outcome = run_partitioned(scenario, num_partitions, faults=chaos,
+                              max_restarts=kills)
     assert outcome.digest == run_single(scenario).digest
-    assert len(supervisor.trace) == outcome.rounds + 1
+    # The workers of the run's last incarnation, by process name.
+    names = [f"scaleout-{scenario.name}-p{index}-r{outcome.restarts}"
+             for index in range(num_partitions)]
+    plans = [list(_records(tmp_path / f"plan-{name}")) for name in names]
+    assert all(plan == plans[0] for plan in plans)
+    assert len(plans[0]) == outcome.rounds + 1
+    injected = [[] for _ in names]
     advances = 0
-    for (peeks, pending), sent in supervisor.trace:
+    for (peeks, pending), grants in plans[0]:
         heaps = heaps_of(pending)
-        expected = reference_round(peeks, pending, supervisor.distance)
-        planned = planned_round(peeks, heaps, supervisor.distance)
-        if sent is None:
+        expected = reference_round(peeks, pending, distance)
+        planned = planned_round(peeks, heaps, distance)
+        if grants is None:
             assert expected is None and planned is None
             continue
         _windows, sends = expected
         assert planned == sends
-        # ...and it is what actually crossed the pipes that round.
-        assert sent == sends
+        assert {index: grant for index, grant in enumerate(grants)
+                if grant is not None} \
+            == {index: grant for index, (grant, _due) in sends.items()}
+        for index, (_grant, due) in sends.items():
+            injected[index].append(due)
         advances += len(sends)
     assert advances == outcome.advances
+    # ...and each worker injected exactly its due envelopes, in order.
+    for index, name in enumerate(names):
+        assert list(_records(tmp_path / f"inject-{name}")) \
+            == injected[index]

@@ -1,15 +1,17 @@
 """Crash-tolerant scale-out: recovery, forensics, partition-aware faults.
 
 The supervisor's contract is that worker death is invisible in the
-result: SIGKILL any worker at any instant and window-log replay
-reconstructs bit-identical state, so the digest (and even the raw event
+result: SIGKILL any worker at any instant and the restarted run
+reproduces bit-identical state, so the digest (and even the raw event
 count) still matches the clean single-process reference.  These tests
 exercise every failure mode the coordinator distinguishes — chaos
 kills, death before the first state report, worker-side exceptions,
-hangs, broken budgets — plus the partition-aware fault slicing that
-keeps faulted runs digest-identical across run shapes.
+hangs and the peers blocked on them, planner divergence, broken
+budgets — plus the partition-aware fault slicing that keeps faulted
+runs digest-identical across run shapes.
 """
 
+import multiprocessing
 import os
 import time
 
@@ -19,10 +21,12 @@ from repro.config import NectarConfig
 from repro.errors import ConfigError, ScaleoutError
 from repro.faults import (PROCESS_KINDS, FaultEvent, FaultInjector,
                           FaultScenario, build_campaign)
-from repro.scaleout import (Supervisor, escl_campaign, run_partitioned,
-                            run_single, scenarios)
+from repro.scaleout import (Supervisor, escl_campaign, partition_fabric,
+                            run_partitioned, run_single, scenarios)
 from repro.scaleout import supervisor as supervisor_module
+from repro.scaleout import worker as worker_module
 from repro.scaleout.partition import PartitionSystem
+from repro.scaleout.planner import post
 from repro.topology import single_hub_system
 
 
@@ -111,7 +115,7 @@ class TestNonStrictInjector:
 
 
 # ----------------------------------------------------------------------
-# recovery by window-log replay
+# recovery by restarting the run
 # ----------------------------------------------------------------------
 
 class TestChaosRecovery:
@@ -125,9 +129,30 @@ class TestChaosRecovery:
         result = run_partitioned(scenario, 4, faults=kills)
         assert result.worker_kills >= 1
         assert result.restarts >= 1
-        assert result.replayed_windows > 0
         assert result.digest == reference.digest
         assert result.events == reference.events
+
+    def test_mid_run_kill_restarts_every_worker_once(self,
+                                                     torus16_reference):
+        spawned = []
+
+        class Counting(Supervisor):
+            def _spawn(self, worker, *args):
+                spawned.append(worker.index)
+                super()._spawn(worker, *args)
+
+        kill = FaultScenario("k", [
+            FaultEvent("kill_worker", 50_000, 0, target="2")])
+        result = Counting(scenarios()["escl-torus-16"], 4,
+                          faults=kill).run()
+        assert (result.worker_kills, result.restarts) == (1, 1)
+        # Every partition was forked twice; only the killed one is
+        # charged.
+        assert sorted(spawned) == [0, 0, 1, 1, 2, 2, 3, 3]
+        assert [entry["restarts"] for entry in result.forensics] \
+            == [0, 0, 1, 0]
+        assert result.forensics[2]["failures"][0]["reason"] == "crash"
+        assert result.mismatch(torus16_reference) is None
 
     def test_kill_before_first_state_report(self, torus16_reference):
         scenario = scenarios()["escl-torus-16"]
@@ -139,28 +164,37 @@ class TestChaosRecovery:
         assert result.digest == torus16_reference.digest
         assert result.events == torus16_reference.events
 
-    def test_replay_divergence_is_caught(self, monkeypatch, tmp_path):
-        import multiprocessing
-        # Partition 1's second incarnation runs a microsecond past every
-        # grant, so its very first re-answer already reports other
-        # events than the first incarnation's did.
-        _patch_partition_one_run(
-            monkeypatch, tmp_path,
-            lambda incarnation, until: until + 1_000 * (incarnation == 2))
-        kill = FaultScenario("k", [
-            FaultEvent("kill_worker", 50_000, 0, target="1")])
+    def test_planner_divergence_is_caught(self, monkeypatch):
+        # Partition 1 loses the first envelope bound for partition 0
+        # from its mirror of partition 0's pending heap, so from then on
+        # it plans on other knowledge than partition 0 does.
+        scenario = scenarios()["escl-torus-16"]
+        owners = partition_fabric(scenario.fabric, 2).owner_map()
+        dropped = []
+
+        def lossy_post(heap, source, envelope):
+            if not dropped and owners[envelope[3]] == 0 \
+                    and "-p1-" in multiprocessing.current_process().name:
+                dropped.append(envelope)
+                return
+            post(heap, source, envelope)
+
+        # Workers fork from this process, so they inherit the patch.
+        monkeypatch.setattr(worker_module, "post", lossy_post)
         with pytest.raises(ScaleoutError,
-                           match="partition 1: replay diverged") as excinfo:
-            run_partitioned(scenarios()["escl-torus-16"], 4, faults=kill)
-        assert len(excinfo.value.forensics) == 4
+                           match="planner diverged") as excinfo:
+            run_partitioned(scenario, 2)
+        assert len(excinfo.value.forensics) == 2
+        # Divergence is deterministic: nothing is restarted.
+        assert [entry["restarts"] for entry in excinfo.value.forensics] \
+            == [0, 0]
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("kills", [1, 8])
     def test_kill_mid_batch_recovers_bit_identical(self, torus16_reference,
                                                    kills):
-        # The window log stores the grants themselves, so replay after
-        # kills that land inside a round's batch of grants re-grants
-        # identical windows, however many workers die.
+        # However many kills land, and whichever instant of a grant
+        # each one hits, the restarted run re-plans identical grants.
         scenario = scenarios()["escl-torus-16"]
         chaos = escl_campaign("worker-kill", scenario.config(),
                               partitions=4, kills=kills)
@@ -180,8 +214,6 @@ class TestChaosRecovery:
         assert registry.get("scaleout.restarts").value() == result.restarts
         assert registry.get("scaleout.worker_kills").value() \
             == result.worker_kills
-        assert registry.get("scaleout.replayed_windows").value() \
-            == result.replayed_windows
 
     def test_per_partition_metrics_reach_the_registry(self):
         from repro.observe import MetricRegistry
@@ -207,8 +239,8 @@ class TestChaosRecovery:
     def test_summary_includes_recovery_counters(self, torus16_reference):
         summary = torus16_reference.summary()
         assert summary["restarts"] == 0
-        assert summary["replayed_windows"] == 0
         assert summary["worker_kills"] == 0
+        assert "replayed_windows" not in summary
 
 
 class TestNoLeftovers:
@@ -217,7 +249,6 @@ class TestNoLeftovers:
     @pytest.mark.parametrize("chaos", [False, True],
                              ids=["clean", "worker-kill"])
     def test_no_tracker_no_shm_segment(self, torus16_reference, chaos):
-        import multiprocessing
         from multiprocessing import resource_tracker
         scenario = scenarios()["escl-torus-16"]
         before = set(os.listdir("/dev/shm"))
@@ -248,98 +279,27 @@ class TestWaitPath:
 
         supervisor._selector.select = counting_select
         try:
-            for worker in supervisor.workers:
-                supervisor._spawn(worker)
-            # Both initial state reports are sitting in their pipes...
+            supervisor._spawn_all()
+            # Both workers exchanged their initial reports and said
+            # ready: both messages are sitting in their pipes...
             assert all(worker.conn.poll(30) for worker in supervisor.workers)
-            supervisor._collect()
+            assert supervisor._collect("ready")
             # ...and one wake absorbed both.
             assert selects == [2]
-            assert [worker.acked for worker in supervisor.workers] == [1, 1]
-            assert None not in supervisor.peeks
+            assert [worker.state for worker in supervisor.workers] \
+                == ["ready", "ready"]
         finally:
             supervisor._reap_all()
             supervisor._selector.close()
         assert all(worker.watched == () for worker in supervisor.workers)
-
-    def test_idle_death_stops_waking_the_wait_and_recovers_at_next_send(
-            self):
-        import signal
-        supervisor = Supervisor(scenarios()["escl-torus-16"], 2)
-        idle, busy = supervisor.workers
-        wakes = []
-        select = supervisor._selector.select
-
-        def counting_select(timeout=None):
-            wakes.append(1)
-            return select(timeout)
-
-        supervisor._selector.select = counting_select
-        try:
-            for worker in supervisor.workers:
-                supervisor._spawn(worker)
-            supervisor._collect()
-            os.kill(idle.process.pid, signal.SIGKILL)
-            idle.process.join(30)
-            del wakes[:]
-            # (An advance to window 0 is a no-op probe.)  Nothing is
-            # asked of the dead worker: its ever-ready sentinel is
-            # dropped instead of spinning the wait...
-            supervisor._send(busy, ("advance", 0, []))
-            supervisor._collect()
-            assert idle.watched == () and supervisor.restarts == 0
-            assert len(wakes) <= 2
-            # ...and the broken pipe at the next send recovers it.
-            supervisor._send(idle, ("advance", 0, []))
-            supervisor._collect()
-            assert supervisor.restarts == 1 and len(idle.watched) == 2
-            assert idle.failures[0]["exit_code"] == -signal.SIGKILL
-            assert not idle.outstanding and not busy.outstanding
-        finally:
-            supervisor._reap_all()
-            supervisor._selector.close()
-
-    def test_other_workers_answers_are_absorbed_while_one_catches_up(self):
-        import signal
-        supervisor = Supervisor(scenarios()["escl-torus-16"], 2)
-        victim, other = supervisor.workers
-        try:
-            for worker in supervisor.workers:
-                supervisor._spawn(worker)
-            supervisor._collect()
-            dead_fds = list(victim.watched)
-            os.kill(victim.process.pid, signal.SIGKILL)
-            victim.process.join(30)
-            unregistered = []
-            unregister = supervisor._selector.unregister
-
-            def spying_unregister(fileobj):
-                unregistered.append(fileobj)
-                return unregister(fileobj)
-
-            supervisor._selector.unregister = spying_unregister
-            # The other worker's answer is already on its way when the
-            # broken pipe respawns the victim...
-            supervisor._send(other, ("advance", 0, []))
-            supervisor._send(victim, ("advance", 0, []))
-            assert supervisor.restarts == 1 and victim.heard == 0
-            supervisor._collect()
-            # ...and the one wait takes both: nobody's registration is
-            # parked to keep it from waking a second, private wait.
-            assert unregistered == dead_fds
-            assert not victim.outstanding and not other.outstanding
-            assert victim.heard == victim.acked == 2
-        finally:
-            supervisor._reap_all()
-            supervisor._selector.close()
 
     def test_respawn_unregisters_the_dead_incarnations_fds(
             self, torus16_reference):
         audits = []
 
         class Audited(Supervisor):
-            def _spawn(self, worker):
-                super()._spawn(worker)
+            def _spawn(self, worker, *args):
+                super()._spawn(worker, *args)
                 watched = {fileobj if isinstance(fileobj, int)
                            else fileobj.fileno()
                            for w in self.workers for fileobj in w.watched}
@@ -355,29 +315,25 @@ class TestWaitPath:
         # A reused fd number would raise KeyError at register; a stale
         # one would show up as a registration no live worker owns.
         assert outcome.restarts >= 1
-        assert len(audits) == 4 + outcome.restarts and all(audits)
+        assert len(audits) == 4 * (1 + outcome.restarts) and all(audits)
         assert outcome.digest == torus16_reference.digest
 
-    def test_envelope_bodies_are_bytes_everywhere_in_the_coordinator(self):
+    def test_envelope_bodies_are_bytes_everywhere_in_the_coordinator(
+            self, monkeypatch):
         import ast
         import inspect
         from repro.scaleout import planner, supervisor
-        bodies = set()
 
-        class Inspecting(Supervisor):
-            def _round(self):
-                bodies.update(type(entry[3][5]) for heap in self.pending
-                              for entry in heap)
-                return super()._round()
+        def checking_post(heap, source, envelope):
+            # Runs in the workers: a body that is not a blob fails the
+            # worker, and the run with it.
+            assert type(envelope[5]) in (bytes, type(None)), envelope
+            post(heap, source, envelope)
 
-        run = Inspecting(scenarios()["escl-torus-16-circuit"], 2)
-        run.run()
-        for worker in run.workers:
-            bodies.update(type(envelope[5]) for message in worker.log
-                          if message[0] == "advance"
-                          for envelope in message[2])
-        # Packets and replies as blobs, ready signals as None.
-        assert bodies == {bytes, type(None)}
+        monkeypatch.setattr(worker_module, "post", checking_post)
+        scenario = scenarios()["escl-torus-16-circuit"]
+        result = run_partitioned(scenario, 2, max_restarts=0)
+        assert result.envelopes > 0
         # The coordinator cannot open a blob: it imports no model class.
         for module in (supervisor, planner):
             tree = ast.parse(inspect.getsource(module))
@@ -435,17 +391,26 @@ class TestErrorPaths:
             return original(self, until=until)
 
         monkeypatch.setattr(PartitionSystem, "run", hanging_run)
-        monkeypatch.setattr(supervisor_module, "HANG_TIMEOUT_S", 1.0)
+        # Three heartbeats of a blocked peer fit in the timeout.
+        monkeypatch.setattr(supervisor_module, "HANG_TIMEOUT_S", 3.0)
         outcome = Supervisor(scenario, 4).run()
         assert outcome.restarts == 1
         entry = outcome.forensics[1]
-        assert entry["failures"][0]["reason"] == "hang"
+        failure, = entry["failures"]
+        assert failure["reason"] == "hang"
+        # The hung partition is named, beside the peer whose heartbeats
+        # said it was blocked on it; that peer is not charged.
+        assert "partitions [0] waited on it" in failure["detail"]
+        assert [e["restarts"] for e in outcome.forensics] == [0, 1, 0, 0]
+        assert [len(e["failures"]) for e in outcome.forensics] \
+            == [0, 1, 0, 0]
         assert outcome.digest == torus16_reference.digest
 
     @pytest.fixture
     def dies_twice(self, monkeypatch, tmp_path):
         """Partition 1 raises in its first two incarnations: mid-run,
-        then *earlier* — while still re-answering acknowledged windows."""
+        then *earlier* — while the restarted run is still catching up
+        with where the first one failed."""
         limits = {1: 50_000, 2: 20_000}
 
         def flaky(incarnation, until):
@@ -462,14 +427,13 @@ class TestErrorPaths:
         assert result.restarts == 2
         first, second = result.forensics[1]["failures"]
         assert first["reason"] == second["reason"] == "exception"
-        # The second incarnation never got past what the first had
-        # already answered: nothing new was acknowledged in between.
-        assert second["acked_responses"] == first["acked_responses"]
+        # The second failure came before the restarted run had reached
+        # the first one's round.
+        assert 0 < second["last_round"] < first["last_round"]
         assert result.mismatch(torus16_reference) is None
 
     def test_death_while_catching_up_counts_against_the_budget(
             self, dies_twice):
-        import multiprocessing
         from repro.observe import MetricRegistry
         registry = MetricRegistry()
         with pytest.raises(ScaleoutError) as excinfo:
