@@ -25,15 +25,17 @@ not parallel gain (see docs/PERFORMANCE.md).  The walls stay recorded.
 Beside each wall sit the three CPU shares that add up to the run:
 ``compute_s`` (workers inside ``run``), ``ipc_s`` (workers planning,
 exchanging reports, decoding + injecting) and ``coordinator_cpu_s``.
+The script prints the document it wrote as one table per scenario.
 """
 
 import argparse
 import json
+import os
+import platform
 import sys
 
 import pytest
 
-from repro.perfbench import host_block
 from repro.scaleout import (escl_campaign, run_partitioned, run_single,
                             scenarios)
 from repro.stats import ExperimentTable
@@ -157,6 +159,17 @@ def test_escl6_recovery_overhead(benchmark):
 # script mode: capture BENCH_scaleout.json
 # ----------------------------------------------------------------------
 
+def host_block() -> dict:
+    """Where the walls were taken (walls from different hosts are not
+    comparable); ``cpus`` is affinity-aware where the OS tells."""
+    return {
+        "cpus": len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+    }
+
+
 def speedup_entry(single_wall_s: float, wall_s: float, partitions: int,
                   cpus: int) -> dict:
     """``speedup`` (+ ``note`` when withheld) for one configuration."""
@@ -218,6 +231,37 @@ def capture(scenario_name: str, repeats: int, cpus: int) -> dict:
     return record
 
 
+def show(path: str, document: dict) -> None:
+    """Print a captured document: one row per partition count, its
+    speedup over the single-process reference (``n/a`` where withheld)
+    and where its CPU went."""
+    print(f"{path} (seed {document['seed']}, "
+          f"{document['host']['cpus']} cpu(s), "
+          f"best of {document['repeats']} interleaved):")
+    headers = ("parts", "wall_s", "setup_s", "rounds", "advances",
+               "compute_s", "ipc_s", "coord_cpu_s", "speedup", "digest=")
+    for name, data in sorted(document["scenarios"].items()):
+        single = data["single"]
+        print(f"\n{name}: {data['events']:,} events, single-process "
+              f"wall {single['wall_s']:.4f}s "
+              f"(+{single['setup_s']:.4f}s setup), "
+              f"digest {data['digest'][:12]}")
+        rows = [(f"p{run['partitions']}",
+                 *(f"{run[key]:.4f}" for key in ("wall_s", "setup_s")),
+                 str(run["rounds"]), str(run["advances"]),
+                 *(f"{run[key]:.4f}" for key in
+                   ("compute_s", "ipc_s", "coordinator_cpu_s")),
+                 "n/a" if run["speedup"] is None
+                 else f"{run['speedup']:.2f}x",
+                 "yes" if run["digest_match"] else "NO")
+                for run in data["partitioned"]]
+        widths = [max(map(len, column)) for column in zip(headers, *rows)]
+        for row in (headers, tuple("-" * width for width in widths), *rows):
+            print("  ".join(cell.rjust(width) if index else cell.ljust(width)
+                            for index, (cell, width)
+                            in enumerate(zip(row, widths))))
+
+
 def main(argv) -> int:
     parser = argparse.ArgumentParser(
         description="capture BENCH_scaleout.json (interleaved best-of)")
@@ -248,6 +292,7 @@ def main(argv) -> int:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"wrote {args.out}", file=sys.stderr)
+    show(args.out, document)
     return 1 if failed else 0
 
 

@@ -17,10 +17,6 @@
   versus software-tree versus dimension-exchange collectives under
   hotspot contention (``docs/COLLECTIVES.md``); output is
   deterministic, so CI diffs two runs.
-* ``python -m repro bench`` — engine wall-clock benchmark: events/sec
-  on the fixed-seed scenarios of :mod:`repro.perfbench`, written to
-  ``BENCH_engine.json`` (render/compare with ``tools/perf_report.py``;
-  see ``docs/PERFORMANCE.md``).
 * ``python -m repro scaleout`` — E-SCL partitioned scale-out runs:
   shard a large fabric across worker processes under conservative
   lookahead, report events/s and goodput per partition count, and —
@@ -166,37 +162,7 @@ def run_observe(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_bench(args: argparse.Namespace) -> int:
-    import os
-
-    from .perfbench import SCENARIOS, SMOKE_SCENARIOS, run_suite, \
-        write_results
-
-    unknown = sorted(set(args.scenarios) - set(SCENARIOS))
-    if unknown:
-        print(f"error: unknown scenario(s) {', '.join(unknown)} "
-              f"(have: {', '.join(sorted(SCENARIOS))})", file=sys.stderr)
-        return 2
-    names = list(SMOKE_SCENARIOS) if args.smoke else \
-        (args.scenarios or sorted(SCENARIOS))
-    results = run_suite(names, repeat=args.repeat)
-    baseline = None
-    if os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as handle:
-            baseline = json.load(handle)
-    document = write_results(args.out, results, args.label,
-                             baseline=baseline)
-    for name in names:
-        data = results[name]
-        print(f"{name:16s} {data['events']:>9,} events  "
-              f"{data['wall_s']:.4f}s  "
-              f"{data['events_per_sec']:>12,.0f} events/sec")
-    print(f"wrote {args.out} "
-          f"(runs: {', '.join(document['runs'])})")
-    return 0
-
-
-def run_collectives(args: argparse.Namespace) -> int:
+def run_collectives(_args: argparse.Namespace) -> int:
     """Three-way E-COL comparison: HUB offload vs software trees.
 
     Output is fully deterministic (simulated clocks and digests only,
@@ -204,7 +170,7 @@ def run_collectives(args: argparse.Namespace) -> int:
     """
     from .workload.experiments import measure_collectives
 
-    result = measure_collectives(repeat=args.repeat)
+    result = measure_collectives()
     print("in-network collectives (seed 1989): 12 rounds of "
           "allreduce + barrier across 8 ranks on one HUB,")
     print("with the 7 non-root CABs aiming 512 B hotspot noise at cab0")
@@ -543,30 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
         "collectives",
         help="E-COL: HUB-offloaded vs software collectives under "
              "hotspot contention (deterministic output)")
-    collectives.add_argument(
-        "--repeat", type=int, default=1,
-        help="runs per mode; digests must agree across repeats "
-             "(default: 1)")
     collectives.set_defaults(func=run_collectives)
-
-    from .perfbench import SCENARIOS as BENCH_SCENARIOS
-    bench = commands.add_parser(
-        "bench",
-        help="engine wall-clock benchmark: events/sec on fixed-seed "
-             "scenarios, results to BENCH_engine.json")
-    bench.add_argument("scenarios", nargs="*", metavar="scenario",
-                       help="scenarios to run (default: all); one of: "
-                            + ", ".join(sorted(BENCH_SCENARIOS)))
-    bench.add_argument("--repeat", type=int, default=3,
-                       help="runs per scenario, fastest kept (default: 3)")
-    bench.add_argument("--label", default="optimized",
-                       help="run label in the document (default: optimized)")
-    bench.add_argument("--out", default="BENCH_engine.json",
-                       help="output document; an existing file's runs are "
-                            "preserved (default: BENCH_engine.json)")
-    bench.add_argument("--smoke", action="store_true",
-                       help="run only the quick CI smoke scenarios")
-    bench.set_defaults(func=run_bench)
 
     scaleout = commands.add_parser(
         "scaleout",

@@ -70,8 +70,7 @@ class Hub:
 
         This runs for every command, hop, and drop, so the disabled-tracing
         case must cost one attribute check here — not a ``Tracer.record``
-        call that immediately returns (see the ``trace-disabled`` scenario
-        in :mod:`repro.perfbench`).
+        call that immediately returns.
         """
         self.counters[key] += amount
         tracer = self.tracer

@@ -1,43 +1,35 @@
-"""Wall-clock performance harness for the discrete-event hot path.
+"""The behaviour pins: a table of fixed-seed scenarios and their digests.
 
-Every experiment in this reproduction runs through the pure-Python event
-loop in :mod:`repro.sim`, so the simulator's own throughput (simulated
-events per wall-clock second) is a first-class deliverable.  This module
-defines a small set of **fixed-seed macro scenarios** — a hotspot
-workload, a fault-injection campaign, a resilience link-flap, and an
-engine-only timeout storm — and measures each one's events/sec and
-wall-clock time.  Results are written to ``BENCH_engine.json`` so the
-repo accumulates a performance trajectory over time.
+Every result this reproduction reports comes out of the discrete-event
+model, so a change anywhere in it — the agenda, a hardware model, the
+protocol stack — must be shown not to move what the model computes.
+This module is the table that shows it: ten seeded scenarios (a
+hotspot workload, a fault campaign, a resilience link-flap, real-byte
+wire traffic, an engine-only timeout storm, the three E-COL collective
+paths and two E-SCL tori), each returning a ``fingerprint`` of what it
+computed (final clock, delivery counters, per-HUB counters).
 
-Two properties make the numbers trustworthy:
+* :func:`run_scenario` runs one scenario once; its SHA-256
+  ``result_digest`` must equal the capture pinned in
+  ``tests/data/perfbench_result_digests.json``.  The agenda-entry count
+  ``events`` is reported beside it, not hashed: it belongs to the
+  schedule, so it must repeat run-to-run but may fall when a change
+  elides hand-off events.
+* :func:`capture_timeline` runs one scenario traced; the ``hotspot``
+  and ``fault-campaign`` timelines must replay the checked-in
+  ``tests/data/golden_timeline_*.json`` event for event.
 
-* **Determinism** — each scenario is seeded and returns a
-  ``fingerprint`` (final clock, delivery counters) whose SHA-256
-  ``result_digest`` must be identical run-to-run, engine-to-engine and
-  change-to-change (``tests/data/perfbench_result_digests.json`` pins
-  all of them).  The agenda-entry count ``events`` is reported beside
-  it, not hashed: it belongs to the schedule, so it must repeat
-  run-to-run but may fall when a change elides hand-off events.  The
-  CI perf-smoke job runs every scenario twice and compares both;
-  :mod:`tests.test_perfbench` compares full traced timelines against
-  checked-in pre-optimization captures.
-* **Report-only thresholds** — wall-clock numbers are recorded, never
-  hard-gated, so shared-runner noise cannot make CI flaky.
-
-Run from the command line via ``python -m repro bench``; compare two
-result files with ``python tools/perf_report.py --compare old.json
-new.json`` — the one comparator, and the one CI gates on.
+:func:`repro.workload.experiments.measure_collectives` reads the E-COL
+rows.  Nothing here times the host: ``benchmarks/e2e`` judges host time
+with paired runs (``benchmarks/e2e/compare.py``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import platform
-import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from .config import NectarConfig
 from .sim import Simulator, units
@@ -47,31 +39,20 @@ __all__ = [
     "SCENARIOS",
     "Scenario",
     "capture_timeline",
-    "host_block",
     "run_scenario",
-    "run_suite",
-    "write_results",
 ]
 
 SEED = 1989
 
-#: Schema tag written into every results file.
-SCHEMA = "nectar-bench-engine/1"
-
 
 @dataclass
 class BenchResult:
-    """One scenario's measurement."""
+    """What one scenario run computed."""
 
     scenario: str
     events: int
     sim_ns: int
-    wall_s: float
-    fingerprint: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def events_per_sec(self) -> float:
-        return self.events / self.wall_s if self.wall_s > 0 else 0.0
+    fingerprint: dict[str, Any]
 
     @property
     def result_digest(self) -> str:
@@ -85,34 +66,15 @@ class BenchResult:
             sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def summary(self) -> dict[str, Any]:
-        return {
-            "events": self.events,
-            "sim_ns": self.sim_ns,
-            "wall_s": round(self.wall_s, 6),
-            "events_per_sec": round(self.events_per_sec, 1),
-            "result_digest": self.result_digest,
-            "fingerprint": self.fingerprint,
-        }
-
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named, seeded scenario the harness can run."""
+    """A named, seeded scenario: ``build(trace)`` returns the system
+    and a ``drive()`` that runs it and returns the fingerprint."""
 
     name: str
     description: str
     build: Callable[[bool], "tuple[Any, Callable[[], dict]]"]
-
-    def run(self) -> BenchResult:
-        """Execute once, untraced, timing only the simulation drive."""
-        system, drive = self.build(False)
-        sim = system.sim if hasattr(system, "sim") else system
-        start = time.perf_counter()
-        fingerprint = drive()
-        wall = time.perf_counter() - start
-        return BenchResult(self.name, sim.events_processed, sim.now,
-                           wall, fingerprint)
 
 
 # ----------------------------------------------------------------------
@@ -297,34 +259,6 @@ def _build_timeout_storm(trace: bool):
     return sim, drive
 
 
-def _build_trace_disabled(trace: bool):
-    """Micro scenario for the disabled-tracing hot path.
-
-    A HUB's ``count()`` runs once per command/packet hop; with tracing
-    disabled it must cost one attribute check, not a ``Tracer.record``
-    call per event.  This scenario hammers exactly that path.
-    """
-    from .hardware import Hub
-    from .sim import Tracer
-    cfg = NectarConfig(seed=SEED)
-    sim = Simulator()
-    tracer = Tracer(sim, enabled=False)
-    hub = Hub(sim, "hub0", cfg.hub, cfg.fiber, tracer=tracer)
-    iterations = 200_000
-
-    def drive() -> dict[str, Any]:
-        count = hub.count
-        for _ in range(iterations):
-            count("bench_probe")
-        # Report iterations as "events" so events/sec == emissions/sec.
-        sim.events_processed += iterations
-        return {"emissions": iterations,
-                "counter": hub.counters["bench_probe"],
-                "records": len(tracer.records)}
-
-    return sim, drive
-
-
 def _build_collective(mode: str):
     """E-COL scenario factory: collectives under hotspot contention.
 
@@ -332,8 +266,9 @@ def _build_collective(mode: str):
     library while every other CAB hammers cab0 with 512-byte datagrams —
     the hotspot pattern that congests software trees rooted at rank 0.
     One scenario per execution path (``hub`` offload, software ``tree``,
-    hypercube ``exchange``) so ``tools/perf_report.py`` and the E-COL
-    benchmark can compare completion latency at identical offered noise.
+    hypercube ``exchange``) so ``python -m repro collectives`` and the
+    E-COL benchmark can compare completion latency at identical offered
+    noise.
     """
     def build(trace: bool):
         from dataclasses import replace
@@ -400,8 +335,8 @@ def _build_collective(mode: str):
 def _build_scaleout(scenario_name: str):
     """E-SCL scenario factory: large-fabric shift-permutation traffic.
 
-    Runs the scale-out workload single-process so the perf harness
-    tracks the same fabrics the partitioned runs shard; the partitioned
+    Runs the scale-out workload single-process so the digest table
+    pins the same fabrics the partitioned runs shard; the partitioned
     digests are asserted against these runs by ``python -m repro
     scaleout --partitions 1,2,4`` and the CI scale-out smoke.
     """
@@ -442,9 +377,6 @@ SCENARIOS: dict[str, Scenario] = {
         Scenario("timeout-storm",
                  "engine-only: 300 processes x 150 chained timeouts",
                  _build_timeout_storm),
-        Scenario("trace-disabled",
-                 "micro: per-event cost of disabled tracing",
-                 _build_trace_disabled),
         Scenario("collective-hub",
                  "E-COL: 8-rank allreduce+barrier rounds, HUB-offloaded, "
                  "under hotspot noise",
@@ -468,31 +400,13 @@ SCENARIOS: dict[str, Scenario] = {
     )
 }
 
-#: The scenarios CI's perf-smoke job runs (kept quick and stable).
-SMOKE_SCENARIOS = ("hotspot", "timeout-storm")
 
-
-def run_scenario(name: str, repeat: int = 1) -> BenchResult:
-    """Run one scenario ``repeat`` times; keep the fastest wall clock.
-
-    Result digest and event count must be identical across repeats — a
-    mismatch means the scenario is not deterministic and the measurement
-    is invalid.
-    """
-    scenario = SCENARIOS[name]
-    best: Optional[BenchResult] = None
-    for _ in range(max(1, repeat)):
-        result = scenario.run()
-        if best is not None and (result.result_digest, result.events) \
-                != (best.result_digest, best.events):
-            raise RuntimeError(
-                f"scenario {name!r} is not deterministic: "
-                f"{result.result_digest} / {result.events} events != "
-                f"{best.result_digest} / {best.events} events")
-        if best is None or result.wall_s < best.wall_s:
-            best = result
-    assert best is not None
-    return best
+def run_scenario(name: str) -> BenchResult:
+    """Run one scenario once, untraced."""
+    system, drive = SCENARIOS[name].build(False)
+    sim = system.sim if hasattr(system, "sim") else system
+    fingerprint = drive()
+    return BenchResult(name, sim.events_processed, sim.now, fingerprint)
 
 
 def capture_timeline(name: str) -> list[tuple[int, str, str]]:
@@ -502,8 +416,7 @@ def capture_timeline(name: str) -> list[tuple[int, str, str]]:
     interleaving of every traced hardware/fault event.  Identity-bearing
     fields (packet ids) are excluded so captures survive process reuse.
     """
-    scenario = SCENARIOS[name]
-    system, drive = scenario.build(True)
+    system, drive = SCENARIOS[name].build(True)
     drive()
     tracer = getattr(system, "tracer", None)
     if tracer is None:
@@ -511,48 +424,3 @@ def capture_timeline(name: str) -> list[tuple[int, str, str]]:
     return [(record.time, record.source, record.kind)
             for record in tracer.records]
 
-
-def run_suite(names: Optional[list[str]] = None,
-              repeat: int = 1) -> dict[str, dict[str, Any]]:
-    """Run the named scenarios (default: all) and summarize."""
-    results = {}
-    for name in names or list(SCENARIOS):
-        results[name] = run_scenario(name, repeat=repeat).summary()
-    return results
-
-
-def host_block() -> dict[str, Any]:
-    """Where a wall-clock reading was taken (readings from different
-    hosts are not comparable); ``cpus`` is affinity-aware where the OS
-    tells."""
-    return {
-        "cpus": len(os.sched_getaffinity(0))
-        if hasattr(os, "sched_getaffinity") else os.cpu_count(),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-    }
-
-
-def write_results(path: str, results: dict[str, dict[str, Any]],
-                  label: str, baseline: Optional[dict] = None) -> dict:
-    """Write a ``BENCH_engine.json`` document (merging a baseline run).
-
-    ``baseline`` is an earlier document (e.g. the pre-optimization
-    capture) whose runs are preserved so the file carries the full
-    before/after trajectory.
-    """
-    document: dict[str, Any] = {"schema": SCHEMA, "seed": SEED, "runs": {}}
-    if baseline and baseline.get("schema") == SCHEMA:
-        document["runs"].update(baseline.get("runs", {}))
-    document["runs"][label] = {
-        "host": host_block(),
-        "scenarios": {name: results[name] for name in sorted(results)},
-        "descriptions": {name: SCENARIOS[name].description
-                         for name in sorted(results)},
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        # Runs stay in capture order (oldest first) — tools/perf_report.py
-        # reads "last run over first" as the before/after speedup.
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    return document

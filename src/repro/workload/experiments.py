@@ -295,13 +295,13 @@ def measure_lan_node_to_node(size: int = 32,
     }
 
 
-def measure_collectives(repeat: int = 1) -> dict:
+def measure_collectives() -> dict:
     """E-COL: the three collective execution paths of
     :mod:`repro.perfbench` under the same hotspot noise — finish time
     and result digest per mode, the HUB combining unit's counters, and
     the offload's speedup over each software path."""
     from ..perfbench import run_scenario
-    results = {mode: run_scenario(f"collective-{mode}", repeat=repeat)
+    results = {mode: run_scenario(f"collective-{mode}")
                for mode in ("hub", "tree", "exchange")}
     finish_ns = {mode: result.fingerprint["finish_ns"]
                  for mode, result in results.items()}

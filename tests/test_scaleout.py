@@ -484,23 +484,19 @@ def test_capture_withholds_speedup_the_host_cannot_show(load_script, capsys):
     assert withheld["speedup"] is None
     assert "2 CPU(s) for 4 partitions" in withheld["note"]
 
-    run = {"partitions": 4, "wall_s": 0.5,
-           "setup_s": 0.1, "rounds": 3, "advances": 9, **withheld}
+    run = {"partitions": 4, "wall_s": 0.5, "setup_s": 0.1, "rounds": 3,
+           "advances": 9, "compute_s": 0.75, "ipc_s": 0.25,
+           "coordinator_cpu_s": 0.125, "digest_match": True, **withheld}
     document = {"seed": 1, "repeats": 1, "host": {"cpus": 2},
                 "scenarios": {"escl-torus-256": {
                     "events": 10, "digest": "ab" * 32,
                     "single": {"wall_s": 1.0, "setup_s": 0.1},
-                    # An older capture's row still names its transport
-                    # and knows nothing of ipc_s / coordinator_cpu_s.
                     "partitioned": [
-                        {**run, "compute_s": 0.75, "ipc_s": 0.25,
-                         "coordinator_cpu_s": 0.125},
-                        {**run, "partitions": 2, "transport": "shm",
-                         "speedup": 2.0}]}}}
-    load_script("tools/perf_report.py").show_scaleout("doc.json", document)
+                        run, {**run, "partitions": 2, "speedup": 2.0,
+                              "digest_match": False}]}}}
+    bench.show("doc.json", document)
     rendered = capsys.readouterr().out
-    assert "n/a" in rendered and "2.00x" in rendered
-    assert "transport" not in rendered and "shm" not in rendered
-    new_row, old_row = rendered.splitlines()[-2:]
-    assert ["0.7500", "0.2500", "0.1250"] == new_row.split()[5:8]
-    assert ["-", "-", "-"] == old_row.split()[5:8]
+    p4_row, p2_row = rendered.splitlines()[-2:]
+    assert p4_row.split() == ["p4", "0.5000", "0.1000", "3", "9", "0.7500",
+                              "0.2500", "0.1250", "n/a", "yes"]
+    assert p2_row.split()[8:] == ["2.00x", "NO"]
