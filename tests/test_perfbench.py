@@ -16,8 +16,9 @@ bit-identical, so these tests pin:
   the result is not free to move.
 * **The disabled-tracing hot path** — a disabled tracer records nothing
   and the counters still advance.
-* **No wall-clock harness** — ``bench`` and ``collectives --repeat``
-  are argparse errors; host time is judged by ``benchmarks/e2e``.
+* **No wall-clock harness** — ``bench``, ``collectives --repeat`` and
+  every old comparator flag are argparse errors; host time is judged
+  by ``benchmarks/e2e``.
 """
 
 import json
@@ -105,6 +106,21 @@ class TestDisabledTracing:
             hub.count("probe")
         assert tracer.records == []
         assert hub.counters["probe"] == 100
+
+
+class TestBenchDocument:
+    """The bench document is gone, and no comparator outlives it."""
+
+    @pytest.mark.parametrize("flag", ["--compare", "--min-ratio=2",
+                                      "--baseline-label=x"])
+    def test_bench_has_no_second_comparator(self, flag, capsys):
+        for argv in (["bench", "--smoke", flag], ["collectives", flag]):
+            with pytest.raises(SystemExit) as caught:
+                main(argv)
+            assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bench'" in err
+        assert f"unrecognized arguments: {flag}" in err
 
 
 def test_wall_clock_commands_are_gone(capsys):
