@@ -9,8 +9,6 @@
 
 from dataclasses import replace
 
-import pytest
-
 from repro.config import NectarConfig
 from repro.stats import ExperimentTable
 from repro.workload.experiments import measure_node_to_node, measure_throughput
@@ -20,8 +18,7 @@ def stream_throughput(cfg=None, size=64_000):
     return measure_throughput(size, cfg=cfg, protocol="stream")["mbps"]
 
 
-@pytest.mark.benchmark(group="ablation-checksum")
-def test_ablation_hardware_checksum(benchmark):
+def test_ablation_hardware_checksum():
     def scenario():
         hw_cfg = NectarConfig()
         sw_cfg = hw_cfg.with_overrides(
@@ -30,9 +27,8 @@ def test_ablation_hardware_checksum(benchmark):
             "hw_mbps": stream_throughput(hw_cfg),
             "sw_mbps": stream_throughput(sw_cfg),
         }
-    result = benchmark.pedantic(scenario, rounds=1, iterations=1)
+    result = scenario()
     result["gain"] = result["hw_mbps"] / result["sw_mbps"]
-    benchmark.extra_info.update(result)
     table = ExperimentTable("A1", "Hardware vs software checksum (§5.1)")
     table.add("hardware unit (overlapped)", "full rate",
               f"{result['hw_mbps']:.1f} Mb/s")
@@ -41,12 +37,10 @@ def test_ablation_hardware_checksum(benchmark):
               result["sw_mbps"] < result["hw_mbps"])
     table.add("hardware gain", "> 1.5×", f"{result['gain']:.1f}×",
               result["gain"] > 1.5)
-    table.print()
-    assert result["gain"] > 1.5
+    table.check()
 
 
-@pytest.mark.benchmark(group="ablation-window")
-def test_ablation_stream_window(benchmark):
+def test_ablation_stream_window():
     def scenario():
         rates = {}
         for window in (1, 2, 8):
@@ -55,19 +49,16 @@ def test_ablation_stream_window(benchmark):
                 transport=replace(cfg.transport, window_packets=window))
             rates[window] = stream_throughput(cfg)
         return rates
-    rates = benchmark.pedantic(scenario, rounds=1, iterations=1)
-    for window, rate in rates.items():
-        benchmark.extra_info[f"window{window}"] = rate
+    rates = scenario()
     table = ExperimentTable("A2", "Byte-stream window size (64 KB)")
     for window, rate in sorted(rates.items()):
         table.add(f"window = {window} packets", "larger is faster",
                   f"{rate:.1f} Mb/s")
-    table.print()
     assert rates[8] > rates[1]
+    table.check()
 
 
-@pytest.mark.benchmark(group="ablation-interrupts")
-def test_ablation_interrupt_per_message_vs_per_packet(benchmark):
+def test_ablation_interrupt_per_message_vs_per_packet():
     """§3.1: 'interrupts are required only for high-level events …
     rather than low-level events'.  Shared-memory receives need no node
     interrupts at all; the driver interface takes one per packet."""
@@ -75,13 +66,10 @@ def test_ablation_interrupt_per_message_vs_per_packet(benchmark):
         return {interface: measure_node_to_node(
                     interface, size=size)["rx_interrupts"]
                 for interface in ("shm", "driver")}
-    result = benchmark.pedantic(scenario, rounds=1, iterations=1)
-    benchmark.extra_info.update(result)
+    result = scenario()
     table = ExperimentTable("A3", "Node interrupts for an 8 KB message")
     table.add("shared memory (poll)", "0 interrupts",
               str(result["shm"]), result["shm"] == 0)
     table.add("network driver", "1 per packet (9 packets)",
               str(result["driver"]), result["driver"] >= 9)
-    table.print()
-    assert result["shm"] == 0
-    assert result["driver"] >= 9
+    table.check()

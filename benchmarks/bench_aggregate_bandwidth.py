@@ -6,8 +6,6 @@ everyone transmitting at once through the crossbar; the sum of achieved
 rates should approach 1.6 Gb/s.
 """
 
-import pytest
-
 from repro.sim import units
 from repro.stats import ExperimentTable
 from repro.topology import single_hub_system
@@ -46,26 +44,20 @@ def scenario_ring_all_to_all(message_bytes=200_000):
             make_sender(system.cab(name), dst, f"from-{name}")(),
             name=f"tx-{name}")
     system.run(until=300_000_000)
-    assert len(finish) == 16, f"only {len(finish)} transfers completed"
     elapsed = max(finish.values())
     total_bytes = 16 * message_bytes
     return {
         "aggregate_mbps": units.throughput_mbps(total_bytes, elapsed),
-        "elapsed_ms": units.to_ms(elapsed),
         "completed": len(finish),
     }
 
 
-@pytest.mark.benchmark(group="E6-aggregate-bandwidth")
-def test_e6_sixteen_ports_at_line_rate(benchmark):
-    result = benchmark.pedantic(scenario_ring_all_to_all, rounds=1,
-                                iterations=1)
-    benchmark.extra_info.update(result)
+def test_e6_sixteen_ports_at_line_rate():
+    result = scenario_ring_all_to_all()
     table = ExperimentTable("E6", "Single-HUB aggregate bandwidth")
     table.add("concurrent transfers", "16", str(result["completed"]),
               result["completed"] == 16)
     table.add("aggregate throughput", "1.6 Gb/s (16 × 100 Mb/s)",
               f"{result['aggregate_mbps'] / 1000:.2f} Gb/s",
               result["aggregate_mbps"] > 1_400)
-    table.print()
-    assert result["aggregate_mbps"] > 1_400
+    table.check()

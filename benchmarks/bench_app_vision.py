@@ -6,8 +6,6 @@ Sun frame pipeline concurrently with spatial-database queries and checks
 both requirements are met simultaneously.
 """
 
-import pytest
-
 from repro.apps import VisionApplication
 from repro.stats import ExperimentTable
 from repro.topology import single_hub_system
@@ -26,16 +24,12 @@ def scenario_vision(num_frames=4, frame_bytes=128_000):
         "frames": app.frames_received,
         "frame_mbytes_per_s": app.frame_meter.mbytes_per_second,
         "query_mean_us": app.query_latency.mean_us,
-        "query_p95_us": app.query_latency.p(0.95) / 1000,
         "features_stored": sum(s.inserts for s in app.shards),
-        "queries": app.query_latency.count,
     }
 
 
-@pytest.mark.benchmark(group="E19-vision")
-def test_e19_vision_pipeline(benchmark):
-    result = benchmark.pedantic(scenario_vision, rounds=1, iterations=1)
-    benchmark.extra_info.update(result)
+def test_e19_vision_pipeline():
+    result = scenario_vision()
     table = ExperimentTable("E19", "Vision: Warp→Sun frames + DB queries")
     table.add("frames delivered", "4", str(result["frames"]),
               result["frames"] == 4)
@@ -47,6 +41,4 @@ def test_e19_vision_pipeline(benchmark):
               result["query_mean_us"] < 500)
     table.add("features stored", "64", str(result["features_stored"]),
               result["features_stored"] == 64)
-    table.print()
-    assert result["frame_mbytes_per_s"] > 3
-    assert result["query_mean_us"] < 500
+    table.check()

@@ -13,8 +13,6 @@ campaigns against live workloads and check the recovery contract:
 * the same seed reproduces a byte-identical fault schedule.
 """
 
-import pytest
-
 from repro.config import NectarConfig
 from repro.faults import build_campaign, run_comparison
 from repro.sim import units
@@ -33,20 +31,15 @@ def _topology(cabs=4):
     return lambda: single_hub_system(cabs, cfg=cfg)
 
 
-@pytest.mark.benchmark(group="faults-reliable")
-def test_fault_rpc_survives_drop_burst(benchmark):
+def test_fault_rpc_survives_drop_burst():
     """Closed-loop RPCs: zero loss through 40% drop windows."""
-    def scenario():
-        comparison = run_comparison(
-            _topology(), "drop-burst",
-            workload_kwargs=dict(
-                pattern="uniform", arrivals="poisson", mode="closed",
-                message_bytes=512, offered_load=0.2, window_depth=2,
-                **WINDOW))
-        return comparison
-    comparison = benchmark.pedantic(scenario, rounds=1, iterations=1)
+    comparison = run_comparison(
+        _topology(), "drop-burst",
+        workload_kwargs=dict(
+            pattern="uniform", arrivals="poisson", mode="closed",
+            message_bytes=512, offered_load=0.2, window_depth=2,
+            **WINDOW))
     clean, faulted = comparison.clean, comparison.faulted
-    benchmark.extra_info.update(comparison.summary())
     table = ExperimentTable("F1", "RPC under drop-burst campaign")
     table.add("clean delivery", "100%",
               f"{clean.delivered}/{clean.sent}",
@@ -58,18 +51,12 @@ def test_fault_rpc_survives_drop_burst(benchmark):
               f"{faulted.retransmits}", faulted.retransmits > 0)
     table.add("p99 latency", "degrades, not fails",
               f"{clean.p99_us:.0f} -> {faulted.p99_us:.0f} us")
-    table.print()
     assert faulted.sent > 0
-    assert faulted.delivered == faulted.sent, \
-        "reliable RPC lost messages under injected drops"
-    assert faulted.errors == 0
-    assert faulted.retransmits > 0, \
-        "no retransmits: the campaign never actually dropped anything"
     assert faulted.fiber_drops > 0
+    table.check()
 
 
-@pytest.mark.benchmark(group="faults-reliable")
-def test_fault_bytestream_survives_drop_burst(benchmark):
+def test_fault_bytestream_survives_drop_burst():
     """Go-back-N streams: every byte arrives through drop windows."""
     def scenario():
         cfg = NectarConfig(seed=SEED)
@@ -103,8 +90,7 @@ def test_fault_bytestream_survives_drop_burst(benchmark):
             "injected": system.fault_injector.counters["injected"],
             "reverted": system.fault_injector.counters["reverted"],
         }
-    result = benchmark.pedantic(scenario, rounds=1, iterations=1)
-    benchmark.extra_info.update(result)
+    result = scenario()
     table = ExperimentTable("F2", "byte-stream under 50% drop bursts")
     table.add("messages delivered", "40/40",
               f"{result['messages']}/{result['expected']}",
@@ -116,25 +102,17 @@ def test_fault_bytestream_survives_drop_burst(benchmark):
     table.add("fault windows", "6 injected, 6 reverted",
               f"{result['injected']}/{result['reverted']}",
               result["injected"] == result["reverted"] == 6)
-    table.print()
-    assert result["messages"] == result["expected"], \
-        "byte-stream lost messages under injected drops"
-    assert result["bytes"] == 40 * 2048
-    assert result["retransmits"] > 0
+    table.check()
 
 
-@pytest.mark.benchmark(group="faults-datagram")
-def test_fault_datagram_goodput_degrades(benchmark):
+def test_fault_datagram_goodput_degrades():
     """Unreliable datagrams: goodput tracks the injected loss."""
-    def scenario():
-        return run_comparison(
-            _topology(), "drop-burst",
-            workload_kwargs=dict(
-                pattern="uniform", arrivals="poisson", mode="open",
-                message_bytes=512, offered_load=0.3, **WINDOW))
-    comparison = benchmark.pedantic(scenario, rounds=1, iterations=1)
+    comparison = run_comparison(
+        _topology(), "drop-burst",
+        workload_kwargs=dict(
+            pattern="uniform", arrivals="poisson", mode="open",
+            message_bytes=512, offered_load=0.3, **WINDOW))
     clean, faulted = comparison.clean, comparison.faulted
-    benchmark.extra_info.update(comparison.summary())
     table = ExperimentTable("F3", "datagram goodput under drop-burst")
     table.add("clean loss", "~ 0", f"{clean.loss_fraction:.4f}",
               clean.loss_fraction < 0.01)
@@ -145,14 +123,11 @@ def test_fault_datagram_goodput_degrades(benchmark):
               f"{clean.achieved_mbps:.1f} -> "
               f"{faulted.achieved_mbps:.1f} Mb/s",
               faulted.achieved_mbps < clean.achieved_mbps)
-    table.print()
     assert faulted.fiber_drops > 0
-    assert faulted.loss_fraction > clean.loss_fraction
-    assert faulted.achieved_mbps < clean.achieved_mbps
+    table.check()
 
 
-@pytest.mark.benchmark(group="faults-determinism")
-def test_fault_schedule_reproducible(benchmark):
+def test_fault_schedule_reproducible():
     """One seed, one schedule — byte-identical across builds."""
     def scenario():
         texts = []
@@ -162,11 +137,8 @@ def test_fault_schedule_reproducible(benchmark):
         other = build_campaign("drop-burst",
                                NectarConfig(seed=SEED + 1)).schedule_text()
         return {"identical": texts[0] == texts[1],
-                "seed_sensitive": texts[0] != other,
-                "schedule": texts[0]}
-    result = benchmark.pedantic(scenario, rounds=1, iterations=1)
-    benchmark.extra_info.update(
-        {k: v for k, v in result.items() if k != "schedule"})
+                "seed_sensitive": texts[0] != other}
+    result = scenario()
     table = ExperimentTable("F4", "fault schedule determinism")
     table.add("same seed", "byte-identical schedule",
               "identical" if result["identical"] else "DIVERGED",
@@ -174,6 +146,4 @@ def test_fault_schedule_reproducible(benchmark):
     table.add("different seed", "different schedule",
               "different" if result["seed_sensitive"] else "SAME",
               result["seed_sensitive"])
-    table.print()
-    assert result["identical"]
-    assert result["seed_sensitive"]
+    table.check()

@@ -6,8 +6,6 @@ returns over the reverse path, then data flows and "close all" tears the
 circuit down behind it.
 """
 
-import pytest
-
 from repro.sim import units
 from repro.stats import ExperimentTable
 from repro.topology import figure7_system
@@ -39,19 +37,13 @@ def scenario_fig7_circuit(payload_bytes=4096):
         "hub2_opens": hub2.counters.get("opens_ok", 0),
         "hub1_opens": hub1.counters.get("opens_ok", 0),
         "hub1_replies": hub1.counters.get("replies_sent", 0),
-        "closes": hub1.counters.get("closes", 0)
-        + hub2.counters.get("closes", 0),
         "residual_connections": hub1.crossbar.connection_count
         + hub2.crossbar.connection_count,
-        "circuits_opened": src.datalink.counters["circuits_opened"],
     }
 
 
-@pytest.mark.benchmark(group="E10-fig7-circuit")
-def test_e10_circuit_example(benchmark):
-    result = benchmark.pedantic(scenario_fig7_circuit, rounds=1,
-                                iterations=1)
-    benchmark.extra_info.update(result)
+def test_e10_circuit_example():
+    result = scenario_fig7_circuit()
     table = ExperimentTable("E10", "Fig 7 circuit: CAB3 → CAB1, 4 KB")
     table.add("route opened via HUB2 then HUB1", "1 open per HUB",
               f"{result['hub2_opens']}/{result['hub1_opens']}",
@@ -66,6 +58,4 @@ def test_e10_circuit_example(benchmark):
     table.add("end-to-end time", "setup ≪ transfer",
               f"{result['latency_us']:.0f} µs",
               result["latency_us"] < 600)
-    table.print()
-    assert result["delivered_bytes"] == 4096
-    assert result["residual_connections"] == 0
+    table.check()

@@ -56,12 +56,9 @@ def scenario_multicast(mode, payload_bytes=500):
     }
 
 
-@pytest.mark.benchmark(group="E11-fig7-multicast")
 @pytest.mark.parametrize("mode", ["circuit", "packet"])
-def test_e11_multicast(benchmark, mode):
-    result = benchmark.pedantic(scenario_multicast, args=(mode,),
-                                rounds=1, iterations=1)
-    benchmark.extra_info.update(result)
+def test_e11_multicast(mode):
+    result = scenario_multicast(mode)
     table = ExperimentTable("E11", f"Fig 7 multicast ({mode} switching)")
     table.add("CAB4 received", "yes",
               f"{result['cab4_latency_us']:.1f} µs", True)
@@ -74,6 +71,4 @@ def test_e11_multicast(benchmark, mode):
     table.add("connections closed after data", "0",
               str(result["residual_connections"]),
               result["residual_connections"] == 0)
-    table.print()
-    assert result["skew_us"] < 5
-    assert result["residual_connections"] == 0
+    table.check()

@@ -5,8 +5,6 @@ Paper: connection setup + first byte through one HUB = 10 cycles
 connection through a single HUB under 1 µs.
 """
 
-import pytest
-
 from repro.hardware import CommandOp, HubCommand, Packet, Payload
 from repro.stats import ExperimentTable
 from repro.workload.experiments import (hop_ns, hub_timing_rig,
@@ -41,37 +39,25 @@ def scenario_connection_confirmation():
     return {"confirm_ns": internal_ns}
 
 
-@pytest.mark.benchmark(group="E1-hub-latency")
-def test_e1_connection_setup_700ns(benchmark):
-    result = benchmark.pedantic(measure_hub_setup, rounds=1,
-                                iterations=1)
-    benchmark.extra_info.update(result)
+def test_e1_connection_setup_700ns():
+    result = measure_hub_setup()
     table = ExperimentTable("E1", "HUB connection setup + first byte")
     table.add("setup + first byte", "700 ns (10 cycles)",
               f"{result['setup_ns']} ns", result["setup_ns"] == 700)
-    table.print()
-    assert result["setup_ns"] == 700
+    table.check()
 
 
-@pytest.mark.benchmark(group="E1-hub-latency")
-def test_e1_established_transfer_350ns(benchmark):
-    result = benchmark.pedantic(scenario_transfer_latency, rounds=1,
-                                iterations=1)
-    benchmark.extra_info.update(result)
+def test_e1_established_transfer_350ns():
+    result = scenario_transfer_latency()
     table = ExperimentTable("E1", "Established-connection byte latency")
     table.add("per-byte latency", "350 ns (5 cycles)",
               f"{result['transfer_ns']} ns", result["transfer_ns"] == 350)
-    table.print()
-    assert result["transfer_ns"] == 350
+    table.check()
 
 
-@pytest.mark.benchmark(group="E3-hub-connection")
-def test_e3_connection_under_1us(benchmark):
-    result = benchmark.pedantic(scenario_connection_confirmation, rounds=1,
-                                iterations=1)
-    benchmark.extra_info.update(result)
+def test_e3_connection_under_1us():
+    result = scenario_connection_confirmation()
     table = ExperimentTable("E3", "Single-HUB connection confirmation")
     table.add("connect + reply (HUB-internal)", "< 1 µs",
               f"{result['confirm_ns']} ns", result["confirm_ns"] < 1_000)
-    table.print()
-    assert result["confirm_ns"] < 1_000
+    table.check()

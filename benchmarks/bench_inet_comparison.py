@@ -8,8 +8,6 @@ processing and a handshake, so the Nectar-specific transports win on
 small-message latency while TCP approaches the same bulk throughput.
 """
 
-import pytest
-
 from repro.inet import IpLayer, TcpLayer, UdpLayer
 from repro.sim import units
 from repro.stats import ExperimentTable
@@ -73,11 +71,8 @@ def scenario_bulk_throughput(size=200_000):
             "tcp_fraction": tcp / native}
 
 
-@pytest.mark.benchmark(group="E22-inet")
-def test_e22_small_message_generality_tax(benchmark):
-    result = benchmark.pedantic(scenario_small_message_latency, rounds=1,
-                                iterations=1)
-    benchmark.extra_info.update(result)
+def test_e22_small_message_generality_tax():
+    result = scenario_small_message_latency()
     table = ExperimentTable("E22a", "64 B message: Nectar dg vs UDP/IP")
     table.add("Nectar datagram", "lean headers",
               f"{result['nectar_dg_us']:.1f} µs")
@@ -87,8 +82,7 @@ def test_e22_small_message_generality_tax(benchmark):
     table.add("generality tax", "measurable but modest",
               f"{result['udp_overhead']:.2f}×",
               1.0 < result["udp_overhead"] < 2.0)
-    table.print()
-    assert result["udp_us"] > result["nectar_dg_us"]
+    table.check()
 
 
 def scenario_rpc_vs_vmtp(size=2_000):
@@ -137,11 +131,8 @@ def scenario_rpc_vs_vmtp(size=2_000):
             "vmtp_overhead": vmtp_us / native_us}
 
 
-@pytest.mark.benchmark(group="E22-inet")
-def test_e22_vmtp_transaction_vs_native_rpc(benchmark):
-    result = benchmark.pedantic(scenario_rpc_vs_vmtp, rounds=1,
-                                iterations=1)
-    benchmark.extra_info.update(result)
+def test_e22_vmtp_transaction_vs_native_rpc():
+    result = scenario_rpc_vs_vmtp()
     table = ExperimentTable("E22c", "2 KB transaction: native RPC vs VMTP")
     table.add("Nectar request-response", "lean",
               f"{result['native_rpc_us']:.0f} µs")
@@ -151,15 +142,11 @@ def test_e22_vmtp_transaction_vs_native_rpc(benchmark):
     table.add("relative cost", "same ballpark",
               f"{result['vmtp_overhead']:.2f}×",
               0.8 < result["vmtp_overhead"] < 2.0)
-    table.print()
-    assert 0.8 < result["vmtp_overhead"] < 2.0
+    table.check()
 
 
-@pytest.mark.benchmark(group="E22-inet")
-def test_e22_bulk_throughput_tcp_close_to_native(benchmark):
-    result = benchmark.pedantic(scenario_bulk_throughput, rounds=1,
-                                iterations=1)
-    benchmark.extra_info.update(result)
+def test_e22_bulk_throughput_tcp_close_to_native():
+    result = scenario_bulk_throughput()
     table = ExperimentTable("E22b", "200 KB bulk: byte-stream vs TCP/IP")
     table.add("Nectar byte-stream", "~wire rate",
               f"{result['native_mbps']:.1f} Mb/s")
@@ -168,5 +155,4 @@ def test_e22_bulk_throughput_tcp_close_to_native(benchmark):
     table.add("TCP achieves", "comparable (ack-clocked pipeline)",
               f"{result['tcp_fraction']:.0%}",
               0.7 < result["tcp_fraction"] < 1.25)
-    table.print()
-    assert 0.7 < result["tcp_fraction"] < 1.25
+    table.check()

@@ -10,8 +10,6 @@ The ablation shrinks the pool to show when streams would start to starve.
 
 from dataclasses import replace
 
-import pytest
-
 from repro.config import CabConfig
 from repro.hardware.memory import BandwidthPool
 from repro.sim import Simulator, units
@@ -45,35 +43,25 @@ def scenario_concurrent_streams(pool_mbytes=66.0, num_bytes=500_000):
     }
     slowdowns = {name: finish[name] / nominal[name] for name in finish}
     return {"max_slowdown": max(slowdowns.values()),
-            "slowdowns": slowdowns,
             "demand_mbytes": (2 * 12.5 + 10 + 20)}
 
 
-@pytest.mark.benchmark(group="E15-memory")
-def test_e15_66mbytes_sustains_all_streams(benchmark):
-    result = benchmark.pedantic(scenario_concurrent_streams, rounds=1,
-                                iterations=1)
-    benchmark.extra_info["max_slowdown"] = result["max_slowdown"]
+def test_e15_66mbytes_sustains_all_streams():
+    result = scenario_concurrent_streams()
     table = ExperimentTable("E15", "Data memory: 4 concurrent streams")
     table.add("total demand", "55 MB/s (< 66 MB/s)",
               f"{result['demand_mbytes']:.0f} MB/s", True)
     table.add("worst stream slowdown", "1.0× (no starvation)",
               f"{result['max_slowdown']:.2f}×",
               result["max_slowdown"] <= 1.01)
-    table.print()
-    assert result["max_slowdown"] <= 1.01
+    table.check()
 
 
-@pytest.mark.benchmark(group="E15-memory")
-def test_e15_ablation_small_pool_starves(benchmark):
-    result = benchmark.pedantic(scenario_concurrent_streams,
-                                kwargs={"pool_mbytes": 30.0},
-                                rounds=1, iterations=1)
-    benchmark.extra_info["max_slowdown"] = result["max_slowdown"]
+def test_e15_ablation_small_pool_starves():
+    result = scenario_concurrent_streams(pool_mbytes=30.0)
     table = ExperimentTable("E15-ablation",
                             "Same streams on a 30 MB/s memory")
     table.add("worst stream slowdown", "> 1.5× (oversubscribed)",
               f"{result['max_slowdown']:.2f}×",
               result["max_slowdown"] > 1.5)
-    table.print()
-    assert result["max_slowdown"] > 1.5
+    table.check()

@@ -10,8 +10,6 @@ Both workloads live or die on small-message latency: a DSM page fault is
 participant.  The bench measures both on Nectar.
 """
 
-import pytest
-
 from repro.apps import SharedVirtualMemory, TransactionManager
 from repro.sim import units
 from repro.stats import ExperimentTable
@@ -69,10 +67,8 @@ def scenario_transactions(participants):
     return manager.commit_latency.mean_us
 
 
-@pytest.mark.benchmark(group="E24-os-coprocessor")
-def test_e24_dsm_page_faults(benchmark):
-    result = benchmark.pedantic(scenario_dsm, rounds=1, iterations=1)
-    benchmark.extra_info.update(result)
+def test_e24_dsm_page_faults():
+    result = scenario_dsm()
     table = ExperimentTable("E24a", "Mach-style DSM over Nectar")
     table.add("read fault (fetch 1 KB page)", "a few RPCs ≈ 100-300 µs",
               f"{result['read_fault_us']:.0f} µs",
@@ -83,21 +79,14 @@ def test_e24_dsm_page_faults(benchmark):
     table.add("coherence traffic", "-",
               f"{result['faults']} faults, "
               f"{result['invalidations']} invalidations")
-    table.print()
-    assert result["read_fault_us"] < 1_000
+    table.check()
 
 
-@pytest.mark.benchmark(group="E24-os-coprocessor")
-def test_e24_commit_latency_vs_participants(benchmark):
-    def sweep():
-        return {n: scenario_transactions(n) for n in (1, 2, 4)}
-    latencies = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    for n, latency in latencies.items():
-        benchmark.extra_info[f"participants{n}_us"] = latency
+def test_e24_commit_latency_vs_participants():
+    latencies = {n: scenario_transactions(n) for n in (1, 2, 4)}
     table = ExperimentTable("E24b", "Camelot-style 2PC commit latency")
     for n, latency in sorted(latencies.items()):
         table.add(f"{n} participant(s)", "grows with participants",
                   f"{latency:.0f} µs", latency < 2_000)
-    table.print()
     assert latencies[1] < latencies[4]
-    assert latencies[4] < 2_000
+    table.check()

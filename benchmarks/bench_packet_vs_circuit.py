@@ -7,8 +7,6 @@ is small compared to the packet transmission time, this does not add
 significantly to latency."
 """
 
-import pytest
-
 from repro.stats import ExperimentTable
 from repro.workload.experiments import measure_cab_to_cab, measure_throughput
 
@@ -35,11 +33,8 @@ def scenario_large_circuit_overhead():
     }
 
 
-@pytest.mark.benchmark(group="E12-packet-vs-circuit")
-def test_e12_small_messages_prefer_packet_switching(benchmark):
-    rows = benchmark.pedantic(scenario_crossover, rounds=1, iterations=1)
-    for (mode, size), value in rows.items():
-        benchmark.extra_info[f"{mode}_{size}B_us"] = value
+def test_e12_small_messages_prefer_packet_switching():
+    rows = scenario_crossover()
     table = ExperimentTable(
         "E12a", "Packet vs circuit latency by message size")
     for size in (64, 512, 960):
@@ -49,17 +44,11 @@ def test_e12_small_messages_prefer_packet_switching(benchmark):
                   f"{packet:.1f} µs")
         table.add(f"{size} B circuit-switched", "adds setup round-trip",
                   f"{circuit:.1f} µs", circuit > packet)
-    table.print()
-    # Packet switching always wins below the queue limit: no reply wait.
-    for size in (64, 512, 960):
-        assert rows[("packet", size)] < rows[("circuit", size)]
+    table.check()
 
 
-@pytest.mark.benchmark(group="E12-packet-vs-circuit")
-def test_e12_circuit_setup_negligible_for_large(benchmark):
-    result = benchmark.pedantic(scenario_large_circuit_overhead, rounds=1,
-                                iterations=1)
-    benchmark.extra_info.update(result)
+def test_e12_circuit_setup_negligible_for_large():
+    result = scenario_large_circuit_overhead()
     table = ExperimentTable(
         "E12b", "Circuit setup overhead on a 64 KB transfer")
     table.add("end-to-end", "≈ wire time", f"{result['elapsed_us']:.0f} µs")
@@ -68,5 +57,4 @@ def test_e12_circuit_setup_negligible_for_large(benchmark):
     table.add("overhead over wire time", "small (§4.2.3)",
               f"{result['overhead_fraction'] * 100:.1f} %",
               result["overhead_fraction"] < 0.05)
-    table.print()
-    assert result["overhead_fraction"] < 0.05
+    table.check()

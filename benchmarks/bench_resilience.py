@@ -18,8 +18,6 @@ supplies one and these benchmarks hold it to a measurable contract:
 
 from dataclasses import replace
 
-import pytest
-
 from repro.config import NectarConfig
 from repro.resilience import run_resilience_comparison
 from repro.sim import units
@@ -47,14 +45,11 @@ def _res1_comparison(seed=SEED):
         workload_kwargs=RES1_WORKLOAD, campaign_kwargs=RES1_CAMPAIGN)
 
 
-@pytest.mark.benchmark(group="resilience")
-def test_resilience_healing_recovers_goodput(benchmark):
+def test_resilience_healing_recovers_goodput():
     """E-RES1: self-healing keeps goodput within 10% of clean."""
-    comparison = benchmark.pedantic(_res1_comparison, rounds=1,
-                                    iterations=1)
+    comparison = _res1_comparison()
     clean, healed, unhealed = (comparison.clean, comparison.healed,
                                comparison.unhealed)
-    benchmark.extra_info.update(comparison.summary())
     table = ExperimentTable("E-RES1", "self-healing under link flaps")
     table.add("clean goodput", "-", f"{clean.achieved_mbps:.1f} Mb/s")
     table.add("healed goodput", ">= 90% of clean",
@@ -74,18 +69,11 @@ def test_resilience_healing_recovers_goodput(benchmark):
     table.add("reroutes / reinstatements", ">= 1 each",
               f"{healed.reroutes} / {healed.reinstatements}",
               healed.reroutes >= 1 and healed.reinstatements >= 1)
-    table.print()
     assert healed.faults_injected > 0, "campaign never fired"
-    assert comparison.healed_goodput_ratio >= 0.9, \
-        "healing failed to recover goodput to within 10% of clean"
-    assert comparison.unhealed_goodput_ratio < 0.9, \
-        "outages too mild: even the unhealed run stayed within 10%"
-    assert healed.reroutes >= 1 and healed.reinstatements >= 1
-    assert healed.mean_time_to_detect_ns is not None
-    assert healed.mean_time_to_repair_ns is not None
     # Detection is probe-bound: a couple of probe periods, not the
     # whole outage.
     assert healed.mean_time_to_detect_ns < units.ms(1.0)
+    table.check()
 
 
 #: E-RES2: hotspot congestion pushes RTTs well past the fixed 2 ms
@@ -108,15 +96,10 @@ def _rpc_retransmits(adaptive: bool):
     return retransmits, result.recorder
 
 
-@pytest.mark.benchmark(group="resilience")
-def test_adaptive_rto_beats_fixed_under_congestion(benchmark):
+def test_adaptive_rto_beats_fixed_under_congestion():
     """E-RES2: adaptive RTO retransmits less than the fixed timer."""
-    def scenario():
-        return _rpc_retransmits(True), _rpc_retransmits(False)
-    (adaptive, rec_a), (fixed, rec_f) = benchmark.pedantic(
-        scenario, rounds=1, iterations=1)
-    benchmark.extra_info.update(
-        adaptive_retransmits=adaptive, fixed_retransmits=fixed)
+    adaptive, rec_a = _rpc_retransmits(True)
+    fixed, rec_f = _rpc_retransmits(False)
     table = ExperimentTable("E-RES2",
                             "adaptive vs fixed RTO under congestion")
     table.add("fixed 2 ms timer", "spurious retransmits",
@@ -127,26 +110,18 @@ def test_adaptive_rto_beats_fixed_under_congestion(benchmark):
               f"{rec_a.delivered}/{rec_a.sent} and "
               f"{rec_f.delivered}/{rec_f.sent}",
               rec_a.errors == 0 and rec_f.errors == 0)
-    table.print()
     # No faults are injected, so every retransmit is spurious: the
-    # reply was merely late, not lost.
-    assert fixed > 0, "congestion never tripped the fixed timer"
-    assert adaptive < fixed, \
-        "adaptive RTO did not reduce spurious retransmissions"
-    assert rec_a.errors == 0 and rec_f.errors == 0
+    # reply was merely late, not lost, and both runs deliver it all.
     assert rec_a.delivered == rec_a.sent
     assert rec_f.delivered == rec_f.sent
+    table.check()
 
 
-@pytest.mark.benchmark(group="resilience")
-def test_detector_timeline_deterministic(benchmark):
+def test_detector_timeline_deterministic():
     """E-RES3: same seed, byte-identical detector transitions."""
-    def scenario():
-        return (_res1_comparison(seed=SEED),
-                _res1_comparison(seed=SEED),
-                _res1_comparison(seed=SEED + 1))
-    first, second, other = benchmark.pedantic(scenario, rounds=1,
-                                              iterations=1)
+    first, second, other = (_res1_comparison(seed=SEED),
+                            _res1_comparison(seed=SEED),
+                            _res1_comparison(seed=SEED + 1))
     table = ExperimentTable("E-RES3", "detector timeline determinism")
     table.add("same seed", "byte-identical timeline",
               f"{len(first.transition_text.splitlines())} transitions",
@@ -154,8 +129,6 @@ def test_detector_timeline_deterministic(benchmark):
     table.add("different seed", "timeline moves",
               f"seed {SEED + 1}",
               first.transition_text != other.transition_text)
-    table.print()
     assert first.transition_text, "no transitions recorded at all"
-    assert first.transition_text == second.transition_text
     assert first.schedule_text == second.schedule_text
-    assert first.transition_text != other.transition_text
+    table.check()

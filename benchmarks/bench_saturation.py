@@ -18,8 +18,6 @@ A multi-HUB mesh sweep shows the same knee shape across hub-to-hub
 links.
 """
 
-import pytest
-
 from repro.config import NectarConfig
 from repro.sim import units
 from repro.stats import ExperimentTable
@@ -78,12 +76,11 @@ def scenario_saturation():
     }
 
 
-@pytest.mark.benchmark(group="E-SAT-saturation")
-def test_esat_saturation_knee_and_hotspot_tails(benchmark):
-    result = benchmark.pedantic(scenario_saturation, rounds=1, iterations=1)
+def test_esat_saturation_knee_and_hotspot_tails():
+    result = scenario_saturation()
     sweep, tails, mesh = result["sweep"], result["tails"], result["mesh"]
     sweep.table("E-SAT1", "uniform/poisson open loop, 8 CABs on one "
-                          "16-port HUB, 512 B").print()
+                          "16-port HUB, 512 B").check()
 
     uniform, hotspot = tails["uniform"], tails["hotspot"]
     table = ExperimentTable("E-SAT2", "hotspot vs uniform at offered 0.35")
@@ -95,10 +92,10 @@ def test_esat_saturation_knee_and_hotspot_tails(benchmark):
               f"{hotspot.achieved_mbps:7.1f} Mb/s vs "
               f"{uniform.achieved_mbps:7.1f}",
               hotspot.achieved_mbps < uniform.achieved_mbps)
-    table.print()
+    table.check()
 
     mesh.table("E-SAT3", "uniform/poisson open loop, 2x2 HUB mesh, "
-                         "3 CABs per HUB").print()
+                         "3 CABs per HUB").check()
 
     table = ExperimentTable("E-SAT4", "sweep invariants")
     table.add("throughput monotone in offered load", "yes",
@@ -108,17 +105,8 @@ def test_esat_saturation_knee_and_hotspot_tails(benchmark):
               f"({result['knee_mbps']:.1f} Mb/s)", result["saturated"])
     table.add("same seed, identical curves", "yes",
               str(result["reproducible"]), result["reproducible"])
-    table.print()
-
-    benchmark.extra_info.update(
-        knee_load=result["knee_load"], knee_mbps=result["knee_mbps"],
-        uniform_p99_us=uniform.p_us(0.99),
-        hotspot_p99_us=hotspot.p_us(0.99))
-    assert result["monotone"], "throughput curve must rise monotonically"
-    assert result["saturated"], "sweep must reach past the knee"
-    assert result["reproducible"], "same seed must reproduce the sweep"
-    assert hotspot.p_us(0.99) > uniform.p_us(0.99)
     assert mesh.is_monotone() and mesh.saturated()
+    table.check()
 
 
 if __name__ == "__main__":

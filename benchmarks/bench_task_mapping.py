@@ -7,8 +7,6 @@ mesh with three mappers and runs the *same* workload on each placement:
 mapping quality shows up directly as makespan.
 """
 
-import pytest
-
 from repro.mapper import (TaskGraph, annealing_map, communication_cost,
                           greedy_traffic_map, round_robin_map,
                           run_workload)
@@ -59,13 +57,8 @@ def scenario_mapping_quality():
     return results
 
 
-@pytest.mark.benchmark(group="E23-mapping")
-def test_e23_mapping_quality(benchmark):
-    results = benchmark.pedantic(scenario_mapping_quality, rounds=1,
-                                 iterations=1)
-    for name, metrics in results.items():
-        benchmark.extra_info[f"{name}_makespan_us"] = \
-            metrics["makespan_us"]
+def test_e23_mapping_quality():
+    results = scenario_mapping_quality()
     table = ExperimentTable("E23", "Mapping a pipeline onto a 2×2 mesh")
     for name in ("round_robin", "greedy", "annealing"):
         metrics = results[name]
@@ -85,7 +78,4 @@ def test_e23_mapping_quality(benchmark):
                / results["annealing"]["makespan_us"])
     table.add("annealed placement speedup (makespan)", "large",
               f"{speedup:.1f}×", speedup > 2)
-    table.print()
-    assert results["greedy"]["comm_cost"] \
-        < results["round_robin"]["comm_cost"] / 2
-    assert speedup > 2
+    table.check()

@@ -5,8 +5,6 @@ megabytes/second, which is close to the speed of the current fiber
 interface" (12.5 MB/s).
 """
 
-import pytest
-
 from repro.sim import units
 from repro.stats import ExperimentTable
 from repro.topology import single_hub_system
@@ -27,14 +25,11 @@ def scenario_vme_bulk(num_bytes=1_000_000):
     return {
         "vme_mbytes": units.throughput_mbytes(num_bytes, elapsed),
         "fiber_mbytes": 12.5,
-        "elapsed_ms": units.to_ms(elapsed),
     }
 
 
-@pytest.mark.benchmark(group="E14-vme")
-def test_e14_vme_10_mbytes_per_second(benchmark):
-    result = benchmark.pedantic(scenario_vme_bulk, rounds=1, iterations=1)
-    benchmark.extra_info.update(result)
+def test_e14_vme_10_mbytes_per_second():
+    result = scenario_vme_bulk()
     table = ExperimentTable("E14", "VME interface bandwidth")
     table.add("VME DMA throughput", "10 MB/s",
               f"{result['vme_mbytes']:.2f} MB/s",
@@ -42,5 +37,4 @@ def test_e14_vme_10_mbytes_per_second(benchmark):
     table.add("vs fiber interface", "close to 12.5 MB/s",
               f"{result['vme_mbytes'] / result['fiber_mbytes']:.0%}",
               result["vme_mbytes"] / result["fiber_mbytes"] > 0.7)
-    table.print()
-    assert abs(result["vme_mbytes"] - 10.0) < 0.2
+    table.check()

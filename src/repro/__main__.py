@@ -23,7 +23,8 @@
   whenever two or more counts are given — assert every run's digest
   bit-identical to the first (``docs/SCALEOUT.md``).
 
-For the complete suite use ``pytest benchmarks/ --benchmark-only -s``.
+For the complete suite use
+``pytest benchmarks --ignore=benchmarks/e2e -s``.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ def _write_json(path: str, document: dict, what: str) -> None:
 def run_report(_args: argparse.Namespace) -> int:
     from .workload.experiments import paper_report
 
-    print("Nectar reproduction — quick report "
-          "(full suite: pytest benchmarks/ --benchmark-only -s)")
+    print("Nectar reproduction — quick report (full suite: "
+          "pytest benchmarks --ignore=benchmarks/e2e -s)")
     tables = paper_report()
     for table in tables:
         table.print()

@@ -17,8 +17,9 @@ Every run shape returns a :class:`~repro.scaleout.escl.ScaleoutResult`;
 ``result.mismatch(reference, faults)`` is the one statement of the
 parity rule — digest bit-identical to the single-process run, and event
 count too unless an in-simulation fault is armed — that the CLI (given
-two or more partition counts), ``benchmarks/bench_scaleout.py`` and
-``tools/result_sweep.py`` all gate on: see ``docs/SCALEOUT.md``.
+two or more partition counts), the E-SCL experiments in
+``benchmarks/bench_scaleout.py`` and ``tools/result_sweep.py`` all gate
+on: see ``docs/SCALEOUT.md``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Paper-versus-measured experiment tables (printed by benchmarks)."""
+"""Paper-versus-measured experiment tables (printed and checked by the
+benchmarks: a table's MISS row fails its experiment)."""
 
 from __future__ import annotations
 
@@ -60,3 +61,13 @@ class ExperimentTable:
     def print(self) -> None:
         print()
         print(self.render())
+
+    def check(self) -> None:
+        """Print the table, then raise :class:`AssertionError` naming
+        every MISS row.  A plain ``raise``, so ``python -O`` keeps it."""
+        self.print()
+        missed = [f"{row.metric} (paper {row.paper}, measured "
+                  f"{row.measured})" for row in self.rows if row.ok is False]
+        if missed:
+            raise AssertionError(
+                f"{self.experiment_id} MISS: " + "; ".join(missed))

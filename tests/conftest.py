@@ -14,8 +14,8 @@ from repro.topology import single_hub_system
 
 @pytest.fixture(scope="session")
 def load_script():
-    """Import a repo script that is not in a package (``tools/x.py``,
-    ``benchmarks/bench_x.py``) by its path relative to the repo root."""
+    """Import a repo script that is not in a package (``tools/x.py``) by
+    its path relative to the repo root."""
     def load(relative: str):
         path = Path(__file__).resolve().parents[1] / relative
         spec = importlib.util.spec_from_file_location(path.stem, path)

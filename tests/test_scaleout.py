@@ -471,32 +471,3 @@ def test_single_result_reports_setup(torus16_reference):
     assert torus16_reference.timing == {}
     assert "setup_s" in torus16_reference.summary()
 
-
-# ----------------------------------------------------------------------
-# capture tooling
-# ----------------------------------------------------------------------
-
-def test_capture_withholds_speedup_the_host_cannot_show(load_script, capsys):
-    bench = load_script("benchmarks/bench_scaleout.py")
-    assert bench.speedup_entry(1.0, 0.5, partitions=2, cpus=2) \
-        == {"speedup": 2.0}
-    withheld = bench.speedup_entry(1.0, 0.5, partitions=4, cpus=2)
-    assert withheld["speedup"] is None
-    assert "2 CPU(s) for 4 partitions" in withheld["note"]
-
-    run = {"partitions": 4, "wall_s": 0.5, "setup_s": 0.1, "rounds": 3,
-           "advances": 9, "compute_s": 0.75, "ipc_s": 0.25,
-           "coordinator_cpu_s": 0.125, "digest_match": True, **withheld}
-    document = {"seed": 1, "repeats": 1, "host": {"cpus": 2},
-                "scenarios": {"escl-torus-256": {
-                    "events": 10, "digest": "ab" * 32,
-                    "single": {"wall_s": 1.0, "setup_s": 0.1},
-                    "partitioned": [
-                        run, {**run, "partitions": 2, "speedup": 2.0,
-                              "digest_match": False}]}}}
-    bench.show("doc.json", document)
-    rendered = capsys.readouterr().out
-    p4_row, p2_row = rendered.splitlines()[-2:]
-    assert p4_row.split() == ["p4", "0.5000", "0.1000", "3", "9", "0.7500",
-                              "0.2500", "0.1250", "n/a", "yes"]
-    assert p2_row.split()[8:] == ["2.00x", "NO"]

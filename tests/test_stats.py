@@ -198,6 +198,23 @@ class TestExperimentTable:
         assert ExperimentRow("m", "p", "v", False).status() == "MISS"
         assert ExperimentRow("m", "p", "v").status() == "-"
 
+    def test_check_prints_then_raises_naming_every_miss(self, capsys):
+        table = ExperimentTable("E0", "t")
+        table.add("latency", "< 30 µs", "29.5 µs", True)
+        table.add("informational", "-", "n/a")
+        table.check()                     # PASS + informational only
+        assert capsys.readouterr().out == "\n" + table.render() + "\n"
+
+        table.add("bandwidth", "100 Mb/s", "12.0 Mb/s", False)
+        table.add("setup", "700 ns", "910 ns", False)
+        with pytest.raises(AssertionError) as excinfo:
+            table.check()
+        message = str(excinfo.value)
+        assert "bandwidth" in message and "setup" in message
+        assert "latency" not in message and "informational" not in message
+        # The table is printed before the raise, MISS rows included.
+        assert "12.0 Mb/s  MISS" in capsys.readouterr().out
+
     def test_alignment(self):
         table = ExperimentTable("E0", "t")
         table.add("short", "a", "b", True)
