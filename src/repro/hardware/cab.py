@@ -63,12 +63,15 @@ class CabCpu:
         quantum_ns = self.QUANTUM_NS
         while remaining > 0:
             quantum = remaining if remaining < quantum_ns else quantum_ns
-            yield resource.acquire()
+            # The wait for the grant sits inside the ``try`` too: an
+            # interrupted waiter must not leave a grant queued for nobody.
+            request = resource.acquire()
             try:
+                yield request
                 yield sim.timeout(quantum)
                 self.busy_ns += quantum
             finally:
-                resource.release()
+                resource.cancel(request)
             remaining -= quantum
 
     def execute_interrupt(self, cost_ns: int):
@@ -78,13 +81,13 @@ class CabCpu:
         total = self.cfg.interrupt_overhead_ns + int(cost_ns)
         if total <= 0:
             return
-        grant = self._resource.acquire(priority=True)
-        yield grant
+        request = self._resource.acquire(priority=True)
         try:
+            yield request
             yield self.sim.timeout(total)
             self.busy_ns += total
         finally:
-            self._resource.release()
+            self._resource.cancel(request)
 
     def stall(self, duration_ns: int):
         """Seize the CPU exclusively for ``duration_ns`` (generator).
@@ -98,13 +101,13 @@ class CabCpu:
         duration = int(duration_ns)
         if duration <= 0:
             return
-        grant = self._resource.acquire(priority=True)
-        yield grant
+        request = self._resource.acquire(priority=True)
         try:
+            yield request
             yield self.sim.timeout(duration)
             self.busy_ns += duration
         finally:
-            self._resource.release()
+            self._resource.cancel(request)
 
     def utilization(self, since_ns: int = 0) -> float:
         elapsed = self.sim.now - since_ns

@@ -20,8 +20,10 @@ class Crossbar:
         self.num_ports = num_ports
         #: output index -> input index currently connected (None if free).
         self._out_owner: list[Optional[int]] = [None] * num_ports
-        #: input index -> set of output indices it feeds.
-        self._in_targets: list[set[int]] = [set() for _ in range(num_ports)]
+        #: input index -> set of output indices it feeds; an input gets its
+        #: set when it first feeds an output (most ports of a large fabric
+        #: never do).
+        self._in_targets: dict[int, set[int]] = {}
         self.connects_made = 0
         self.connects_refused = 0
 
@@ -45,7 +47,11 @@ class Crossbar:
             self.connects_refused += 1
             return False
         self._out_owner[out_port] = in_port
-        self._in_targets[in_port].add(out_port)
+        targets = self._in_targets.get(in_port)
+        if targets is None:
+            self._in_targets[in_port] = {out_port}
+        else:
+            targets.add(out_port)
         self.connects_made += 1
         return True
 
@@ -62,17 +68,19 @@ class Crossbar:
     def disconnect_input(self, in_port: int) -> list[int]:
         """Free every output fed by ``in_port``; returns those outputs."""
         self._check_port(in_port)
-        outputs = sorted(self._in_targets[in_port])
+        targets = self._in_targets.get(in_port)
+        if not targets:
+            return []
+        outputs = sorted(targets)
         for out_port in outputs:
             self._out_owner[out_port] = None
-        self._in_targets[in_port].clear()
+        targets.clear()
         return outputs
 
     def reset(self) -> None:
         """Supervisor reset: drop every connection."""
         self._out_owner = [None] * self.num_ports
-        for targets in self._in_targets:
-            targets.clear()
+        self._in_targets = {}
 
     # ------------------------------------------------------------------
     # status table
@@ -84,7 +92,7 @@ class Crossbar:
 
     def outputs_of(self, in_port: int) -> frozenset[int]:
         self._check_port(in_port)
-        return frozenset(self._in_targets[in_port])
+        return frozenset(self._in_targets.get(in_port, ()))
 
     def output_busy(self, out_port: int) -> bool:
         return self.owner_of(out_port) is not None
@@ -101,9 +109,9 @@ class Crossbar:
         """Internal consistency check (used by property tests)."""
         for out_port, owner in enumerate(self._out_owner):
             if owner is not None:
-                assert out_port in self._in_targets[owner], (
+                assert out_port in self._in_targets.get(owner, ()), (
                     f"out {out_port} owned by {owner} but not in its targets")
-        for in_port, targets in enumerate(self._in_targets):
+        for in_port, targets in self._in_targets.items():
             for out_port in targets:
                 assert self._out_owner[out_port] == in_port, (
                     f"in {in_port} claims out {out_port} owned by "

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional, Protocol
 
 from ..config import FiberConfig
 from ..sim import Event, Simulator, units
+from ..sim.resources import _IDLE
 from .frames import Packet, Reply
 
 __all__ = ["FiberEndpoint", "Fiber", "RngFactory"]
@@ -60,7 +61,8 @@ class Fiber:
 
     Idle (``_sending is None``) or busy serialising one packet
     (``_sending`` is its ``(size, done)``); sends that find it busy wait
-    in ``_backlog`` and start, in order, as each tail leaves.
+    in ``_backlog`` and start, in order, as each tail leaves.  The backlog
+    is the shared empty tuple until the first send has to wait.
     """
 
     # Slots make every hot attribute a fixed-offset load on the transmit path.
@@ -85,7 +87,7 @@ class Fiber:
         self._rng_factory = rng_factory or _unseeded_stream
         self.endpoint: Optional[FiberEndpoint] = None
         self._sending: Optional[tuple[int, Event]] = None
-        self._backlog: deque[tuple[Any, int, Event]] = deque()
+        self._backlog: deque[tuple[Any, int, Event]] | tuple[()] = _IDLE
         # Per-packet timing is pure arithmetic over a fixed rate, so the
         # head latency is computed once and serialization times are memoized
         # per wire size (fragment sizes repeat heavily under load).
@@ -146,6 +148,8 @@ class Fiber:
         if self._sending is None:
             self._start(item, size, done)
         else:
+            if self._backlog is _IDLE:
+                self._backlog = deque()
             self._backlog.append((item, size, done))
         return done
 

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from ..config import FiberConfig, HubConfig
 from ..errors import HubCommandError
-from ..sim import Broadcast, Simulator
+from ..sim import Simulator
 from .crossbar import Crossbar
 from .frames import HubCommand, Reply
 from .hub_collectives import HubCollectiveUnit
@@ -57,8 +57,6 @@ class Hub:
         self.collectives = HubCollectiveUnit(self)
         #: Lock table: output port -> origin CAB holding the lock.
         self.locks: dict[int, str] = {}
-        #: Broadcast per output port, fired when the output frees.
-        self.freed = [Broadcast(sim) for _ in range(cfg.num_ports)]
         self.counters: dict[str, int] = defaultdict(int)
 
     # ------------------------------------------------------------------
@@ -117,7 +115,7 @@ class Hub:
         return owner
 
     def notify_output_freed(self, out_port: int) -> None:
-        self.freed[out_port].fire()
+        """An output register freed; opens waiting on it may proceed."""
         self.controller.notify(out_port)
 
     def notify_ready_changed(self, port_index: int) -> None:
@@ -182,7 +180,6 @@ class Hub:
                     "locks": dict(self.locks)}
         if op is CommandOp.SET_READY:
             self.ready_bits[self._checked(param)] = True
-            self.ports[param].ready_changed.fire()
             self.notify_ready_changed(param)
             return {"ok": True}
         if op is CommandOp.CLEAR_READY:

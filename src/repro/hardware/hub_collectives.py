@@ -24,8 +24,8 @@ carries the (small) per-hub tree spec, a non-root HUB that has seen all
 its local arrivals forwards one upward ``SV_BARRIER``/``SV_REDUCE`` to
 its parent, and the parent's release reply fans back down the tree.
 Commands park *outside* the controller pipeline — a waiting barrier
-never stalls the port input loop, so overlapping collectives and
-ordinary traffic proceed underneath.
+never holds up the issuing port's input queue, so overlapping
+collectives and ordinary traffic proceed underneath.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class HubCollectiveUnit:
         """Execute one collective command at controller-cycle cost.
 
         The job finishes immediately (``deferred=True``) so the issuing
-        port's input loop is never parked on a waiting barrier; the
+        port's packet handler is never parked on a waiting barrier; the
         actual answer travels later as a unit-issued reply.
         """
         command = job.command

@@ -10,10 +10,11 @@ inter-HUB packet-switched flow control (§4.2.3).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import replace as dc_replace
 from typing import TYPE_CHECKING, Any, Optional, Union
 
-from ..sim import Broadcast, Store
+from ..sim.resources import _IDLE
 from .frames import Packet, Reply
 from .hub_commands import CommandOp, OPEN_OPS
 
@@ -25,7 +26,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class HubPort:
-    """One of the HUB's I/O ports."""
+    """One of the HUB's I/O ports.
+
+    Idle (``_busy`` false) or busy handling the packet at the head of its
+    input queue.  An idle port holds no process and no queue: a packet
+    reaching it starts one handler process (:meth:`_drain`), packets
+    arriving meanwhile wait in ``_queue``, and the handler returns once
+    that queue is empty.
+    """
 
     def __init__(self, hub: "Hub", index: int) -> None:
         self.hub = hub
@@ -38,12 +46,13 @@ class HubPort:
         # The ready bit and queue depths live in the hub's per-port
         # arrays (``hub.ready_bits``/``hub.queue_depths``/
         # ``hub.max_queue_depths``) so per-hop updates are index stores.
-        self.ready_changed = Broadcast(self.sim)
         self.enabled = True
         self.loopback = False
-        self._arrivals: Store = Store(self.sim)
-        self._worker = self.sim.process(self._input_loop(),
-                                        name=f"{hub.name}.p{index}")
+        #: Packets waiting behind the one being handled, as
+        #: ``(packet, wire_size, head_time)``; the shared empty tuple until
+        #: the first packet has to wait.
+        self._queue: deque[tuple[Packet, int, int]] | tuple[()] = _IDLE
+        self._busy = False
 
     # ------------------------------------------------------------------
     # fiber endpoint protocol
@@ -61,13 +70,24 @@ class HubPort:
             # must still travel upstream: the sender cleared its ready
             # bit on transmission and would otherwise wait on it forever
             # once the port re-enables (§4.2.3).
-            if not self._arrivals.items:
+            if not self._queue:
                 self._signal_upstream_drained()
             return
-        self._arrivals.try_put((item, wire_size, self.sim.now))
         hub = self.hub
         index = self.index
-        depth = len(self._arrivals.items)
+        if not self._busy:
+            # Starting the handler is this packet's one agenda entry: it
+            # runs at the end of the current cohort.
+            self._busy = True
+            hub.queue_depths[index] = 0
+            self.sim.process(self._drain(item, wire_size, self.sim.now),
+                             name=f"{hub.name}.p{index}")
+            return
+        queue = self._queue
+        if queue is _IDLE:
+            queue = self._queue = deque()
+        queue.append((item, wire_size, self.sim.now))
+        depth = len(queue)
         hub.queue_depths[index] = depth
         if depth > hub.max_queue_depths[index]:
             hub.max_queue_depths[index] = depth
@@ -75,7 +95,6 @@ class HubPort:
     def notify_ready(self) -> None:
         """Downstream input queue drained: raise the ready bit."""
         self.hub.ready_bits[self.index] = True
-        self.ready_changed.fire()
         # Test-opens queued in the controller may now proceed (§4.2.3).
         self.hub.notify_ready_changed(self.index)
 
@@ -83,17 +102,26 @@ class HubPort:
     # input processing
     # ------------------------------------------------------------------
 
-    def _input_loop(self):
+    def _drain(self, packet: Packet, size: int, head_time: int):
+        """One busy period: handle ``packet``, then every queued one."""
         queue_depths = self.hub.queue_depths
         index = self.index
         while True:
-            packet, size, head_time = yield self._arrivals.get()
-            queue_depths[index] = len(self._arrivals.items)
             yield from self._handle(packet, size, head_time)
-            # The packet has fully left this input queue: signal upstream
-            # (the signal travels the reverse fiber, §4.2.3).
-            if not self._arrivals.items:
-                self._signal_upstream_drained()
+            queue = self._queue
+            if not queue:
+                break
+            # One entry per queued packet, so its handling keeps its place
+            # at the end of the cohort: running it inline would reorder
+            # same-nanosecond ties (docs/PERFORMANCE.md).
+            packet, size, head_time = \
+                yield self.sim.event().succeed(queue.popleft())
+            queue_depths[index] = len(queue)
+        # The last packet has fully left this input queue: signal
+        # upstream (the signal travels the reverse fiber, §4.2.3).  The
+        # finished handler is unobserved, so it adds no entry.
+        self._signal_upstream_drained()
+        self._busy = False
 
     def _signal_upstream_drained(self) -> None:
         peer = self.peer
@@ -230,7 +258,7 @@ class HubPort:
         hub = self.hub
         index = self.index
         sampler.add_probe(
-            f"{base}.queue_depth", lambda: float(len(self._arrivals)),
+            f"{base}.queue_depth", lambda: float(len(self._queue)),
             description="packets waiting in the port input queue",
             unit="packets")
         sampler.add_probe(
@@ -254,11 +282,11 @@ class HubPort:
 
     def reset(self) -> None:
         """Supervisor port reset: flush the queue, raise the ready bit."""
-        self._arrivals.items.clear()
+        if self._queue:
+            self._queue.clear()
         hub = self.hub
         hub.queue_depths[self.index] = 0
         hub.ready_bits[self.index] = True
-        self.ready_changed.fire()
 
     def status(self) -> dict[str, Any]:
         return {
@@ -266,7 +294,7 @@ class HubPort:
             "enabled": self.enabled,
             "loopback": self.loopback,
             "ready": self.hub.ready_bits[self.index],
-            "queued": len(self._arrivals),
+            "queued": len(self._queue),
             "owner": self.hub.crossbar.owner_of(self.index),
             "feeds": sorted(self.hub.crossbar.outputs_of(self.index)),
         }

@@ -403,3 +403,29 @@ class TestFlowControlCommands:
         sim.run(until=300_000)
         assert not reply_event.value.ok
         assert reply_event.value.info["reason"] == "not ready"
+
+
+class TestInputQueue:
+    """A port is idle or draining one busy period; no standing process."""
+
+    def test_back_to_back_packets_queue_and_drain_once(self, rig):
+        sim, hub, cabs = rig
+        hub.crossbar.connect(0, 1)
+        port = hub.ports[0]
+        drained = []
+        # The drained signal travels upstream to the port's peer, cab0.
+        cabs[0].notify_ready = lambda: drained.append(
+            hub.counters["packets_forwarded"])
+        packets = [Packet("cab0", payload=Payload(64, data=bytes(64)),
+                          header_bytes=0) for _ in range(3)]
+        for packet in packets:
+            port.deliver(packet, packet.wire_size())
+        assert port._busy and len(port._queue) == 2
+        sim.run()
+        assert [p.packet_id for p in cabs[1].meta_received] \
+            == [p.packet_id for p in packets]
+        assert hub.max_queue_depths[0] == 2
+        assert hub.queue_depths[0] == 0
+        # Once, and only after all three had left through port 1.
+        assert drained == [3]
+        assert not port._busy

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 import tracemalloc
 from pathlib import Path
@@ -113,8 +114,14 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--top", type=int, default=12,
                         help="source lines to list (default 12)")
     args = parser.parse_args(argv)
-    print(render(args.topology, measure(TOPOLOGIES[args.topology]),
-                 args.top))
+    table = render(args.topology, measure(TOPOLOGIES[args.topology]),
+                   args.top)
+    try:
+        print(table, flush=True)
+    except BrokenPipeError:
+        # The reader (``| head``) has seen enough.  Point stdout at
+        # /dev/null so the interpreter's own flush at exit cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
