@@ -15,8 +15,7 @@ Scale-out host time is judged by the end-to-end benchmark: its traced
 docs/PERFORMANCE.md).
 """
 
-from repro.scaleout import (escl_campaign, run_partitioned, run_single,
-                            scenarios)
+from repro.scaleout import run_partitioned, run_single, scenarios
 from repro.stats import ExperimentTable
 
 PARTITION_COUNTS = (1, 2, 4)
@@ -58,44 +57,3 @@ def test_escl_torus256_partitioned_is_bit_identical():
     assert sharded.mismatch(reference) is None, \
         "256-CAB partitioned digest diverged from single-process"
 
-
-def test_escl6_recovery_overhead():
-    """E-SCL6: wall-clock cost of one mid-run worker kill + restart.
-
-    Runs the 64-CAB torus at 4 partitions clean, then again with a
-    seeded worker-kill campaign that SIGKILLs one worker mid-run.  The
-    recovery path — detect the death, reap every worker, run again from
-    t = 0 — must reproduce the clean digest bit-for-bit; the measured
-    quantity is the recovery overhead factor (chaos wall / clean wall).
-    """
-    def run():
-        scenario = scenarios()["escl-torus-64"]
-        reference = run_single(scenario)
-        clean = run_partitioned(scenario, 4)
-        kills = escl_campaign("worker-kill", scenario.config(),
-                              partitions=4)
-        chaos = run_partitioned(scenario, 4, faults=kills)
-        return {
-            "match": (clean.mismatch(reference) is None
-                      and chaos.mismatch(reference, kills) is None),
-            "worker_kills": chaos.worker_kills,
-            "restarts": chaos.restarts,
-            "clean_wall_s": round(clean.wall_s, 4),
-            "chaos_wall_s": round(chaos.wall_s, 4),
-            "recovery_overhead_x": round(
-                chaos.wall_s / clean.wall_s, 3) if clean.wall_s else 0.0,
-        }
-
-    result = run()
-    table = ExperimentTable(
-        "E-SCL6", "64-CAB 4D torus, 4 partitions, one mid-run SIGKILL")
-    table.add("workers killed / restarts", "1 / 1",
-              f"{result['worker_kills']} / {result['restarts']}")
-    table.add("recovery overhead", "-",
-              f"{result['recovery_overhead_x']:.2f}x wall "
-              f"({result['clean_wall_s']:.3f}s -> "
-              f"{result['chaos_wall_s']:.3f}s)")
-    table.add("chaos digest bit-identical to clean", "yes",
-              "yes" if result["match"] else "NO", result["match"])
-    assert result["restarts"] >= 1, "the kill never fired"
-    table.check()

@@ -268,7 +268,6 @@ def run_resilience(args: argparse.Namespace) -> int:
 def run_scaleout(args: argparse.Namespace) -> int:
     """E-SCL: partition-count scaling with a hard digest gate."""
     from .errors import ScaleoutError
-    from .faults.scenario import FaultScenario
     from .scaleout import (escl_campaign, partition_fabric,
                            run_partitioned, run_single, scenarios)
 
@@ -293,31 +292,8 @@ def run_scaleout(args: argparse.Namespace) -> int:
     except TopologyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.max_restarts < 0:
-        print("error: --max-restarts must be >= 0", file=sys.stderr)
-        return 2
-    fault_events = []
-    if args.faults is not None:
-        campaign = escl_campaign(args.faults, scenario.config())
-        fault_events.extend(campaign.events)
-    if args.chaos:
-        chaos_counts = [count for count in counts if count > 1]
-        if not chaos_counts:
-            print("error: --chaos needs at least one partition "
-                  "count >= 2 (there is no worker to kill in the "
-                  "single-process run)", file=sys.stderr)
-            return 2
-        if 1 not in counts:
-            # The chaos gate compares against the clean reference.
-            counts = [1] + counts
-        chaos = escl_campaign("worker-kill", scenario.config(),
-                              partitions=max(chaos_counts))
-        fault_events.extend(chaos.events)
-    faults = None
-    if fault_events:
-        label = args.faults or "worker-kill"
-        faults = FaultScenario(label, fault_events,
-                               description="scaleout CLI campaign")
+    faults = None if args.faults is None \
+        else escl_campaign(args.faults, scenario.config())
     print(f"E-SCL {scenario.name}: {scenario.description}")
     print(f"  {len(scenario.fabric.hubs)} HUBs, {scenario.num_cabs} CABs, "
           f"{len(scenario.fabric.links)} inter-HUB links; "
@@ -330,30 +306,28 @@ def run_scaleout(args: argparse.Namespace) -> int:
             print(f"    {event.describe()}")
     print()
     print(f"{'parts':>5s} {'events':>9s} {'wall':>8s} {'setup':>7s} "
-          f"{'events/s':>10s} {'goodput':>9s} {'rounds':>6s} "
-          f"{'restarts':>8s}  digest")
+          f"{'events/s':>10s} {'goodput':>9s} {'rounds':>6s}  digest")
     results = []
     for count in counts:
         try:
             result = run_single(scenario, faults=faults) if count == 1 \
-                else run_partitioned(scenario, count, faults=faults,
-                                     max_restarts=args.max_restarts)
+                else run_partitioned(scenario, count, faults=faults)
         except ScaleoutError as exc:
             print(f"\nSCALE-OUT FAILURE at {count} partitions: {exc}",
                   file=sys.stderr)
             for entry in exc.forensics:
+                failure = entry["failure"]
                 print(f"  partition {entry['partition']}: "
-                      f"restarts={entry['restarts']} "
                       f"last_window={entry['last_window']} "
                       f"events={entry['events']} "
-                      f"failures={[f['reason'] for f in entry['failures']]}",
+                      f"failure={failure and failure['reason']}",
                       file=sys.stderr)
             return 1
         results.append(result)
         print(f"{count:5d} {result.events:9,} {result.wall_s:7.3f}s "
               f"{result.setup_s:6.3f}s {result.events_per_sec:10,.0f} "
-              f"{result.goodput_mbps:6.0f} Mb/s {result.rounds:6d} "
-              f"{result.restarts:8d}  {result.digest[:16]}")
+              f"{result.goodput_mbps:6.0f} Mb/s {result.rounds:6d}  "
+              f"{result.digest[:16]}")
     if len(counts) > 1:
         broken = [f"  {result.partitions} partitions: {problem}"
                   for result in results[1:]
@@ -526,21 +500,12 @@ def build_parser() -> argparse.ArgumentParser:
              "single-process reference); later runs are held to the first "
              "one's digest (and event count, unfaulted): exit 1 on drift")
     scaleout.add_argument(
-        "--chaos", action="store_true",
-        help="SIGKILL a seeded-random worker mid-run (worker-kill "
-             "campaign); recovery restarts the run and the digest gate "
-             "still applies against the clean reference")
-    scaleout.add_argument(
         "--faults", metavar="CAMPAIGN", default=None,
         choices=("drop-burst", "corrupt-burst", "reply-storm",
                  "link-flap"),
         help="apply a repro.faults campaign (E-SCL-sized windows) to "
              "every run shape; partitioned digests must still match the "
              "faulted single-process reference")
-    scaleout.add_argument(
-        "--max-restarts", type=int, default=2, metavar="N",
-        help="per-partition worker restart budget before the run fails "
-             "with forensics (default: 2)")
     scaleout.add_argument(
         "--json", metavar="FILE", default=None,
         help="also write per-run summaries as JSON")

@@ -78,11 +78,12 @@ class CollectiveError(NectarError):
 class ScaleoutError(NectarError):
     """A partitioned scale-out run could not be completed.
 
-    Raised by the crash-tolerant coordinator when a worker's restart
-    budget is exhausted (or a worker process leaks past SIGKILL).
-    Carries ``forensics``: one dict per partition with the last window
-    reached, events processed, restart count, exit code, and the recorded
-    failure history — everything the post-mortem needs.
+    Raised by the coordinator on the first worker crash, hang,
+    exception or planner divergence (or when a worker process leaks
+    past SIGKILL).  Carries ``forensics``: one dict per partition with
+    the last round and window reached, events processed and its
+    ``failure`` (reason, detail, exit code) or ``None`` — everything the
+    post-mortem needs.
     """
 
     def __init__(self, message: str, forensics: list | None = None) -> None:

@@ -13,13 +13,12 @@ event through :mod:`repro.observe`.  See ``docs/FAULTS.md``.
 from .campaigns import CAMPAIGNS, build_campaign
 from .injector import FaultInjector
 from .report import Comparison, RunMetrics, run_comparison
-from .scenario import FAULT_KINDS, PROCESS_KINDS, FaultEvent, FaultScenario
+from .scenario import FAULT_KINDS, FaultEvent, FaultScenario
 
 __all__ = [
     "CAMPAIGNS",
     "Comparison",
     "FAULT_KINDS",
-    "PROCESS_KINDS",
     "FaultEvent",
     "FaultInjector",
     "FaultScenario",

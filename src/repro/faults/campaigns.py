@@ -161,33 +161,6 @@ def _hub_link_flap(cfg: NectarConfig, rng: random.Random, *,
                                      "inter-HUB fiber pair")
 
 
-def _worker_kill(cfg: NectarConfig, rng: random.Random, *,
-                 partitions: int = 4, kills: int = 1,
-                 start_ns: int = 10_000,
-                 horizon_ns: int = 200_000) -> FaultScenario:
-    """SIGKILL seeded-random scale-out workers mid-run (process chaos).
-
-    Targets are partition indices drawn from the campaign's RNG stream,
-    so the same seed always kills the same workers at the same simulated
-    windows.  Applied by the scale-out supervisor
-    (:mod:`repro.scaleout.supervisor`); the in-sim injector rejects
-    these events.  Defaults land inside the E-SCL measured window
-    (E-SCL runs finish in a few hundred microseconds of simulated
-    time, not the default workload's milliseconds).
-    """
-    if kills < 1:
-        raise ConfigError(f"campaign needs >= 1 kill, got {kills}")
-    if partitions < 1:
-        raise ConfigError(
-            f"campaign needs >= 1 partition, got {partitions}")
-    events = [FaultEvent("kill_worker", at, 0,
-                         target=str(rng.randrange(partitions)))
-              for at in _windows(rng, kills, start_ns, horizon_ns, 0)]
-    return FaultScenario("worker-kill", events,
-                         description="SIGKILL seeded-random scale-out "
-                                     "workers mid-run")
-
-
 #: Registry of named campaigns: name -> builder(cfg, rng, **params).
 CAMPAIGNS: dict[str, Callable[..., FaultScenario]] = {
     "drop-burst": _drop_burst,
@@ -198,7 +171,6 @@ CAMPAIGNS: dict[str, Callable[..., FaultScenario]] = {
     "port-flap": _port_flap,
     "cab-stall": _cab_stall,
     "cab-crash": _cab_crash,
-    "worker-kill": _worker_kill,
 }
 
 

@@ -18,8 +18,7 @@ from typing import TYPE_CHECKING, Optional
 from ..errors import ConfigError
 from ..hardware.frames import HubCommand
 from ..hardware.hub_commands import CommandOp
-from .scenario import (CAB_KINDS, FIBER_KINDS, PORT_KINDS, PROCESS_KINDS,
-                       FaultScenario)
+from .scenario import CAB_KINDS, FIBER_KINDS, PORT_KINDS, FaultScenario
 
 __all__ = ["FaultInjector"]
 
@@ -83,12 +82,6 @@ class FaultInjector:
         ports = self._ports()
         self._matches: dict[int, list] = {}
         for index, event in enumerate(self.scenario.events):
-            if event.kind in PROCESS_KINDS:
-                raise ConfigError(
-                    f"fault scenario {self.scenario.name!r}: {event.kind} "
-                    f"is a process-level fault applied by the scale-out "
-                    f"supervisor, not the in-sim injector; split it out "
-                    f"with FaultScenario.split_process_events()")
             if event.kind in FIBER_KINDS:
                 pool = fibers
             elif event.kind in PORT_KINDS:

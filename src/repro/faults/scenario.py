@@ -16,7 +16,7 @@ from typing import Any, Optional
 
 from ..errors import ConfigError
 
-__all__ = ["FAULT_KINDS", "PROCESS_KINDS", "FaultEvent", "FaultScenario"]
+__all__ = ["FAULT_KINDS", "FaultEvent", "FaultScenario"]
 
 #: Every fault kind the injector knows how to apply.
 #:
@@ -37,16 +37,9 @@ __all__ = ["FAULT_KINDS", "PROCESS_KINDS", "FaultEvent", "FaultScenario"]
 #: ``cab_crash``
 #:     Stall the CPU *and* down both attached fibers — a dead board that
 #:     comes back after the window.
-#: ``kill_worker``
-#:     Process-level chaos: SIGKILL live scale-out worker processes once
-#:     the simulated clock reaches ``at_ns`` (``target`` globs partition
-#:     indices, e.g. ``"2"`` or ``"*"``).  Applied by the scale-out
-#:     supervisor (:mod:`repro.scaleout.supervisor`), never by the
-#:     in-simulation injector — recovery restarts the run and its
-#:     digest stays bit-identical.
 FAULT_KINDS = frozenset({
     "link_degrade", "link_down", "reply_storm",
-    "hub_port_down", "cab_stall", "cab_crash", "kill_worker",
+    "hub_port_down", "cab_stall", "cab_crash",
 })
 
 #: Kinds whose ``target`` matches fiber names.
@@ -55,9 +48,6 @@ FIBER_KINDS = frozenset({"link_degrade", "link_down", "reply_storm"})
 CAB_KINDS = frozenset({"cab_stall", "cab_crash"})
 #: Kinds whose ``target`` matches ``hub:port`` labels.
 PORT_KINDS = frozenset({"hub_port_down"})
-#: Kinds applied to *worker processes* by the scale-out supervisor
-#: (``target`` globs partition indices); the in-sim injector rejects them.
-PROCESS_KINDS = frozenset({"kill_worker"})
 
 
 @dataclass(frozen=True)
@@ -91,11 +81,6 @@ class FaultEvent:
             raise ConfigError(
                 f"{self.kind} needs a positive duration_ns (a zero-length "
                 f"outage injects nothing)")
-        if self.kind in PROCESS_KINDS and self.duration_ns != 0:
-            raise ConfigError(
-                f"{self.kind} must have duration_ns == 0 (a SIGKILL is "
-                f"instantaneous; recovery is the supervisor's job), "
-                f"got {self.duration_ns}")
         for name in ("drop", "corrupt", "reply_drop"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -147,20 +132,6 @@ class FaultScenario:
         if not self.events:
             return 0
         return max(event.at_ns + event.duration_ns for event in self.events)
-
-    def split_process_events(
-            self) -> tuple["FaultScenario", list[FaultEvent]]:
-        """Split into (in-sim scenario, process-level events).
-
-        The in-sim remainder keeps this scenario's name and description
-        and is safe to hand to :class:`repro.faults.injector.FaultInjector`;
-        the process-level events (:data:`PROCESS_KINDS`, e.g.
-        ``kill_worker``) are applied by the scale-out supervisor.
-        """
-        sim_events = [e for e in self.events if e.kind not in PROCESS_KINDS]
-        process_events = [e for e in self.events if e.kind in PROCESS_KINDS]
-        return (FaultScenario(self.name, sim_events, self.description),
-                process_events)
 
     def schedule_text(self) -> str:
         """The canonical schedule: byte-identical for identical seeds."""

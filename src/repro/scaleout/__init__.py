@@ -11,13 +11,12 @@ per-boundary lookahead allows (:mod:`repro.scaleout.worker`,
 (hard digest assert) to single-process runs of the same seeded
 scenario.
 
-The supervisor is crash-tolerant (:mod:`repro.scaleout.supervisor`):
-when a worker crashes, hangs, or gets SIGKILLed by a chaos campaign,
-every worker is respawned and the run restarts, reproducing the same
-digest, with bounded restarts and per-partition forensics on failure.
-Fault campaigns (:mod:`repro.faults`) apply partition-aware: in-sim
-overlays slice to local targets, ``kill_worker`` events exercise the
-recovery path.  See ``docs/SCALEOUT.md``.
+The supervisor (:mod:`repro.scaleout.supervisor`) fails fast: when a
+worker crashes, hangs or raises, every worker is reaped and the run
+ends in one :class:`~repro.errors.ScaleoutError` that names the failing
+partition and carries per-partition forensics.  Fault campaigns
+(:mod:`repro.faults`) apply partition-aware: each worker applies the
+slice whose targets it materialized.  See ``docs/SCALEOUT.md``.
 """
 
 from .escl import (ScaleoutResult, ScaleoutScenario, Traffic,

@@ -221,11 +221,6 @@ class ScaleoutResult:
     rounds: int
     envelopes: int
     fingerprint: dict[str, Any] = field(default_factory=dict)
-    #: Runs restarted (every worker respawned) after a crash, hang or
-    #: exception.
-    restarts: int = 0
-    #: Workers SIGKILLed by chaos (``kill_worker``) campaign events.
-    worker_kills: int = 0
     #: One-time startup cost — worker fork + fabric build (partitioned)
     #: or fabric build + traffic spawn (single-process).  Kept out of
     #: ``wall_s`` so ``events_per_sec`` measures steady-state work.
@@ -241,9 +236,13 @@ class ScaleoutResult:
     #: only waits, so near zero; with the workers' ``compute_s`` and
     #: ``ipc_s`` it is the run's CPU.
     coordinator_cpu_s: float = 0.0
-    #: Per-partition post-mortem records (restarts, last window, the
-    #: failure history); empty for single-process runs.
+    #: Per-partition post-mortem records (last round and window, the
+    #: failure if any); empty for single-process runs.
     forensics: list[dict[str, Any]] = field(default_factory=list)
+    # Not a field, always 0: its only reader is the frozen
+    # benchmarks/e2e/workloads.py, and the next change to that
+    # benchmark deletes both.
+    restarts = 0
 
     @property
     def digest(self) -> str:
@@ -255,20 +254,19 @@ class ScaleoutResult:
         """The parity rule: how this run departs from ``reference``.
 
         ``None`` when the digests are equal and — unless ``faults`` (a
-        :class:`~repro.faults.FaultScenario`) carries in-simulation
-        events — so are the event counts.  Under in-sim faults a driver
-        process spawns once per partition holding a matched target (vs
-        once in the single-process run), so raw event totals
-        legitimately differ and only the digest is compared.
+        :class:`~repro.faults.FaultScenario`) carries events — so are
+        the event counts.  Under faults a driver process spawns once per
+        partition holding a matched target (vs once in the
+        single-process run), so raw event totals legitimately differ and
+        only the digest is compared.
         """
         against = "single-process" if reference.partitions == 1 \
             else f"{reference.partitions}-partition"
         if self.digest != reference.digest:
             return (f"digest {self.digest} differs from {against} "
                     f"{reference.digest}")
-        sim_faulted = faults is not None \
-            and bool(faults.split_process_events()[0].events)
-        if not sim_faulted and self.events != reference.events:
+        faulted = faults is not None and bool(faults.events)
+        if not faulted and self.events != reference.events:
             return f"{self.events} events, {against} {reference.events}"
         return None
 
@@ -307,8 +305,6 @@ class ScaleoutResult:
             "rounds": self.rounds,
             "advances": self.advances,
             "envelopes": self.envelopes,
-            "restarts": self.restarts,
-            "worker_kills": self.worker_kills,
             "digest": self.digest,
         }
 

@@ -8,7 +8,7 @@ turns that knowledge into the round's grants and reads nothing else, so
 the soundness argument below is a property of one function — checked
 without forking a process in ``tests/test_scaleout_planner.py`` — and
 workers holding the same knowledge plan the same grants.  The peer
-exchange lives in :mod:`repro.scaleout.worker`; deadlines and restarts
+exchange lives in :mod:`repro.scaleout.worker`; deadlines and failures
 in :mod:`repro.scaleout.supervisor`.
 
 **The grant.**  ``T[j]``, partition ``j``'s *trigger horizon*, is the

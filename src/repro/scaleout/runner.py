@@ -3,15 +3,14 @@
 ``run_single`` executes an E-SCL scenario in one process, exactly like
 every other experiment in the repo — it is the reference every digest
 is compared against.  ``run_partitioned`` shards the same scenario
-across ``num_partitions`` worker processes under the crash-tolerant
+across ``num_partitions`` worker processes under the
 :class:`~repro.scaleout.supervisor.Supervisor`.  The workers run the
 conservative-lookahead protocol stated in ``docs/SCALEOUT.md`` ("The
 synchronization protocol", "Grants") among themselves, each planning
-the grants :mod:`repro.scaleout.planner` computes; the supervisor
-restarts the run when a worker dies or hangs, and can apply fault
-campaigns.  Failures past the restart budget, and workers whose plans
-diverge, surface as :class:`~repro.errors.ScaleoutError` with
-per-partition forensics.
+the grants :mod:`repro.scaleout.planner` computes; the supervisor can
+apply fault campaigns.  A worker that dies, hangs or raises, and
+workers whose plans diverge, end the run in one
+:class:`~repro.errors.ScaleoutError` with per-partition forensics.
 
 Every run shape returns a :class:`~repro.scaleout.escl.ScaleoutResult`;
 ``result.mismatch(reference, faults)`` is the one statement of the
@@ -39,18 +38,14 @@ def run_single(scenario: ScaleoutScenario,
     """Run the scenario in-process; the reference for every digest.
 
     ``faults`` (a :class:`~repro.faults.FaultScenario`) applies the
-    campaign's in-simulation events through a strict
-    :class:`~repro.faults.FaultInjector`; process-level events
-    (``kill_worker``) are meaningless here and silently dropped — there
-    are no worker processes to kill.
+    campaign's events through a strict
+    :class:`~repro.faults.FaultInjector`.
     """
     setup_start = time.perf_counter()
     system = build_system(scenario.fabric, scenario.config())
-    if faults is not None:
-        sim_faults, _process_events = faults.split_process_events()
-        if sim_faults.events:
-            from ..faults.injector import FaultInjector
-            FaultInjector(system, sim_faults).start()
+    if faults is not None and faults.events:
+        from ..faults.injector import FaultInjector
+        FaultInjector(system, faults).start()
     traffic = spawn_traffic(scenario, system)
     start = time.perf_counter()
     system.run()
@@ -67,12 +62,10 @@ def run_partitioned(scenario: ScaleoutScenario, num_partitions: int, *,
     """Run the scenario sharded across ``num_partitions`` processes.
 
     With fewer than two partitions this is :func:`run_single`; else the
-    keywords go to the crash-tolerant :class:`Supervisor`, which owns
-    them and their defaults: ``max_restarts`` run restarts charged to
-    one partition before :class:`~repro.errors.ScaleoutError` carries
-    the forensics, and a ``registry``
-    (:class:`~repro.observe.MetricRegistry`) that receives the
-    ``scaleout.*`` metrics when the run ends, failed or not.
+    keywords go to the :class:`Supervisor`, which owns them: a
+    ``registry`` (:class:`~repro.observe.MetricRegistry`) receives the
+    ``scaleout.*`` metrics when the run ends, failed or not.  A failed
+    run raises :class:`~repro.errors.ScaleoutError` with the forensics.
     """
     if num_partitions < 2:
         return run_single(scenario, faults=faults)

@@ -8,47 +8,39 @@ process lifecycle:
   worker to each other one, and says ``go`` once every worker has built
   its partition and exchanged its initial report.  It then only
   listens: heartbeats (at most one per worker per wall-clock second,
-  naming the peer a worker is blocked on), due chaos kills, results.
+  naming the peer a worker is blocked on) and results.
 
 * **Detection.**  Worker pipes and process sentinels are watched by one
   :mod:`selectors` object.  A worker that dies is a **crash** (exit
   code recorded), one that raises ships its traceback (**exception**),
   and one silent for :data:`HANG_TIMEOUT_S` is a **hang**.  A worker
-  whose peer pipe breaks reports **peer-lost**: it is collateral, and
-  its budget is not charged.  Workers that planned different grants
-  end the run with "planner diverged".
+  whose peer pipe breaks reports **peer-lost**: it is collateral, not
+  the failure.  Workers that planned different grants end the run with
+  "planner diverged".
 
-* **Restart-the-run.**  On a failure the supervisor charges the
-  failing partition's budget, reaps every worker and forks them all
-  again; past ``max_restarts`` it raises a structured
-  :class:`~repro.errors.ScaleoutError` with per-partition forensics.
-  A worker is a deterministic function of ``(scenario, partition
-  index)`` and its peers' reports, so the restarted run reproduces the
-  digest bit for bit.  Worker state lives in Python generator frames,
-  which cannot pickle, so there is no checkpoint: any recovery
-  recomputes from t = 0.
+* **Fail, don't restart.**  The first failure reaps every worker and
+  raises one :class:`~repro.errors.ScaleoutError` that names the
+  scenario and the failing partition and carries per-partition
+  forensics.  A worker is a deterministic function of ``(scenario,
+  partition index)`` and its peers' reports, so a retry would fail the
+  same way; a caller that wants one writes a loop.
 
 * **Partition-aware faults.**  A :class:`~repro.faults.FaultScenario`
-  can ride along: its in-simulation events are handed to *every* worker
-  verbatim (each applies the slice whose targets it materialized
-  locally), so a faulted partitioned run stays digest-identical to the
-  faulted single-process run; a ``kill_worker`` event is reported due
-  by its target once a round's largest grant reaches ``at_ns``, and the
-  supervisor SIGKILLs it (``scaleout --chaos``).
+  can ride along: its events are handed to *every* worker verbatim
+  (each applies the slice whose targets it materialized locally), so a
+  faulted partitioned run stays digest-identical to the faulted
+  single-process run.
 
 ``docs/SCALEOUT.md`` states the protocol ("The synchronization
-protocol", "Grants") and the recovery argument ("Fault tolerance").
+protocol", "Grants") and the failure contract ("Fault tolerance").
 """
 
 from __future__ import annotations
 
-import os
 import selectors
-import signal
 import time
 import multiprocessing as mp
-from fnmatch import fnmatchcase
-from typing import Any, Optional
+from typing import Any, NoReturn, Optional
 
 from ..errors import ScaleoutError
 from ..faults.campaigns import build_campaign
@@ -85,7 +77,6 @@ _ESCL_CAMPAIGN_DEFAULTS: dict[str, dict[str, int]] = {
                     "duration_ns": 30_000},
     "link-flap": {"start_ns": 5_000, "horizon_ns": 150_000,
                   "duration_ns": 30_000},
-    "worker-kill": {"start_ns": 10_000, "horizon_ns": 200_000},
 }
 
 
@@ -103,7 +94,7 @@ class _Worker:
         self.index = index
         self.process: Optional[mp.process.BaseProcess] = None
         self.conn = None
-        #: What the supervisor's selector holds for this incarnation:
+        #: What the supervisor's selector holds for this worker:
         #: ``(conn, process sentinel)``, or ``()`` once unregistered.
         self.watched: tuple = ()
         #: ``spawned`` → ``ready`` → ``running`` → ``done``, or ``lost``
@@ -114,8 +105,8 @@ class _Worker:
         #: The peer its last heartbeat said it was blocked on, or the
         #: one whose pipe broke (``lost``).
         self.blocked_on: Optional[int] = None
-        self.restarts = 0
-        self.failures: list[dict[str, Any]] = []
+        #: What ended the run here, or ``None``.
+        self.failure: Optional[dict[str, Any]] = None
         self.last_round = 0
         self.last_window: Optional[int] = None
         self.events = 0
@@ -125,12 +116,11 @@ class _Worker:
         """Everything the post-mortem needs about this partition."""
         return {
             "partition": self.index,
-            "restarts": self.restarts,
             "last_round": self.last_round,
             "last_window": self.last_window,
             "events": self.events,
             "blocked_on": self.blocked_on,
-            "failures": list(self.failures),
+            "failure": self.failure,
         }
 
 
@@ -139,15 +129,16 @@ class Supervisor:
 
     Forks ``num_partitions`` workers that run the conservative
     lookahead protocol among themselves (see
-    :mod:`repro.scaleout.planner`), and restarts the whole run when one
-    fails.  One instance runs one scenario once (:meth:`run`);
-    ``registry`` (a :class:`~repro.observe.MetricRegistry`) receives the
-    ``scaleout.*`` metrics when that run ends, failed or not.
+    :mod:`repro.scaleout.planner`), and ends the run in one
+    :class:`~repro.errors.ScaleoutError` when one fails.  One instance
+    runs one scenario once (:meth:`run`); ``registry`` (a
+    :class:`~repro.observe.MetricRegistry`) receives the ``scaleout.*``
+    metrics when that run ends, failed or not.
     """
 
     def __init__(self, scenario: ScaleoutScenario, num_partitions: int, *,
                  faults: Optional[FaultScenario] = None,
-                 max_restarts: int = 2, registry=None) -> None:
+                 registry=None) -> None:
         if num_partitions < 2:
             raise ScaleoutError(
                 "the supervisor coordinates >= 2 workers; "
@@ -156,25 +147,17 @@ class Supervisor:
         partition_fabric(scenario.fabric, num_partitions)
         self.scenario = scenario
         self.num_partitions = num_partitions
-        self.max_restarts = max_restarts
         self.ctx = mp.get_context("fork")
         self.workers = [_Worker(i) for i in range(num_partitions)]
         #: The one wait object: every live worker's pipe end and process
         #: sentinel, keyed to ``(worker, is_pipe)``.
         self._selector = selectors.DefaultSelector()
-        if faults is not None:
-            sim_faults, self._kill_events = faults.split_process_events()
-            self._faults_spec = (sim_faults.to_dict()
-                                 if sim_faults.events else None)
-        else:
-            self._faults_spec = None
-            self._kill_events = []
-        self._kills_fired: set[int] = set()
+        self._faults_spec = (faults.to_dict()
+                             if faults is not None and faults.events
+                             else None)
         self.rounds = 0
         self.envelopes = 0
         self.advances = 0
-        self.restarts = 0
-        self.worker_kills = 0
         self.setup_s = 0.0
         self.coordinator_cpu_s = 0.0
         self.registry = registry
@@ -186,21 +169,16 @@ class Supervisor:
     def run(self) -> ScaleoutResult:
         """Run the scenario to the end; always reaps every worker."""
         start = time.perf_counter()
-        steady = cpu = None
         try:
-            while True:
-                self._spawn_all()
-                if not self._collect("ready"):
-                    continue
-                if steady is None:
-                    # Fork, fabric build, traffic spawn and the initial
-                    # exchange are setup; a restart's are steady cost.
-                    self.setup_s = time.perf_counter() - start
-                    steady, cpu = time.perf_counter(), time.process_time()
-                for worker in self.workers:
-                    self._go(worker)
-                if self._collect("done"):
-                    break
+            self._spawn_all()
+            self._collect("ready")
+            # Fork, fabric build, traffic spawn and the initial exchange
+            # are setup.
+            self.setup_s = time.perf_counter() - start
+            steady, cpu = time.perf_counter(), time.process_time()
+            for worker in self.workers:
+                self._go(worker)
+            self._collect("done")
             wall = time.perf_counter() - steady
             self.coordinator_cpu_s = time.process_time() - cpu
             self._check_plans()
@@ -219,7 +197,6 @@ class Supervisor:
             wall_s=wall, rounds=self.rounds, envelopes=self.envelopes,
             fingerprint=merge_fragments([result["fragment"]
                                          for result in results]),
-            restarts=self.restarts, worker_kills=self.worker_kills,
             setup_s=self.setup_s, advances=self.advances,
             timing={phase: [result["timing"][phase] for result in results]
                     for phase in _PHASES},
@@ -240,10 +217,6 @@ class Supervisor:
     def _publish(self, registry) -> None:
         """Write the run's ``scaleout.*`` metrics — once, at its end."""
         for name, what, unit in (
-                ("restarts", "runs restarted after a worker failure",
-                 "restarts"),
-                ("worker_kills",
-                 "workers SIGKILLed by chaos campaign events", "kills"),
                 ("rounds", "rounds the workers planned", "rounds"),
                 ("advances", "grants run (idle elision skips the rest)",
                  "grants")):
@@ -261,10 +234,6 @@ class Supervisor:
                 f"scaleout.p{index}.envelopes",
                 f"envelopes routed to partition {index}",
                 unit="envelopes").inc(result["inbound"])
-            registry.counter(
-                f"scaleout.p{index}.restarts",
-                f"partition {index} failures that restarted the run",
-                unit="restarts").inc(worker.restarts)
             for phase, what in _PHASES.items():
                 registry.gauge(
                     f"scaleout.p{index}.{phase}",
@@ -272,8 +241,7 @@ class Supervisor:
                     unit="s").set(result["timing"].get(phase, 0.0))
 
     def _spawn_all(self) -> None:
-        """Fork every worker, with a pipe from each to each other, and
-        fire the kills due at spawn (``at_ns <= 0``)."""
+        """Fork every worker, with a pipe from each to each other."""
         count = self.num_partitions
         # readers[i][j] reads what writers[j][i] writes: j to i.
         readers: list[list[Any]] = [[None] * count for _ in range(count)]
@@ -290,24 +258,15 @@ class Supervisor:
                         writers[worker.index], every)
         for end in every:
             end.close()
-        for index, event in enumerate(self._kill_events):
-            if event.at_ns <= 0:
-                self._fire(index)
 
     def _spawn(self, worker: _Worker, inbox: list, outbox: list,
                every: list) -> None:
-        kills = [(event.at_ns, index)
-                 for index, event in enumerate(self._kill_events)
-                 if index not in self._kills_fired and event.at_ns > 0
-                 and fnmatchcase(str(worker.index), event.target)]
         parent, child = self.ctx.Pipe()
         process = self.ctx.Process(
             target=worker_main,
             args=(child, inbox, outbox, every, self.scenario.name,
-                  self.num_partitions, worker.index, self._faults_spec,
-                  kills),
-            name=(f"scaleout-{self.scenario.name}-p{worker.index}"
-                  f"-r{self.restarts}"),
+                  self.num_partitions, worker.index, self._faults_spec),
+            name=f"scaleout-{self.scenario.name}-p{worker.index}",
             daemon=True)
         process.start()
         # Close our copy of the child's pipe end, or EOF never fires.
@@ -318,8 +277,6 @@ class Supervisor:
         self._selector.register(parent, selectors.EVENT_READ, (worker, True))
         self._selector.register(process.sentinel, selectors.EVENT_READ,
                                 (worker, False))
-        worker.state = "spawned"
-        worker.result = worker.blocked_on = None
         worker.deadline = time.monotonic() + HANG_TIMEOUT_S
 
     def _go(self, worker: _Worker) -> None:
@@ -334,17 +291,13 @@ class Supervisor:
     # the wait
     # ------------------------------------------------------------------
 
-    def _collect(self, goal: str) -> bool:
-        """Wait until every worker is in state ``goal``.
-
-        False when a failure restarted the run: every worker is reaped
-        and the failing partition charged; raises once its budget is
-        spent.  The only place the coordinator blocks.
-        """
+    def _collect(self, goal: str) -> None:
+        """Wait until every worker is in state ``goal``; raises on the
+        first failure.  The only place the coordinator blocks."""
         while True:
             short = [w for w in self.workers if w.state != goal]
             if not short:
-                return True
+                return
             live = [w for w in short if w.state != "lost"]
             if not live:
                 # Everyone still short of the goal lost a peer that
@@ -360,7 +313,7 @@ class Supervisor:
                 self._kill_process(worker)
                 waiting = [w.index for w in self.workers
                            if w.blocked_on == worker.index]
-                return self._restart(
+                self._fail(
                     worker, "hang",
                     f"silent for {HANG_TIMEOUT_S:.1f}s at round "
                     f"{worker.last_round}; partitions {waiting} waited "
@@ -381,17 +334,15 @@ class Supervisor:
                     except (EOFError, OSError):
                         pass
                 if message is None:
-                    return self._restart(
-                        worker, "crash",
-                        "worker process exited without reporting")
-                if not self._handle(worker, message):
-                    return False
+                    self._fail(worker, "crash",
+                               "worker process exited without reporting")
+                self._handle(worker, message)
 
     def _recv(self, worker: _Worker) -> tuple:
         return worker.conn.recv()
 
-    def _handle(self, worker: _Worker, message: tuple) -> bool:
-        """Take one worker message; False if it restarted the run."""
+    def _handle(self, worker: _Worker, message: tuple) -> None:
+        """Take one worker message."""
         tag, (worker.last_round, window, worker.events), body = message
         if window is not None:
             worker.last_window = window
@@ -399,10 +350,8 @@ class Supervisor:
         worker.deadline = time.monotonic() + HANG_TIMEOUT_S
         if tag == "beat":
             worker.blocked_on = body
-        elif tag == "due":
-            self._fire(body)
         elif tag == "error":
-            return self._restart(worker, "exception", body)
+            self._fail(worker, "exception", body)
         elif tag == "diverged":
             self._diverged(worker, body)
         else:
@@ -417,38 +366,33 @@ class Supervisor:
                     worker.state, worker.result = "done", body
                 else:
                     worker.state, worker.blocked_on = "lost", body
-        return True
 
     # ------------------------------------------------------------------
-    # failure handling: record, reap, restart
+    # failure handling: record, reap, raise
     # ------------------------------------------------------------------
 
-    def _restart(self, worker: _Worker, reason: str, detail: str) -> bool:
-        """Charge ``worker``'s partition and reap every worker; the run
-        loop then forks them all again.  Raises with full forensics once
-        the partition's restart budget is exhausted."""
-        worker.failures.append({
+    def _fail(self, worker: _Worker, reason: str, detail: str) -> NoReturn:
+        """Record ``worker``'s failure, reap every worker and raise.
+
+        A run is a deterministic function of its scenario, so a retry
+        would fail the same way: the first failure ends the run.
+        """
+        worker.failure = {
             "reason": reason,
             "detail": detail,
             "exit_code": self._exit_code(worker),
             "last_round": worker.last_round,
             "last_window": worker.last_window,
             "events": worker.events,
-        })
+        }
         self._reap_all()
-        if worker.restarts >= self.max_restarts:
-            raise ScaleoutError(
-                f"scale-out {self.scenario.name!r} partition "
-                f"{worker.index} failed ({reason}) and exhausted its "
-                f"restart budget ({self.max_restarts} restarts); see "
-                f"forensics",
-                forensics=[w.forensics() for w in self.workers])
-        worker.restarts += 1
-        self.restarts += 1
-        return False
+        raise ScaleoutError(
+            f"scale-out {self.scenario.name!r} partition {worker.index} "
+            f"failed ({reason}); see forensics",
+            forensics=[w.forensics() for w in self.workers])
 
-    def _diverged(self, worker: _Worker, detail: str) -> None:
-        """Two workers planned differently: no restart can help."""
+    def _diverged(self, worker: _Worker, detail: str) -> NoReturn:
+        """Two workers planned differently."""
         self._reap_all()
         raise ScaleoutError(
             f"scale-out {self.scenario.name!r} partition {worker.index}: "
@@ -498,7 +442,7 @@ class Supervisor:
 
     def _unwatch(self, worker: _Worker) -> None:
         """Take a worker's fds out of the selector (before they close:
-        the number may be reused by the next incarnation's)."""
+        a closed fd's number may be reused)."""
         for fileobj in worker.watched:
             self._selector.unregister(fileobj)
         worker.watched = ()
@@ -508,27 +452,3 @@ class Supervisor:
             self._kill_process(worker)
         for worker in self.workers:
             self._reap(worker)
-
-    # ------------------------------------------------------------------
-    # process-level chaos
-    # ------------------------------------------------------------------
-
-    def _fire(self, index: int) -> None:
-        """SIGKILL the live workers ``kill_worker`` event ``index`` aims at.
-
-        Each event fires once per run, whichever targeted worker reports
-        it due first; the signal lands at an arbitrary instant of that
-        worker's round, and the restarted run reproduces the digest.
-        """
-        if index in self._kills_fired:
-            return
-        self._kills_fired.add(index)
-        target = self._kill_events[index].target
-        for worker in self.workers:
-            process = worker.process
-            if worker.state == "done" or process is None \
-                    or not process.is_alive() \
-                    or not fnmatchcase(str(worker.index), target):
-                continue
-            os.kill(process.pid, signal.SIGKILL)
-            self.worker_kills += 1

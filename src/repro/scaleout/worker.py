@@ -19,8 +19,8 @@ coordinator (:mod:`repro.scaleout.supervisor`) on the path:
    from the receiver's own plan ends the run as "diverged".
 
 The coordinator hears ``ready`` and the result from a worker, and in
-between only heartbeats (at most one a second) and due ``kill_worker``
-events.  ``docs/SCALEOUT.md`` states the protocol.
+between only heartbeats (at most one a second).  ``docs/SCALEOUT.md``
+states the protocol.
 """
 
 from __future__ import annotations
@@ -61,8 +61,7 @@ class _Rounds:
     """
 
     def __init__(self, control, inbox: list, outbox: list,
-                 system: PartitionSystem,
-                 kills: list[tuple[int, int]]) -> None:
+                 system: PartitionSystem) -> None:
         self.control = control
         self.inbox = inbox
         self.outbox = outbox
@@ -79,8 +78,6 @@ class _Rounds:
                 poller = select.poll()
                 poller.register(reader.fileno(), select.POLLIN)
             self.pollers.append(poller)
-        #: ``(at_ns, event index)`` of the kills aimed at this partition.
-        self.kills = sorted(kills)
         self.rounds = self.advances = self.envelopes = self.inbound = 0
         #: This partition's last grant (``None`` before its first).
         self.grant: Optional[int] = None
@@ -128,10 +125,6 @@ class _Rounds:
                 report = (system.peek(), system.drain_outbox())
             else:
                 ran = time.process_time()
-            if self.kills:
-                reach = max(g for g in grants if g is not None)
-                while self.kills and self.kills[0][0] <= reach:
-                    self.tell("due", self.kills.pop(0)[1])
             if time.monotonic() >= next_beat:
                 self.tell("beat")
                 next_beat = time.monotonic() + BEAT_MS / 1000
@@ -205,8 +198,7 @@ class _Rounds:
 
 def worker_main(control, inbox: list, outbox: list, every: list,
                 scenario_name: str, num_partitions: int, index: int,
-                faults_spec: Optional[dict],
-                kills: list[tuple[int, int]]) -> None:
+                faults_spec: Optional[dict]) -> None:
     """Worker process: build one partition, then run the rounds.
 
     ``inbox[j]`` reads the pipe from partition ``j`` and ``outbox[j]``
@@ -214,9 +206,8 @@ def worker_main(control, inbox: list, outbox: list, every: list,
     ``every`` is closed, so a dead peer reads as EOF.  Tells the
     coordinator, as ``(tag, progress, body)``: ``ready`` once the
     initial reports are exchanged (then waits for ``go``), ``beat``,
-    ``due`` (a kill event's index), then ``result``; or ``error`` (a
-    traceback), ``peer-lost`` (the peer) or ``diverged`` before exiting
-    non-zero.
+    then ``result``; or ``error`` (a traceback), ``peer-lost`` (the
+    peer) or ``diverged`` before exiting non-zero.
     """
     for end in every:
         if end not in inbox and end not in outbox:
@@ -233,7 +224,7 @@ def worker_main(control, inbox: list, outbox: list, every: list,
         if faults_spec is not None:
             system.attach_faults(FaultScenario.from_dict(faults_spec))
         traffic = spawn_traffic(scenario, system)
-        rounds = _Rounds(control, inbox, outbox, system, kills)
+        rounds = _Rounds(control, inbox, outbox, system)
         # The initial reports: round 0, in which every partition "ran".
         rounds.exchange([0] * num_partitions,
                         (system.peek(), system.drain_outbox()))

@@ -86,6 +86,20 @@ class TestCampaigns:
         assert len(scenario.events) == 2
         assert all(e.drop == 0.9 for e in scenario.events)
 
+    def test_worker_kill_is_not_a_campaign(self, capsys):
+        # A failed partitioned run ends in one ScaleoutError, so there is
+        # no process-level chaos to inject, and the single-process
+        # commands no longer offer a campaign they cannot apply.
+        from repro.__main__ import main
+        assert "worker-kill" not in CAMPAIGNS
+        with pytest.raises(ConfigError, match="unknown fault campaign"):
+            build_campaign("worker-kill", NectarConfig())
+        for command in ("faults", "resilience"):
+            with pytest.raises(SystemExit) as caught:
+                main([command, "worker-kill"])
+            assert caught.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
+
 
 class TestInjector:
     def test_unmatched_target_rejected_at_construction(self):

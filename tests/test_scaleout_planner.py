@@ -13,6 +13,7 @@ planned.
 import multiprocessing
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,6 @@ from repro.scaleout import (lookahead_matrix, partition_fabric,
                             run_partitioned, run_single, scenarios)
 from repro.scaleout import worker as worker_module
 from repro.scaleout.partition import PartitionSystem
-from repro.scaleout.supervisor import escl_campaign
 from repro.scaleout.planner import plan_round, post, take_due
 
 
@@ -267,23 +267,23 @@ def _records(path):
 
 
 @pytest.mark.parametrize("num_partitions", [2, 4])
-@pytest.mark.parametrize("kills", [1, 8])
+@pytest.mark.parametrize("messages", [1, 8])
 def test_recorded_run_matches_the_replaced_loop(monkeypatch, tmp_path,
-                                                num_partitions, kills):
+                                                num_partitions, messages):
     # Every worker plans every round itself, on its mirror of every
-    # partition's state; restarting the run after 1 or 8 kills changes
-    # nothing any worker knows or grants.
-    scenario = scenarios()["escl-torus-16"]
+    # partition's state; all of them plan what the replaced loop would
+    # have (8 messages per CAB give more rounds to check).
+    scenario = replace(scenarios()["escl-torus-16"],
+                       name=f"escl-torus-16-m{messages}",
+                       messages_per_cab=messages)
+    monkeypatch.setitem(scenarios(), scenario.name, scenario)
     distance = lookahead_matrix(
         partition_fabric(scenario.fabric, num_partitions), scenario.config())
-    chaos = escl_campaign("worker-kill", scenario.config(),
-                          partitions=num_partitions, kills=kills)
     _record_workers(monkeypatch, tmp_path)
-    outcome = run_partitioned(scenario, num_partitions, faults=chaos,
-                              max_restarts=kills)
+    outcome = run_partitioned(scenario, num_partitions)
     assert outcome.digest == run_single(scenario).digest
-    # The workers of the run's last incarnation, by process name.
-    names = [f"scaleout-{scenario.name}-p{index}-r{outcome.restarts}"
+    # The run's workers, by process name.
+    names = [f"scaleout-{scenario.name}-p{index}"
              for index in range(num_partitions)]
     plans = [list(_records(tmp_path / f"plan-{name}")) for name in names]
     assert all(plan == plans[0] for plan in plans)
