@@ -5,6 +5,8 @@ the *simulated* metrics the paper reports (§2.3, §4).  The benchmark
 suite (``benchmarks/bench_*.py``), ``python -m repro report`` and
 ``tests/test_paper_goals.py`` all call these — there is no second rig
 for the 700 ns HUB setup, the CAB-to-CAB or the node-to-node latency.
+:func:`run_collective` is also a pinned cell: ``tools/result_sweep.py
+--repin`` writes its three paths' fingerprints to ``tests/data/pins.json``.
 (``benchmarks/e2e/probes.py`` is the frozen benchmark's own copy, and
 its layer map is why this module lives in a package: a new top-level
 file under ``src/repro`` belongs to no layer it knows.)
@@ -12,6 +14,9 @@ file under ``src/repro`` belongs to no layer it knows.)
 
 from __future__ import annotations
 
+import hashlib
+import json
+from dataclasses import replace
 from functools import partial
 from typing import Optional
 
@@ -37,6 +42,7 @@ __all__ = [
     "measure_switching_rate",
     "measure_throughput",
     "paper_report",
+    "run_collective",
     "timed_send",
 ]
 
@@ -295,21 +301,75 @@ def measure_lan_node_to_node(size: int = 32,
     }
 
 
+def run_collective(mode: str) -> tuple[int, int, dict]:
+    """E-COL: ``(events, sim_ns, fingerprint)`` of one collective path
+    (``hub`` offload, software ``tree``, hypercube ``exchange``): 8 ranks
+    run 12 rounds of allreduce + barrier through the iPSC library while
+    every other CAB aims 40 512-byte datagrams at cab0, the hotspot that
+    congests software trees rooted at rank 0."""
+    from ..ipsc import IpscLibrary
+    from ..nectarine import NectarineRuntime
+    cfg = NectarConfig(seed=1989)
+    cfg = cfg.with_overrides(collectives=replace(cfg.collectives, mode=mode))
+    system = single_hub_system(8, cfg=cfg)
+    ranks, rounds, noise_messages = 8, 12, 40
+    library = IpscLibrary(NectarineRuntime(system),
+                          [system.cab(f"cab{i}") for i in range(ranks)])
+    totals: dict[int, int] = {}
+    done_ns: dict[int, int] = {}
+
+    def body(process):
+        total = 0
+        for round_no in range(rounds):
+            total = yield from process.gisum(process.mynode() + round_no + 1)
+            yield from process.gsync()
+        totals[process.mynode()] = total
+        done_ns[process.mynode()] = system.now
+
+    def noise(stack):
+        for _ in range(noise_messages):
+            yield from stack.transport.datagram.send("cab0", "noise", size=512)
+
+    def drain(stack, count):
+        mailbox = stack.create_mailbox("noise", capacity=64)
+        for _ in range(count):
+            yield from stack.kernel.wait(mailbox.get())
+
+    hot = system.cab("cab0")
+    hot.spawn(drain(hot, (ranks - 1) * noise_messages), name="noise-drain")
+    for index in range(1, ranks):
+        stack = system.cab(f"cab{index}")
+        stack.spawn(noise(stack), name=f"noise{index}")
+    library.start_all(body)
+    system.run()
+    return system.sim.events_processed, system.now, {
+        "mode": mode,
+        "totals": totals,
+        "done_ns": done_ns,
+        "finish_ns": max(done_ns.values()),
+        "hub_counters": {name: dict(hub.counters)
+                         for name, hub in system.hubs.items()},
+    }
+
+
 def measure_collectives() -> dict:
-    """E-COL: the three collective execution paths of
-    :mod:`repro.perfbench` under the same hotspot noise — finish time
-    and result digest per mode, the HUB combining unit's counters, and
+    """E-COL: :func:`run_collective` for each path — finish time and
+    result digest per mode (SHA-256 over the scenario name, the final
+    clock and the fingerprint), the HUB combining unit's counters, and
     the offload's speedup over each software path."""
-    from ..perfbench import run_scenario
-    results = {mode: run_scenario(f"collective-{mode}")
-               for mode in ("hub", "tree", "exchange")}
-    finish_ns = {mode: result.fingerprint["finish_ns"]
-                 for mode, result in results.items()}
-    counters = results["hub"].fingerprint["hub_counters"]["hub0"]
+    runs = {mode: run_collective(mode)[1:]
+            for mode in ("hub", "tree", "exchange")}
+    finish_ns = {mode: fingerprint["finish_ns"]
+                 for mode, (_sim_ns, fingerprint) in runs.items()}
+    counters = runs["hub"][1]["hub_counters"]["hub0"]
     return {
         "finish_ns": finish_ns,
-        "digests": {mode: result.result_digest
-                    for mode, result in results.items()},
+        "digests": {
+            mode: hashlib.sha256(json.dumps(
+                {"scenario": f"collective-{mode}", "sim_ns": sim_ns,
+                 "fingerprint": fingerprint}, sort_keys=True).encode()
+            ).hexdigest()
+            for mode, (sim_ns, fingerprint) in runs.items()},
         "combining": {key.split(".", 1)[1]: value
                       for key, value in sorted(counters.items())
                       if key.startswith("collective.")},

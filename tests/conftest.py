@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,27 @@ def load_script():
         spec.loader.exec_module(module)
         return module
     return load
+
+
+@pytest.fixture(scope="session")
+def result_sweep(load_script):
+    """``tools/result_sweep.py``, the one writer of ``data/pins.json``."""
+    return load_script("tools/result_sweep.py")
+
+
+@pytest.fixture(scope="session")
+def pinned():
+    """``data/pins.json``, as ``tools/result_sweep.py --repin`` wrote it."""
+    return json.loads((Path(__file__).parent / "data" / "pins.json")
+                      .read_text())
+
+
+@pytest.fixture(scope="session")
+def written(result_sweep):
+    """``(document, broken, timelines)`` as ``--repin`` computes them,
+    once for every test that holds the pins to the model."""
+    return result_sweep.document(list(result_sweep.PIN_SEEDS),
+                                 result_sweep.PIN_SCALE)
 
 
 @pytest.fixture

@@ -1,36 +1,32 @@
-"""The digest table's contract: the model computes what it computed.
+"""The table cells' contract: the model computes what it computed.
 
-A change to the engine or a model is only admissible if behaviour is
-bit-identical, so these tests pin:
+``tools/result_sweep.py`` writes the pins; the ``written`` fixture
+recomputes its document once and these tests hold it to
+``data/pins.json`` and the goldens:
 
-* **Golden timelines** — the full traced event interleaving of two macro
-  scenarios, captured on the pre-optimization engine and checked in.
-  Any reordering, gain or loss of an agenda entry shows up here.
-* **Determinism** — running a scenario twice back to back in one
-  process produces the same result digest and the same event count
-  (state leaking from one run into the next is a bug the pins alone
-  do not catch).
-* **Same answers as the parent** — every scenario's ``result_digest``
-  equals the capture in ``data/perfbench_result_digests.json``, taken
-  before the first hand-off elision.  The event count is free to fall;
-  the result is not free to move.
-* **The disabled-tracing hot path** — a disabled tracer records nothing
-  and the counters still advance.
-* **No wall-clock harness** — ``bench``, ``collectives --repeat`` and
-  every old comparator flag are argparse errors; host time is judged
-  by ``benchmarks/e2e``.
+* **Golden timelines** — the full traced interleaving of the
+  ``hotspot`` and ``fault-campaign`` cells, captured on the
+  pre-optimization engine: any reordering, gain or loss of an agenda
+  entry shows up here.
+* **Determinism** — a cell run twice in one process gives the same row
+  and timeline.
+* **Same answers as the parent** — every table cell's aspects equal
+  ``pins.json``, which at its first writing reproduced the capture taken
+  before the first hand-off elision.  The event count may fall; the
+  result may not move.
+* **The disabled-tracing hot path** and **no wall-clock harness**
+  (``bench``, ``collectives --repeat`` and the old comparator flags are
+  argparse errors; host time is judged by ``benchmarks/e2e``).
 """
 
 import json
 import pathlib
-from dataclasses import replace
 
 import pytest
 
 from repro.__main__ import main
 from repro.config import NectarConfig
 from repro.hardware import Hub
-from repro.perfbench import SCENARIOS, capture_timeline, run_scenario
 from repro.sim import Simulator, Tracer
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -38,62 +34,62 @@ DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = sorted(path.stem.replace("golden_timeline_", "")
                 for path in DATA.glob("golden_timeline_*.json"))
 
+TABLE = ("collective-exchange", "collective-hub", "collective-tree",
+         "fault-campaign", "hotspot", "scaleout-torus-256",
+         "scaleout-torus-64")
+
 
 class TestGoldenTimelines:
-    def test_goldens_exist(self):
-        assert GOLDEN, "no golden timeline captures checked in"
+    def test_goldens_exist(self, result_sweep):
+        assert GOLDEN == sorted(result_sweep.GOLDEN)
 
     @pytest.mark.parametrize("name", GOLDEN)
-    def test_timeline_matches_pre_optimization_capture(self, name):
+    def test_timeline_matches_pre_optimization_capture(self, name, written):
         """The optimized engine replays the exact pre-optimization
         interleaving: same events, same order, same timestamps."""
-        document = json.loads(
-            (DATA / f"golden_timeline_{name}.json").read_text())
-        golden = [tuple(record) for record in document["records"]]
-        current = [(time, source, kind)
-                   for time, source, kind in capture_timeline(name)]
+        golden = json.loads(
+            (DATA / f"golden_timeline_{name}.json").read_text())["records"]
+        current = written[2][name]
         assert len(current) == len(golden), (
             f"{name}: {len(current)} traced events, golden has {len(golden)}")
         assert current == golden
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("name", ("hotspot", "timeout-storm"))
-    def test_repeat_runs_share_a_digest(self, name):
-        first = run_scenario(name)
-        second = run_scenario(name)
-        assert first.result_digest == second.result_digest
-        assert first.events == second.events
-        assert first.sim_ns == second.sim_ns
+    @pytest.mark.parametrize("name", ("hotspot",))
+    def test_repeat_runs_share_a_digest(self, name, written, result_sweep):
+        document, _broken, timelines = written
+        row, timeline = result_sweep.traced_cell(name)
+        assert {"1989": row} == document[name]
+        assert timeline == timelines[name]
 
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_result_digest_equals_the_pre_elision_capture(self, name):
-        pinned = json.loads(
-            (DATA / "perfbench_result_digests.json").read_text())
-        assert sorted(pinned["result_digests"]) == sorted(SCENARIOS)
-        assert run_scenario(name).result_digest \
-            == pinned["result_digests"][name]
+    @pytest.mark.parametrize("name", TABLE)
+    def test_result_digest_equals_the_pre_elision_capture(self, name, pinned,
+                                                          written,
+                                                          result_sweep):
+        document, broken, _timelines = written
+        assert broken == []
+        assert result_sweep.moved({name: pinned[name]},
+                                  {name: document[name]}) == []
 
-    def test_result_digest_ignores_the_event_count(self):
-        result = run_scenario("timeout-storm")
-        assert "events" not in result.fingerprint
-        fewer = replace(result, events=result.events - 1)
-        assert fewer.result_digest == result.result_digest
+    def test_result_digest_ignores_the_event_count(self, pinned, result_sweep):
+        row = pinned["hotspot"]["1989"]
+        fewer = {**row, "events": row["events"] - 1}
+        assert result_sweep.moved({"hotspot": {"1989": row}},
+                                  {"hotspot": {"1989": fewer}}) == []
 
-    def test_wire_integrity_delivers_every_message(self):
-        result = run_scenario("wire-integrity")
-        delivered = result.fingerprint["delivered"]
-        assert sorted(delivered) == ["cab0", "cab1", "cab2", "cab3"]
-        # Every receiver's hash covers all 14 messages addressed to it —
-        # a lost, corrupted or reordered-by-sender fragment changes it.
-        assert all(len(digest) == 64 for digest in delivered.values())
-        repeat = run_scenario("wire-integrity")
-        assert repeat.fingerprint == result.fingerprint
-
-    def test_all_scenarios_are_registered_with_descriptions(self):
-        for name, scenario in SCENARIOS.items():
-            assert scenario.name == name
-            assert scenario.description
+    def test_wire_integrity_delivers_every_message(self, pinned, result_sweep):
+        for seed in result_sweep.PIN_SEEDS:
+            outcome = result_sweep.run_workload("bulk-wire", seed,
+                                                result_sweep.PIN_SCALE)
+            assert outcome.ops_failed == 0
+            # Every receiver's count and content hash cover every message
+            # addressed to it: a lost, corrupted or reordered-by-sender
+            # fragment moves them.
+            assert sorted(outcome.fingerprint["delivered"]) \
+                == ["cab0", "cab1", "cab2", "cab3"]
+            assert outcome.digests() \
+                == pinned["bulk-wire"][str(seed)]["digests"]
 
 
 class TestDisabledTracing:

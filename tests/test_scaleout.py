@@ -19,8 +19,7 @@ from repro.scaleout.wire import (KIND_PACKET, KIND_REPLY, decode_item,
                                  encode_item, kind_of)
 
 
-PROTOCOL_COUNTS = (pathlib.Path(__file__).parent / "data"
-                   / "scaleout_protocol_counts.json")
+PINS = pathlib.Path(__file__).parent / "data" / "pins.json"
 
 
 @pytest.fixture(scope="module")
@@ -293,11 +292,12 @@ def test_partitioned_digest_matches_single(torus16_reference,
 
 @pytest.mark.parametrize("num_partitions", [2, 4])
 def test_protocol_counts_equal_the_checked_in_ones(num_partitions):
-    # CI's scaleout job holds the CLI's JSON to the same file: a
+    # CI's scaleout job holds the CLI's JSON to the same pins: a
     # protocol change cannot hide behind an unchanged digest.
-    pinned = json.loads(PROTOCOL_COUNTS.read_text())["escl-torus-64"]
+    pinned = json.loads(PINS.read_text())["scaleout-torus-64"]["1989"]
     result = run_partitioned(scenarios()["escl-torus-64"], num_partitions)
-    wanted = pinned["partitions"][str(num_partitions)]
+    wanted = {key: pinned["digests"][f"p{num_partitions}.{key}"]
+              for key in ("rounds", "advances", "envelopes")}
     assert {key: getattr(result, key) for key in wanted} == wanted
 
 
