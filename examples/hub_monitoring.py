@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
-"""The instrumentation board (§4.1): watching a HUB under load.
+"""Watching a HUB under load (§4.1).
 
 "An additional instrumentation board can be plugged into the backplane
 ...; it can monitor and record events related to the crossbar and its
-controller."  This example plugs the board into a busy HUB, then prints
-its readout: connection setup latencies, hold times, per-port
-utilisation, and an ASCII activity timeline.  It also attaches the
-software observability layer (:mod:`repro.observe`) to the same run and
-exports a Chrome/Perfetto trace — the modern companion to the paper's
-hardware monitor.
+controller."  :mod:`repro.observe` is that board, generalised to the
+whole system.  This example attaches it to a busy HUB and prints its
+readout — controller commands and occupancy, the HUB's forwarding and
+connection counters, the busiest ports by sampled output utilisation —
+then exports the same run as a Chrome/Perfetto trace.
 
 Run:  python examples/hub_monitoring.py
 """
@@ -16,16 +15,16 @@ Run:  python examples/hub_monitoring.py
 import os
 import tempfile
 
-from repro.hardware.instrumentation import InstrumentationBoard
 from repro.sim import units
-from repro.stats import Timeline
 from repro.topology import single_hub_system
 
 
 def main() -> None:
     system = single_hub_system(8)
-    observatory = system.observe(interval_ns=units.us(10))
-    board = InstrumentationBoard(system.hub("hub0"))
+    # The .util probes clamp each tick at 100 %, so the period must
+    # outlast the longest packet (800 B serialise in 64 µs) to read the
+    # fibers' byte counters without loss.
+    observatory = system.observe(interval_ns=units.us(100))
 
     # Four pairs exchange bursts of datagrams of different sizes.
     receipts = []
@@ -49,36 +48,30 @@ def main() -> None:
         src.spawn(tx())
     system.run(until=2_000_000)
 
-    report = board.report()
-    print(f"instrumentation window : "
-          f"{units.to_us(report['window_ns']):.0f} µs")
-    print(f"connections observed   : {report['connects']} opened, "
-          f"{report['disconnects']} closed, "
-          f"{report['commands']} controller commands")
-    setup = report["setup_latency"]
-    print(f"connection setup       : mean {setup['mean_us'] * 1000:.0f} ns "
-          f"(controller grant time)")
-    hold = report["hold_time"]
-    print(f"connection hold        : mean {hold['mean_us']:.1f} µs "
-          f"(open → travelling close)")
-    print("\nbusiest output ports (bytes forwarded):")
-    for port, bytes_count in board.busiest_ports(4):
-        bar = "#" * max(1, bytes_count // 300)
-        print(f"  p{port:<2} {bytes_count:6d} B "
-              f"({board.port_utilization(port):5.1%})  {bar}")
+    series = observatory.series
 
-    timeline = Timeline(0, system.now, width=64)
-    timeline.add_all(system.tracer.records)
-    print("\nhub event timeline (darker = more events):")
-    print(timeline.render())
+    def final(name):
+        return int(series[name].values[-1])
 
-    # The software observer saw the same run: sampled per-port series.
-    print("\nsampled port utilization (repro.observe, 10 µs period):")
-    for name, series in sorted(observatory.series.items()):
-        if name.startswith("hub0.") and name.endswith(".util") \
-                and series.mean > 0:
-            print(f"  {name:24s} mean {series.mean:6.1%} "
-                  f"peak {series.maximum:6.1%}")
+    controller = series["hub0.controller.util"]
+    print(f"observation window : {units.to_us(system.now):.0f} µs, "
+          f"{observatory.sampler.samples_taken} samples")
+    print(f"controller         : "
+          f"{final('hub0.controller.commands')} commands, busy "
+          f"{controller.mean:.2%} mean, {controller.maximum:.1%} peak")
+    print(f"hub counters       : "
+          f"{final('hub0.packets_forwarded')} packets forwarded, "
+          f"{final('hub0.closes')} connections closed")
+
+    print("\nbusiest output ports (sampled utilization, 100 µs period):")
+    ports = sorted(((trace.mean, name) for name, trace in series.items()
+                    if name.startswith("hub0.p") and name.endswith(".util")),
+                   reverse=True)
+    for mean, name in ports[:4]:
+        bar = "#" * max(1, round(mean * 100))
+        print(f"  {name:12s} mean {mean:6.2%} "
+              f"peak {series[name].maximum:6.1%}  {bar}")
+
     trace_path = os.path.join(tempfile.gettempdir(), "hub_monitoring.json")
     events = observatory.export_chrome_trace(trace_path)
     print(f"\nwrote {events} trace events to {trace_path} "

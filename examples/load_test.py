@@ -2,8 +2,7 @@
 """Load-test a Nectar system with the workload subsystem.
 
 Sweeps offered load on a single-HUB system to find its saturation knee,
-then contrasts hotspot against uniform traffic at the same offered load,
-and demonstrates record/replay of a traffic schedule.
+then contrasts hotspot against uniform traffic at the same offered load.
 
 Run:  python examples/load_test.py
 For bigger sweeps use the CLI:  python -m repro workload --help
@@ -48,17 +47,6 @@ def main() -> None:
           f"{hotspot.p_us(0.99):7.1f} µs "
           f"({hotspot.p_us(0.99) / uniform.p_us(0.99):.1f}x worse — the "
           f"hot port serialises)")
-
-    # --- 3. record a schedule, replay it exactly --------------------------
-    recording = Workload(build(), pattern="uniform", offered_load=0.2,
-                         warmup_ns=0, duration_ns=units.ms(2), record=True)
-    original = recording.run()
-    replayed = Workload(build(),
-                        schedule=recording.recorded_schedule).run()
-    print(f"\nrecord/replay: {len(recording.recorded_schedule)} events "
-          f"captured; replay delivered {replayed.recorder.delivered} of "
-          f"{original.recorder.delivered} with identical latencies: "
-          f"{replayed.recorder.response.buckets == original.recorder.response.buckets}")
 
 
 if __name__ == "__main__":

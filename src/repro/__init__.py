@@ -7,7 +7,8 @@ EXPERIMENTS.md for the paper-versus-measured record.
 
 Quickstart::
 
-    from repro import NectarSystem, default_config
+    from repro import default_config
+    from repro.system import NectarSystem
 
     system = NectarSystem(default_config())
     hub = system.add_hub("hub0")
@@ -41,13 +42,3 @@ __all__ = [
     "__version__",
 ]
 
-
-def __getattr__(name):
-    # Lazy imports keep `import repro` light while exposing the full API.
-    if name == "NectarSystem":
-        from .system import NectarSystem
-        return NectarSystem
-    if name == "Simulator":
-        from .sim import Simulator
-        return Simulator
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -35,7 +35,7 @@ import sys
 from functools import partial
 
 from .config import NectarConfig
-from .errors import ConfigError, TopologyError, WorkloadError
+from .errors import ConfigError, ObserveError, TopologyError, WorkloadError
 from .sim import units
 
 
@@ -99,7 +99,7 @@ def run_workload(args: argparse.Namespace) -> int:
             progress=(lambda line: print(f"  {line}"))
             if args.verbose else None,
         ).run()
-    except WorkloadError as exc:
+    except (TopologyError, WorkloadError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if observe_path is not None:
@@ -134,11 +134,10 @@ def run_observe(args: argparse.Namespace) -> int:
 
     system, workload_kwargs = scenarios.build(
         args.scenario, args.seed, units.ms(args.duration_ms))
-    interval_ns = units.us(args.interval_us)
-    observatory = system.observe(interval_ns=interval_ns)
     try:
+        observatory = system.observe(interval_ns=units.us(args.interval_us))
         result = Workload(system, **workload_kwargs).run()
-    except WorkloadError as exc:
+    except (ObserveError, WorkloadError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     events = observatory.export_chrome_trace(args.out)
@@ -387,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     workload = commands.add_parser(
         "workload",
         help="synthetic traffic generation and saturation sweeps")
-    patterns = sorted(name for name in PATTERNS if name != "trace")
-    workload.add_argument("--pattern", choices=patterns, default="uniform",
+    workload.add_argument("--pattern", choices=sorted(PATTERNS),
+                          default="uniform",
                           help="traffic pattern (default: uniform)")
     workload.add_argument("--arrivals", choices=sorted(ARRIVALS),
                           default="poisson",

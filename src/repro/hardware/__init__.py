@@ -16,7 +16,6 @@ from .hub_commands import (CommandOp, has_retry, is_collective, is_open,
                            wants_reply)
 from .hub_controller import HubController
 from .hub_port import HubPort
-from .instrumentation import InstrumentationBoard
 from .memory import (ALL_ACCESS, EXECUTE, KERNEL_DOMAIN, READ, WRITE,
                      BandwidthPool, MemoryBlock, MemoryRegion,
                      ProtectionUnit)
@@ -33,7 +32,6 @@ __all__ = [
     "Crossbar", "DmaController", "Fiber", "HARDWARE_VERSION",
     "HardwareTimers", "Hub", "HubCollectiveUnit", "HubCommand",
     "HubController", "HubPort",
-    "InstrumentationBoard",
     "MemoryBlock", "MemoryRegion", "NodeHost", "Packet", "Payload",
     "ProtectionUnit",
     "Reply", "TimerHandle", "VmeBus", "fletcher16", "has_retry",

@@ -46,10 +46,6 @@ class VmeBus:
         finally:
             self._bus.release()
 
-    def transfer_time(self, num_bytes: int) -> int:
-        """Uncontended transfer duration (for analytic checks)."""
-        return units.transfer_time(num_bytes, self.bytes_per_ns)
-
     def register_metrics(self, registry, sampler) -> None:
         """Sampled bus utilization and cumulative interrupt counts."""
         sampler.add_utilization_probe(

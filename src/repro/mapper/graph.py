@@ -16,7 +16,7 @@ channels (traffic weight); the algorithms in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..errors import NectarineError
 
@@ -79,13 +79,6 @@ class TaskGraph:
         spec = ChannelSpec(src, dst, message_bytes, rate)
         self.channels.append(spec)
         return spec
-
-    def neighbours(self, name: str) -> Iterable[str]:
-        for channel in self.channels:
-            if channel.src == name:
-                yield channel.dst
-            elif channel.dst == name:
-                yield channel.src
 
     @property
     def total_traffic(self) -> float:

@@ -98,12 +98,6 @@ class Task:
         else:
             self.body = self.location.run(generator, name=self.name)
 
-    @property
-    def done(self):
-        if self.body is None:
-            raise NectarineError(f"task {self.name} was never started")
-        return getattr(self.body, "process", self.body)
-
     # ------------------------------------------------------------------
     # communication (generators, run inside the task body)
     # ------------------------------------------------------------------
@@ -211,12 +205,6 @@ class NectarineRuntime:
     def alloc_buffer(self, location: Union["CabStack", NodeHost],
                      size: int, data: Optional[bytes] = None) -> Buffer:
         return Buffer(self, size, location, data=data)
-
-    def task(self, name: str) -> Task:
-        try:
-            return self.tasks[name]
-        except KeyError:
-            raise NectarineError(f"no task named {name!r}") from None
 
     # ------------------------------------------------------------------
 

@@ -7,13 +7,13 @@ package adds the *analysis* half — the utilization, queueing and latency
 views the paper's Figures 6–7 discussion depends on — and generalises it
 to the whole stack:
 
-* :mod:`~repro.observe.metrics` — Counter/Gauge/Histogram and the
+* :mod:`~repro.observe.metrics` — Counter/Gauge and the
   duplicate-rejecting :class:`~repro.observe.metrics.MetricRegistry`.
 * :mod:`~repro.observe.sampler` — periodic probe sampling as a simulator
   process (per-port queue depths, ready-bit occupancy, fiber
   utilization, DMA/VME busy fractions, mailbox depths, retransmits).
 * :mod:`~repro.observe.export` — Chrome/Perfetto ``trace_event`` JSON,
-  JSONL and CSV metric dumps.
+  JSONL metric dumps.
 * :mod:`~repro.observe.observatory` — the one-call wiring:
   ``system.observe()`` returns an
   :class:`~repro.observe.observatory.Observatory`.
@@ -34,7 +34,7 @@ See ``docs/OBSERVABILITY.md`` for the full guide and
 
 from .export import (chrome_trace, series_rows, write_chrome_trace,
                      write_metrics_jsonl)
-from .metrics import Counter, Gauge, Histogram, Metric, MetricRegistry
+from .metrics import Counter, Gauge, Metric, MetricRegistry
 from .observatory import Observatory
 from .sampler import DEFAULT_INTERVAL_NS, MetricSampler, TimeSeries
 
@@ -42,7 +42,6 @@ __all__ = [
     "Counter",
     "DEFAULT_INTERVAL_NS",
     "Gauge",
-    "Histogram",
     "Metric",
     "MetricRegistry",
     "MetricSampler",

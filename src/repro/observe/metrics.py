@@ -1,4 +1,4 @@
-"""Metric primitives: counters, gauges, histograms, and their registry.
+"""Metric primitives: counters, gauges, and their registry.
 
 The prototype HUB's instrumentation board (§4.1) accumulates event counts
 in hardware registers that a supervisor reads out.  This module is the
@@ -7,15 +7,12 @@ the :class:`~repro.observe.sampler.MetricSampler` turns them into time
 series, and the exporters in :mod:`repro.observe.export` dump everything
 for offline analysis.
 
-Three metric kinds cover every consumer in the repository:
+Two metric kinds cover every consumer in the repository:
 
 * :class:`Counter` — a monotonically increasing count (packets forwarded,
   retransmissions).
 * :class:`Gauge` — an instantaneous level, either set explicitly or read
   on demand from a probe callable (queue depth, ready bit, channel busy).
-* :class:`Histogram` — a value distribution backed by the log-bucketed
-  :class:`~repro.stats.recorders.LatencyHistogram`, so memory stays
-  bounded over arbitrarily long runs.
 
 Registration is strict: a :class:`MetricRegistry` rejects duplicate
 names, so two components can never silently share (and double-count) one
@@ -27,12 +24,10 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator, Optional
 
 from ..errors import ObserveError
-from ..stats.recorders import LatencyHistogram
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "Metric",
     "MetricRegistry",
 ]
@@ -111,40 +106,16 @@ class Gauge(Metric):
                 f"gauge {self.name} is probe-backed; cannot set directly")
         self._value = value
 
-    def add(self, amount: float) -> None:
-        if self._fn is not None:
-            raise ObserveError(
-                f"gauge {self.name} is probe-backed; cannot add directly")
-        self._value += amount
-
     def value(self) -> float:
         if self._fn is not None:
             return float(self._fn())
         return self._value
 
 
-class Histogram(Metric):
-    """A bounded-memory value distribution (log-bucketed)."""
-
-    kind = "histogram"
-
-    def __init__(self, name: str, description: str = "", unit: str = "",
-                 sub_bits: int = 6) -> None:
-        super().__init__(name, description, unit)
-        self.histogram = LatencyHistogram(name, sub_bits=sub_bits)
-
-    def observe(self, value: int, count: int = 1) -> None:
-        """Record ``value`` into the distribution."""
-        self.histogram.record(value, count)
-
-    def value(self) -> dict[str, float]:
-        return self.histogram.summary()
-
-
 class MetricRegistry:
     """The per-system namespace of metrics.
 
-    Components call :meth:`counter`/:meth:`gauge`/:meth:`histogram` (or
+    Components call :meth:`counter`/:meth:`gauge` (or
     :meth:`register` with a pre-built metric) at build time; duplicate
     names raise :class:`~repro.errors.ObserveError` so a metric can never
     be silently double-registered.
@@ -173,12 +144,6 @@ class MetricRegistry:
     def gauge(self, name: str, description: str = "", unit: str = "",
               fn: Optional[Callable[[], float]] = None) -> Gauge:
         metric = Gauge(name, description, unit, fn=fn)
-        self.register(metric)
-        return metric
-
-    def histogram(self, name: str, description: str = "", unit: str = "",
-                  sub_bits: int = 6) -> Histogram:
-        metric = Histogram(name, description, unit, sub_bits=sub_bits)
         self.register(metric)
         return metric
 

@@ -58,9 +58,6 @@ class TimeSeries:
         self.times.append(time_ns)
         self.values.append(value)
 
-    def __len__(self) -> int:
-        return len(self.times)
-
     @property
     def mean(self) -> float:
         """Unweighted mean of the sampled values (0.0 when empty)."""
@@ -71,9 +68,6 @@ class TimeSeries:
     @property
     def maximum(self) -> float:
         return max(self.values) if self.values else 0.0
-
-    def points(self) -> list[tuple[int, float]]:
-        return list(zip(self.times, self.values))
 
 
 class MetricSampler:

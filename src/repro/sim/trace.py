@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Simulator
@@ -52,7 +52,6 @@ class Tracer:
         #: Records evicted from the ring so far (0 when unbounded).
         self.dropped = 0
         self._kind_filter: Optional[set[str]] = None
-        self._listeners: list[Callable[[TraceRecord], None]] = []
 
     @property
     def limit(self) -> Optional[int]:
@@ -73,13 +72,6 @@ class Tracer:
         self.enabled = True
         self._kind_filter = set(kinds) if kinds else None
 
-    def disable(self) -> None:
-        self.enabled = False
-
-    def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
-        """Call ``listener(record)`` on every accepted record."""
-        self._listeners.append(listener)
-
     def record(self, source: str, kind: str, **fields: Any) -> None:
         """Emit a record (dropped unless tracing accepts this kind)."""
         if not self.enabled:
@@ -91,8 +83,6 @@ class Tracer:
         if ring.maxlen is not None and len(ring) == ring.maxlen:
             self.dropped += 1
         ring.append(entry)
-        for listener in self._listeners:
-            listener(entry)
 
     def clear(self) -> None:
         self._records.clear()

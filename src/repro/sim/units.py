@@ -18,11 +18,6 @@ MILLISECOND = 1_000_000
 SECOND = 1_000_000_000
 
 
-def ns(value: float) -> int:
-    """Convert a duration in nanoseconds to simulator ticks."""
-    return round(value * NANOSECOND)
-
-
 def us(value: float) -> int:
     """Convert a duration in microseconds to simulator ticks."""
     return round(value * MICROSECOND)
@@ -31,11 +26,6 @@ def us(value: float) -> int:
 def ms(value: float) -> int:
     """Convert a duration in milliseconds to simulator ticks."""
     return round(value * MILLISECOND)
-
-
-def seconds(value: float) -> int:
-    """Convert a duration in seconds to simulator ticks."""
-    return round(value * SECOND)
 
 
 def megabits_per_second(rate: float) -> float:

@@ -3,7 +3,6 @@
 from .recorders import (LatencyHistogram, LatencyRecorder, ThroughputMeter,
                         percentile)
 from .tables import ExperimentRow, ExperimentTable
-from .timeline import Timeline
 
 __all__ = ["ExperimentRow", "ExperimentTable", "LatencyHistogram",
-           "LatencyRecorder", "ThroughputMeter", "Timeline", "percentile"]
+           "LatencyRecorder", "ThroughputMeter", "percentile"]

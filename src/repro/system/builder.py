@@ -181,8 +181,8 @@ class NectarSystem:
         if self.observatory is not None:
             raise TopologyError("system already has an observatory")
         self.observatory = Observatory(
-            self, interval_ns=interval_ns or DEFAULT_INTERVAL_NS,
-            trace=trace)
+            self, interval_ns=DEFAULT_INTERVAL_NS if interval_ns is None
+            else interval_ns, trace=trace)
         return self.observatory
 
     def inject_faults(self, scenario):

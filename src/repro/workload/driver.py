@@ -17,7 +17,7 @@ from ..errors import WorkloadError
 from ..stats.tables import ExperimentTable
 from .generators import Workload, WorkloadResult
 
-__all__ = ["SweepPoint", "SweepResult", "LoadSweep", "saturation_sweep"]
+__all__ = ["SweepPoint", "SweepResult", "LoadSweep"]
 
 
 @dataclass
@@ -48,9 +48,6 @@ class SweepResult:
     def __iter__(self):
         return iter(self.points)
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     @property
     def loads(self) -> list[float]:
         return [p.offered_load for p in self.points]
@@ -58,10 +55,6 @@ class SweepResult:
     @property
     def achieved(self) -> list[float]:
         return [p.result.achieved_mbps for p in self.points]
-
-    @property
-    def offered(self) -> list[float]:
-        return [p.result.offered_mbps for p in self.points]
 
     def is_monotone(self, tolerance: float = 0.05) -> bool:
         """Achieved throughput never drops by more than ``tolerance``
@@ -170,9 +163,3 @@ class LoadSweep:
                     f"load {load:.2f}: {result.achieved_mbps:.1f} Mb/s "
                     f"achieved, p99 {result.p_us(0.99):.1f} µs")
         return SweepResult(points, knee_efficiency=self.knee_efficiency)
-
-
-def saturation_sweep(topology_factory: Callable[[], object],
-                     loads: Sequence[float], **workload_kwargs) -> SweepResult:
-    """Convenience wrapper: build, sweep, return the curve."""
-    return LoadSweep(topology_factory, loads, **workload_kwargs).run()

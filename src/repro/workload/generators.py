@@ -25,16 +25,14 @@ warmup, measured window, drain.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import DatalinkError, TransportError, WorkloadError
 from ..sim import units
 from .arrivals import ArrivalProcess, make_arrivals
-from .patterns import TraceReplay, TrafficPattern, make_pattern
+from .patterns import TrafficPattern, make_pattern
 from .slo import SLORecorder
-from .trace import Schedule
 
 #: Mailbox names the workload subsystem claims on every participating CAB.
 SINK_MAILBOX = "wl-sink"
@@ -79,15 +77,13 @@ class OpenLoopGenerator:
 
     def __init__(self, stack, pattern: TrafficPattern,
                  arrivals: ArrivalProcess, recorder: SLORecorder,
-                 message_bytes: int, end_ns: int,
-                 schedule_out: Optional[Schedule] = None) -> None:
+                 message_bytes: int, end_ns: int) -> None:
         self.stack = stack
         self.pattern = pattern
         self.arrivals = arrivals
         self.recorder = recorder
         self.message_bytes = message_bytes
         self.end_ns = end_ns
-        self.schedule_out = schedule_out
         self.emitted = 0
 
     def start(self) -> None:
@@ -113,13 +109,9 @@ class OpenLoopGenerator:
     def _body(self):
         sim = self.stack.sim
         kernel = self.stack.kernel
-        src = self.stack.name
         plan = self._plan(sim.now)
-        for intended, dst in plan:
+        for intended, _ in plan:
             self.recorder.record_send(intended, self.message_bytes)
-            if self.schedule_out is not None:
-                self.schedule_out.record(intended, src, dst,
-                                         self.message_bytes)
         for intended, dst in plan:
             if sim.now < intended:
                 yield from kernel.sleep(intended - sim.now)
@@ -127,41 +119,6 @@ class OpenLoopGenerator:
             try:
                 yield from self.stack.transport.datagram.send(
                     dst, SINK_MAILBOX, size=self.message_bytes, meta=meta)
-                self.emitted += 1
-            except (TransportError, DatalinkError):
-                self.recorder.record_error(intended)
-
-
-class TraceReplayGenerator:
-    """One source replaying its slice of a recorded schedule."""
-
-    def __init__(self, stack, pattern: TraceReplay,
-                 recorder: SLORecorder) -> None:
-        self.stack = stack
-        self.entries = pattern.entries_for(stack.name)
-        self.recorder = recorder
-        self.emitted = 0
-
-    def start(self) -> None:
-        if self.entries:
-            self.stack.spawn(self._body(), name="wl-trace")
-
-    def _body(self):
-        sim = self.stack.sim
-        kernel = self.stack.kernel
-        base = sim.now
-        # Offered load is schedule-driven: account every intended send up
-        # front (see OpenLoopGenerator._plan).
-        for event in self.entries:
-            self.recorder.record_send(base + event.time_ns, event.size)
-        for event in self.entries:
-            intended = base + event.time_ns
-            if sim.now < intended:
-                yield from kernel.sleep(intended - sim.now)
-            meta = {"intended_ns": intended, "sent_ns": sim.now}
-            try:
-                yield from self.stack.transport.datagram.send(
-                    event.dst, SINK_MAILBOX, size=event.size, meta=meta)
                 self.emitted += 1
             except (TransportError, DatalinkError):
                 self.recorder.record_error(intended)
@@ -274,20 +231,12 @@ class Workload:
                  drain_ns: Optional[int] = None,
                  window_depth: int = 4,
                  think_ns: int = 0,
-                 schedule: Optional[Schedule] = None,
-                 record: bool = False,
                  salt: str = "wl",
                  pattern_kwargs: Optional[dict] = None,
                  arrival_kwargs: Optional[dict] = None) -> None:
-        if schedule is not None:
-            pattern = "trace"
-        if pattern == "trace":
-            if schedule is None:
-                raise WorkloadError("trace replay needs a schedule")
-            mode = "trace"
-        if mode not in ("open", "closed", "trace"):
+        if mode not in ("open", "closed"):
             raise WorkloadError(f"unknown workload mode {mode!r}")
-        if mode != "trace" and not offered_load > 0:
+        if not offered_load > 0:
             raise WorkloadError(f"offered load must be positive, "
                                 f"got {offered_load}")
         if message_bytes < 1:
@@ -306,22 +255,15 @@ class Workload:
         self.offered_load = offered_load
         self.window_depth = window_depth
         self.think_ns = think_ns
-        self.schedule = schedule
         self.salt = salt
         self.pattern_kwargs = dict(pattern_kwargs or {})
         self.arrival_kwargs = dict(arrival_kwargs or {})
-        if mode == "trace":
-            self.warmup_ns = 0 if warmup_ns is None else warmup_ns
-            self.duration_ns = schedule.duration_ns + 1 \
-                if duration_ns is None else duration_ns
-        else:
-            self.warmup_ns = units.ms(1) if warmup_ns is None else warmup_ns
-            self.duration_ns = units.ms(5) if duration_ns is None \
-                else duration_ns
+        self.warmup_ns = units.ms(1) if warmup_ns is None else warmup_ns
+        self.duration_ns = units.ms(5) if duration_ns is None \
+            else duration_ns
         self.drain_ns = units.ms(2) if drain_ns is None else drain_ns
         if self.duration_ns < 1:
             raise WorkloadError("measurement window must be >= 1 ns")
-        self.recorded_schedule = Schedule() if record else None
         self.recorder: Optional[SLORecorder] = None
 
     @property
@@ -332,10 +274,8 @@ class Workload:
 
     def _build_pattern(self) -> TrafficPattern:
         rng = self.cfg.rng_stream(f"{self.salt}:pattern")
-        kwargs = dict(self.pattern_kwargs)
-        if self.pattern_name == "trace":
-            kwargs["schedule"] = self.schedule
-        return make_pattern(self.pattern_name, self.endpoints, rng, **kwargs)
+        return make_pattern(self.pattern_name, self.endpoints, rng,
+                            **self.pattern_kwargs)
 
     def run(self) -> WorkloadResult:
         """Install hosts and generators, run the measurement, report."""
@@ -360,13 +300,11 @@ class Workload:
                     **self.arrival_kwargs)
                 generator = OpenLoopGenerator(
                     stack, pattern, arrivals, recorder, self.message_bytes,
-                    end_ns, schedule_out=self.recorded_schedule)
-            elif self.mode == "closed":
+                    end_ns)
+            else:
                 generator = ClosedLoopGenerator(
                     stack, pattern, recorder, self.message_bytes, end_ns,
                     window_depth=self.window_depth, think_ns=self.think_ns)
-            else:
-                generator = TraceReplayGenerator(stack, pattern, recorder)
             generator.start()
             generators.append(generator)
         self.system.run(until=end_ns + self.drain_ns)
@@ -374,7 +312,6 @@ class Workload:
         self.generators = generators
         return WorkloadResult(
             pattern=self.pattern_name, mode=self.mode,
-            offered_load=self.offered_load if self.mode != "trace"
-            else math.nan,
+            offered_load=self.offered_load,
             message_bytes=self.message_bytes, sources=len(self.endpoints),
             duration_ns=self.duration_ns, recorder=recorder)

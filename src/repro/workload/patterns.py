@@ -3,8 +3,7 @@
 A pattern maps each traffic source to a destination for every message it
 emits.  The classic interconnect stressors are provided — uniform random,
 static permutation, matrix transpose, hotspot (the canonical crossbar
-stressor from the Ultracomputer literature) and all-to-all — plus replay
-of a recorded :class:`~repro.workload.trace.Schedule`.
+stressor from the Ultracomputer literature) and all-to-all.
 
 Patterns are deterministic given their RNG stream: build them from
 :meth:`~repro.config.NectarConfig.rng_stream` and two runs with the same
@@ -17,15 +16,11 @@ import random
 from typing import Optional
 
 from ..errors import WorkloadError
-from .trace import Schedule
 
 
 class TrafficPattern:
     """Base class: a destination chooser over a fixed endpoint set."""
 
-    #: "synthetic" patterns are driven by an arrival process; "trace"
-    #: patterns carry their own timestamps.
-    kind = "synthetic"
     name = "pattern"
 
     def __init__(self, endpoints: list[str]) -> None:
@@ -196,33 +191,6 @@ class AllToAll(TrafficPattern):
         return self.endpoints[(i + offset) % n]
 
 
-class TraceReplay(TrafficPattern):
-    """Replays a recorded :class:`~repro.workload.trace.Schedule`.
-
-    Trace patterns carry their own timestamps and sizes, so generators
-    ignore the arrival process and offered load when replaying.
-    """
-
-    kind = "trace"
-    name = "trace"
-
-    def __init__(self, endpoints: list[str], schedule: Schedule) -> None:
-        super().__init__(endpoints)
-        unknown = schedule.endpoints() - set(endpoints)
-        if unknown:
-            raise WorkloadError(
-                f"schedule references unknown endpoints {sorted(unknown)}")
-        self.schedule = schedule
-
-    def destination(self, src: str) -> str:
-        raise WorkloadError("trace patterns are replayed from their "
-                            "schedule, not sampled per message")
-
-    def entries_for(self, src: str):
-        self._check_src(src)
-        return self.schedule.by_source().get(src, [])
-
-
 #: Pattern registry for CLI / factory lookups.
 PATTERNS = {
     "uniform": UniformRandom,
@@ -230,7 +198,6 @@ PATTERNS = {
     "transpose": Transpose,
     "hotspot": Hotspot,
     "all-to-all": AllToAll,
-    "trace": TraceReplay,
 }
 
 
@@ -238,7 +205,7 @@ def make_pattern(name: str, endpoints: list[str],
                  rng: Optional[random.Random] = None,
                  **kwargs) -> TrafficPattern:
     """Build a pattern by name (``uniform``, ``permutation``, ``transpose``,
-    ``hotspot``, ``all-to-all``, ``trace``)."""
+    ``hotspot``, ``all-to-all``)."""
     try:
         cls = PATTERNS[name]
     except KeyError:

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.errors import ObserveError, TopologyError
-from repro.observe import (Counter, Gauge, Histogram, MetricRegistry,
-                           MetricSampler, chrome_trace)
+from repro.observe import (Counter, Gauge, MetricRegistry, MetricSampler,
+                           chrome_trace)
 from repro.sim import Simulator
 from repro.topology import single_hub_system
 from repro.__main__ import main
@@ -38,14 +38,6 @@ class TestRegistry:
         assert gauge.value() == 7.0
         with pytest.raises(ObserveError):
             gauge.set(1.0)
-
-    def test_histogram_snapshot(self):
-        histogram = Histogram("h", unit="ns")
-        for value in (100, 200, 400):
-            histogram.observe(value)
-        snap = histogram.snapshot()
-        assert snap["kind"] == "histogram"
-        assert snap["value"]["count"] == 3
 
     def test_snapshot_sorted_by_name(self):
         registry = MetricRegistry()
@@ -124,6 +116,11 @@ class TestObservatory:
         system.observe()
         with pytest.raises(TopologyError, match="already has an observatory"):
             system.observe()
+
+    def test_zero_interval_rejected(self):
+        system = single_hub_system(2)
+        with pytest.raises(ObserveError, match=">= 1 ns, got 0"):
+            system.observe(interval_ns=0)
 
     def test_port_series_present(self):
         system = single_hub_system(4)
@@ -243,6 +240,22 @@ class TestCli:
         assert len(rows) == 1
         assert rows[0]["offered_load"] == 0.1
         assert rows[0]["series_means"]
+
+    @pytest.mark.parametrize("argv", [
+        ["workload", "--cabs", "20"],
+        ["workload", "--cabs", "0"],
+        ["workload", "--mesh", "0x2"],
+        ["observe", "quickstart", "--interval-us", "-5"],
+        ["observe", "quickstart", "--interval-us", "0"],
+    ], ids=["cabs-20", "cabs-0", "mesh-0x2", "interval-us-minus-5",
+            "interval-us-0"])
+    def test_bad_model_input_exits_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "trace.json"
+        if argv[0] == "observe":
+            argv = argv + ["--out", str(out), "--duration-ms", "0.1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
 
 class TestTracerRing:

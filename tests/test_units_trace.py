@@ -85,13 +85,6 @@ class TestTracer:
         assert len(tracer.records) == 3
         assert tracer.records[-1]["i"] == 9
 
-    def test_listener(self, sim):
-        tracer = Tracer(sim, enabled=True)
-        seen = []
-        tracer.subscribe(seen.append)
-        tracer.record("hub0", "open")
-        assert len(seen) == 1
-
     def test_clear(self, sim):
         tracer = Tracer(sim, enabled=True)
         tracer.record("x", "k")

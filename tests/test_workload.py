@@ -10,9 +10,8 @@ from repro.sim import units
 from repro.topology import single_hub_system
 from repro.workload import (AllToAll, BurstyArrivals, DeterministicArrivals,
                             Hotspot, LoadSweep, Permutation, PoissonArrivals,
-                            Schedule, SLORecorder, TraceEvent, Transpose,
-                            UniformRandom, Workload, make_arrivals,
-                            make_pattern, synthesize_schedule)
+                            SLORecorder, Transpose, UniformRandom, Workload,
+                            make_arrivals, make_pattern)
 
 ENDPOINTS = [f"cab{i}" for i in range(8)]
 
@@ -117,43 +116,6 @@ class TestArrivals:
             make_arrivals("poisson", 1000)  # RNG required
 
 
-class TestSchedule:
-    def test_event_validation(self):
-        with pytest.raises(WorkloadError):
-            TraceEvent(-1, "a", "b", 10).validate()
-        with pytest.raises(WorkloadError):
-            TraceEvent(0, "a", "a", 10).validate()
-        with pytest.raises(WorkloadError):
-            Schedule().record(5, "a", "b", -1)
-
-    def test_roundtrip(self, tmp_path):
-        schedule = Schedule()
-        schedule.record(300, "a", "b", 64)
-        schedule.record(100, "b", "a", 128)
-        path = tmp_path / "trace.jsonl"
-        schedule.save(path)
-        loaded = Schedule.load(path)
-        assert list(loaded) == list(schedule)
-        assert loaded.duration_ns == 300
-        assert loaded.total_bytes == 192
-        assert loaded.endpoints() == {"a", "b"}
-
-    def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"t": 1, "src": "a"}\n')
-        with pytest.raises(WorkloadError):
-            Schedule.load(path)
-
-    def test_synthesize_matches_offered_load(self):
-        pattern = UniformRandom(ENDPOINTS, rng())
-        schedule = synthesize_schedule(
-            pattern, lambda src: DeterministicArrivals(1000),
-            duration_ns=100_000, message_bytes=64)
-        per_source = schedule.by_source()
-        assert set(per_source) == set(ENDPOINTS)
-        assert all(len(events) == 99 for events in per_source.values())
-
-
 class TestSLORecorder:
     def test_windowing(self):
         recorder = SLORecorder(window=(1000, 2000))
@@ -224,25 +186,12 @@ class TestWorkloadEndToEnd:
         assert recorder.response.buckets == recorder.service.buckets
         assert recorder.errors == 0
 
-    def test_record_then_replay_is_identical(self):
-        system = single_hub_system(4, cfg=NectarConfig(seed=7))
-        recording = Workload(system, offered_load=0.2, warmup_ns=0,
-                             duration_ns=units.ms(1), record=True)
-        original = recording.run()
-        replayed = Workload(single_hub_system(4, cfg=NectarConfig(seed=7)),
-                            schedule=recording.recorded_schedule).run()
-        assert replayed.recorder.delivered == original.recorder.delivered
-        assert replayed.recorder.response.buckets \
-            == original.recorder.response.buckets
-
     def test_validation(self):
         system = single_hub_system(4)
         with pytest.raises(WorkloadError):
             Workload(system, offered_load=0.0)
         with pytest.raises(WorkloadError):
             Workload(system, mode="half-open")
-        with pytest.raises(WorkloadError):
-            Workload(system, pattern="trace")  # schedule required
         with pytest.raises(WorkloadError):
             Workload(system, message_bytes=0)
 

@@ -51,7 +51,6 @@ PUBLIC_MODULES = {
     "repro/sim/trace.py",
     "repro/stats/recorders.py",
     "repro/stats/tables.py",
-    "repro/stats/timeline.py",
     "repro/system/builder.py",
     "repro/transport/base.py",
     "repro/transport/reqresp.py",
