@@ -15,7 +15,8 @@ Two probe flavours:
 * :meth:`MetricSampler.add_utilization_probe` — a busy *fraction* derived
   from a monotonically increasing unit count (e.g. fiber bytes sent):
   each tick converts the count delta into busy-nanoseconds and divides by
-  the interval, clamped to [0, 1].
+  the interval, clamped to [0, 1]; busy time past the clamp carries into
+  the next window, so the series sums to the count's busy time.
 
 Determinism: probes fire in registration order at fixed simulated times,
 and read only simulator state, so two runs with the same seed produce
@@ -107,9 +108,12 @@ class MetricSampler:
         ``count_fn`` must return a non-decreasing total (bytes sent,
         cycles consumed).  Each tick the count delta is converted to
         busy time via ``busy_ns_per_unit`` and normalised by the
-        sampling interval.
+        sampling interval.  A count can jump by more than one window
+        holds (a fiber counts a packet's bytes when its tail leaves):
+        the busy time past 100 % is carried into the following windows.
         """
-        state = {"last": float(count_fn()), "last_t": self.sim.now}
+        state = {"last": float(count_fn()), "last_t": self.sim.now,
+                 "carry": 0.0}
 
         def fraction() -> float:
             now = self.sim.now
@@ -117,9 +121,11 @@ class MetricSampler:
             window = now - state["last_t"]
             if window <= 0:
                 return 0.0
-            busy = (current - state["last"]) * busy_ns_per_unit
+            busy = (current - state["last"]) * busy_ns_per_unit \
+                + state["carry"]
             state["last"] = current
             state["last_t"] = now
+            state["carry"] = max(busy - window, 0.0)
             return min(max(busy / window, 0.0), 1.0)
 
         return self.add_probe(name, fraction, description, unit="fraction")

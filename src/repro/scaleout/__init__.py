@@ -22,8 +22,8 @@ slice whose targets it materialized.  See ``docs/SCALEOUT.md``.
 from .escl import (ScaleoutResult, ScaleoutScenario, Traffic,
                    fingerprint_digest, merge_fragments, scenarios,
                    spawn_traffic)
-from .partition import (Partitioning, PartitionSystem, lookahead_matrix,
-                        lookahead_ns, partition_fabric)
+from .partition import (Partitioning, PartitionSystem, flow_paths,
+                        lookahead_matrix, lookahead_ns, partition_fabric)
 from .runner import run_partitioned, run_single
 from .supervisor import Supervisor, escl_campaign
 
@@ -36,6 +36,7 @@ __all__ = [
     "Traffic",
     "escl_campaign",
     "fingerprint_digest",
+    "flow_paths",
     "lookahead_matrix",
     "lookahead_ns",
     "merge_fragments",

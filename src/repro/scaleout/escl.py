@@ -3,10 +3,11 @@
 Each scenario fixes a large regular fabric (from
 :mod:`repro.topology.fabrics`), a seeded configuration, and a shift
 permutation workload: CAB ``i`` sends ``messages_per_cab`` datagrams to
-CAB ``(i + n/2) mod n``.  The half-rotation guarantees that contiguous
-hub partitions exchange most of their traffic *across* partition
-boundaries — the worst case for the synchronization protocol, and
-therefore the honest one to benchmark.
+CAB ``(i + n/2) mod n``.  Whether that traffic crosses partition
+boundaries depends on the cut: on a torus the partitioner picks a slab
+that carries the flows inside it, while on a hypercube or fat tree
+(cut in construction order) every flow crosses.  :func:`scenarios`
+names the built-in scenarios; a fabric is built on its first lookup.
 
 Determinism is the load-bearing property: the same scenario must produce
 a bit-identical fingerprint whether it runs in one process or sharded
@@ -35,8 +36,9 @@ import hashlib
 import json
 import random
 from collections import defaultdict
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from ..config import NectarConfig
 from ..topology.fabrics import (FabricSpec, fat_tree_fabric,
@@ -86,6 +88,23 @@ class ScaleoutScenario:
     def sender_bytes(self, index: int) -> int:
         """Per-message size for sender ``index`` (breaks tie symmetry)."""
         return self.message_bytes + (index * 13) % 29
+
+    def flows(self) -> list[tuple[str, str]]:
+        """Every ``(sender, receiver)`` CAB pair of the workload."""
+        names = self.fabric.cab_names
+        return [(name, names[self.partner(index)])
+                for index, name in enumerate(names)]
+
+    def goodput_mbps(self, fingerprint: dict[str, Any]) -> float:
+        """Delivered payload bits per simulated time, in Mbit/s."""
+        names = self.fabric.cab_names
+        delivered = fingerprint.get("delivered", {})
+        delivered_bits = 8 * sum(
+            delivered.get(name, 0) * self.sender_bytes(
+                (index - len(names) // 2) % len(names))
+            for index, name in enumerate(names))
+        horizon = max(fingerprint.get("done_ns", {}).values(), default=0)
+        return delivered_bits / horizon * 1000 if horizon else 0.0
 
 
 class Traffic:
@@ -239,6 +258,9 @@ class ScaleoutResult:
     #: Per-partition post-mortem records (last round and window, the
     #: failure if any); empty for single-process runs.
     forensics: list[dict[str, Any]] = field(default_factory=list)
+    #: Delivered payload bits per simulated time, in Mbit/s
+    #: (:meth:`ScaleoutScenario.goodput_mbps` of the fingerprint).
+    goodput_mbps: float = 0.0
     # Not a field, always 0: its only reader is the frozen
     # benchmarks/e2e/workloads.py, and the next change to that
     # benchmark deletes both.
@@ -274,24 +296,6 @@ class ScaleoutResult:
     def events_per_sec(self) -> float:
         return self.events / self.wall_s if self.wall_s > 0 else 0.0
 
-    @property
-    def goodput_mbps(self) -> float:
-        """Delivered payload bits per simulated time, in Mbit/s."""
-        delivered_bits = 8 * sum(
-            self.fingerprint.get("delivered", {}).get(cab, 0) * size
-            for cab, size in self._receiver_sizes())
-        horizon = max(self.fingerprint.get("done_ns", {}).values(),
-                      default=0)
-        return delivered_bits / horizon * 1000 if horizon else 0.0
-
-    def _receiver_sizes(self):
-        scenario = scenarios()[self.scenario]
-        names = scenario.fabric.cab_names
-        count = len(names)
-        for index, name in enumerate(names):
-            sender = (index - count // 2) % count
-            yield name, scenario.sender_bytes(sender)
-
     def summary(self) -> dict[str, Any]:
         return {
             "scenario": self.scenario,
@@ -309,37 +313,62 @@ class ScaleoutResult:
         }
 
 
-_SCENARIOS: Optional[dict[str, ScaleoutScenario]] = None
+#: The built-in scenarios: name -> (description, fabric builder, its
+#: argument, other :class:`ScaleoutScenario` fields).
+_BUILT_IN: dict[str, tuple] = {
+    "escl-torus-16": ("2x2x2x2 torus, 16 CABs (test scale)",
+                      torus_fabric, (2, 2, 2, 2), {}),
+    "escl-torus-16-circuit": ("2x2x2x2 torus, circuit-switched",
+                              torus_fabric, (2, 2, 2, 2),
+                              {"message_bytes": 2048, "mode": "circuit"}),
+    "escl-torus-64": ("4x4x2x2 torus, 64 CABs (QCDSP-style)",
+                      torus_fabric, (4, 4, 2, 2), {}),
+    "escl-hypercube-64": ("6-cube, 64 CABs (iPSC-style)",
+                          hypercube_fabric, 6, {}),
+    "escl-fattree-4": ("4-ary fat tree, 16 CABs, 20 HUBs",
+                       fat_tree_fabric, 4, {}),
+    "escl-torus-256": ("4x4x4x4 torus, 256 CABs",
+                       torus_fabric, (4, 4, 4, 4), {"messages_per_cab": 2}),
+    "escl-torus-1024": ("8x8x4x4 torus, 1024 CABs",
+                        torus_fabric, (8, 8, 4, 4), {"messages_per_cab": 1}),
+}
 
 
-def scenarios() -> dict[str, ScaleoutScenario]:
-    """The E-SCL registry (built lazily; specs for 1k hubs take a beat)."""
-    global _SCENARIOS
-    if _SCENARIOS is None:
-        entries = (
-            ScaleoutScenario(
-                "escl-torus-16", "2x2x2x2 torus, 16 CABs (test scale)",
-                torus_fabric((2, 2, 2, 2))),
-            ScaleoutScenario(
-                "escl-torus-16-circuit",
-                "2x2x2x2 torus, circuit-switched (replies cross cuts)",
-                torus_fabric((2, 2, 2, 2)), message_bytes=2048,
-                mode="circuit"),
-            ScaleoutScenario(
-                "escl-torus-64", "4x4x2x2 torus, 64 CABs (QCDSP-style)",
-                torus_fabric((4, 4, 2, 2))),
-            ScaleoutScenario(
-                "escl-hypercube-64", "6-cube, 64 CABs (iPSC-style)",
-                hypercube_fabric(6)),
-            ScaleoutScenario(
-                "escl-fattree-4", "4-ary fat tree, 16 CABs, 20 HUBs",
-                fat_tree_fabric(4)),
-            ScaleoutScenario(
-                "escl-torus-256", "4x4x4x4 torus, 256 CABs",
-                torus_fabric((4, 4, 4, 4)), messages_per_cab=2),
-            ScaleoutScenario(
-                "escl-torus-1024", "8x8x4x4 torus, 1024 CABs",
-                torus_fabric((8, 8, 4, 4)), messages_per_cab=1),
-        )
-        _SCENARIOS = {entry.name: entry for entry in entries}
-    return _SCENARIOS
+class _Catalogue(MutableMapping):
+    """Name -> :class:`ScaleoutScenario`, building a built-in scenario's
+    fabric on its first lookup; membership and the names build nothing."""
+
+    def __init__(self) -> None:
+        #: A built scenario, or a :data:`_BUILT_IN` recipe not yet built.
+        self._entries: dict[str, Any] = dict(_BUILT_IN)
+
+    def __getitem__(self, name: str) -> ScaleoutScenario:
+        entry = self._entries[name]
+        if not isinstance(entry, ScaleoutScenario):
+            description, builder, shape, fields = entry
+            entry = self._entries[name] = ScaleoutScenario(
+                name, description, builder(shape), **fields)
+        return entry
+
+    def __setitem__(self, name: str, scenario: ScaleoutScenario) -> None:
+        self._entries[name] = scenario
+
+    def __delitem__(self, name: str) -> None:
+        del self._entries[name]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._entries
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+_CATALOGUE = _Catalogue()
+
+
+def scenarios() -> MutableMapping[str, ScaleoutScenario]:
+    """The E-SCL scenarios by name (a fabric is built on first lookup)."""
+    return _CATALOGUE

@@ -1,12 +1,13 @@
 """One shard of a partitioned NectarSystem (the worker-side runtime).
 
 A :class:`Partitioning` cuts a :class:`~repro.topology.fabrics.FabricSpec`
-on inter-HUB fiber boundaries: each partition owns a contiguous slice of
-the fabric's hubs (construction order), every CAB lives with its hub,
-and the links whose endpoints land in different partitions become *cut
-links*.  :class:`PartitionSystem` then instantiates exactly one
-partition's worth of real hardware inside its own
-:class:`~repro.sim.Simulator`:
+on inter-HUB fiber boundaries: each partition owns a slice of the
+fabric's hubs (a contiguous run in construction order, or a torus slab,
+whichever carries the least work: :func:`partition_fabric`), every CAB
+lives with its hub, and the links whose endpoints land in different
+partitions become *cut links*.  :class:`PartitionSystem` then
+instantiates exactly one partition's worth of real hardware inside its
+own :class:`~repro.sim.Simulator`:
 
 * Local hubs, their CAB stacks, and local-local fibers are built with
   the same names, ports, and per-link RNG streams as the single-process
@@ -32,7 +33,7 @@ partitions and advance each one under conservative lookahead;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from ..config import NectarConfig, default_config
 from ..datalink.routing import Router
@@ -46,7 +47,7 @@ from ..system.builder import CabStack
 from ..topology.fabrics import FabricSpec
 from .wire import KIND_READY, decode_item, encode_item, kind_of
 
-__all__ = ["Envelope", "Partitioning", "PartitionSystem",
+__all__ = ["Envelope", "Partitioning", "PartitionSystem", "flow_paths",
            "lookahead_matrix", "lookahead_ns", "partition_fabric"]
 
 
@@ -169,6 +170,20 @@ class Partitioning:
         return tuple(link for link in self.fabric.links
                      if owners[link[0]] != owners[link[2]])
 
+    def score(self, paths: list[list[str]]) -> tuple[int, int]:
+        """``(largest partition load, flows crossing the cut)`` of the
+        hub ``paths`` (see :func:`flow_paths`): a load counts the hub
+        visits that land in its partition."""
+        owners = self.owner_map()
+        load = [0] * self.num_partitions
+        crossing = 0
+        for path in paths:
+            owned = [owners[hub] for hub in path]
+            for owner in owned:
+                load[owner] += 1
+            crossing += len(set(owned)) > 1
+        return max(load), crossing
+
     def validate(self) -> None:
         """Raise :class:`TopologyError` unless this is a true partition."""
         owners = self.owner_map()
@@ -180,27 +195,78 @@ class Partitioning:
                 "partitions must cover every hub exactly once")
 
 
-def partition_fabric(fabric: FabricSpec, num_partitions: int) -> Partitioning:
-    """Cut ``fabric`` into ``num_partitions`` contiguous hub slices.
+def flow_paths(fabric: FabricSpec,
+               flows: Iterable[tuple[str, str]]) -> list[list[str]]:
+    """The hub path of each ``(src_cab, dst_cab)`` flow, as the router
+    finds it (BFS over sorted neighbours: the same path every partition
+    and the single-process system route over)."""
+    router = Router()
+    hubs = {name: _HubProxy(name) for name in fabric.hubs}
+    for hub in hubs.values():
+        router.add_hub(hub)
+    for hub_a, port_a, hub_b, port_b in fabric.links:
+        router.add_link(hubs[hub_a], port_a, hubs[hub_b], port_b)
+    where = {cab: hub for cab, hub, _port in fabric.cabs}
+    return [router.hub_path(where[src], where[dst]) for src, dst in flows]
 
-    Hubs are assigned in construction order, which the regular-fabric
-    builders lay out so that consecutive hubs are topologically close
-    (row-major torus coordinates, hypercube index order, fat-tree
-    core/agg/edge grouping) — contiguous slices therefore cut few links.
-    Slice sizes differ by at most one hub.
+
+def _index_order(hubs: tuple[str, ...],
+                 num_partitions: int) -> tuple[tuple[str, ...], ...]:
+    """Contiguous slices in construction order, sizes within one hub."""
+    base, extra = divmod(len(hubs), num_partitions)
+    parts = []
+    start = 0
+    for index in range(num_partitions):
+        size = base + (1 if index < extra else 0)
+        parts.append(hubs[start:start + size])
+        start += size
+    return tuple(parts)
+
+
+def _axis_slabs(fabric: FabricSpec, num_partitions: int
+                ) -> Iterator[tuple[tuple[str, ...], ...]]:
+    """Every cut of a torus into equal slabs along one axis: one per
+    axis whose extent ``num_partitions`` divides."""
+    dims = fabric.dims or ()
+    stride = len(fabric.hubs)
+    for extent in dims:
+        stride //= extent
+        if num_partitions == 1 or extent % num_partitions:
+            continue
+        width = extent // num_partitions
+        parts: list[list[str]] = [[] for _ in range(num_partitions)]
+        for flat, hub in enumerate(fabric.hubs):
+            parts[flat // stride % extent // width].append(hub)
+        yield tuple(tuple(part) for part in parts)
+
+
+def partition_fabric(fabric: FabricSpec, num_partitions: int,
+                     flows: Iterable[tuple[str, str]] = ()
+                     ) -> Partitioning:
+    """Cut ``fabric`` into ``num_partitions`` hub slices that weigh work.
+
+    Two kinds of candidate are scored: contiguous slices in
+    construction order (which the regular-fabric builders lay out so
+    that consecutive hubs are topologically close), and, on a torus,
+    every slab along one axis whose extent ``num_partitions`` divides.
+    Each candidate's score is its largest partition load, the hub
+    visits on the router's paths of ``flows`` (``(src_cab, dst_cab)``
+    pairs) that land in one partition; ties go to fewer flows crossing
+    the cut, then to candidate order.  Without flows, and on any fabric
+    but a torus, that is construction order.
     """
     count = len(fabric.hubs)
     if not 1 <= num_partitions <= count:
         raise TopologyError(
             f"cannot cut {count} hubs into {num_partitions} partitions")
-    base, extra = divmod(count, num_partitions)
-    parts = []
-    start = 0
-    for index in range(num_partitions):
-        size = base + (1 if index < extra else 0)
-        parts.append(tuple(fabric.hubs[start:start + size]))
-        start += size
-    partitioning = Partitioning(fabric=fabric, parts=tuple(parts))
+    candidates = [_index_order(fabric.hubs, num_partitions),
+                  *_axis_slabs(fabric, num_partitions)]
+    flows = list(flows)
+    if len(candidates) > 1 and flows:
+        paths = flow_paths(fabric, flows)
+        candidates.sort(key=lambda parts: Partitioning(fabric, parts)
+                        .score(paths))
+    partitioning = Partitioning(fabric=fabric, parts=candidates[0])
     partitioning.validate()
     return partitioning
 

@@ -54,7 +54,8 @@ def run_single(scenario: ScaleoutScenario,
     return ScaleoutResult(scenario.name, 1, system.sim.events_processed,
                           system.now, wall, rounds=0, envelopes=0,
                           fingerprint=fingerprint,
-                          setup_s=start - setup_start)
+                          setup_s=start - setup_start,
+                          goodput_mbps=scenario.goodput_mbps(fingerprint))
 
 
 def run_partitioned(scenario: ScaleoutScenario, num_partitions: int, *,

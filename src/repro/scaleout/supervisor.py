@@ -25,6 +25,12 @@ process lifecycle:
   partition index)`` and its peers' reports, so a retry would fail the
   same way; a caller that wants one writes a loop.
 
+* **What a worker holds.**  The coordinator cuts the fabric once
+  (:func:`~repro.scaleout.partition.partition_fabric`, weighted by the
+  scenario's flows) and hands every worker the scenario, the
+  partitioning and the fault campaign as objects through the fork: no
+  registry lookup, no second cut, no pickling.
+
 * **Partition-aware faults.**  A :class:`~repro.faults.FaultScenario`
   can ride along: its events are handed to *every* worker verbatim
   (each applies the slice whose targets it materialized locally), so a
@@ -143,8 +149,10 @@ class Supervisor:
             raise ScaleoutError(
                 "the supervisor coordinates >= 2 workers; "
                 "use run_single for one process")
-        # An impossible cut fails here, not once per worker.
-        partition_fabric(scenario.fabric, num_partitions)
+        # The one cut of the run; an impossible one fails here, not
+        # once per worker.
+        self.partitioning = partition_fabric(
+            scenario.fabric, num_partitions, scenario.flows())
         self.scenario = scenario
         self.num_partitions = num_partitions
         self.ctx = mp.get_context("fork")
@@ -152,9 +160,8 @@ class Supervisor:
         #: The one wait object: every live worker's pipe end and process
         #: sentinel, keyed to ``(worker, is_pipe)``.
         self._selector = selectors.DefaultSelector()
-        self._faults_spec = (faults.to_dict()
-                             if faults is not None and faults.events
-                             else None)
+        self.faults = faults if faults is not None and faults.events \
+            else None
         self.rounds = 0
         self.envelopes = 0
         self.advances = 0
@@ -190,18 +197,20 @@ class Supervisor:
                 if self.registry is not None:
                     self._publish(self.registry)
         results = [worker.result for worker in self.workers]
+        fingerprint = merge_fragments([result["fragment"]
+                                       for result in results])
         return ScaleoutResult(
             self.scenario.name, self.num_partitions,
             events=sum(worker.events for worker in self.workers),
             sim_ns=max(result["sim_ns"] for result in results),
             wall_s=wall, rounds=self.rounds, envelopes=self.envelopes,
-            fingerprint=merge_fragments([result["fragment"]
-                                         for result in results]),
+            fingerprint=fingerprint,
             setup_s=self.setup_s, advances=self.advances,
             timing={phase: [result["timing"][phase] for result in results]
                     for phase in _PHASES},
             coordinator_cpu_s=self.coordinator_cpu_s,
-            forensics=[w.forensics() for w in self.workers])
+            forensics=[w.forensics() for w in self.workers],
+            goodput_mbps=self.scenario.goodput_mbps(fingerprint))
 
     def _check_plans(self) -> None:
         """Every worker must have planned the same rounds."""
@@ -264,8 +273,8 @@ class Supervisor:
         parent, child = self.ctx.Pipe()
         process = self.ctx.Process(
             target=worker_main,
-            args=(child, inbox, outbox, every, self.scenario.name,
-                  self.num_partitions, worker.index, self._faults_spec),
+            args=(child, inbox, outbox, every, self.scenario,
+                  self.partitioning, worker.index, self.faults),
             name=f"scaleout-{self.scenario.name}-p{worker.index}",
             daemon=True)
         process.start()

@@ -34,8 +34,8 @@ import traceback
 from typing import Any, Optional
 
 from ..faults.scenario import FaultScenario
-from .escl import scenarios, spawn_traffic
-from .partition import PartitionSystem, lookahead_matrix, partition_fabric
+from .escl import ScaleoutScenario, spawn_traffic
+from .partition import Partitioning, PartitionSystem, lookahead_matrix
 from .planner import plan_round, post, take_due
 
 __all__ = ["worker_main"]
@@ -197,9 +197,9 @@ class _Rounds:
 
 
 def worker_main(control, inbox: list, outbox: list, every: list,
-                scenario_name: str, num_partitions: int, index: int,
-                faults_spec: Optional[dict]) -> None:
-    """Worker process: build one partition, then run the rounds.
+                scenario: ScaleoutScenario, partitioning: Partitioning,
+                index: int, faults: Optional[FaultScenario]) -> None:
+    """Worker process: build partition ``index``, then run the rounds.
 
     ``inbox[j]`` reads the pipe from partition ``j`` and ``outbox[j]``
     writes the pipe to it (``None`` at ``index``); every other end in
@@ -207,7 +207,9 @@ def worker_main(control, inbox: list, outbox: list, every: list,
     coordinator, as ``(tag, progress, body)``: ``ready`` once the
     initial reports are exchanged (then waits for ``go``), ``beat``,
     then ``result``; or ``error`` (a traceback), ``peer-lost`` (the
-    peer) or ``diverged`` before exiting non-zero.
+    peer) or ``diverged`` before exiting non-zero.  ``scenario``,
+    ``partitioning`` and ``faults`` (``None`` for a clean run) are the
+    coordinator's own objects, shared through the fork.
     """
     for end in every:
         if end not in inbox and end not in outbox:
@@ -218,15 +220,13 @@ def worker_main(control, inbox: list, outbox: list, every: list,
         # without this a full collection during the build walks (and
         # copy-on-write faults) the parent's whole heap.
         gc.freeze()
-        scenario = scenarios()[scenario_name]
-        partitioning = partition_fabric(scenario.fabric, num_partitions)
         system = PartitionSystem(partitioning, index, scenario.config())
-        if faults_spec is not None:
-            system.attach_faults(FaultScenario.from_dict(faults_spec))
+        if faults is not None:
+            system.attach_faults(faults)
         traffic = spawn_traffic(scenario, system)
         rounds = _Rounds(control, inbox, outbox, system)
         # The initial reports: round 0, in which every partition "ran".
-        rounds.exchange([0] * num_partitions,
+        rounds.exchange([0] * partitioning.num_partitions,
                         (system.peek(), system.drain_outbox()))
         rounds.tell("ready")
         control.recv()

@@ -32,6 +32,7 @@ bit-identical to single-process runs).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 from ..config import NectarConfig
@@ -53,15 +54,18 @@ class FabricSpec:
     ``links`` entries are ``(hub_a, port_a, hub_b, port_b)`` — one
     bidirectional fiber pair each, ports explicit so every process that
     replays the spec wires identical names.  ``cabs`` entries are
-    ``(cab_name, hub_name, port)``.
+    ``(cab_name, hub_name, port)``.  ``dims`` is the grid of a torus
+    (hubs in row-major order, last axis fastest), ``None`` for any
+    other fabric.
     """
 
     name: str
     hubs: tuple[str, ...]
     links: tuple[tuple[str, int, str, int], ...]
     cabs: tuple[tuple[str, str, int], ...]
+    dims: Optional[tuple[int, ...]] = None
 
-    @property
+    @cached_property
     def cab_names(self) -> tuple[str, ...]:
         return tuple(cab for cab, _hub, _port in self.cabs)
 
@@ -158,27 +162,30 @@ def torus_fabric(dims: tuple[int, ...], cabs_per_hub: int = 1,
                 rest //= d
             yield tuple(reversed(coordinate))
 
-    def hub_name(coordinate: tuple[int, ...]) -> str:
-        return "hub_" + "_".join(str(c) for c in coordinate)
-
-    hubs = [hub_name(c) for c in coords()]
+    hubs = ["hub_" + "_".join(str(c) for c in coordinate)
+            for coordinate in coords()]
+    strides = [1] * len(dims)
+    for axis in range(len(dims) - 2, -1, -1):
+        strides[axis] = strides[axis + 1] * dims[axis + 1]
     ledger = _PortLedger(num_ports)
     links = []
-    for coordinate in coords():
+    for flat, coordinate in enumerate(coords()):
         for axis, extent in enumerate(dims):
             if extent < 2:
                 continue
-            neighbour = list(coordinate)
-            neighbour[axis] = (coordinate[axis] + 1) % extent
-            neighbour = tuple(neighbour)
             if extent == 2 and coordinate[axis] == 1:
                 continue  # wraparound would duplicate the extent-2 link
-            here, there = hub_name(coordinate), hub_name(neighbour)
+            # The +1 neighbour on this axis, wrapping at the far edge;
+            # both ends reuse the name strings in ``hubs``.
+            step = strides[axis] if coordinate[axis] + 1 < extent \
+                else -(extent - 1) * strides[axis]
+            here, there = hubs[flat], hubs[flat + step]
             links.append((here, ledger.claim(here),
                           there, ledger.claim(there)))
     cabs = tuple(_attach_cabs(hubs, cabs_per_hub, ledger))
     spec = FabricSpec(name="torus" + "x".join(str(d) for d in dims),
-                      hubs=tuple(hubs), links=tuple(links), cabs=cabs)
+                      hubs=tuple(hubs), links=tuple(links), cabs=cabs,
+                      dims=tuple(dims))
     spec.validate(num_ports)
     return spec
 

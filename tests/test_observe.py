@@ -79,6 +79,58 @@ class TestSampler:
         assert series.values[0] == pytest.approx(0.8)
         assert series.values[1] == 1.0
 
+    def test_utilization_probe_carries_what_the_clamp_cuts(self):
+        sim = Simulator()
+        sampler = MetricSampler(sim, MetricRegistry(), interval_ns=1000)
+        state = {"bytes": 0}
+        sampler.add_utilization_probe("u", lambda: state["bytes"], 8.0)
+        sampler.start()
+
+        def producer():
+            state["bytes"] += 300          # 2400 ns busy at once
+            yield sim.timeout(1)
+        sim.process(producer())
+        sim.run(until=4500)
+        assert sampler.get_series("u").values == \
+            pytest.approx([1.0, 1.0, 0.4, 0.0])
+
+    @pytest.mark.parametrize("period_us", [10, 100])
+    def test_port_util_sums_to_the_bytes_sent(self, period_us):
+        # A fiber counts a packet's bytes when its tail leaves, so a
+        # 10 us window sees a 64 us packet as one jump; the carried
+        # excess still adds up to bytes_sent x 80 ns.
+        system = single_hub_system(4)
+        period = period_us * 1000
+        observatory = system.observe(interval_ns=period)
+        for pair, size in ((0, 800), (1, 200)):
+            src, dst = system.cab(f"cab{pair}"), system.cab(f"cab{pair + 2}")
+            inbox = dst.create_mailbox("inbox")
+
+            def rx(dst=dst, inbox=inbox):
+                for _ in range(3):
+                    yield from dst.kernel.wait(inbox.get())
+
+            def tx(src=src, dst=dst, size=size):
+                for _ in range(3):
+                    yield from src.transport.datagram.send(
+                        dst.name, "inbox", size=size)
+                    yield from src.kernel.sleep(50_000)
+            dst.spawn(rx())
+            src.spawn(tx())
+        system.run(until=2_000_000)
+        hub = system.hubs["hub0"]
+        checked = 0
+        for port in hub.ports:
+            if port.out_fiber is None or not port.out_fiber.bytes_sent:
+                continue
+            series = observatory.series[f"hub0.p{port.index}.util"]
+            busy = sum(series.values) * period
+            expected = port.out_fiber.bytes_sent * hub.fiber_cfg.ns_per_byte
+            assert abs(busy - expected) <= period, (port.index, busy,
+                                                    expected)
+            checked += 1
+        assert checked >= 2
+
     def test_observed_run_timing_unchanged(self):
         plain = single_hub_system(4)
         _drive(plain)

@@ -17,6 +17,7 @@ from repro.scaleout import supervisor as supervisor_module
 from repro.scaleout import worker as worker_module
 from repro.scaleout.wire import (KIND_PACKET, KIND_REPLY, decode_item,
                                  encode_item, kind_of)
+from repro.topology.fabrics import hypercube_fabric, torus_fabric
 
 
 PINS = pathlib.Path(__file__).parent / "data" / "pins.json"
@@ -25,6 +26,20 @@ PINS = pathlib.Path(__file__).parent / "data" / "pins.json"
 @pytest.fixture(scope="module")
 def torus16_reference():
     return run_single(scenarios()["escl-torus-16"])
+
+
+def crossing_scenario(name="hypercube-16", **fields):
+    """A 16-hub 4-cube whose every flow crosses any cut: the shift
+    partner flips the top index bit, and a hypercube is cut in index
+    order.  Not in the registry: workers get it through the fork."""
+    return ScaleoutScenario(name, "4-cube, 16 CABs, every flow crosses",
+                            hypercube_fabric(4), **fields)
+
+
+@pytest.fixture(scope="module")
+def crossing():
+    scenario = crossing_scenario()
+    return scenario, run_single(scenario)
 
 
 # ----------------------------------------------------------------------
@@ -274,14 +289,14 @@ def test_single_run_is_deterministic(torus16_reference):
 
 
 @pytest.mark.parametrize("num_partitions", [2, 4])
-def test_partitioned_digest_matches_single(torus16_reference,
-                                           num_partitions):
-    result = run_partitioned(scenarios()["escl-torus-16"], num_partitions)
-    assert result.digest == torus16_reference.digest
+def test_partitioned_digest_matches_single(crossing, num_partitions):
+    scenario, reference = crossing
+    result = run_partitioned(scenario, num_partitions)
+    assert result.digest == reference.digest
     # Capture-at-commit creates no sender event and injection creates
     # exactly the one call event the local fiber would have — so even
     # the raw event count survives partitioning.
-    assert result.events == torus16_reference.events
+    assert result.events == reference.events
     assert result.envelopes > 0 and result.rounds > 0
     if num_partitions == 2:
         # The boundary fiber's one seam (_schedule_delivery) captures
@@ -301,8 +316,9 @@ def test_protocol_counts_equal_the_checked_in_ones(num_partitions):
     assert {key: getattr(result, key) for key in wanted} == wanted
 
 
-def test_circuit_mode_replies_cross_partitions():
-    scenario = scenarios()["escl-torus-16-circuit"]
+def test_circuit_mode_replies_cross_partitions(crossing):
+    scenario = crossing_scenario("hypercube-16-circuit",
+                                 message_bytes=2048, mode="circuit")
     reference = run_single(scenario)
     result = run_partitioned(scenario, 2)
     assert result.digest == reference.digest
@@ -310,7 +326,7 @@ def test_circuit_mode_replies_cross_partitions():
     # Circuit opens travel forward and their replies travel back, so a
     # 2-partition run must exchange strictly more envelopes than the
     # packet-mode run on the same fabric.
-    packets = run_partitioned(scenarios()["escl-torus-16"], 2)
+    packets = run_partitioned(crossing[0], 2)
     assert result.envelopes > packets.envelopes
 
 
@@ -322,16 +338,12 @@ def test_odd_partition_count_matches_single(torus16_reference):
 
 
 @pytest.mark.parametrize("num_partitions", [2, 3])
-def test_reports_larger_than_the_pipe_buffer_cross(monkeypatch,
-                                                   num_partitions):
+def test_reports_larger_than_the_pipe_buffer_cross(num_partitions):
     # 80 kB circuit-mode messages: in some rounds two peers each send a
     # report of more than the 64 KiB pipe buffer, which hangs an
     # exchange where both send before either receives.
-    scenario = ScaleoutScenario(
-        "escl-torus-16-80k", "2x2x2x2 torus, 80 kB circuit messages",
-        scenarios()["escl-torus-16"].fabric, message_bytes=80_000,
-        mode="circuit")
-    monkeypatch.setitem(scenarios(), scenario.name, scenario)
+    scenario = crossing_scenario("hypercube-16-80k", message_bytes=80_000,
+                                 mode="circuit")
     reference = run_single(scenario)
     result = run_partitioned(scenario, num_partitions)
     assert result.mismatch(reference) is None
@@ -378,6 +390,67 @@ def test_mismatch_is_the_parity_rule(torus16_reference):
     assert more.mismatch(reference, campaign) is None
     assert other.mismatch(reference, campaign) is not None
     assert "2-partition" in more.mismatch(replace(reference, partitions=2))
+
+
+# ----------------------------------------------------------------------
+# what a worker holds: the scenario through the fork, a lazy catalogue
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("num_partitions", [2, 3])
+def test_unregistered_scenario_runs_partitioned(num_partitions):
+    # The coordinator's own scenario object reaches every worker: no
+    # registry lookup by name, so an ad-hoc scenario needs none.
+    scenario = ScaleoutScenario("adhoc-torus-16", "ad hoc, not registered",
+                                torus_fabric((2, 2, 2, 2)))
+    assert scenario.name not in scenarios()
+    reference = run_single(scenario)
+    result = run_partitioned(scenario, num_partitions)
+    assert result.digest == reference.digest
+    assert result.events == reference.events
+
+
+def test_unregistered_result_carries_its_goodput(torus16_reference):
+    scenario = ScaleoutScenario("adhoc-torus-16", "ad hoc, not registered",
+                                torus_fabric((2, 2, 2, 2)))
+    summary = run_single(scenario).summary()
+    assert summary["goodput_mbps"] == \
+        round(torus16_reference.goodput_mbps, 3) > 0
+
+
+def test_looking_up_one_scenario_builds_no_other_fabric(monkeypatch):
+    from repro.scaleout import escl
+    from repro.topology.fabrics import FabricSpec
+    adhoc = crossing_scenario()
+    built = []
+    validate = FabricSpec.validate
+
+    def recording(self, *args):
+        built.append(self.name)
+        return validate(self, *args)
+
+    monkeypatch.setattr(FabricSpec, "validate", recording)
+    monkeypatch.setattr(escl, "_CATALOGUE", escl._Catalogue())
+    catalogue = scenarios()
+    assert len(list(catalogue)) == 7 and "escl-torus-1024" in catalogue
+    assert built == []
+    scenario = catalogue["escl-torus-16"]
+    assert built == ["torus2x2x2x2"]
+    assert catalogue["escl-torus-16"] is scenario
+    assert built == ["torus2x2x2x2"]
+    # Registering a scenario builds nothing either.
+    catalogue[adhoc.name] = adhoc
+    assert catalogue[adhoc.name] is adhoc and len(catalogue) == 8
+    assert built == ["torus2x2x2x2"]
+
+
+def test_unknown_scenario_error_names_every_builtin(capsys):
+    from repro.__main__ import main
+    assert main(["scaleout", "no-such-scenario"]) == 2
+    error = capsys.readouterr().err
+    for name in ("escl-torus-16", "escl-torus-16-circuit", "escl-torus-64",
+                 "escl-hypercube-64", "escl-fattree-4", "escl-torus-256",
+                 "escl-torus-1024"):
+        assert name in error
 
 
 def test_verify_is_gone():
@@ -436,13 +509,12 @@ def test_coordinator_holds_no_envelope_in_the_steady_phase(monkeypatch):
 
     monkeypatch.setattr(Supervisor, "_recv", spying_recv)
     monkeypatch.setattr(supervisor_module, "worker_main", untraced_worker)
-    base = scenarios()["escl-torus-16"]
+    base = crossing_scenario()
     run_partitioned(base, 2)  # first-run imports and caches, untraced
     peaks = {}
     for messages in (1, 16):
         scenario = replace(base, name=f"{base.name}-x{messages}",
                            messages_per_cab=messages)
-        monkeypatch.setitem(scenarios(), scenario.name, scenario)
         del received[:]
         tracemalloc.start()
         try:

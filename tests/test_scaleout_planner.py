@@ -13,17 +13,17 @@ planned.
 import multiprocessing
 import pickle
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scaleout import (lookahead_matrix, partition_fabric,
-                            run_partitioned, run_single, scenarios)
+from repro.scaleout import (ScaleoutScenario, lookahead_matrix,
+                            partition_fabric, run_partitioned, run_single)
 from repro.scaleout import worker as worker_module
 from repro.scaleout.partition import PartitionSystem
 from repro.scaleout.planner import plan_round, post, take_due
+from repro.topology.fabrics import hypercube_fabric
 
 
 def reference_round(peeks, pending, distance):
@@ -272,13 +272,15 @@ def test_recorded_run_matches_the_replaced_loop(monkeypatch, tmp_path,
                                                 num_partitions, messages):
     # Every worker plans every round itself, on its mirror of every
     # partition's state; all of them plan what the replaced loop would
-    # have (8 messages per CAB give more rounds to check).
-    scenario = replace(scenarios()["escl-torus-16"],
-                       name=f"escl-torus-16-m{messages}",
-                       messages_per_cab=messages)
-    monkeypatch.setitem(scenarios(), scenario.name, scenario)
+    # have (8 messages per CAB give more rounds to check).  On a 4-cube
+    # every flow crosses the cut, so every round has envelopes to file.
+    scenario = ScaleoutScenario(f"hypercube-16-m{messages}",
+                                "4-cube, 16 CABs, every flow crosses",
+                                hypercube_fabric(4),
+                                messages_per_cab=messages)
     distance = lookahead_matrix(
-        partition_fabric(scenario.fabric, num_partitions), scenario.config())
+        partition_fabric(scenario.fabric, num_partitions, scenario.flows()),
+        scenario.config())
     _record_workers(monkeypatch, tmp_path)
     outcome = run_partitioned(scenario, num_partitions)
     assert outcome.digest == run_single(scenario).digest

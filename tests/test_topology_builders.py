@@ -1,10 +1,12 @@
 """Large-fabric builders: specs, routing tables, and the partitioner."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datalink.routing import Router
 from repro.errors import TopologyError
-from repro.scaleout import partition_fabric
+from repro.scaleout import ScaleoutScenario, flow_paths, partition_fabric
 from repro.scaleout.partition import PartitionSystem, Partitioning
 from repro.topology import (fat_tree_system, hypercube_system, torus_system)
 from repro.topology.fabrics import (FabricSpec, build_system,
@@ -219,6 +221,52 @@ def test_partitioner_rejects_bad_counts():
         partition_fabric(spec, 5)
     with pytest.raises(TopologyError):
         Partitioning(fabric=spec, parts=(spec.hubs[:2],)).validate()
+
+
+_tori = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(
+    lambda dims: torus_fabric(tuple(dims))).filter(
+    lambda spec: len(spec.hubs) >= 4)
+_fabrics = _tori | st.integers(2, 5).map(hypercube_fabric) \
+    | st.sampled_from([2, 4]).map(fat_tree_fabric)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_fabrics, st.integers(2, 4), st.randoms(use_true_random=False))
+def test_weighted_cut_is_a_partition_never_heavier_than_index_order(
+        spec, count, rng):
+    names = list(spec.cab_names)
+    targets = names[:]
+    rng.shuffle(targets)
+    flows = [(src, dst) for src, dst in zip(names, targets) if src != dst]
+    chosen = partition_fabric(spec, count, flows)
+    # A true partition, and the same one every time.
+    chosen.validate()
+    assert sorted(hub for part in chosen.parts for hub in part) \
+        == sorted(spec.hubs)
+    assert chosen.parts == partition_fabric(spec, count, flows).parts
+    index_order = partition_fabric(spec, count)
+    assert [hub for part in index_order.parts for hub in part] \
+        == list(spec.hubs)
+    paths = flow_paths(spec, flows)
+    assert chosen.score(paths) <= index_order.score(paths)
+    if spec.dims is None:
+        assert chosen.parts == index_order.parts
+
+
+def test_torus_shift_traffic_is_cut_into_slabs_it_stays_inside():
+    # The e2e torus-p2 shape: CAB i sends to CAB i + 128, +2 on the first
+    # axis.  Construction order cuts that axis, so every flow crosses
+    # and partition 0 carries two hub visits of each three; a slab on
+    # the second axis keeps every flow inside one worker.
+    spec = torus_fabric((4, 4, 4, 4))
+    flows = ScaleoutScenario("t", "", spec).flows()
+    paths = flow_paths(spec, flows)
+    assert partition_fabric(spec, 2).score(paths) == (512, 256)
+    chosen = partition_fabric(spec, 2, flows)
+    assert chosen.score(paths) == (384, 0)
+    assert chosen.parts[0][:2] == ("hub_0_0_0_0", "hub_0_0_0_1")
+    assert {hub.split("_")[2] for hub in chosen.parts[0]} == {"0", "1"}
+    assert chosen.cut_links()
 
 
 def test_partition_systems_jointly_cover_the_fabric():

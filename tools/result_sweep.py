@@ -127,7 +127,6 @@ def sweep_partitioned(seeds: list[int],
             base, name=f"{PARTITIONED}-s{seed}",
             messages_per_cab=max(1, round(base.messages_per_cab * scale)),
             message_bytes=504 + random.Random(f"{seed}:torus").randrange(17))
-        scenarios()[scenario.name] = scenario  # workers look it up by name
         campaigns: dict[Optional[str], Any] = {None: None}
         campaigns.update((faults, escl_campaign(faults, scenario.config()))
                          for _partitions, faults in CELLS if faults)
