@@ -2,17 +2,14 @@
 
 A :class:`FaultScenario` is a plain, validated description — a name plus
 a list of :class:`FaultEvent` windows — decoupled from the machinery that
-applies it (:mod:`repro.faults.injector`).  Scenarios round-trip through
-dicts (:meth:`FaultScenario.to_dict` / :meth:`FaultScenario.from_dict`)
-so campaigns can be stored as JSON next to experiment configs, and
+applies it (:mod:`repro.faults.injector`).
 :meth:`FaultScenario.schedule_text` renders the canonical schedule used
 to assert that one seed reproduces byte-identical campaigns.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass, field
 
 from ..errors import ConfigError
 
@@ -138,21 +135,3 @@ class FaultScenario:
         lines = [f"scenario {self.name} events={len(self.events)}"]
         lines.extend(event.describe() for event in self.events)
         return "\n".join(lines)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "events": [asdict(event) for event in self.events],
-        }
-
-    @classmethod
-    def from_dict(cls, spec: dict[str, Any]) -> "FaultScenario":
-        try:
-            events = [FaultEvent(**event) for event in spec.get("events", [])]
-            return cls(name=spec["name"], events=events,
-                       description=spec.get("description", ""))
-        except KeyError as exc:
-            raise ConfigError(f"fault scenario spec missing {exc}") from None
-        except TypeError as exc:
-            raise ConfigError(f"bad fault event spec: {exc}") from None

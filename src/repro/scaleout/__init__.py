@@ -23,7 +23,8 @@ from .escl import (ScaleoutResult, ScaleoutScenario, Traffic,
                    fingerprint_digest, merge_fragments, scenarios,
                    spawn_traffic)
 from .partition import (Partitioning, PartitionSystem, flow_paths,
-                        lookahead_matrix, lookahead_ns, partition_fabric)
+                        lookahead_matrix, lookahead_ns, partition_fabric,
+                        route_set)
 from .runner import run_partitioned, run_single
 from .supervisor import Supervisor, escl_campaign
 
@@ -41,6 +42,7 @@ __all__ = [
     "lookahead_ns",
     "merge_fragments",
     "partition_fabric",
+    "route_set",
     "run_partitioned",
     "run_single",
     "scenarios",

@@ -277,19 +277,24 @@ class ScaleoutResult:
 
         ``None`` when the digests are equal and — unless ``faults`` (a
         :class:`~repro.faults.FaultScenario`) carries events — so are
-        the event counts.  Under faults a driver process spawns once per
-        partition holding a matched target (vs once in the
-        single-process run), so raw event totals legitimately differ and
-        only the digest is compared.
+        the event counts and the clocks of the last event.  Under faults
+        a driver process spawns once per partition holding a matched
+        target (vs once in the single-process run), so raw event totals
+        and their last instants legitimately differ and only the digest
+        is compared.
         """
         against = "single-process" if reference.partitions == 1 \
             else f"{reference.partitions}-partition"
         if self.digest != reference.digest:
             return (f"digest {self.digest} differs from {against} "
                     f"{reference.digest}")
-        faulted = faults is not None and bool(faults.events)
-        if not faulted and self.events != reference.events:
+        if faults is not None and faults.events:
+            return None
+        if self.events != reference.events:
             return f"{self.events} events, {against} {reference.events}"
+        if self.sim_ns != reference.sim_ns:
+            return (f"last event at {self.sim_ns} ns, {against} "
+                    f"{reference.sim_ns} ns")
         return None
 
     @property

@@ -26,18 +26,20 @@ own :class:`~repro.sim.Simulator`:
 
 The workers (:mod:`repro.scaleout.worker`) exchange envelopes between
 partitions and advance each one under conservative lookahead;
-:func:`lookahead_ns` derives that lookahead from the fiber config (see
-``docs/SCALEOUT.md`` for the proof sketch).
+:func:`lookahead_ns` derives that lookahead from the fiber config, and
+:func:`lookahead_matrix` charges it only on the cut links a declared
+route (:func:`route_set`) crosses (see ``docs/SCALEOUT.md`` for the
+proof sketch).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from ..config import NectarConfig, default_config
 from ..datalink.routing import Router
-from ..errors import TopologyError
+from ..errors import ScaleoutError, TopologyError
 from ..hardware.cab import CabBoard
 from ..hardware.fiber import Fiber
 from ..hardware.hub import Hub
@@ -48,7 +50,8 @@ from ..topology.fabrics import FabricSpec
 from .wire import KIND_READY, decode_item, encode_item, kind_of
 
 __all__ = ["Envelope", "Partitioning", "PartitionSystem", "flow_paths",
-           "lookahead_matrix", "lookahead_ns", "partition_fabric"]
+           "lookahead_matrix", "lookahead_ns", "partition_fabric",
+           "route_set"]
 
 
 #: One cross-partition delivery: ``(arrival, seq, kind, dst_hub,
@@ -78,71 +81,76 @@ def lookahead_ns(cfg: NectarConfig) -> int:
     return lookahead
 
 
-def lookahead_matrix(partitioning: "Partitioning",
-                     cfg: NectarConfig) -> list[list[int]]:
-    """Per-ordered-pair lookahead: ``matrix[src][dst]`` simulated ns.
+def route_set(paths: Iterable[Sequence[str]]) -> frozenset[tuple[str, str]]:
+    """Every hub-to-hub hop of ``paths`` (see :func:`flow_paths`), in
+    both directions: ready bits and circuit replies travel a route
+    backwards, hop by hop."""
+    hops: set[tuple[str, str]] = set()
+    for path in paths:
+        for near, far in zip(path, path[1:]):
+            hops.add((near, far))
+            hops.add((far, near))
+    return frozenset(hops)
 
-    The global :func:`lookahead_ns` is the worst case over the whole
-    fiber plant; this matrix is the per-*boundary* refinement.  For each
-    partition pair the direct bound is the minimum latency of any fiber
-    actually crossing that cut (today every fiber in a config shares
-    ``propagation_ns``, so each crossed cut contributes the same base —
-    the ``min()`` is the seam where per-link latencies drop in).  Pairs
-    with no direct cut link are bounded through the partition graph's
-    shortest path: a signal from ``src`` must transit intermediate
-    partitions, paying each cut's lookahead along the way, so
-    well-separated slices see a *wider* horizon than the global minimum
-    and the planner can grant them correspondingly larger windows.
+
+def lookahead_matrix(partitioning: "Partitioning", cfg: NectarConfig,
+                     routes: Optional[frozenset[tuple[str, str]]] = None
+                     ) -> list[list[Optional[int]]]:
+    """Per-ordered-pair lookahead: ``matrix[src][dst]`` simulated ns, or
+    ``None`` where nothing ``src`` commits can ever reach ``dst``.
+
+    A direct edge ``src -> dst`` exists where a cut link carries
+    traffic from ``src`` into ``dst`` (:meth:`Partitioning.crossed`:
+    with a route set, only the links its hops use) and costs the fiber
+    lookahead (:func:`lookahead_ns`; every fiber in a config shares
+    ``propagation_ns``).  Pairs with no direct edge are bounded through
+    the partition graph's shortest path: a signal from ``src`` must
+    transit intermediate partitions, paying each cut's lookahead along
+    the way, so well-separated slices see a *wider* horizon than the
+    global minimum and the planner can grant them correspondingly
+    larger windows.  A pair no path joins has no entry at all: it puts
+    no bound on the other.
 
     The diagonal carries the shortest *feedback cycle*
     ``min over j != i of (matrix[i][j] + matrix[j][i])``: the earliest a
     signal committed in partition ``i`` can cause an effect back in
-    ``i`` via some other partition.  The planner's grants need this
-    term — inside a grant several lookahead widths long, a neighbour
-    can *react* to ``i``'s own sends, so ``i``'s horizon is bounded by
-    its own trigger time plus the round trip, not just by the other
-    partitions' triggers.  Every fabric is connected, so every entry is finite.
+    ``i`` via some other partition (``None`` when no cycle passes
+    through ``i``).  The planner's grants need this term — inside a
+    grant several lookahead widths long, a neighbour can *react* to
+    ``i``'s own sends, so ``i``'s horizon is bounded by its own trigger
+    time plus the round trip, not just by the other partitions'
+    triggers.
     """
     count = partitioning.num_partitions
     base = lookahead_ns(cfg)
-    owners = partitioning.owner_map()
-    infinity = float("inf")
-    dist: list[list[Any]] = [[infinity] * count for _ in range(count)]
-    for index in range(count):
-        dist[index][index] = 0
-    for hub_a, _pa, hub_b, _pb in partitioning.cut_links():
-        src, dst = owners[hub_a], owners[hub_b]
-        # Minimum fiber latency crossing this cut, in either direction
-        # (every cut link is a bidirectional fiber pair).
-        if base < dist[src][dst]:
-            dist[src][dst] = base
-            dist[dst][src] = base
+    dist: list[list[Optional[int]]] = [[None] * count for _ in range(count)]
+    for src, dst in partitioning.crossed(routes):
+        dist[src][dst] = base
+    # The diagonal stays empty until the closure is done, so no path
+    # runs through it.
     for via in range(count):
         row_via = dist[via]
         for src in range(count):
             through = dist[src][via]
-            if through == infinity:
+            if through is None:
                 continue
             row_src = dist[src]
             for dst in range(count):
-                candidate = through + row_via[dst]
-                if candidate < row_src[dst]:
-                    row_src[dst] = candidate
-    for src in range(count):
-        for dst in range(count):
-            if src != dst and dist[src][dst] == infinity:
-                raise TopologyError(
-                    f"partition {src} cannot reach partition {dst}; "
-                    f"the fabric is disconnected")
+                hop = row_via[dst]
+                if hop is None or dst == src:
+                    continue
+                if row_src[dst] is None or through + hop < row_src[dst]:
+                    row_src[dst] = through + hop
     for index in range(count):
         # Any closed walk leaves through some partition ``via`` and
         # comes back, so the shortest-path sum is both a lower bound
         # and achievable.
         dist[index][index] = min(
-            (dist[index][via] + dist[via][index]
-             for via in range(count) if via != index),
-            default=0)
-    return [[int(value) for value in row] for row in dist]
+            (dist[index][via] + dist[via][index] for via in range(count)
+             if via != index and dist[index][via] is not None
+             and dist[via][index] is not None),
+            default=None)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -170,7 +178,21 @@ class Partitioning:
         return tuple(link for link in self.fabric.links
                      if owners[link[0]] != owners[link[2]])
 
-    def score(self, paths: list[list[str]]) -> tuple[int, int]:
+    def crossed(self, routes: Optional[frozenset[tuple[str, str]]]
+                ) -> set[tuple[int, int]]:
+        """The directed partition pairs ``(src, dst)`` joined by a cut
+        link that some hop of ``routes`` (:func:`route_set`) takes from
+        ``src`` into ``dst``; with ``routes`` ``None``, every cut link's
+        pairs, both ways."""
+        owners = self.owner_map()
+        pairs = set()
+        for hub_a, _port_a, hub_b, _port_b in self.cut_links():
+            for near, far in ((hub_a, hub_b), (hub_b, hub_a)):
+                if routes is None or (near, far) in routes:
+                    pairs.add((owners[near], owners[far]))
+        return pairs
+
+    def score(self, paths: Sequence[Sequence[str]]) -> tuple[int, int]:
         """``(largest partition load, flows crossing the cut)`` of the
         hub ``paths`` (see :func:`flow_paths`): a load counts the hub
         visits that land in its partition."""
@@ -241,7 +263,7 @@ def _axis_slabs(fabric: FabricSpec, num_partitions: int
 
 
 def partition_fabric(fabric: FabricSpec, num_partitions: int,
-                     flows: Iterable[tuple[str, str]] = ()
+                     paths: Sequence[Sequence[str]] = ()
                      ) -> Partitioning:
     """Cut ``fabric`` into ``num_partitions`` hub slices that weigh work.
 
@@ -250,10 +272,10 @@ def partition_fabric(fabric: FabricSpec, num_partitions: int,
     that consecutive hubs are topologically close), and, on a torus,
     every slab along one axis whose extent ``num_partitions`` divides.
     Each candidate's score is its largest partition load, the hub
-    visits on the router's paths of ``flows`` (``(src_cab, dst_cab)``
-    pairs) that land in one partition; ties go to fewer flows crossing
-    the cut, then to candidate order.  Without flows, and on any fabric
-    but a torus, that is construction order.
+    visits on the flows' hub ``paths`` (:func:`flow_paths`) that land
+    in one partition; ties go to fewer flows crossing the cut, then to
+    candidate order.  Without paths, and on any fabric but a torus,
+    that is construction order.
     """
     count = len(fabric.hubs)
     if not 1 <= num_partitions <= count:
@@ -261,9 +283,7 @@ def partition_fabric(fabric: FabricSpec, num_partitions: int,
             f"cannot cut {count} hubs into {num_partitions} partitions")
     candidates = [_index_order(fabric.hubs, num_partitions),
                   *_axis_slabs(fabric, num_partitions)]
-    flows = list(flows)
-    if len(candidates) > 1 and flows:
-        paths = flow_paths(fabric, flows)
+    if len(candidates) > 1 and paths:
         candidates.sort(key=lambda parts: Partitioning(fabric, parts)
                         .score(paths))
     partitioning = Partitioning(fabric=fabric, parts=candidates[0])
@@ -345,15 +365,23 @@ class PartitionSystem:
     :class:`~repro.system.builder.CabStack` and scenario drivers use:
     ``cfg``, ``sim``, ``tracer``, ``router``, ``hubs``, ``cabs``,
     ``cab()``, ``run()``, ``now``.
+
+    ``routes`` (:func:`route_set`, or ``None`` for every cut link) is
+    the traffic the run declared: :func:`lookahead_matrix` gives an
+    uncrossed pair of partitions no edge, so :meth:`capture` refuses
+    any delivery into a partition the declared routes never enter.
     """
 
     def __init__(self, partitioning: Partitioning, index: int,
-                 cfg: Optional[NectarConfig] = None) -> None:
+                 cfg: Optional[NectarConfig] = None,
+                 routes: Optional[frozenset[tuple[str, str]]] = None
+                 ) -> None:
         partitioning.validate()
         if not 0 <= index < partitioning.num_partitions:
             raise TopologyError(f"no partition {index} in {partitioning}")
         self.partitioning = partitioning
         self.index = index
+        self.routes = routes
         self.cfg = cfg or default_config()
         fabric = partitioning.fabric
         fabric.validate(self.cfg.hub.num_ports)
@@ -365,6 +393,12 @@ class PartitionSystem:
         self.cabs: dict[str, CabStack] = {}
         self._outbox: list[Envelope] = []
         self._seq = 0
+        owners = partitioning.owner_map()
+        crossed = {dst for src, dst in partitioning.crossed(routes)
+                   if src == index}
+        #: The remote hubs a capture may address.
+        self._reachable = frozenset(hub for hub, owner in owners.items()
+                                    if owner in crossed)
 
         local = set(partitioning.parts[index])
         every: dict[str, Any] = {}
@@ -426,6 +460,10 @@ class PartitionSystem:
     def capture(self, arrival: int, kind: str, dst_hub: str, dst_port: int,
                 blob: Optional[bytes], size: int) -> None:
         """Seal one outbound delivery into the current round's outbox."""
+        if dst_hub not in self._reachable:
+            raise ScaleoutError(
+                f"route set violated: partition {self.index} sends to "
+                f"{dst_hub}, in a partition no declared route enters")
         self._outbox.append((arrival, self._seq, kind, dst_hub, dst_port,
                              blob, size))
         self._seq += 1

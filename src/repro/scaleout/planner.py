@@ -17,32 +17,41 @@ of ``peeks[j]`` and its earliest pending arrival (an injected envelope
 can cause an immediate send).  Worker ``i`` may consume every event up
 to ::
 
-    grant_i = min over all j of (T[j] + D[j][i]) - 1
+    grant_i = min over live j with an entry D[j][i] of (T[j] + D[j][i]) - 1
 
-where ``D`` is :func:`~repro.scaleout.partition.lookahead_matrix`.
+where ``D`` is :func:`~repro.scaleout.partition.lookahead_matrix`.  With
+no such term the grant is ``None``: no bound, the worker runs its
+agenda to the end.
 
 **Causal closure.**  Any yet-unknown envelope reaching ``i`` is the tail
 of a causal chain of commits starting from some trigger ``T[j]``; each
 cross-partition hop pays at least the crossed cut's lookahead, and
 ``D[j][i]`` is the shortest-path closure of those hop costs, so nothing
 unknown lands on ``i`` before ``min_j (T[j] + D[j][i]) > grant_i`` —
-however many lookahead-widths the grant spans.  The ``j == i`` term (the
-matrix diagonal: shortest feedback cycle, ``>= 2L`` for the global
-minimum lookahead ``L``) is what the classic one-window argument does
-not need: inside a wide grant a neighbour can react to ``i``'s own
-sends, so ``i`` may not outrun its own trigger plus the round trip
-(drop the term and a 2-partition torus run injects into a worker's past
-within a few dozen rounds).
+however many lookahead-widths the grant spans.  A chain can only follow
+edges, so where ``D[j][i]`` has no entry no chain from ``j`` reaches
+``i`` at all, and ``j`` bounds nothing there; an idle ``j`` (no
+trigger) starts no chain, and can itself only be woken along an edge
+from a live partition, whose own term already covers ``i``.  A worker
+without a single term can therefore never receive anything, and running
+it to the end of its agenda is exact.  The ``j == i`` term (the matrix
+diagonal: shortest feedback cycle, ``>= 2L`` for the global minimum
+lookahead ``L``) is what the classic one-window argument does not need:
+inside a wide grant a neighbour can react to ``i``'s own sends, so
+``i`` may not outrun its own trigger plus the round trip (drop the term
+and a 2-partition torus run injects into a worker's past within a few
+dozen rounds).
 
 **Progress.**  With ``N = min T[j]`` the global horizon, every term is
 at least ``N + L``, so the worker holding the global minimum gets
-``grant >= N + L - 1 >= N``: it always consumes its next trigger,
-horizons are monotone, the run terminates.
+``grant >= N + L - 1 >= N`` (or no bound): it always consumes its next
+trigger, horizons are monotone, the run terminates.
 
 **No cap.**  The term of the worker ``m`` holding ``N`` keeps every
-grant below ``N + D[m][i]`` (for ``m`` itself, one feedback cycle), so
-no grant runs further ahead of the global horizon than one matrix
-entry and the rule needs no separate bound on a grant's width.
+grant ``m`` can reach below ``N + D[m][i]`` (for ``m`` itself, one
+feedback cycle), so no bounded grant runs further ahead of the global
+horizon than one matrix entry and the rule needs no separate bound on a
+grant's width.
 
 **Idle elision.**  A worker with ``T[i] > grant_i`` has no due envelope
 and no local event inside its grant; its state cannot change, so it
@@ -68,20 +77,21 @@ def post(heap: list, source: int, envelope: tuple) -> None:
     heapq.heappush(heap, (envelope[0], source, envelope[1], envelope))
 
 
-def take_due(heap: list, grant: int) -> list[tuple]:
-    """Pop the envelopes arriving at or before ``grant``, in injection
-    order."""
+def take_due(heap: list, grant: Optional[int]) -> list[tuple]:
+    """Pop the envelopes arriving at or before ``grant`` (all of them
+    for ``None``), in injection order."""
     due = []
-    while heap and heap[0][0] <= grant:
+    while heap and (grant is None or heap[0][0] <= grant):
         due.append(heapq.heappop(heap)[3])
     return due
 
 
 def plan_round(peeks: Sequence[Optional[int]], pending: Sequence[list],
-               distance: Sequence[Sequence[int]]
-               ) -> Optional[list[Optional[int]]]:
-    """Per worker, the last instant it may consume this round (``None``
-    = elided); ``None`` instead of a list when the run is done.
+               distance: Sequence[Sequence[Optional[int]]]
+               ) -> Optional[dict[int, Optional[int]]]:
+    """Per worker that runs this round, the last instant it may consume
+    (``None``: no bound, to the end of its agenda); an elided worker
+    has no entry.  ``None`` instead of a dict when the run is done.
 
     Pure: reads ``peeks`` and the head of each ``pending`` heap (built
     by :func:`post`); the caller pops each granted worker's due
@@ -96,9 +106,16 @@ def plan_round(peeks: Sequence[Optional[int]], pending: Sequence[list],
             if trigger is not None]
     if not live:
         return None
-    grants: list[Optional[int]] = []
+    grants: dict[int, Optional[int]] = {}
     for index, trigger in enumerate(triggers):
-        grant = min(available + distance[source][index]
-                    for available, source in live) - 1
-        grants.append(None if trigger is None or trigger > grant else grant)
+        if trigger is None:
+            continue
+        reach = min((available + distance[source][index]
+                     for available, source in live
+                     if distance[source][index] is not None),
+                    default=None)
+        if reach is None:
+            grants[index] = None
+        elif trigger < reach:
+            grants[index] = reach - 1
     return grants

@@ -25,11 +25,15 @@ process lifecycle:
   partition index)`` and its peers' reports, so a retry would fail the
   same way; a caller that wants one writes a loop.
 
-* **What a worker holds.**  The coordinator cuts the fabric once
-  (:func:`~repro.scaleout.partition.partition_fabric`, weighted by the
-  scenario's flows) and hands every worker the scenario, the
-  partitioning and the fault campaign as objects through the fork: no
-  registry lookup, no second cut, no pickling.
+* **What a worker holds.**  The coordinator routes the scenario's flows
+  once (:func:`~repro.scaleout.partition.flow_paths`), cuts the fabric
+  by those paths (:func:`~repro.scaleout.partition.partition_fabric`)
+  and declares them, both ways, as the run's route set
+  (:func:`~repro.scaleout.partition.route_set`; none under a fault
+  campaign, whose reroutes make routes dynamic).  It hands every worker
+  the scenario, the partitioning, the fault campaign and the route set
+  as objects through the fork: no registry lookup, no second cut or
+  route, no pickling.
 
 * **Partition-aware faults.**  A :class:`~repro.faults.FaultScenario`
   can ride along: its events are handed to *every* worker verbatim
@@ -52,7 +56,7 @@ from ..errors import ScaleoutError
 from ..faults.campaigns import build_campaign
 from ..faults.scenario import FaultScenario
 from .escl import ScaleoutResult, ScaleoutScenario, merge_fragments
-from .partition import partition_fabric
+from .partition import flow_paths, partition_fabric, route_set
 from .worker import worker_main
 
 __all__ = ["Supervisor", "escl_campaign"]
@@ -151,8 +155,9 @@ class Supervisor:
                 "use run_single for one process")
         # The one cut of the run; an impossible one fails here, not
         # once per worker.
+        paths = flow_paths(scenario.fabric, scenario.flows())
         self.partitioning = partition_fabric(
-            scenario.fabric, num_partitions, scenario.flows())
+            scenario.fabric, num_partitions, paths)
         self.scenario = scenario
         self.num_partitions = num_partitions
         self.ctx = mp.get_context("fork")
@@ -162,6 +167,9 @@ class Supervisor:
         self._selector = selectors.DefaultSelector()
         self.faults = faults if faults is not None and faults.events \
             else None
+        #: The declared route set (``None``: every cut link may carry
+        #: traffic, as a fault campaign's reroutes can make it).
+        self.routes = None if self.faults else route_set(paths)
         self.rounds = 0
         self.envelopes = 0
         self.advances = 0
@@ -274,7 +282,8 @@ class Supervisor:
         process = self.ctx.Process(
             target=worker_main,
             args=(child, inbox, outbox, every, self.scenario,
-                  self.partitioning, worker.index, self.faults),
+                  self.partitioning, worker.index, self.faults,
+                  self.routes),
             name=f"scaleout-{self.scenario.name}-p{worker.index}",
             daemon=True)
         process.start()

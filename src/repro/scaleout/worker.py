@@ -10,7 +10,8 @@ coordinator (:mod:`repro.scaleout.supervisor`) on the path:
    gets the same grants; it pops every granted partition's due
    envelopes with :func:`~repro.scaleout.planner.take_due`, injecting
    its own.
-2. **Run** its own partition to its grant (an elided worker does not).
+2. **Run** its own partition to its grant (an elided worker does not;
+   one with no bound runs to the end of its agenda).
 3. **Exchange.**  A worker that ran sends its state report ``(peek,
    outbox)``, tagged with the round and the grants it planned, to every
    peer over a pipe of its own, and receives the report of every peer
@@ -68,7 +69,8 @@ class _Rounds:
         self.system = system
         self.index = system.index
         self.owners = system.partitioning.owner_map()
-        self.distance = lookahead_matrix(system.partitioning, system.cfg)
+        self.distance = lookahead_matrix(system.partitioning, system.cfg,
+                                         system.routes)
         self.peeks: list[Optional[int]] = [None] * len(inbox)
         self.pending: list[list[tuple]] = [[] for _ in inbox]
         self.pollers: list[Any] = []
@@ -79,7 +81,8 @@ class _Rounds:
                 poller.register(reader.fileno(), select.POLLIN)
             self.pollers.append(poller)
         self.rounds = self.advances = self.envelopes = self.inbound = 0
-        #: This partition's last grant (``None`` before its first).
+        #: This partition's last grant (``None`` before its first, or
+        #: after one with no bound).
         self.grant: Optional[int] = None
         self.plan = hashlib.blake2b(digest_size=16)
         self.compute_s = self.wait_s = self.exchange_s = 0.0
@@ -103,13 +106,13 @@ class _Rounds:
                 break
             self.rounds += 1
             self.plan.update(repr(grants).encode())
-            for part, grant in enumerate(grants):
-                if grant is not None and part != index:
+            for part, grant in grants.items():
+                if part != index:
                     take_due(pending[part], grant)
-            self.advances += len(grants) - grants.count(None)
+            self.advances += len(grants)
             report = None
-            grant = grants[index]
-            if grant is not None:
+            if index in grants:
+                grant = grants[index]
                 due = take_due(pending[index], grant)
                 self.inbound += len(due)
                 system.inject(due)
@@ -118,7 +121,8 @@ class _Rounds:
                 # Grants are monotone per worker, so the clamp is
                 # normally a no-op; it keeps a violation from surfacing
                 # as run()'s in-the-past ValueError mid-run.
-                system.run(until=max(grant, system.now))
+                system.run(until=None if grant is None
+                           else max(grant, system.now))
                 ran = time.process_time()
                 self.compute_s += time.perf_counter() - began
                 run_cpu += ran - cpu
@@ -131,7 +135,10 @@ class _Rounds:
             self.exchange(grants, report)
             # (CPU, not wall: blocked on a peer, a worker uses none.)
             self.exchange_s += time.process_time() - ran
-        return {"sim_ns": system.now, "plan": self.plan.hexdigest(),
+        # The clock of the last event, not of the last grant: what the
+        # single-process run reads.
+        return {"sim_ns": system.sim.last_ns,
+                "plan": self.plan.hexdigest(),
                 "rounds": self.rounds, "advances": self.advances,
                 "envelopes": self.envelopes, "inbound": self.inbound,
                 "timing": {"compute_s": self.compute_s,
@@ -140,7 +147,7 @@ class _Rounds:
                            "ipc_s": time.process_time() - cpu_start
                            - run_cpu}}
 
-    def exchange(self, grants: list, report: Optional[tuple]) -> None:
+    def exchange(self, grants: dict, report: Optional[tuple]) -> None:
         """Send ``report`` (if this partition ran) to every peer and take
         the reports of every peer that ran; then absorb them all.
 
@@ -161,7 +168,7 @@ class _Rounds:
                 continue
             if peer > index and blob is not None:
                 self._send(peer, blob)
-            if grants[peer] is not None:
+            if peer in grants:
                 received.append((peer, self._receive(peer, grants)))
             if peer < index and blob is not None:
                 self._send(peer, blob)
@@ -178,7 +185,7 @@ class _Rounds:
         except OSError:
             raise _Stop("peer-lost", peer) from None
 
-    def _receive(self, peer: int, grants: list) -> tuple:
+    def _receive(self, peer: int, grants: dict) -> tuple:
         began = time.perf_counter()
         while not self.pollers[peer].poll(BEAT_MS):
             self.tell("beat", peer)
@@ -198,7 +205,8 @@ class _Rounds:
 
 def worker_main(control, inbox: list, outbox: list, every: list,
                 scenario: ScaleoutScenario, partitioning: Partitioning,
-                index: int, faults: Optional[FaultScenario]) -> None:
+                index: int, faults: Optional[FaultScenario],
+                routes: Optional[frozenset]) -> None:
     """Worker process: build partition ``index``, then run the rounds.
 
     ``inbox[j]`` reads the pipe from partition ``j`` and ``outbox[j]``
@@ -208,7 +216,8 @@ def worker_main(control, inbox: list, outbox: list, every: list,
     initial reports are exchanged (then waits for ``go``), ``beat``,
     then ``result``; or ``error`` (a traceback), ``peer-lost`` (the
     peer) or ``diverged`` before exiting non-zero.  ``scenario``,
-    ``partitioning`` and ``faults`` (``None`` for a clean run) are the
+    ``partitioning``, ``faults`` (``None`` for a clean run) and
+    ``routes`` (the declared route set, ``None`` under faults) are the
     coordinator's own objects, shared through the fork.
     """
     for end in every:
@@ -220,13 +229,14 @@ def worker_main(control, inbox: list, outbox: list, every: list,
         # without this a full collection during the build walks (and
         # copy-on-write faults) the parent's whole heap.
         gc.freeze()
-        system = PartitionSystem(partitioning, index, scenario.config())
+        system = PartitionSystem(partitioning, index, scenario.config(),
+                                 routes)
         if faults is not None:
             system.attach_faults(faults)
         traffic = spawn_traffic(scenario, system)
         rounds = _Rounds(control, inbox, outbox, system)
         # The initial reports: round 0, in which every partition "ran".
-        rounds.exchange([0] * partitioning.num_partitions,
+        rounds.exchange(dict.fromkeys(range(partitioning.num_partitions), 0),
                         (system.peek(), system.drain_outbox()))
         rounds.tell("ready")
         control.recv()

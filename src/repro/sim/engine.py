@@ -107,6 +107,9 @@ class Simulator:
         self._halt_cause: Optional[BaseException] = None
         #: Agenda entries processed so far (events/sec benchmarking).
         self.events_processed: int = 0
+        #: Timestamp of the last agenda entry processed (0 before any):
+        #: ``now`` unless a bounded :meth:`run` moved the clock past it.
+        self.last_ns: int = 0
         self._timeout_pool: list[Timeout] = []
         self._event_pool: list[Event] = []
 
@@ -263,7 +266,7 @@ class Simulator:
         if not bucket:
             del self._buckets[time]
             heappop(times)
-        self.now = time
+        self.now = self.last_ns = time
         self.events_processed += 1
         event._run_callbacks()
         if self._halted is not None:
@@ -364,6 +367,8 @@ class Simulator:
                 if rest:
                     buckets[time] = rest
                     heappush(times, time)
+        if processed:
+            self.last_ns = self.now
         if until is not None:
             self.now = until
         return self.now

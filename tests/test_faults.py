@@ -44,18 +44,6 @@ class TestScenario:
         assert [e.at_ns for e in scenario.events] == [100, 500]
         assert scenario.horizon_ns == 510
 
-    def test_round_trips_through_dict(self):
-        scenario = build_campaign("drop-burst", NectarConfig(seed=3))
-        clone = FaultScenario.from_dict(scenario.to_dict())
-        assert clone.schedule_text() == scenario.schedule_text()
-
-    def test_bad_dict_raises_config_error(self):
-        with pytest.raises(ConfigError):
-            FaultScenario.from_dict({"events": []})
-        with pytest.raises(ConfigError):
-            FaultScenario.from_dict(
-                {"name": "s", "events": [{"bogus_field": 1}]})
-
 
 class TestCampaigns:
     def test_every_campaign_builds(self):

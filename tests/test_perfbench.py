@@ -35,8 +35,8 @@ GOLDEN = sorted(path.stem.replace("golden_timeline_", "")
                 for path in DATA.glob("golden_timeline_*.json"))
 
 TABLE = ("collective-exchange", "collective-hub", "collective-tree",
-         "fault-campaign", "hotspot", "scaleout-torus-256",
-         "scaleout-torus-64")
+         "fault-campaign", "hotspot", "scaleout-hypercube-64",
+         "scaleout-torus-256", "scaleout-torus-64")
 
 
 class TestGoldenTimelines:

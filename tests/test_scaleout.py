@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ScaleoutError
 from repro.hardware.frames import HubCommand, Packet, Payload, Reply
 from repro.hardware.hub_commands import CommandOp
 from repro.scaleout import (ScaleoutScenario, Supervisor,
@@ -305,6 +306,45 @@ def test_partitioned_digest_matches_single(crossing, num_partitions):
         assert result.envelopes == 128
 
 
+@pytest.mark.parametrize("uncrossed", [True, False],
+                         ids=["uncrossed-torus", "crossed-hypercube"])
+def test_partitioned_clock_stops_at_the_last_event(torus16_reference,
+                                                   crossing, uncrossed):
+    # A worker reports the clock of its last event, not of its last
+    # grant: the run ends where the single-process run does, whether it
+    # ran to the end in one round or to grant after grant.
+    scenario, reference = (scenarios()["escl-torus-16"], torus16_reference) \
+        if uncrossed else crossing
+    result = run_partitioned(scenario, 2)
+    assert (result.rounds == 1) == uncrossed
+    assert (result.envelopes == 0) == uncrossed
+    assert result.sim_ns == reference.sim_ns
+    assert result.mismatch(reference) is None
+
+
+def test_a_capture_the_route_set_did_not_declare_ends_the_run(crossing):
+    # Declare no route: the lookahead matrix then has no edge, both
+    # workers run to the end, and the first packet across the cut is a
+    # capture on a pair the route set declared uncrossed.
+    supervisor = Supervisor(crossing[0], 2)
+    assert supervisor.routes
+    supervisor.routes = frozenset()
+    with pytest.raises(ScaleoutError, match="failed") as excinfo:
+        supervisor.run()
+    details = [entry["failure"]["detail"]
+               for entry in excinfo.value.forensics if entry["failure"]]
+    assert len(details) == 1 and "route set violated" in details[0]
+
+
+def test_a_fault_campaign_keeps_every_cut_fiber_in_the_matrix():
+    # Reroutes make routes dynamic: an armed campaign declares none.
+    from repro.scaleout import escl_campaign
+    scenario = scenarios()["escl-torus-16"]
+    campaign = escl_campaign("drop-burst", scenario.config())
+    assert Supervisor(scenario, 2).routes
+    assert Supervisor(scenario, 2, faults=campaign).routes is None
+
+
 @pytest.mark.parametrize("num_partitions", [2, 4])
 def test_protocol_counts_equal_the_checked_in_ones(num_partitions):
     # CI's scaleout job holds the CLI's JSON to the same pins: a
@@ -385,9 +425,15 @@ def test_mismatch_is_the_parity_rule(torus16_reference):
     assert f"single-process {reference.events}" in message
     # ...unless in-simulation faults are armed: a driver process spawns
     # per partition holding a matched target, so totals may differ.
+    # Equal digests and events, a moved clock: both last events named.
+    later = replace(sharded, sim_ns=reference.sim_ns + 1)
+    assert later.mismatch(reference) == (
+        f"last event at {later.sim_ns} ns, single-process "
+        f"{reference.sim_ns} ns")
     campaign = escl_campaign("drop-burst",
                              scenarios()["escl-torus-16"].config())
     assert more.mismatch(reference, campaign) is None
+    assert later.mismatch(reference, campaign) is None
     assert other.mismatch(reference, campaign) is not None
     assert "2-partition" in more.mismatch(replace(reference, partitions=2))
 
@@ -463,7 +509,9 @@ def test_verify_is_gone():
 # ----------------------------------------------------------------------
 
 def test_partitioned_result_reports_setup_and_timing():
-    result = run_partitioned(scenarios()["escl-torus-16"], 2)
+    # Traffic across the cut: an uncrossed run is one round, in which a
+    # worker spends next to no CPU outside run().
+    result = run_partitioned(crossing_scenario(), 2)
     assert result.setup_s > 0
     assert result.advances > 0
     assert set(result.timing) == {"compute_s", "wait_s", "exchange_s",

@@ -2,14 +2,15 @@
 
 Three angles on one function.  Hypothesis properties state the
 soundness argument ``docs/SCALEOUT.md`` makes in prose (causal closure,
-progress, tightness, idle elision, termination) over random partition
-graphs.  A reference copy of the coordinator loop the planner replaced —
-list-based pending, three linear passes per worker — must agree with it
-grant for grant, due envelope for due envelope, on the same random
-inputs and on the rounds every worker of real ``escl-torus-16`` runs
-planned.
+progress, tightness, idle elision, termination) over random directed
+partition graphs, in which some pairs have no edge at all.  A reference
+copy of the coordinator loop the planner replaced — list-based pending,
+three linear passes per worker — must agree with it grant for grant,
+due envelope for due envelope, on the same random inputs and on the
+rounds every worker of real 16-hub hypercube runs planned.
 """
 
+import heapq
 import multiprocessing
 import pickle
 import random
@@ -18,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scaleout import (ScaleoutScenario, lookahead_matrix,
-                            partition_fabric, run_partitioned, run_single)
+from repro.scaleout import (ScaleoutScenario, flow_paths, lookahead_matrix,
+                            partition_fabric, route_set, run_partitioned,
+                            run_single)
 from repro.scaleout import worker as worker_module
 from repro.scaleout.partition import PartitionSystem
 from repro.scaleout.planner import plan_round, post, take_due
@@ -31,9 +33,10 @@ def reference_round(peeks, pending, distance):
 
     ``pending[i]`` is an unordered list of ``(arrival, source, seq,
     envelope)``.  Returns ``None`` when the run is done, else ``(windows,
-    sends)``: every worker's window end, and for the workers actually
-    messaged ``index -> (grant, due envelopes)``.  Rebuilds the
-    ``pending`` lists of granted workers, as the old loop did.
+    sends)``: every worker's window end (``None``: no live partition
+    bounds it), and for the workers actually messaged ``index ->
+    (grant, due envelopes)``.  Rebuilds the ``pending`` lists of
+    granted workers, as the old loop did.
     """
     horizons = []
     for index in range(len(peeks)):
@@ -48,19 +51,21 @@ def reference_round(peeks, pending, distance):
     for index in range(len(peeks)):
         bound = None
         for source, available in enumerate(horizons):
-            if available is None:
+            if available is None or distance[source][index] is None:
                 continue
             reach = available + distance[source][index]
             if bound is None or reach < bound:
                 bound = reach
-        grant = bound - 1
+        grant = None if bound is None else bound - 1
         windows.append(grant)
-        due = sorted(e for e in pending[index] if e[0] <= grant)
+        due = sorted(e for e in pending[index]
+                     if grant is None or e[0] <= grant)
         peek = peeks[index]
-        if not due and (peek is None or peek > grant):
+        if not due and (peek is None or grant is not None and peek > grant):
             continue
         if due:
-            pending[index] = [e for e in pending[index] if e[0] > grant]
+            pending[index] = [e for e in pending[index]
+                              if grant is not None and e[0] > grant]
         sends[index] = (grant, [entry[3] for entry in due])
     return windows, sends
 
@@ -73,7 +78,7 @@ def planned_round(peeks, heaps, distance):
     if grants is None:
         return None
     return {index: (grant, take_due(heaps[index], grant))
-            for index, grant in enumerate(grants) if grant is not None}
+            for index, grant in grants.items()}
 
 
 def heaps_of(pending, shuffle_seed=0):
@@ -95,41 +100,63 @@ def heaps_of(pending, shuffle_seed=0):
 # ----------------------------------------------------------------------
 
 def closure(count, cuts):
-    """Shortest-path closure of per-cut lookaheads; the diagonal is the
-    shortest feedback cycle (what ``lookahead_matrix`` computes)."""
-    infinity = float("inf")
-    dist = [[infinity] * count for _ in range(count)]
+    """Shortest-path closure of directed per-cut lookaheads, ``None``
+    where no path exists; the diagonal is the shortest feedback cycle
+    (what ``lookahead_matrix`` computes)."""
+    dist = [[None] * count for _ in range(count)]
     for (a, b), cost in cuts.items():
-        dist[a][b] = dist[b][a] = min(dist[a][b], cost)
+        dist[a][b] = cost
     for via in range(count):
         for src in range(count):
             for dst in range(count):
-                if src != dst and dist[src][via] + dist[via][dst] \
-                        < dist[src][dst]:
-                    dist[src][dst] = dist[src][via] + dist[via][dst]
+                if len({src, via, dst}) < 3 or dist[src][via] is None \
+                        or dist[via][dst] is None:
+                    continue
+                through = dist[src][via] + dist[via][dst]
+                if dist[src][dst] is None or through < dist[src][dst]:
+                    dist[src][dst] = through
     for index in range(count):
-        dist[index][index] = min(dist[index][via] + dist[via][index]
-                                 for via in range(count) if via != index)
+        dist[index][index] = min(
+            (dist[index][via] + dist[via][index] for via in range(count)
+             if via != index and dist[index][via] is not None
+             and dist[via][index] is not None), default=None)
     return dist
+
+
+def earliest_arrival(count, cuts, source, target):
+    """The least total lookahead of a chain of at least one cut from
+    ``source`` to ``target`` (Dijkstra over the raw cuts, not the
+    closure), or ``None`` when no chain exists."""
+    best = {}
+    frontier = [(cost, dst) for (src, dst), cost in cuts.items()
+                if src == source]
+    heapq.heapify(frontier)
+    while frontier:
+        cost, node = heapq.heappop(frontier)
+        if node in best:
+            continue
+        best[node] = cost
+        frontier += [(cost + more, dst) for (src, dst), more in cuts.items()
+                     if src == node and dst not in best]
+        heapq.heapify(frontier)
+    return best.get(target)
 
 
 @st.composite
 def coordinator_states(draw, uniform=False):
-    """(peeks, pending, distance, lookahead) over a random connected
-    partition graph: a random spanning tree plus random extra cuts."""
+    """(peeks, pending, distance, cuts) over a random directed partition
+    graph: every ordered pair has a cut with some probability, so some
+    partitions reach each other one way only, some not at all."""
     count = draw(st.integers(2, 6))
     costs = st.just(draw(st.integers(1, 900))) if uniform \
         else st.integers(1, 900)
+    density = draw(st.sampled_from([0.0, 0.3, 0.6, 1.0]))
     cuts = {}
-    for node in range(1, count):
-        cuts[(draw(st.integers(0, node - 1)), node)] = draw(costs)
-    for _ in range(draw(st.integers(0, count))):
-        a, b = draw(st.integers(0, count - 1)), draw(st.integers(0, count - 1))
-        if a != b:
-            key = (min(a, b), max(a, b))
-            cuts[key] = min(cuts.get(key, 10 ** 9), draw(costs))
+    for a in range(count):
+        for b in range(count):
+            if a != b and draw(st.floats(0, 1)) < density:
+                cuts[(a, b)] = draw(costs)
     distance = closure(count, cuts)
-    lookahead = min(cuts.values())
     times = st.integers(0, 5_000)
     peeks = [draw(st.none() | times) for _ in range(count)]
     pending = [[] for _ in range(count)]
@@ -140,7 +167,7 @@ def coordinator_states(draw, uniform=False):
         # seq is unique, so (arrival, source, seq) orders totally.
         envelope = (arrival, seq, "packet", f"hub{destination}", 0, None, 64)
         pending[destination].append((arrival, source, seq, envelope))
-    return peeks, pending, distance, lookahead
+    return peeks, pending, distance, cuts
 
 
 def triggers_of(peeks, pending):
@@ -152,25 +179,27 @@ def triggers_of(peeks, pending):
 @given(coordinator_states())
 @settings(deadline=None, max_examples=300)
 def test_every_grant_is_causally_closed(state):
-    peeks, pending, distance, _lookahead = state
+    peeks, pending, distance, cuts = state
     grants = plan_round(peeks, heaps_of(pending), distance)
     triggers = triggers_of(peeks, pending)
     if grants is None:
         return
-    for index, grant in enumerate(grants):
-        if grant is None:
-            continue
+    for index, grant in grants.items():
         for source, trigger in enumerate(triggers):
             # Nothing partition ``source`` has yet to commit can land on
-            # ``index`` inside the grant — its own feedback included.
-            if trigger is not None:
-                assert grant < trigger + distance[source][index]
+            # ``index`` inside the grant — its own feedback included;
+            # and where no chain of cuts joins them, nothing can land
+            # at all, which is the only case a grant has no bound.
+            arrival = earliest_arrival(len(peeks), cuts, source, index)
+            if trigger is None or arrival is None:
+                continue
+            assert grant is not None and grant < trigger + arrival
 
 
 @given(coordinator_states())
 @settings(deadline=None, max_examples=300)
 def test_global_minimum_worker_always_progresses(state):
-    peeks, pending, distance, lookahead = state
+    peeks, pending, distance, cuts = state
     grants = plan_round(peeks, heaps_of(pending), distance)
     triggers = triggers_of(peeks, pending)
     live = [t for t in triggers if t is not None]
@@ -181,34 +210,41 @@ def test_global_minimum_worker_always_progresses(state):
     if grants is None:
         return
     horizon = min(live)
+    lookahead = min(cuts.values(), default=None)
     for index, trigger in enumerate(triggers):
         if trigger == horizon:
-            assert grants[index] is not None
-            assert grants[index] >= horizon + lookahead - 1 >= horizon
+            assert index in grants
+            if grants[index] is not None:
+                assert grants[index] >= horizon + lookahead - 1 >= horizon
 
 
 @given(coordinator_states())
 @settings(deadline=None, max_examples=300)
 def test_every_grant_is_the_tightest_bound(state):
     # One rule and no cap: a grant is exactly the earliest reach of any
-    # live trigger, and a worker is elided iff its own trigger is past it.
-    peeks, pending, distance, _lookahead = state
+    # live trigger (no bound where none reaches), and a worker is elided
+    # iff it has no trigger or its trigger is past its bound.
+    peeks, pending, distance, _cuts = state
     grants = plan_round(peeks, heaps_of(pending), distance)
     if grants is None:
         return
     triggers = triggers_of(peeks, pending)
     for index, trigger in enumerate(triggers):
-        bound = min(available + distance[source][index]
-                    for source, available in enumerate(triggers)
-                    if available is not None) - 1
-        elided = trigger is None or trigger > bound
-        assert grants[index] == (None if elided else bound)
+        reaches = [available + distance[source][index]
+                   for source, available in enumerate(triggers)
+                   if available is not None
+                   and distance[source][index] is not None]
+        bound = min(reaches) - 1 if reaches else None
+        elided = trigger is None or bound is not None and trigger > bound
+        assert (index not in grants) == elided
+        if not elided:
+            assert grants[index] == bound
 
 
 @given(coordinator_states(), st.integers(0, 1 << 16))
 @settings(deadline=None, max_examples=400)
 def test_planner_matches_the_replaced_loop(state, shuffle_seed):
-    peeks, pending, distance, _lookahead = state
+    peeks, pending, distance, _cuts = state
     heaps = heaps_of(pending, shuffle_seed)
     expected = reference_round(peeks, pending, distance)
     planned = planned_round(peeks, heaps, distance)
@@ -223,7 +259,9 @@ def test_planner_matches_the_replaced_loop(state, shuffle_seed):
         == [sorted(entries) for entries in pending]
     # An elided worker has nothing due and no local event in its window.
     for index, window in enumerate(windows):
-        if index not in sends:
+        if index not in sends and window is None:
+            assert peeks[index] is None and not pending[index]
+        elif index not in sends:
             assert peeks[index] is None or peeks[index] > window
             assert all(entry[0] > window for entry in pending[index])
 
@@ -244,8 +282,8 @@ def _record_workers(monkeypatch, directory):
 
     def recording_plan(peeks, pending, distance):
         grants = plan(peeks, pending, distance)
-        dump("plan", ((list(peeks), [sorted(heap) for heap in pending]),
-                      grants))
+        dump("plan", ((list(peeks), [sorted(heap) for heap in pending],
+                       distance), grants))
         return grants
 
     def recording_inject(self, envelopes):
@@ -273,14 +311,16 @@ def test_recorded_run_matches_the_replaced_loop(monkeypatch, tmp_path,
     # Every worker plans every round itself, on its mirror of every
     # partition's state; all of them plan what the replaced loop would
     # have (8 messages per CAB give more rounds to check).  On a 4-cube
-    # every flow crosses the cut, so every round has envelopes to file.
+    # every flow crosses the cut, so every round has envelopes to file;
+    # cut four ways, some pairs of partitions no route joins.
     scenario = ScaleoutScenario(f"hypercube-16-m{messages}",
                                 "4-cube, 16 CABs, every flow crosses",
                                 hypercube_fabric(4),
                                 messages_per_cab=messages)
+    paths = flow_paths(scenario.fabric, scenario.flows())
     distance = lookahead_matrix(
-        partition_fabric(scenario.fabric, num_partitions, scenario.flows()),
-        scenario.config())
+        partition_fabric(scenario.fabric, num_partitions, paths),
+        scenario.config(), route_set(paths))
     _record_workers(monkeypatch, tmp_path)
     outcome = run_partitioned(scenario, num_partitions)
     assert outcome.digest == run_single(scenario).digest
@@ -292,7 +332,9 @@ def test_recorded_run_matches_the_replaced_loop(monkeypatch, tmp_path,
     assert len(plans[0]) == outcome.rounds + 1
     injected = [[] for _ in names]
     advances = 0
-    for (peeks, pending), grants in plans[0]:
+    for (peeks, pending, used), grants in plans[0]:
+        # The workers planned on the route-aware matrix built here.
+        assert used == distance
         heaps = heaps_of(pending)
         expected = reference_round(peeks, pending, distance)
         planned = planned_round(peeks, heaps, distance)
@@ -301,9 +343,8 @@ def test_recorded_run_matches_the_replaced_loop(monkeypatch, tmp_path,
             continue
         _windows, sends = expected
         assert planned == sends
-        assert {index: grant for index, grant in enumerate(grants)
-                if grant is not None} \
-            == {index: grant for index, (grant, _due) in sends.items()}
+        assert grants == {index: grant
+                          for index, (grant, _due) in sends.items()}
         for index, (_grant, due) in sends.items():
             injected[index].append(due)
         advances += len(sends)

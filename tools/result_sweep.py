@@ -22,8 +22,10 @@ writes three kinds of cell:
   to the single-process run (digest, and event count when clean);
 * the table cells at seed 1989: ``hotspot`` and ``fault-campaign`` run
   traced (their timelines are the goldens), the three E-COL collective
-  paths and the two E-SCL tori; ``scaleout-torus-64`` also pins its 2-
-  and 4-partition runs' rounds / advances / envelopes exactly.
+  paths, the two E-SCL tori and the 6-cube; ``scaleout-torus-64`` (whose
+  cut no route crosses) and ``scaleout-hypercube-64`` (whose every flow
+  crosses) also pin their 2- and 4-partition runs' rounds / advances /
+  envelopes exactly.
 
 A failed operation exits 1 before anything is written; a ``PARITY`` line
 exits 1 too.  ``--repin`` writes the document at ``PIN_SEEDS`` x
@@ -53,9 +55,11 @@ TABLE_SEED = 1989
 #: The table cells with a golden timeline.
 GOLDEN = ("hotspot", "fault-campaign")
 #: Table cell -> (scale-out scenario, partition counts whose rounds /
-#: advances / envelopes the cell pins).
+#: advances / envelopes the cell pins).  Not tori only: the 6-cube's
+#: cut is crossed by every flow, the torus cuts by none.
 TORI = {"scaleout-torus-64": ("escl-torus-64", (2, 4)),
-        "scaleout-torus-256": ("escl-torus-256", ())}
+        "scaleout-torus-256": ("escl-torus-256", ()),
+        "scaleout-hypercube-64": ("escl-hypercube-64", (2, 4))}
 
 Sweep = dict[str, dict[str, dict[str, Any]]]
 
