@@ -13,6 +13,9 @@ created once (``_on_fire``) instead of per wait, bootstrap/resume carrier
 events come from the simulator's free list via
 :meth:`~repro.sim.engine.Simulator._carrier`, and the single-waiter
 callback representation avoids a list allocation per awaited event.
+A process that ends drops ``_on_fire``, which refers back to it, so a
+dead process is freed by reference count, not by a pass of the cycle
+collector (``tests/test_sim_garbage.py``).
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ class Process(Event):
         self._ok = None
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
-        #: The one bound resume callback reused for every wait.
+        #: The one bound resume callback reused for every wait; dropped
+        #: (``None``) when the process ends.
         self._on_fire = self._resume
         self._waiting_on: Optional[Event] = sim._carrier(
             True, None, self._on_fire)
@@ -113,11 +117,15 @@ class Process(Event):
             # An unhandled interrupt terminates the process quietly with
             # the interrupt cause as its value, mirroring thread kill.
             self._finish(interrupt.cause)
+            # The exception's traceback keeps this frame: drop the local
+            # that leads back to the exception, so no cycle is left.
+            trigger = None
             return
         except BaseException as error:
             if isinstance(error, (KeyboardInterrupt, SystemExit)):
                 raise
             self._crash(error)
+            self = None  # as above: the process now holds the error
             return
         if not isinstance(target, Event):
             self._crash(TypeError(
@@ -143,6 +151,7 @@ class Process(Event):
             self._waiting_on = target
 
     def _finish(self, value: Any) -> None:
+        self._on_fire = None
         if self._cb is None:
             # Nobody is waiting, so completion needs no agenda entry: go
             # straight to processed.  A later ``yield proc``/``add_callback``
@@ -154,6 +163,7 @@ class Process(Event):
             self.succeed(value)
 
     def _crash(self, error: BaseException) -> None:
+        self._on_fire = None
         self._generator.close()
         if self._cb is not None:
             # Someone is waiting on this process: propagate to them.

@@ -5,6 +5,7 @@ Usage::
 
     PYTHONPATH=src python tools/footprint.py torus-256
     PYTHONPATH=src python tools/footprint.py single-hub-12 --top 20
+    PYTHONPATH=src python tools/footprint.py torus-256 --drive
 
 Builds the named topology under ``tracemalloc`` and prints the heap the
 build left behind, grouped by allocating source line (MiB, blocks,
@@ -13,6 +14,15 @@ this is the resident cost of *having* the nodes, which every forked
 scale-out worker inherits.  ``tests/test_footprint.py`` holds the same
 measurement to a budget, so an eagerly built per-node table fails a
 test before it reaches a benchmark.
+
+``--drive`` (fabric topologies only) runs the library's shift traffic
+on the built fabric instead, as the single-process side of the e2e
+``torus-p2`` workload does, and prints what running costs: the traced
+heap peak of the drive, the cycle collector's passes and seconds per
+generation (from ``gc.callbacks``), and, from a second drive with the
+collector off, the cyclic garbage the drive leaves, by type.  It only
+reports; ``tests/test_sim_garbage.py`` holds clean drives to no cyclic
+garbage.
 """
 
 from __future__ import annotations
@@ -21,22 +31,35 @@ import argparse
 import gc
 import os
 import sys
+import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
+from repro.scaleout import ScaleoutScenario, spawn_traffic
 from repro.topology import single_hub_system
-from repro.topology.fabrics import build_system, torus_fabric
+from repro.topology.fabrics import FabricSpec, build_system, torus_fabric
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 MIB = 1024 * 1024
 
+#: The fabric topologies, the ones ``--drive`` can run traffic on.
+FABRICS: dict[str, Callable[[], FabricSpec]] = {
+    "torus-256": lambda: torus_fabric((4, 4, 4, 4)),
+    "torus-1024": lambda: torus_fabric((8, 8, 4, 4)),
+}
+
 #: Named builders: topology -> zero-argument callable returning a system.
 TOPOLOGIES: dict[str, Callable[[], Any]] = {
     "single-hub-12": lambda: single_hub_system(12),
-    "torus-256": lambda: build_system(torus_fabric((4, 4, 4, 4))),
-    "torus-1024": lambda: build_system(torus_fabric((8, 8, 4, 4))),
+    **{name: (lambda fabric=fabric: build_system(fabric()))
+       for name, fabric in FABRICS.items()},
 }
+
+#: Datagrams each CAB sends in a ``--drive``: the e2e ``torus-p2``
+#: workload's count at scale 1.
+DRIVE_MESSAGES = 12
 
 
 class Footprint(NamedTuple):
@@ -107,15 +130,119 @@ def render(name: str, footprint: Footprint, top: int) -> str:
     return "\n".join(out)
 
 
+class DriveCost(NamedTuple):
+    """What one drive of shift traffic cost beyond the build."""
+
+    build_bytes: int
+    peak_bytes: int
+    #: ``(passes, seconds, objects collected)`` per collector generation.
+    collections: tuple[tuple[int, float, int], ...]
+    #: Objects only the cycle collector could free, by type name.
+    garbage: Counter
+
+
+def measure_drive(fabric: Callable[[], FabricSpec]) -> DriveCost:
+    """Run shift traffic on ``fabric`` twice: once under ``tracemalloc``
+    with the collector on, once with it off to list what it would free."""
+    scenario = ScaleoutScenario("footprint-drive", "shift traffic",
+                                fabric(), messages_per_cab=DRIVE_MESSAGES)
+    collections = [[0, 0.0, 0] for _ in range(3)]
+    started = 0.0
+
+    def on_collect(phase: str, info: dict[str, int]) -> None:
+        nonlocal started
+        if phase == "start":
+            started = time.perf_counter()
+            return
+        generation = collections[info["generation"]]
+        generation[0] += 1
+        generation[1] += time.perf_counter() - started
+        generation[2] += info["collected"]
+
+    def shift_traffic(system: Any) -> Any:
+        spawn_traffic(scenario, system)
+        system.run()
+        return system
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        system = build_system(scenario.fabric, scenario.config())
+        build_bytes = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        gc.callbacks.append(on_collect)
+        try:
+            shift_traffic(system)
+        finally:
+            gc.callbacks.remove(on_collect)
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del system
+    garbage = cyclic_garbage(lambda: shift_traffic(
+        build_system(scenario.fabric, scenario.config())))
+    return DriveCost(build_bytes, peak_bytes,
+                     tuple(tuple(row) for row in collections), garbage)
+
+
+def cyclic_garbage(drive: Callable[[], Any]) -> Counter:
+    """Types of the objects only the cycle collector could free after
+    ``drive()``, counted while what ``drive`` returned is still
+    referenced (a discarded system is cyclic garbage of its own)."""
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    try:
+        while gc.collect():
+            pass
+        gc.set_debug(debug | gc.DEBUG_SAVEALL)
+        start = len(gc.garbage)
+        kept = drive()
+        gc.collect()
+        found = Counter(type(obj).__name__ for obj in gc.garbage[start:])
+        del gc.garbage[start:], kept
+        return found
+    finally:
+        gc.set_debug(debug)
+        if enabled:
+            gc.enable()
+
+
+def render_drive(name: str, cost: DriveCost) -> str:
+    out = [f"{name} --drive: {DRIVE_MESSAGES} shift datagrams per CAB, "
+           f"traced heap peak {cost.peak_bytes / MIB:.1f} MiB "
+           f"over a {cost.build_bytes / MIB:.1f} MiB build",
+           f"{'gen':>3}  {'passes':>6}  {'seconds':>7}  {'collected':>9}"]
+    for generation, (passes, seconds, collected) in enumerate(
+            cost.collections):
+        out.append(f"{generation:3d}  {passes:6d}  {seconds:7.3f}  "
+                   f"{collected:9d}")
+    total = sum(cost.garbage.values())
+    out.append(f"cyclic garbage: {total} objects")
+    for kind, count in cost.garbage.most_common():
+        out.append(f"{count:9d}  {kind}")
+    return "\n".join(out)
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         description="per-source-line tracemalloc table of a system build")
     parser.add_argument("topology", choices=sorted(TOPOLOGIES))
     parser.add_argument("--top", type=int, default=12,
                         help="source lines to list (default 12)")
+    parser.add_argument("--drive", action="store_true",
+                        help="run shift traffic on a fabric topology and "
+                             "report heap peak, collector passes and "
+                             "cyclic garbage instead")
     args = parser.parse_args(argv)
-    table = render(args.topology, measure(TOPOLOGIES[args.topology]),
-                   args.top)
+    if args.drive:
+        if args.topology not in FABRICS:
+            parser.error(f"--drive needs a fabric topology: "
+                         f"{', '.join(sorted(FABRICS))}")
+        table = render_drive(args.topology,
+                             measure_drive(FABRICS[args.topology]))
+    else:
+        table = render(args.topology, measure(TOPOLOGIES[args.topology]),
+                       args.top)
     try:
         print(table, flush=True)
     except BrokenPipeError:
