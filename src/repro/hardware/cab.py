@@ -63,15 +63,10 @@ class CabCpu:
         quantum_ns = self.QUANTUM_NS
         while remaining > 0:
             quantum = remaining if remaining < quantum_ns else quantum_ns
-            # The wait for the grant sits inside the ``try`` too: an
-            # interrupted waiter must not leave a grant queued for nobody.
-            request = resource.acquire()
-            try:
-                yield request
-                yield sim.timeout(quantum)
-                self.busy_ns += quantum
-            finally:
-                resource.cancel(request)
+            yield resource.acquire()
+            yield sim.timeout(quantum)
+            self.busy_ns += quantum
+            resource.release()
             remaining -= quantum
 
     def execute_interrupt(self, cost_ns: int):
@@ -81,13 +76,10 @@ class CabCpu:
         total = self.cfg.interrupt_overhead_ns + int(cost_ns)
         if total <= 0:
             return
-        request = self._resource.acquire(priority=True)
-        try:
-            yield request
-            yield self.sim.timeout(total)
-            self.busy_ns += total
-        finally:
-            self._resource.cancel(request)
+        yield self._resource.acquire(priority=True)
+        yield self.sim.timeout(total)
+        self.busy_ns += total
+        self._resource.release()
 
     def stall(self, duration_ns: int):
         """Seize the CPU exclusively for ``duration_ns`` (generator).
@@ -101,13 +93,10 @@ class CabCpu:
         duration = int(duration_ns)
         if duration <= 0:
             return
-        request = self._resource.acquire(priority=True)
-        try:
-            yield request
-            yield self.sim.timeout(duration)
-            self.busy_ns += duration
-        finally:
-            self._resource.cancel(request)
+        yield self._resource.acquire(priority=True)
+        yield self.sim.timeout(duration)
+        self.busy_ns += duration
+        self._resource.release()
 
     def utilization(self, since_ns: int = 0) -> float:
         elapsed = self.sim.now - since_ns

@@ -44,9 +44,6 @@ class CabThread:
         """The completion event (a thread is awaitable)."""
         return self.process
 
-    def interrupt(self, cause: Any = None) -> None:
-        self.process.interrupt(cause)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "alive" if self.is_alive else "done"
         return f"<CabThread {self.name}#{self.thread_id} {state}>"

@@ -2,14 +2,14 @@
 
 Public surface::
 
-    from repro.sim import Simulator, Interrupt, Store, Resource
+    from repro.sim import Simulator, Store, Resource
 
 Time is integer nanoseconds; see :mod:`repro.sim.units`.
 """
 
 from .engine import SimulationError, Simulator
 from .events import AllOf, AnyOf, Condition, Event, Timeout
-from .process import Interrupt, Process, ProcessCrash
+from .process import Process, ProcessCrash
 from .resources import Broadcast, Resource, Store
 from .trace import TraceRecord, Tracer
 from . import units
@@ -20,7 +20,6 @@ __all__ = [
     "Broadcast",
     "Condition",
     "Event",
-    "Interrupt",
     "Process",
     "ProcessCrash",
     "Resource",

@@ -58,17 +58,13 @@ class _Call:
 
     Replaces the pre-triggered ``Event`` + adapter-lambda + callback-list
     allocation trio with a single two-word object.  The drain loop
-    special-cases it; :meth:`Simulator.step` reaches it through
-    ``_run_callbacks`` like any other entry.
+    special-cases it.
     """
 
     __slots__ = ("_fn",)
 
     def __init__(self, fn: Callable[[], None]) -> None:
         self._fn = fn
-
-    def _run_callbacks(self) -> None:
-        self._fn()
 
 
 class Simulator:
@@ -212,8 +208,9 @@ class Simulator:
         return AnyOf(self, events)
 
     def _carrier(self, ok: bool, value: Any,
-                 callback: Callable[[Event], None]) -> Event:
-        """A pre-triggered single-callback event (process resume vehicle)."""
+                 callback: Callable[[Event], None]) -> None:
+        """Schedule a pre-triggered single-callback event at the current
+        instant (the process resume vehicle)."""
         pool = self._event_pool
         event = pool.pop() if pool else Event(self)
         event._ok = ok
@@ -224,7 +221,6 @@ class Simulator:
             run.append(event)
         else:
             self._schedule(self.now, event)
-        return event
 
     def call_at(self, time: int, func: Callable[[], None]) -> None:
         """Run ``func()`` at absolute simulation time ``time``."""
@@ -247,30 +243,6 @@ class Simulator:
         coordinator's per-window lookahead is computed from this.
         """
         return self._times[0] if self._times else None
-
-    def step(self) -> None:
-        """Process exactly one agenda entry: the head of the head cohort.
-
-        Visits entries in exactly :meth:`run` order (without free-list
-        recycling) and raises a pending halt the same way: immediately
-        on entry, whatever the agenda state, consuming it as it does.
-        """
-        if self._halted is not None:
-            self._raise_halt()
-        times = self._times
-        if not times:
-            raise RuntimeError("step() on an empty agenda")
-        time = times[0]
-        bucket = self._buckets[time]
-        event = bucket.pop(0)
-        if not bucket:
-            del self._buckets[time]
-            heappop(times)
-        self.now = self.last_ns = time
-        self.events_processed += 1
-        event._run_callbacks()
-        if self._halted is not None:
-            self._raise_halt()
 
     def run(self, until: Optional[int] = None) -> int:
         """Run until the agenda drains or the clock would pass ``until``.
@@ -360,8 +332,8 @@ class Simulator:
             open_run = self._open_run
             if open_run is not None:
                 # Exceptional exit mid-cohort (halt or a callback raise):
-                # push the unprocessed remainder back so a later run() or
-                # step() resumes exactly where this one stopped.
+                # push the unprocessed remainder back so a later run()
+                # resumes exactly where this one stopped.
                 self._open_run = None
                 rest = open_run[index + 1:]
                 if rest:
@@ -372,19 +344,3 @@ class Simulator:
         if until is not None:
             self.now = until
         return self.now
-
-    def run_process(self, generator: Generator[Event, Any, Any],
-                    name: Optional[str] = None,
-                    until: Optional[int] = None) -> Any:
-        """Convenience: start ``generator``, run, and return its value.
-
-        Raises if the process did not complete within ``until``.
-        """
-        proc = self.process(generator, name=name)
-        self.run(until=until)
-        if not proc.triggered:
-            raise SimulationError(
-                f"process {proc.name!r} did not finish by t={self.now}")
-        if not proc.ok:
-            raise proc.value
-        return proc.value

@@ -11,7 +11,7 @@ internal callback store (``_cb``) is adaptive: ``None`` while no callback
 is registered, a bare callable for the overwhelmingly common single-waiter
 case, and a list only once a second waiter appears.  A dedicated
 ``_PROCESSED`` sentinel marks the post-callback state (the public
-:attr:`Event.processed` / :attr:`Event.callbacks` views are unchanged).
+:attr:`Event.processed` view).
 Triggering appends the event to its timestamp's cohort list in the
 simulator's calendar-queue agenda — appends happen in scheduling order,
 so the cohort list *is* the classic ``(time, seq)`` FIFO order, with no
@@ -51,22 +51,6 @@ class Event:
         self._cb: Any = None
         self._value: Any = PENDING
         self._ok: Optional[bool] = None
-
-    @property
-    def callbacks(self) -> Optional[list[Callable[["Event"], None]]]:
-        """Snapshot of the registered callbacks (None once processed).
-
-        Diagnostic view only — register through :meth:`add_callback`;
-        mutating the returned list has no effect.
-        """
-        cb = self._cb
-        if cb is _PROCESSED:
-            return None
-        if cb is None:
-            return []
-        if type(cb) is list:
-            return list(cb)
-        return [cb]
 
     @property
     def triggered(self) -> bool:
@@ -144,28 +128,6 @@ class Event:
         else:
             self._cb = [cb, callback]
 
-    def remove_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Remove a previously added callback (no-op if absent)."""
-        cb = self._cb
-        if type(cb) is list:
-            try:
-                cb.remove(callback)
-            except ValueError:
-                pass
-        elif cb is not None and cb is not _PROCESSED and cb == callback:
-            self._cb = None
-
-    def _run_callbacks(self) -> None:
-        cb = self._cb
-        self._cb = _PROCESSED
-        if cb is None:
-            return
-        if type(cb) is list:
-            for callback in cb:
-                callback(self)
-        else:
-            cb(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")
@@ -237,11 +199,16 @@ class Condition(Event):
             return
         if not event._ok:
             self.fail(event._value)
+            self.events = ()
             return
         self._pending_count -= 1
         fired = len(self.events) - self._pending_count
         if self._satisfied(fired, len(self.events)):
             self.succeed(self._collect())
+            # A sub-event that never fires keeps ``_check`` and so this
+            # condition; dropping the sub-events breaks that cycle, and
+            # nothing reads them once the condition has fired.
+            self.events = ()
 
     def _collect(self) -> dict[Event, Any]:
         return {

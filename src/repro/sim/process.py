@@ -16,6 +16,11 @@ callback representation avoids a list allocation per awaited event.
 A process that ends drops ``_on_fire``, which refers back to it, so a
 dead process is freed by reference count, not by a pass of the cycle
 collector (``tests/test_sim_garbage.py``).
+
+A process ends one way only: its generator returns or raises.  Nothing
+interrupts or kills it from outside, as nothing does to a CAB kernel
+thread (§6.1); a hardware interrupt is CPU work, not a process signal
+(:meth:`~repro.hardware.cab.CabCpu.execute_interrupt`).
 """
 
 from __future__ import annotations
@@ -26,20 +31,6 @@ from .events import PENDING, _PROCESSED, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Simulator
-
-
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it.
-
-    The CAB kernel uses interrupts the way the hardware does: to pull a
-    thread out of a wait when a higher-level event (packet arrival, timer)
-    demands attention.
-    """
-
-    @property
-    def cause(self) -> Any:
-        """The value passed to :meth:`Process.interrupt`."""
-        return self.args[0] if self.args else None
 
 
 class ProcessCrash(Exception):
@@ -58,7 +49,7 @@ class Process(Event):
     the generator raises.
     """
 
-    __slots__ = ("name", "_generator", "_waiting_on", "_on_fire")
+    __slots__ = ("name", "_generator", "_on_fire")
 
     def __init__(self, sim: "Simulator",
                  generator: Generator[Event, Any, Any],
@@ -75,36 +66,15 @@ class Process(Event):
         #: The one bound resume callback reused for every wait; dropped
         #: (``None``) when the process ends.
         self._on_fire = self._resume
-        self._waiting_on: Optional[Event] = sim._carrier(
-            True, None, self._on_fire)
+        sim._carrier(True, None, self._on_fire)
 
     @property
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield.
-
-        Interrupting a finished process is an error.  The interrupt is an
-        ordinary agenda entry at the current instant: it takes its FIFO
-        turn behind whatever that instant already holds, and supersedes
-        the wake-up the process was waiting for, even one already
-        triggered.
-        """
-        if self._value is not PENDING:
-            raise RuntimeError(f"cannot interrupt finished process {self.name}")
-        target = self._waiting_on
-        if target is not None and target._cb is not _PROCESSED:
-            target.remove_callback(self._on_fire)
-        self._waiting_on = self.sim._carrier(
-            False, Interrupt(cause), self._on_fire)
-
     def _resume(self, trigger: Event) -> None:
-        if self._value is not PENDING:
-            return
         sim = self.sim
-        self._waiting_on = None
         try:
             if trigger._ok:
                 target = self._generator.send(trigger._value)
@@ -113,19 +83,14 @@ class Process(Event):
         except StopIteration as stop:
             self._finish(stop.value)
             return
-        except Interrupt as interrupt:
-            # An unhandled interrupt terminates the process quietly with
-            # the interrupt cause as its value, mirroring thread kill.
-            self._finish(interrupt.cause)
-            # The exception's traceback keeps this frame: drop the local
-            # that leads back to the exception, so no cycle is left.
-            trigger = None
-            return
         except BaseException as error:
             if isinstance(error, (KeyboardInterrupt, SystemExit)):
                 raise
             self._crash(error)
-            self = None  # as above: the process now holds the error
+            # The exception's traceback keeps this frame: drop the local
+            # that leads back to the process, which now holds the error,
+            # so no cycle is left.
+            self = None
             return
         if not isinstance(target, Event):
             self._crash(TypeError(
@@ -137,9 +102,9 @@ class Process(Event):
             return
         cb = target._cb
         if cb is _PROCESSED:
-            # Already-processed events resume the process on the next step.
-            self._waiting_on = sim._carrier(
-                target._ok, target._value, self._on_fire)
+            # An already-processed event resumes the process in an agenda
+            # entry of its own at the current instant.
+            sim._carrier(target._ok, target._value, self._on_fire)
         else:
             # Inlined Event.add_callback (the target is not processed).
             if cb is None:
@@ -148,7 +113,6 @@ class Process(Event):
                 cb.append(self._on_fire)
             else:
                 target._cb = [cb, self._on_fire]
-            self._waiting_on = target
 
     def _finish(self, value: Any) -> None:
         self._on_fire = None

@@ -172,19 +172,6 @@ class Resource:
         else:
             self.in_use -= 1
 
-    def cancel(self, request: Event) -> None:
-        """Give back what an ``acquire()`` event holds, granted or not.
-
-        A granted request releases its slot; a request still queued just
-        leaves the queue.  Holders whose wait can be interrupted end in
-        ``finally: resource.cancel(request)``, so an interrupted waiter
-        never leaves a grant queued for nobody.
-        """
-        if request.triggered:
-            self.release()
-        else:
-            self._waiters.remove(request)
-
 
 class Broadcast:
     """A repeating signal: every ``fire`` wakes all current waiters.

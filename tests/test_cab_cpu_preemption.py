@@ -154,32 +154,3 @@ class TestCabReceiveBacklog:
         cab = CabBoard(sim, "cab", cfg.cab, cfg.fiber)
         cab.deliver(Reply(seq=999, ok=True, hub_id="h"), 3)
         assert cab.counters["stray_replies"] == 1
-
-
-class TestInterruptedWaiter:
-    def test_interrupting_a_queued_thread_leaves_the_cpu_usable(self):
-        """A thread interrupted while it waits for the CPU withdraws its
-        request; the next release must not hand the CPU to nobody."""
-        from repro.topology import single_hub_system
-        system = single_hub_system(2)
-        stack = system.cab("cab0")
-        kernel, sim = stack.kernel, system.sim
-        finished = {}
-
-        def worker(tag, cost_ns, delay_ns=0):
-            if delay_ns:
-                yield sim.timeout(delay_ns)
-            yield from kernel.compute(cost_ns)
-            finished[tag] = sim.now
-
-        stack.spawn(worker("long", 50_000))
-        queued = stack.spawn(worker("queued", 5_000))
-        stack.spawn(worker("late", 1_000, delay_ns=20_000))
-
-        def interrupter():
-            yield sim.timeout(5_000)
-            queued.interrupt("cancelled")
-        sim.process(interrupter())
-        system.run(until=1_000_000)
-        assert set(finished) == {"long", "late"}
-        assert stack.board.cpu._resource.in_use == 0

@@ -2,17 +2,17 @@
 
 The agenda is a dict of same-timestamp cohorts plus an integer heap over
 the distinct timestamps, one FIFO lane.  These tests pin cohort FIFO,
-timers far beyond anything else pending, interrupt delivery and
-raise-mid-cohort resume, and a randomized differential test replays the
-same schedule through the *old* heap ordering (kept here as a reference
-implementation) asserting the pop order is identical.
+timers far beyond anything else pending and raise-mid-cohort resume,
+and a randomized differential test replays the same schedule through
+the *old* heap ordering (kept here as a reference implementation)
+asserting the pop order is identical.
 """
 
 import random
 
 import pytest
 
-from repro.sim import Interrupt, Simulator
+from repro.sim import Simulator
 from repro.sim.engine import _Call
 
 #: A delay far past every per-hop delay of the model (watchdogs, RTOs).
@@ -63,61 +63,6 @@ class TestFarTimers:
             (3, 3 * FAR + 3), ("near", 3 * FAR + 8)]
 
 
-class TestInterruptDelivery:
-    def test_interrupt_takes_its_fifo_turn(self, sim):
-        """Process.interrupt posts an ordinary agenda entry: work already
-        scheduled at that instant runs before the interrupted process."""
-        order = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(1000)
-                order.append("slept")
-            except Interrupt:
-                order.append("interrupted")
-
-        proc = sim.process(sleeper())
-
-        def poker():
-            yield sim.timeout(50)
-            sim.call_at(50, lambda: order.append("same-tick"))
-            proc.interrupt("wake")
-
-        sim.process(poker())
-        sim.run()
-        assert order == ["same-tick", "interrupted"]
-        assert sim.now == 1000
-
-    def test_interrupt_supersedes_wakeup_already_in_cohort(self, sim):
-        """The awaited event has been triggered, and sits in the open
-        cohort ahead of the interrupt, when the interrupt is posted: the
-        process must see Interrupt, not the wake-up value, and the
-        superseded wake-up must leave no callback behind."""
-        gate = sim.event()
-        seen = []
-
-        def waiter():
-            try:
-                seen.append((yield gate))
-            except Interrupt as interrupt:
-                seen.append(interrupt.cause)
-            seen.append((yield sim.timeout(10, "later")))
-
-        proc = sim.process(waiter())
-
-        def poker():
-            gate.succeed("wake-up")
-            proc.interrupt("cause")
-
-        sim.call_at(50, poker)
-        sim.run()
-        assert seen == ["cause", "later"]
-        assert gate.processed and proc.processed
-        assert sim.now == 60
-        assert sim.run() == 60 and sim.peek() is None
-        assert seen == ["cause", "later"]
-
-
 class TestCohortFifo:
     def test_interleaved_call_at_timeout_succeed_fifo(self, sim):
         """Mixed entry kinds at one timestamp fire in scheduling order."""
@@ -150,31 +95,11 @@ class TestCohortFifo:
         assert order == [0, 1, 2, 3, 4, 5]
         assert sim.now == 10
 
-    def test_step_matches_run_order(self):
-        """Single-stepping must visit events in exactly run() order."""
-        def build(record):
-            sim = Simulator()
-            for tag in range(3):
-                sim.call_at(20, lambda t=tag: record.append(("a", t)))
-            sim.call_at(10, lambda: record.append(("b", 0)))
-            sim.timeout(20).add_callback(lambda ev: record.append(("c", 0)))
-            sim._carrier(True, None, lambda ev: record.append(("d", 0)))
-            return sim
-
-        via_run = []
-        build(via_run).run()
-        via_step = []
-        stepper = build(via_step)
-        while stepper.peek() is not None:
-            stepper.step()
-        assert via_step == via_run
-
-
 class TestRaiseMidCohort:
-    def test_step_resumes_after_a_raising_callback(self, sim):
+    def test_run_resumes_after_a_raising_callback(self, sim):
         """A callback that raises out of run() mid-cohort leaves the
         unprocessed remainder on the agenda, each pending timestamp on
-        the heap exactly once, for step() (or run()) to pick up."""
+        the heap exactly once, for the next run() to pick up."""
         order = []
 
         def boom():
@@ -189,10 +114,9 @@ class TestRaiseMidCohort:
             sim.run()
         assert order == ["before"]
         assert sorted(sim._times) == sorted(sim._buckets) == [10, 20]
-        sim.step()
-        assert order == ["before", "after-1"] and sim.now == 10
         sim.run()
         assert order == ["before", "after-1", "after-2", "later"]
+        assert sim.now == 20 and sim.peek() is None
 
 
 class _HeapReference:

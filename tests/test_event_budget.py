@@ -28,7 +28,10 @@ ONE_DATAGRAM_ENTRIES = 43
 #: Opcodes executed in ``src/repro`` frames for the same scene, spawns
 #: included (CPython 3.11).  13 646 before a finished process dropped its
 #: bound resume: three opcodes for each of the scene's six processes.
-ONE_DATAGRAM_OPCODES = 13_664
+#: 13 664 before the interrupt path went: ``repro.sim`` 8 815 -> 8 346
+#: (no ``_waiting_on`` stores, no finished-process guard per resume),
+#: ``repro.hardware`` 2 902 -> 2 863 (no ``try/finally`` per CPU grant).
+ONE_DATAGRAM_OPCODES = 13_156
 
 
 def one_datagram(drive=lambda run: run(), size=64, mode="auto"):

@@ -64,19 +64,6 @@ class TestThreads:
         with pytest.raises(SimulationError):
             stack.sim.run()
 
-    def test_interrupt_thread(self, stack):
-        from repro.sim import Interrupt
-
-        def body():
-            try:
-                yield from stack.kernel.sleep(1_000_000)
-            except Interrupt as stop:
-                return stop.cause
-        thread = stack.spawn(body())
-        stack.sim.call_at(100, lambda: thread.interrupt("shutdown"))
-        stack.sim.run()
-        assert thread.done.value == "shutdown"
-
     def test_switch_counter(self, stack):
         def body():
             for _ in range(3):

@@ -47,11 +47,6 @@ class TestClock:
         sim.run()
         assert sim.now == 500
 
-    def test_step_on_empty_agenda_raises(self, sim):
-        with pytest.raises(RuntimeError):
-            sim.step()
-
-
 class TestEventOrdering:
     def test_same_time_fifo(self, sim):
         order = []
@@ -112,72 +107,6 @@ class TestEvents:
         seen = []
         event.add_callback(lambda ev: seen.append(ev.value))
         assert seen == ["x"]
-
-    def test_remove_callback(self, sim):
-        event = sim.event()
-        seen = []
-        cb = lambda ev: seen.append(1)
-        event.add_callback(cb)
-        event.remove_callback(cb)
-        event.succeed()
-        sim.run()
-        assert seen == []
-
-    def test_remove_callback_absent_is_noop(self, sim):
-        """Removing a never-added callback must not disturb the others."""
-        event = sim.event()
-        seen = []
-        event.add_callback(lambda ev: seen.append("kept"))
-        event.remove_callback(lambda ev: seen.append("other"))
-        event.succeed()
-        sim.run()
-        assert seen == ["kept"]
-
-    def test_remove_callback_with_none_registered(self, sim):
-        event = sim.event()
-        event.remove_callback(lambda ev: None)  # must not raise
-        event.succeed()
-        sim.run()
-        assert event.processed
-
-    def test_remove_callback_after_processed_is_noop(self, sim):
-        event = sim.event()
-        cb = lambda ev: None
-        event.add_callback(cb)
-        event.succeed()
-        sim.run()
-        event.remove_callback(cb)  # must not raise
-        assert event.processed
-
-    def test_remove_one_of_several_callbacks(self, sim):
-        event = sim.event()
-        seen = []
-        keep = lambda ev: seen.append("keep")
-        drop = lambda ev: seen.append("drop")
-        event.add_callback(keep)
-        event.add_callback(drop)
-        event.remove_callback(drop)
-        event.succeed()
-        sim.run()
-        assert seen == ["keep"]
-
-    def test_remove_equal_bound_method(self, sim):
-        """Bound methods compare by equality, not identity — a fresh
-        ``obj.method`` reference must still remove the registration."""
-        class Waiter:
-            def __init__(self):
-                self.calls = 0
-
-            def on_event(self, event):
-                self.calls += 1
-
-        waiter = Waiter()
-        event = sim.event()
-        event.add_callback(waiter.on_event)
-        event.remove_callback(waiter.on_event)
-        event.succeed()
-        sim.run()
-        assert waiter.calls == 0
 
     def test_negative_timeout_raises(self, sim):
         with pytest.raises(ValueError):
@@ -267,15 +196,6 @@ class TestHaltDelivery:
         sim._halt(RuntimeError("stored"))
         with pytest.raises(SimulationError, match="stored"):
             sim.run()
-
-    def test_step_and_run_agree_on_pending_halt(self):
-        """step() and run() must behave identically: both raise a
-        pending halt immediately, whatever the agenda state."""
-        for method in ("run", "step"):
-            sim = Simulator()
-            sim._halt(RuntimeError("stored"))
-            with pytest.raises(SimulationError, match="stored"):
-                getattr(sim, method)()
 
     def test_halt_is_one_shot(self, sim):
         """Raising the halt consumes it; the simulation can continue."""
@@ -379,12 +299,6 @@ class TestConditions:
 
 
 class TestRunProcess:
-    def test_returns_process_value(self, sim):
-        def body():
-            yield sim.timeout(10)
-            return "finished"
-        assert sim.run_process(body()) == "finished"
-
     def test_raises_process_error(self, sim):
         def body():
             yield sim.timeout(10)
@@ -395,9 +309,3 @@ class TestRunProcess:
         sim.run()
         assert not proc.ok
         assert isinstance(proc.value, ValueError)
-
-    def test_incomplete_until_raises(self, sim):
-        def body():
-            yield sim.timeout(10_000)
-        with pytest.raises(SimulationError):
-            sim.run_process(body(), until=100)

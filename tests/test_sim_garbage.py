@@ -6,23 +6,25 @@ counting frees the process, its generator and its frame as soon as the
 last reference goes.  A per-packet process (a HUB port drain, a crossbar
 branch, a transport receive handler) that ends inside a cycle instead
 waits for the cycle collector, and dead processes pile up between its
-passes.  A process ended by an exception (one it raised into a waiter,
-or an unhandled ``interrupt()``) is freed the same way: its resume drops
-the local through which the exception's traceback would lead back to it.
+passes.  A process ended by an exception it raised into a waiter is
+freed the same way: its resume drops the local through which the
+exception's traceback would lead back to it.
 
 Each test drives one scene through ``tools/footprint.py``'s census: the
 collector off and ``gc.DEBUG_SAVEALL`` set, the scene's own objects (the
 system, the workload) kept alive, and a collection that must then find
 nothing.
 
-One cycle is known to remain: an ``any_of`` whose event never fires,
-such as the response of an RPC whose request a faulted link lost.  The
-condition holds the event and the event holds the condition's callback,
-so the pair goes only when the collector runs.  Faulted scenes therefore
-stay out of this guard.  (An exception also keeps, through the frames it
-passed, the simulator's ``run`` frame: a process that fails into a
-waiter as the very last entry one ``run()`` processes stays in a cycle
-with that frame's locals.)
+A condition drops its sub-events once it fires, so an ``any_of`` whose
+other event never fires (the response to a request a faulted link lost,
+beside its deadline) is freed too: the unfired event still holds the
+condition's callback, but the condition no longer holds the event.
+Faulted scenes are guarded like clean ones.
+
+One cycle is known to remain, off every drive's path: an exception
+keeps, through the frames it passed, the simulator's ``run`` frame, so
+a process that fails into a waiter as the very last entry one ``run()``
+processes stays in a cycle with that frame's locals.
 """
 
 import random
@@ -33,9 +35,10 @@ import test_scaleout_cuts
 from test_event_budget import one_datagram
 
 from repro.config import NectarConfig
+from repro.faults import build_campaign
 from repro.scaleout import PartitionSystem, ScaleoutScenario
 from repro.sim import units
-from repro.topology import single_hub_system
+from repro.topology import dual_link_system, single_hub_system
 from repro.topology.fabrics import torus_fabric
 from repro.workload import Workload
 
@@ -91,10 +94,9 @@ def test_a_random_cut_of_the_small_torus_leaves_no_cycle(cyclic_garbage,
     assert len(systems) == 3
 
 
-def test_returned_raised_and_interrupted_processes_leave_no_cycle(
-        cyclic_garbage, sim):
+def test_returned_and_raised_processes_leave_no_cycle(cyclic_garbage, sim):
     def returns():
-        yield sim.timeout(1)
+        yield sim.timeout(5)
         return 7
 
     def raises():
@@ -107,15 +109,45 @@ def test_returned_raised_and_interrupted_processes_leave_no_cycle(
         except ValueError:
             return "caught"
 
-    def sleeper():
-        yield sim.timeout(100)
-
     def drive():
+        # The returning process ends last: an exception in the very last
+        # entry of a run() is the one cycle the docstring names.
         done = [sim.process(returns()), sim.process(waiter())]
-        victim = sim.process(sleeper())
-        sim.call_at(5, lambda: victim.interrupt("stop"))
         sim.run()
         assert [proc.value for proc in done] == [7, "caught"]
-        assert victim.value == "stop"
-        return done, victim
+        return done
+    assert cyclic_garbage(drive) == Counter()
+
+
+def test_an_any_of_whose_other_event_never_fires_leaves_no_cycle(
+        cyclic_garbage, sim):
+    def waiter():
+        fired = yield sim.any_of([sim.event(), sim.timeout(10, "deadline")])
+        return list(fired.values())
+
+    def drive():
+        waiters = [sim.process(waiter()) for _ in range(100)]
+        sim.run()
+        assert all(proc.value == ["deadline"] for proc in waiters)
+        return waiters
+    assert cyclic_garbage(drive) == Counter()
+
+
+def test_closed_loop_rpcs_through_a_drop_burst_leave_no_cycle(
+        cyclic_garbage):
+    def drive():
+        system = dual_link_system(2, cfg=NectarConfig(seed=1989))
+        system.enable_resilience()
+        injector = system.inject_faults(build_campaign(
+            "drop-burst", system.cfg, bursts=2, drop=0.5,
+            duration_ns=units.ms(0.3), horizon_ns=units.ms(1)))
+        workload = Workload(system, pattern="all-to-all", arrivals="poisson",
+                            mode="closed", message_bytes=256,
+                            offered_load=0.2, window_depth=2,
+                            warmup_ns=units.ms(0.2), duration_ns=units.ms(1),
+                            drain_ns=units.ms(18), salt="garbage")
+        result = workload.run()
+        assert result.recorder.delivered > 0
+        assert injector.counters["injected"] == 2
+        return system, workload
     assert cyclic_garbage(drive) == Counter()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Event, Interrupt, SimulationError, Simulator
+from repro.sim import Event, SimulationError, Simulator
 
 
 class TestBasics:
@@ -85,65 +85,6 @@ class TestBasics:
         assert proc.value == "caught kaboom"
 
 
-class TestInterrupts:
-    def test_interrupt_delivers_cause(self, sim):
-        def body():
-            try:
-                yield sim.timeout(1_000_000)
-            except Interrupt as interrupt:
-                return ("interrupted", interrupt.cause, sim.now)
-        proc = sim.process(body())
-        sim.call_at(500, lambda: proc.interrupt("stop now"))
-        sim.run()
-        assert proc.value == ("interrupted", "stop now", 500)
-
-    def test_unhandled_interrupt_terminates_quietly(self, sim):
-        def body():
-            yield sim.timeout(1_000_000)
-        proc = sim.process(body())
-        sim.call_at(100, lambda: proc.interrupt("killed"))
-        sim.run()
-        assert proc.triggered
-        assert proc.value == "killed"
-
-    def test_interrupt_finished_process_raises(self, sim):
-        def body():
-            yield sim.timeout(1)
-        proc = sim.process(body())
-        sim.run()
-        with pytest.raises(RuntimeError):
-            proc.interrupt()
-
-    def test_interrupted_process_can_keep_running(self, sim):
-        def body():
-            try:
-                yield sim.timeout(10_000)
-            except Interrupt:
-                pass
-            yield sim.timeout(100)
-            return sim.now
-        proc = sim.process(body())
-        sim.call_at(50, lambda: proc.interrupt())
-        sim.run()
-        assert proc.value == 150
-
-    def test_interrupt_removes_stale_wait(self, sim):
-        gate = sim.event()
-
-        def body():
-            try:
-                yield gate
-            except Interrupt:
-                return "out"
-        proc = sim.process(body())
-        sim.call_at(10, lambda: proc.interrupt())
-        sim.run()
-        assert proc.value == "out"
-        # The gate can still fire without resuming the dead process.
-        gate.succeed()
-        sim.run()
-
-
 class TestCrashes:
     def test_unobserved_crash_halts_simulation(self, sim):
         def body():
@@ -185,7 +126,7 @@ class TestUnobservedCompletion:
         # Bootstrap carrier + the timeout: no third, no-op entry.
         assert sim.events_processed == 2
         assert proc.processed and proc.ok and proc.value == "done"
-        assert not proc.is_alive and proc.callbacks is None
+        assert not proc.is_alive
 
     def test_observed_completion_still_fires_in_agenda_order(self, sim):
         seen = []
@@ -211,15 +152,6 @@ class TestUnobservedCompletion:
         sim.process(late_waiter())
         sim.run()
         assert got == [42, 42, 42]
-
-    def test_interrupt_killed_process_is_finished_in_place(self, sim):
-        def sleeper():
-            yield sim.timeout(1_000)
-        proc = sim.process(sleeper())
-        sim.run(until=10)
-        proc.interrupt("stop")
-        sim.run()
-        assert proc.processed and proc.value == "stop"
 
     def test_unobserved_crash_halts_and_still_delivers_the_failure(self, sim):
         def body():

@@ -128,20 +128,6 @@ class TestResource:
         sim.run()
         assert resource.available == 2
 
-    def test_cancel_withdraws_a_queued_request_and_releases_a_granted_one(
-            self, sim):
-        resource = Resource(sim)
-        held = resource.acquire()
-        queued = resource.acquire()
-        last = resource.acquire()
-        resource.cancel(queued)          # still waiting: leaves the queue
-        assert resource.in_use == 1 and not queued.triggered
-        resource.cancel(held)            # granted: the slot passes on
-        assert last.triggered and resource.in_use == 1
-        resource.cancel(last)
-        assert resource.available == 1
-
-
 class TestBroadcast:
     def test_fire_wakes_all_waiters(self, sim):
         signal = Broadcast(sim)
