@@ -46,8 +46,8 @@ class Hub:
         # are touched on every hop, so the hot sites (packet delivery,
         # output-register claim, controller test-opens) do index stores/
         # loads on these lists instead of attribute chases through the
-        # port objects; :class:`HubPort` exposes property views for
-        # compatibility and diagnostics.
+        # port objects.  These arrays are the only view: :class:`HubPort`
+        # keeps no copy of them.
         self.ready_bits: list[bool] = [True] * cfg.num_ports
         self.queue_depths: list[int] = [0] * cfg.num_ports
         self.max_queue_depths: list[int] = [0] * cfg.num_ports

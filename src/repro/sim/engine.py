@@ -22,10 +22,9 @@ Hot-path design (see ``docs/PERFORMANCE.md`` for the full story):
   every ``succeed``/``fail``, every process-resume carrier — are a
   single ``list.append``; the heap is touched only when a *new* future
   timestamp first appears.
-* Processed :class:`Timeout`/:class:`Event` objects that nothing else
-  references (checked via ``sys.getrefcount``) are recycled on free
-  lists, eliminating the dominant allocation of every fiber
-  serialization, DMA transfer, VME cycle, and kernel timer.
+* Every :class:`Timeout` and :class:`Event` is a plain allocation:
+  the engine keeps no free list, and a processed event is freed by
+  reference count once the last holder lets it go.
 * :meth:`Simulator.call_at` schedules a featherweight callable wrapper
   instead of a throwaway ``Event`` + lambda pair.
 """
@@ -33,20 +32,10 @@ Hot-path design (see ``docs/PERFORMANCE.md`` for the full story):
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from sys import getrefcount
 from typing import Any, Callable, Generator, Optional
 
-from .events import PENDING, _PROCESSED, AllOf, AnyOf, Event, Timeout
+from .events import _PROCESSED, AllOf, AnyOf, Event, Timeout
 from .process import Process
-
-#: Free lists never grow past this many parked objects; beyond it the
-#: simulation's live-event population, not the pool, bounds memory.
-_POOL_LIMIT = 2048
-
-#: A processed event recycled from the cohort drain loop is referenced by
-#: the cohort list it still sits in (cohorts are scanned, not popped),
-#: the loop local, and ``getrefcount``'s own argument.
-_UNREFERENCED_COHORT = 3
 
 
 class SimulationError(Exception):
@@ -106,8 +95,6 @@ class Simulator:
         #: Timestamp of the last agenda entry processed (0 before any):
         #: ``now`` unless a bounded :meth:`run` moved the clock past it.
         self.last_ns: int = 0
-        self._timeout_pool: list[Timeout] = []
-        self._event_pool: list[Event] = []
 
     # ------------------------------------------------------------------
     # clock and agenda
@@ -117,8 +104,8 @@ class Simulator:
         """Place ``item`` on the agenda at ``time``.
 
         Internal: callers guarantee ``time >= self.now``.  The hot
-        scheduling sites (``Event.succeed``, ``Timeout``, the timeout
-        free-list path) inline this dance; everything else lands here.
+        scheduling sites (``Event.succeed``, ``Timeout``) inline this
+        dance; everything else lands here.
         """
         if time == self.now:
             run = self._open_run
@@ -149,49 +136,15 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def event(self) -> Event:
-        """A fresh untriggered event (drawn from the free list if possible)."""
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event._value = PENDING
-            event._ok = None
-            return event
+        """A fresh untriggered event."""
         return Event(self)
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
         """An event that fires ``delay`` ticks from now with ``value``."""
         if type(delay) is not int:
-            # One authoritative coercion for *both* the free-list and
-            # fresh-allocation paths (int() truncation toward zero, as
-            # documented).  Before this lived here, a float delay was
-            # truncated on the pool-miss path but shunted past the pool
-            # on hits — the same call site could round differently
-            # depending on pool state.
+            # int() truncation toward zero, as documented; Timeout
+            # validates the result.
             delay = int(delay)
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                # Mirror Timeout.__init__'s authoritative check (pinned
-                # by tests) so pool hits validate identically.
-                raise ValueError(f"negative timeout delay {delay}")
-            timeout = pool.pop()
-            timeout.delay = delay
-            timeout._ok = True
-            timeout._value = value
-            if delay == 0:
-                run = self._open_run
-                if run is not None:
-                    run.append(timeout)
-                    return timeout
-            time = self.now + delay
-            buckets = self._buckets
-            bucket = buckets.get(time)
-            if bucket is not None:
-                bucket.append(timeout)
-            else:
-                buckets[time] = [timeout]
-                heappush(self._times, time)
-            return timeout
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator[Event, Any, Any],
@@ -211,8 +164,7 @@ class Simulator:
                  callback: Callable[[Event], None]) -> None:
         """Schedule a pre-triggered single-callback event at the current
         instant (the process resume vehicle)."""
-        pool = self._event_pool
-        event = pool.pop() if pool else Event(self)
+        event = Event(self)
         event._ok = ok
         event._value = value
         event._cb = callback
@@ -262,9 +214,6 @@ class Simulator:
         limit: Any = float("inf") if until is None else until
         buckets = self._buckets
         times = self._times
-        refcount = getrefcount
-        timeout_pool = self._timeout_pool
-        event_pool = self._event_pool
         processed = 0
         time = self.now
         run_list: list[Any] = []
@@ -276,39 +225,14 @@ class Simulator:
                     break
                 heappop(times)
                 run_list = buckets.pop(time)
-                index = -1
                 self.now = time
                 self._open_run = run_list
                 # The cohort scan: run_list may grow while scanned (events
                 # scheduled at this instant append to it); the list
-                # iterator picks the new entries up in FIFO order.  The
-                # index is counted by hand — enumerate() would work, but
-                # its reused result tuple pins an extra reference to the
-                # current event and defeats the refcount recycling check.
-                # Branches are ordered by frequency: Timeout dominates
-                # every hardware model, then plain Events, then _Call
-                # wrappers.  Recycling (the two exact-class branches)
-                # only fires when nothing else can see the object;
-                # subclasses like Process/Condition carry extra state
-                # and stay out.
-                for event in run_list:
-                    index += 1
+                # iterator picks the new entries up in FIFO order.
+                for index, event in enumerate(run_list):
                     processed += 1
-                    cls = event.__class__
-                    if cls is Timeout:
-                        cb = event._cb
-                        event._cb = _PROCESSED
-                        if cb is not None:
-                            if type(cb) is list:
-                                for callback in cb:
-                                    callback(event)
-                            else:
-                                cb(event)
-                        if len(timeout_pool) < _POOL_LIMIT \
-                                and refcount(event) == _UNREFERENCED_COHORT:
-                            event._cb = None
-                            timeout_pool.append(event)
-                    elif cls is _Call:
+                    if event.__class__ is _Call:
                         event._fn()
                     else:
                         cb = event._cb
@@ -319,11 +243,6 @@ class Simulator:
                                     callback(event)
                             else:
                                 cb(event)
-                        if cls is Event \
-                                and len(event_pool) < _POOL_LIMIT \
-                                and refcount(event) == _UNREFERENCED_COHORT:
-                            event._cb = None
-                            event_pool.append(event)
                     if self._halted is not None:
                         self._raise_halt()
                 self._open_run = None
@@ -339,6 +258,10 @@ class Simulator:
                 if rest:
                     buckets[time] = rest
                     heappush(times, time)
+            # An exception a process failed into a waiter keeps, through
+            # its traceback, this frame: drop the locals that lead back
+            # to the process, so no cycle is left.
+            event = cb = callback = run_list = None
         if processed:
             self.last_ns = self.now
         if until is not None:

@@ -138,9 +138,8 @@ class Timeout(Event):
     """An event that fires after a fixed delay.
 
     The single authoritative negative-delay check lives here (the agenda
-    itself trusts its callers), and the engine keeps a free list of
-    processed, unreferenced Timeouts — see
-    :meth:`repro.sim.engine.Simulator.timeout`.
+    itself trusts its callers); :meth:`repro.sim.engine.Simulator.timeout`
+    coerces the delay to ``int`` and constructs one.
     """
 
     __slots__ = ("delay",)

@@ -9,9 +9,9 @@ on each other.
 
 Hot-path notes: a process resumes once per yield, so :meth:`Process._resume`
 is one of the engine's hottest functions.  The bound resume method is
-created once (``_on_fire``) instead of per wait, bootstrap/resume carrier
-events come from the simulator's free list via
-:meth:`~repro.sim.engine.Simulator._carrier`, and the single-waiter
+created once (``_on_fire``) instead of per wait, a bootstrap/resume
+carrier is one plain pre-triggered event
+(:meth:`~repro.sim.engine.Simulator._carrier`), and the single-waiter
 callback representation avoids a list allocation per awaited event.
 A process that ends drops ``_on_fire``, which refers back to it, so a
 dead process is freed by reference count, not by a pass of the cycle

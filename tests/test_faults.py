@@ -142,6 +142,28 @@ class TestInjector:
             assert fiber.fault_corrupt == 0.0
             assert not fiber.fault_down
 
+    def test_port_flap_loses_nothing_and_reenables_every_port(self):
+        """Supervisor disable/enable through the HUB controller: packets
+        reaching the disabled port are dropped and retransmitted, and
+        the port is ready again once the campaign has reverted."""
+        system = fresh()
+        injector = system.inject_faults(
+            build_campaign("port-flap", system.cfg))
+        result = Workload(system, pattern="uniform", arrivals="poisson",
+                          mode="closed", message_bytes=512,
+                          offered_load=0.2, warmup_ns=units.ms(1),
+                          duration_ns=units.ms(5),
+                          drain_ns=units.ms(2)).run()
+        recorder = result.recorder
+        assert recorder.sent > 0
+        assert recorder.delivered == recorder.sent
+        assert recorder.errors == 0
+        assert injector.counters["injected"] == 2
+        assert injector.counters["reverted"] == 2
+        hub = system.hub("hub0")
+        assert hub.counters["drops_disabled_port"] > 0
+        assert all(hub.ready_bits)
+
     def test_observatory_exports_fault_series(self):
         system = fresh()
         system.inject_faults(build_campaign("drop-burst", system.cfg))

@@ -113,15 +113,7 @@ class TestEvents:
             sim.timeout(-1)
 
     def test_negative_timeout_message_pinned(self, sim):
-        """One authoritative check, one message — fresh-allocation path."""
-        with pytest.raises(ValueError, match=r"^negative timeout delay -7$"):
-            sim.timeout(-7)
-
-    def test_negative_timeout_message_pinned_on_pool_hit(self, sim):
-        """The free-list fast path must validate identically."""
-        sim.timeout(0)
-        sim.run()
-        assert sim._timeout_pool, "expected a recycled Timeout on the pool"
+        """One authoritative check, one message."""
         with pytest.raises(ValueError, match=r"^negative timeout delay -7$"):
             sim.timeout(-7)
 
@@ -137,25 +129,8 @@ class TestEvents:
         sim.run()
         assert sim.now == 5
 
-    def test_float_delay_truncates_identically_on_pool_hit(self, sim):
-        """Pool-hit and pool-miss paths must round the same way.  (The
-        pool-hit path used to demand exact ints, so the same call site
-        could behave differently depending on free-list state.)"""
-        sim.timeout(0)
-        sim.run()
-        assert sim._timeout_pool, "expected a recycled Timeout on the pool"
-        timeout = sim.timeout(5.9)
-        assert timeout.delay == 5
-        sim.run()
-        assert sim.now == 5
-
-    def test_negative_float_delay_same_message_both_paths(self, sim):
-        """int() truncation happens before validation, on both paths."""
-        with pytest.raises(ValueError, match=r"^negative timeout delay -1$"):
-            sim.timeout(-1.5)
-        sim.timeout(0)
-        sim.run()
-        assert sim._timeout_pool
+    def test_negative_float_delay_truncates_before_validation(self, sim):
+        """int() truncation happens before validation."""
         with pytest.raises(ValueError, match=r"^negative timeout delay -1$"):
             sim.timeout(-1.5)
 

@@ -7,8 +7,9 @@ last reference goes.  A per-packet process (a HUB port drain, a crossbar
 branch, a transport receive handler) that ends inside a cycle instead
 waits for the cycle collector, and dead processes pile up between its
 passes.  A process ended by an exception it raised into a waiter is
-freed the same way: its resume drops the local through which the
-exception's traceback would lead back to it.
+freed the same way: its resume and the engine's ``run`` drop the locals
+through which the exception's traceback would lead back to it, also
+when that process is the last entry one ``run()`` processes.
 
 Each test drives one scene through ``tools/footprint.py``'s census: the
 collector off and ``gc.DEBUG_SAVEALL`` set, the scene's own objects (the
@@ -20,11 +21,6 @@ other event never fires (the response to a request a faulted link lost,
 beside its deadline) is freed too: the unfired event still holds the
 condition's callback, but the condition no longer holds the event.
 Faulted scenes are guarded like clean ones.
-
-One cycle is known to remain, off every drive's path: an exception
-keeps, through the frames it passed, the simulator's ``run`` frame, so
-a process that fails into a waiter as the very last entry one ``run()``
-processes stays in a cycle with that frame's locals.
 """
 
 import random
@@ -96,11 +92,11 @@ def test_a_random_cut_of_the_small_torus_leaves_no_cycle(cyclic_garbage,
 
 def test_returned_and_raised_processes_leave_no_cycle(cyclic_garbage, sim):
     def returns():
-        yield sim.timeout(5)
+        yield sim.timeout(1)
         return 7
 
     def raises():
-        yield sim.timeout(1)
+        yield sim.timeout(5)
         raise ValueError("into the waiter")
 
     def waiter():
@@ -110,8 +106,6 @@ def test_returned_and_raised_processes_leave_no_cycle(cyclic_garbage, sim):
             return "caught"
 
     def drive():
-        # The returning process ends last: an exception in the very last
-        # entry of a run() is the one cycle the docstring names.
         done = [sim.process(returns()), sim.process(waiter())]
         sim.run()
         assert [proc.value for proc in done] == [7, "caught"]
