@@ -3,7 +3,7 @@
 from .bom import (CAB_BOARD, HUB_BACKPLANE, HUB_IO_BOARD, BoardSpec,
                   hub_bill_of_materials, system_bill_of_materials)
 from .cab import CabBoard, CabCpu
-from .checksum import ChecksumUnit, raw_checksum
+from .checksum import ChecksumUnit
 from .crossbar import Crossbar
 from .dma import DmaController
 from .fiber import Fiber
@@ -36,7 +36,7 @@ __all__ = [
     "ProtectionUnit",
     "Reply", "TimerHandle", "VmeBus", "fletcher16", "has_retry",
     "is_collective", "is_open",
-    "is_supervisor", "is_test_open", "needs_controller", "raw_checksum",
+    "is_supervisor", "is_test_open", "needs_controller",
     "wants_reply", "wire_cab_to_hub", "wire_hub_to_hub",
     "hub_bill_of_materials", "system_bill_of_materials",
 ]

@@ -10,15 +10,14 @@ benchmarks exercise) makes the caller charge
 from __future__ import annotations
 
 from ..config import CabConfig
-from .frames import Payload, fletcher16
+from .frames import Payload
 
 
 class ChecksumUnit:
-    """Computes Fletcher-16 checksums for payloads in flight."""
+    """Seals and verifies payloads in flight (Fletcher-16, see ``Payload``)."""
 
     def __init__(self, cfg: CabConfig) -> None:
         self.cfg = cfg
-        self.checksums_computed = 0
 
     @property
     def hardware(self) -> bool:
@@ -30,19 +29,8 @@ class ChecksumUnit:
             return 0
         return num_bytes * self.cfg.software_checksum_ns_per_byte
 
-    def compute(self, payload: Payload) -> int:
-        self.checksums_computed += 1
-        return payload.compute_checksum()
-
     def seal(self, payload: Payload) -> Payload:
-        self.checksums_computed += 1
         return payload.seal()
 
     def verify(self, payload: Payload) -> bool:
-        self.checksums_computed += 1
         return payload.verify_checksum()
-
-
-def raw_checksum(data: bytes) -> int:
-    """Checksum bytes directly (used by tests)."""
-    return fletcher16(data)

@@ -73,17 +73,20 @@ class Payload:
     end-to-end in tests.  ``header`` holds transport-layer fields — the
     model keeps them structured rather than serialised, but charges
     ``header_bytes`` of wire size for them.
+
+    A sealed payload's checksum is computed only when something reads
+    it: ``size``/``data`` are fixed after construction and fault
+    injection flips ``corrupt``, never the bytes, so the value the
+    send-side DMA would attach always matches the bytes and only the
+    ``corrupt`` flag decides a verify.
     """
 
     size: int
     data: Optional[bytes] = None
     header: dict[str, Any] = field(default_factory=dict)
-    checksum: Optional[int] = None
+    sealed: bool = False
     corrupt: bool = False
-    #: Memoized checksum — ``size``/``data`` are fixed after construction
-    #: (fault injection flips ``corrupt``, never the bytes), so the value
-    #: computed by the send-side DMA is reused by every later verify.
-    _computed: Optional[int] = field(
+    _checksum: Optional[int] = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -94,29 +97,25 @@ class Payload:
             raise ValueError(f"negative payload size {self.size}")
 
     def seal(self) -> "Payload":
-        """Compute and attach the checksum (as the send-side DMA would)."""
-        self.checksum = self.compute_checksum()
+        """Attach the checksum (as the send-side DMA would)."""
+        self.sealed = True
         return self
 
-    def compute_checksum(self) -> int:
-        computed = self._computed
-        if computed is None:
-            if self.data is not None:
-                computed = fletcher16(self.data)
-            else:
-                # Synthetic payloads checksum over their size so corruption
-                # of the flag is still detectable.
-                computed = fletcher16(self.size.to_bytes(8, "little"))
-            self._computed = computed
-        return computed
+    @property
+    def checksum(self) -> Optional[int]:
+        """Fletcher-16 of ``data`` (of the size for synthetic payloads,
+        so they have one too); ``None`` until sealed, memoized after."""
+        if not self.sealed:
+            return None
+        if self._checksum is None:
+            self._checksum = fletcher16(
+                self.size.to_bytes(8, "little") if self.data is None
+                else self.data)
+        return self._checksum
 
     def verify_checksum(self) -> bool:
         """True if the payload is intact (fails when fault injection hit)."""
-        if self.corrupt:
-            return False
-        if self.checksum is None:
-            return True
-        return self.checksum == self.compute_checksum()
+        return not self.corrupt
 
 
 #: Wire bytes charged for the optional argument extension a collective

@@ -212,7 +212,8 @@ class HubPort:
 
         The byte stream sent down every branch is identical; cloning only
         exists so each branch keeps its own command cursor, reverse path
-        and corruption flag.
+        and corruption flag.  ``dc_replace`` copies the seal with the
+        other init fields.
         """
         if not multicast:
             return packet

@@ -70,8 +70,8 @@ def encode_item(item: Any) -> bytes:
             data = payload.data
             if data is not None and not isinstance(data, bytes):
                 data = bytes(data)
-            payload = (payload.size, data, payload.header, payload.checksum,
-                       payload.corrupt, payload._computed)
+            payload = (payload.size, data, payload.header, payload.sealed,
+                       payload.corrupt)
         flat = (KIND_PACKET, item.packet_id, item.origin,
                 [(c.op.value, c.hub_id, c.param, c.seq, c.origin, c.arg)
                  for c in item.commands],
@@ -105,10 +105,6 @@ def decode_item(blob: bytes, resolve: Callable[[str], Any]) -> Any:
      path, packet.meta, packet.command_bytes, packet.framing_bytes) = fields
     packet.commands = [HubCommand(CommandOp(op), *rest)
                        for op, *rest in commands]
-    if payload is not None:
-        *init, computed = payload
-        payload = Payload(*init)
-        payload._computed = computed
-    packet.payload = payload
+    packet.payload = None if payload is None else Payload(*payload)
     packet.reverse_path = [(resolve(name), port) for name, port in path]
     return packet

@@ -135,6 +135,8 @@ class TestChecksumProperties:
         assert payload.verify_checksum()
 
     def test_memo_means_one_kernel_call_per_payload(self, monkeypatch):
+        """Sealing and verifying compute nothing; the first read of
+        ``checksum`` computes it once."""
         calls = []
 
         def counting(data):
@@ -142,11 +144,18 @@ class TestChecksumProperties:
             return fletcher16(data)
         monkeypatch.setattr("repro.hardware.frames.fletcher16", counting)
         unit = ChecksumUnit(NectarConfig().cab)
-        for payload in (Payload(8192, data=bytes(8192)), Payload(64)):
+        for payload, covered in (
+                (Payload(8192, data=bytes(range(256)) * 32),
+                 bytes(range(256)) * 32),
+                (Payload(64), (64).to_bytes(8, "little"))):
             calls.clear()
+            assert payload.checksum is None
             unit.seal(payload)
             assert unit.verify(payload) and unit.verify(payload)
-            assert unit.compute(payload) == payload.checksum
+            assert calls == []
+            expected = fletcher16(covered)
+            assert payload.checksum == expected and len(calls) == 1
+            assert payload.checksum == expected and len(calls) == 1
             payload.corrupt = True
             assert not unit.verify(payload)
             assert len(calls) == 1

@@ -81,9 +81,9 @@ def assert_same_frame(original, decoded):
         assert (got is None) == (sent is None)
         if sent is not None:
             assert isinstance(got, Payload)
-            assert (got.size, got.header, got.checksum, got.corrupt,
-                    got._computed) == (sent.size, sent.header, sent.checksum,
-                                       sent.corrupt, sent._computed)
+            assert (got.size, got.header, got.sealed, got.corrupt,
+                    got.checksum) == (sent.size, sent.header, sent.sealed,
+                                      sent.corrupt, sent.checksum)
             assert got.data is None if sent.data is None else \
                 (type(got.data) is bytes and got.data == bytes(sent.data))
         paths = [(original.reverse_path, decoded.reverse_path)]

@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import NectarConfig
 from repro.errors import TransportError
+from repro.hardware.frames import fletcher16
 from repro.topology import linear_system, single_hub_system
 
 
@@ -98,6 +99,54 @@ class TestDatagram:
                                           meta={"tag": 42}))
         system.run(until=10_000_000)
         assert results[0][1].meta["tag"] == 42
+
+
+def drive_real_bytes(monkeypatch, corrupt=False):
+    """One 48 KiB circuit-mode and one 8 KiB packet-mode datagram of
+    real bytes cab0 -> cab1, counting Fletcher-16 kernel calls."""
+    calls = []
+
+    def counting(data):
+        calls.append(len(data))
+        return fletcher16(data)
+    monkeypatch.setattr("repro.hardware.frames.fletcher16", counting)
+    system = single_hub_system(2)
+    a, b = system.cab("cab0"), system.cab("cab1")
+    if corrupt:
+        fiber = a.board.out_fiber
+        fiber.cfg = replace(fiber.cfg, corrupt_probability=1.0)
+    inbox = b.create_mailbox("inbox")
+    results = []
+    receiver_thread(b, inbox, results, count=2)
+    bodies = [bytes(range(256)) * 192, bytes(range(255, -1, -1)) * 32]
+
+    def sender():
+        for body, mode in zip(bodies, ("circuit", "packet")):
+            yield from a.transport.datagram.send("cab1", "inbox", data=body,
+                                                 mode=mode)
+    a.spawn(sender())
+    system.run(until=100_000_000)
+    return bodies, [message.data for _t, message in results], \
+        b.transport.counters["checksum_drops"], calls
+
+
+class TestLazyChecksum:
+    """The CAB checksum unit models damage by the ``corrupt`` flag, so a
+    checksum nobody reads is never computed — and damage is still
+    caught."""
+
+    def test_clean_drive_computes_no_checksum(self, monkeypatch):
+        bodies, delivered, drops, calls = drive_real_bytes(monkeypatch)
+        assert delivered == bodies
+        assert drops == 0
+        assert calls == []
+
+    def test_corrupting_fiber_drops_everything(self, monkeypatch):
+        _bodies, delivered, drops, calls = drive_real_bytes(monkeypatch,
+                                                            corrupt=True)
+        assert delivered == []
+        assert drops > 0
+        assert calls == []
 
 
 class TestByteStream:
