@@ -287,17 +287,9 @@ class CollectiveGroup:
             raise CollectiveError(
                 "fetch-and-add is a HUB register operation; the group "
                 "runs in software mode")
-        task = self.tasks[rank]
-        datalink = task.cab.datalink
-        local_hub, _port = self.router.cab_location(task.cab.name)
-        arg = {"delta": delta}
-        if local_hub.name == self._root_hub:
-            reply = yield from datalink.collective_command(
-                CommandOp.SV_FETCH_ADD, param=register, arg=arg)
-        else:
-            reply = yield from datalink.collective_command_at(
-                self._root_hub, CommandOp.SV_FETCH_ADD,
-                param=register, arg=arg)
+        reply = yield from self.tasks[rank].cab.datalink.collective_command(
+            CommandOp.SV_FETCH_ADD, param=register, arg={"delta": delta},
+            hub_name=self._root_hub)
         return reply.info["value"]
 
     def reset(self, rank: int = 0):
@@ -307,14 +299,8 @@ class CollectiveGroup:
             return None
         datalink = self.tasks[rank].cab.datalink
         for hub_name in sorted(self._hub_tree):
-            local_hub, _port = self.router.cab_location(
-                self.tasks[rank].cab.name)
-            if hub_name == local_hub.name:
-                yield from datalink.collective_command(
-                    CommandOp.SV_COLL_RESET, param=self.gid)
-            else:
-                yield from datalink.collective_command_at(
-                    hub_name, CommandOp.SV_COLL_RESET, param=self.gid)
+            yield from datalink.collective_command(
+                CommandOp.SV_COLL_RESET, param=self.gid, hub_name=hub_name)
         return None
 
     # ------------------------------------------------------------------

@@ -200,15 +200,11 @@ class Datalink:
             final = self._command(CommandOp.OPEN_RETRY_REPLY,
                                   last.hub.name, last.out_port)
             commands.append(final)
-            reply_event = self.cab.expect_reply(final.seq)
-            packet = self._packet(commands, None, close_after=False)
-            yield from self.cab.dma.send_packet(packet)
-            outcome = yield from self._await_reply(reply_event,
-                                                   dl_cfg.reply_timeout_ns)
+            outcome = yield from self._request(commands,
+                                               dl_cfg.reply_timeout_ns)
             if outcome is not None and outcome.ok:
                 self.counters["circuits_opened"] += 1
                 return
-            self.cab.cancel_reply(final.seq)
             self.counters["circuit_retries"] += 1
             if attempts >= dl_cfg.max_route_attempts:
                 raise DatalinkError(
@@ -219,13 +215,23 @@ class Datalink:
             jitter = self.rng.randrange(dl_cfg.retry_backoff_ns or 1)
             yield from self.kernel.sleep(backoff + jitter)
 
-    def _await_reply(self, reply_event, timeout_ns: int):
-        """Wait for a reply with a hardware-timer deadline."""
+    def _request(self, commands: list[HubCommand], timeout_ns: int):
+        """Send ``commands`` as one command packet and wait, under a
+        hardware-timer deadline, for the reply to the last of them.
+
+        Returns the :class:`Reply`, or ``None`` on timeout, when the
+        expectation is cancelled so a late reply counts as a stray.
+        """
+        seq = commands[-1].seq
+        reply_event = self.cab.expect_reply(seq)
+        yield from self.cab.dma.send_packet(
+            self._packet(commands, None, close_after=False))
         deadline = self.sim.timeout(timeout_ns)
         result = yield self.sim.any_of([reply_event, deadline])
         yield from self.kernel.compute(self.cfg.kernel.wakeup_ns)
         if reply_event in result:
             return result[reply_event]
+        self.cab.cancel_reply(seq)
         self.counters["reply_timeouts"] += 1
         return None
 
@@ -377,19 +383,15 @@ class Datalink:
             open_cmd = self._command(CommandOp.OPEN_RETRY, hub_a.name,
                                      port_a)
             echo = self._command(CommandOp.ECHO, hub_b.name, port_b)
-            reply_event = self.cab.expect_reply(echo.seq)
-            packet = self._packet([open_cmd, echo], None, close_after=False)
             started = self.sim.now
             self.counters["link_probes_sent"] += 1
-            yield from self.cab.dma.send_packet(packet)
-            reply = yield from self._await_reply(
-                reply_event,
+            reply = yield from self._request(
+                [open_cmd, echo],
                 timeout_ns or self.cfg.datalink.reply_timeout_ns)
             rtt = None
             if reply is not None and reply.ok:
                 rtt = self.sim.now - started
             else:
-                self.cab.cancel_reply(echo.seq)
                 self.counters["link_probe_timeouts"] += 1
             yield from self.close_route()
             return rtt
@@ -400,14 +402,10 @@ class Datalink:
                         timeout_ns: Optional[int] = None):
         """Send a single replied command to our directly attached HUB."""
         hub = self.cab.hub_port.hub
-        command = self._command(op, hub.name, param)
-        reply_event = self.cab.expect_reply(command.seq)
-        packet = self._packet([command], None, close_after=False)
-        yield from self.cab.dma.send_packet(packet)
-        reply = yield from self._await_reply(
-            reply_event, timeout_ns or self.cfg.datalink.reply_timeout_ns)
+        reply = yield from self._request(
+            [self._command(op, hub.name, param)],
+            timeout_ns or self.cfg.datalink.reply_timeout_ns)
         if reply is None:
-            self.cab.cancel_reply(command.seq)
             raise DatalinkError(f"no reply to {op.name} from {hub.name}")
         return reply
 
@@ -417,79 +415,53 @@ class Datalink:
 
     def collective_command(self, op: CommandOp, param: int = 0,
                            arg: Optional[dict] = None,
-                           timeout_ns: Optional[int] = None):
-        """Issue one collective command to our attached HUB (generator).
+                           timeout_ns: Optional[int] = None,
+                           hub_name: Optional[str] = None):
+        """Issue one collective command to HUB ``hub_name`` (generator;
+        default: our attached HUB).
 
         Returns the unit's reply.  Unlike :meth:`query_first_hop` the
         reply may arrive much later (a barrier waits for its whole
         group), so the deadline comes from ``cfg.collectives``; on
         timeout this raises :class:`CollectiveError` — a collective
-        never hangs.
+        never hangs.  A remote HUB is reached over a circuit along the
+        inter-HUB path (first parallel link at each hop), held so the
+        reply can cycle-steal back over the reverse fibers and then torn
+        down with a travelling ``close all``: that is how fetch-and-add
+        reaches a register homed on another HUB (barrier and reduce
+        reach remote HUBs through their reduction tree instead).
         """
-        hub = self.cab.hub_port.hub
-        command = self._command(op, hub.name, param)
-        command.arg = arg
-        reply_event = self.cab.expect_reply(command.seq)
-        packet = self._packet([command], None, close_after=False)
-        self.counters["collective_commands_sent"] += 1
-        yield from self.cab.dma.send_packet(packet)
-        reply = yield from self._await_reply(
-            reply_event,
-            timeout_ns or self.cfg.collectives.reply_timeout_ns)
+        local = self.cab.hub_port.hub.name
+        hubs = self.router.hub_path(local, hub_name or local)
+        remote = len(hubs) > 1
+        if remote:
+            yield from self.kernel.compute(
+                self.cfg.datalink.send_overhead_ns)
+            grant = self._port_lock.acquire()
+            yield grant
+        try:
+            commands = [self._command(
+                CommandOp.OPEN_RETRY, here,
+                self.router.parallel_links(here, there)[0][0])
+                for here, there in zip(hubs, hubs[1:])]
+            command = self._command(op, hubs[-1], param)
+            command.arg = arg
+            commands.append(command)
+            self.counters["collective_commands_sent"] += 1
+            reply = yield from self._request(
+                commands,
+                timeout_ns or self.cfg.collectives.reply_timeout_ns)
+            if remote:
+                yield from self.close_route()
+        finally:
+            if remote:
+                self._port_lock.release()
         if reply is None:
-            self.cab.cancel_reply(command.seq)
             self.counters["collective_reply_timeouts"] += 1
             raise CollectiveError(
                 f"{self.cab.name}: no reply to {op.name} "
-                f"group/reg {param} from {hub.name}")
+                f"group/reg {param} from {hubs[-1]}")
         return reply
-
-    def collective_command_at(self, target_hub_name: str,
-                              op: CommandOp, param: int = 0,
-                              arg: Optional[dict] = None,
-                              timeout_ns: Optional[int] = None):
-        """Issue one collective command to a *remote* HUB (generator).
-
-        Opens a circuit along the inter-HUB path (first parallel link at
-        each hop), sends the command with the circuit held so the reply
-        can cycle-steal back over the reverse fibers, then tears the
-        circuit down with a travelling ``close all``.  Used for
-        fetch-and-add on a register homed on another HUB; barrier and
-        reduce instead reach remote HUBs through their reduction tree.
-        """
-        local_hub = self.cab.hub_port.hub
-        hubs = self.router.hub_path(local_hub.name, target_hub_name)
-        yield from self.kernel.compute(self.cfg.datalink.send_overhead_ns)
-        grant = self._port_lock.acquire()
-        yield grant
-        try:
-            commands = []
-            for here, there in zip(hubs, hubs[1:]):
-                port_a, _ = self.router.parallel_links(here, there)[0]
-                commands.append(self._command(CommandOp.OPEN_RETRY,
-                                              here, port_a))
-            command = self._command(op, target_hub_name, param)
-            command.arg = arg
-            commands.append(command)
-            reply_event = self.cab.expect_reply(command.seq)
-            packet = self._packet(commands, None, close_after=False)
-            self.counters["collective_commands_sent"] += 1
-            yield from self.cab.dma.send_packet(packet)
-            reply = yield from self._await_reply(
-                reply_event,
-                timeout_ns or self.cfg.collectives.reply_timeout_ns)
-            if reply is None:
-                self.cab.cancel_reply(command.seq)
-                self.counters["collective_reply_timeouts"] += 1
-            if len(hubs) > 1:
-                yield from self.close_route()
-            if reply is None:
-                raise CollectiveError(
-                    f"{self.cab.name}: no reply to {op.name} "
-                    f"group/reg {param} from {target_hub_name}")
-            return reply
-        finally:
-            self._port_lock.release()
 
     # ------------------------------------------------------------------
     # receive path (interrupt context)

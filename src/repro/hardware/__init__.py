@@ -11,9 +11,7 @@ from .frames import (COLLECTIVE_ARG_BYTES, HubCommand, Packet, Payload,
                      Reply, fletcher16)
 from .hub import HARDWARE_VERSION, Hub
 from .hub_collectives import REDUCE_OPS, HubCollectiveUnit
-from .hub_commands import (CommandOp, has_retry, is_collective, is_open,
-                           is_supervisor, is_test_open, needs_controller,
-                           wants_reply)
+from .hub_commands import CommandOp
 from .hub_controller import HubController
 from .hub_port import HubPort
 from .memory import (ALL_ACCESS, EXECUTE, KERNEL_DOMAIN, READ, WRITE,
@@ -34,9 +32,7 @@ __all__ = [
     "HubController", "HubPort",
     "MemoryBlock", "MemoryRegion", "NodeHost", "Packet", "Payload",
     "ProtectionUnit",
-    "Reply", "TimerHandle", "VmeBus", "fletcher16", "has_retry",
-    "is_collective", "is_open",
-    "is_supervisor", "is_test_open", "needs_controller",
-    "wants_reply", "wire_cab_to_hub", "wire_hub_to_hub",
+    "Reply", "TimerHandle", "VmeBus", "fletcher16",
+    "wire_cab_to_hub", "wire_hub_to_hub",
     "hub_bill_of_materials", "system_bill_of_materials",
 ]

@@ -17,8 +17,7 @@ from ..sim import Simulator
 from .crossbar import Crossbar
 from .frames import HubCommand, Reply
 from .hub_collectives import HubCollectiveUnit
-from .hub_commands import (CommandOp, is_supervisor, needs_controller,
-                           wants_reply)
+from .hub_commands import CommandOp
 from .hub_controller import HubController
 from .hub_port import HubPort
 
@@ -138,14 +137,14 @@ class Hub:
                 f"{self.name} asked to execute {command!r} for "
                 f"{command.hub_id}")
         self.count("commands_executed")
-        if needs_controller(command.op):
+        if command.op.needs_controller:
             result = yield self.controller.submit(command, in_port,
                                                   reverse_path)
         else:
             # "Localized" commands execute inside the I/O port in a cycle.
             yield self.sim.timeout(self.cfg.cycle_ns)
             result = self._execute_local(command, in_port)
-        if wants_reply(command.op):
+        if command.op.wants_reply:
             self._reply(command, result, reverse_path)
         return result
 
@@ -153,7 +152,7 @@ class Hub:
                        in_port: int) -> dict[str, Any]:
         op = command.op
         param = command.param
-        if is_supervisor(op):
+        if op.is_supervisor:
             return self._execute_supervisor(command, in_port)
         if op is CommandOp.CLOSE:
             owner = self.close_output(self._checked(param))

@@ -22,8 +22,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from ..sim import Event
 from .frames import HubCommand
-from .hub_commands import (CommandOp, has_retry, is_collective, is_open,
-                           is_test_open)
+from .hub_commands import CommandOp
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hub import Hub
@@ -105,16 +104,16 @@ class HubController:
         command = job.command
         op = command.op
         job.attempts += 1
-        if self.frozen and not op.name.startswith("SV_"):
+        if self.frozen and not op.is_supervisor:
             job.finish(False, reason="frozen")
             return
-        if is_collective(op):
+        if op.is_collective:
             # Combining happens at controller-cycle rate; the unit
             # finishes the job immediately (never parking the port) and
             # answers the origin with its own reply later.
             self.hub.collectives.execute(job)
             return
-        if is_open(op):
+        if op.is_open:
             self._try_open(job)
         elif op in (CommandOp.LOCK, CommandOp.LOCK_REPLY,
                     CommandOp.LOCK_RETRY_REPLY):
@@ -142,7 +141,7 @@ class HubController:
         elif hub.crossbar.output_busy(out_port) \
                 and hub.crossbar.owner_of(out_port) != job.in_port:
             problem = "busy"
-        elif is_test_open(job.command.op) and not hub.ready_bits[out_port]:
+        elif job.command.op.is_test_open and not hub.ready_bits[out_port]:
             problem = "not ready"
         if problem is None:
             hub.crossbar.connect(job.in_port, out_port)
@@ -150,7 +149,7 @@ class HubController:
             job.finish(True, out_port=out_port)
             return
         hub.count("opens_refused")
-        if has_retry(job.command.op) and not self._watchdog_expired(job):
+        if job.command.op.has_retry and not self._watchdog_expired(job):
             self._wait_on(out_port, job)
         else:
             job.finish(False, reason=problem)
@@ -166,7 +165,7 @@ class HubController:
             hub.locks[out_port] = job.command.origin
             hub.count("locks_taken")
             job.finish(True, locked=out_port)
-        elif has_retry(job.command.op) and not self._watchdog_expired(job):
+        elif job.command.op.has_retry and not self._watchdog_expired(job):
             self._wait_on(out_port, job)
         else:
             job.finish(False, reason="locked", holder=holder)

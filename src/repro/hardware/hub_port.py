@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Any, Optional, Union
 
 from ..sim.resources import _IDLE
 from .frames import Packet, Reply
-from .hub_commands import CommandOp, OPEN_OPS
+from .hub_commands import CommandOp
 
 __all__ = ["HubPort"]
 
@@ -174,7 +174,7 @@ class HubPort:
             result = yield from hub.execute_command(
                 command, in_port=self.index,
                 reverse_path=list(packet.reverse_path))
-            if command.op in OPEN_OPS and not result.get("ok", False):
+            if command.op.is_open and not result.get("ok", False):
                 hub.count("opens_abandoned")
         outputs = sorted(hub.crossbar.outputs_of(self.index))
         has_remainder = bool(packet.commands) or packet.has_payload \

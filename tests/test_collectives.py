@@ -343,7 +343,8 @@ class TestMultiHub:
 
     def test_remote_fetch_add(self):
         """A rank whose HUB is not the register's home reaches it via a
-        routed supervisor command (collective_command_at)."""
+        routed supervisor command (``collective_command`` with a remote
+        ``hub_name``: a circuit to the home HUB)."""
         system = linear_system(2, 2, cfg=NectarConfig(seed=13))
         cabs = [system.cab("cab0_0"), system.cab("cab1_0")]
         group, tasks = make_group(system, 2, cabs=cabs)

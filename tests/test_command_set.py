@@ -3,20 +3,25 @@
 The prototype documents "38 user commands and 14 supervisor commands";
 DESIGN.md §5 records that encoding variants with identical semantics are
 collapsed to 24 + 14 operations covering every category the paper names.
-These tests pin those counts and the category coverage so the claim in
-the docs can never silently drift from the code.
+These tests pin those counts, the category coverage and the consistency
+of the flags each ``CommandOp`` member declares, so the claim in the docs
+can never silently drift from the code.
 """
 
-from repro.hardware.hub_commands import (COLLECTIVE_OPS, CONTROLLER_OPS,
-                                         OPEN_OPS, REPLY_OPS, RETRY_OPS,
-                                         SUPERVISOR_OPS, TEST_OPS,
-                                         CommandOp, has_retry, is_collective,
-                                         is_open, is_supervisor, is_test_open,
-                                         needs_controller, wants_reply)
+import pytest
+
+from repro.hardware.hub_commands import CommandOp
+
+FLAGS = ("needs_controller", "is_collective", "is_supervisor", "is_open",
+         "is_test_open", "has_retry", "wants_reply")
+
+
+def ops_with(flag, value=True):
+    return {op for op in CommandOp if getattr(op, flag) is value}
 
 
 def user_ops():
-    return [op for op in CommandOp if not op.name.startswith("SV_")]
+    return ops_with("is_supervisor", False)
 
 
 class TestInventory:
@@ -25,15 +30,16 @@ class TestInventory:
 
     def test_supervisor_command_count_matches_paper(self):
         """§4.2: "14 supervisor commands" (collectives are an extension)."""
-        assert len(SUPERVISOR_OPS - COLLECTIVE_OPS) == 14
+        assert len(ops_with("is_supervisor") - ops_with("is_collective")) \
+            == 14
 
     def test_collective_extension_inventory(self):
         """The in-network collectives add exactly four supervisor ops."""
-        assert len(COLLECTIVE_OPS) == 4
-        assert COLLECTIVE_OPS <= SUPERVISOR_OPS
-        names = {op.name for op in COLLECTIVE_OPS}
-        assert names == {"SV_FETCH_ADD", "SV_BARRIER", "SV_REDUCE",
-                         "SV_COLL_RESET"}
+        collective = ops_with("is_collective")
+        assert len(collective) == 4
+        assert collective <= ops_with("is_supervisor")
+        assert {op.name for op in collective} == {
+            "SV_FETCH_ADD", "SV_BARRIER", "SV_REDUCE", "SV_COLL_RESET"}
 
     def test_every_paper_category_is_covered(self):
         """§4.2: connections, locks, status, and flow control."""
@@ -46,56 +52,60 @@ class TestInventory:
 
     def test_supervisor_categories(self):
         """§4.2: supervisor commands are for testing and reconfiguration."""
-        names = {op.name for op in SUPERVISOR_OPS}
+        names = {op.name for op in ops_with("is_supervisor")}
         assert {"SV_SELFTEST", "SV_LOOPBACK_ON", "SV_READ_COUNTERS"} \
             <= names                                       # testing
         assert {"SV_RESET_HUB", "SV_ENABLE_PORT", "SV_DISABLE_PORT"} \
             <= names                                       # reconfiguration
 
+    def test_values_are_positions_and_round_trip(self):
+        """The wire codec ships ``op.value`` and rebuilds ``CommandOp(v)``."""
+        assert [op.value for op in CommandOp] == list(range(1, 43))
+        for op in CommandOp:
+            assert CommandOp(op.value) is op
+
 
 class TestClassifierConsistency:
     def test_controller_ops_are_opens_locks_and_collectives(self):
-        for op in CONTROLLER_OPS:
-            assert is_open(op) or "LOCK" in op.name or is_collective(op)
+        for op in ops_with("needs_controller"):
+            assert op.is_open or "LOCK" in op.name or op.is_collective
 
     def test_test_ops_subset_of_opens(self):
-        assert TEST_OPS <= OPEN_OPS
+        assert ops_with("is_test_open") <= ops_with("is_open")
 
     def test_retry_ops_subset_of_controller_ops(self):
-        assert RETRY_OPS <= CONTROLLER_OPS
+        assert ops_with("has_retry") <= ops_with("needs_controller")
 
     def test_every_status_command_replies(self):
         for op in CommandOp:
             if op.name.startswith("STATUS"):
-                assert wants_reply(op)
+                assert op.wants_reply
 
-    def test_predicates_agree_with_sets(self):
+    def test_flags_are_fixed_booleans(self):
         for op in CommandOp:
-            assert is_supervisor(op) == (op in SUPERVISOR_OPS)
-            assert is_collective(op) == (op in COLLECTIVE_OPS)
-            assert needs_controller(op) == (op in CONTROLLER_OPS)
-            assert is_open(op) == (op in OPEN_OPS)
-            assert is_test_open(op) == (op in TEST_OPS)
-            assert has_retry(op) == (op in RETRY_OPS)
-            assert wants_reply(op) == (op in REPLY_OPS)
+            for flag in FLAGS:
+                assert type(getattr(op, flag)) is bool
+        with pytest.raises(AttributeError):
+            CommandOp.OPEN.wants_reply = True
+        assert not CommandOp.OPEN.wants_reply
 
     def test_supervisor_ops_never_need_controller_serialisation(self):
         """Paper supervisor commands are port-local; the collective
         extension deliberately rides the controller pipeline, which is
         its combining serialisation point."""
-        for op in SUPERVISOR_OPS - COLLECTIVE_OPS:
-            assert not needs_controller(op)
-        for op in COLLECTIVE_OPS:
-            assert needs_controller(op)
+        for op in ops_with("is_supervisor") - ops_with("is_collective"):
+            assert not op.needs_controller
+        for op in ops_with("is_collective"):
+            assert op.needs_controller
 
     def test_collectives_reply_through_their_own_unit(self):
         """Collective replies come from the collective unit (often cycles
         later), never from the generic execute-then-reply path."""
-        for op in COLLECTIVE_OPS:
-            assert not wants_reply(op)
+        for op in ops_with("is_collective"):
+            assert not op.wants_reply
 
     def test_closes_are_port_local(self):
         """§4.1: 'localized' commands execute inside the I/O port."""
         for op in (CommandOp.CLOSE, CommandOp.CLOSE_INPUT,
                    CommandOp.CLOSE_ALL):
-            assert not needs_controller(op)
+            assert not op.needs_controller

@@ -6,8 +6,9 @@ from dataclasses import replace
 import pytest
 
 from repro.config import NectarConfig
-from repro.errors import DatalinkError
+from repro.errors import CollectiveError, DatalinkError
 from repro.hardware.frames import Payload
+from repro.hardware.hub_commands import CommandOp
 from repro.topology import figure7_system, linear_system, single_hub_system
 
 
@@ -236,7 +237,6 @@ class TestReceivePath:
 
     def test_status_query_first_hop(self, hub_pair):
         system, a, b = hub_pair
-        from repro.hardware.hub_commands import CommandOp
         answers = {}
 
         def body():
@@ -247,3 +247,68 @@ class TestReceivePath:
         system.run(until=10_000_000)
         assert answers["reply"].ok
         assert answers["reply"].info["owner"] is None
+
+
+#: Deadline for the replied exchanges below (the collective default is
+#: 50 ms; nothing here needs more than a few microseconds to answer).
+ASK_TIMEOUT_NS = 1_000_000
+
+
+def ask_status(system, datalink):
+    return (yield from datalink.query_first_hop(CommandOp.STATUS_OUTPUT, 1))
+
+
+def ask_local_fetch_add(system, datalink):
+    return (yield from datalink.collective_command(
+        CommandOp.SV_FETCH_ADD, 9, arg={"delta": 1},
+        timeout_ns=ASK_TIMEOUT_NS))
+
+
+def ask_remote_fetch_add(system, datalink):
+    return (yield from datalink.collective_command(
+        CommandOp.SV_FETCH_ADD, 9, arg={"delta": 1},
+        timeout_ns=ASK_TIMEOUT_NS, hub_name="hub1"))
+
+
+def ask_link_probe(system, datalink):
+    port_a, port_b = system.router.parallel_links("hub0", "hub1")[0]
+    return (yield from datalink.probe_link(
+        system.hub("hub0"), port_a, system.hub("hub1"), port_b,
+        timeout_ns=ASK_TIMEOUT_NS))
+
+
+class TestReplyTimeouts:
+    """Every replied exchange with a HUB gives up cleanly when its
+    command is lost: the caller sees its documented failure, the
+    timeout is counted, and no reply expectation is left behind."""
+
+    @pytest.mark.parametrize("ask, error, counter", [
+        (ask_status, DatalinkError, "reply_timeouts"),
+        (ask_local_fetch_add, CollectiveError, "collective_reply_timeouts"),
+        (ask_remote_fetch_add, CollectiveError, "collective_reply_timeouts"),
+        (ask_link_probe, None, "link_probe_timeouts"),
+    ], ids=["query_first_hop", "collective-local", "collective-remote",
+            "probe_link"])
+    def test_lost_command_times_out_cleanly(self, ask, error, counter):
+        system = linear_system(2, 2)
+        stack = system.cab("cab0_0")
+        hub, port = system.router.cab_location("cab0_0")
+        hub.ports[port].enabled = False       # our first hop drops it all
+        outcome = {}
+
+        def body():
+            try:
+                outcome["value"] = yield from ask(system, stack.datalink)
+            except (DatalinkError, CollectiveError) as exc:
+                outcome["error"] = type(exc)
+        stack.spawn(body())
+        system.run(until=100_000_000)
+        if error is None:
+            assert outcome == {"value": None}
+        else:
+            assert outcome == {"error": error}
+        counters = stack.datalink.counters
+        assert counters["reply_timeouts"] == 1
+        assert counters[counter] == 1
+        assert stack.datalink.cab._reply_waiters == {}
+        assert hub.counters["drops_disabled_port"] >= 1

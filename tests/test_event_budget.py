@@ -27,8 +27,11 @@ from repro.topology import single_hub_system
 ONE_DATAGRAM_ENTRIES = 43
 
 #: Opcodes executed in ``src/repro`` frames for the same scene, spawns
-#: included (CPython 3.11); a failure prints them by package.  12 047
-#: before payloads sealed lazily: ``repro.hardware`` 2 863 -> 2 748 (no
+#: included (CPython 3.11); a failure prints them by package.  11 932
+#: before each ``CommandOp`` carried its own flags: ``repro.hardware``
+#: 2 748 -> 2 717 (an attribute load per classification instead of a
+#: predicate call and a frozenset test), every other package unchanged.
+#: 12 047 before payloads sealed lazily: ``repro.hardware`` 2 863 -> 2 748 (no
 #: Fletcher-16 at seal, no checksum compare at verify), every other
 #: package unchanged.  13 156 before the engine's free lists went:
 #: ``repro.sim`` 8 346 -> 7 237 (no refcount check or pool push per
@@ -40,7 +43,7 @@ ONE_DATAGRAM_ENTRIES = 43
 #: ``repro.sim`` 8 815 -> 8 346 (no ``_waiting_on`` stores, no
 #: finished-process guard per resume), ``repro.hardware`` 2 902 -> 2 863
 #: (no ``try/finally`` per CPU grant).
-ONE_DATAGRAM_OPCODES = 11_932
+ONE_DATAGRAM_OPCODES = 11_901
 
 
 def one_datagram(drive=lambda run: run(), size=64, mode="auto"):
