@@ -29,7 +29,7 @@ def scenario_connection_confirmation():
     cfg, sim, hub, src, dst, heads = hub_timing_rig()
     command = HubCommand(CommandOp.OPEN_RETRY_REPLY, "hub0", 1,
                          origin="src")
-    reply_event = src.expect_reply(command.seq)
+    reply_event = src.expect_reply(command)
     arrival = {}
     reply_event.add_callback(lambda _ev: arrival.setdefault("t", sim.now))
     src.transmit(Packet("src", commands=[command]))

@@ -21,8 +21,6 @@ from ..stats.recorders import LatencyRecorder
 if TYPE_CHECKING:  # pragma: no cover
     from ..system.builder import CabStack, NectarSystem
 
-_txn_ids = count(1)
-
 #: CPU cost of log-record forcing at prepare/commit (stable storage is
 #: the node's job; the CAB charges the hand-off).
 LOG_FORCE_CPU_NS = 5_000
@@ -116,6 +114,9 @@ class TransactionManager:
         self.commit_latency = LatencyRecorder("commit")
         self.commits = 0
         self.aborts = 0
+        #: Participants key their locks by transaction id, so every
+        #: coordinator of this manager draws its ids from this one count.
+        self.txn_ids = count(1)
 
     def participant_for(self, key: str) -> Participant:
         digest = sum(key.encode()) * 2654435761 % (1 << 32)
@@ -148,7 +149,7 @@ class Coordinator:
 
     def execute(self, writes: dict[str, int]):
         """Two-phase commit of ``writes``; raises on conflict."""
-        txn = next(_txn_ids)
+        txn = next(self.manager.txn_ids)
         started = self.manager.system.sim.now
         by_participant: dict[int, dict[str, int]] = {}
         for key, value in writes.items():

@@ -34,16 +34,11 @@ class HubConfig:
     #: "the length of the input queue, and thus the maximum packet size, is
     #: 1 kilobyte" (§4.2.3).
     input_queue_bytes: int = 1024
-    #: Bytes per HUB command on the wire — "each command is a sequence of
-    #: three bytes" (§4.2).
-    command_bytes: int = 3
     #: Cycles the I/O port spends extracting a command from the incoming
     #: byte stream before handing it on.  4 cycles, so that command
     #: extraction (4) + controller execution (1) + first-byte transfer (5)
     #: reproduces the 10-cycle connection-plus-first-byte figure (§4).
     port_command_cycles: int = 4
-    #: Framing bytes per data packet (start of packet + end of packet).
-    framing_bytes: int = 2
 
     @property
     def setup_ns(self) -> int:
@@ -354,9 +349,11 @@ class NectarConfig:
             raise ConfigError("drop probability must be within [0, 1]")
         if not 0.0 <= self.fiber.corrupt_probability <= 1.0:
             raise ConfigError("corrupt probability must be within [0, 1]")
+        # Imported here: the hardware package imports this module.
+        from .hardware.frames import FRAMING_BYTES
         max_packet = (self.transport.max_payload_bytes
                       + self.transport.header_bytes
-                      + self.hub.framing_bytes)
+                      + FRAMING_BYTES)
         if max_packet > self.hub.input_queue_bytes:
             raise ConfigError(
                 f"max packet {max_packet} B exceeds the HUB input queue "

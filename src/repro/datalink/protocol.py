@@ -26,7 +26,8 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from ..config import NectarConfig
 from ..errors import CollectiveError, DatalinkError
-from ..hardware.frames import HubCommand, Packet, Payload
+from ..hardware.frames import (COMMAND_BYTES, FRAMING_BYTES, HubCommand,
+                               Packet, Payload)
 from ..hardware.hub_commands import CommandOp
 from ..sim import Resource
 from .routing import Route, Router, TreeEdge
@@ -106,20 +107,16 @@ class Datalink:
 
     def _max_packet_payload(self) -> int:
         """Largest payload a packet-switched packet may carry."""
-        hub = self.cfg.hub
-        overhead = hub.framing_bytes + self.cfg.transport.header_bytes
-        return hub.input_queue_bytes - overhead - 8 * hub.command_bytes
+        overhead = FRAMING_BYTES + self.cfg.transport.header_bytes
+        return self.cfg.hub.input_queue_bytes - overhead - 8 * COMMAND_BYTES
 
     def packet_fits(self, payload_size: int) -> bool:
         return payload_size <= self._max_packet_payload()
 
     def _packet(self, commands: list[HubCommand],
                 payload: Optional[Payload], close_after: bool) -> Packet:
-        hub = self.cfg.hub
         return Packet(self.cab.name, commands=commands, payload=payload,
                       close_after=close_after,
-                      command_bytes=hub.command_bytes,
-                      framing_bytes=hub.framing_bytes,
                       header_bytes=self.cfg.transport.header_bytes
                       if payload is not None else 0)
 
@@ -222,8 +219,7 @@ class Datalink:
         Returns the :class:`Reply`, or ``None`` on timeout, when the
         expectation is cancelled so a late reply counts as a stray.
         """
-        seq = commands[-1].seq
-        reply_event = self.cab.expect_reply(seq)
+        reply_event = self.cab.expect_reply(commands[-1])
         yield from self.cab.dma.send_packet(
             self._packet(commands, None, close_after=False))
         deadline = self.sim.timeout(timeout_ns)
@@ -231,7 +227,7 @@ class Datalink:
         yield from self.kernel.compute(self.cfg.kernel.wakeup_ns)
         if reply_event in result:
             return result[reply_event]
-        self.cab.cancel_reply(seq)
+        self.cab.cancel_reply(commands[-1])
         self.counters["reply_timeouts"] += 1
         return None
 
@@ -327,7 +323,7 @@ class Datalink:
             commands.append(command)
             if edge.is_leaf:
                 leaf_commands.append(command)
-                reply_events.append(self.cab.expect_reply(command.seq))
+                reply_events.append(self.cab.expect_reply(command))
         packet = self._packet(commands, None, close_after=False)
         yield from self.cab.dma.send_packet(packet)
         # "After receiving replies to both of the open with retry and
@@ -339,7 +335,7 @@ class Datalink:
         yield from self.kernel.compute(self.cfg.kernel.wakeup_ns)
         if all_replies not in result:
             for command in leaf_commands:
-                self.cab.cancel_reply(command.seq)
+                self.cab.cancel_reply(command)
             yield from self.close_route()
             raise DatalinkError(
                 f"{self.cab.name}: multicast circuit establishment timed out")
@@ -477,7 +473,7 @@ class Datalink:
         """
         cpu = self.cab.cpu
         yield from cpu.execute_interrupt(self.cfg.datalink.receive_overhead_ns)
-        if packet.meta.get("framing_error"):
+        if packet.framing_error:
             self.counters["framing_errors"] += 1
             self.cab.signal_input_drained()
             return

@@ -7,8 +7,8 @@ from .checksum import ChecksumUnit
 from .crossbar import Crossbar
 from .dma import DmaController
 from .fiber import Fiber
-from .frames import (COLLECTIVE_ARG_BYTES, HubCommand, Packet, Payload,
-                     Reply, fletcher16)
+from .frames import (COLLECTIVE_ARG_BYTES, COMMAND_BYTES, FRAMING_BYTES,
+                     HubCommand, Packet, Payload, Reply, fletcher16)
 from .hub import HARDWARE_VERSION, Hub
 from .hub_collectives import REDUCE_OPS, HubCollectiveUnit
 from .hub_commands import CommandOp
@@ -23,8 +23,8 @@ from .vme import VmeBus
 from .wiring import wire_cab_to_hub, wire_hub_to_hub
 
 __all__ = [
-    "ALL_ACCESS", "CAB_BOARD", "COLLECTIVE_ARG_BYTES", "EXECUTE",
-    "HUB_BACKPLANE", "HUB_IO_BOARD",
+    "ALL_ACCESS", "CAB_BOARD", "COLLECTIVE_ARG_BYTES", "COMMAND_BYTES",
+    "EXECUTE", "FRAMING_BYTES", "HUB_BACKPLANE", "HUB_IO_BOARD",
     "KERNEL_DOMAIN", "READ", "REDUCE_OPS", "WRITE", "BoardSpec",
     "BandwidthPool", "CabBoard", "CabCpu", "ChecksumUnit", "CommandOp",
     "Crossbar", "DmaController", "Fiber", "HARDWARE_VERSION",

@@ -11,13 +11,14 @@ top of this class via the hooks it exposes.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
 from ..config import CabConfig, FiberConfig
 from ..sim import Broadcast, Event, Resource, Simulator, units
 from .checksum import ChecksumUnit
 from .dma import DmaController
-from .frames import Packet, Reply
+from .frames import HubCommand, Packet, Reply
 from .memory import BandwidthPool, MemoryRegion, ProtectionUnit
 from .timers import HardwareTimers
 from .vme import VmeBus
@@ -139,6 +140,7 @@ class CabBoard:
         self._rx_handler: Optional[Callable[..., Any]] = None
         self._rx_backlog: list[tuple[Packet, int, int, int]] = []
         self._reply_waiters: dict[int, Event] = {}
+        self._reply_seqs = count(1)
         self.counters: dict[str, int] = defaultdict(int)
 
     # ------------------------------------------------------------------
@@ -237,22 +239,29 @@ class CabBoard:
                      head_time: int, tail_time: int) -> None:
         self.sim.process(
             self._rx_handler(packet, wire_size, head_time, tail_time),
-            name=f"{self.name}.rx#{packet.packet_id}")
+            name=f"{self.name}.rx")
 
     # ------------------------------------------------------------------
     # reply plumbing (datalink waits on command replies)
     # ------------------------------------------------------------------
 
-    def expect_reply(self, seq: int) -> Event:
-        """Event that fires with the :class:`Reply` for command ``seq``."""
-        if seq in self._reply_waiters:
-            raise RuntimeError(f"{self.name}: reply {seq} already expected")
+    def expect_reply(self, command: HubCommand) -> Event:
+        """Event that fires with the :class:`Reply` to ``command``.
+
+        Stamps ``command.seq`` from this board's own count, so a reply is
+        matched to the command it answers whatever else the interpreter
+        has built.
+        """
+        if command.seq in self._reply_waiters:
+            raise RuntimeError(
+                f"{self.name}: reply to {command!r} already expected")
+        command.seq = seq = next(self._reply_seqs)
         event = self.sim.event()
         self._reply_waiters[seq] = event
         return event
 
-    def cancel_reply(self, seq: int) -> None:
-        self._reply_waiters.pop(seq, None)
+    def cancel_reply(self, command: HubCommand) -> None:
+        self._reply_waiters.pop(command.seq, None)
 
     def _deliver_reply(self, reply: Reply) -> None:
         waiter = self._reply_waiters.pop(reply.seq, None)

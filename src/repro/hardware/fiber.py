@@ -200,7 +200,7 @@ class Fiber:
                 # A damaged packet still arrives and drains queues —
                 # the framing error is detected at reception, so
                 # flow-control (ready bit) accounting stays sound.
-                item.meta["framing_error"] = True
+                item.framing_error = True
             else:
                 deliver = False  # replies/ready signals just vanish
         else:

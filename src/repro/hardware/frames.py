@@ -11,16 +11,12 @@ count the hardware would see.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
 from typing import TYPE_CHECKING, Any, Optional
 
 from .hub_commands import CommandOp
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hub import Hub
-
-_packet_ids = count(1)
-_command_seqs = count(1)
 
 #: Fletcher-16 works modulo 255; the closed form below works modulo 255².
 _M = 255
@@ -118,9 +114,15 @@ class Payload:
         return not self.corrupt
 
 
+#: Bytes per HUB command on the wire — "each command is a sequence of
+#: three bytes" (§4.2).
+COMMAND_BYTES = 3
+#: Framing bytes per data packet (start of packet + end of packet).
+FRAMING_BYTES = 2
 #: Wire bytes charged for the optional argument extension a collective
 #: command carries (epoch / combining operand words).  Plain commands
-#: stay exactly 3 bytes, so pre-existing timings are untouched.
+#: stay exactly :data:`COMMAND_BYTES`, so pre-existing timings are
+#: untouched.
 COLLECTIVE_ARG_BYTES = 8
 
 
@@ -137,17 +139,20 @@ class HubCommand:
     op: CommandOp
     hub_id: str
     param: int = 0
-    seq: int = field(default_factory=lambda: next(_command_seqs))
+    #: Key of the reply the issuing CAB awaits, stamped by
+    #: :meth:`~repro.hardware.cab.CabBoard.expect_reply`; 0 when nobody
+    #: waits on a reply keyed by it.
+    seq: int = 0
     #: Name of the CAB that issued the command (for reply delivery).
     origin: Optional[str] = None
     #: Collective argument extension (None for ordinary commands).
     arg: Optional[dict] = None
 
-    def wire_bytes(self, command_bytes: int) -> int:
+    def wire_bytes(self) -> int:
         """Bytes this command occupies on the fiber."""
         if self.arg is not None:
-            return command_bytes + COLLECTIVE_ARG_BYTES
-        return command_bytes
+            return COMMAND_BYTES + COLLECTIVE_ARG_BYTES
+        return COMMAND_BYTES
 
     def __repr__(self) -> str:
         return f"<{self.op.name} {self.hub_id} p={self.param} #{self.seq}>"
@@ -178,26 +183,24 @@ class Packet:
     ``close all`` that tears connections down behind the data (§4.2.1).
     """
 
-    __slots__ = ("packet_id", "commands", "payload", "close_after", "origin",
-                 "reverse_path", "meta", "command_bytes", "framing_bytes")
+    __slots__ = ("commands", "payload", "close_after", "origin",
+                 "reverse_path", "header_bytes", "framing_error")
 
     def __init__(self, origin: str,
                  commands: Optional[list[HubCommand]] = None,
                  payload: Optional[Payload] = None,
                  close_after: bool = False,
-                 command_bytes: int = 3,
-                 framing_bytes: int = 2,
                  header_bytes: int = 0) -> None:
-        self.packet_id = next(_packet_ids)
         self.commands: list[HubCommand] = list(commands or [])
         self.payload = payload
         self.close_after = close_after
         self.origin = origin
         #: Hops recorded on the way in: list of (hub, input_port_index).
         self.reverse_path: list[tuple["Hub", int]] = []
-        self.meta: dict[str, Any] = {"header_bytes": header_bytes}
-        self.command_bytes = command_bytes
-        self.framing_bytes = framing_bytes
+        #: Transport header bytes charged on the wire with the payload.
+        self.header_bytes = header_bytes
+        #: Set by a faulted fiber: the receiver discards the packet.
+        self.framing_error = False
 
     @property
     def has_payload(self) -> bool:
@@ -205,22 +208,21 @@ class Packet:
 
     def wire_size(self) -> int:
         """Bytes this packet occupies on a fiber *from here onward*."""
-        size = len(self.commands) * self.command_bytes
+        size = len(self.commands) * COMMAND_BYTES
         for command in self.commands:
             if command.arg is not None:
                 size += COLLECTIVE_ARG_BYTES
         if self.payload is not None:
-            size += (self.framing_bytes + self.meta.get("header_bytes", 0)
-                     + self.payload.size)
+            size += FRAMING_BYTES + self.header_bytes + self.payload.size
         if self.close_after:
-            size += self.command_bytes
+            size += COMMAND_BYTES
         return size
 
     def record_hop(self, hub: "Hub", in_port: int) -> None:
         self.reverse_path.append((hub, in_port))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        parts = [f"#{self.packet_id}", f"from={self.origin}"]
+        parts = [f"from={self.origin}"]
         if self.commands:
             parts.append(f"cmds={len(self.commands)}")
         if self.payload is not None:

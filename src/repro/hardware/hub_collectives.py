@@ -189,9 +189,7 @@ class HubCollectiveUnit:
                              origin=f"hub:{self.hub.name}")
         command.arg = {"epoch": state.epoch, "op": state.reduce_op,
                        "value": state.value, "tree": tree}
-        packet = Packet(command.origin, commands=[command],
-                        command_bytes=self.hub.cfg.command_bytes,
-                        framing_bytes=self.hub.cfg.framing_bytes)
+        packet = Packet(command.origin, commands=[command])
         port = self.hub.ports[spec["parent"]]
         self.hub.count("collective.upstream")
         self.sim.process(self._send_upstream(port, packet),

@@ -141,7 +141,7 @@ class HubPort:
     def _handle(self, packet: Packet, size: int, head_time: int):
         hub = self.hub
         cfg = hub.cfg
-        if packet.meta.get("framing_error"):
+        if packet.framing_error:
             # Damaged on the way in: discard after it drains the queue.
             hub.count("framing_errors")
             return
@@ -167,8 +167,7 @@ class HubPort:
                 # Later commands are still streaming in at fiber rate
                 # (collective commands carry extension bytes).
                 yield self.sim.timeout(round(
-                    command.wire_bytes(cfg.command_bytes)
-                    * hub.fiber_cfg.ns_per_byte))
+                    command.wire_bytes() * hub.fiber_cfg.ns_per_byte))
             first = False
             yield self.sim.timeout(cfg.port_command_cycles * cfg.cycle_ns)
             result = yield from hub.execute_command(
@@ -225,10 +224,8 @@ class HubPort:
             commands=[dc_replace(c) for c in packet.commands],
             payload=payload,
             close_after=packet.close_after,
-            command_bytes=packet.command_bytes,
-            framing_bytes=packet.framing_bytes,
+            header_bytes=packet.header_bytes,
         )
-        clone.meta = dict(packet.meta)
         clone.reverse_path = list(packet.reverse_path)
         return clone
 

@@ -30,8 +30,6 @@ ALL_ACCESS = READ | WRITE | EXECUTE
 #: Domain 0 is the CAB kernel; the highest domain is reserved for VME.
 KERNEL_DOMAIN = 0
 
-_stream_ids = count(1)
-
 
 class BandwidthPool:
     """Shared memory bandwidth (bytes/ns) divided among active streams."""
@@ -44,6 +42,7 @@ class BandwidthPool:
         self.name = name
         self.capacity = capacity_bytes_per_ns
         self._active: dict[int, float] = {}
+        self._stream_ids = count(1)
         self.bytes_moved = 0
 
     @property
@@ -52,7 +51,7 @@ class BandwidthPool:
 
     def open_stream(self, nominal_rate: float) -> int:
         """Register a long-lived stream; returns a handle for closing."""
-        handle = next(_stream_ids)
+        handle = next(self._stream_ids)
         self._active[handle] = nominal_rate
         return handle
 

@@ -9,22 +9,17 @@ interrupt.
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Callable
 
 from ..sim import Simulator
-
-_timer_ids = count(1)
 
 
 class TimerHandle:
     """A cancellable armed timer."""
 
-    __slots__ = ("timer_id", "deadline", "_callback", "cancelled", "fired")
+    __slots__ = ("deadline", "_callback", "cancelled", "fired")
 
-    def __init__(self, timer_id: int, deadline: int,
-                 callback: Callable[[], None]) -> None:
-        self.timer_id = timer_id
+    def __init__(self, deadline: int, callback: Callable[[], None]) -> None:
         self.deadline = deadline
         self._callback = callback
         self.cancelled = False
@@ -57,7 +52,7 @@ class HardwareTimers:
         """Arm a timer ``delay`` ns from now."""
         if delay < 0:
             raise ValueError(f"negative timer delay {delay}")
-        handle = TimerHandle(next(_timer_ids), self.sim.now + delay, callback)
+        handle = TimerHandle(self.sim.now + delay, callback)
         self.armed += 1
 
         def expire() -> None:

@@ -41,8 +41,6 @@ IP_CPU_NS = 2_500
 #: UDP-layer CPU per datagram (port demux, length/checksum fields).
 UDP_CPU_NS = 1_500
 
-_ip_ids = count(1)
-
 
 def cab_address(cab_name: str) -> int:
     """A deterministic 10.x.y.z address for a CAB."""
@@ -94,6 +92,7 @@ class IpLayer:
         self._upper: dict[int, Any] = {}
         #: (src_cab, ip id) -> {offset: (size, bytes|None), ...}
         self._partials: dict[tuple[str, int], dict] = {}
+        self._ip_ids = count(1)
         self.packets_sent = 0
         self.packets_received = 0
         self.fragments_created = 0
@@ -127,7 +126,7 @@ class IpLayer:
         header on the wire.
         """
         size = len(segment_data) if segment_size is None else segment_size
-        identification = next(_ip_ids)
+        identification = next(self._ip_ids)
         dst_address = cab_address(dst_cab)
         payload_mtu = self.mtu - IP_HEADER_BYTES
         offset = 0

@@ -45,8 +45,6 @@ RETRANS_TIMEOUT_NS = 3_000_000
 NACK_DELAY_NS = 500_000
 MAX_RETRIES = 10
 
-_transaction_ids = count(1)
-
 _KIND_REQUEST = 0
 _KIND_RESPONSE = 1
 _KIND_NACK = 2
@@ -88,6 +86,7 @@ class VmtpLayer:
         self._servers: dict[int, Callable[[dict[str, Any]], Any]] = {}
         #: txn -> client-side state.
         self._pending: dict[int, dict[str, Any]] = {}
+        self._transaction_ids = count(1)
         #: (peer cab, txn, kind) -> reassembly group.
         self._groups: dict[tuple[str, int, int], _Group] = {}
         #: (client cab, txn) -> cached response bytes (at-most-once).
@@ -132,7 +131,7 @@ class VmtpLayer:
             raise TransportError(
                 f"{len(data)} B exceeds one packet group "
                 f"({MAX_SEGMENTS} × {seg_bytes} B)")
-        txn = next(_transaction_ids)
+        txn = next(self._transaction_ids)
         state: dict[str, Any] = {"response": self.sim.event(),
                                  "nack": None}
         self._pending[txn] = state

@@ -13,7 +13,6 @@ a :class:`~repro.hardware.memory.MemoryBlock` until consumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..errors import MailboxError
@@ -24,8 +23,6 @@ __all__ = ["Message", "Mailbox"]
 if TYPE_CHECKING:  # pragma: no cover
     from ..hardware.memory import MemoryBlock, MemoryRegion
     from .threads import CabKernel
-
-_message_ids = count(1)
 
 
 @dataclass
@@ -38,7 +35,6 @@ class Message:
     data: Optional[bytes] = None
     kind: str = "data"
     meta: dict[str, Any] = field(default_factory=dict)
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
     enqueued_at: Optional[int] = None
     block: Optional["MemoryBlock"] = None
 

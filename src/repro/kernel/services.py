@@ -9,7 +9,7 @@ costs) and completes the request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -20,8 +20,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..hardware.node import NodeHost
     from .threads import CabKernel
 
-_request_ids = count(1)
-
 
 @dataclass
 class ServiceRequest:
@@ -30,7 +28,7 @@ class ServiceRequest:
     service: str
     args: Any
     arg_bytes: int
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    request_id: int
     completed: Optional[Event] = None
 
 
@@ -43,6 +41,7 @@ class NodeServices:
         self.node: Optional["NodeHost"] = None
         self._handlers: dict[str, Callable[..., Any]] = {}
         self._pending: dict[int, ServiceRequest] = {}
+        self._request_ids = count(1)
         self.requests_served = 0
 
     def attach_node(self, node: "NodeHost") -> None:
@@ -64,7 +63,7 @@ class NodeServices:
         if self.node is None:
             raise NodeError("no node attached for kernel services")
         req = ServiceRequest(service, args, arg_bytes,
-                             completed=self.sim.event())
+                             next(self._request_ids), self.sim.event())
         self._pending[req.request_id] = req
         # Push the request descriptor over VME, then interrupt the node.
         yield from self.kernel.cab.vme.transfer(arg_bytes)

@@ -21,8 +21,6 @@ from ..sim import Event, Process
 if TYPE_CHECKING:  # pragma: no cover
     from ..hardware.cab import CabBoard
 
-_thread_ids = count(1)
-
 
 class CabThread:
     """A lightweight kernel thread (cf. Mach C Threads, §6.1)."""
@@ -31,7 +29,6 @@ class CabThread:
                  name: str) -> None:
         self.kernel = kernel
         self.process = process
-        self.thread_id = next(_thread_ids)
         self.name = name
         self.switches = 0
 
@@ -46,7 +43,7 @@ class CabThread:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "alive" if self.is_alive else "done"
-        return f"<CabThread {self.name}#{self.thread_id} {state}>"
+        return f"<CabThread {self.name} {state}>"
 
 
 class CabKernel:
@@ -59,6 +56,8 @@ class CabKernel:
         self.cfg = cfg
         self.threads: list[CabThread] = []
         self.total_switches = 0
+        #: Labels unnamed threads ``thread1``, ``thread2``, … per CAB.
+        self._unnamed = count(1)
 
     # ------------------------------------------------------------------
     # thread lifecycle
@@ -67,7 +66,7 @@ class CabKernel:
     def spawn(self, generator: Generator[Event, Any, Any],
               name: Optional[str] = None) -> CabThread:
         """Create and start a kernel thread running ``generator``."""
-        label = name or f"thread{next(_thread_ids)}"
+        label = name or f"thread{next(self._unnamed)}"
         process = self.sim.process(generator,
                                    name=f"{self.cab.name}.{label}")
         thread = CabThread(self, process, label)

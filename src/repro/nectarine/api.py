@@ -13,7 +13,6 @@ operations are minimised and DMA used whenever possible.
 
 from __future__ import annotations
 
-from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional, Union
 
 from ..errors import NectarineError
@@ -24,8 +23,6 @@ from ..nodeiface.shared_memory import SharedMemoryInterface
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..system.builder import CabStack, NectarSystem
-
-_task_ids = count(1)
 
 
 class Buffer:
@@ -71,7 +68,6 @@ class Task:
                  location: Union["CabStack", NodeHost]) -> None:
         self.runtime = runtime
         self.name = name
-        self.task_id = next(_task_ids)
         self.location = location
         self.cab = runtime._cab_of(location)
         self.mailbox: Mailbox = self.cab.create_mailbox(f"task:{name}")

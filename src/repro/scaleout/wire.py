@@ -27,9 +27,8 @@ Two things in a frame cannot leave their process as they are:
 Encoding only *reads* its argument: the sending partition may still
 hold the frame (multicast siblings share ``header`` and ``data``,
 transports keep payloads for retransmit).  Decoding builds fresh
-objects without running ``Packet.__init__`` or the ``HubCommand.seq``
-factory, so packet ids and command sequence numbers cross unchanged and
-the receiver's own counters do not move.
+objects without running ``Packet.__init__``, and command sequence
+numbers cross unchanged, so a reply still finds the CAB's waiter.
 """
 
 from __future__ import annotations
@@ -72,11 +71,11 @@ def encode_item(item: Any) -> bytes:
                 data = bytes(data)
             payload = (payload.size, data, payload.header, payload.sealed,
                        payload.corrupt)
-        flat = (KIND_PACKET, item.packet_id, item.origin,
+        flat = (KIND_PACKET, item.origin,
                 [(c.op.value, c.hub_id, c.param, c.seq, c.origin, c.arg)
                  for c in item.commands],
                 payload, item.close_after, _names(item.reverse_path),
-                item.meta, item.command_bytes, item.framing_bytes)
+                item.header_bytes, item.framing_error)
     elif isinstance(item, Reply):
         info = item.info
         if info.get("route"):
@@ -101,8 +100,8 @@ def decode_item(blob: bytes, resolve: Callable[[str], Any]) -> Any:
                              for name, port in info["route"]]
         return Reply(seq, ok, hub_id, info, wire_size)
     packet = Packet.__new__(Packet)
-    (packet.packet_id, packet.origin, commands, payload, packet.close_after,
-     path, packet.meta, packet.command_bytes, packet.framing_bytes) = fields
+    (packet.origin, commands, payload, packet.close_after, path,
+     packet.header_bytes, packet.framing_error) = fields
     packet.commands = [HubCommand(CommandOp(op), *rest)
                        for op, *rest in commands]
     packet.payload = None if payload is None else Payload(*payload)

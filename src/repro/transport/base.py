@@ -304,7 +304,7 @@ class TransportManager:
     def _on_packet(self, packet: Packet) -> None:
         """Post-DMA continuation: spawn the header-processing handler."""
         self.sim.process(self._handle_packet(packet),
-                         name=f"{self.cab.name}.tp#{packet.packet_id}")
+                         name=f"{self.cab.name}.tp")
 
     def _handle_packet(self, packet: Packet):
         # Still the same interrupt context the datalink dispatched from, so

@@ -131,13 +131,16 @@ class TestCabReceiveBacklog:
 
     def test_expect_reply_conflict(self, sim):
         from repro.config import NectarConfig
+        from repro.hardware import CommandOp, HubCommand
         cfg = NectarConfig()
         cab = CabBoard(sim, "cab", cfg.cab, cfg.fiber)
-        cab.expect_reply(77)
+        command = HubCommand(CommandOp.OPEN_REPLY, "hub", 1)
+        cab.expect_reply(command)
         with pytest.raises(RuntimeError):
-            cab.expect_reply(77)
-        cab.cancel_reply(77)
-        cab.expect_reply(77)              # fine after cancellation
+            cab.expect_reply(command)     # its reply is already awaited
+        cab.cancel_reply(command)
+        cab.expect_reply(command)         # fine after cancellation
+        assert command.seq == 2           # a fresh key from the board
 
     def test_transmit_unwired_raises(self, sim):
         from repro.config import NectarConfig

@@ -6,6 +6,7 @@ from dataclasses import replace
 from repro.config import (FiberConfig, HubConfig, NectarConfig,
                           default_config)
 from repro.errors import ConfigError
+from repro.hardware.frames import FRAMING_BYTES
 
 
 class TestDefaults:
@@ -93,5 +94,5 @@ class TestDerived:
     def test_max_packet_fits_queue(self):
         cfg = default_config()
         total = (cfg.transport.max_payload_bytes + cfg.transport.header_bytes
-                 + cfg.hub.framing_bytes)
+                 + FRAMING_BYTES)
         assert total <= cfg.hub.input_queue_bytes

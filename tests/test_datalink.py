@@ -222,9 +222,11 @@ class TestReceivePath:
             yield from a.datalink.close_route()
         a.spawn(body())
         system.run(until=10_000_000)
-        assert b.board.counters["packets_received"] == 0 or True
-        # the close-all travelling over the open circuit reaches cab1
-        assert b.datalink.counters["command_only_packets"] >= 1
+        # One packet reaches cab1: the travelling close-all, forwarded
+        # over the open circuit.  The open command stops at the HUB, and
+        # its reply goes back to cab0.
+        assert b.board.counters["packets_received"] == 1
+        assert b.datalink.counters["command_only_packets"] == 1
 
     def test_first_hop_ready_gating(self, hub_pair):
         system, a, b = hub_pair
@@ -247,6 +249,24 @@ class TestReceivePath:
         system.run(until=10_000_000)
         assert answers["reply"].ok
         assert answers["reply"].info["owner"] is None
+
+    def test_reply_keys_are_minted_per_board(self):
+        # A CAB keys the replies it awaits from its own count, so the
+        # first one carries seq 1 however many systems were built before.
+        def first_reply_seq():
+            system = single_hub_system(2)
+            stack = system.cab("cab0")
+            answers = []
+
+            def body():
+                answers.append((yield from stack.datalink.query_first_hop(
+                    CommandOp.STATUS_OUTPUT, 1)))
+            stack.spawn(body())
+            system.run(until=10_000_000)
+            [reply] = answers
+            return reply.seq
+
+        assert first_reply_seq() == first_reply_seq() == 1
 
 
 #: Deadline for the replied exchanges below (the collective default is

@@ -1,10 +1,12 @@
-"""Documentation conventions: links resolve, docstrings/__all__ present.
+"""Repository-wide conventions: links resolve, docstrings/__all__
+present, no process-global id counters.
 
 Runs the same stdlib checkers the CI docs job runs
 (``tools/check_links.py``, ``tools/check_docstrings.py``) so a broken
 intra-repo link or an undocumented public module fails locally too.
 """
 
+import ast
 import pathlib
 import subprocess
 import sys
@@ -62,3 +64,59 @@ def test_documentation_index_check_catches_omissions(load_script, tmp_path):
     problems = load_script("tools/check_links.py").check(tmp_path)
     assert any("ORPHAN.md" in problem for problem in problems)
     assert not any("LISTED.md" in problem for problem in problems)
+
+
+def _is_count(func):
+    if isinstance(func, ast.Name):
+        return func.id == "count"
+    return (isinstance(func, ast.Attribute) and func.attr == "count"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "itertools")
+
+
+def import_time_counters(root):
+    """``path:line`` of every ``count(...)`` / ``itertools.count(...)``
+    call under ``root`` that runs when its module is imported: at module
+    or class scope, or in a decorator or a default argument."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        pending = [ast.parse(path.read_text(), str(path))]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                pending.extend(getattr(node, "decorator_list", []))
+                pending.extend(node.args.defaults)
+                pending.extend(default for default in node.args.kw_defaults
+                               if default is not None)
+                continue
+            if isinstance(node, ast.Call) and _is_count(node.func):
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+            pending.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_no_process_global_counters():
+    """Ids are minted by the object that owns their scope: a counter
+    shared by the whole interpreter makes a run's answer depend on what
+    was built before it."""
+    found = import_time_counters(REPO_ROOT / "src" / "repro")
+    assert found == [], "process-global counters:\n" + "\n".join(found)
+
+
+def test_counter_check_catches_import_time_calls(tmp_path):
+    (tmp_path / "bad.py").write_text(
+        "import itertools\n"
+        "from itertools import count\n"
+        "_ids = count(1)\n"
+        "class Thing:\n"
+        "    ids = itertools.count()\n"
+        "def mint(ids=count(1)):\n"
+        "    return next(ids)\n")
+    (tmp_path / "good.py").write_text(
+        "from itertools import count\n"
+        "class Owner:\n"
+        "    def __init__(self):\n"
+        "        self._ids = count(1)\n")
+    assert import_time_counters(tmp_path) == ["bad.py:3", "bad.py:5",
+                                              "bad.py:6"]

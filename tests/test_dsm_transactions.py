@@ -231,6 +231,46 @@ class TestTransactions:
         assert manager.commit_latency.count == 1
         assert manager.commit_latency.mean_us < 1_000
 
+    def test_coordinators_of_one_manager_never_share_an_id(self):
+        # Participants key their locks by transaction id: the ids come
+        # from the manager, so two coordinators never draw the same one.
+        system, manager = self.make(clients=2)
+        ids = []
+
+        def body(prefix):
+            def run(coordinator):
+                for index in range(3):
+                    ids.append((yield from coordinator.execute(
+                        {f"{prefix}{index}": index})))
+            return run
+        manager.coordinator("c1", system.cab("cab3")).run(body("a"))
+        manager.coordinator("c2", system.cab("cab4")).run(body("b"))
+        system.run(until=120_000_000_000)
+        assert sorted(ids) == [1, 2, 3, 4, 5, 6]
+
+    def test_same_commit_latency_when_run_again(self):
+        # E24b's one-participant 2PC, built and run twice in one
+        # interpreter.  The transaction id is JSON-encoded into the
+        # prepare and commit bodies, so an id minted from a count shared
+        # across managers grows the messages once it passes 9.
+        def one_run():
+            system = single_hub_system(2)
+            manager = TransactionManager(system, [system.cab("cab0")])
+            ids = []
+
+            def body(coordinator):
+                for index in range(6):
+                    ids.append((yield from coordinator.execute(
+                        {f"key0_{index}": index})))
+            manager.coordinator("bench", system.cab("cab1")).run(body)
+            system.run(until=120_000_000_000)
+            assert manager.commits == 6
+            return ids, manager.commit_latency.mean_us
+
+        first, second = one_run(), one_run()
+        assert first[0] == second[0] == [1, 2, 3, 4, 5, 6]
+        assert first[1] == second[1]
+
     def test_needs_participants(self):
         system = single_hub_system(2)
         with pytest.raises(NectarError):

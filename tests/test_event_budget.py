@@ -27,7 +27,11 @@ from repro.topology import single_hub_system
 ONE_DATAGRAM_ENTRIES = 43
 
 #: Opcodes executed in ``src/repro`` frames for the same scene, spawns
-#: included (CPython 3.11); a failure prints them by package.  11 932
+#: included (CPython 3.11); a failure prints them by package.  11 901
+#: before ids were minted by their owners: ``repro.hardware`` 2 717 ->
+#: 2 673, ``repro.datalink`` 596 -> 572, ``repro.kernel`` 598 -> 583,
+#: ``repro.transport`` 686 -> 683 (no module-counter lambda per HUB
+#: command or ``Message``, no packet id, no ``Packet.meta`` dict).  11 932
 #: before each ``CommandOp`` carried its own flags: ``repro.hardware``
 #: 2 748 -> 2 717 (an attribute load per classification instead of a
 #: predicate call and a frozenset test), every other package unchanged.
@@ -43,7 +47,7 @@ ONE_DATAGRAM_ENTRIES = 43
 #: ``repro.sim`` 8 815 -> 8 346 (no ``_waiting_on`` stores, no
 #: finished-process guard per resume), ``repro.hardware`` 2 902 -> 2 863
 #: (no ``try/finally`` per CPU grant).
-ONE_DATAGRAM_OPCODES = 11_901
+ONE_DATAGRAM_OPCODES = 11_815
 
 
 def one_datagram(drive=lambda run: run(), size=64, mode="auto"):

@@ -144,8 +144,7 @@ class TestTransmitStateMachine:
             fiber.send(packet)
             sim.run()  # every one of these finds the line idle
         expected = [reference.random() < 0.5 for _ in packets]
-        assert [bool(p.meta.get("framing_error")) for p in packets] \
-            == expected
+        assert [p.framing_error for p in packets] == expected
         assert 0 < sum(expected) < 32
         assert rng.getstate() == reference.getstate()
         assert fiber.packets_dropped == sum(expected)
@@ -164,7 +163,7 @@ class TestTransmitStateMachine:
         # Damaged packets still arrive (and drain queues); the reply
         # vanished but held the line for its serialisation time.
         assert [item for _t, item in heads] == [first, second]
-        assert first.meta["framing_error"] and second.meta["framing_error"]
+        assert first.framing_error and second.framing_error
         assert heads[1][0] - heads[0][0] == (12 + 3) * 80
         assert fiber.packets_dropped == 3 and fiber.packets_sent == 3
         assert fiber._sending is None and not fiber._backlog
@@ -181,7 +180,7 @@ class TestFaults:
         # Damaged packets still arrive (framing error detected at the
         # receiver) so flow-control accounting stays sound.
         [(received, _size)] = sink.arrivals
-        assert received.meta["framing_error"]
+        assert received.framing_error
         assert fiber.packets_dropped == 1
         assert done.processed  # the sender still finishes serialising
 
@@ -234,8 +233,7 @@ class TestFaultStreamIndependence:
             second.send(make_packet(10))
         sim.run()
         patterns = [
-            [item.meta.get("framing_error", False)
-             for item, _size in sink.arrivals]
+            [item.framing_error for item, _size in sink.arrivals]
             for sink in sinks]
         assert patterns[0] != patterns[1]
         assert 0 < first.packets_dropped < 64

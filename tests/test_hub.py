@@ -47,7 +47,7 @@ def command(op, hub, param, origin="cab0"):
 
 
 def await_reply(sim, cab, cmd, until=5_000_000):
-    event = cab.expect_reply(cmd.seq)
+    event = cab.expect_reply(cmd)
     sim.run(until=until)
     assert event.triggered, f"no reply to {cmd!r}"
     return event.value
@@ -57,7 +57,7 @@ class TestOpenClose:
     def test_open_creates_connection(self, rig):
         sim, hub, cabs = rig
         cmd = command(CommandOp.OPEN_REPLY, "hub0", 1)
-        reply_event = cabs[0].expect_reply(cmd.seq)
+        reply_event = cabs[0].expect_reply(cmd)
         send_commands(cabs[0], [cmd])
         sim.run(until=100_000)
         assert reply_event.value.ok
@@ -69,7 +69,7 @@ class TestOpenClose:
         send_commands(cabs[0], [first])
         sim.run(until=100_000)
         second = command(CommandOp.OPEN_REPLY, "hub0", 2, origin="cab1")
-        reply_event = cabs[1].expect_reply(second.seq)
+        reply_event = cabs[1].expect_reply(second)
         send_commands(cabs[1], [second])
         sim.run(until=200_000)
         reply = reply_event.value
@@ -83,7 +83,7 @@ class TestOpenClose:
         assert hub.crossbar.owner_of(2) == 0
         retry = command(CommandOp.OPEN_RETRY_REPLY, "hub0", 2,
                         origin="cab1")
-        reply_event = cabs[1].expect_reply(retry.seq)
+        reply_event = cabs[1].expect_reply(retry)
         send_commands(cabs[1], [retry])
         sim.run(until=300_000)
         assert not reply_event.triggered          # still waiting
@@ -129,12 +129,12 @@ class TestLocks:
     def test_lock_blocks_other_origin(self, rig):
         sim, hub, cabs = rig
         lock = command(CommandOp.LOCK_REPLY, "hub0", 2, origin="cab0")
-        reply_event = cabs[0].expect_reply(lock.seq)
+        reply_event = cabs[0].expect_reply(lock)
         send_commands(cabs[0], [lock])
         sim.run(until=100_000)
         assert reply_event.value.ok
         foreign = command(CommandOp.OPEN_REPLY, "hub0", 2, origin="cab1")
-        foreign_reply = cabs[1].expect_reply(foreign.seq)
+        foreign_reply = cabs[1].expect_reply(foreign)
         send_commands(cabs[1], [foreign])
         sim.run(until=200_000)
         assert not foreign_reply.value.ok
@@ -153,7 +153,7 @@ class TestLocks:
         sim.run(until=100_000)
         waiting = command(CommandOp.OPEN_RETRY_REPLY, "hub0", 2,
                           origin="cab1")
-        waiting_reply = cabs[1].expect_reply(waiting.seq)
+        waiting_reply = cabs[1].expect_reply(waiting)
         send_commands(cabs[1], [waiting])
         sim.run(until=200_000)
         assert not waiting_reply.triggered
@@ -177,7 +177,7 @@ class TestStatus:
         send_commands(cabs[0], [command(CommandOp.OPEN, "hub0", 1)])
         sim.run(until=100_000)
         query = command(CommandOp.STATUS_OUTPUT, "hub0", 1)
-        reply_event = cabs[0].expect_reply(query.seq)
+        reply_event = cabs[0].expect_reply(query)
         send_commands(cabs[0], [query])
         sim.run(until=200_000)
         assert reply_event.value.info["owner"] == 0
@@ -185,7 +185,7 @@ class TestStatus:
     def test_status_table_snapshot(self, rig):
         sim, hub, cabs = rig
         query = command(CommandOp.STATUS_TABLE, "hub0", 0)
-        reply_event = cabs[0].expect_reply(query.seq)
+        reply_event = cabs[0].expect_reply(query)
         send_commands(cabs[0], [query])
         sim.run(until=200_000)
         table = reply_event.value.info["table"]
@@ -194,7 +194,7 @@ class TestStatus:
     def test_echo(self, rig):
         sim, hub, cabs = rig
         probe = command(CommandOp.ECHO, "hub0", 99)
-        reply_event = cabs[0].expect_reply(probe.seq)
+        reply_event = cabs[0].expect_reply(probe)
         send_commands(cabs[0], [probe])
         sim.run(until=100_000)
         assert reply_event.value.info["echo"] == 99
@@ -202,7 +202,7 @@ class TestStatus:
     def test_status_ready(self, rig):
         sim, hub, cabs = rig
         query = command(CommandOp.STATUS_READY, "hub0", 1)
-        reply_event = cabs[0].expect_reply(query.seq)
+        reply_event = cabs[0].expect_reply(query)
         send_commands(cabs[0], [query])
         sim.run(until=100_000)
         assert reply_event.value.info["ready"] is True
@@ -225,7 +225,7 @@ class TestSupervisor:
                       [command(CommandOp.SV_DISABLE_PORT, "hub0", 2)])
         sim.run(until=100_000)
         bad = command(CommandOp.OPEN_RETRY_REPLY, "hub0", 2)
-        reply_event = cabs[0].expect_reply(bad.seq)
+        reply_event = cabs[0].expect_reply(bad)
         send_commands(cabs[0], [bad])
         sim.run(until=300_000)
         reply = reply_event.value
@@ -245,8 +245,8 @@ class TestSupervisor:
         sim, hub, cabs = rig
         test = command(CommandOp.SV_SELFTEST, "hub0", 0)
         version = command(CommandOp.SV_READ_VERSION, "hub0", 0)
-        ev_t = cabs[0].expect_reply(test.seq)
-        ev_v = cabs[0].expect_reply(version.seq)
+        ev_t = cabs[0].expect_reply(test)
+        ev_v = cabs[0].expect_reply(version)
         send_commands(cabs[0], [test, version])
         sim.run(until=200_000)
         assert ev_t.value.info["selftest"] == "pass"
@@ -257,7 +257,7 @@ class TestSupervisor:
         send_commands(cabs[0], [command(CommandOp.SV_FREEZE, "hub0", 0)])
         sim.run(until=100_000)
         frozen = command(CommandOp.OPEN_REPLY, "hub0", 1)
-        reply_event = cabs[0].expect_reply(frozen.seq)
+        reply_event = cabs[0].expect_reply(frozen)
         send_commands(cabs[0], [frozen])
         sim.run(until=200_000)
         assert not reply_event.value.ok
@@ -271,7 +271,7 @@ class TestSupervisor:
         send_commands(cabs[0], [command(CommandOp.OPEN, "hub0", 1)])
         sim.run(until=100_000)
         read = command(CommandOp.SV_READ_COUNTERS, "hub0", 0)
-        reply_event = cabs[0].expect_reply(read.seq)
+        reply_event = cabs[0].expect_reply(read)
         send_commands(cabs[0], [read])
         sim.run(until=200_000)
         assert reply_event.value.info["counters"]["opens_ok"] == 1
@@ -296,7 +296,7 @@ class TestSupervisor:
         sim.run(until=100_000)
         hopeless = command(CommandOp.OPEN_RETRY_REPLY, "hub0", 2,
                            origin="cab1")
-        reply_event = cabs[1].expect_reply(hopeless.seq)
+        reply_event = cabs[1].expect_reply(hopeless)
         send_commands(cabs[1], [hopeless])
         sim.run(until=1_000_000)
         assert reply_event.triggered
@@ -383,7 +383,7 @@ class TestFlowControlCommands:
         send_commands(cabs[0], [command(CommandOp.CLEAR_READY, "hub0", 2)])
         sim.run(until=100_000)
         gated = command(CommandOp.TEST_OPEN_RETRY_REPLY, "hub0", 2)
-        reply_event = cabs[0].expect_reply(gated.seq)
+        reply_event = cabs[0].expect_reply(gated)
         send_commands(cabs[0], [gated])
         sim.run(until=300_000)
         assert not reply_event.triggered
@@ -398,7 +398,7 @@ class TestFlowControlCommands:
         send_commands(cabs[0], [command(CommandOp.CLEAR_READY, "hub0", 2)])
         sim.run(until=100_000)
         gated = command(CommandOp.TEST_OPEN_REPLY, "hub0", 2)
-        reply_event = cabs[0].expect_reply(gated.seq)
+        reply_event = cabs[0].expect_reply(gated)
         send_commands(cabs[0], [gated])
         sim.run(until=300_000)
         assert not reply_event.value.ok
@@ -422,8 +422,8 @@ class TestInputQueue:
             port.deliver(packet, packet.wire_size())
         assert port._busy and len(port._queue) == 2
         sim.run()
-        assert [p.packet_id for p in cabs[1].meta_received] \
-            == [p.packet_id for p in packets]
+        assert all(got is sent for got, sent
+                   in zip(cabs[1].meta_received, packets, strict=True))
         assert hub.max_queue_depths[0] == 2
         assert hub.queue_depths[0] == 0
         # Once, and only after all three had left through port 1.

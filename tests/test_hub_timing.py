@@ -112,7 +112,7 @@ class TestE3SingleHubConnectionUnderOneMicrosecond:
         cfg, sim, hub, src, dst = timing_rig
         cmd = HubCommand(CommandOp.OPEN_RETRY_REPLY, "hub0", 1,
                          origin="src")
-        reply_event = src.expect_reply(cmd.seq)
+        reply_event = src.expect_reply(cmd)
         send_done = src.transmit(Packet("src", commands=[cmd]))
         sim.run(until=1_000_000)
         assert reply_event.value.ok
@@ -129,7 +129,7 @@ class TestE3SingleHubConnectionUnderOneMicrosecond:
         cfg, sim, hub, src, dst = timing_rig
         cmd = HubCommand(CommandOp.OPEN_RETRY_REPLY, "hub0", 1,
                          origin="src")
-        reply_event = src.expect_reply(cmd.seq)
+        reply_event = src.expect_reply(cmd)
         arrival = {}
         reply_event.add_callback(lambda ev: arrival.setdefault("t", sim.now))
         src.transmit(Packet("src", commands=[cmd]))

@@ -70,8 +70,8 @@ def assert_same_frame(original, decoded):
         paths = [(original.info.get("route", []),
                   decoded.info.get("route", []))]
     else:
-        for name in ("packet_id", "origin", "close_after", "meta",
-                     "command_bytes", "framing_bytes"):
+        for name in ("origin", "close_after", "header_bytes",
+                     "framing_error"):
             assert getattr(decoded, name) == getattr(original, name), name
         fields = ("op", "hub_id", "param", "seq", "origin", "arg")
         assert [[getattr(c, f) for f in fields] for c in decoded.commands] \
@@ -103,21 +103,20 @@ def roundtrip(item):
 def test_packet_roundtrip_rebinds_hubs_and_materializes_payload():
     packet = Packet("cab0",
                     commands=[HubCommand(CommandOp.TEST_OPEN_RETRY,
-                                         "hub_b", 3, origin="cab0")],
-                    payload=Payload(4, data=memoryview(b"abcdef")[1:5]))
+                                         "hub_b", 3, seq=5, origin="cab0")],
+                    payload=Payload(4, data=memoryview(b"abcdef")[1:5]),
+                    header_bytes=16)
     packet.reverse_path = [(HUBS["hub_a"], 2), (HUBS["hub_b"], 7)]
     assert kind_of(packet) == KIND_PACKET
-    minted = (Packet("probe").packet_id, HubCommand(CommandOp.OPEN, "x").seq)
     decoded = roundtrip(packet)
     assert decoded is not packet
     assert_same_frame(packet, decoded)
     assert decoded.reverse_path[0][0] is HUBS["hub_a"]
     assert decoded.payload.data == b"bcde"
-    # Rebuilding a frame mints no packet id and no command sequence
-    # number: the receiving partition's own counters do not move.
-    assert (Packet("probe").packet_id,
-            HubCommand(CommandOp.OPEN, "x").seq) == (minted[0] + 1,
-                                                     minted[1] + 1)
+    # The reply key the issuing CAB stamped crosses unchanged, and the
+    # wire size is the sender's.
+    assert decoded.commands[0].seq == 5
+    assert decoded.wire_size() == packet.wire_size()
 
 
 def test_reply_roundtrip_rebinds_route():
@@ -219,8 +218,7 @@ def _packets(draw):
                     payload=draw(st.none() | _payloads()),
                     close_after=draw(st.booleans()),
                     header_bytes=draw(st.integers(0, 32)))
-    if draw(st.booleans()):
-        packet.meta["framing_error"] = True
+    packet.framing_error = draw(st.booleans())
     packet.reverse_path = draw(_hub_refs)
     return packet
 
