@@ -21,8 +21,8 @@ def stream_throughput(cfg=None, size=64_000):
 def test_ablation_hardware_checksum():
     def scenario():
         hw_cfg = NectarConfig()
-        sw_cfg = hw_cfg.with_overrides(
-            cab=replace(hw_cfg.cab, hardware_checksum=False))
+        sw_cfg = replace(
+            hw_cfg, cab=replace(hw_cfg.cab, hardware_checksum=False))
         return {
             "hw_mbps": stream_throughput(hw_cfg),
             "sw_mbps": stream_throughput(sw_cfg),
@@ -45,8 +45,8 @@ def test_ablation_stream_window():
         rates = {}
         for window in (1, 2, 8):
             cfg = NectarConfig()
-            cfg = cfg.with_overrides(
-                transport=replace(cfg.transport, window_packets=window))
+            cfg = replace(
+                cfg, transport=replace(cfg.transport, window_packets=window))
             rates[window] = stream_throughput(cfg)
         return rates
     rates = scenario()

@@ -20,7 +20,7 @@ def nectar_pairs(num_pairs, message_bytes):
 def ethernet_pairs(num_pairs, message_bytes):
     cfg = NectarConfig()
     sim = Simulator()
-    lan = EthernetLan(sim, cfg.lan, rng=cfg.rng_stream("contention"))
+    lan = EthernetLan(sim, rng=cfg.rng_stream("contention"))
     finish = {}
     for pair in range(num_pairs):
         lan.add_host(f"src{pair}")

@@ -10,7 +10,7 @@ The ablation shrinks the pool to show when streams would start to starve.
 
 from dataclasses import replace
 
-from repro.config import CabConfig
+from repro.config import VME_BYTES_PER_NS
 from repro.hardware.memory import BandwidthPool
 from repro.sim import Simulator, units
 from repro.stats import ExperimentTable
@@ -18,10 +18,9 @@ from repro.stats import ExperimentTable
 
 def scenario_concurrent_streams(pool_mbytes=66.0, num_bytes=500_000):
     sim = Simulator()
-    cab = CabConfig()
     pool = BandwidthPool(sim, units.megabytes_per_second(pool_mbytes))
     fiber = units.megabits_per_second(100.0)
-    vme = cab.vme_bytes_per_ns
+    vme = VME_BYTES_PER_NS
     cpu = units.megabytes_per_second(20.0)   # CPU load/store stream
     finish = {}
 

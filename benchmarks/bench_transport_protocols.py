@@ -43,8 +43,7 @@ def rpc_round_trip(size=64):
 
 def reliability_under_loss(drop=0.2, messages=20):
     cfg = NectarConfig(seed=23)
-    cfg = cfg.with_overrides(fiber=replace(cfg.fiber,
-                                           drop_probability=drop))
+    cfg = replace(cfg, fiber=replace(cfg.fiber, drop_probability=drop))
     system = single_hub_system(2, cfg=cfg)
     a, b = system.cab("cab0"), system.cab("cab1")
     dg_box = b.create_mailbox("dg")

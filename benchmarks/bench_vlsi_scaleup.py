@@ -7,7 +7,7 @@ CABs with 12.8 Gb/s aggregate while per-pair latency stays what the
 16-port prototype delivers.
 """
 
-from repro.config import default_config, vlsi_config
+from repro.config import NectarConfig, vlsi_config
 from repro.stats import ExperimentTable
 from repro.workload.experiments import measure_disjoint_pairs
 
@@ -17,7 +17,7 @@ def measure_pairs(cfg, num_pairs):
 
 
 def scenario_scaleup():
-    prototype = measure_pairs(default_config(), 8)     # 16-port HUB full
+    prototype = measure_pairs(NectarConfig(), 8)     # 16-port HUB full
     vlsi = measure_pairs(vlsi_config(), 64)            # 128-port HUB full
     return {"prototype_gbps": prototype / 1000,
             "vlsi_gbps": vlsi / 1000,

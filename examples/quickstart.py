@@ -8,13 +8,13 @@ prints the latencies against the paper's §2.3 goals.
 Run:  python examples/quickstart.py
 """
 
-from repro.config import default_config
+from repro.config import NectarConfig
 from repro.sim import units
 from repro.system import NectarSystem
 
 
 def main() -> None:
-    cfg = default_config()
+    cfg = NectarConfig()
     system = NectarSystem(cfg)
     hub = system.add_hub("hub0")
     alpha = system.add_cab("alpha", hub)

@@ -11,12 +11,12 @@ Run:  python examples/vision_pipeline.py
 """
 
 from repro.apps import VisionApplication
-from repro.config import default_config
+from repro.config import NectarConfig
 from repro.system import NectarSystem
 
 
 def main() -> None:
-    system = NectarSystem(default_config())
+    system = NectarSystem(NectarConfig())
     hub = system.add_hub("hub0")
     warp = system.add_cab("warp-cab", hub)
     sun = system.add_cab("sun-cab", hub)

@@ -7,10 +7,10 @@ EXPERIMENTS.md for the paper-versus-measured record.
 
 Quickstart::
 
-    from repro import default_config
+    from repro import NectarConfig
     from repro.system import NectarSystem
 
-    system = NectarSystem(default_config())
+    system = NectarSystem(NectarConfig())
     hub = system.add_hub("hub0")
     alpha = system.add_cab("alpha", hub)
     beta = system.add_cab("beta", hub)
@@ -18,7 +18,7 @@ Quickstart::
     ...
 """
 
-from .config import NectarConfig, default_config
+from .config import NectarConfig
 from .errors import (ChecksumError, ConfigError, DatalinkError, MailboxError,
                      NectarError, NectarineError, NodeError, ProtectionFault,
                      RouteError, TopologyError, TransportError)
@@ -38,7 +38,6 @@ __all__ = [
     "RouteError",
     "TopologyError",
     "TransportError",
-    "default_config",
     "__version__",
 ]
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import struct
 from typing import TYPE_CHECKING
 
+from ..config import WAKEUP_NS
 from ..nectarine.api import NectarineRuntime, Task
 from ..stats.recorders import LatencyRecorder
 
@@ -153,7 +154,7 @@ class ProductionSystemApp:
         get_event = task.mailbox.get()
         deadline = sim.timeout(wait_ns)
         outcome = yield sim.any_of([get_event, deadline])
-        yield from kernel.compute(self.system.cfg.kernel.wakeup_ns)
+        yield from kernel.compute(WAKEUP_NS)
         if get_event in outcome:
             self._steal_failures[index] = 0
             return get_event.value.data

@@ -19,7 +19,10 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from ..config import LanConfig
+from ..config import (FRAME_OVERHEAD_BYTES, INTERFRAME_GAP_NS,
+                      LAN_BYTES_PER_NS, LAN_HOST_RECEIVE_NS, LAN_HOST_SEND_NS,
+                      LAN_MAX_ATTEMPTS, LAN_MTU_BYTES, MAX_BACKOFF_EXPONENT,
+                      MIN_FRAME_BYTES, SLOT_TIME_NS)
 from ..errors import NectarError
 from ..sim import Event, Simulator, Store, units
 from ..transport.base import slice_data
@@ -32,10 +35,9 @@ class LanError(NectarError):
 class EthernetMedium:
     """The shared coax segment."""
 
-    def __init__(self, sim: Simulator, cfg: LanConfig,
+    def __init__(self, sim: Simulator,
                  rng: Optional[random.Random] = None) -> None:
         self.sim = sim
-        self.cfg = cfg
         self.rng = rng or random.Random(0)
         self.free_at = 0
         self.collisions = 0
@@ -63,13 +65,12 @@ class EthernetMedium:
         self._resolving = False
         if len(starters) == 1:
             outcome, frame_ns = starters[0]
-            self.free_at = (self.sim.now + frame_ns
-                            + self.cfg.interframe_gap_ns)
+            self.free_at = self.sim.now + frame_ns + INTERFRAME_GAP_NS
             self.frames_carried += 1
             outcome.succeed(True)
             return
         self.collisions += 1
-        self.free_at = self.sim.now + self.cfg.slot_time_ns
+        self.free_at = self.sim.now + SLOT_TIME_NS
         for outcome, _frame_ns in starters:
             outcome.succeed(False)
 
@@ -80,7 +81,6 @@ class EthernetStation:
     def __init__(self, medium: EthernetMedium, name: str) -> None:
         self.medium = medium
         self.sim = medium.sim
-        self.cfg = medium.cfg
         self.name = name
         self.rx_frames: Store = Store(self.sim)
         self.frames_sent = 0
@@ -91,9 +91,8 @@ class EthernetStation:
         self._peers[station.name] = station
 
     def frame_time(self, payload_bytes: int) -> int:
-        wire_bytes = max(payload_bytes + self.cfg.frame_overhead_bytes,
-                         self.cfg.min_frame_bytes)
-        return units.transfer_time(wire_bytes, self.cfg.bytes_per_ns)
+        wire_bytes = max(payload_bytes + FRAME_OVERHEAD_BYTES, MIN_FRAME_BYTES)
+        return units.transfer_time(wire_bytes, LAN_BYTES_PER_NS)
 
     def send_frame(self, dst: str, payload_bytes: int,
                    frame: Optional[dict] = None):
@@ -109,19 +108,18 @@ class EthernetStation:
                 # Backoff counts *idle* slots: stations that deferred to
                 # the same transmission separate here instead of waking
                 # together at its end and colliding forever.
-                yield self.sim.timeout(backoff_slots
-                                       * self.cfg.slot_time_ns)
+                yield self.sim.timeout(backoff_slots * SLOT_TIME_NS)
                 if self.medium.busy:
                     continue  # someone with a shorter draw got in first
             sent = yield self.medium.attempt(frame_ns)
             if sent:
                 break
             attempts += 1
-            if attempts >= self.cfg.max_attempts:
+            if attempts >= LAN_MAX_ATTEMPTS:
                 raise LanError(f"{self.name}: frame dropped after "
                                f"{attempts} collisions")
             self.backoffs += 1
-            exponent = min(attempts, self.cfg.max_backoff_exponent)
+            exponent = min(attempts, MAX_BACKOFF_EXPONENT)
             backoff_slots = self.medium.rng.randrange(2 ** exponent)
         self.frames_sent += 1
         self.medium.bytes_carried += payload_bytes
@@ -140,7 +138,6 @@ class LanHost:
     def __init__(self, medium: EthernetMedium, name: str) -> None:
         self.medium = medium
         self.sim = medium.sim
-        self.cfg = medium.cfg
         self.name = name
         self.station = EthernetStation(medium, name)
         self._ports: dict[str, Store] = {}
@@ -157,11 +154,11 @@ class LanHost:
     def send_message(self, dst_host: str, port: str, size: int,
                      data: Optional[bytes] = None):
         """Send one message: per-packet kernel stack + CSMA/CD frames."""
-        fragments = slice_data(data, size, self.cfg.mtu_bytes)
+        fragments = slice_data(data, size, LAN_MTU_BYTES)
         msg_id = next(self._msg_ids)
         for index, (frag_size, chunk) in enumerate(fragments):
             # Kernel stack on the sender (socket layer, copies, headers).
-            yield self.sim.timeout(self.cfg.host_send_ns)
+            yield self.sim.timeout(LAN_HOST_SEND_NS)
             yield from self.station.send_frame(
                 dst_host, frag_size,
                 frame={"port": port, "msg_id": msg_id, "frag": index,
@@ -180,7 +177,7 @@ class LanHost:
         while True:
             frame = yield self.station.rx_frames.get()
             # Kernel stack on the receiver (interrupt, IP/TCP, wakeup).
-            yield self.sim.timeout(self.cfg.host_receive_ns)
+            yield self.sim.timeout(LAN_HOST_RECEIVE_NS)
             if "msg_id" not in frame:
                 continue  # raw station-level frame, not host traffic
             key = (frame["src"], frame["msg_id"])
@@ -204,11 +201,10 @@ class LanHost:
 class EthernetLan:
     """Convenience wrapper: a medium plus named hosts, fully meshed."""
 
-    def __init__(self, sim: Simulator, cfg: Optional[LanConfig] = None,
+    def __init__(self, sim: Simulator,
                  rng: Optional[random.Random] = None) -> None:
         self.sim = sim
-        self.cfg = cfg or LanConfig()
-        self.medium = EthernetMedium(sim, self.cfg, rng)
+        self.medium = EthernetMedium(sim, rng)
         self.hosts: dict[str, LanHost] = {}
 
     def add_host(self, name: str) -> LanHost:

@@ -29,6 +29,7 @@ from collections import Counter
 from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
+from ..config import COLLECTIVE_FANOUT
 from ..errors import CollectiveError
 from ..hardware.frames import Payload
 from ..hardware.hub_collectives import REDUCE_OPS
@@ -87,7 +88,6 @@ class CollectiveGroup:
         self.sim = self.system.sim
         self.cfg = self.system.cfg
         self.router = self.system.router
-        self.fanout = self.cfg.collectives.fanout
         self.gid = _next_gid(self.system)
         self.name = name or f"group{self.gid}"
         requested = mode or self.cfg.collectives.mode
@@ -266,11 +266,11 @@ class CollectiveGroup:
             return [bytes(data)]
         seq = self._next_seq(rank)
         parts = {rank: bytes(data)}
-        for child in tree_children(rank, self.n, self.fanout):
+        for child in tree_children(rank, self.n, COLLECTIVE_FANOUT):
             message = yield from self._timed_receive(
                 rank, self._match(seq, "up", child))
             parts.update(_unpack(message.data))
-        parent = tree_parent(rank, self.n, self.fanout)
+        parent = tree_parent(rank, self.n, COLLECTIVE_FANOUT)
         blob: Optional[bytes] = None
         if parent is None:
             blob = _pack(parts)
@@ -361,13 +361,13 @@ class CollectiveGroup:
         """
         fold: Callable[[int, int], int] = REDUCE_OPS[op]
         total = value
-        for child in tree_children(rank, self.n, self.fanout):
+        for child in tree_children(rank, self.n, COLLECTIVE_FANOUT):
             message = yield from self._timed_receive(
                 rank, self._match(seq, "up", child))
             if value is not None:
                 operand = int(message.data.decode())
                 total = operand if total is None else fold(total, operand)
-        parent = tree_parent(rank, self.n, self.fanout)
+        parent = tree_parent(rank, self.n, COLLECTIVE_FANOUT)
         if parent is not None:
             body = b"\0" if value is None else str(total).encode()
             yield from self._send(rank, parent, "up", body, seq)
@@ -375,20 +375,20 @@ class CollectiveGroup:
                 rank, self._match(seq, "down", parent))
             total = None if value is None else int(message.data.decode())
         result_body = b"\0" if value is None else str(total).encode()
-        for child in tree_children(rank, self.n, self.fanout):
+        for child in tree_children(rank, self.n, COLLECTIVE_FANOUT):
             yield from self._send(rank, child, "down", result_body, seq)
         return total
 
     def _tree_broadcast(self, rank: int, data: Optional[bytes],
                         root: int, seq: int):
-        parent = tree_parent(rank, self.n, self.fanout, root)
+        parent = tree_parent(rank, self.n, COLLECTIVE_FANOUT, root)
         if parent is None:
             body = bytes(data)
         else:
             message = yield from self._timed_receive(
                 rank, self._match(seq, "bcast", parent))
             body = message.data
-        for child in tree_children(rank, self.n, self.fanout, root):
+        for child in tree_children(rank, self.n, COLLECTIVE_FANOUT, root):
             yield from self._send(rank, child, "bcast", body, seq)
         return body
 

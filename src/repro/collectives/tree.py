@@ -1,7 +1,7 @@
 """k-ary tree shapes for software collectives.
 
 The software fallback arranges ranks in a complete k-ary tree (arity
-``cfg.collectives.fanout``) rooted at any rank: ranks are remapped to
+``COLLECTIVE_FANOUT``) rooted at any rank: ranks are remapped to
 *virtual* ranks ``v = (r - root) % n`` so the standard heap layout
 (children of ``v`` are ``v*k+1 .. v*k+k``) works for every root.  Depth
 is ``log_k(n)``, so a 6-rank group with fanout 4 completes in two

@@ -24,7 +24,10 @@ import random
 from collections import defaultdict
 from typing import TYPE_CHECKING, Callable, Optional
 
-from ..config import NectarConfig
+from ..config import (INPUT_QUEUE_BYTES, MAX_ROUTE_ATTEMPTS,
+                      RECEIVE_OVERHEAD_NS, REPLY_TIMEOUT_NS, RETRY_BACKOFF_NS,
+                      SEND_OVERHEAD_NS, TRANSPORT_HEADER_BYTES, WAKEUP_NS,
+                      NectarConfig)
 from ..errors import CollectiveError, DatalinkError
 from ..hardware.frames import (COMMAND_BYTES, FRAMING_BYTES, HubCommand,
                                Packet, Payload)
@@ -107,8 +110,8 @@ class Datalink:
 
     def _max_packet_payload(self) -> int:
         """Largest payload a packet-switched packet may carry."""
-        overhead = FRAMING_BYTES + self.cfg.transport.header_bytes
-        return self.cfg.hub.input_queue_bytes - overhead - 8 * COMMAND_BYTES
+        overhead = FRAMING_BYTES + TRANSPORT_HEADER_BYTES
+        return INPUT_QUEUE_BYTES - overhead - 8 * COMMAND_BYTES
 
     def packet_fits(self, payload_size: int) -> bool:
         return payload_size <= self._max_packet_payload()
@@ -117,7 +120,7 @@ class Datalink:
                 payload: Optional[Payload], close_after: bool) -> Packet:
         return Packet(self.cab.name, commands=commands, payload=payload,
                       close_after=close_after,
-                      header_bytes=self.cfg.transport.header_bytes
+                      header_bytes=TRANSPORT_HEADER_BYTES
                       if payload is not None else 0)
 
     def _command(self, op: CommandOp, hub_name: str, param: int) -> HubCommand:
@@ -143,7 +146,7 @@ class Datalink:
             raise DatalinkError(
                 f"payload of {payload.size} B exceeds the HUB input queue; "
                 f"use circuit switching (§4.2.3)")
-        yield from self.kernel.compute(self.cfg.datalink.send_overhead_ns)
+        yield from self.kernel.compute(SEND_OVERHEAD_NS)
         self.cab.checksum.seal(payload)
         checksum_cost = self.cab.checksum.cost_ns(payload.size)
         if checksum_cost:
@@ -186,7 +189,6 @@ class Datalink:
         Retries with jittered backoff after reply timeouts, tearing down
         partial connections with ``close all`` in between (§4.2.1).
         """
-        dl_cfg = self.cfg.datalink
         attempts = 0
         while True:
             attempts += 1
@@ -197,19 +199,18 @@ class Datalink:
             final = self._command(CommandOp.OPEN_RETRY_REPLY,
                                   last.hub.name, last.out_port)
             commands.append(final)
-            outcome = yield from self._request(commands,
-                                               dl_cfg.reply_timeout_ns)
+            outcome = yield from self._request(commands, REPLY_TIMEOUT_NS)
             if outcome is not None and outcome.ok:
                 self.counters["circuits_opened"] += 1
                 return
             self.counters["circuit_retries"] += 1
-            if attempts >= dl_cfg.max_route_attempts:
+            if attempts >= MAX_ROUTE_ATTEMPTS:
                 raise DatalinkError(
                     f"{self.cab.name}: circuit to {route.dst} failed after "
                     f"{attempts} attempts")
             yield from self.close_route()
-            backoff = dl_cfg.retry_backoff_ns * attempts
-            jitter = self.rng.randrange(dl_cfg.retry_backoff_ns or 1)
+            backoff = RETRY_BACKOFF_NS * attempts
+            jitter = self.rng.randrange(RETRY_BACKOFF_NS)
             yield from self.kernel.sleep(backoff + jitter)
 
     def _request(self, commands: list[HubCommand], timeout_ns: int):
@@ -224,7 +225,7 @@ class Datalink:
             self._packet(commands, None, close_after=False))
         deadline = self.sim.timeout(timeout_ns)
         result = yield self.sim.any_of([reply_event, deadline])
-        yield from self.kernel.compute(self.cfg.kernel.wakeup_ns)
+        yield from self.kernel.compute(WAKEUP_NS)
         if reply_event in result:
             return result[reply_event]
         self.cab.cancel_reply(commands[-1])
@@ -259,7 +260,7 @@ class Datalink:
             mode = "packet" if self.packet_fits(payload.size) else "circuit"
         edge_groups = [self.router.multicast_edges(self.cab.name, group)
                        for group in self._chain_groups(dst_cabs)]
-        yield from self.kernel.compute(self.cfg.datalink.send_overhead_ns)
+        yield from self.kernel.compute(SEND_OVERHEAD_NS)
         self.cab.checksum.seal(payload)
         checksum_cost = self.cab.checksum.cost_ns(payload.size)
         if checksum_cost:
@@ -328,11 +329,11 @@ class Datalink:
         yield from self.cab.dma.send_packet(packet)
         # "After receiving replies to both of the open with retry and
         # reply commands, CAB2 sends the data packet" (§4.2.2).
-        deadline = self.cfg.datalink.reply_timeout_ns
+        deadline = REPLY_TIMEOUT_NS
         all_replies = self.sim.all_of(reply_events)
         timeout = self.sim.timeout(deadline)
         result = yield self.sim.any_of([all_replies, timeout])
-        yield from self.kernel.compute(self.cfg.kernel.wakeup_ns)
+        yield from self.kernel.compute(WAKEUP_NS)
         if all_replies not in result:
             for command in leaf_commands:
                 self.cab.cancel_reply(command)
@@ -372,7 +373,7 @@ class Datalink:
             raise DatalinkError(
                 f"{self.cab.name} cannot probe from {hub_a.name}: "
                 f"not attached there")
-        yield from self.kernel.compute(self.cfg.datalink.send_overhead_ns)
+        yield from self.kernel.compute(SEND_OVERHEAD_NS)
         grant = self._port_lock.acquire()
         yield grant
         try:
@@ -383,7 +384,7 @@ class Datalink:
             self.counters["link_probes_sent"] += 1
             reply = yield from self._request(
                 [open_cmd, echo],
-                timeout_ns or self.cfg.datalink.reply_timeout_ns)
+                timeout_ns or REPLY_TIMEOUT_NS)
             rtt = None
             if reply is not None and reply.ok:
                 rtt = self.sim.now - started
@@ -400,7 +401,7 @@ class Datalink:
         hub = self.cab.hub_port.hub
         reply = yield from self._request(
             [self._command(op, hub.name, param)],
-            timeout_ns or self.cfg.datalink.reply_timeout_ns)
+            timeout_ns or REPLY_TIMEOUT_NS)
         if reply is None:
             raise DatalinkError(f"no reply to {op.name} from {hub.name}")
         return reply
@@ -431,8 +432,7 @@ class Datalink:
         hubs = self.router.hub_path(local, hub_name or local)
         remote = len(hubs) > 1
         if remote:
-            yield from self.kernel.compute(
-                self.cfg.datalink.send_overhead_ns)
+            yield from self.kernel.compute(SEND_OVERHEAD_NS)
             grant = self._port_lock.acquire()
             yield grant
         try:
@@ -472,7 +472,7 @@ class Datalink:
         transport once the DMA completes.
         """
         cpu = self.cab.cpu
-        yield from cpu.execute_interrupt(self.cfg.datalink.receive_overhead_ns)
+        yield from cpu.execute_interrupt(RECEIVE_OVERHEAD_NS)
         if packet.framing_error:
             self.counters["framing_errors"] += 1
             self.cab.signal_input_drained()

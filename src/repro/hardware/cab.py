@@ -14,7 +14,9 @@ from collections import defaultdict
 from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
-from ..config import CabConfig, FiberConfig
+from ..config import (DATA_MEMORY_BYTES, FIBER_BYTES_PER_NS,
+                      INTERRUPT_OVERHEAD_NS, MEMORY_BYTES_PER_NS,
+                      PROGRAM_MEMORY_BYTES, CabConfig, FiberConfig)
 from ..sim import Broadcast, Event, Resource, Simulator, units
 from .checksum import ChecksumUnit
 from .dma import DmaController
@@ -44,9 +46,8 @@ class CabCpu:
     #: Preemption granularity for thread-level computation.
     QUANTUM_NS = 10_000
 
-    def __init__(self, sim: Simulator, cfg: CabConfig, name: str) -> None:
+    def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
-        self.cfg = cfg
         self.name = name
         self._resource = Resource(sim, capacity=1)
         self.busy_ns = 0
@@ -74,7 +75,7 @@ class CabCpu:
         """Run an interrupt handler: preempts threads at the next
         quantum boundary; charges dispatch overhead plus the body."""
         self.interrupt_count += 1
-        total = self.cfg.interrupt_overhead_ns + int(cost_ns)
+        total = INTERRUPT_OVERHEAD_NS + int(cost_ns)
         if total <= 0:
             return
         yield self._resource.acquire(priority=True)
@@ -115,22 +116,22 @@ class CabBoard:
         self.name = name
         self.cfg = cfg
         self.fiber_cfg = fiber_cfg or FiberConfig()
-        self.cpu = CabCpu(sim, cfg, f"{name}.cpu")
-        self.memory_pool = BandwidthPool(sim, cfg.memory_bytes_per_ns,
+        self.cpu = CabCpu(sim, f"{name}.cpu")
+        self.memory_pool = BandwidthPool(sim, MEMORY_BYTES_PER_NS,
                                          name=f"{name}.membw")
         self.data_memory = MemoryRegion(sim, f"{name}.data",
-                                        cfg.data_memory_bytes,
+                                        DATA_MEMORY_BYTES,
                                         self.memory_pool, dma_capable=True)
         self.program_memory = MemoryRegion(sim, f"{name}.prog",
-                                           cfg.program_memory_bytes,
+                                           PROGRAM_MEMORY_BYTES,
                                            self.memory_pool,
                                            dma_capable=False)
         self.protection = ProtectionUnit(
-            cfg, cfg.data_memory_bytes + cfg.program_memory_bytes)
+            DATA_MEMORY_BYTES + PROGRAM_MEMORY_BYTES)
         self.dma = DmaController(self)
         self.checksum = ChecksumUnit(cfg)
         self.timers = HardwareTimers(sim)
-        self.vme = VmeBus(sim, cfg, f"{name}.vme")
+        self.vme = VmeBus(sim, f"{name}.vme")
         # --- fiber interface (same circuit as a HUB I/O port, §5.2) ---
         self.out_fiber: Optional["Fiber"] = None
         self.hub_port: Optional["HubPort"] = None
@@ -167,10 +168,6 @@ class CabBoard:
     # fiber endpoint protocol (called by the attached hub port's fiber)
     # ------------------------------------------------------------------
 
-    @property
-    def fiber_rate_bytes_per_ns(self) -> float:
-        return self.fiber_cfg.bytes_per_ns
-
     def deliver(self, item: Union[Packet, Reply], wire_size: int) -> None:
         """Head of ``item`` arrived at the CAB's fiber input queue."""
         if isinstance(item, Reply):
@@ -185,7 +182,7 @@ class CabBoard:
         self._dispatch_rx(item, wire_size, head_time, tail_time)
 
     def _tail_delay(self, wire_size: int) -> int:
-        return units.transfer_time(wire_size, self.fiber_rate_bytes_per_ns)
+        return units.transfer_time(wire_size, FIBER_BYTES_PER_NS)
 
     def notify_ready(self) -> None:
         """The hub's input queue (our first hop) drained."""

@@ -4,12 +4,12 @@
 software": with the unit enabled, checksums are computed on the fly as
 DMA streams data, adding zero time.  Disabling it (an ablation the
 benchmarks exercise) makes the caller charge
-``software_checksum_ns_per_byte`` of CPU time per byte instead.
+``SOFTWARE_CHECKSUM_NS_PER_BYTE`` of CPU time per byte instead.
 """
 
 from __future__ import annotations
 
-from ..config import CabConfig
+from ..config import SOFTWARE_CHECKSUM_NS_PER_BYTE, CabConfig
 from .frames import Payload
 
 
@@ -27,7 +27,7 @@ class ChecksumUnit:
         """CPU time the computation costs (0 with the hardware unit)."""
         if self.cfg.hardware_checksum:
             return 0
-        return num_bytes * self.cfg.software_checksum_ns_per_byte
+        return num_bytes * SOFTWARE_CHECKSUM_NS_PER_BYTE
 
     def seal(self, payload: Payload) -> Payload:
         return payload.seal()

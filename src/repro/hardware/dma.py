@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..config import DMA_START_NS, FIBER_BYTES_PER_NS, VME_BYTES_PER_NS
 from ..sim import Resource
 
 __all__ = ["DmaController"]
@@ -33,7 +34,6 @@ class DmaController:
     def __init__(self, cab: "CabBoard") -> None:
         self.cab = cab
         self.sim = cab.sim
-        self.cfg = cab.cfg
         self.fiber_out = Resource(self.sim, capacity=1)
         self.fiber_in = Resource(self.sim, capacity=1)
         self.vme_in = Resource(self.sim, capacity=1)
@@ -79,10 +79,9 @@ class DmaController:
         """
         if not self.fiber_out.try_acquire():
             yield self.fiber_out.acquire()
-        stream = self.cab.memory_pool.open_stream(
-            self.cab.fiber_rate_bytes_per_ns)
+        stream = self.cab.memory_pool.open_stream(FIBER_BYTES_PER_NS)
         try:
-            yield self.sim.timeout(self.cfg.dma_start_ns)
+            yield self.sim.timeout(DMA_START_NS)
             yield self.cab.transmit(packet)
             self.transfers += 1
             self.bytes_out += packet.wire_size()
@@ -98,10 +97,9 @@ class DmaController:
         """
         if not self.fiber_in.try_acquire():
             yield self.fiber_in.acquire()
-        stream = self.cab.memory_pool.open_stream(
-            self.cab.fiber_rate_bytes_per_ns)
+        stream = self.cab.memory_pool.open_stream(FIBER_BYTES_PER_NS)
         try:
-            yield self.sim.timeout(self.cfg.dma_start_ns)
+            yield self.sim.timeout(DMA_START_NS)
             remaining = tail_time - self.sim.now
             if remaining > 0:
                 # Flow control: wait for the data to arrive (§5.2).
@@ -120,9 +118,9 @@ class DmaController:
         channel = self.vme_in if to_cab else self.vme_out
         if not channel.try_acquire():
             yield channel.acquire()
-        stream = self.cab.memory_pool.open_stream(self.cfg.vme_bytes_per_ns)
+        stream = self.cab.memory_pool.open_stream(VME_BYTES_PER_NS)
         try:
-            yield self.sim.timeout(self.cfg.dma_start_ns)
+            yield self.sim.timeout(DMA_START_NS)
             yield from self.cab.vme.transfer(num_bytes)
             self.transfers += 1
             self.bytes_vme += num_bytes

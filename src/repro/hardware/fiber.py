@@ -21,7 +21,7 @@ import random
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Optional, Protocol
 
-from ..config import FiberConfig
+from ..config import FIBER_BYTES_PER_NS, FIBER_NS_PER_BYTE, FiberConfig
 from ..sim import Event, Simulator, units
 from ..sim.resources import _IDLE
 from .frames import Packet, Reply
@@ -92,7 +92,7 @@ class Fiber:
         # head latency is computed once and serialization times are memoized
         # per wire size (fragment sizes repeat heavily under load).
         self._head_latency = (cfg.propagation_ns
-                              + units.transfer_time(1, cfg.bytes_per_ns))
+                              + units.transfer_time(1, FIBER_BYTES_PER_NS))
         self._xfer_cache: dict[int, int] = {}
         # Fault-injection overlay (``repro.faults``).  Per-fiber state so
         # a campaign degrading one link never mutates the FiberConfig,
@@ -184,7 +184,7 @@ class Fiber:
         """Memoized ``transfer_time`` for this fiber's fixed byte rate."""
         ticks = self._xfer_cache.get(size)
         if ticks is None:
-            ticks = units.transfer_time(size, self.cfg.bytes_per_ns)
+            ticks = units.transfer_time(size, FIBER_BYTES_PER_NS)
             self._xfer_cache[size] = ticks
         return ticks
 
@@ -279,7 +279,7 @@ class Fiber:
         """Sampled link health: utilization, cumulative sends and drops."""
         base = prefix or f"fiber.{self.name}"
         sampler.add_utilization_probe(
-            f"{base}.util", lambda: self.bytes_sent, self.cfg.ns_per_byte,
+            f"{base}.util", lambda: self.bytes_sent, FIBER_NS_PER_BYTE,
             description="fiber busy fraction (bytes serialised / interval)")
         sampler.add_probe(
             f"{base}.packets", lambda: float(self.packets_sent),
@@ -294,6 +294,7 @@ class Fiber:
 
     def tail_delay(self, wire_size: int) -> int:
         """Ticks between head delivery and tail arrival for ``wire_size``."""
-        serialization = units.transfer_time(wire_size, self.cfg.bytes_per_ns)
-        return max(serialization - units.transfer_time(1, self.cfg.bytes_per_ns), 0)
+        serialization = units.transfer_time(wire_size, FIBER_BYTES_PER_NS)
+        first_byte = units.transfer_time(1, FIBER_BYTES_PER_NS)
+        return max(serialization - first_byte, 0)
 

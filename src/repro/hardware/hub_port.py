@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import replace as dc_replace
 from typing import TYPE_CHECKING, Any, Optional, Union
 
+from ..config import FIBER_NS_PER_BYTE, PORT_COMMAND_CYCLES
 from ..sim.resources import _IDLE
 from .frames import Packet, Reply
 from .hub_commands import CommandOp
@@ -167,9 +168,9 @@ class HubPort:
                 # Later commands are still streaming in at fiber rate
                 # (collective commands carry extension bytes).
                 yield self.sim.timeout(round(
-                    command.wire_bytes() * hub.fiber_cfg.ns_per_byte))
+                    command.wire_bytes() * FIBER_NS_PER_BYTE))
             first = False
-            yield self.sim.timeout(cfg.port_command_cycles * cfg.cycle_ns)
+            yield self.sim.timeout(PORT_COMMAND_CYCLES * cfg.cycle_ns)
             result = yield from hub.execute_command(
                 command, in_port=self.index,
                 reverse_path=list(packet.reverse_path))
@@ -267,7 +268,7 @@ class HubPort:
             fiber = self.out_fiber
             sampler.add_utilization_probe(
                 f"{base}.util", lambda: fiber.bytes_sent,
-                self.hub.fiber_cfg.ns_per_byte,
+                FIBER_NS_PER_BYTE,
                 description="output fiber busy fraction")
             if isinstance(self.peer, HubPort):
                 # Inter-HUB links get the full fiber family too — they

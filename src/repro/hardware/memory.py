@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from ..config import CabConfig
+from ..config import PAGE_BYTES, PROTECTION_DOMAINS
 from ..errors import AllocationError, ProtectionFault
 from ..sim import Simulator, units
 
@@ -184,10 +184,9 @@ class ProtectionUnit:
     at most, so a CAB carries a few KB of tables, not 32 full ones.
     """
 
-    def __init__(self, cfg: CabConfig, address_space: int) -> None:
-        self.page_bytes = cfg.page_bytes
-        self.num_domains = cfg.protection_domains
-        self.num_pages = (address_space + cfg.page_bytes - 1) // cfg.page_bytes
+    def __init__(self, address_space: int) -> None:
+        self.num_domains = PROTECTION_DOMAINS
+        self.num_pages = (address_space + PAGE_BYTES - 1) // PAGE_BYTES
         #: tables[domain][page] -> permission bits, for granted domains.
         self._tables: dict[int, bytearray] = {}
         self.faults = 0
@@ -225,7 +224,7 @@ class ProtectionUnit:
 
     def permissions(self, domain: int, offset: int) -> int:
         self._check_domain(domain)
-        page = offset // self.page_bytes
+        page = offset // PAGE_BYTES
         if not 0 <= page < self.num_pages:
             raise ProtectionFault(f"address {offset:#x} outside memory")
         return self._page_perms(domain, page)
@@ -245,8 +244,8 @@ class ProtectionUnit:
     def _pages(self, offset: int, size: int) -> range:
         if offset < 0 or size < 0:
             raise ProtectionFault(f"bad extent {offset:#x}+{size}")
-        first = offset // self.page_bytes
-        last = (offset + max(size, 1) - 1) // self.page_bytes
+        first = offset // PAGE_BYTES
+        last = (offset + max(size, 1) - 1) // PAGE_BYTES
         if last >= self.num_pages:
             raise ProtectionFault(
                 f"extent {offset:#x}+{size} outside memory")

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, Optional
 
-from ..config import NodeConfig
+from ..config import (COPY_BYTES_PER_NS, KERNEL_PROTOCOL_NS, NODE_INTERRUPT_NS,
+                      SCHEDULING_LATENCY_NS, SYSCALL_NS)
 from ..errors import NodeError
 from ..sim import Process, Resource, Simulator, units
 
@@ -23,11 +24,10 @@ if TYPE_CHECKING:  # pragma: no cover
 class NodeHost:
     """A general-purpose or specialised machine attached via a CAB."""
 
-    def __init__(self, sim: Simulator, name: str, cfg: NodeConfig,
+    def __init__(self, sim: Simulator, name: str,
                  machine_type: str = "sun") -> None:
         self.sim = sim
         self.name = name
-        self.cfg = cfg
         self.machine_type = machine_type
         self.cpu = Resource(sim, capacity=1)
         self.cab: Optional["CabBoard"] = None
@@ -75,16 +75,16 @@ class NodeHost:
     def syscall_cost(self):
         """Kernel entry/exit for one system call."""
         self.syscalls += 1
-        yield from self._charge(self.cfg.syscall_ns)
+        yield from self._charge(SYSCALL_NS)
 
     def interrupt_cost(self):
         """Service one device interrupt."""
         self.interrupts += 1
-        yield from self._charge(self.cfg.interrupt_ns)
+        yield from self._charge(NODE_INTERRUPT_NS)
 
     def schedule_cost(self):
         """Wakeup-to-run latency for a blocked process."""
-        yield from self._charge(self.cfg.scheduling_latency_ns)
+        yield from self._charge(SCHEDULING_LATENCY_NS)
 
     def copy(self, num_bytes: int):
         """Memory-to-memory copy on the node."""
@@ -92,12 +92,12 @@ class NodeHost:
             return
         self.copies_bytes += num_bytes
         yield from self._charge(
-            units.transfer_time(num_bytes, self.cfg.copy_bytes_per_ns))
+            units.transfer_time(num_bytes, COPY_BYTES_PER_NS))
 
     def kernel_protocol_cost(self):
         """In-kernel protocol processing for one packet (interface 3 and
         the LAN baseline: the node runs the whole transport itself)."""
-        yield from self._charge(self.cfg.kernel_protocol_ns)
+        yield from self._charge(KERNEL_PROTOCOL_NS)
 
     # ------------------------------------------------------------------
     # VME access to CAB memory (§6.2.3 interface 1: mapped shared memory)

@@ -1,10 +1,8 @@
 """CAB hardware timers (§5.1).
 
 "Hardware timers allow time-outs to be set by the software with low
-overhead" — arming or cancelling a timer costs
-:attr:`~repro.config.CabConfig.timer_set_ns` of CPU time (charged by the
-caller); expiry invokes the callback directly, modelling the timer
-interrupt.
+overhead" — the model charges no CPU time to arm or cancel a timer;
+expiry invokes the callback directly, modelling the timer interrupt.
 """
 
 from __future__ import annotations

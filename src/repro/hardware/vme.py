@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..config import CabConfig
+from ..config import VME_BYTES_PER_NS
 from ..sim import Resource, Simulator, units
 
 __all__ = ["VmeBus"]
@@ -18,9 +18,8 @@ __all__ = ["VmeBus"]
 class VmeBus:
     """A single-master bus shared by the node and the CAB."""
 
-    def __init__(self, sim: Simulator, cfg: CabConfig, name: str) -> None:
+    def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
-        self.cfg = cfg
         self.name = name
         self._bus = Resource(sim, capacity=1)
         self.bytes_transferred = 0
@@ -29,10 +28,6 @@ class VmeBus:
         self._node_handler: Optional[Callable[[int], None]] = None
         self._cab_handler: Optional[Callable[[int], None]] = None
 
-    @property
-    def bytes_per_ns(self) -> float:
-        return self.cfg.vme_bytes_per_ns
-
     def transfer(self, num_bytes: int, rate: Optional[float] = None):
         """Timed bus transfer (generator).  One master at a time."""
         if num_bytes <= 0:
@@ -40,7 +35,7 @@ class VmeBus:
         if not self._bus.try_acquire():
             yield self._bus.acquire()
         try:
-            effective = min(rate or self.bytes_per_ns, self.bytes_per_ns)
+            effective = min(rate or VME_BYTES_PER_NS, VME_BYTES_PER_NS)
             yield self.sim.timeout(units.transfer_time(num_bytes, effective))
             self.bytes_transferred += num_bytes
         finally:
@@ -50,7 +45,7 @@ class VmeBus:
         """Sampled bus utilization and cumulative interrupt counts."""
         sampler.add_utilization_probe(
             f"{self.name}.util", lambda: self.bytes_transferred,
-            1.0 / self.bytes_per_ns,
+            1.0 / VME_BYTES_PER_NS,
             description="VME bus busy fraction (10 MB/s ceiling, §5.2)")
         sampler.add_probe(
             f"{self.name}.irq_node", lambda: float(self.interrupts_to_node),

@@ -113,20 +113,16 @@ class IpLayer:
     # send path (generator, thread or interrupt continuation context)
     # ------------------------------------------------------------------
 
-    def send(self, dst_cab: str, protocol: int,
-             segment: bytes | int) -> None:
-        raise TransportError("use send_segment (generator)")
-
     def send_segment(self, dst_cab: str, protocol: int,
                      segment_data: Optional[bytes],
                      segment_size: Optional[int] = None):
         """Encapsulate one upper-layer segment and transmit it.
 
         Fragments at the MTU; each fragment carries a real packed IPv4
-        header on the wire.
+        header on the wire.  The 16-bit identification wraps, as in IPv4.
         """
         size = len(segment_data) if segment_size is None else segment_size
-        identification = next(self._ip_ids)
+        identification = next(self._ip_ids) & 0xFFFF
         dst_address = cab_address(dst_cab)
         payload_mtu = self.mtu - IP_HEADER_BYTES
         offset = 0

@@ -16,6 +16,7 @@ from __future__ import annotations
 import struct
 from typing import TYPE_CHECKING, Any, Optional
 
+from ..config import WAKEUP_NS
 from ..errors import TransportError
 from ..sim import Broadcast, Store
 from .ip import PROTO_TCP, IpLayer
@@ -441,8 +442,7 @@ class TcpLayer:
             result = yield self.sim.any_of([connection.established,
                                             deadline])
             if connection.established in result:
-                yield from self.stack.kernel.compute(
-                    self.stack.system.cfg.kernel.wakeup_ns)
+                yield from self.stack.kernel.compute(WAKEUP_NS)
                 return connection
         raise TransportError(f"TCP connect to {dst_cab}:{dst_port} "
                              f"timed out")

@@ -21,6 +21,7 @@ import struct
 from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
+from ..config import WAKEUP_NS
 from ..errors import TransportError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -154,8 +155,7 @@ class VmtpLayer:
                 state["wake"] = self.sim.event()   # NACK arrival
                 outcome = yield self.sim.any_of([state["response"],
                                                  state["wake"], deadline])
-                yield from self.stack.kernel.compute(
-                    self.stack.system.cfg.kernel.wakeup_ns)
+                yield from self.stack.kernel.compute(WAKEUP_NS)
                 if state["response"] in outcome:
                     self.transactions_completed += 1
                     return state["response"].value

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
+from ..config import MAILBOX_CAPACITY
 from ..errors import MailboxError
 from ..sim import Event
 
@@ -48,7 +49,7 @@ class Mailbox:
         self.kernel = kernel
         self.sim = kernel.sim
         self.name = name
-        self.capacity = capacity_messages or kernel.cfg.mailbox_capacity
+        self.capacity = capacity_messages or MAILBOX_CAPACITY
         self.region = region if region is not None \
             else kernel.cab.data_memory
         self.messages: list[Message] = []

@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import count
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from ..config import KernelConfig
+from ..config import THREAD_SWITCH_NS, WAKEUP_NS
 from ..sim import Event, Process
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,10 +50,9 @@ class CabKernel:
     """Per-CAB kernel: thread management, CPU accounting, current-thread
     bookkeeping.  Mailboxes and timers build on this (same package)."""
 
-    def __init__(self, cab: "CabBoard", cfg: KernelConfig) -> None:
+    def __init__(self, cab: "CabBoard") -> None:
         self.cab = cab
         self.sim = cab.sim
-        self.cfg = cfg
         self.threads: list[CabThread] = []
         self.total_switches = 0
         #: Labels unnamed threads ``thread1``, ``thread2``, … per CAB.
@@ -105,7 +104,7 @@ class CabKernel:
         """Block on ``event``; pay the context-switch cost on resumption."""
         value = yield event
         self.total_switches += 1
-        yield from self.cab.cpu.execute(self.cfg.thread_switch_ns)
+        yield from self.cab.cpu.execute(THREAD_SWITCH_NS)
         return value
 
     def sleep(self, duration_ns: int):
@@ -115,4 +114,4 @@ class CabKernel:
 
     def wakeup_cost(self):
         """Charge the cost of making another thread runnable."""
-        yield from self.cab.cpu.execute(self.cfg.wakeup_ns)
+        yield from self.cab.cpu.execute(WAKEUP_NS)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional, Union
 
+from ..config import POLL_INTERVAL_NS
 from ..errors import NectarineError
 from ..hardware.memory import MemoryBlock
 from ..hardware.node import NodeHost
@@ -138,7 +139,6 @@ class Task:
                 self.mailbox.get_match(predicate))
             return message
         node = self.location
-        interval = node.cfg.poll_interval_ns
         while True:
             yield from node.vme_read(4)
             candidates = [m for m in self.mailbox.messages if predicate(m)]
@@ -147,7 +147,7 @@ class Task:
                 self.mailbox._consume(candidates[0])
                 yield from node.vme_read(candidates[0].size)
                 return candidates[0]
-            yield self.runtime.system.sim.timeout(interval)
+            yield self.runtime.system.sim.timeout(POLL_INTERVAL_NS)
 
     def request(self, dst: "Task", buffer: Union[Buffer, bytes, int],
                 timeout_ns: Optional[int] = None):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from ..config import MAILBOX_COMMAND_NS, POLL_INTERVAL_NS
 from ..errors import NodeError
 from ..kernel.mailbox import Mailbox, Message
 from ..transport.base import message_size, slice_data
@@ -67,7 +68,7 @@ class SharedMemoryInterface:
         """
         node = self.node
         body_size = message_size(data, size)
-        yield from node.compute(node.cfg.mailbox_command_ns)
+        yield from node.compute(MAILBOX_COMMAND_NS)
         done = self.sim.event()
         max_piece = self.stack.system.cfg.transport.max_payload_bytes
         if pipeline:
@@ -95,15 +96,13 @@ class SharedMemoryInterface:
         yield from self.node.vme_write(COMMAND_BYTES)
         yield self.command_mailbox.put(command)
 
-    def receive(self, mailbox: Mailbox,
-                poll_interval_ns: Optional[int] = None):
+    def receive(self, mailbox: Mailbox):
         """Poll CAB memory until a message lands in ``mailbox``.
 
         Consumes the message in place: only its body crosses VME, and no
         node syscalls or interrupts are involved.
         """
         node = self.node
-        interval = poll_interval_ns or node.cfg.poll_interval_ns
         while True:
             # One poll: read the mailbox status word over VME.
             self.polls += 1
@@ -111,10 +110,10 @@ class SharedMemoryInterface:
             message = mailbox.try_get()
             if message is not None:
                 yield from node.vme_read(message.size)
-                yield from node.compute(node.cfg.mailbox_command_ns)
+                yield from node.compute(MAILBOX_COMMAND_NS)
                 self.receives_completed += 1
                 return message
-            yield self.sim.timeout(interval)
+            yield self.sim.timeout(POLL_INTERVAL_NS)
 
     # ------------------------------------------------------------------
     # CAB-side dispatcher thread

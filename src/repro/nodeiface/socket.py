@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
+from ..config import POLL_INTERVAL_NS
 from ..errors import NodeError
 from ..kernel.mailbox import Mailbox
 from ..sim import Event
@@ -115,7 +116,7 @@ class SocketInterface:
             queue = self._blocked.get(mailbox.name)
             while not queue:
                 # No blocked reader yet: hold the message briefly.
-                yield from kernel.sleep(self.node.cfg.poll_interval_ns)
+                yield from kernel.sleep(POLL_INTERVAL_NS)
                 queue = self._blocked.get(mailbox.name)
             waiter = queue.popleft()
             self.stack.board.vme.interrupt_node()

@@ -13,7 +13,7 @@ all feeding a single :class:`~repro.resilience.detector.FailureDetector`:
   paths; probe-confirmed recovery reinstates it
   (:meth:`~repro.datalink.routing.Router.mark_link_up`).
 * **CAB heartbeats** — every CAB sends datagram heartbeats to the next
-  ``heartbeat_fanout`` CABs on the sorted name ring; responders echo
+  ``HEARTBEAT_FANOUT`` CABs on the sorted name ring; responders echo
   them back.  A confirmed-dead CAB force-opens the circuit breakers
   toward it on every other CAB (reliable sends fail fast instead of
   burning retry budgets), and recovery closes them again — the paper's
@@ -33,6 +33,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from ..config import (CAB_DEAD_AFTER, CAB_RECOVER_AFTER, CAB_SUSPECT_AFTER,
+                      HEARTBEAT_BYTES, HEARTBEAT_FANOUT, HEARTBEAT_INTERVAL_NS,
+                      LINK_DEAD_AFTER, LINK_PROBE_INTERVAL_NS,
+                      LINK_PROBE_TIMEOUT_NS, LINK_RECOVER_AFTER,
+                      LINK_SUSPECT_AFTER, UPLINK_PROBE_INTERVAL_NS)
 from ..errors import DatalinkError, RouteError, TopologyError, TransportError
 from ..hardware.hub_commands import CommandOp
 from .detector import FailureDetector, TargetState
@@ -75,7 +80,6 @@ class ResilienceManager:
     def __init__(self, system) -> None:
         self.system = system
         self.sim = system.sim
-        self.cfg = system.cfg.resilience
         self.router = system.router
         self.detector = FailureDetector(lambda: self.sim.now)
         self.detector.on_transition.append(self._on_transition)
@@ -131,8 +135,7 @@ class ResilienceManager:
         names = sorted(self.system.cabs)
         if len(names) < 2:
             return
-        fanout = self.cfg.heartbeat_fanout or (len(names) - 1)
-        fanout = min(fanout, len(names) - 1)
+        fanout = min(HEARTBEAT_FANOUT, len(names) - 1)
         for index, observer in enumerate(names):
             for step in range(1, fanout + 1):
                 peer = names[(index + step) % len(names)]
@@ -147,16 +150,15 @@ class ResilienceManager:
         if self._started:
             raise TopologyError("resilience manager already started")
         self._started = True
-        cfg = self.cfg
         for target in sorted(self._link_watches):
             watch = self._link_watches[target]
             self.detector.watch(target, "link",
-                                suspect_after=cfg.link_suspect_after,
-                                dead_after=cfg.link_dead_after,
-                                recover_after=cfg.link_recover_after)
+                                suspect_after=LINK_SUSPECT_AFTER,
+                                dead_after=LINK_DEAD_AFTER,
+                                recover_after=LINK_RECOVER_AFTER)
             watch.prober.spawn(
                 self._link_probe_loop(watch, self._stagger(
-                    target, cfg.link_probe_interval_ns)),
+                    target, LINK_PROBE_INTERVAL_NS)),
                 name=f"res:probe:{target}")
         if self._hb_pairs:
             for name in sorted(self.system.cabs):
@@ -167,25 +169,25 @@ class ResilienceManager:
                 stack.spawn(self._collector_loop(stack), name="res:hb-rcv")
         for observer, peer in self._hb_pairs:
             self.detector.watch(f"cab:{peer}", "cab",
-                                suspect_after=cfg.cab_suspect_after,
-                                dead_after=cfg.cab_dead_after,
-                                recover_after=cfg.cab_recover_after)
+                                suspect_after=CAB_SUSPECT_AFTER,
+                                dead_after=CAB_DEAD_AFTER,
+                                recover_after=CAB_RECOVER_AFTER)
             self._hb_pending[(observer, peer)] = {}
             stack = self.system.cabs[observer]
             stack.spawn(
                 self._heartbeat_loop(stack, peer, self._stagger(
-                    f"hb:{observer}->{peer}", cfg.heartbeat_interval_ns)),
+                    f"hb:{observer}->{peer}", HEARTBEAT_INTERVAL_NS)),
                 name=f"res:hb:{peer}")
         for name in sorted(self.system.cabs):
             stack = self.system.cabs[name]
             target = f"uplink:{name}"
             self.detector.watch(target, "uplink",
-                                suspect_after=cfg.link_suspect_after,
-                                dead_after=cfg.link_dead_after,
-                                recover_after=cfg.link_recover_after)
+                                suspect_after=LINK_SUSPECT_AFTER,
+                                dead_after=LINK_DEAD_AFTER,
+                                recover_after=LINK_RECOVER_AFTER)
             stack.spawn(
                 self._uplink_probe_loop(stack, target, self._stagger(
-                    target, cfg.uplink_probe_interval_ns)),
+                    target, UPLINK_PROBE_INTERVAL_NS)),
                 name="res:uplink")
 
     def _stagger(self, name: str, interval_ns: int) -> int:
@@ -206,7 +208,7 @@ class ResilienceManager:
                 rtt = yield from datalink.probe_link(
                     watch.probe_hub_a, watch.probe_port_a,
                     watch.probe_hub_b, watch.probe_port_b,
-                    timeout_ns=self.cfg.link_probe_timeout_ns)
+                    timeout_ns=LINK_PROBE_TIMEOUT_NS)
             except _SEND_ERRORS:
                 rtt = None
             self.counters["link_probes"] += 1
@@ -215,7 +217,7 @@ class ResilienceManager:
                 self.detector.report_failure(watch.target)
             else:
                 self.detector.report_success(watch.target, rtt)
-            yield from kernel.sleep(self.cfg.link_probe_interval_ns)
+            yield from kernel.sleep(LINK_PROBE_INTERVAL_NS)
 
     def _heartbeat_loop(self, stack, peer: str, offset_ns: int):
         kernel = stack.kernel
@@ -233,7 +235,7 @@ class ResilienceManager:
             # datalink's (much slower) retry budget.
             stack.spawn(self._heartbeat_send(stack, peer, seq),
                         name=f"res:hb-tx:{peer}")
-            yield from kernel.sleep(self.cfg.heartbeat_interval_ns)
+            yield from kernel.sleep(HEARTBEAT_INTERVAL_NS)
             if pending.pop(seq, None) is not None:
                 # Unanswered for a whole period: count it missed.
                 self.counters["heartbeat_timeouts"] += 1
@@ -260,7 +262,7 @@ class ResilienceManager:
         try:
             yield from stack.transport.datagram.send(
                 peer, HEARTBEAT_MAILBOX,
-                size=self.cfg.heartbeat_bytes, kind="heartbeat",
+                size=HEARTBEAT_BYTES, kind="heartbeat",
                 meta={"hb_seq": seq, "hb_src": stack.name})
         except _SEND_ERRORS:
             # No route / dead datalink: immediate failure evidence —
@@ -281,7 +283,7 @@ class ResilienceManager:
             try:
                 yield from stack.transport.datagram.send(
                     src, HEARTBEAT_REPLY_MAILBOX,
-                    size=self.cfg.heartbeat_bytes, kind="heartbeat",
+                    size=HEARTBEAT_BYTES, kind="heartbeat",
                     meta={"hb_seq": message.meta.get("hb_seq"),
                           "hb_peer": stack.name})
             except _SEND_ERRORS:
@@ -313,7 +315,7 @@ class ResilienceManager:
             try:
                 reply = yield from stack.datalink.query_first_hop(
                     CommandOp.STATUS_READY, port_index,
-                    timeout_ns=self.cfg.link_probe_timeout_ns)
+                    timeout_ns=LINK_PROBE_TIMEOUT_NS)
                 ok = reply.ok
             except _SEND_ERRORS:
                 ok = False
@@ -322,7 +324,7 @@ class ResilienceManager:
                 self.detector.report_success(target)
             else:
                 self.detector.report_failure(target)
-            yield from kernel.sleep(self.cfg.uplink_probe_interval_ns)
+            yield from kernel.sleep(UPLINK_PROBE_INTERVAL_NS)
 
     # ------------------------------------------------------------------
     # healing (detector transition callback)

@@ -73,8 +73,8 @@ class ScaleoutScenario:
     def config(self) -> NectarConfig:
         """The seeded config every process building this scenario uses."""
         cfg = NectarConfig(seed=SEED)
-        return cfg.with_overrides(
-            fiber=replace(cfg.fiber, propagation_ns=self.propagation_ns))
+        return replace(
+            cfg, fiber=replace(cfg.fiber, propagation_ns=self.propagation_ns))
 
     @property
     def num_cabs(self) -> int:

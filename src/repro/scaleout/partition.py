@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
-from ..config import NectarConfig, default_config
+from ..config import NectarConfig
 from ..datalink.routing import Router
 from ..errors import ScaleoutError, TopologyError
 from ..hardware.cab import CabBoard
@@ -382,7 +382,7 @@ class PartitionSystem:
         self.partitioning = partitioning
         self.index = index
         self.routes = routes
-        self.cfg = cfg or default_config()
+        self.cfg = cfg or NectarConfig()
         fabric = partitioning.fabric
         fabric.validate(self.cfg.hub.num_ports)
         self.sim = Simulator()

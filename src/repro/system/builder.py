@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Optional
 
-from ..config import NectarConfig, default_config
+from ..config import NectarConfig
 from ..datalink.protocol import Datalink
 from ..datalink.routing import Router
 from ..errors import TopologyError
@@ -34,7 +34,7 @@ class CabStack:
     def __init__(self, system: "NectarSystem", board: CabBoard) -> None:
         self.system = system
         self.board = board
-        self.kernel = CabKernel(board, system.cfg.kernel)
+        self.kernel = CabKernel(board)
         self.datalink = Datalink(board, self.kernel, system.router,
                                  system.cfg)
         self.transport = TransportManager(board, self.kernel, self.datalink,
@@ -72,7 +72,7 @@ class NectarSystem:
 
     def __init__(self, cfg: Optional[NectarConfig] = None,
                  trace: bool = False) -> None:
-        self.cfg = cfg or default_config()
+        self.cfg = cfg or NectarConfig()
         self.sim = Simulator()
         self.tracer = Tracer(self.sim, enabled=trace)
         self.router = Router()
@@ -149,8 +149,7 @@ class NectarSystem:
         """Attach a node (Sun, Warp, …) to a CAB over VME."""
         if name in self.nodes:
             raise TopologyError(f"duplicate node name {name!r}")
-        node = NodeHost(self.sim, name, self.cfg.node,
-                        machine_type=machine_type)
+        node = NodeHost(self.sim, name, machine_type=machine_type)
         node.attach_cab(cab.board)
         cab.node = node
         cab.services.attach_node(node)

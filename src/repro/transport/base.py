@@ -18,7 +18,8 @@ from collections import defaultdict
 from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from ..config import NectarConfig
+from ..config import (MAILBOX_OP_NS, RECEIVE_PACKET_CPU_NS, SEND_PACKET_CPU_NS,
+                      TRANSPORT_HEADER_BYTES, NectarConfig)
 from ..errors import TransportError
 from ..hardware.frames import Packet, Payload
 from ..kernel.mailbox import Mailbox, Message
@@ -309,8 +310,7 @@ class TransportManager:
     def _handle_packet(self, packet: Packet):
         # Still the same interrupt context the datalink dispatched from, so
         # no second interrupt-overhead charge (§6.2.1).
-        t_cfg = self.cfg.transport
-        yield from self.cab.cpu.execute(t_cfg.receive_packet_cpu_ns)
+        yield from self.cab.cpu.execute(RECEIVE_PACKET_CPU_NS)
         payload = packet.payload
         checksum_cost = self.cab.checksum.cost_ns(payload.size)
         if checksum_cost:
@@ -334,9 +334,9 @@ class TransportManager:
         Everything else goes through the datalink.
         """
         if dst_cab == self.cab.name:
-            yield from self.kernel.compute(self.cfg.kernel.mailbox_op_ns)
+            yield from self.kernel.compute(MAILBOX_OP_NS)
             packet = Packet(self.cab.name, payload=payload,
-                            header_bytes=self.cfg.transport.header_bytes)
+                            header_bytes=TRANSPORT_HEADER_BYTES)
             self.counters["local_deliveries"] += 1
             self._on_packet(packet)
             return
@@ -356,12 +356,11 @@ class TransportManager:
         ("circuit switching must be used for larger packets", §4.2.3) —
         the CABs "select an optimal packet size" (§6.2.2).
         """
-        t_cfg = self.cfg.transport
         msg_id = base_header.get("msg_id") or self.next_message_id()
         if mode == "auto" and not self.datalink.packet_fits(size):
             mode = "circuit"
         max_fragment = size if (mode == "circuit" and size > 0) \
-            else t_cfg.max_payload_bytes
+            else self.cfg.transport.max_payload_bytes
         fragments = slice_data(data, size, max_fragment)
         nfrags = len(fragments)
         for index, (frag_size, chunk) in enumerate(fragments):
@@ -369,8 +368,7 @@ class TransportManager:
                       "nfrags": nfrags, "total_size": size,
                       "src": self.cab.name}
             payload = Payload(frag_size, data=chunk, header=header)
-            yield from self.kernel.compute(
-                t_cfg.send_packet_cpu_ns + extra_cpu_ns)
+            yield from self.kernel.compute(SEND_PACKET_CPU_NS + extra_cpu_ns)
             yield from self.transmit_payload(dst_cab, payload, mode=mode)
             self.counters["fragments_sent"] += 1
         return msg_id
@@ -386,7 +384,7 @@ class TransportManager:
         if mailbox is None:
             self.counters["drops_no_mailbox"] += 1
             return False
-        yield from self.kernel.compute(self.cfg.kernel.mailbox_op_ns)
+        yield from self.kernel.compute(MAILBOX_OP_NS)
         if reliable:
             yield mailbox.put(message)
             delivered = True

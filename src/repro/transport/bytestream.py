@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING, Any, Optional
 
+from ..config import RELIABILITY_CPU_NS, SEND_PACKET_CPU_NS
 from ..errors import TransportError
 from ..hardware.frames import Payload
 from ..kernel.mailbox import Message
@@ -97,7 +98,7 @@ class StreamConnection:
             self.unacked[seq] = _Unacked(seq, header, frag_size, chunk,
                                          sent_ns=self.manager.sim.now)
             yield from self.manager.kernel.compute(
-                cfg.send_packet_cpu_ns + cfg.reliability_cpu_ns)
+                SEND_PACKET_CPU_NS + RELIABILITY_CPU_NS)
             yield from self._transmit(self.unacked[seq])
             self._arm_timer()
         # Reliable semantics: wait until the final fragment is acked.
@@ -188,7 +189,7 @@ class StreamConnection:
             self.retransmissions += 1
             self.proto.retransmitted += 1
             yield from self.manager.kernel.compute(
-                cfg.send_packet_cpu_ns + cfg.reliability_cpu_ns)
+                SEND_PACKET_CPU_NS + RELIABILITY_CPU_NS)
             yield from self._transmit(record)
         if self.unacked:
             self._arm_timer()
@@ -243,15 +244,13 @@ class ByteStreamProtocol:
             yield from self._handle_data(packet)
 
     def _handle_ack(self, header: dict[str, Any]):
-        cfg = self.manager.cfg.transport
-        yield from self.manager.cab.cpu.execute(cfg.reliability_cpu_ns)
+        yield from self.manager.cab.cpu.execute(RELIABILITY_CPU_NS)
         key = (header["dst"], header["channel"])
         connection = self.connections.get(key)
         if connection is not None:
             connection.handle_ack(header["ack"])
 
     def _handle_data(self, packet: "Packet"):
-        cfg = self.manager.cfg.transport
         payload = packet.payload
         header = payload.header
         key = (header["src"], header["channel"])
@@ -287,8 +286,7 @@ class ByteStreamProtocol:
                              "msg_id": header["msg_id"]})
 
     def _send_ack(self, data_header: dict[str, Any], ack: int):
-        cfg = self.manager.cfg.transport
-        yield from self.manager.cab.cpu.execute(cfg.reliability_cpu_ns)
+        yield from self.manager.cab.cpu.execute(RELIABILITY_CPU_NS)
         ack_header = {"proto": "bs_ack", "channel": data_header["channel"],
                       "ack": ack, "dst": data_header["src"],
                       "src": self.manager.cab.name}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional
 
+from ..config import SEND_PACKET_CPU_NS
 from ..hardware.frames import Payload
 from ..kernel.mailbox import Message
 from .base import message_size
@@ -59,12 +60,11 @@ class DatagramProtocol:
         controls fragmentation so VME and fiber transfers can overlap;
         the receiver reassembles via the normal datagram path.
         """
-        cfg = self.manager.cfg.transport
         header = {"proto": "dg", "dst_mailbox": dst_mailbox, "kind": kind,
                   "msg_id": msg_id, "frag": index, "nfrags": count,
                   "total_size": total_size, "src": self.manager.cab.name}
         payload = Payload(size, data=data, header=header)
-        yield from self.manager.kernel.compute(cfg.send_packet_cpu_ns)
+        yield from self.manager.kernel.compute(SEND_PACKET_CPU_NS)
         yield from self.manager.transmit_payload(dst_cab, payload, mode=mode)
         self.manager.counters["fragments_sent"] += 1
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING, Any, Optional
 
+from ..config import RELIABILITY_CPU_NS, WAKEUP_NS
 from ..errors import TransportError
 from ..kernel.mailbox import Message
 from ..sim import Event
@@ -109,7 +110,7 @@ class RequestResponseProtocol:
                     first_sent_ns = self.manager.sim.now
                 yield from self.manager.send_fragments(
                     dst_cab, dict(header), data, body_size,
-                    extra_cpu_ns=cfg.reliability_cpu_ns)
+                    extra_cpu_ns=RELIABILITY_CPU_NS)
                 if estimator is not None:
                     wait_ns = estimator.current_rto_ns()
                 else:
@@ -118,8 +119,7 @@ class RequestResponseProtocol:
                 deadline = self.manager.sim.timeout(wait_ns)
                 result = yield self.manager.sim.any_of(
                     [pending.response, deadline])
-                yield from self.manager.kernel.compute(
-                    self.manager.cfg.kernel.wakeup_ns)
+                yield from self.manager.kernel.compute(WAKEUP_NS)
                 if pending.response in result:
                     if estimator is not None:
                         if pending.retransmits == 0:
@@ -157,7 +157,6 @@ class RequestResponseProtocol:
         The response is cached so that a retransmitted duplicate of the
         same request is answered without re-running the server.
         """
-        cfg = self.manager.cfg.transport
         meta = request.meta
         client = meta["reply_to"]
         request_id = meta["req_id"]
@@ -167,7 +166,7 @@ class RequestResponseProtocol:
         self.responses_sent += 1
         yield from self.manager.send_fragments(
             client, header, data, body_size,
-            extra_cpu_ns=cfg.reliability_cpu_ns)
+            extra_cpu_ns=RELIABILITY_CPU_NS)
 
     def _cache_response(self, client: str, request_id: int,
                         response: Any) -> None:

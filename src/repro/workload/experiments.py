@@ -20,7 +20,7 @@ from dataclasses import replace
 from functools import partial
 from typing import Optional
 
-from ..config import NectarConfig
+from ..config import FIBER_NS_PER_BYTE, NectarConfig
 from ..hardware import (CabBoard, CommandOp, Hub, HubCommand, Packet, Payload,
                        wire_cab_to_hub)
 from ..nodeiface import (NetworkDriverInterface, SharedMemoryInterface,
@@ -70,7 +70,7 @@ def hub_timing_rig():
 
 def hop_ns(cfg: NectarConfig) -> int:
     """Propagation plus one byte of serialisation: a head's fiber time."""
-    return cfg.fiber.propagation_ns + round(cfg.fiber.ns_per_byte)
+    return cfg.fiber.propagation_ns + round(FIBER_NS_PER_BYTE)
 
 
 def measure_hub_setup() -> dict:
@@ -279,7 +279,7 @@ def measure_lan_node_to_node(size: int = 32,
     from ..baseline import EthernetLan
     cfg = cfg or NectarConfig()
     sim = Simulator()
-    lan = EthernetLan(sim, cfg.lan, rng=cfg.rng_stream("lan"))
+    lan = EthernetLan(sim, rng=cfg.rng_stream("lan"))
     a, b = lan.add_host("a"), lan.add_host("b")
     b.open_port("p")
     state = {}
@@ -310,7 +310,7 @@ def run_collective(mode: str) -> tuple[int, int, dict]:
     from ..ipsc import IpscLibrary
     from ..nectarine import NectarineRuntime
     cfg = NectarConfig(seed=1989)
-    cfg = cfg.with_overrides(collectives=replace(cfg.collectives, mode=mode))
+    cfg = replace(cfg, collectives=replace(cfg.collectives, mode=mode))
     system = single_hub_system(8, cfg=cfg)
     ranks, rounds, noise_messages = 8, 12, 40
     library = IpscLibrary(NectarineRuntime(system),

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..config import FIBER_BYTES_PER_NS
 from ..errors import DatalinkError, TransportError, WorkloadError
 from ..sim import units
 from .arrivals import ArrivalProcess, make_arrivals
@@ -269,7 +270,7 @@ class Workload:
     @property
     def mean_gap_ns(self) -> float:
         """Per-source mean inter-arrival gap for the offered load."""
-        rate = self.offered_load * self.cfg.fiber.bytes_per_ns
+        rate = self.offered_load * FIBER_BYTES_PER_NS
         return self.message_bytes / rate
 
     def _build_pattern(self) -> TrafficPattern:

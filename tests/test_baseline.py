@@ -3,7 +3,6 @@
 import pytest
 
 from repro.baseline import EthernetLan, LanError
-from repro.config import LanConfig
 from repro.sim import Simulator, units
 
 
@@ -51,7 +50,6 @@ class TestStation:
     def test_frame_time_includes_overhead_and_minimum(self, sim, lan):
         host = lan.add_host("a")
         station = host.station
-        cfg = lan.cfg
         # 1500 B payload: (1500+26) bytes at 10 Mb/s = 0.8 µs/byte
         assert station.frame_time(1500) == round(1526 * 0.8 * 1000)
         # Tiny payloads are padded to the 64-byte minimum frame.

@@ -7,14 +7,14 @@ interrupts to preempt long-running thread computation.
 
 import pytest
 
-from repro.config import CabConfig
+from repro.config import INTERRUPT_OVERHEAD_NS
 from repro.hardware.cab import CabBoard, CabCpu
 from repro.sim import Simulator
 
 
 @pytest.fixture
 def cpu(sim):
-    return CabCpu(sim, CabConfig(), "cpu")
+    return CabCpu(sim, "cpu")
 
 
 class TestPreemption:
@@ -34,7 +34,7 @@ class TestPreemption:
         sim.process(long_thread())
         sim.process(interrupt())
         sim.run()
-        overhead = CabConfig().interrupt_overhead_ns
+        overhead = INTERRUPT_OVERHEAD_NS
         assert events["interrupt_latency"] <= \
             CabCpu.QUANTUM_NS + overhead + 1_000
         # The thread still completes, pushed back by the interrupt time.
@@ -50,7 +50,7 @@ class TestPreemption:
         sim.process(thread())
         sim.process(interrupt())
         sim.run()
-        expected = 50_000 + 5_000 + CabConfig().interrupt_overhead_ns
+        expected = 50_000 + 5_000 + INTERRUPT_OVERHEAD_NS
         assert cpu.busy_ns == expected
         assert sim.now == expected
 
@@ -97,7 +97,7 @@ class TestPreemption:
             return sim.now
         proc = sim.process(handler())
         sim.run()
-        assert proc.value == CabConfig().interrupt_overhead_ns
+        assert proc.value == INTERRUPT_OVERHEAD_NS
         assert cpu.interrupt_count == 1
 
 

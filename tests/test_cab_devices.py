@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.config import CabConfig, NectarConfig
+from repro.config import (INTERRUPT_OVERHEAD_NS, SOFTWARE_CHECKSUM_NS_PER_BYTE,
+                          CabConfig, NectarConfig)
 from repro.hardware import (CabBoard, Hub, Packet, Payload,
                             wire_cab_to_hub)
 from repro.hardware.checksum import ChecksumUnit
@@ -35,7 +36,7 @@ class TestCabCpu:
             yield from board.cpu.execute_interrupt(1_000)
         sim.process(handler())
         sim.run()
-        assert sim.now == 1_000 + board.cfg.interrupt_overhead_ns
+        assert sim.now == 1_000 + INTERRUPT_OVERHEAD_NS
         assert board.cpu.interrupt_count == 1
 
     def test_zero_cost_is_free(self, sim, board):
@@ -57,7 +58,7 @@ class TestCabCpu:
 
 class TestVme:
     def test_transfer_rate_10_mbytes(self, sim):
-        bus = VmeBus(sim, CabConfig(), "vme")
+        bus = VmeBus(sim, "vme")
 
         def mover():
             yield from bus.transfer(1000)
@@ -67,7 +68,7 @@ class TestVme:
         assert bus.bytes_transferred == 1000
 
     def test_single_master(self, sim):
-        bus = VmeBus(sim, CabConfig(), "vme")
+        bus = VmeBus(sim, "vme")
         finish = []
 
         def mover(tag):
@@ -79,7 +80,7 @@ class TestVme:
         assert finish == [("a", 50_000), ("b", 100_000)]
 
     def test_interrupts_dispatch(self, sim):
-        bus = VmeBus(sim, CabConfig(), "vme")
+        bus = VmeBus(sim, "vme")
         seen = []
         bus.on_node_interrupt(lambda vec: seen.append(("node", vec)))
         bus.on_cab_interrupt(lambda vec: seen.append(("cab", vec)))
@@ -90,7 +91,7 @@ class TestVme:
         assert bus.interrupts_to_cab == 1
 
     def test_slower_requested_rate_respected(self, sim):
-        bus = VmeBus(sim, CabConfig(), "vme")
+        bus = VmeBus(sim, "vme")
 
         def mover():
             yield from bus.transfer(1000, rate=0.005)   # 5 MB/s device
@@ -145,9 +146,8 @@ class TestChecksum:
         assert unit.cost_ns(1_000_000) == 0
 
     def test_software_fallback_costs_per_byte(self):
-        cfg = CabConfig(hardware_checksum=False)
-        unit = ChecksumUnit(cfg)
-        assert unit.cost_ns(100) == 100 * cfg.software_checksum_ns_per_byte
+        unit = ChecksumUnit(CabConfig(hardware_checksum=False))
+        assert unit.cost_ns(100) == 100 * SOFTWARE_CHECKSUM_NS_PER_BYTE
 
     def test_seal_verify_roundtrip(self):
         unit = ChecksumUnit(CabConfig())

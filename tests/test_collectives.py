@@ -6,7 +6,7 @@ import pytest
 
 from repro.collectives import (CollectiveGroup, tree_children, tree_depth,
                                tree_parent)
-from repro.config import NectarConfig, default_config
+from repro.config import NectarConfig
 from repro.errors import CollectiveError
 from repro.nectarine import NectarineRuntime
 from repro.topology import linear_system, mesh_system, single_hub_system
@@ -199,7 +199,7 @@ class TestPayloadSizes:
 
     @pytest.mark.parametrize("size", [1, 959, 960, 961, 4000])
     def test_broadcast_sizes(self, size):
-        cfg = default_config()
+        cfg = NectarConfig()
         boundary = cfg.transport.max_payload_bytes
         assert boundary == 960  # the sizes above straddle it
         system = single_hub_system(3, cfg=NectarConfig(seed=3))
@@ -376,7 +376,7 @@ class TestFaultTolerance:
         collectives or raises CollectiveError — nobody hangs."""
         from repro.faults import build_campaign
         cfg = NectarConfig(seed=1989)
-        cfg = cfg.with_overrides(collectives=replace(
+        cfg = replace(cfg, collectives=replace(
             cfg.collectives, reply_timeout_ns=5_000_000,
             software_timeout_ns=5_000_000))
         system = single_hub_system(4, cfg=cfg)
@@ -400,7 +400,7 @@ class TestFaultTolerance:
     def test_software_tree_never_hangs_under_drops(self):
         from repro.faults import build_campaign
         cfg = NectarConfig(seed=77)
-        cfg = cfg.with_overrides(collectives=replace(
+        cfg = replace(cfg, collectives=replace(
             cfg.collectives, software_timeout_ns=5_000_000))
         system = single_hub_system(3, cfg=cfg)
         system.inject_faults(build_campaign("drop-burst", cfg))

@@ -1,39 +1,50 @@
 """Unit tests for configuration validation and derivation."""
 
-import pytest
-from dataclasses import replace
+import ast
+from dataclasses import MISSING, fields, replace
+from pathlib import Path
 
-from repro.config import (FiberConfig, HubConfig, NectarConfig,
-                          default_config)
+import pytest
+
+from repro.config import (COPY_BYTES_PER_NS, DATA_MEMORY_BYTES, FIBER_MBITS,
+                          INPUT_QUEUE_BYTES, MEMORY_BANDWIDTH_MBYTES,
+                          PAGE_BYTES, PORT_COMMAND_CYCLES, PROTECTION_DOMAINS,
+                          SETUP_CYCLES, THREAD_SWITCH_NS, TRANSFER_CYCLES,
+                          TRANSPORT_HEADER_BYTES, VME_BANDWIDTH_MBYTES,
+                          FiberConfig, HubConfig, NectarConfig)
 from repro.errors import ConfigError
 from repro.hardware.frames import FRAMING_BYTES
+
+ROOT = Path(__file__).resolve().parents[1]
+#: Where a caller may set a config field; ``src/repro/config.py`` itself
+#: (defaults and presets) does not count.
+CALLER_DIRS = ("src", "benchmarks", "tools", "examples", "tests")
 
 
 class TestDefaults:
     def test_paper_values(self):
-        cfg = default_config()
+        cfg = NectarConfig()
         assert cfg.hub.cycle_ns == 70
         assert cfg.hub.num_ports == 16
         assert cfg.hub.setup_ns == 700
         assert cfg.hub.transfer_ns == 350
-        assert cfg.hub.input_queue_bytes == 1024
-        assert cfg.fiber.bandwidth_mbits == 100.0
-        assert cfg.cab.data_memory_bytes == 1 << 20
-        assert cfg.cab.memory_bandwidth_mbytes == 66.0
-        assert cfg.cab.vme_bandwidth_mbytes == 10.0
-        assert cfg.cab.protection_domains == 32
-        assert cfg.cab.page_bytes == 1024
+        assert INPUT_QUEUE_BYTES == 1024
+        assert FIBER_MBITS == 100.0
+        assert DATA_MEMORY_BYTES == 1 << 20
+        assert MEMORY_BANDWIDTH_MBYTES == 66.0
+        assert VME_BANDWIDTH_MBYTES == 10.0
+        assert PROTECTION_DOMAINS == 32
+        assert PAGE_BYTES == 1024
+        assert COPY_BYTES_PER_NS == pytest.approx(0.02)
 
     def test_thread_switch_in_paper_band(self):
-        cfg = default_config()
-        assert 10_000 <= cfg.kernel.thread_switch_ns <= 15_000
+        assert 10_000 <= THREAD_SWITCH_NS <= 15_000
 
     def test_hub_cycle_decomposition(self):
         # 4 (port) + 1 (controller) + 5 (transfer) = 10 cycles = 700 ns.
-        hub = HubConfig()
-        total = (hub.port_command_cycles + 1 + hub.transfer_cycles)
-        assert total == hub.setup_cycles
-        assert total * hub.cycle_ns == 700
+        total = PORT_COMMAND_CYCLES + 1 + TRANSFER_CYCLES
+        assert total == SETUP_CYCLES
+        assert total * HubConfig().cycle_ns == 700
 
 
 class TestValidation:
@@ -50,32 +61,26 @@ class TestValidation:
             NectarConfig(fiber=FiberConfig(drop_probability=1.5))
 
     def test_rejects_oversized_packets(self):
-        cfg = default_config()
+        cfg = NectarConfig()
         with pytest.raises(ConfigError):
-            cfg.with_overrides(
-                transport=replace(cfg.transport, max_payload_bytes=2048))
+            replace(cfg,
+                    transport=replace(cfg.transport, max_payload_bytes=2048))
 
     def test_rejects_zero_window(self):
-        cfg = default_config()
+        cfg = NectarConfig()
         with pytest.raises(ConfigError):
-            cfg.with_overrides(
-                transport=replace(cfg.transport, window_packets=0))
+            replace(cfg, transport=replace(cfg.transport, window_packets=0))
 
 
 class TestOverrides:
-    def test_with_overrides_replaces_section(self):
-        cfg = default_config()
-        new = cfg.with_overrides(fiber=replace(cfg.fiber,
-                                               drop_probability=0.1))
+    def test_replace_copies_section(self):
+        cfg = NectarConfig()
+        new = replace(cfg, fiber=replace(cfg.fiber, drop_probability=0.1))
         assert new.fiber.drop_probability == 0.1
         assert cfg.fiber.drop_probability == 0.0
 
-    def test_with_overrides_rejects_unknown(self):
-        with pytest.raises(ConfigError):
-            default_config().with_overrides(nonsense=1)
-
     def test_rng_deterministic_per_salt(self):
-        cfg = default_config()
+        cfg = NectarConfig()
         a = cfg.rng_stream("x").random()
         b = cfg.rng_stream("x").random()
         c = cfg.rng_stream("y").random()
@@ -92,7 +97,42 @@ class TestDerived:
         assert FiberConfig().ns_per_byte == pytest.approx(80.0)
 
     def test_max_packet_fits_queue(self):
-        cfg = default_config()
-        total = (cfg.transport.max_payload_bytes + cfg.transport.header_bytes
+        cfg = NectarConfig()
+        total = (cfg.transport.max_payload_bytes + TRANSPORT_HEADER_BYTES
                  + FRAMING_BYTES)
-        assert total <= cfg.hub.input_queue_bytes
+        assert total <= INPUT_QUEUE_BYTES
+
+
+def config_sections():
+    """The section dataclasses a :class:`NectarConfig` aggregates."""
+    return [f.default_factory for f in fields(NectarConfig)
+            if f.default_factory is not MISSING]
+
+
+def keywords_passed(root):
+    """Every keyword name passed to any call in the caller trees (by
+    name only: a keyword counts for every section with a field of that
+    name)."""
+    names = set()
+    config_py = root / "src" / "repro" / "config.py"
+    for top in CALLER_DIRS:
+        for path in sorted((root / top).rglob("*.py")):
+            if path == config_py:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call):
+                    names.update(k.arg for k in node.keywords if k.arg)
+    return names
+
+
+def test_every_config_field_is_set_by_some_caller():
+    """A field nothing sets is a constant: it belongs at module level in
+    ``repro/config.py`` (ROADMAP aim 2: every knob earns its keep)."""
+    passed = keywords_passed(ROOT)
+    unset = [f"{section.__name__}.{f.name}"
+             for section in config_sections()
+             for f in fields(section) if f.name not in passed]
+    assert not unset, (
+        f"{len(unset)} config field(s) that no call in "
+        f"{', '.join(CALLER_DIRS)} sets; make them module constants: "
+        f"{', '.join(unset)}")

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import NectarConfig
+from repro.config import MAX_ROUTE_ATTEMPTS, NectarConfig
 from repro.errors import CollectiveError, DatalinkError
 from repro.hardware.frames import Payload
 from repro.hardware.hub_commands import CommandOp
@@ -155,8 +155,7 @@ class TestErrorRecovery:
     def test_circuit_recovers_from_lost_command_packets(self):
         """§6.2.1: the datalink recovers from lost HUB commands."""
         cfg = NectarConfig()
-        cfg = cfg.with_overrides(fiber=replace(cfg.fiber,
-                                               drop_probability=0.3))
+        cfg = replace(cfg, fiber=replace(cfg.fiber, drop_probability=0.3))
         system = single_hub_system(3, cfg=cfg)
         a, b = system.cab("cab0"), system.cab("cab1")
         got = collect_inbox(b)
@@ -175,8 +174,7 @@ class TestErrorRecovery:
 
     def test_circuit_gives_up_after_max_attempts(self):
         cfg = NectarConfig()
-        cfg = cfg.with_overrides(fiber=replace(cfg.fiber,
-                                               drop_probability=1.0))
+        cfg = replace(cfg, fiber=replace(cfg.fiber, drop_probability=1.0))
         system = single_hub_system(3, cfg=cfg)
         a = system.cab("cab0")
         failed = {}
@@ -190,8 +188,7 @@ class TestErrorRecovery:
         a.spawn(body())
         system.run(until=10_000_000_000)
         assert failed.get("yes")
-        assert a.datalink.counters["reply_timeouts"] >= \
-            a.datalink.cfg.datalink.max_route_attempts
+        assert a.datalink.counters["reply_timeouts"] >= MAX_ROUTE_ATTEMPTS
 
     def test_close_route_cleans_partial_connections(self, hub_pair):
         system, a, b = hub_pair

@@ -27,7 +27,13 @@ from repro.topology import single_hub_system
 ONE_DATAGRAM_ENTRIES = 43
 
 #: Opcodes executed in ``src/repro`` frames for the same scene, spawns
-#: included (CPython 3.11); a failure prints them by package.  11 901
+#: included (CPython 3.11); a failure prints them by package.  11 815
+#: before the fixed parameters became module constants: one global load
+#: where ``cfg.<section>.<field>`` walked two or three attributes, and no
+#: property call per fiber rate: ``repro.sim`` 7 237 -> 7 197 (no
+#: ``megabits_per_second`` per rate read), ``repro.hardware`` 2 673 ->
+#: 2 645, ``repro.transport`` 683 -> 672, ``repro.kernel`` 583 -> 579,
+#: ``repro.datalink`` 572 -> 545, ``repro.config`` 41 -> 5.  11 901
 #: before ids were minted by their owners: ``repro.hardware`` 2 717 ->
 #: 2 673, ``repro.datalink`` 596 -> 572, ``repro.kernel`` 598 -> 583,
 #: ``repro.transport`` 686 -> 683 (no module-counter lambda per HUB
@@ -47,7 +53,7 @@ ONE_DATAGRAM_ENTRIES = 43
 #: ``repro.sim`` 8 815 -> 8 346 (no ``_waiting_on`` stores, no
 #: finished-process guard per resume), ``repro.hardware`` 2 902 -> 2 863
 #: (no ``try/finally`` per CPU grant).
-ONE_DATAGRAM_OPCODES = 11_815
+ONE_DATAGRAM_OPCODES = 11_669
 
 
 def one_datagram(drive=lambda run: run(), size=64, mode="auto"):

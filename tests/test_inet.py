@@ -1,6 +1,7 @@
 """Tests for the Internet-protocol suite over Nectar (§6.2.2 future
 work): IP fragmentation/reassembly, UDP, and TCP behaviour."""
 
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -86,6 +87,35 @@ class TestUdp:
         assert out["data"] == body
         assert ip_a.fragments_created >= 2
 
+    def test_ip_identification_wraps_at_16_bits(self):
+        system, layers = build_inet()
+        (_sa, ip_a, udp_a, _tca), (_sb, ip_b, udp_b, _tcb) = layers
+        ip_a._ip_ids = itertools.count(0xFFFF)
+        wire_ids = []
+        handle = ip_b.handle
+
+        def recording_handle(packet):
+            wire_ids.append(unpack_ip_header(packet.payload.data)["id"])
+            return handle(packet)
+        ip_b.handle = recording_handle
+        server = udp_b.open(53)
+        client = udp_a.open(1111)
+        got = []
+
+        def receiver():
+            for _ in range(2):
+                datagram = yield from server.receive()
+                got.append(datagram["data"])
+
+        def sender():
+            yield from client.send("cab1", 53, data=b"first")
+            yield from client.send("cab1", 53, data=b"second")
+        system.cab("cab1").spawn(receiver())
+        system.cab("cab0").spawn(sender())
+        system.run(until=10_000_000)
+        assert got == [b"first", b"second"]
+        assert wire_ids == [0xFFFF, 0]
+
     def test_port_conflict(self):
         _system, layers = build_inet()
         (_s, _ip, udp, _tcp) = layers[0]
@@ -135,8 +165,7 @@ class TestTcp:
 
     def test_recovers_from_loss(self):
         cfg = NectarConfig(seed=31)
-        cfg = cfg.with_overrides(fiber=replace(cfg.fiber,
-                                               drop_probability=0.1))
+        cfg = replace(cfg, fiber=replace(cfg.fiber, drop_probability=0.1))
         system, sa, sb, client, server = self.connect_pair(cfg=cfg)
         body = bytes(17) * 1000           # 17 KB
         out = {}

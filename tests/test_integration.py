@@ -148,7 +148,7 @@ class TestFaultRecoveryEndToEnd:
     def test_reliable_stack_survives_a_bad_fiber_day(self):
         """Drops + corruption together; byte-stream and RPC both hold."""
         cfg = NectarConfig(seed=13)
-        cfg = cfg.with_overrides(fiber=replace(
+        cfg = replace(cfg, fiber=replace(
             cfg.fiber, drop_probability=0.1, corrupt_probability=0.1))
         system = single_hub_system(3, cfg=cfg)
         a, b = system.cab("cab0"), system.cab("cab1")

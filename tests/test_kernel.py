@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import THREAD_SWITCH_NS
 from repro.errors import MailboxError, NodeError
 from repro.kernel.mailbox import Mailbox, Message
 from repro.sim import SimulationError
@@ -33,11 +34,11 @@ class TestThreads:
             times["resumed"] = stack.sim.now
         stack.spawn(body())
         stack.sim.run()
-        assert times["resumed"] == 10_000 + kernel.cfg.thread_switch_ns
+        assert times["resumed"] == 10_000 + THREAD_SWITCH_NS
 
     def test_switch_cost_in_paper_band(self, stack):
         """§6.1: thread switching takes between 10 and 15 µs."""
-        assert 10_000 <= stack.kernel.cfg.thread_switch_ns <= 15_000
+        assert 10_000 <= THREAD_SWITCH_NS <= 15_000
 
     def test_sleep(self, stack):
         def body():
@@ -45,7 +46,7 @@ class TestThreads:
             return stack.sim.now
         thread = stack.spawn(body())
         stack.sim.run()
-        assert thread.done.value == 5_000 + stack.kernel.cfg.thread_switch_ns
+        assert thread.done.value == 5_000 + THREAD_SWITCH_NS
 
     def test_thread_registry(self, stack):
         def body():

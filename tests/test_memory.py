@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import CabConfig
+from repro.config import MEMORY_BYTES_PER_NS, VME_BYTES_PER_NS
 from repro.errors import AllocationError, ProtectionFault
 from repro.hardware.memory import (ALL_ACCESS, KERNEL_DOMAIN, READ, WRITE,
                                    EXECUTE, BandwidthPool, MemoryRegion,
@@ -33,13 +33,12 @@ class TestBandwidthPool:
 
     def test_default_config_streams_fit(self, sim):
         """§5.2: 66 MB/s sustains CPU + 2 fiber DMAs + VME concurrently."""
-        cab = CabConfig()
-        pool = BandwidthPool(sim, cab.memory_bytes_per_ns)
+        pool = BandwidthPool(sim, MEMORY_BYTES_PER_NS)
         fiber = 0.0125
-        demand = 2 * fiber + cab.vme_bytes_per_ns
+        demand = 2 * fiber + VME_BYTES_PER_NS
         pool.open_stream(fiber)
         pool.open_stream(fiber)
-        pool.open_stream(cab.vme_bytes_per_ns)
+        pool.open_stream(VME_BYTES_PER_NS)
         assert pool.demand == pytest.approx(demand)
         assert pool.effective_rate(fiber) == fiber  # no slowdown
 
@@ -127,7 +126,7 @@ def test_allocator_never_overlaps_and_never_leaks(sizes, data):
 
 class TestProtection:
     def make(self):
-        return ProtectionUnit(CabConfig(), address_space=64 * 1024)
+        return ProtectionUnit(address_space=64 * 1024)
 
     def test_kernel_domain_full_access(self):
         unit = self.make()

@@ -265,10 +265,9 @@ class TestIpsc:
     @pytest.mark.parametrize("mode", ["tree", "exchange"])
     def test_gisum_software_modes_agree(self, mode):
         from dataclasses import replace
-        from repro.config import default_config
-        cfg = default_config()
-        cfg = cfg.with_overrides(
-            collectives=replace(cfg.collectives, mode=mode))
+        from repro.config import NectarConfig
+        cfg = NectarConfig()
+        cfg = replace(cfg, collectives=replace(cfg.collectives, mode=mode))
         system = single_hub_system(4, cfg=cfg)
         runtime = NectarineRuntime(system)
         library = IpscLibrary(

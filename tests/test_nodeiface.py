@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import KERNEL_PROTOCOL_NS
 from repro.errors import NodeError
 from repro.nodeiface import (NetworkDriverInterface, SharedMemoryInterface,
                              SocketInterface)
@@ -170,9 +171,8 @@ class TestNetworkDriver:
         busy_before = 0
         system.run(until=60_000_000_000)
         # 4 fragments → ≥4 kernel-protocol charges on each side.
-        per_packet = system.cfg.node.kernel_protocol_ns
-        assert system.node("node0").busy_ns >= 4 * per_packet
-        assert system.node("node1").busy_ns >= 4 * per_packet
+        assert system.node("node0").busy_ns >= 4 * KERNEL_PROTOCOL_NS
+        assert system.node("node1").busy_ns >= 4 * KERNEL_PROTOCOL_NS
         assert system.node("node1").interrupts >= 4
 
     def test_double_open_rejected(self):

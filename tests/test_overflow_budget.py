@@ -7,14 +7,14 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import NectarConfig
+from repro.config import INPUT_QUEUE_BYTES, NectarConfig
 from repro.topology import single_hub_system
 
 
 def tight_budget_config(budget_ns=1):
     cfg = NectarConfig()
-    return cfg.with_overrides(
-        datalink=replace(cfg.datalink, upcall_budget_ns=budget_ns))
+    return replace(
+        cfg, datalink=replace(cfg.datalink, upcall_budget_ns=budget_ns))
 
 
 class TestUpcallBudget:
@@ -73,5 +73,4 @@ class TestUpcallBudget:
 
     def test_budget_matches_queue_size_at_fiber_rate(self):
         cfg = NectarConfig()
-        assert cfg.datalink.upcall_budget_ns == \
-            80 * cfg.hub.input_queue_bytes
+        assert cfg.datalink.upcall_budget_ns == 80 * INPUT_QUEUE_BYTES

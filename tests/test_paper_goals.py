@@ -3,6 +3,7 @@ numbers), run as tests so regressions in the cost model are caught."""
 
 import pytest
 
+from repro.config import COPY_BYTES_PER_NS, NODE_INTERRUPT_NS, SYSCALL_NS
 from repro.sim import units
 from repro.topology import single_hub_system
 from repro.workload.experiments import (measure_cab_to_cab, measure_multihop,
@@ -43,9 +44,8 @@ class TestNodeHost:
             yield from node.copy(10_000)
         node.run(body())
         system.run(until=10_000_000)
-        expected = (system.cfg.node.syscall_ns + system.cfg.node.interrupt_ns
-                    + units.transfer_time(10_000,
-                                          system.cfg.node.copy_bytes_per_ns))
+        expected = (SYSCALL_NS + NODE_INTERRUPT_NS
+                    + units.transfer_time(10_000, COPY_BYTES_PER_NS))
         assert node.busy_ns == expected
         assert node.syscalls == 1
         assert node.interrupts == 1
@@ -64,10 +64,9 @@ class TestNodeHost:
         assert finish == [("a", 1_000), ("b", 2_000)]
 
     def test_vme_requires_cab(self, sim):
-        from repro.config import NodeConfig
         from repro.errors import NodeError
         from repro.hardware.node import NodeHost
-        node = NodeHost(sim, "lonely", NodeConfig())
+        node = NodeHost(sim, "lonely")
         with pytest.raises(NodeError):
             next(node.vme_write(100))
 

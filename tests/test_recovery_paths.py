@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import NectarConfig
+from repro.config import MAX_ROUTE_ATTEMPTS, NectarConfig
 from repro.errors import DatalinkError, TransportError
 from repro.hardware import CommandOp, HubCommand
 from repro.hardware.frames import Payload
@@ -23,9 +23,9 @@ from repro.transport.reqresp import _IN_PROGRESS, RESPONSE_CACHE_LIMIT
 
 def lossy_config(drop=0.0, corrupt=0.0, seed=7):
     cfg = NectarConfig(seed=seed)
-    return cfg.with_overrides(fiber=replace(cfg.fiber,
-                                            drop_probability=drop,
-                                            corrupt_probability=corrupt))
+    return replace(cfg, fiber=replace(cfg.fiber,
+                                      drop_probability=drop,
+                                      corrupt_probability=corrupt))
 
 
 def fragment(index, nfrags, total_size=64, size=32):
@@ -269,10 +269,9 @@ class TestCircuitRetries:
                 outcome["error"] = str(exc)
         a.spawn(opener())
         system.run(until=units.ms(100))
-        attempts = system.cfg.datalink.max_route_attempts
         assert "failed after" in outcome["error"]
-        assert a.datalink.counters["circuit_retries"] == attempts
-        assert a.datalink.counters["reply_timeouts"] == attempts
+        assert a.datalink.counters["circuit_retries"] == MAX_ROUTE_ATTEMPTS
+        assert a.datalink.counters["reply_timeouts"] == MAX_ROUTE_ATTEMPTS
 
     def test_circuit_retry_recovers_after_outage(self):
         """A mid-outage opener succeeds once the link heals."""

@@ -18,9 +18,9 @@ def lossy_system(seed, drop, corrupt=0.0):
     # with probability ~0.44^11 ≈ 1e-4 per example, so the "any loss"
     # property needs a persistence budget matched to the sampled rates
     # (0.44^65 is beyond any seed Hypothesis will ever draw).
-    cfg = cfg.with_overrides(
-        fiber=replace(cfg.fiber, drop_probability=drop,
-                      corrupt_probability=corrupt),
+    cfg = replace(
+        cfg, fiber=replace(cfg.fiber, drop_probability=drop,
+                           corrupt_probability=corrupt),
         transport=replace(cfg.transport, max_retransmits=64))
     return single_hub_system(2, cfg=cfg)
 

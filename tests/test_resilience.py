@@ -267,7 +267,7 @@ class TestTransportIntegration:
 
     def test_reassembly_timeout_comes_from_config(self):
         cfg = NectarConfig(seed=1)
-        cfg = cfg.with_overrides(transport=replace(
+        cfg = replace(cfg, transport=replace(
             cfg.transport, reassembly_timeout_ns=123_456))
         system = single_hub_system(2, cfg=cfg)
         a = system.cab("cab0")

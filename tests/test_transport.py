@@ -12,9 +12,9 @@ from repro.topology import linear_system, single_hub_system
 
 def lossy_config(drop=0.0, corrupt=0.0, seed=7):
     cfg = NectarConfig(seed=seed)
-    return cfg.with_overrides(fiber=replace(cfg.fiber,
-                                            drop_probability=drop,
-                                            corrupt_probability=corrupt))
+    return replace(cfg, fiber=replace(cfg.fiber,
+                                      drop_probability=drop,
+                                      corrupt_probability=corrupt))
 
 
 def receiver_thread(stack, mailbox, results, count=1):

@@ -15,8 +15,7 @@ from repro.topology import single_hub_system
 def build(drop=0.0, seed=5):
     cfg = NectarConfig(seed=seed)
     if drop:
-        cfg = cfg.with_overrides(fiber=replace(cfg.fiber,
-                                               drop_probability=drop))
+        cfg = replace(cfg, fiber=replace(cfg.fiber, drop_probability=drop))
     system = single_hub_system(2, cfg=cfg)
     a, b = system.cab("cab0"), system.cab("cab1")
     v_a, v_b = VmtpLayer(IpLayer(a)), VmtpLayer(IpLayer(b))
