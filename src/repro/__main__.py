@@ -35,7 +35,7 @@ import sys
 from functools import partial
 
 from .config import NectarConfig
-from .errors import ConfigError, ObserveError, TopologyError, WorkloadError
+from .errors import NectarError, ScaleoutError
 from .sim import units
 
 
@@ -86,22 +86,18 @@ def run_workload(args: argparse.Namespace) -> int:
     if args.pattern == "hotspot":
         pattern_kwargs["fraction"] = args.hotspot_fraction
     observe_path = getattr(args, "observe", None)
-    try:
-        sweep = LoadSweep(
-            topology, loads, pattern=args.pattern, arrivals=args.arrivals,
-            mode=args.mode, message_bytes=args.message_bytes,
-            warmup_ns=units.ms(args.warmup_ms),
-            duration_ns=units.ms(args.duration_ms),
-            window_depth=args.window, pattern_kwargs=pattern_kwargs,
-            fault_scenario=getattr(args, "faults", None),
-            resilience=getattr(args, "resilience", False),
-            observe=observe_path is not None,
-            progress=(lambda line: print(f"  {line}"))
-            if args.verbose else None,
-        ).run()
-    except (TopologyError, WorkloadError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sweep = LoadSweep(
+        topology, loads, pattern=args.pattern, arrivals=args.arrivals,
+        mode=args.mode, message_bytes=args.message_bytes,
+        warmup_ns=units.ms(args.warmup_ms),
+        duration_ns=units.ms(args.duration_ms),
+        window_depth=args.window, pattern_kwargs=pattern_kwargs,
+        fault_scenario=getattr(args, "faults", None),
+        resilience=getattr(args, "resilience", False),
+        observe=observe_path is not None,
+        progress=(lambda line: print(f"  {line}"))
+        if args.verbose else None,
+    ).run()
     if observe_path is not None:
         with open(observe_path, "w", encoding="utf-8") as handle:
             for point in sweep:
@@ -134,12 +130,8 @@ def run_observe(args: argparse.Namespace) -> int:
 
     system, workload_kwargs = scenarios.build(
         args.scenario, args.seed, units.ms(args.duration_ms))
-    try:
-        observatory = system.observe(interval_ns=units.us(args.interval_us))
-        result = Workload(system, **workload_kwargs).run()
-    except (ObserveError, WorkloadError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    observatory = system.observe(interval_ns=units.us(args.interval_us))
+    result = Workload(system, **workload_kwargs).run()
     events = observatory.export_chrome_trace(args.out)
     metrics_path = args.metrics or _default_metrics_path(args.out)
     rows = observatory.export_metrics_jsonl(metrics_path)
@@ -200,11 +192,7 @@ def _run_campaign_comparison(args: argparse.Namespace, cfg: NectarConfig,
     warmup/duration/drain keywords of the workload."""
     from .faults import build_campaign
 
-    try:
-        scenario = build_campaign(args.campaign, cfg, **campaign_kwargs)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    scenario = build_campaign(args.campaign, cfg, **campaign_kwargs)
     if args.schedule:
         print(scenario.schedule_text())
         return 0
@@ -212,11 +200,7 @@ def _run_campaign_comparison(args: argparse.Namespace, cfg: NectarConfig,
         pattern="uniform", arrivals="poisson", mode=args.mode,
         message_bytes=args.message_bytes, offered_load=args.load,
         **window(scenario))
-    try:
-        comparison = compare(scenario, workload_kwargs=workload_kwargs)
-    except (ConfigError, TopologyError, WorkloadError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    comparison = compare(scenario, workload_kwargs=workload_kwargs)
     print(f"campaign {args.campaign} (seed {args.seed}, {where}, "
           f"{args.mode} {args.message_bytes} B at load {args.load:.2f})"
           + (f": {scenario.description}" if describe else ""))
@@ -266,7 +250,6 @@ def run_resilience(args: argparse.Namespace) -> int:
 
 def run_scaleout(args: argparse.Namespace) -> int:
     """E-SCL: partition-count scaling with a hard digest gate."""
-    from .errors import ScaleoutError
     from .scaleout import (escl_campaign, partition_fabric,
                            run_partitioned, run_single, scenarios)
 
@@ -286,11 +269,8 @@ def run_scaleout(args: argparse.Namespace) -> int:
         print("error: partition counts must be >= 1", file=sys.stderr)
         return 2
     scenario = registry[args.scenario]
-    try:
-        partition_fabric(scenario.fabric, counts[-1])
-    except TopologyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # Before the header: a count the fabric cannot take is an error exit.
+    partition_fabric(scenario.fabric, counts[-1])
     faults = None if args.faults is None \
         else escl_campaign(args.faults, scenario.config())
     print(f"E-SCL {scenario.name}: {scenario.description}")
@@ -515,9 +495,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "func", None) is None:
-        return run_report(args)
-    return args.func(args)
+    try:
+        if getattr(args, "func", None) is None:
+            return run_report(args)
+        return args.func(args)
+    except NectarError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -70,8 +70,38 @@ class _TreeNode:
         self.children: dict[int, "_TreeNode"] = {}
 
 
+class HubName:
+    """A hub known by its name alone.
+
+    The router, the datalink command builder and the reply-path codec
+    read only ``.name`` from a hub they do not switch packets through,
+    so this is all a scale-out partition holds of a remote hub.
+    """
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<HubName {self.name}>"
+
+
 class Router:
     """Static routing tables for one Nectar installation."""
+
+    @classmethod
+    def of_names(cls, hubs: Iterable[str],
+                 links: Iterable[tuple[str, int, str, int]]) -> "Router":
+        """A router over a wiring graph given by names, every hub a
+        :class:`HubName`: enough for :meth:`hub_path`."""
+        router = cls()
+        named = {name: HubName(name) for name in hubs}
+        for hub in named.values():
+            router.add_hub(hub)
+        for hub_a, port_a, hub_b, port_b in links:
+            router.add_link(named[hub_a], port_a, named[hub_b], port_b)
+        return router
 
     def __init__(self) -> None:
         self._hubs: dict[str, "Hub"] = {}

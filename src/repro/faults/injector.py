@@ -33,23 +33,20 @@ class FaultInjector:
     """Schedules one :class:`FaultScenario` against a built system."""
 
     def __init__(self, system: "NectarSystem",
-                 scenario: FaultScenario, *, strict: bool = True) -> None:
+                 scenario: FaultScenario) -> None:
         self.system = system
         self.scenario = scenario
         self.sim = system.sim
-        #: Strict resolution (the default) rejects target globs that
-        #: match nothing.  Non-strict mode records them in ``skipped``
-        #: instead — the scale-out supervisor uses this to hand every
-        #: partition the *same* campaign and let each worker apply only
-        #: the slice whose targets it materialized locally.
-        self.strict = strict
         self.counters: dict[str, int] = defaultdict(int)
         #: Currently open fault windows (sampled as ``fault.active``).
         self.active = 0
         #: Applied-schedule record: ``(time_ns, action, kind, target)``
         #: tuples, one per injection/revert, in simulation order.
         self.log: list[tuple[int, str, str, str]] = []
-        #: Events whose target matched nothing here (non-strict only).
+        #: Events whose target matched nothing here.  A whole system
+        #: rejects such a target; a partial one (a scale-out partition,
+        #: handed the same campaign as every other) skips it, because
+        #: the target lives in another partition.
         self.skipped: list["FaultEvent"] = []
         self._started = False
         self._resolve_targets()
@@ -93,7 +90,7 @@ class FaultInjector:
             matched = [pool[name] for name in sorted(pool)
                        if fnmatchcase(name, event.target)]
             if not matched:
-                if not self.strict:
+                if self.system.partial:
                     self.skipped.append(event)
                     self._matches[index] = []
                     continue

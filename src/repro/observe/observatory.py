@@ -50,10 +50,10 @@ class Observatory:
             hub.register_metrics(self.registry, self.sampler)
         for stack in system.cabs.values():
             stack.register_metrics(self.registry, self.sampler)
-        if getattr(system, "fault_injector", None) is not None:
+        if system.fault_injector is not None:
             system.fault_injector.register_metrics(self.registry,
                                                    self.sampler)
-        if getattr(system, "resilience", None) is not None:
+        if system.resilience is not None:
             system.resilience.register_metrics(self.registry, self.sampler)
         self.sampler.start()
 

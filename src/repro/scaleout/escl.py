@@ -177,8 +177,8 @@ def _receiver(scenario: ScaleoutScenario, stack: Any, traffic: Traffic):
 def spawn_traffic(scenario: ScaleoutScenario, system: Any) -> Traffic:
     """Start the workload on every CAB ``system`` materializes.
 
-    Works unchanged for a full :class:`~repro.system.NectarSystem` and a
-    :class:`~repro.scaleout.partition.PartitionSystem`: each process
+    Works unchanged for a whole :class:`~repro.system.NectarSystem` and
+    a :class:`~repro.scaleout.partition.PartitionSystem`: each process
     spawns senders and receivers only for the CAB stacks it owns, and
     the shift permutation guarantees every sender has exactly one remote
     or local partner expecting its messages.

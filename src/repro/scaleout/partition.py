@@ -5,15 +5,17 @@ on inter-HUB fiber boundaries: each partition owns a slice of the
 fabric's hubs (a contiguous run in construction order, or a torus slab,
 whichever carries the least work: :func:`partition_fabric`), every CAB
 lives with its hub, and the links whose endpoints land in different
-partitions become *cut links*.  :class:`PartitionSystem` then
-instantiates exactly one partition's worth of real hardware inside its
-own :class:`~repro.sim.Simulator`:
+partitions become *cut links*.  :class:`PartitionSystem` is a
+:class:`~repro.system.NectarSystem` that replays the whole spec but
+builds only one partition's hardware:
 
-* Local hubs, their CAB stacks, and local-local fibers are built with
-  the same names, ports, and per-link RNG streams as the single-process
-  system, so their event sequences are identical.
-* Remote hubs exist only as name-carrying proxies registered with the
-  partition's :class:`~repro.datalink.routing.Router`.  Routing — BFS,
+* Local hubs, their CAB stacks, and local-local fibers are built by
+  ``NectarSystem``'s own construction methods, with the same names,
+  ports, and per-link RNG streams as the single-process system, so
+  their event sequences are identical.
+* Remote hubs exist only as names
+  (:class:`~repro.datalink.routing.HubName`) registered with the
+  partition's router.  Routing — BFS,
   parallel-link flow hashing, route caching — operates purely on names
   and the full link list, so every partition computes the *same* routes
   the single-process router would, while only materializing tables for
@@ -38,15 +40,13 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from ..config import NectarConfig
-from ..datalink.routing import Router
+from ..datalink.routing import HubName, Router
 from ..errors import ScaleoutError, TopologyError
-from ..hardware.cab import CabBoard
 from ..hardware.fiber import Fiber
 from ..hardware.hub import Hub
-from ..hardware.wiring import wire_cab_to_hub, wire_hub_to_hub
-from ..sim import Simulator, Tracer
-from ..system.builder import CabStack
-from ..topology.fabrics import FabricSpec
+from ..sim import Simulator
+from ..system.builder import CabStack, NectarSystem
+from ..topology.fabrics import FabricSpec, replay
 from .wire import KIND_READY, decode_item, encode_item, kind_of
 
 __all__ = ["Envelope", "Partitioning", "PartitionSystem", "flow_paths",
@@ -222,12 +222,7 @@ def flow_paths(fabric: FabricSpec,
     """The hub path of each ``(src_cab, dst_cab)`` flow, as the router
     finds it (BFS over sorted neighbours: the same path every partition
     and the single-process system route over)."""
-    router = Router()
-    hubs = {name: _HubProxy(name) for name in fabric.hubs}
-    for hub in hubs.values():
-        router.add_hub(hub)
-    for hub_a, port_a, hub_b, port_b in fabric.links:
-        router.add_link(hubs[hub_a], port_a, hubs[hub_b], port_b)
+    router = Router.of_names(fabric.hubs, fabric.links)
     where = {cab: hub for cab, hub, _port in fabric.cabs}
     return [router.hub_path(where[src], where[dst]) for src, dst in flows]
 
@@ -291,23 +286,6 @@ def partition_fabric(fabric: FabricSpec, num_partitions: int,
     return partitioning
 
 
-class _HubProxy:
-    """A remote hub as seen by this partition: a name, nothing else.
-
-    The router, datalink command builder, and reply-path codec only ever
-    read ``.name`` from hubs they do not switch packets through, so this
-    is all a partition needs to know about the rest of the fabric.
-    """
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<_HubProxy {self.name}>"
-
-
 class _BoundaryFiber(Fiber):
     """The transmit side of a cut link: capture instead of deliver.
 
@@ -358,19 +336,25 @@ class _RemotePortStub:
         return f"<_RemotePortStub {self.hub_name}.p{self.port_index}>"
 
 
-class PartitionSystem:
-    """One partition's hardware plus its cross-partition mailboxes.
+class PartitionSystem(NectarSystem):
+    """One partition of a fabric: a :class:`~repro.system.NectarSystem`
+    that builds only the hubs, links and CABs partition ``index`` owns,
+    plus its cross-partition mailboxes.
 
-    Duck-types the slice of :class:`~repro.system.NectarSystem` that
-    :class:`~repro.system.builder.CabStack` and scenario drivers use:
-    ``cfg``, ``sim``, ``tracer``, ``router``, ``hubs``, ``cabs``,
-    ``cab()``, ``run()``, ``now``.
+    The fabric is replayed through :func:`~repro.topology.fabrics.replay`
+    like a whole system's; the three construction methods below build a
+    local name exactly as the whole system does and only register a
+    remote one with the router.  Every worker arms the *same* fault
+    campaign (:meth:`~repro.system.NectarSystem.inject_faults`); being
+    :attr:`partial`, each applies only the events whose targets it holds.
 
     ``routes`` (:func:`route_set`, or ``None`` for every cut link) is
     the traffic the run declared: :func:`lookahead_matrix` gives an
     uncrossed pair of partitions no edge, so :meth:`capture` refuses
     any delivery into a partition the declared routes never enter.
     """
+
+    partial = True
 
     def __init__(self, partitioning: Partitioning, index: int,
                  cfg: Optional[NectarConfig] = None,
@@ -379,18 +363,12 @@ class PartitionSystem:
         partitioning.validate()
         if not 0 <= index < partitioning.num_partitions:
             raise TopologyError(f"no partition {index} in {partitioning}")
+        super().__init__(cfg)
         self.partitioning = partitioning
         self.index = index
         self.routes = routes
-        self.cfg = cfg or NectarConfig()
-        fabric = partitioning.fabric
-        fabric.validate(self.cfg.hub.num_ports)
-        self.sim = Simulator()
-        self.tracer = Tracer(self.sim, enabled=False)
-        self.router = Router()
-        self.hubs: dict[str, Hub] = {}
-        self._proxies: dict[str, _HubProxy] = {}
-        self.cabs: dict[str, CabStack] = {}
+        self._local = frozenset(partitioning.parts[index])
+        self._names: dict[str, HubName] = {}
         self._outbox: list[Envelope] = []
         self._seq = 0
         owners = partitioning.owner_map()
@@ -399,52 +377,46 @@ class PartitionSystem:
         #: The remote hubs a capture may address.
         self._reachable = frozenset(hub for hub, owner in owners.items()
                                     if owner in crossed)
+        replay(partitioning.fabric, self)
 
-        local = set(partitioning.parts[index])
-        every: dict[str, Any] = {}
-        for name in fabric.hubs:
-            if name in local:
-                hub = Hub(self.sim, name, self.cfg.hub, self.cfg.fiber,
-                          tracer=self.tracer)
-                self.hubs[name] = hub
-                every[name] = hub
-            else:
-                proxy = _HubProxy(name)
-                self._proxies[name] = proxy
-                every[name] = proxy
-            self.router.add_hub(every[name])
+    # ------------------------------------------------------------------
+    # construction: the router learns the whole fabric (names only), so
+    # routes match the whole system's; hardware exists only where at
+    # least one end is local.
+    # ------------------------------------------------------------------
 
-        for hub_a, port_a, hub_b, port_b in fabric.links:
-            # The router learns the *whole* fabric graph (names only), so
-            # routes match the single-process system; real fibers exist
-            # only where at least one endpoint is local.
-            self.router.add_link(every[hub_a], port_a, every[hub_b], port_b)
-            a_local, b_local = hub_a in local, hub_b in local
-            if a_local and b_local:
-                wire_hub_to_hub(self.sim, self.hubs[hub_a], port_a,
-                                self.hubs[hub_b], port_b,
-                                rng_factory=self.cfg.rng_stream)
-            elif a_local:
-                self._wire_boundary(hub_a, port_a, hub_b, port_b)
-            elif b_local:
-                self._wire_boundary(hub_b, port_b, hub_a, port_a)
+    def add_hub(self, name: Optional[str] = None) -> Hub | HubName:
+        if name in self._local:
+            return super().add_hub(name)
+        hub = self._names[name] = HubName(name)
+        self.router.add_hub(hub)
+        return hub
 
-        for cab_name, hub_name, port in fabric.cabs:
-            self.router.add_cab(cab_name, every[hub_name], port)
-            if hub_name not in local:
-                continue
-            hub = self.hubs[hub_name]
-            board = CabBoard(self.sim, cab_name, self.cfg.cab,
-                             self.cfg.fiber)
-            wire_cab_to_hub(self.sim, board, hub, port,
-                            rng_factory=self.cfg.rng_stream)
-            self.cabs[cab_name] = CabStack(self, board)
+    def connect_hubs(self, hub_a: Hub | HubName, hub_b: Hub | HubName,
+                     port_a: Optional[int] = None,
+                     port_b: Optional[int] = None) -> tuple[int, int]:
+        a_local, b_local = hub_a.name in self._local, hub_b.name in self._local
+        if a_local and b_local:
+            return super().connect_hubs(hub_a, hub_b, port_a, port_b)
+        self.router.add_link(hub_a, port_a, hub_b, port_b)
+        if a_local:
+            self._wire_boundary(hub_a, port_a, hub_b.name, port_b)
+        elif b_local:
+            self._wire_boundary(hub_b, port_b, hub_a.name, port_a)
+        return port_a, port_b
 
-    def _wire_boundary(self, local_hub: str, local_port: int,
+    def add_cab(self, name: str, hub: Hub | HubName,
+                port: Optional[int] = None) -> Optional[CabStack]:
+        if hub.name in self._local:
+            return super().add_cab(name, hub, port)
+        self.router.add_cab(name, hub, port)
+        return None
+
+    def _wire_boundary(self, hub: Hub, local_port: int,
                        remote_hub: str, remote_port: int) -> None:
         """Give the local half of a cut link its capture-side plumbing."""
-        port = self.hubs[local_hub].port(local_port)
-        name = f"{local_hub}.p{local_port}->{remote_hub}.p{remote_port}"
+        port = hub.port(local_port)
+        name = f"{hub.name}.p{local_port}->{remote_hub}.p{remote_port}"
         # Same fiber name as wire_hub_to_hub builds, hence the same
         # seed-derived fault RNG stream as the single-process run.
         port.out_fiber = _BoundaryFiber(
@@ -491,56 +463,6 @@ class PartitionSystem:
                     arrival,
                     lambda p=port, i=item, s=size: p.deliver(i, s))
 
-    def _resolve(self, name: str) -> Any:
+    def _resolve(self, name: str) -> Hub | HubName:
         hub = self.hubs.get(name)
-        return hub if hub is not None else self._proxies[name]
-
-    # ------------------------------------------------------------------
-    # partition-aware fault injection
-    # ------------------------------------------------------------------
-
-    def attach_faults(self, scenario: Any) -> Any:
-        """Apply this partition's slice of a fault campaign.
-
-        Every worker receives the *same*
-        :class:`~repro.faults.FaultScenario` (campaigns are built from
-        ``cfg.rng_stream``, so each process derives the identical
-        schedule); the injector runs in non-strict mode so events whose
-        targets live in other partitions are skipped here and applied
-        there.  Fault overlays key their RNG streams off fiber names,
-        and boundary fibers reuse the exact single-process names, so the
-        faulted partitioned run stays digest-identical to the faulted
-        single-process run.
-        """
-        from ..faults.injector import FaultInjector
-        injector = FaultInjector(self, scenario, strict=False)
-        injector.start()
-        self.fault_injector = injector
-        return injector
-
-    # ------------------------------------------------------------------
-    # NectarSystem duck-type surface
-    # ------------------------------------------------------------------
-
-    def cab(self, name: str) -> CabStack:
-        try:
-            return self.cabs[name]
-        except KeyError:
-            raise TopologyError(
-                f"CAB {name!r} is not in partition {self.index}") from None
-
-    def run(self, until: Optional[int] = None) -> int:
-        return self.sim.run(until=until)
-
-    def peek(self) -> Optional[int]:
-        """Timestamp of this partition's next local event, if any."""
-        return self.sim.peek()
-
-    @property
-    def now(self) -> int:
-        return self.sim.now
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<PartitionSystem {self.index}/"
-                f"{self.partitioning.num_partitions} "
-                f"hubs={len(self.hubs)} cabs={len(self.cabs)}>")
+        return hub if hub is not None else self._names[name]

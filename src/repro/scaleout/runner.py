@@ -37,15 +37,14 @@ def run_single(scenario: ScaleoutScenario,
                faults=None) -> ScaleoutResult:
     """Run the scenario in-process; the reference for every digest.
 
-    ``faults`` (a :class:`~repro.faults.FaultScenario`) applies the
-    campaign's events through a strict
-    :class:`~repro.faults.FaultInjector`.
+    ``faults`` (a :class:`~repro.faults.FaultScenario`) is armed with
+    :meth:`~repro.system.NectarSystem.inject_faults`, as every worker
+    arms it.
     """
     setup_start = time.perf_counter()
     system = build_system(scenario.fabric, scenario.config())
-    if faults is not None and faults.events:
-        from ..faults.injector import FaultInjector
-        FaultInjector(system, faults).start()
+    if faults is not None:
+        system.inject_faults(faults)
     traffic = spawn_traffic(scenario, system)
     start = time.perf_counter()
     system.run()

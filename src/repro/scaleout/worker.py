@@ -126,7 +126,7 @@ class _Rounds:
                 ran = time.process_time()
                 self.compute_s += time.perf_counter() - began
                 run_cpu += ran - cpu
-                report = (system.peek(), system.drain_outbox())
+                report = (system.sim.peek(), system.drain_outbox())
             else:
                 ran = time.process_time()
             if time.monotonic() >= next_beat:
@@ -232,12 +232,12 @@ def worker_main(control, inbox: list, outbox: list, every: list,
         system = PartitionSystem(partitioning, index, scenario.config(),
                                  routes)
         if faults is not None:
-            system.attach_faults(faults)
+            system.inject_faults(faults)
         traffic = spawn_traffic(scenario, system)
         rounds = _Rounds(control, inbox, outbox, system)
         # The initial reports: round 0, in which every partition "ran".
         rounds.exchange(dict.fromkeys(range(partitioning.num_partitions), 0),
-                        (system.peek(), system.drain_outbox()))
+                        (system.sim.peek(), system.drain_outbox()))
         rounds.tell("ready")
         control.recv()
         outcome = rounds.run()

@@ -70,17 +70,21 @@ class CabStack:
 class NectarSystem:
     """A simulated Nectar installation."""
 
-    def __init__(self, cfg: Optional[NectarConfig] = None,
-                 trace: bool = False) -> None:
+    #: Whether this system simulates only part of its fabric (a
+    #: :class:`~repro.scaleout.partition.PartitionSystem`): the rest
+    #: lives in other systems, so a fault target it does not hold is
+    #: skipped, and it may hold no CAB.
+    partial = False
+
+    def __init__(self, cfg: Optional[NectarConfig] = None) -> None:
         self.cfg = cfg or NectarConfig()
         self.sim = Simulator()
-        self.tracer = Tracer(self.sim, enabled=trace)
+        self.tracer = Tracer(self.sim)
         self.router = Router()
         self.hubs: dict[str, Hub] = {}
         self.cabs: dict[str, CabStack] = {}
         self.nodes: dict[str, NodeHost] = {}
         self._ports_used: dict[str, set[int]] = {}
-        self._finalized = False
         self.observatory = None
         self.fault_injector = None
         self.resilience = None
@@ -157,12 +161,17 @@ class NectarSystem:
         return node
 
     def finalize(self) -> "NectarSystem":
-        """Validate the wiring; call once construction is complete."""
+        """Validate the wiring; call once construction is complete.
+
+        Only a whole fabric must hold HUBs and CABs: a :attr:`partial`
+        system's may all live elsewhere.
+        """
+        if self.partial:
+            return self
         if not self.hubs:
             raise TopologyError("system has no HUBs")
         if not self.cabs:
             raise TopologyError("system has no CABs")
-        self._finalized = True
         return self
 
     def observe(self, interval_ns: Optional[int] = None,

@@ -22,8 +22,9 @@ machines:
   locality.
 
 ``build_system`` replays a spec into a normal finalized
-:class:`~repro.system.NectarSystem`; the partitioned runtime replays
-only one partition's slice of the same spec, so both worlds wire
+:class:`~repro.system.NectarSystem`; a scale-out partition (a
+``NectarSystem`` subclass) replays the same spec through the same
+:func:`replay` but builds only its own slice, so both worlds wire
 byte-identical fabrics (fiber names seed the per-link fault RNG
 streams, so the names matching is what makes partitioned runs
 bit-identical to single-process runs).
@@ -43,6 +44,7 @@ __all__ = [
     "build_system",
     "fat_tree_fabric",
     "hypercube_fabric",
+    "replay",
     "torus_fabric",
 ]
 
@@ -266,10 +268,11 @@ def fat_tree_fabric(k: int, num_ports: int = 16) -> FabricSpec:
     return spec
 
 
-def build_system(spec: FabricSpec, cfg: Optional[NectarConfig] = None):
-    """Replay a spec into a finalized single-process NectarSystem."""
-    from ..system.builder import NectarSystem
-    system = NectarSystem(cfg)
+def replay(spec: FabricSpec, system):
+    """Wire ``spec`` into ``system`` and finalize it: hubs, then links,
+    then CABs, in spec order, through the system's ``add_hub`` /
+    ``connect_hubs`` / ``add_cab``.  The one loop behind a whole system
+    and a scale-out partition, which overrides those three."""
     spec.validate(system.cfg.hub.num_ports)
     hubs = {name: system.add_hub(name) for name in spec.hubs}
     for hub_a, port_a, hub_b, port_b in spec.links:
@@ -278,3 +281,9 @@ def build_system(spec: FabricSpec, cfg: Optional[NectarConfig] = None):
     for cab, hub, port in spec.cabs:
         system.add_cab(cab, hubs[hub], port=port)
     return system.finalize()
+
+
+def build_system(spec: FabricSpec, cfg: Optional[NectarConfig] = None):
+    """Replay a spec into a finalized single-process NectarSystem."""
+    from ..system.builder import NectarSystem
+    return replay(spec, NectarSystem(cfg))

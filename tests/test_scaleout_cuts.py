@@ -41,7 +41,7 @@ def run_cut(scenario, parts, faults=None):
     traffic = []
     for system in systems:
         if faults:
-            system.attach_faults(faults)
+            system.inject_faults(faults)
         traffic.append(spawn_traffic(scenario, system))
     distance = lookahead_matrix(partitioning, cfg, routes)
     owners = partitioning.owner_map()
@@ -50,7 +50,7 @@ def run_cut(scenario, parts, faults=None):
     reported = range(len(systems))
     while True:
         for source in reported:
-            peeks[source] = systems[source].peek()
+            peeks[source] = systems[source].sim.peek()
             for envelope in systems[source].drain_outbox():
                 post(pending[owners[envelope[3]]], source, envelope)
         grants = plan_round(peeks, pending, distance)

@@ -20,8 +20,8 @@ import time
 
 import pytest
 
-from repro.errors import ScaleoutError
-from repro.faults import FaultEvent, FaultInjector, FaultScenario
+from repro.errors import ConfigError, ScaleoutError
+from repro.faults import FaultEvent, FaultScenario
 from repro.scaleout import (ScaleoutScenario, Supervisor, escl_campaign,
                             partition_fabric, run_partitioned, run_single,
                             scenarios)
@@ -29,8 +29,9 @@ from repro.scaleout import supervisor as supervisor_module
 from repro.scaleout import worker as worker_module
 from repro.scaleout.partition import PartitionSystem
 from repro.scaleout.planner import post
-from repro.topology import single_hub_system
-from repro.topology.fabrics import hypercube_fabric
+from repro.system import NectarSystem
+from repro.topology.fabrics import (build_system, fat_tree_fabric,
+                                    hypercube_fabric, torus_fabric)
 
 
 @pytest.fixture(scope="module")
@@ -81,20 +82,46 @@ def _failed(forensics):
 # in-simulation faults handed to every worker
 # ----------------------------------------------------------------------
 
-class TestNonStrictInjector:
-    def test_unmatched_targets_skipped(self):
-        system = single_hub_system(num_cabs=2)
+class TestPartitionIsASystem:
+    """A partition is a ``NectarSystem`` that holds part of the fabric:
+    it observes and arms faults through the system's own methods."""
+
+    @pytest.fixture
+    def part(self):
+        return PartitionSystem(partition_fabric(torus_fabric((2, 2)), 2), 0)
+
+    def test_a_partition_is_a_nectar_system(self, part):
+        assert isinstance(part, NectarSystem)
+        assert set(part.hubs) == {"hub_0_0", "hub_0_1"}
+        assert set(part.cabs) == {"cab0", "cab1"}
+
+    def test_a_partition_may_own_no_cab(self):
+        partitioning = partition_fabric(fat_tree_fabric(4), 2)
+        core = PartitionSystem(partitioning, 0)
+        assert core.hubs and not core.cabs
+
+    def test_observe_registers_local_hubs_and_cabs_only(self, part):
+        registry = part.observe(trace=False).registry
+        owners = {name.split(".")[1] if name.startswith("fiber.")
+                  else name.split(".")[0] for name in registry.names()}
+        assert owners == set(part.hubs) | set(part.cabs)
+
+    def test_injects_local_targets_and_skips_remote_ones(self, part):
         scenario = FaultScenario("s", [
-            FaultEvent("link_down", 0, 100, target="no-such-fiber*"),
+            FaultEvent("link_down", 0, 100, target="*cab2*"),
             FaultEvent("link_down", 0, 100, target="*cab0*"),
         ])
-        injector = FaultInjector(system, scenario, strict=False)
-        assert len(injector.skipped) == 1
-        assert injector.skipped[0].target == "no-such-fiber*"
-        injector.start()
-        system.run(until=1_000)
-        # Only the matched event opened a window.
+        injector = part.inject_faults(scenario)
+        assert [event.target for event in injector.skipped] == ["*cab2*"]
+        part.run(until=1_000)
+        # Only the local event opened a window.
         assert injector.counters["injected"] == 1
+        # A whole system holds every target, so one matching nothing is
+        # an error there.
+        whole = build_system(torus_fabric((2, 2)))
+        with pytest.raises(ConfigError, match="matches nothing"):
+            whole.inject_faults(FaultScenario("s", [
+                FaultEvent("link_down", 0, 100, target="no-such-fiber*")]))
 
 
 # ----------------------------------------------------------------------

@@ -16,10 +16,12 @@ writes three kinds of cell:
 * the e2e rows: one single-process drive per seed of ``smallmsg-hub``,
   ``rpc-faulted`` and ``bulk-wire`` (``benchmarks/e2e/workloads.py``,
   imported read-only), digested by ``Outcome.digests()``;
-* the partitioned leg, ``escl-torus-64`` per seed (the seed picks the
-  message size, as ``torus-p2`` does): single-process clean and under
-  ``drop-burst``, then partitions {2, 4} x the same faults, each held
-  to the single-process run (digest, and event count when clean);
+* the partitioned leg, ``escl-torus-64`` (whose cut no route crosses)
+  and ``escl-hypercube-64`` (whose every flow crosses it) per seed (the
+  seed picks the message size, as ``torus-p2`` does): single-process
+  clean and under ``drop-burst``, then partitions {2, 4} x the same
+  faults, each held to the single-process run (digest, and event count
+  when clean);
 * the table cells at seed 1989: ``hotspot`` and ``fault-campaign`` run
   traced (their timelines are the goldens), the three E-COL collective
   paths, the two E-SCL tori and the 6-cube; ``scaleout-torus-64`` (whose
@@ -47,7 +49,9 @@ PINS = REPO_ROOT / "tests" / "data" / "pins.json"
 PIN_SEEDS = (1989, 4242, 7)
 PIN_SCALE = 0.2
 WORKLOAD_NAMES = ("smallmsg-hub", "rpc-faulted", "bulk-wire")
-PARTITIONED = "escl-torus-64"
+#: The partitioned leg's scenarios: one cut no route crosses, one every
+#: flow crosses (boundary fibers, envelopes, faults across the cut).
+PARTITIONED = ("escl-torus-64", "escl-hypercube-64")
 #: The partitioned leg's cells: (partitions, fault campaign).
 CELLS = tuple((partitions, faults) for partitions in (2, 4)
               for faults in (None, "drop-burst"))
@@ -116,19 +120,20 @@ def sweep(seeds: list[int], scale: float) -> Sweep:
     return result
 
 
-def sweep_partitioned(seeds: list[int],
+def sweep_partitioned(name: str, seeds: list[int],
                       scale: float) -> tuple[dict[str, Any], list[str]]:
-    """``(rows, broken)``: the partitioned leg's rows, one digest per
-    run shape, and a line per cell that left the single-process run."""
+    """``(rows, broken)``: scenario ``name``'s partitioned rows, one
+    digest per run shape, and a line per cell that left the
+    single-process run."""
     load_workloads()
     from repro.scaleout import (escl_campaign, run_partitioned, run_single,
                                 scenarios)
-    base = scenarios()[PARTITIONED]
+    base = scenarios()[name]
     rows: dict[str, Any] = {}
     broken = []
     for seed in seeds:
         scenario = replace(
-            base, name=f"{PARTITIONED}-s{seed}",
+            base, name=f"{name}-s{seed}",
             messages_per_cab=max(1, round(base.messages_per_cab * scale)),
             message_bytes=504 + random.Random(f"{seed}:torus").randrange(17))
         campaigns: dict[Optional[str], Any] = {None: None}
@@ -146,7 +151,7 @@ def sweep_partitioned(seeds: list[int],
             problem = run.mismatch(single[faults], campaigns[faults])
             if problem:
                 broken.append(
-                    f"PARITY {PARTITIONED} seed {seed} {cell}: {problem}")
+                    f"PARITY {name} seed {seed} {cell}: {problem}")
         rows[str(seed)] = {"events": single[None].events, "digests": digests}
     return rows, broken
 
@@ -219,7 +224,10 @@ def document(seeds: list[int],
              scale: float) -> tuple[Sweep, list[str], dict[str, list[list]]]:
     """``(document, broken, timelines)``: every cell a sweep writes."""
     result = sweep(seeds, scale)
-    result[PARTITIONED], broken = sweep_partitioned(seeds, scale)
+    broken = []
+    for name in PARTITIONED:
+        result[name], problems = sweep_partitioned(name, seeds, scale)
+        broken += problems
     cells, problems, timelines = table()
     result.update(cells)
     return result, broken + problems, timelines
@@ -289,8 +297,8 @@ def main(argv: list[str]) -> int:
         scale = 1.0 if args.scale is None else args.scale
         out = Path(args.out)
     result, broken, timelines = document(seeds, scale)
-    print("\n".join(broken) or f"{PARTITIONED}: {len(CELLS)} partitioned "
-          f"cells per seed equal single-process")
+    print("\n".join(broken) or f"{', '.join(PARTITIONED)}: {len(CELLS)} "
+          f"partitioned cells per seed equal single-process")
     if broken and args.repin:
         return 1
     out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
