@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 
@@ -496,12 +497,18 @@ def main(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "func", None) is None:
-            return run_report(args)
-        return args.func(args)
+        code = (getattr(args, "func", None) or run_report)(args)
+        # A closed pipe raises here, not in the interpreter's exit flush.
+        sys.stdout.flush()
+        return code
     except NectarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader (``| head``) has seen enough.  Point stdout at
+        # /dev/null so the interpreter's own flush at exit cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

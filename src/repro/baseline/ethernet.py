@@ -103,12 +103,12 @@ class EthernetStation:
         while True:
             # Carrier sense: defer while the medium is busy.
             while self.medium.busy:
-                yield self.sim.timeout(self.medium.free_at - self.sim.now)
+                yield self.medium.free_at - self.sim.now
             if backoff_slots:
                 # Backoff counts *idle* slots: stations that deferred to
                 # the same transmission separate here instead of waking
                 # together at its end and colliding forever.
-                yield self.sim.timeout(backoff_slots * SLOT_TIME_NS)
+                yield backoff_slots * SLOT_TIME_NS
                 if self.medium.busy:
                     continue  # someone with a shorter draw got in first
             sent = yield self.medium.attempt(frame_ns)
@@ -129,7 +129,7 @@ class EthernetStation:
         payload = dict(frame or {}, src=self.name, size=payload_bytes)
         self.sim.call_in(frame_ns, lambda: target.rx_frames.put(payload))
         # One transceiver per station: hold until the frame has left.
-        yield self.sim.timeout(frame_ns)
+        yield frame_ns
 
 
 class LanHost:
@@ -158,7 +158,7 @@ class LanHost:
         msg_id = next(self._msg_ids)
         for index, (frag_size, chunk) in enumerate(fragments):
             # Kernel stack on the sender (socket layer, copies, headers).
-            yield self.sim.timeout(LAN_HOST_SEND_NS)
+            yield LAN_HOST_SEND_NS
             yield from self.station.send_frame(
                 dst_host, frag_size,
                 frame={"port": port, "msg_id": msg_id, "frag": index,
@@ -177,7 +177,7 @@ class LanHost:
         while True:
             frame = yield self.station.rx_frames.get()
             # Kernel stack on the receiver (interrupt, IP/TCP, wakeup).
-            yield self.sim.timeout(LAN_HOST_RECEIVE_NS)
+            yield LAN_HOST_RECEIVE_NS
             if "msg_id" not in frame:
                 continue  # raw station-level frame, not host traffic
             key = (frame["src"], frame["msg_id"])

@@ -118,25 +118,25 @@ class FaultInjector:
 
     def _drive(self, event: "FaultEvent", matched: list):
         if event.at_ns > self.sim.now:
-            yield self.sim.timeout(event.at_ns - self.sim.now)
+            yield event.at_ns - self.sim.now
         self._record("inject", event)
         self.active += 1
         if event.kind == "link_degrade":
             for fiber in matched:
                 fiber.set_fault(drop=event.drop, corrupt=event.corrupt)
-            yield self.sim.timeout(event.duration_ns)
+            yield event.duration_ns
             for fiber in matched:
                 fiber.set_fault(drop=0.0, corrupt=0.0)
         elif event.kind == "link_down":
             for fiber in matched:
                 fiber.set_fault(down=True)
-            yield self.sim.timeout(event.duration_ns)
+            yield event.duration_ns
             for fiber in matched:
                 fiber.set_fault(down=False)
         elif event.kind == "reply_storm":
             for fiber in matched:
                 fiber.set_fault(reply_drop=event.reply_drop)
-            yield self.sim.timeout(event.duration_ns)
+            yield event.duration_ns
             for fiber in matched:
                 fiber.set_fault(reply_drop=0.0)
         elif event.kind == "hub_port_down":
@@ -152,7 +152,7 @@ class FaultInjector:
         """Disable/re-enable HUB ports via the supervisor command set."""
         for port in matched:
             yield from self._supervisor(port, CommandOp.SV_DISABLE_PORT)
-        yield self.sim.timeout(event.duration_ns)
+        yield event.duration_ns
         for port in matched:
             yield from self._supervisor(port, CommandOp.SV_ENABLE_PORT)
 

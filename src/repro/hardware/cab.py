@@ -61,12 +61,11 @@ class CabCpu:
         """
         remaining = int(cost_ns)
         resource = self._resource
-        sim = self.sim
         quantum_ns = self.QUANTUM_NS
         while remaining > 0:
             quantum = remaining if remaining < quantum_ns else quantum_ns
             yield resource.acquire()
-            yield sim.timeout(quantum)
+            yield quantum
             self.busy_ns += quantum
             resource.release()
             remaining -= quantum
@@ -79,7 +78,7 @@ class CabCpu:
         if total <= 0:
             return
         yield self._resource.acquire(priority=True)
-        yield self.sim.timeout(total)
+        yield total
         self.busy_ns += total
         self._resource.release()
 
@@ -96,7 +95,7 @@ class CabCpu:
         if duration <= 0:
             return
         yield self._resource.acquire(priority=True)
-        yield self.sim.timeout(duration)
+        yield duration
         self.busy_ns += duration
         self._resource.release()
 

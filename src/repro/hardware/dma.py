@@ -81,7 +81,7 @@ class DmaController:
             yield self.fiber_out.acquire()
         stream = self.cab.memory_pool.open_stream(FIBER_BYTES_PER_NS)
         try:
-            yield self.sim.timeout(DMA_START_NS)
+            yield DMA_START_NS
             yield self.cab.transmit(packet)
             self.transfers += 1
             self.bytes_out += packet.wire_size()
@@ -99,11 +99,11 @@ class DmaController:
             yield self.fiber_in.acquire()
         stream = self.cab.memory_pool.open_stream(FIBER_BYTES_PER_NS)
         try:
-            yield self.sim.timeout(DMA_START_NS)
+            yield DMA_START_NS
             remaining = tail_time - self.sim.now
             if remaining > 0:
                 # Flow control: wait for the data to arrive (§5.2).
-                yield self.sim.timeout(remaining)
+                yield remaining
             residual = min(wire_size, DRAIN_RESIDUAL_BYTES)
             yield from self.cab.memory_pool.transfer(
                 residual, self.cab.memory_pool.capacity)
@@ -120,7 +120,7 @@ class DmaController:
             yield channel.acquire()
         stream = self.cab.memory_pool.open_stream(VME_BYTES_PER_NS)
         try:
-            yield self.sim.timeout(DMA_START_NS)
+            yield DMA_START_NS
             yield from self.cab.vme.transfer(num_bytes)
             self.transfers += 1
             self.bytes_vme += num_bytes

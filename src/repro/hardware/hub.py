@@ -142,7 +142,7 @@ class Hub:
                                                   reverse_path)
         else:
             # "Localized" commands execute inside the I/O port in a cycle.
-            yield self.sim.timeout(self.cfg.cycle_ns)
+            yield self.cfg.cycle_ns
             result = self._execute_local(command, in_port)
         if command.op.wants_reply:
             self._reply(command, result, reverse_path)

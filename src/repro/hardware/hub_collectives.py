@@ -198,7 +198,7 @@ class HubCollectiveUnit:
     def _send_upstream(self, port, packet: Packet):
         # One crossbar transfer to the output register, then the fiber
         # serialises the command bytes.
-        yield self.sim.timeout(self.hub.cfg.transfer_ns)
+        yield self.hub.cfg.transfer_ns
         if port.out_fiber is None:  # pragma: no cover - unwired topology
             raise HubCommandError(
                 f"{self.hub.name}.p{port.index} is unwired; cannot "

@@ -148,7 +148,7 @@ class HubPort:
             return
         if self.loopback:
             # Supervisor loopback: echo the packet back out our own fiber.
-            yield self.sim.timeout(cfg.transfer_ns)
+            yield cfg.transfer_ns
             yield self.out_fiber.send(packet)
             hub.count("loopback_packets")
             return
@@ -167,10 +167,9 @@ class HubPort:
             if not first:
                 # Later commands are still streaming in at fiber rate
                 # (collective commands carry extension bytes).
-                yield self.sim.timeout(round(
-                    command.wire_bytes() * FIBER_NS_PER_BYTE))
+                yield round(command.wire_bytes() * FIBER_NS_PER_BYTE)
             first = False
-            yield self.sim.timeout(PORT_COMMAND_CYCLES * cfg.cycle_ns)
+            yield PORT_COMMAND_CYCLES * cfg.cycle_ns
             result = yield from hub.execute_command(
                 command, in_port=self.index,
                 reverse_path=list(packet.reverse_path))
@@ -190,7 +189,7 @@ class HubPort:
             return
         # Cut-through forwarding: 5 cycles from input queue to output
         # register (§4), then the output fiber serialises the bytes.
-        yield self.sim.timeout(cfg.transfer_ns)
+        yield cfg.transfer_ns
         done_events = []
         for out_index in outputs:
             clone = self._clone_for(packet, len(outputs) > 1)

@@ -77,7 +77,7 @@ class BandwidthPool:
         rate = self.effective_rate(nominal_rate)
         handle = self.open_stream(nominal_rate)
         try:
-            yield self.sim.timeout(units.transfer_time(num_bytes, rate))
+            yield units.transfer_time(num_bytes, rate)
             self.bytes_moved += num_bytes
         finally:
             self.close_stream(handle)

@@ -63,7 +63,7 @@ class NodeHost:
         if not self.cpu.try_acquire():
             yield self.cpu.acquire()
         try:
-            yield self.sim.timeout(cost_ns)
+            yield cost_ns
             self.busy_ns += cost_ns
         finally:
             self.cpu.release()

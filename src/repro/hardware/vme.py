@@ -36,7 +36,7 @@ class VmeBus:
             yield self._bus.acquire()
         try:
             effective = min(rate or VME_BYTES_PER_NS, VME_BYTES_PER_NS)
-            yield self.sim.timeout(units.transfer_time(num_bytes, effective))
+            yield units.transfer_time(num_bytes, effective)
             self.bytes_transferred += num_bytes
         finally:
             self._bus.release()

@@ -100,8 +100,9 @@ class CabKernel:
         """
         return self.cab.cpu.execute(cost_ns)
 
-    def wait(self, event: Event):
-        """Block on ``event``; pay the context-switch cost on resumption."""
+    def wait(self, event: Event | int):
+        """Block on ``event`` (or sleep, given an int); pay the
+        context-switch cost on resumption."""
         value = yield event
         self.total_switches += 1
         yield from self.cab.cpu.execute(THREAD_SWITCH_NS)
@@ -109,8 +110,7 @@ class CabKernel:
 
     def sleep(self, duration_ns: int):
         """Block for ``duration_ns`` (switch cost charged on wake)."""
-        result = yield from self.wait(self.sim.timeout(duration_ns))
-        return result
+        return (yield from self.wait(int(duration_ns)))
 
     def wakeup_cost(self):
         """Charge the cost of making another thread runnable."""

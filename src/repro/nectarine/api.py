@@ -147,7 +147,7 @@ class Task:
                 self.mailbox._consume(candidates[0])
                 yield from node.vme_read(candidates[0].size)
                 return candidates[0]
-            yield self.runtime.system.sim.timeout(POLL_INTERVAL_NS)
+            yield POLL_INTERVAL_NS
 
     def request(self, dst: "Task", buffer: Union[Buffer, bytes, int],
                 timeout_ns: Optional[int] = None):

@@ -113,7 +113,7 @@ class SharedMemoryInterface:
                 yield from node.compute(MAILBOX_COMMAND_NS)
                 self.receives_completed += 1
                 return message
-            yield self.sim.timeout(POLL_INTERVAL_NS)
+            yield POLL_INTERVAL_NS
 
     # ------------------------------------------------------------------
     # CAB-side dispatcher thread

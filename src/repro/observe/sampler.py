@@ -150,7 +150,7 @@ class MetricSampler:
 
     def _run(self):
         while True:
-            yield self.sim.timeout(self.interval_ns)
+            yield self.interval_ns
             self.sample_now()
 
     # ------------------------------------------------------------------

@@ -25,8 +25,14 @@ Hot-path design (see ``docs/PERFORMANCE.md`` for the full story):
 * Every :class:`Timeout` and :class:`Event` is a plain allocation:
   the engine keeps no free list, and a processed event is freed by
   reference count once the last holder lets it go.
+* A fixed delay costs no allocation at all: a process that yields an
+  exact ``int`` sleeps on its own wake event (see
+  :mod:`repro.sim.process`), so :meth:`Simulator.timeout` is left for
+  deadlines raced in :meth:`Simulator.any_of`.
 * :meth:`Simulator.call_at` schedules a featherweight callable wrapper
-  instead of a throwaway ``Event`` + lambda pair.
+  instead of a throwaway ``Event`` + lambda pair, and it and
+  :meth:`Simulator.call_in` place it on the agenda themselves: every
+  scheduling operation is one Python call.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ class Simulator:
         sim = Simulator()
 
         def hello():
-            yield sim.timeout(100)
+            yield 100           # sleep 100 ns
             return sim.now
 
         proc = sim.process(hello())
@@ -104,7 +110,8 @@ class Simulator:
         """Place ``item`` on the agenda at ``time``.
 
         Internal: callers guarantee ``time >= self.now``.  The hot
-        scheduling sites (``Event.succeed``, ``Timeout``) inline this
+        scheduling sites (``Event.succeed``, ``Timeout``, a process's
+        sleep, ``call_at``/``call_in``, ``Resource.acquire``) inline this
         dance; everything else lands here.
         """
         if time == self.now:
@@ -140,7 +147,11 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
-        """An event that fires ``delay`` ticks from now with ``value``."""
+        """An event that fires ``delay`` ticks from now with ``value``.
+
+        For a deadline raced in :meth:`any_of`; a process that only
+        waits out a fixed delay yields the ``int`` itself.
+        """
         if type(delay) is not int:
             # int() truncation toward zero, as documented; Timeout
             # validates the result.
@@ -176,13 +187,38 @@ class Simulator:
 
     def call_at(self, time: int, func: Callable[[], None]) -> None:
         """Run ``func()`` at absolute simulation time ``time``."""
-        if time < self.now:
-            raise ValueError(f"call_at({time}) is in the past (now={self.now})")
-        self._schedule(time, _Call(func))
+        now = self.now
+        if time < now:
+            raise ValueError(f"call_at({time}) is in the past (now={now})")
+        if time == now:
+            run = self._open_run
+            if run is not None:
+                run.append(_Call(func))
+                return
+        bucket = self._buckets.get(time)
+        if bucket is not None:
+            bucket.append(_Call(func))
+        else:
+            self._buckets[time] = [_Call(func)]
+            heappush(self._times, time)
 
     def call_in(self, delay: int, func: Callable[[], None]) -> None:
         """Run ``func()`` ``delay`` ticks from now."""
-        self.call_at(self.now + int(delay), func)
+        now = self.now
+        time = now + (delay if delay.__class__ is int else int(delay))
+        if time < now:
+            raise ValueError(f"call_at({time}) is in the past (now={now})")
+        if time == now:
+            run = self._open_run
+            if run is not None:
+                run.append(_Call(func))
+                return
+        bucket = self._buckets.get(time)
+        if bucket is not None:
+            bucket.append(_Call(func))
+        else:
+            self._buckets[time] = [_Call(func)]
+            heappush(self._times, time)
 
     # ------------------------------------------------------------------
     # execution
@@ -215,9 +251,9 @@ class Simulator:
         buckets = self._buckets
         times = self._times
         processed = 0
+        start = 0  # ``processed`` before the open cohort's first entry
         time = self.now
         run_list: list[Any] = []
-        index = -1
         try:
             while times:
                 time = times[0]
@@ -227,10 +263,11 @@ class Simulator:
                 run_list = buckets.pop(time)
                 self.now = time
                 self._open_run = run_list
+                start = processed
                 # The cohort scan: run_list may grow while scanned (events
                 # scheduled at this instant append to it); the list
                 # iterator picks the new entries up in FIFO order.
-                for index, event in enumerate(run_list):
+                for event in run_list:
                     processed += 1
                     if event.__class__ is _Call:
                         event._fn()
@@ -254,7 +291,7 @@ class Simulator:
                 # push the unprocessed remainder back so a later run()
                 # resumes exactly where this one stopped.
                 self._open_run = None
-                rest = open_run[index + 1:]
+                rest = open_run[processed - start:]
                 if rest:
                     buckets[time] = rest
                     heappush(times, time)

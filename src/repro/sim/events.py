@@ -15,10 +15,11 @@ case, and a list only once a second waiter appears.  A dedicated
 Triggering appends the event to its timestamp's cohort list in the
 simulator's calendar-queue agenda — appends happen in scheduling order,
 so the cohort list *is* the classic ``(time, seq)`` FIFO order, with no
-per-event sequence number or heap sift at all.  The two hot trigger
-sites, :meth:`Event.succeed` and :class:`Timeout`, inline the calendar
-insert (see :meth:`repro.sim.engine.Simulator._schedule` for the
-annotated copy); the cold :meth:`Event.fail` calls it.
+per-event sequence number or heap sift at all.  The hot trigger
+sites, :meth:`Event.succeed` and :class:`Timeout` here, inline the
+calendar insert (see :meth:`repro.sim.engine.Simulator._schedule` for
+the annotated copy and the other sites); the cold :meth:`Event.fail`
+calls it.
 """
 
 from __future__ import annotations
@@ -137,9 +138,11 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed delay.
 
-    The single authoritative negative-delay check lives here (the agenda
-    itself trusts its callers); :meth:`repro.sim.engine.Simulator.timeout`
-    coerces the delay to ``int`` and constructs one.
+    The negative-delay check lives here (the agenda itself trusts its
+    callers) and, for a process's ``yield n`` sleep, in
+    :meth:`repro.sim.process.Process._resume`;
+    :meth:`repro.sim.engine.Simulator.timeout` coerces the delay to
+    ``int`` and constructs one.
     """
 
     __slots__ = ("delay",)

@@ -1,11 +1,19 @@
 """Coroutine processes driven by the simulation engine.
 
-A :class:`Process` wraps a generator.  The generator yields
-:class:`~repro.sim.events.Event` objects; each yield suspends the process
-until the event fires, at which point the event's value is sent back into
-the generator (or its exception raised there).  A process is itself an
-event that fires with the generator's return value, so processes can wait
-on each other.
+A :class:`Process` wraps a generator.  The generator yields one of two
+things:
+
+* an :class:`~repro.sim.events.Event`: the process suspends until the
+  event fires, at which point the event's value is sent back into the
+  generator (or its exception raised there);
+* an exact ``int`` ``n >= 0``: a *sleep* — the process resumes ``n``
+  ticks from now, with ``None`` sent back, exactly where ``yield
+  sim.timeout(n)`` would have resumed it.  A negative ``n`` raises
+  ``ValueError`` inside the generator at the yield.
+
+Anything else (a float, a ``bool``, a string) crashes the process with
+``TypeError``.  A process is itself an event that fires with the
+generator's return value, so processes can wait on each other.
 
 Hot-path notes: a process resumes once per yield, so :meth:`Process._resume`
 is one of the engine's hottest functions.  The bound resume method is
@@ -13,6 +21,11 @@ created once (``_on_fire``) instead of per wait, a bootstrap/resume
 carrier is one plain pre-triggered event
 (:meth:`~repro.sim.engine.Simulator._carrier`), and the single-waiter
 callback representation avoids a list allocation per awaited event.
+A sleep allocates nothing: the process owns one pre-triggered wake
+event, made on its first sleep, and re-appends it to the agenda at
+``now + n`` — the cohort and position where a ``Timeout(n)`` built by
+the generator before its yield would have appended itself, since
+nothing runs between the yield and ``send`` returning.
 A process that ends drops ``_on_fire``, which refers back to it, so a
 dead process is freed by reference count, not by a pass of the cycle
 collector (``tests/test_sim_garbage.py``).
@@ -25,6 +38,7 @@ thread (§6.1); a hardware interrupt is CPU work, not a process signal
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from .events import PENDING, _PROCESSED, Event
@@ -49,7 +63,7 @@ class Process(Event):
     the generator raises.
     """
 
-    __slots__ = ("name", "_generator", "_on_fire")
+    __slots__ = ("name", "_generator", "_on_fire", "_wake")
 
     def __init__(self, sim: "Simulator",
                  generator: Generator[Event, Any, Any],
@@ -66,6 +80,9 @@ class Process(Event):
         #: The one bound resume callback reused for every wait; dropped
         #: (``None``) when the process ends.
         self._on_fire = self._resume
+        #: The pre-triggered event every sleep re-appends (made on the
+        #: first sleep; a process that never sleeps never builds it).
+        self._wake: Optional[Event] = None
         sim._carrier(True, None, self._on_fire)
 
     @property
@@ -92,9 +109,35 @@ class Process(Event):
             # so no cycle is left.
             self = None
             return
+        if target.__class__ is int:
+            if target < 0:
+                self._throw(ValueError(f"negative timeout delay {target}"))
+                return
+            wake = self._wake
+            if wake is None:
+                wake = self._wake = Event(sim)
+                wake._ok = True
+                wake._value = None
+            wake._cb = self._on_fire
+            # Inlined Simulator._schedule at now + target.
+            if target == 0:
+                run = sim._open_run
+                if run is not None:
+                    run.append(wake)
+                    return
+            time = sim.now + target
+            buckets = sim._buckets
+            bucket = buckets.get(time)
+            if bucket is not None:
+                bucket.append(wake)
+            else:
+                buckets[time] = [wake]
+                heappush(sim._times, time)
+            return
         if not isinstance(target, Event):
             self._crash(TypeError(
-                f"process {self.name!r} yielded {target!r}, expected Event"))
+                f"process {self.name!r} yielded {target!r}, expected Event "
+                f"or int"))
             return
         if target.sim is not sim:
             self._crash(ValueError(
@@ -113,6 +156,14 @@ class Process(Event):
                 cb.append(self._on_fire)
             else:
                 target._cb = [cb, self._on_fire]
+
+    def _throw(self, error: BaseException) -> None:
+        """Raise ``error`` inside the generator at its current yield, as
+        a failed event it waited on would."""
+        carrier = Event(self.sim)
+        carrier._ok = False
+        carrier._value = error
+        self._resume(carrier)
 
     def _finish(self, value: Any) -> None:
         self._on_fire = None

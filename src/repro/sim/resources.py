@@ -11,6 +11,7 @@ These are the building blocks the hardware and kernel models share:
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import TYPE_CHECKING, Any
 
 from .events import Event
@@ -138,10 +139,24 @@ class Resource:
         """Request a slot.  ``priority=True`` jumps the wait queue
         (used for interrupt-context work that must preempt thread-level
         work at the next quantum boundary)."""
-        event = self.sim.event()
+        sim = self.sim
+        event = Event(sim)
         if self.in_use < self.capacity and not self._waiters:
             self.in_use += 1
-            event.succeed()
+            # The immediate grant: Event.succeed() inlined.
+            event._ok = True
+            event._value = None
+            run = sim._open_run
+            if run is not None:
+                run.append(event)
+                return event
+            time = sim.now
+            bucket = sim._buckets.get(time)
+            if bucket is not None:
+                bucket.append(event)
+            else:
+                sim._buckets[time] = [event]
+                heappush(sim._times, time)
             return event
         if self._waiters is _IDLE:
             self._waiters = deque()

@@ -62,7 +62,7 @@ def hub_timing_rig():
     def sink(packet, size, head, tail):
         heads.append(head)
         dst.signal_input_drained()
-        yield sim.timeout(0)
+        yield 0
     dst.on_receive(sink)
     src.on_receive(lambda *a: iter(()))
     return cfg, sim, hub, src, dst, heads

@@ -3,9 +3,10 @@
 The agenda is a dict of same-timestamp cohorts plus an integer heap over
 the distinct timestamps, one FIFO lane.  These tests pin cohort FIFO,
 timers far beyond anything else pending and raise-mid-cohort resume,
-and a randomized differential test replays the same schedule through
+and randomized differential tests replay the same schedule through
 the *old* heap ordering (kept here as a reference implementation)
-asserting the pop order is identical.
+asserting the pop order is identical — once with bare callables, once
+with processes that sleep (``yield n``) or wait on a ``Timeout``.
 """
 
 import random
@@ -166,6 +167,53 @@ class TestDifferentialVsHeap:
 
         assert engine_order == reference_order
         assert len(engine_order) == self._count(spec)
+
+    @pytest.mark.parametrize("seed", [7, 1989, 20260808])
+    def test_sleeps_and_timeouts_keep_the_reference_order(self, seed):
+        """Each node is a process that waits by ``yield delay`` or by
+        ``yield sim.timeout(delay)``, chosen at random: both pop as the
+        reference orders a start entry now and a wake entry at
+        ``now + delay``, whichever way a process waited."""
+        rng = random.Random(seed)
+        spec = self._random_spec(rng, breadth=40, max_children=3, depth=3)
+        sleeps = {node_id: rng.random() < 0.5
+                  for node_id in range(1, self._count(spec) + 1)}
+
+        sim = Simulator()
+        engine_order = []
+
+        def body(node):
+            delay, children, node_id = node
+            yield delay if sleeps[node_id] else sim.timeout(delay)
+            engine_order.append(node_id)
+            for child in children:
+                sim.process(body(child))
+
+        for node in spec:
+            sim.process(body(node))
+        sim.run()
+
+        ref = _HeapReference()
+        reference_order = []
+
+        def arm(node):
+            delay, children, node_id = node
+
+            def fire(_label):
+                reference_order.append(node_id)
+                for child in children:
+                    arm(child)
+
+            ref.schedule(ref.now, lambda _label: ref.schedule(
+                ref.now + delay, fire))
+
+        for node in spec:
+            arm(node)
+        ref.drain(lambda entry: entry(None))
+
+        assert engine_order == reference_order
+        assert len(engine_order) == self._count(spec)
+        assert sim.events_processed == 2 * len(engine_order)
 
     def _random_spec(self, rng, breadth, max_children, depth):
         """An op tree: (delay, children, id).  Children are scheduled

@@ -1,5 +1,6 @@
 """Repository-wide conventions: links resolve, docstrings/__all__
-present, no process-global id counters.
+present, no process-global id counters, no fixed delay built as a
+``Timeout`` only to be yielded.
 
 Runs the same stdlib checkers the CI docs job runs
 (``tools/check_links.py``, ``tools/check_docstrings.py``) so a broken
@@ -120,3 +121,33 @@ def test_counter_check_catches_import_time_calls(tmp_path):
         "        self._ids = count(1)\n")
     assert import_time_counters(tmp_path) == ["bad.py:3", "bad.py:5",
                                               "bad.py:6"]
+
+
+def yielded_timeouts(root):
+    """``path:line`` of every ``yield <expr>.timeout(...)`` under
+    ``root``: a fixed delay a process waits out is ``yield n``, which
+    allocates nothing (``repro.sim.process``)."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Yield) \
+                    and isinstance(node.value, ast.Call) \
+                    and isinstance(node.value.func, ast.Attribute) \
+                    and node.value.func.attr == "timeout":
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+    return found
+
+
+def test_no_yielded_timeouts():
+    found = yielded_timeouts(REPO_ROOT / "src" / "repro")
+    assert found == [], "yield n instead of:\n" + "\n".join(found)
+
+
+def test_yielded_timeout_check_catches_them(tmp_path):
+    (tmp_path / "bad.py").write_text(
+        "def body(sim):\n"
+        "    yield sim.timeout(5)\n"
+        "    deadline = sim.timeout(9)\n"
+        "    yield sim.any_of([deadline])\n"
+        "    yield 5\n")
+    assert yielded_timeouts(tmp_path) == ["bad.py:2"]

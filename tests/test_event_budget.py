@@ -27,7 +27,13 @@ from repro.topology import single_hub_system
 ONE_DATAGRAM_ENTRIES = 43
 
 #: Opcodes executed in ``src/repro`` frames for the same scene, spawns
-#: included (CPython 3.11); a failure prints them by package.  11 815
+#: included (CPython 3.11); a failure prints them by package.  11 669
+#: before a fixed delay became a yielded int and scheduling one call:
+#: ``repro.sim`` 7 197 -> 6 498 (no ``timeout()``/``Timeout`` pair per
+#: sleep, an inline grant per ``acquire``, ``call_in`` straight onto the
+#: agenda, no ``enumerate`` per entry), ``repro.hardware`` 2 645 -> 2 564
+#: (no ``self.sim.timeout`` load per sleep), every other package
+#: unchanged.  11 815
 #: before the fixed parameters became module constants: one global load
 #: where ``cfg.<section>.<field>`` walked two or three attributes, and no
 #: property call per fiber rate: ``repro.sim`` 7 237 -> 7 197 (no
@@ -53,7 +59,7 @@ ONE_DATAGRAM_ENTRIES = 43
 #: ``repro.sim`` 8 815 -> 8 346 (no ``_waiting_on`` stores, no
 #: finished-process guard per resume), ``repro.hardware`` 2 902 -> 2 863
 #: (no ``try/finally`` per CPU grant).
-ONE_DATAGRAM_OPCODES = 11_669
+ONE_DATAGRAM_OPCODES = 10_889
 
 
 def one_datagram(drive=lambda run: run(), size=64, mode="auto"):

@@ -88,6 +88,28 @@ class TestCampaigns:
             assert caught.value.code == 2
             assert "invalid choice" in capsys.readouterr().err
 
+    def test_closed_stdout_is_not_a_crash(self):
+        """``python -m repro faults drop-burst --schedule | head -1``
+        exits quietly: the reader closing the pipe is not an error.  The
+        read end is closed before the child starts, so every write the
+        child makes meets a broken pipe."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "faults", "drop-burst",
+                 "--schedule"], stdout=write_end, stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src}, text=True,
+                timeout=60)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 0 and done.stderr == ""
+
 
 class TestInjector:
     def test_unmatched_target_rejected_at_construction(self):

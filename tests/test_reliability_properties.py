@@ -4,10 +4,11 @@ reliable protocols deliver exactly the bytes that were sent."""
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import NectarConfig
+from repro.errors import TransportError
 from repro.topology import single_hub_system
 
 
@@ -80,18 +81,15 @@ def test_rpc_response_matches_request_under_loss(seed, drop, request):
     assert executions == [request]
 
 
-@given(seed=st.integers(min_value=0, max_value=10_000),
-       body=st.binary(min_size=1, max_size=3_000))
-@settings(max_examples=8, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.data_too_large])
-def test_tcp_exact_delivery_under_loss(seed, body):
+def tcp_transfer(seed, body):
+    """``body`` over TCP cab0 -> cab1 at ``drop=0.12``: returns what the
+    server received and the errors the client's ``connect`` raised."""
     from repro.inet import IpLayer, TcpLayer
     system = lossy_system(seed, drop=0.12)
     a, b = system.cab("cab0"), system.cab("cab1")
     tcp_a, tcp_b = TcpLayer(IpLayer(a)), TcpLayer(IpLayer(b))
     listener = tcp_b.listen(80)
-    results = []
+    results, refused = [], []
 
     def server():
         connection = yield from listener.accept()
@@ -100,8 +98,52 @@ def test_tcp_exact_delivery_under_loss(seed, body):
     b.spawn(server())
 
     def client():
-        connection = yield from tcp_a.connect("cab1", 80)
+        try:
+            connection = yield from tcp_a.connect("cab1", 80)
+        except TransportError as error:
+            refused.append((str(error), system.now))
+            return
         yield from connection.send(data=body)
     a.spawn(client())
     system.run(until=300_000_000_000)
-    assert results == [body]
+    return results, refused
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       body=st.binary(min_size=1, max_size=3_000))
+# Seeds whose eight SYNs were all lost: the connect gives up.
+@example(seed=6077, body=b"nectar")
+@example(seed=8002, body=b"nectar")
+@example(seed=9470, body=b"nectar")
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+def test_tcp_exact_delivery_under_loss(seed, body):
+    """The model's promise: exact delivery once the connect succeeds, or
+    a ``TransportError`` from ``connect`` after ``MAX_SYN_RETRIES`` SYNs.
+    A SYN and its SYN-ACK cross four fibers, so a handshake loses a
+    packet with probability 1 - 0.88^4 ≈ 0.40 and all eight fail with
+    ~0.40^8 ≈ 6.5e-4 per example: a structured outcome, not a fault.
+    A data segment gives up after MAX_DATA_RETRIES + 1 = 13 tries,
+    ~0.40^13 ≈ 7e-6 per segment, which this property does not budget."""
+    results, refused = tcp_transfer(seed, body)
+    if refused:
+        assert [error for error, _ in refused] \
+            == ["TCP connect to cab1:80 timed out"]
+        assert results == []
+    else:
+        assert results == [body]
+
+
+def test_tcp_connect_gives_up_with_a_structured_error():
+    """Seed 6077 loses all eight handshakes: the client sees one
+    ``TransportError`` once every backoff has run out, and no thread
+    crashes the run."""
+    from repro.inet.tcp import INITIAL_RTO_NS, MAX_SYN_RETRIES
+    results, refused = tcp_transfer(6077, b"nectar")
+    assert results == []
+    [(error, at_ns)] = refused
+    assert error == "TCP connect to cab1:80 timed out"
+    backoffs = sum(INITIAL_RTO_NS << attempt
+                   for attempt in range(MAX_SYN_RETRIES))
+    assert backoffs <= at_ns < backoffs + 1_000_000
