@@ -94,7 +94,7 @@ class Datalink:
                          "input_queue_overflows", "framing_errors",
                          "link_probes_sent", "link_probe_timeouts")
 
-    def register_metrics(self, registry, sampler) -> None:
+    def register_metrics(self, sampler) -> None:
         """Register this CAB's datalink counters with the observer."""
         base = self.cab.name
         for key in self.OBSERVED_COUNTERS:

@@ -203,7 +203,7 @@ class FaultInjector:
                      for time, action, kind, target in self.log)
         return "\n".join(lines)
 
-    def register_metrics(self, registry, sampler) -> None:
+    def register_metrics(self, sampler) -> None:
         """Expose campaign progress as sampled ``fault.*`` series."""
         sampler.add_probe(
             "fault.active", lambda: float(self.active),

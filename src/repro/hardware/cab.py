@@ -147,17 +147,17 @@ class CabBoard:
     # observability
     # ------------------------------------------------------------------
 
-    def register_metrics(self, registry, sampler) -> None:
+    def register_metrics(self, sampler) -> None:
         """Register the board's devices with the observability layer.
 
         Covers the outgoing fiber, the four DMA channels, the VME bus,
         and the CPU's cumulative busy time (sampled, so the delta per
         interval is the CPU's utilization series).
         """
-        self.dma.register_metrics(registry, sampler)
-        self.vme.register_metrics(registry, sampler)
+        self.dma.register_metrics(sampler)
+        self.vme.register_metrics(sampler)
         if self.out_fiber is not None:
-            self.out_fiber.register_metrics(registry, sampler,
+            self.out_fiber.register_metrics(sampler,
                                             prefix=f"{self.name}.fiber")
         sampler.add_utilization_probe(
             f"{self.name}.cpu.util", lambda: self.cpu.busy_ns, 1.0,

@@ -43,7 +43,7 @@ class DmaController:
         self.bytes_in = 0
         self.bytes_vme = 0
 
-    def register_metrics(self, registry, sampler) -> None:
+    def register_metrics(self, sampler) -> None:
         """Sampled channel occupancy and cumulative transfer volume.
 
         Each channel's busy level is sampled as 0/1 (the channels are

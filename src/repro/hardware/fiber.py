@@ -274,8 +274,7 @@ class Fiber:
             if self.rng.random() < corrupt:
                 item.payload.corrupt = True
 
-    def register_metrics(self, registry, sampler,
-                         prefix: Optional[str] = None) -> None:
+    def register_metrics(self, sampler, prefix: Optional[str] = None) -> None:
         """Sampled link health: utilization, cumulative sends and drops."""
         base = prefix or f"fiber.{self.name}"
         sampler.add_utilization_probe(

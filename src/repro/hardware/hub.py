@@ -74,15 +74,15 @@ class Hub:
         if tracer is not None and tracer.enabled:
             tracer.record(self.name, key)
 
-    #: Event counters exported as sampled time series when a registry is
-    #: attached (the rest of the defaultdict still appears in snapshots).
+    #: Event counters exported as sampled time series when a sampler is
+    #: attached; the other keys are read from ``counters`` directly.
     OBSERVED_COUNTERS = ("commands_executed", "packets_forwarded", "closes",
                          "replies_sent", "framing_errors", "stray_packets",
                          "opens_abandoned", "collective.fetch_adds",
                          "collective.barrier_joins", "collective.reduce_joins",
                          "collective.releases", "collective.stale")
 
-    def register_metrics(self, registry, sampler) -> None:
+    def register_metrics(self, sampler) -> None:
         """Register this HUB with the observability layer (§4.1).
 
         Per-HUB counter series plus every port's queue-depth/ready/
@@ -96,9 +96,9 @@ class Hub:
                 lambda key=key: float(self.counters.get(key, 0)),
                 description=f"cumulative HUB counter {key!r}",
                 unit="events")
-        self.controller.register_metrics(registry, sampler)
+        self.controller.register_metrics(sampler)
         for port in self.ports:
-            port.register_metrics(registry, sampler)
+            port.register_metrics(sampler)
 
     def port(self, index: int) -> HubPort:
         if not 0 <= index < self.cfg.num_ports:

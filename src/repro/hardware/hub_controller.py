@@ -226,7 +226,7 @@ class HubController:
     # observability
     # ------------------------------------------------------------------
 
-    def register_metrics(self, registry, sampler) -> None:
+    def register_metrics(self, sampler) -> None:
         """Export controller health as sampled series (``repro.observe``).
 
         Queue depth and waiter count expose head-of-line pressure on the

@@ -245,7 +245,7 @@ class HubPort:
     # observability
     # ------------------------------------------------------------------
 
-    def register_metrics(self, registry, sampler) -> None:
+    def register_metrics(self, sampler) -> None:
         """Expose this port to the observability layer (§4.1).
 
         Sampled per port: input-queue depth, ready-bit occupancy, and —
@@ -272,7 +272,7 @@ class HubPort:
             if isinstance(self.peer, HubPort):
                 # Inter-HUB links get the full fiber family too — they
                 # are the shared resource meshes saturate on first.
-                fiber.register_metrics(registry, sampler)
+                fiber.register_metrics(sampler)
 
     # ------------------------------------------------------------------
     # supervisor operations

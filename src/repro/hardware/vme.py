@@ -41,7 +41,7 @@ class VmeBus:
         finally:
             self._bus.release()
 
-    def register_metrics(self, registry, sampler) -> None:
+    def register_metrics(self, sampler) -> None:
         """Sampled bus utilization and cumulative interrupt counts."""
         sampler.add_utilization_probe(
             f"{self.name}.util", lambda: self.bytes_transferred,

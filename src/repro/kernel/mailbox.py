@@ -141,7 +141,7 @@ class Mailbox:
     def peek(self) -> Optional[Message]:
         return self.messages[0] if self.messages else None
 
-    def register_metrics(self, registry, sampler) -> None:
+    def register_metrics(self, sampler) -> None:
         """Sample this mailbox's queue depth and cumulative throughput."""
         base = f"{self.kernel.cab.name}.mbox.{self.name}"
         sampler.add_probe(

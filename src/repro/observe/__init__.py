@@ -7,8 +7,9 @@ package adds the *analysis* half — the utilization, queueing and latency
 views the paper's Figures 6–7 discussion depends on — and generalises it
 to the whole stack:
 
-* :mod:`~repro.observe.metrics` — Counter/Gauge and the
-  duplicate-rejecting :class:`~repro.observe.metrics.MetricRegistry`.
+* :mod:`~repro.observe.metrics` — the duplicate-rejecting
+  :class:`~repro.observe.metrics.MetricRegistry`: a name and a read per
+  metric.
 * :mod:`~repro.observe.sampler` — periodic probe sampling as a simulator
   process (per-port queue depths, ready-bit occupancy, fiber
   utilization, DMA/VME busy fractions, mailbox depths, retransmits).
@@ -34,15 +35,12 @@ See ``docs/OBSERVABILITY.md`` for the full guide and
 
 from .export import (chrome_trace, series_rows, write_chrome_trace,
                      write_metrics_jsonl)
-from .metrics import Counter, Gauge, Metric, MetricRegistry
+from .metrics import MetricRegistry
 from .observatory import Observatory
 from .sampler import DEFAULT_INTERVAL_NS, MetricSampler, TimeSeries
 
 __all__ = [
-    "Counter",
     "DEFAULT_INTERVAL_NS",
-    "Gauge",
-    "Metric",
     "MetricRegistry",
     "MetricSampler",
     "Observatory",

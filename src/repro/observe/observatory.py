@@ -47,14 +47,13 @@ class Observatory:
                 system.tracer.set_limit(trace_limit)
             system.tracer.enable()
         for hub in system.hubs.values():
-            hub.register_metrics(self.registry, self.sampler)
+            hub.register_metrics(self.sampler)
         for stack in system.cabs.values():
-            stack.register_metrics(self.registry, self.sampler)
+            stack.register_metrics(self.sampler)
         if system.fault_injector is not None:
-            system.fault_injector.register_metrics(self.registry,
-                                                   self.sampler)
+            system.fault_injector.register_metrics(self.sampler)
         if system.resilience is not None:
-            system.resilience.register_metrics(self.registry, self.sampler)
+            system.resilience.register_metrics(self.sampler)
         self.sampler.start()
 
     # ------------------------------------------------------------------
@@ -93,5 +92,5 @@ class Observatory:
         return write_metrics_jsonl(path, self.summary_rows())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<Observatory metrics={len(self.registry)} "
+        return (f"<Observatory metrics={len(self.sampler.series)} "
                 f"samples={self.sampler.samples_taken}>")

@@ -16,7 +16,9 @@ Two probe flavours:
   from a monotonically increasing unit count (e.g. fiber bytes sent):
   each tick converts the count delta into busy-nanoseconds and divides by
   the interval, clamped to [0, 1]; busy time past the clamp carries into
-  the next window, so the series sums to the count's busy time.
+  the next window, so the series sums to the count's busy time.  Only
+  the tick closes a window: a read between ticks (a mid-run snapshot)
+  reports the open window and consumes nothing.
 
 Determinism: probes fire in registration order at fixed simulated times,
 and read only simulator state, so two runs with the same seed produce
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 from ..errors import ObserveError
-from .metrics import Gauge, MetricRegistry
+from .metrics import MetricRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim import Simulator
@@ -83,7 +85,9 @@ class MetricSampler:
         self.registry = registry
         self.interval_ns = int(interval_ns)
         self.series: dict[str, TimeSeries] = {}
-        self._probes: list[tuple[Gauge, Callable[[], float]]] = []
+        self._probes: list[tuple[Callable[[], float], TimeSeries]] = []
+        #: Each utilization probe's window closer, run after every tick.
+        self._windows: list[Callable[[], None]] = []
         self._started = False
         self.samples_taken = 0
 
@@ -92,17 +96,16 @@ class MetricSampler:
     # ------------------------------------------------------------------
 
     def add_probe(self, name: str, fn: Callable[[], float],
-                  description: str = "", unit: str = "") -> Gauge:
+                  description: str = "", unit: str = "") -> None:
         """Register an instantaneous-level probe sampled every tick."""
-        gauge = self.registry.gauge(name, description, unit, fn=fn)
-        self._probes.append((gauge, fn))
-        self.series[name] = TimeSeries(name, unit)
-        return gauge
+        self.registry.add(name, fn, unit=unit, description=description)
+        series = self.series[name] = TimeSeries(name, unit)
+        self._probes.append((fn, series))
 
     def add_utilization_probe(self, name: str,
                               count_fn: Callable[[], float],
                               busy_ns_per_unit: float,
-                              description: str = "") -> Gauge:
+                              description: str = "") -> None:
         """Register a busy-fraction probe over a monotonic unit count.
 
         ``count_fn`` must return a non-decreasing total (bytes sent,
@@ -112,33 +115,42 @@ class MetricSampler:
         holds (a fiber counts a packet's bytes when its tail leaves):
         the busy time past 100 % is carried into the following windows.
         """
-        state = {"last": float(count_fn()), "last_t": self.sim.now,
-                 "carry": 0.0}
+        sim = self.sim
+        # The open window: count and time at its start, busy time
+        # carried into it.
+        window = [float(count_fn()), sim.now, 0.0]
+
+        def busy(current: float) -> float:
+            return (current - window[0]) * busy_ns_per_unit + window[2]
 
         def fraction() -> float:
-            now = self.sim.now
-            current = float(count_fn())
-            window = now - state["last_t"]
-            if window <= 0:
+            span = sim.now - window[1]
+            if span <= 0:
                 return 0.0
-            busy = (current - state["last"]) * busy_ns_per_unit \
-                + state["carry"]
-            state["last"] = current
-            state["last_t"] = now
-            state["carry"] = max(busy - window, 0.0)
-            return min(max(busy / window, 0.0), 1.0)
+            return min(max(busy(float(count_fn())) / span, 0.0), 1.0)
 
-        return self.add_probe(name, fraction, description, unit="fraction")
+        def close() -> None:
+            now = sim.now
+            span = now - window[1]
+            if span > 0:
+                current = float(count_fn())
+                window[:] = [current, now, max(busy(current) - span, 0.0)]
+
+        self.add_probe(name, fraction, description, unit="fraction")
+        self._windows.append(close)
 
     # ------------------------------------------------------------------
     # sampling
     # ------------------------------------------------------------------
 
     def sample_now(self) -> None:
-        """Take one sample of every probe at the current simulated time."""
+        """One tick: sample every probe at the current simulated time,
+        then close every utilization window."""
         now = self.sim.now
-        for gauge, _fn in self._probes:
-            self.series[gauge.name].append(now, gauge.value())
+        for read, series in self._probes:
+            series.append(now, float(read()))
+        for close in self._windows:
+            close()
         self.samples_taken += 1
 
     def start(self) -> None:
@@ -161,9 +173,3 @@ class MetricSampler:
         """Mean sampled value per series (sorted by name)."""
         return {name: self.series[name].mean
                 for name in sorted(self.series)}
-
-    def get_series(self, name: str) -> TimeSeries:
-        try:
-            return self.series[name]
-        except KeyError:
-            raise ObserveError(f"no sampled series named {name!r}") from None

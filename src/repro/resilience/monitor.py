@@ -428,7 +428,7 @@ class ResilienceManager:
         return sum(1 for ts in self.detector.targets.values()
                    if ts.kind == kind and ts.state == "dead")
 
-    def register_metrics(self, registry, sampler) -> None:
+    def register_metrics(self, sampler) -> None:
         """Expose ``resilience.*`` gauges/counters as sampled series."""
         sampler.add_probe(
             "resilience.links_dead",

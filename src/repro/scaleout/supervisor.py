@@ -233,29 +233,28 @@ class Supervisor:
 
     def _publish(self, registry) -> None:
         """Write the run's ``scaleout.*`` metrics — once, at its end."""
-        for name, what, unit in (
-                ("rounds", "rounds the workers planned", "rounds"),
-                ("advances", "grants run (idle elision skips the rest)",
-                 "grants")):
-            registry.counter(f"scaleout.{name}", what,
-                             unit=unit).inc(getattr(self, name))
-        for name, what in (
-                ("setup_s", "worker fork + fabric build time"),
-                ("coordinator_cpu_s",
-                 "coordinator CPU time over the steady phase")):
-            registry.gauge(f"scaleout.{name}", what,
-                           unit="s").set(getattr(self, name))
+        entries = [
+            ("rounds", "counter", "rounds", "rounds the workers planned",
+             self.rounds),
+            ("advances", "counter", "grants",
+             "grants run (idle elision skips the rest)", self.advances),
+            ("setup_s", "gauge", "s", "worker fork + fabric build time",
+             self.setup_s),
+            ("coordinator_cpu_s", "gauge", "s",
+             "coordinator CPU time over the steady phase",
+             self.coordinator_cpu_s)]
         for index, worker in enumerate(self.workers):
             result = worker.result or {"inbound": 0, "timing": {}}
-            registry.counter(
-                f"scaleout.p{index}.envelopes",
-                f"envelopes routed to partition {index}",
-                unit="envelopes").inc(result["inbound"])
-            for phase, what in _PHASES.items():
-                registry.gauge(
-                    f"scaleout.p{index}.{phase}",
-                    f"partition {index}: {what}",
-                    unit="s").set(result["timing"].get(phase, 0.0))
+            entries.append((f"p{index}.envelopes", "counter", "envelopes",
+                            f"envelopes routed to partition {index}",
+                            result["inbound"]))
+            entries.extend((f"p{index}.{phase}", "gauge", "s",
+                            f"partition {index}: {what}",
+                            result["timing"].get(phase, 0.0))
+                           for phase, what in _PHASES.items())
+        for name, kind, unit, what, value in entries:
+            registry.add(f"scaleout.{name}", lambda value=value: value,
+                         kind=kind, unit=unit, description=what)
 
     def _spawn_all(self) -> None:
         """Fork every worker, with a pipe from each to each other."""

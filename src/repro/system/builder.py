@@ -57,11 +57,11 @@ class CabStack:
     def create_mailbox(self, name: str, capacity: Optional[int] = None):
         return self.transport.create_mailbox(name, capacity)
 
-    def register_metrics(self, registry, sampler) -> None:
+    def register_metrics(self, sampler) -> None:
         """Register the whole stack — board, datalink, transport."""
-        self.board.register_metrics(registry, sampler)
-        self.datalink.register_metrics(registry, sampler)
-        self.transport.register_metrics(registry, sampler)
+        self.board.register_metrics(sampler)
+        self.datalink.register_metrics(sampler)
+        self.transport.register_metrics(sampler)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<CabStack {self.name}>"
@@ -84,7 +84,6 @@ class NectarSystem:
         self.hubs: dict[str, Hub] = {}
         self.cabs: dict[str, CabStack] = {}
         self.nodes: dict[str, NodeHost] = {}
-        self._ports_used: dict[str, set[int]] = {}
         self.observatory = None
         self.fault_injector = None
         self.resilience = None
@@ -103,23 +102,21 @@ class NectarSystem:
         hub = Hub(self.sim, hub_name, self.cfg.hub, self.cfg.fiber,
                   tracer=self.tracer)
         self.hubs[hub_name] = hub
-        self._ports_used[hub_name] = set()
         self.router.add_hub(hub)
         return hub
 
     def _claim_port(self, hub: Hub, port: Optional[int]) -> int:
-        used = self._ports_used[hub.name]
-        if port is None:
-            for candidate in range(hub.cfg.num_ports):
-                if candidate not in used:
-                    port = candidate
-                    break
-            else:
-                raise TopologyError(f"{hub.name} has no free ports")
-        if port in used:
-            raise TopologyError(f"{hub.name}.p{port} already in use")
-        used.add(port)
-        return port
+        """``port``, or else the lowest port of ``hub`` not yet wired.
+
+        The HUB's own wiring is the one record of which ports are used:
+        a clash on an explicit port is raised by the wiring functions.
+        """
+        if port is not None:
+            return port
+        for candidate in hub.ports:
+            if candidate.peer is None:
+                return candidate.index
+        raise TopologyError(f"{hub.name} has no free ports")
 
     def add_cab(self, name: str, hub: Hub,
                 port: Optional[int] = None) -> CabStack:
@@ -210,8 +207,7 @@ class NectarSystem:
         self.fault_injector = FaultInjector(self, scenario)
         self.fault_injector.start()
         if self.observatory is not None:
-            self.fault_injector.register_metrics(
-                self.observatory.registry, self.observatory.sampler)
+            self.fault_injector.register_metrics(self.observatory.sampler)
         return self.fault_injector
 
     def enable_resilience(self):
@@ -229,8 +225,7 @@ class NectarSystem:
         self.resilience = ResilienceManager(self)
         self.resilience.start()
         if self.observatory is not None:
-            self.resilience.register_metrics(
-                self.observatory.registry, self.observatory.sampler)
+            self.resilience.register_metrics(self.observatory.sampler)
         return self.resilience
 
     # ------------------------------------------------------------------

@@ -110,7 +110,8 @@ class FabricSpec:
 
 
 class _PortLedger:
-    """Lowest-free-port bookkeeping, mirroring NectarSystem._claim_port."""
+    """Lowest-free-port allocation while a spec is drawn up, before
+    any HUB exists; ``FabricSpec.validate`` then checks the result."""
 
     def __init__(self, num_ports: int) -> None:
         self.num_ports = num_ports

@@ -31,6 +31,7 @@ __all__ = ["message_size", "slice_data", "TransportManager"]
 if TYPE_CHECKING:  # pragma: no cover
     from ..datalink.protocol import Datalink
     from ..kernel.threads import CabKernel
+    from ..observe import MetricSampler
 
 
 def message_size(data: Optional[bytes], size: Optional[int]) -> int:
@@ -95,7 +96,8 @@ class TransportManager:
         # Message ids are per-manager so identical runs in one interpreter
         # produce identical traces (module-global counters leak state).
         self._message_ids = count(1)
-        self._observe: Optional[tuple[Any, Any]] = None
+        #: The attached observer's sampler, once one is attached.
+        self._sampler: Optional["MetricSampler"] = None
         self.datagram = DatagramProtocol(self)
         self.stream = ByteStreamProtocol(self)
         self.rpc = RequestResponseProtocol(self)
@@ -140,8 +142,8 @@ class TransportManager:
             raise TransportError(f"{self.cab.name}: mailbox {name!r} exists")
         mailbox = Mailbox(self.kernel, name, capacity_messages=capacity)
         self.mailboxes[name] = mailbox
-        if self._observe is not None:
-            mailbox.register_metrics(*self._observe)
+        if self._sampler is not None:
+            mailbox.register_metrics(self._sampler)
         return mailbox
 
     # ------------------------------------------------------------------
@@ -153,7 +155,7 @@ class TransportManager:
                          "drops_mailbox_full", "drops_no_mailbox",
                          "checksum_drops")
 
-    def register_metrics(self, registry, sampler) -> None:
+    def register_metrics(self, sampler) -> None:
         """Register this CAB's transport layer with the observer.
 
         Sampled: aggregate mailbox depth (the §6.1 kernel's buffering
@@ -163,7 +165,7 @@ class TransportManager:
         :meth:`create_mailbox`.
         """
         base = self.cab.name
-        self._observe = (registry, sampler)
+        self._sampler = sampler
         sampler.add_probe(
             f"{base}.mailbox_depth",
             lambda: float(sum(len(m) for m in self.mailboxes.values())),
@@ -191,16 +193,16 @@ class TransportManager:
             description="reliable sends failed fast by open breakers",
             unit="events")
         for mailbox in self.mailboxes.values():
-            mailbox.register_metrics(registry, sampler)
+            mailbox.register_metrics(sampler)
         for peer in sorted(set(self._rto) | set(self._breakers)):
             self._register_peer_probes(peer)
 
     def _register_peer_probes(self, peer: str) -> None:
         """Per-peer SRTT / breaker-state gauges (lazy: peers appear as
         traffic does; re-invocations skip what is already registered)."""
-        if self._observe is None:
+        sampler = self._sampler
+        if sampler is None:
             return
-        _registry, sampler = self._observe
         base = self.cab.name
         estimator = self._rto.get(peer)
         if estimator is not None \

@@ -5,8 +5,7 @@ import json
 import pytest
 
 from repro.errors import ObserveError, TopologyError
-from repro.observe import (Counter, Gauge, MetricRegistry, MetricSampler,
-                           chrome_trace)
+from repro.observe import MetricRegistry, MetricSampler, chrome_trace
 from repro.sim import Simulator
 from repro.topology import single_hub_system
 from repro.__main__ import main
@@ -15,37 +14,38 @@ from repro.__main__ import main
 class TestRegistry:
     def test_duplicate_name_rejected(self):
         registry = MetricRegistry()
-        registry.counter("x.count")
+        registry.add("x.count", lambda: 0, kind="counter")
         with pytest.raises(ObserveError, match="duplicate metric name"):
-            registry.counter("x.count")
+            registry.add("x.count", lambda: 0, kind="counter")
 
     def test_duplicate_across_kinds_rejected(self):
         registry = MetricRegistry()
-        registry.counter("same")
+        registry.add("same", lambda: 0, kind="counter")
         with pytest.raises(ObserveError):
-            registry.gauge("same")
+            registry.add("same", lambda: 0.0)
 
-    def test_counter_monotonic(self):
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(3)
-        assert counter.value() == 4
-        with pytest.raises(ObserveError):
-            counter.inc(-1)
+    def test_empty_name_rejected(self):
+        with pytest.raises(ObserveError, match="non-empty"):
+            MetricRegistry().add("", lambda: 0.0)
 
-    def test_probe_gauge_rejects_set(self):
-        gauge = Gauge("g", fn=lambda: 7.0)
-        assert gauge.value() == 7.0
-        with pytest.raises(ObserveError):
-            gauge.set(1.0)
+    def test_value_is_a_float_read(self):
+        registry = MetricRegistry()
+        level = {"n": 3}
+        registry.add("level", lambda: level["n"])
+        level["n"] = 7
+        assert registry.value("level") == 7.0
+        with pytest.raises(ObserveError, match="no metric named"):
+            registry.value("missing")
 
     def test_snapshot_sorted_by_name(self):
         registry = MetricRegistry()
-        registry.counter("b")
-        registry.counter("a")
+        registry.add("b", lambda: 2, kind="counter", unit="events")
+        registry.add("a", lambda: 1, kind="counter")
         snapshot = registry.snapshot()
         assert list(snapshot) == ["a", "b"]
         assert snapshot["a"]["kind"] == "counter"
+        assert snapshot["b"] == {"name": "b", "kind": "counter",
+                                 "unit": "events", "value": 2.0}
 
 
 class TestSampler:
@@ -57,7 +57,7 @@ class TestSampler:
         sampler.start()
         ticks["n"] = 5
         sim.run(until=3500)
-        series = sampler.get_series("ticks")
+        series = sampler.series["ticks"]
         assert series.times == [1000, 2000, 3000]
         assert series.values == [5.0, 5.0, 5.0]
 
@@ -75,7 +75,7 @@ class TestSampler:
             yield sim.timeout(1000)
         sim.process(producer())
         sim.run(until=2500)
-        series = sampler.get_series("u")
+        series = sampler.series["u"]
         assert series.values[0] == pytest.approx(0.8)
         assert series.values[1] == 1.0
 
@@ -91,7 +91,7 @@ class TestSampler:
             yield sim.timeout(1)
         sim.process(producer())
         sim.run(until=4500)
-        assert sampler.get_series("u").values == \
+        assert sampler.series["u"].values == \
             pytest.approx([1.0, 1.0, 0.4, 0.0])
 
     @pytest.mark.parametrize("period_us", [10, 100])
@@ -130,6 +130,31 @@ class TestSampler:
                                                     expected)
             checked += 1
         assert checked >= 2
+
+    def test_mid_run_snapshot_leaves_every_series_unchanged(self):
+        # A read is pure: only the sampler's tick closes a utilization
+        # window, so a snapshot between ticks consumes nothing.
+        from repro.observe import scenarios
+        from repro.sim import units
+        from repro.workload import Workload
+
+        def series(peek):
+            system, kwargs = scenarios.build("quickstart", 1989,
+                                             units.ms(2))
+            observatory = system.observe(interval_ns=50_000, trace=False)
+
+            def reader():
+                yield 1_025_000
+                if peek:
+                    observatory.snapshot()
+            system.sim.process(reader())
+            Workload(system, **kwargs).run()
+            return {name: track.values
+                    for name, track in observatory.series.items()}
+
+        plain, peeked = series(False), series(True)
+        assert any(name.endswith(".util") for name in plain)
+        assert peeked == plain
 
     def test_observed_run_timing_unchanged(self):
         plain = single_hub_system(4)

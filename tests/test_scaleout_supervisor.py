@@ -174,7 +174,7 @@ class TestChaosRecovery:
         assert multiprocessing.active_children() == []
         assert left_registered and not any(left_registered)
         # The metrics are published on the way out of a failed run too.
-        assert registry.get("scaleout.rounds").value() > 0
+        assert registry.value("scaleout.rounds") > 0
 
     def test_kill_before_first_state_report(self, monkeypatch, spawned):
         _kill_during_build(monkeypatch, 1)
@@ -219,19 +219,18 @@ class TestChaosRecovery:
         scenario = crossing_scenario()
         registry = MetricRegistry()
         result = run_partitioned(scenario, 4, registry=registry)
-        assert registry.get("scaleout.rounds").value() == result.rounds
-        assert registry.get("scaleout.advances").value() == result.advances
-        assert registry.get("scaleout.setup_s").value() == \
+        assert registry.value("scaleout.rounds") == result.rounds
+        assert registry.value("scaleout.advances") == result.advances
+        assert registry.value("scaleout.setup_s") == \
             pytest.approx(result.setup_s)
-        routed = sum(registry.get(f"scaleout.p{i}.envelopes").value()
+        routed = sum(registry.value(f"scaleout.p{i}.envelopes")
                      for i in range(4))
         assert routed == result.envelopes > 0
         for index in range(4):
             for phase in ("compute_s", "wait_s", "exchange_s", "ipc_s"):
-                gauge = registry.get(f"scaleout.p{index}.{phase}")
-                assert gauge.value() == \
+                assert registry.value(f"scaleout.p{index}.{phase}") == \
                     pytest.approx(result.timing[phase][index])
-        assert registry.get("scaleout.coordinator_cpu_s").value() == \
+        assert registry.value("scaleout.coordinator_cpu_s") == \
             pytest.approx(result.coordinator_cpu_s)
 
 
