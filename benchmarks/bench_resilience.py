@@ -87,8 +87,12 @@ RES2_WORKLOAD = dict(pattern="hotspot", mode="closed", offered_load=0.6,
 
 def _rpc_retransmits(adaptive: bool):
     cfg = NectarConfig(seed=SEED)
-    cfg = replace(cfg, transport=replace(cfg.transport,
-                                         adaptive_rto=adaptive))
+    if not adaptive:
+        # The fixed timer: the estimator clamped to zero width.
+        fixed = cfg.transport.retransmit_timeout_ns
+        cfg = replace(cfg, transport=replace(
+            cfg.transport, min_rto_ns=fixed, max_rto_ns=fixed,
+            rto_jitter=0.0))
     system = single_hub_system(8, cfg=cfg)
     result = Workload(system, **RES2_WORKLOAD).run()
     retransmits = sum(stack.transport.rpc.retransmits

@@ -353,6 +353,7 @@ def _add_campaign_options(parser: argparse.ArgumentParser,
 def build_parser() -> argparse.ArgumentParser:
     from .faults import CAMPAIGNS
     from .observe.scenarios import SCENARIOS as OBSERVE_SCENARIOS
+    from .scaleout import ESCL_CAMPAIGNS
     from .workload.arrivals import ARRIVALS
     from .workload.patterns import PATTERNS
 
@@ -481,8 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
              "one's digest (and event count, unfaulted): exit 1 on drift")
     scaleout.add_argument(
         "--faults", metavar="CAMPAIGN", default=None,
-        choices=("drop-burst", "corrupt-burst", "reply-storm",
-                 "link-flap"),
+        choices=ESCL_CAMPAIGNS,
         help="apply a repro.faults campaign (E-SCL-sized windows) to "
              "every run shape; partitioned digests must still match the "
              "faulted single-process reference")

@@ -35,6 +35,8 @@ _OP_INVALIDATE = 4
 
 #: CPU cost of a page-table operation on the CAB (µs-scale).
 PAGE_TABLE_CPU_NS = 2_000
+#: DSM page size: a fetch ships one page body (1 KB on the wire).
+PAGE_BYTES = 1024
 
 
 class _PageState:
@@ -181,7 +183,7 @@ class DsmNode:
         cached = self.cache.get(page, ("read", 0))
         version = cached[1]
         body = version.to_bytes(8, "little")
-        body += bytes(self.dsm.page_bytes - len(body))
+        body += bytes(PAGE_BYTES - len(body))
         yield from task.respond(message, body)
 
     def _serve_invalidate(self, task: Task, message, page: int):
@@ -194,13 +196,12 @@ class SharedVirtualMemory:
     """A DSM instance spanning several CABs."""
 
     def __init__(self, system: "NectarSystem", stacks: list["CabStack"],
-                 num_pages: int = 64, page_bytes: int = 1024) -> None:
+                 num_pages: int = 64) -> None:
         if len(stacks) < 2:
             raise NectarError("DSM needs at least two nodes")
         self.system = system
         self.runtime = NectarineRuntime(system)
         self.num_pages = num_pages
-        self.page_bytes = page_bytes
         self.invalidations = 0
         self.read_fault_latency = LatencyRecorder("read-fault")
         self.write_fault_latency = LatencyRecorder("write-fault")

@@ -27,6 +27,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..system.builder import CabStack, NectarSystem
 
 _TOKEN = struct.Struct("<IIHHQ")
+#: Gap between seed tokens: working-memory elements arrive over time,
+#: not as one burst (run-time load balancing is the point, §7).
+SEED_INTERVAL_NS = 50_000
+#: First wait for local work before a steal attempt (doubles per failed
+#: steal, up to 64x).
+STEAL_IDLE_NS = 100_000
 
 
 class ProductionSystemApp:
@@ -36,9 +42,7 @@ class ProductionSystemApp:
                  match_cost_ns: int = 20_000,
                  branching: float = 0.9,
                  max_depth: int = 6,
-                 seed_interval_ns: int = 50_000,
-                 work_stealing: bool = False,
-                 steal_idle_ns: int = 100_000) -> None:
+                 work_stealing: bool = False) -> None:
         if len(workers) < 2:
             raise ValueError("production system needs >= 2 workers")
         self.system = system
@@ -46,14 +50,12 @@ class ProductionSystemApp:
         self.match_cost_ns = match_cost_ns
         self.branching = branching
         self.max_depth = max_depth
-        self.seed_interval_ns = seed_interval_ns
         #: §7: "an application that requires run-time load balancing."
         #: With stealing on, an idle worker pulls queued tokens from a
         #: random victim through that worker's steal-service task — a
         #: second reader on the same mailbox (multi-reader mailboxes,
         #: §6.1, are exactly what makes this cheap).
         self.work_stealing = work_stealing
-        self.steal_idle_ns = steal_idle_ns
         self.tokens_stolen = 0
         self.steal_attempts = 0
         self._steal_failures: dict[int, int] = {}
@@ -100,10 +102,7 @@ class ProductionSystemApp:
             token = self._new_token(depth=0, kind=kind)
             yield from task.send(self._route(kind), token)
             self.tokens_emitted += 1
-            if self.seed_interval_ns:
-                # Working-memory elements arrive over time, not as one
-                # burst (run-time load balancing is the point, §7).
-                yield from kernel.sleep(self.seed_interval_ns)
+            yield from kernel.sleep(SEED_INTERVAL_NS)
 
     def _new_token(self, depth: int, kind: int) -> bytes:
         self._next_token_id += 1
@@ -150,7 +149,7 @@ class ProductionSystemApp:
         sim = self.system.sim
         kernel = task.location.kernel
         failures = self._steal_failures.get(index, 0)
-        wait_ns = self.steal_idle_ns * min(1 << failures, 64)
+        wait_ns = STEAL_IDLE_NS * min(1 << failures, 64)
         get_event = task.mailbox.get()
         deadline = sim.timeout(wait_ns)
         outcome = yield sim.any_of([get_event, deadline])

@@ -27,6 +27,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _FEATURE = struct.Struct("<IHHB")
 _QUERY = struct.Struct("<HHHH")
+#: Side of the square image features are placed in (pixels).
+IMAGE_EXTENT = 512
+#: Per-feature match cost of a shard's linear query scan.
+MATCH_COST_NS = 2_000
 
 
 @dataclass(frozen=True)
@@ -55,10 +59,9 @@ class SpatialDatabaseShard:
     """One shard of the distributed spatial database (a server task)."""
 
     def __init__(self, runtime: NectarineRuntime, name: str,
-                 location: "CabStack", match_cost_ns: int = 2_000) -> None:
+                 location: "CabStack") -> None:
         self.task = runtime.create_task(name, location)
         self.features: list[Feature] = []
-        self.match_cost_ns = match_cost_ns
         self.queries_served = 0
         self.inserts = 0
         self.task.start(self._serve)
@@ -71,7 +74,7 @@ class SpatialDatabaseShard:
                 x0, y0, x1, y1 = _QUERY.unpack(message.data)
                 # Linear scan of the shard, charged per feature examined.
                 yield from kernel.compute(
-                    self.match_cost_ns * max(len(self.features), 1))
+                    MATCH_COST_NS * max(len(self.features), 1))
                 hits = [f for f in self.features
                         if x0 <= f.x <= x1 and y0 <= f.y <= y1]
                 self.queries_served += 1
@@ -92,14 +95,12 @@ class VisionApplication:
                  shards: list["CabStack"],
                  frame_bytes: int = 256 << 10,
                  features_per_frame: int = 32,
-                 queries_per_frame: int = 4,
-                 image_extent: int = 512) -> None:
+                 queries_per_frame: int = 4) -> None:
         self.system = system
         self.runtime = NectarineRuntime(system)
         self.frame_bytes = frame_bytes
         self.features_per_frame = features_per_frame
         self.queries_per_frame = queries_per_frame
-        self.image_extent = image_extent
         self.rng = system.cfg.rng_stream("vision")
         self.shards = [SpatialDatabaseShard(self.runtime, f"db{i}", shard)
                        for i, shard in enumerate(shards)]
@@ -135,8 +136,8 @@ class VisionApplication:
             for k in range(self.features_per_frame):
                 feature = Feature(
                     frame_index * self.features_per_frame + k,
-                    self.rng.randrange(self.image_extent),
-                    self.rng.randrange(self.image_extent),
+                    self.rng.randrange(IMAGE_EXTENT),
+                    self.rng.randrange(IMAGE_EXTENT),
                     self.rng.randrange(8))
                 shard = self._shard_for(feature)
                 batches.setdefault(shard.task.name, []).append(feature)
@@ -157,8 +158,8 @@ class VisionApplication:
             self.frames_received += 1
             self.frame_meter.record(message.size, sim.now)
             for _q in range(self.queries_per_frame):
-                x = self.rng.randrange(self.image_extent - 64)
-                y = self.rng.randrange(self.image_extent - 64)
+                x = self.rng.randrange(IMAGE_EXTENT - 64)
+                y = self.rng.randrange(IMAGE_EXTENT - 64)
                 shard = self.shards[self.rng.randrange(len(self.shards))]
                 started = sim.now
                 response = yield from task.request(

@@ -219,11 +219,10 @@ class CollectiveGroup:
             result = yield from self._tree_broadcast(rank, data, root, seq)
         return result
 
-    def scatter(self, rank: int, chunks: Optional[Sequence[bytes]] = None,
-                root: int = 0):
-        """Send ``chunks[i]`` from ``root`` to rank ``i``."""
+    def scatter(self, rank: int, chunks: Optional[Sequence[bytes]] = None):
+        """Send ``chunks[i]`` from rank 0 to rank ``i``."""
         self._check_rank(rank)
-        self._check_rank(root)
+        root = 0
         seq = self._next_seq(rank)
         if rank == root:
             if chunks is None or len(chunks) != self.n:
@@ -238,10 +237,10 @@ class CollectiveGroup:
             rank, self._match(seq, "scat", root))
         return message.data
 
-    def gather(self, rank: int, data: bytes, root: int = 0):
-        """Collect every rank's bytes at ``root`` (others return None)."""
+    def gather(self, rank: int, data: bytes):
+        """Collect every rank's bytes at rank 0 (others return None)."""
         self._check_rank(rank)
-        self._check_rank(root)
+        root = 0
         seq = self._next_seq(rank)
         if rank != root:
             yield from self._send(rank, root, "gath", bytes(data), seq)

@@ -184,11 +184,9 @@ class TransportConfig:
     retransmit_timeout_ns: int = 2_000_000
     #: Maximum retransmissions before TransportError.
     max_retransmits: int = 10
-    #: Adaptive Jacobson/Karn RTO (SRTT + 4·RTTVAR) for the reliable
-    #: protocols.  ``False`` restores the fixed
-    #: :attr:`retransmit_timeout_ns` timer everywhere.
-    adaptive_rto: bool = True
-    #: Clamp for the adaptive RTO (spurious-retransmit guard).
+    #: Clamp for the Jacobson/Karn RTO (spurious-retransmit guard).  A
+    #: fixed timer is the zero-width clamp: ``min_rto_ns = max_rto_ns =
+    #: retransmit_timeout_ns`` with ``rto_jitter = 0``.
     min_rto_ns: int = 100_000
     #: Clamp for the adaptive RTO with backoff applied.
     max_rto_ns: int = 16_000_000

@@ -42,6 +42,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.threads import CabKernel
 
 
+def _deadline(timeout_ns: Optional[int], default_ns: int) -> int:
+    """A replied exchange's deadline: ``default_ns`` when none is given;
+    an explicit value must be positive (0 is not "use the default")."""
+    if timeout_ns is None:
+        return default_ns
+    if timeout_ns <= 0:
+        raise DatalinkError(f"reply timeout must be positive, "
+                            f"got {timeout_ns}")
+    return timeout_ns
+
+
 class Datalink:
     """Per-CAB datalink engine."""
 
@@ -373,6 +384,7 @@ class Datalink:
             raise DatalinkError(
                 f"{self.cab.name} cannot probe from {hub_a.name}: "
                 f"not attached there")
+        timeout_ns = _deadline(timeout_ns, REPLY_TIMEOUT_NS)
         yield from self.kernel.compute(SEND_OVERHEAD_NS)
         grant = self._port_lock.acquire()
         yield grant
@@ -382,9 +394,7 @@ class Datalink:
             echo = self._command(CommandOp.ECHO, hub_b.name, port_b)
             started = self.sim.now
             self.counters["link_probes_sent"] += 1
-            reply = yield from self._request(
-                [open_cmd, echo],
-                timeout_ns or REPLY_TIMEOUT_NS)
+            reply = yield from self._request([open_cmd, echo], timeout_ns)
             rtt = None
             if reply is not None and reply.ok:
                 rtt = self.sim.now - started
@@ -398,10 +408,10 @@ class Datalink:
     def query_first_hop(self, op: CommandOp, param: int = 0,
                         timeout_ns: Optional[int] = None):
         """Send a single replied command to our directly attached HUB."""
+        timeout_ns = _deadline(timeout_ns, REPLY_TIMEOUT_NS)
         hub = self.cab.hub_port.hub
         reply = yield from self._request(
-            [self._command(op, hub.name, param)],
-            timeout_ns or REPLY_TIMEOUT_NS)
+            [self._command(op, hub.name, param)], timeout_ns)
         if reply is None:
             raise DatalinkError(f"no reply to {op.name} from {hub.name}")
         return reply
@@ -428,6 +438,8 @@ class Datalink:
         reaches a register homed on another HUB (barrier and reduce
         reach remote HUBs through their reduction tree instead).
         """
+        timeout_ns = _deadline(timeout_ns,
+                               self.cfg.collectives.reply_timeout_ns)
         local = self.cab.hub_port.hub.name
         hubs = self.router.hub_path(local, hub_name or local)
         remote = len(hubs) > 1
@@ -444,9 +456,7 @@ class Datalink:
             command.arg = arg
             commands.append(command)
             self.counters["collective_commands_sent"] += 1
-            reply = yield from self._request(
-                commands,
-                timeout_ns or self.cfg.collectives.reply_timeout_ns)
+            reply = yield from self._request(commands, timeout_ns)
             if remote:
                 yield from self.close_route()
         finally:

@@ -8,7 +8,8 @@ seed always produces a byte-identical schedule
 different seeds explore different timings.
 
 Default windows land inside the default workload measurement window
-(1 ms warmup + 5 ms measured); every knob is overridable, e.g.::
+(1 ms warmup + 5 ms measured); a builder's keywords are the knobs some
+caller sets (targets and the other fixed shapes are constants), e.g.::
 
     scenario = build_campaign("drop-burst", cfg, drop=0.8, bursts=6)
 """
@@ -39,14 +40,13 @@ def _windows(rng: random.Random, bursts: int, start_ns: int,
 
 
 def _drop_burst(cfg: NectarConfig, rng: random.Random, *,
-                target: str = "*cab*", drop: float = 0.4,
-                corrupt: float = 0.0, bursts: int = 4,
+                drop: float = 0.4, bursts: int = 4,
                 duration_ns: int = 400_000,
                 start_ns: int = DEFAULT_START_NS,
                 horizon_ns: int = DEFAULT_HORIZON_NS) -> FaultScenario:
     """Windows of heavy packet loss on every CAB-attached fiber."""
-    events = [FaultEvent("link_degrade", at, duration_ns, target,
-                         drop=drop, corrupt=corrupt)
+    events = [FaultEvent("link_degrade", at, duration_ns, "*cab*",
+                         drop=drop)
               for at in _windows(rng, bursts, start_ns, horizon_ns,
                                  duration_ns)]
     return FaultScenario("drop-burst", events,
@@ -54,26 +54,24 @@ def _drop_burst(cfg: NectarConfig, rng: random.Random, *,
 
 
 def _corrupt_burst(cfg: NectarConfig, rng: random.Random, *,
-                   target: str = "*cab*", corrupt: float = 0.3,
-                   bursts: int = 4, duration_ns: int = 400_000,
+                   duration_ns: int = 400_000,
                    start_ns: int = DEFAULT_START_NS,
                    horizon_ns: int = DEFAULT_HORIZON_NS) -> FaultScenario:
     """Windows of payload corruption: checksum machinery under test."""
-    events = [FaultEvent("link_degrade", at, duration_ns, target,
-                         corrupt=corrupt)
-              for at in _windows(rng, bursts, start_ns, horizon_ns,
+    events = [FaultEvent("link_degrade", at, duration_ns, "*cab*",
+                         corrupt=0.3)
+              for at in _windows(rng, 4, start_ns, horizon_ns,
                                  duration_ns)]
     return FaultScenario("corrupt-burst", events,
                          description="payload-corruption bursts on CAB links")
 
 
 def _link_flap(cfg: NectarConfig, rng: random.Random, *,
-               target: str = "*cab0*", flaps: int = 3,
-               duration_ns: int = 250_000,
+               flaps: int = 3, duration_ns: int = 250_000,
                start_ns: int = DEFAULT_START_NS,
                horizon_ns: int = DEFAULT_HORIZON_NS) -> FaultScenario:
     """One CAB's fiber pair goes fully dark, repeatedly."""
-    events = [FaultEvent("link_down", at, duration_ns, target)
+    events = [FaultEvent("link_down", at, duration_ns, "*cab0*")
               for at in _windows(rng, flaps, start_ns, horizon_ns,
                                  duration_ns)]
     return FaultScenario("link-flap", events,
@@ -81,41 +79,39 @@ def _link_flap(cfg: NectarConfig, rng: random.Random, *,
 
 
 def _reply_storm(cfg: NectarConfig, rng: random.Random, *,
-                 target: str = "hub*->*", reply_drop: float = 0.5,
-                 bursts: int = 3, duration_ns: int = 500_000,
+                 duration_ns: int = 500_000,
                  start_ns: int = DEFAULT_START_NS,
                  horizon_ns: int = DEFAULT_HORIZON_NS) -> FaultScenario:
     """Replies/ready signals vanish: §4.2.1 timeout-and-retry stressor."""
-    events = [FaultEvent("reply_storm", at, duration_ns, target,
-                         reply_drop=reply_drop)
-              for at in _windows(rng, bursts, start_ns, horizon_ns,
+    events = [FaultEvent("reply_storm", at, duration_ns, "hub*->*",
+                         reply_drop=0.5)
+              for at in _windows(rng, 3, start_ns, horizon_ns,
                                  duration_ns)]
     return FaultScenario("reply-storm", events,
                          description="reply/ready-signal loss storms")
 
 
 def _port_flap(cfg: NectarConfig, rng: random.Random, *,
-               target: str = "hub0:0", flaps: int = 2,
-               duration_ns: int = 300_000,
                start_ns: int = DEFAULT_START_NS,
                horizon_ns: int = DEFAULT_HORIZON_NS) -> FaultScenario:
     """Supervisor-disable a HUB port, re-enable it after the window."""
-    events = [FaultEvent("hub_port_down", at, duration_ns, target)
-              for at in _windows(rng, flaps, start_ns, horizon_ns,
+    duration_ns = 300_000
+    events = [FaultEvent("hub_port_down", at, duration_ns, "hub0:0")
+              for at in _windows(rng, 2, start_ns, horizon_ns,
                                  duration_ns)]
     return FaultScenario("port-flap", events,
                          description="HUB port disable/re-enable cycles")
 
 
 def _cab_stall(cfg: NectarConfig, rng: random.Random, *,
-               target: str = "cab0", stalls: int = 2,
-               duration_ns: int = 300_000, crash: bool = False,
+               crash: bool = False,
                start_ns: int = DEFAULT_START_NS,
                horizon_ns: int = DEFAULT_HORIZON_NS) -> FaultScenario:
     """Wedge (or crash) one CAB's processor for a while."""
     kind = "cab_crash" if crash else "cab_stall"
-    events = [FaultEvent(kind, at, duration_ns, target)
-              for at in _windows(rng, stalls, start_ns, horizon_ns,
+    duration_ns = 300_000
+    events = [FaultEvent(kind, at, duration_ns, "cab0")
+              for at in _windows(rng, 2, start_ns, horizon_ns,
                                  duration_ns)]
     return FaultScenario("cab-crash" if crash else "cab-stall", events,
                          description="CAB processor stall/crash windows")
@@ -127,20 +123,17 @@ def _cab_crash(cfg: NectarConfig, rng: random.Random, **params):
 
 
 def _hub_link_flap(cfg: NectarConfig, rng: random.Random, *,
-                   forward: str = "hub0.p0->hub1.p0",
-                   reverse: str = "hub1.p0->hub0.p0",
                    flaps: int = 2, duration_ns: int = 1_500_000,
                    start_ns: int = DEFAULT_START_NS,
                    horizon_ns: int = DEFAULT_HORIZON_NS) -> FaultScenario:
     """One *inter-HUB* fiber pair goes fully dark, repeatedly.
 
-    Both directions of the link (``forward`` and ``reverse`` fiber
-    names) die together, as a cut cable would.  Windows are placed in
-    disjoint slots (one flap per slot, jittered within it) so flaps
-    never overlap — overlapping windows would revert each other's fault
-    state early.  The default targets are the first parallel link of
-    :func:`~repro.topology.builders.dual_link_system`, the self-healing
-    routing testbed.
+    Both directions of the link die together, as a cut cable would.
+    Windows are placed in disjoint slots (one flap per slot, jittered
+    within it) so flaps never overlap — overlapping windows would
+    revert each other's fault state early.  The targets are the first
+    parallel link of :func:`~repro.topology.builders.dual_link_system`,
+    the self-healing routing testbed.
     """
     if flaps < 1:
         raise ConfigError(f"campaign needs >= 1 flap, got {flaps}")
@@ -154,7 +147,7 @@ def _hub_link_flap(cfg: NectarConfig, rng: random.Random, *,
     for flap in range(flaps):
         slot_start = start_ns + flap * slot_ns
         at = slot_start + rng.randrange(slot_ns - duration_ns + 1)
-        for target in (forward, reverse):
+        for target in ("hub0.p0->hub1.p0", "hub1.p0->hub0.p0"):
             events.append(FaultEvent("link_down", at, duration_ns, target))
     return FaultScenario("hub-link-flap", events,
                          description="repeated full outages of one "

@@ -23,7 +23,6 @@ from .scenario import CAB_KINDS, FIBER_KINDS, PORT_KINDS, FaultScenario
 __all__ = ["FaultInjector"]
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..hardware.fiber import Fiber
     from ..hardware.hub_port import HubPort
     from ..system.builder import NectarSystem
     from .scenario import FaultEvent
@@ -55,19 +54,6 @@ class FaultInjector:
     # target resolution
     # ------------------------------------------------------------------
 
-    def _fibers(self) -> dict[str, "Fiber"]:
-        """Every fiber in the system, keyed by its wiring name."""
-        fibers: dict[str, Fiber] = {}
-        for stack in self.system.cabs.values():
-            board = stack.board
-            if board.out_fiber is not None:
-                fibers[board.out_fiber.name] = board.out_fiber
-        for hub in self.system.hubs.values():
-            for port in hub.ports:
-                if port.out_fiber is not None:
-                    fibers[port.out_fiber.name] = port.out_fiber
-        return fibers
-
     def _ports(self) -> dict[str, "HubPort"]:
         """Every wired HUB port, keyed by its ``hub:port`` label."""
         return {f"{hub.name}:{port.index}": port
@@ -75,7 +61,7 @@ class FaultInjector:
                 for port in hub.ports if port.peer is not None}
 
     def _resolve_targets(self) -> None:
-        fibers = self._fibers()
+        fibers = self.system.fibers()
         ports = self._ports()
         self._matches: dict[int, list] = {}
         for index, event in enumerate(self.scenario.events):

@@ -92,14 +92,7 @@ def collect_metrics(system, result: WorkloadResult, label: str) -> RunMetrics:
     """Pull delivery, recovery and healing counters out of a finished run."""
     recorder = result.recorder
     stacks = list(system.cabs.values())
-    fibers = {}
-    for stack in stacks:
-        if stack.board.out_fiber is not None:
-            fibers[stack.board.out_fiber.name] = stack.board.out_fiber
-    for hub in system.hubs.values():
-        for port in hub.ports:
-            if port.out_fiber is not None:
-                fibers[port.out_fiber.name] = port.out_fiber
+    fibers = system.fibers()
     injector = system.fault_injector
     metrics = RunMetrics(
         label=label,

@@ -99,11 +99,10 @@ class CabCpu:
         self.busy_ns += duration
         self._resource.release()
 
-    def utilization(self, since_ns: int = 0) -> float:
-        elapsed = self.sim.now - since_ns
-        if elapsed <= 0:
+    def utilization(self) -> float:
+        if self.sim.now <= 0:
             return 0.0
-        return min(self.busy_ns / elapsed, 1.0)
+        return min(self.busy_ns / self.sim.now, 1.0)
 
 
 class CabBoard:

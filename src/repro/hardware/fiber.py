@@ -38,6 +38,15 @@ def _unseeded_stream(name: str) -> random.Random:
     """The stream of a fiber built outside any system: still per link."""
     return random.Random(f"fiber:{name}")
 
+
+def _size_of(item: Any) -> int:
+    """Bytes ``item`` occupies on the wire (a packet or a reply)."""
+    if isinstance(item, Packet):
+        return item.wire_size()
+    if isinstance(item, Reply):
+        return item.wire_size
+    raise TypeError(f"cannot size {item!r}")
+
 if TYPE_CHECKING:  # pragma: no cover
     pass
 
@@ -140,10 +149,10 @@ class Fiber:
 
     # ------------------------------------------------------------------
 
-    def send(self, item: Any, wire_size: Optional[int] = None) -> Event:
+    def send(self, item: Any) -> Event:
         """Queue ``item`` for transmission; event fires when the tail has
         left this end of the fiber."""
-        size = self._size_of(item, wire_size)
+        size = _size_of(item)
         done = self.sim.event()
         if self._sending is None:
             self._start(item, size, done)
@@ -153,7 +162,7 @@ class Fiber:
             self._backlog.append((item, size, done))
         return done
 
-    def send_priority(self, item: Any, wire_size: Optional[int] = None) -> None:
+    def send_priority(self, item: Any) -> None:
         """Transmit by cycle-stealing: never waits for queued traffic.
 
         Used for replies and ready signals, which the hardware guarantees
@@ -162,7 +171,7 @@ class Fiber:
         recovery path, so a downed link or a reply-loss storm makes them
         vanish, exercising the sender's timeout-and-retry machinery.
         """
-        size = self._size_of(item, wire_size)
+        size = _size_of(item)
         if self.fault_down or (self.fault_reply_drop > 0.0
                                and self.rng.random() < self.fault_reply_drop):
             self.stats[_REPLIES_DROPPED] += 1
@@ -170,15 +179,6 @@ class Fiber:
         latency = self.cfg.propagation_ns + self._serialization(size)
         self.stats[_BYTES] += size
         self._schedule_delivery(latency, item, size)
-
-    def _size_of(self, item: Any, wire_size: Optional[int]) -> int:
-        if wire_size is not None:
-            return wire_size
-        if isinstance(item, Packet):
-            return item.wire_size()
-        if isinstance(item, Reply):
-            return item.wire_size
-        raise TypeError(f"cannot size {item!r}; pass wire_size")
 
     def _serialization(self, size: int) -> int:
         """Memoized ``transfer_time`` for this fiber's fixed byte rate."""

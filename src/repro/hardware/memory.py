@@ -58,10 +58,10 @@ class BandwidthPool:
     def close_stream(self, handle: int) -> None:
         self._active.pop(handle, None)
 
-    def effective_rate(self, nominal_rate: float,
-                       already_open: bool = False) -> float:
-        """Rate a stream of ``nominal_rate`` achieves given current load."""
-        demand = self.demand + (0.0 if already_open else nominal_rate)
+    def effective_rate(self, nominal_rate: float) -> float:
+        """Rate a new stream of ``nominal_rate`` achieves given current
+        load."""
+        demand = self.demand + nominal_rate
         if demand <= self.capacity:
             return nominal_rate
         return nominal_rate * (self.capacity / demand)

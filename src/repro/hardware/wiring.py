@@ -8,10 +8,8 @@ connections".
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
-from ..config import FiberConfig
 from ..errors import TopologyError
 from ..sim import Simulator
 from .cab import CabBoard
@@ -20,11 +18,8 @@ from .hub import Hub
 
 
 def wire_cab_to_hub(sim: Simulator, cab: CabBoard, hub: Hub, port_index: int,
-                    fiber_cfg: Optional[FiberConfig] = None,
-                    rng: Optional[random.Random] = None,
                     rng_factory: Optional[RngFactory] = None) -> None:
     """Attach ``cab`` to ``hub`` at ``port_index`` with a fiber pair."""
-    cfg = fiber_cfg or hub.fiber_cfg
     port = hub.port(port_index)
     if port.peer is not None:
         raise TopologyError(f"{hub.name}.p{port_index} already wired")
@@ -32,8 +27,8 @@ def wire_cab_to_hub(sim: Simulator, cab: CabBoard, hub: Hub, port_index: int,
         raise TopologyError(f"{cab.name} already wired to a HUB")
     up_name = f"{cab.name}->{hub.name}.p{port_index}"
     down_name = f"{hub.name}.p{port_index}->{cab.name}"
-    uplink = Fiber(sim, cfg, up_name, rng, rng_factory)
-    downlink = Fiber(sim, cfg, down_name, rng, rng_factory)
+    uplink = Fiber(sim, hub.fiber_cfg, up_name, rng_factory=rng_factory)
+    downlink = Fiber(sim, hub.fiber_cfg, down_name, rng_factory=rng_factory)
     uplink.connect(port)
     downlink.connect(cab)
     cab.out_fiber = uplink
@@ -44,13 +39,11 @@ def wire_cab_to_hub(sim: Simulator, cab: CabBoard, hub: Hub, port_index: int,
 
 def wire_hub_to_hub(sim: Simulator, hub_a: Hub, port_a: int,
                     hub_b: Hub, port_b: int,
-                    fiber_cfg: Optional[FiberConfig] = None,
-                    rng: Optional[random.Random] = None,
                     rng_factory: Optional[RngFactory] = None) -> None:
     """Connect two HUBs with a fiber pair (one port on each side)."""
     if hub_a is hub_b:
         raise TopologyError(f"cannot wire {hub_a.name} to itself")
-    cfg = fiber_cfg or hub_a.fiber_cfg
+    cfg = hub_a.fiber_cfg
     pa = hub_a.port(port_a)
     pb = hub_b.port(port_b)
     if pa.peer is not None:
@@ -59,8 +52,8 @@ def wire_hub_to_hub(sim: Simulator, hub_a: Hub, port_a: int,
         raise TopologyError(f"{hub_b.name}.p{port_b} already wired")
     ab_name = f"{hub_a.name}.p{port_a}->{hub_b.name}.p{port_b}"
     ba_name = f"{hub_b.name}.p{port_b}->{hub_a.name}.p{port_a}"
-    a_to_b = Fiber(sim, cfg, ab_name, rng, rng_factory)
-    b_to_a = Fiber(sim, cfg, ba_name, rng, rng_factory)
+    a_to_b = Fiber(sim, cfg, ab_name, rng_factory=rng_factory)
+    b_to_a = Fiber(sim, cfg, ba_name, rng_factory=rng_factory)
     a_to_b.connect(pb)
     b_to_a.connect(pa)
     pa.out_fiber = a_to_b

@@ -22,7 +22,7 @@ from ..sim import Event
 __all__ = ["Message", "Mailbox"]
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..hardware.memory import MemoryBlock, MemoryRegion
+    from ..hardware.memory import MemoryBlock
     from .threads import CabKernel
 
 
@@ -41,17 +41,26 @@ class Message:
 
 
 class Mailbox:
-    """A named kernel mailbox backed by CAB data memory."""
+    """A named kernel mailbox backed by CAB data memory.
+
+    ``capacity_messages`` defaults to :data:`~repro.config.MAILBOX_CAPACITY`;
+    below 1 it is a :class:`MailboxError` (a mailbox that is always full
+    would block every writer).
+    """
 
     def __init__(self, kernel: "CabKernel", name: str,
-                 capacity_messages: Optional[int] = None,
-                 region: Optional["MemoryRegion"] = None) -> None:
+                 capacity_messages: Optional[int] = None) -> None:
+        if capacity_messages is None:
+            capacity_messages = MAILBOX_CAPACITY
+        elif capacity_messages < 1:
+            raise MailboxError(
+                f"mailbox {name} capacity must be >= 1 message, "
+                f"got {capacity_messages}")
         self.kernel = kernel
         self.sim = kernel.sim
         self.name = name
-        self.capacity = capacity_messages or MAILBOX_CAPACITY
-        self.region = region if region is not None \
-            else kernel.cab.data_memory
+        self.capacity = capacity_messages
+        self.region = kernel.cab.data_memory
         self.messages: list[Message] = []
         self._readers: list[tuple[Optional[Callable[[Message], bool]],
                                   Event]] = []

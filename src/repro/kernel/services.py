@@ -3,8 +3,8 @@
 "The CAB kernel relies on the node operating system for more complicated
 operations such as file I/O.  The CAB invokes these services by
 interrupting the node over the VME bus."  Requests carry a service name
-and argument size; the node runs a registered handler (paying its own OS
-costs) and completes the request.
+and a fixed-size argument descriptor; the node runs a registered handler
+(paying its own OS costs) and completes the request.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..hardware.node import NodeHost
     from .threads import CabKernel
 
+#: Bytes of the request descriptor pushed over VME before the interrupt.
+REQUEST_BYTES = 64
+
 
 @dataclass
 class ServiceRequest:
@@ -27,7 +30,6 @@ class ServiceRequest:
 
     service: str
     args: Any
-    arg_bytes: int
     request_id: int
     completed: Optional[Event] = None
 
@@ -53,7 +55,7 @@ class NodeServices:
         result) for ``service``."""
         self._handlers[service] = handler
 
-    def request(self, service: str, args: Any = None, arg_bytes: int = 64):
+    def request(self, service: str, args: Any = None):
         """CAB thread side: invoke a node service (generator).
 
         Interrupts the node over VME; the node pays interrupt + scheduling
@@ -62,11 +64,11 @@ class NodeServices:
         """
         if self.node is None:
             raise NodeError("no node attached for kernel services")
-        req = ServiceRequest(service, args, arg_bytes,
-                             next(self._request_ids), self.sim.event())
+        req = ServiceRequest(service, args, next(self._request_ids),
+                             self.sim.event())
         self._pending[req.request_id] = req
         # Push the request descriptor over VME, then interrupt the node.
-        yield from self.kernel.cab.vme.transfer(arg_bytes)
+        yield from self.kernel.cab.vme.transfer(REQUEST_BYTES)
         self.kernel.cab.vme.interrupt_node(req.request_id)
         outcome = yield from self.kernel.wait(req.completed)
         return outcome

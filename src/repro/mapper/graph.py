@@ -31,8 +31,6 @@ class TaskSpec:
     #: Restrict placement to CABs whose node has this machine type
     #: (e.g. only a Warp can run the low-level vision task, §2.1).
     machine_type: Optional[str] = None
-    #: CAB data-memory footprint (bytes).
-    memory_bytes: int = 4096
 
 
 @dataclass(frozen=True)
@@ -60,11 +58,10 @@ class TaskGraph:
         self.channels: list[ChannelSpec] = []
 
     def add_task(self, name: str, compute_ns: int = 100_000,
-                 machine_type: Optional[str] = None,
-                 memory_bytes: int = 4096) -> TaskSpec:
+                 machine_type: Optional[str] = None) -> TaskSpec:
         if name in self.tasks:
             raise NectarineError(f"duplicate task {name!r} in graph")
-        spec = TaskSpec(name, compute_ns, machine_type, memory_bytes)
+        spec = TaskSpec(name, compute_ns, machine_type)
         self.tasks[name] = spec
         return spec
 

@@ -26,6 +26,11 @@ from .graph import TaskGraph
 if TYPE_CHECKING:  # pragma: no cover
     from ..system.builder import CabStack, NectarSystem
 
+#: Greedy co-location stops at this multiple of the mean per-CAB load.
+LOAD_CAP_FACTOR = 2.0
+#: Seed of the annealing walk (a fixed stream: same graph, same map).
+ANNEALING_SEED = 1989
+
 
 @dataclass
 class Placement:
@@ -106,13 +111,12 @@ def round_robin_map(graph: TaskGraph,
 
 
 def greedy_traffic_map(graph: TaskGraph, cabs: list["CabStack"],
-                       system: "NectarSystem",
-                       load_cap_factor: float = 2.0) -> Placement:
+                       system: "NectarSystem") -> Placement:
     """Co-locate heavy channels first, respecting a per-CAB load cap."""
     graph.validate()
     _check_constraints(graph, cabs)
     total_load = sum(spec.compute_ns for spec in graph.tasks.values())
-    cap = load_cap_factor * total_load / len(cabs)
+    cap = LOAD_CAP_FACTOR * total_load / len(cabs)
     placement = Placement()
     loads: dict[str, float] = {cab.name: 0.0 for cab in cabs}
 
@@ -157,17 +161,18 @@ def greedy_traffic_map(graph: TaskGraph, cabs: list["CabStack"],
 def annealing_map(graph: TaskGraph, cabs: list["CabStack"],
                   system: "NectarSystem",
                   iterations: int = 500,
-                  imbalance_weight: Optional[float] = None,
-                  rng: Optional[random.Random] = None,
                   start: Optional[Placement] = None) -> Placement:
-    """Simulated-annealing refinement of a placement."""
+    """Simulated-annealing refinement of a placement.
+
+    Imbalance is weighted by the graph's total traffic, so neither
+    objective term swamps the other.
+    """
     graph.validate()
     _check_constraints(graph, cabs)
-    rng = rng or random.Random(1989)
+    rng = random.Random(ANNEALING_SEED)
     placement = start or greedy_traffic_map(graph, cabs, system)
     placement = Placement(dict(placement.assignment))
-    if imbalance_weight is None:
-        imbalance_weight = max(graph.total_traffic, 1.0)
+    imbalance_weight = max(graph.total_traffic, 1.0)
 
     def objective(candidate: Placement) -> float:
         return (communication_cost(graph, candidate, system)

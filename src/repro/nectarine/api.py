@@ -30,14 +30,12 @@ class Buffer:
     """A user-specified message buffer in CAB or node memory (§6.3)."""
 
     def __init__(self, runtime: "NectarineRuntime", size: int,
-                 location: Union["CabStack", NodeHost],
-                 data: Optional[bytes] = None) -> None:
-        if data is not None and len(data) != size:
-            raise NectarineError(f"buffer size {size} != data length "
-                                 f"{len(data)}")
+                 location: Union["CabStack", NodeHost]) -> None:
         self.runtime = runtime
         self.size = size
-        self.data = data
+        #: Contents, set by :meth:`fill` (``None`` sends ``size`` bytes
+        #: of unspecified data).
+        self.data: Optional[bytes] = None
         self.location = location
         self.block: Optional[MemoryBlock] = None
         if self.in_cab_memory:
@@ -149,13 +147,12 @@ class Task:
                 return candidates[0]
             yield POLL_INTERVAL_NS
 
-    def request(self, dst: "Task", buffer: Union[Buffer, bytes, int],
-                timeout_ns: Optional[int] = None):
-        """RPC to a server task (request-response protocol, §6.2.2)."""
+    def request(self, dst: "Task", buffer: Union[Buffer, bytes, int]):
+        """RPC to a server task (request-response protocol, §6.2.2),
+        each attempt timed by the peer's adaptive RTO."""
         data, size, _in_cab = self._resolve(buffer)
         response = yield from self.cab.transport.rpc.request(
-            dst.cab.name, dst.mailbox.name, data=data, size=size,
-            timeout_ns=timeout_ns)
+            dst.cab.name, dst.mailbox.name, data=data, size=size)
         return response
 
     def respond(self, request: Message,
@@ -199,8 +196,8 @@ class NectarineRuntime:
         return task
 
     def alloc_buffer(self, location: Union["CabStack", NodeHost],
-                     size: int, data: Optional[bytes] = None) -> Buffer:
-        return Buffer(self, size, location, data=data)
+                     size: int) -> Buffer:
+        return Buffer(self, size, location)
 
     # ------------------------------------------------------------------
 

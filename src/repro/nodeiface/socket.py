@@ -44,9 +44,8 @@ class SocketInterface:
     # ------------------------------------------------------------------
 
     def send(self, dst_cab: str, dst_mailbox: str,
-             data: Optional[bytes] = None, size: Optional[int] = None,
-             protocol: str = "datagram"):
-        """``send(2)``: one syscall, one node copy, then CAB transport."""
+             data: Optional[bytes] = None, size: Optional[int] = None):
+        """``send(2)``: one syscall, one node copy, then a CAB datagram."""
         node = self.node
         body_size = len(data) if size is None else size
         yield from node.syscall_cost()
@@ -54,34 +53,16 @@ class SocketInterface:
         yield from node.vme_write(body_size)     # kernel → CAB memory
         done = self.sim.event()
         self.stack.spawn(self._cab_send(dst_cab, dst_mailbox, data,
-                                        body_size, protocol, done),
+                                        body_size, done),
                          name="sock-send")
         yield done
         self.sends += 1
 
     def _cab_send(self, dst_cab: str, dst_mailbox: str,
-                  data: Optional[bytes], size: int, protocol: str,
-                  done: Event):
-        transport = self.stack.transport
-        if protocol == "datagram":
-            yield from transport.datagram.send(dst_cab, dst_mailbox,
-                                               data=data, size=size)
-        elif protocol == "stream":
-            connection = self._stream_for(dst_cab, dst_mailbox)
-            yield from connection.send(data=data, size=size)
-        else:
-            raise NodeError(f"unknown protocol {protocol!r}")
+                  data: Optional[bytes], size: int, done: Event):
+        yield from self.stack.transport.datagram.send(
+            dst_cab, dst_mailbox, data=data, size=size)
         done.succeed()
-
-    def _stream_for(self, dst_cab: str, dst_mailbox: str):
-        cache = getattr(self, "_streams", None)
-        if cache is None:
-            cache = self._streams = {}
-        key = (dst_cab, dst_mailbox)
-        if key not in cache:
-            cache[key] = self.stack.transport.stream.connect(dst_cab,
-                                                             dst_mailbox)
-        return cache[key]
 
     def receive(self, mailbox: Mailbox):
         """``recv(2)``: blocking syscall; woken by a VME interrupt."""

@@ -14,7 +14,7 @@ and probes only see what happens after they start.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any
 
 from .export import series_rows, write_chrome_trace, write_metrics_jsonl
 from .metrics import MetricRegistry
@@ -26,8 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Observatory"]
 
 #: Ring-buffer bound applied to the tracer when the Observatory enables
-#: tracing and no limit was set: long runs keep the most recent events
-#: instead of exhausting memory.
+#: tracing and the tracer has no limit yet: long runs keep the most
+#: recent events instead of exhausting memory.
 DEFAULT_TRACE_LIMIT = 200_000
 
 
@@ -36,15 +36,14 @@ class Observatory:
 
     def __init__(self, system: "NectarSystem",
                  interval_ns: int = DEFAULT_INTERVAL_NS,
-                 trace: bool = True,
-                 trace_limit: Optional[int] = DEFAULT_TRACE_LIMIT) -> None:
+                 trace: bool = True) -> None:
         self.system = system
         self.registry = MetricRegistry()
         self.sampler = MetricSampler(system.sim, self.registry, interval_ns)
         self.tracing = trace
         if trace:
-            if system.tracer.limit is None and trace_limit is not None:
-                system.tracer.set_limit(trace_limit)
+            if system.tracer.limit is None:
+                system.tracer.set_limit(DEFAULT_TRACE_LIMIT)
             system.tracer.enable()
         for hub in system.hubs.values():
             hub.register_metrics(self.sampler)

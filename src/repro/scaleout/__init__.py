@@ -26,9 +26,10 @@ from .partition import (Partitioning, PartitionSystem, flow_paths,
                         lookahead_matrix, lookahead_ns, partition_fabric,
                         route_set)
 from .runner import run_partitioned, run_single
-from .supervisor import Supervisor, escl_campaign
+from .supervisor import ESCL_CAMPAIGNS, Supervisor, escl_campaign
 
 __all__ = [
+    "ESCL_CAMPAIGNS",
     "Partitioning",
     "PartitionSystem",
     "ScaleoutResult",

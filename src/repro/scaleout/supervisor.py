@@ -59,7 +59,7 @@ from .escl import ScaleoutResult, ScaleoutScenario, merge_fragments
 from .partition import flow_paths, partition_fabric, route_set
 from .worker import worker_main
 
-__all__ = ["Supervisor", "escl_campaign"]
+__all__ = ["ESCL_CAMPAIGNS", "Supervisor", "escl_campaign"]
 
 #: Seconds a worker may stay silent before it counts as hung.
 HANG_TIMEOUT_S = 600.0
@@ -75,26 +75,20 @@ _PHASES = {
     "ipc_s": "worker CPU time outside run()",
 }
 
+#: The campaigns an E-SCL run takes (``scaleout --faults``).
+ESCL_CAMPAIGNS = ("drop-burst", "corrupt-burst", "reply-storm",
+                  "link-flap")
 #: E-SCL runs finish within a few hundred microseconds of simulated
-#: time (vs the default workload's milliseconds), so campaigns need
-#: windows placed inside that span to fire at all.
-_ESCL_CAMPAIGN_DEFAULTS: dict[str, dict[str, int]] = {
-    "drop-burst": {"start_ns": 5_000, "horizon_ns": 150_000,
-                   "duration_ns": 30_000},
-    "corrupt-burst": {"start_ns": 5_000, "horizon_ns": 150_000,
-                      "duration_ns": 30_000},
-    "reply-storm": {"start_ns": 5_000, "horizon_ns": 150_000,
-                    "duration_ns": 30_000},
-    "link-flap": {"start_ns": 5_000, "horizon_ns": 150_000,
-                  "duration_ns": 30_000},
-}
+#: time (vs the default workload's milliseconds), so those campaigns
+#: share one window placed inside that span to fire at all.
+_ESCL_WINDOW = {"start_ns": 5_000, "horizon_ns": 150_000,
+                "duration_ns": 30_000}
 
 
-def escl_campaign(name: str, cfg, **overrides) -> FaultScenario:
+def escl_campaign(name: str, cfg) -> FaultScenario:
     """Build a named campaign with windows sized for E-SCL runs."""
-    params: dict[str, Any] = dict(_ESCL_CAMPAIGN_DEFAULTS.get(name, {}))
-    params.update(overrides)
-    return build_campaign(name, cfg, **params)
+    window = _ESCL_WINDOW if name in ESCL_CAMPAIGNS else {}
+    return build_campaign(name, cfg, **window)
 
 
 class _Worker:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Simulator
@@ -88,16 +88,7 @@ class Tracer:
         self._records.clear()
         self.dropped = 0
 
-    def find(self, kind: Optional[str] = None,
-             source: Optional[str] = None) -> Iterator[TraceRecord]:
-        """Iterate retained records matching the given kind/source filters."""
-        for entry in self._records:
-            if kind is not None and entry.kind != kind:
-                continue
-            if source is not None and entry.source != source:
-                continue
-            yield entry
-
-    def count(self, kind: Optional[str] = None,
-              source: Optional[str] = None) -> int:
-        return sum(1 for _ in self.find(kind=kind, source=source))
+    def count(self, source: Optional[str] = None) -> int:
+        """Retained records, or only those from ``source``."""
+        return sum(1 for entry in self._records
+                   if source is None or entry.source == source)

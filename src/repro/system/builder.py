@@ -250,6 +250,21 @@ class NectarSystem:
         except KeyError:
             raise TopologyError(f"no node named {name!r}") from None
 
+    def fibers(self) -> dict:
+        """Every wired fiber, keyed by its wiring name: each CAB's
+        uplink in CAB order, then each HUB port's outgoing fiber in HUB
+        and port order."""
+        fibers = {}
+        for stack in self.cabs.values():
+            fiber = stack.board.out_fiber
+            if fiber is not None:
+                fibers[fiber.name] = fiber
+        for hub in self.hubs.values():
+            for port in hub.ports:
+                if port.out_fiber is not None:
+                    fibers[port.out_fiber.name] = port.out_fiber
+        return fibers
+
     def run(self, until: Optional[int] = None) -> int:
         """Advance the simulation; returns the clock."""
         return self.sim.run(until=until)

@@ -87,35 +87,7 @@ def dual_link_system(cabs_per_hub: int, links: int = 2,
     return system.finalize()
 
 
-def torus_system(dims: tuple[int, ...], cabs_per_hub: int = 1,
-                 cfg: Optional[NectarConfig] = None) -> NectarSystem:
-    """A k-ary n-cube of HUB clusters (QCDSP-style at 4 dimensions).
-
-    ``dims`` is the extent per dimension, e.g. ``(4, 4, 2, 2)`` for the
-    64-hub 4D torus the E-SCL scenarios run on.  See
-    :func:`repro.topology.fabrics.torus_fabric` for the wiring rules.
-    """
-    from .fabrics import build_system, torus_fabric
-    return build_system(torus_fabric(dims, cabs_per_hub=cabs_per_hub),
-                        cfg=cfg)
-
-
-def hypercube_system(dim: int, cabs_per_hub: int = 1,
-                     cfg: Optional[NectarConfig] = None) -> NectarSystem:
-    """A binary hypercube of ``2**dim`` HUBs (iPSC-style)."""
-    from .fabrics import build_system, hypercube_fabric
-    return build_system(hypercube_fabric(dim, cabs_per_hub=cabs_per_hub),
-                        cfg=cfg)
-
-
-def fat_tree_system(k: int,
-                    cfg: Optional[NectarConfig] = None) -> NectarSystem:
-    """A k-ary fat tree: k pods under a ``(k/2)**2`` core layer."""
-    from .fabrics import build_system, fat_tree_fabric
-    return build_system(fat_tree_fabric(k), cfg=cfg)
-
-
-def figure7_system(cfg: Optional[NectarConfig] = None) -> NectarSystem:
+def figure7_system() -> NectarSystem:
     """The 4-HUB system of Figure 7, with the paper's port assignments.
 
     * CAB3 on HUB2.p4; HUB2.p8 ↔ HUB1.p3; CAB1 on HUB1.p8 — so the
@@ -126,7 +98,7 @@ def figure7_system(cfg: Optional[NectarConfig] = None) -> NectarSystem:
       "open HUB1 P6 / open-reply HUB4 P5 / open HUB4 P3 / open-reply
       HUB3 P4" reaches CAB4 and CAB5 (§4.2.2).
     """
-    system = NectarSystem(cfg)
+    system = NectarSystem()
     hub1 = system.add_hub("HUB1")
     hub2 = system.add_hub("HUB2")
     hub3 = system.add_hub("HUB3")

@@ -40,6 +40,7 @@ from ..config import NectarConfig
 from ..errors import TopologyError
 
 __all__ = [
+    "FABRIC_PORTS",
     "FabricSpec",
     "build_system",
     "fat_tree_fabric",
@@ -47,6 +48,11 @@ __all__ = [
     "replay",
     "torus_fabric",
 ]
+
+#: Ports per HUB the fabric builders plan for: the prototype's 16×16
+#: crossbar (§3.1).  :func:`replay` checks a spec against the ports of
+#: the system it is wired into.
+FABRIC_PORTS = 16
 
 
 @dataclass(frozen=True)
@@ -79,7 +85,7 @@ class FabricSpec:
             graph[hub_b].add(hub_a)
         return graph
 
-    def validate(self, num_ports: int = 16) -> None:
+    def validate(self, num_ports: int = FABRIC_PORTS) -> None:
         """Raise :class:`TopologyError` on port clashes or bad refs."""
         if len(set(self.hubs)) != len(self.hubs):
             raise TopologyError(f"{self.name}: duplicate hub names")
@@ -113,18 +119,17 @@ class _PortLedger:
     """Lowest-free-port allocation while a spec is drawn up, before
     any HUB exists; ``FabricSpec.validate`` then checks the result."""
 
-    def __init__(self, num_ports: int) -> None:
-        self.num_ports = num_ports
+    def __init__(self) -> None:
         self._used: dict[str, set[int]] = {}
 
     def claim(self, hub: str) -> int:
         used = self._used.setdefault(hub, set())
-        for candidate in range(self.num_ports):
+        for candidate in range(FABRIC_PORTS):
             if candidate not in used:
                 used.add(candidate)
                 return candidate
         raise TopologyError(f"{hub} has no free ports "
-                            f"(all {self.num_ports} claimed)")
+                            f"(all {FABRIC_PORTS} claimed)")
 
 
 def _attach_cabs(hubs: list[str], cabs_per_hub: int, ledger: _PortLedger,
@@ -135,8 +140,7 @@ def _attach_cabs(hubs: list[str], cabs_per_hub: int, ledger: _PortLedger,
             yield (f"cab{index}{suffix}", hub, ledger.claim(hub))
 
 
-def torus_fabric(dims: tuple[int, ...], cabs_per_hub: int = 1,
-                 num_ports: int = 16) -> FabricSpec:
+def torus_fabric(dims: tuple[int, ...], cabs_per_hub: int = 1) -> FabricSpec:
     """A k-ary n-cube: HUB grid with wraparound links in every dimension.
 
     ``dims`` gives the extent of each dimension; 4-tuple dims model the
@@ -148,10 +152,10 @@ def torus_fabric(dims: tuple[int, ...], cabs_per_hub: int = 1,
     if not dims or any(d < 1 for d in dims):
         raise TopologyError(f"bad torus dimensions {dims!r}")
     link_ports = sum(2 if d >= 3 else (1 if d == 2 else 0) for d in dims)
-    if link_ports + cabs_per_hub > num_ports:
+    if link_ports + cabs_per_hub > FABRIC_PORTS:
         raise TopologyError(
             f"torus{dims} needs {link_ports} link ports + {cabs_per_hub} "
-            f"CAB ports per hub; a {num_ports}-port HUB cannot host that")
+            f"CAB ports per hub; a {FABRIC_PORTS}-port HUB cannot host that")
 
     def coords() -> Iterator[tuple[int, ...]]:
         total = 1
@@ -170,7 +174,7 @@ def torus_fabric(dims: tuple[int, ...], cabs_per_hub: int = 1,
     strides = [1] * len(dims)
     for axis in range(len(dims) - 2, -1, -1):
         strides[axis] = strides[axis + 1] * dims[axis + 1]
-    ledger = _PortLedger(num_ports)
+    ledger = _PortLedger()
     links = []
     for flat, coordinate in enumerate(coords()):
         for axis, extent in enumerate(dims):
@@ -189,12 +193,11 @@ def torus_fabric(dims: tuple[int, ...], cabs_per_hub: int = 1,
     spec = FabricSpec(name="torus" + "x".join(str(d) for d in dims),
                       hubs=tuple(hubs), links=tuple(links), cabs=cabs,
                       dims=tuple(dims))
-    spec.validate(num_ports)
+    spec.validate()
     return spec
 
 
-def hypercube_fabric(dim: int, cabs_per_hub: int = 1,
-                     num_ports: int = 16) -> FabricSpec:
+def hypercube_fabric(dim: int, cabs_per_hub: int = 1) -> FabricSpec:
     """A binary hypercube of ``2**dim`` HUBs — the iPSC arrangement.
 
     Hub ``hub_i`` links to every ``hub_j`` with ``j = i ^ (1 << axis)``;
@@ -203,13 +206,13 @@ def hypercube_fabric(dim: int, cabs_per_hub: int = 1,
     """
     if dim < 0:
         raise TopologyError(f"negative hypercube dimension {dim}")
-    if dim + cabs_per_hub > num_ports:
+    if dim + cabs_per_hub > FABRIC_PORTS:
         raise TopologyError(
-            f"a {num_ports}-port HUB cannot host {dim} hypercube links "
+            f"a {FABRIC_PORTS}-port HUB cannot host {dim} hypercube links "
             f"plus {cabs_per_hub} CABs")
     count = 1 << dim
     hubs = [f"hub_{i}" for i in range(count)]
-    ledger = _PortLedger(num_ports)
+    ledger = _PortLedger()
     links = []
     for i in range(count):
         for axis in range(dim):
@@ -221,30 +224,31 @@ def hypercube_fabric(dim: int, cabs_per_hub: int = 1,
     cabs = tuple(_attach_cabs(hubs, cabs_per_hub, ledger))
     spec = FabricSpec(name=f"hypercube{dim}", hubs=tuple(hubs),
                       links=tuple(links), cabs=cabs)
-    spec.validate(num_ports)
+    spec.validate()
     return spec
 
 
-def fat_tree_fabric(k: int, num_ports: int = 16) -> FabricSpec:
+def fat_tree_fabric(k: int) -> FabricSpec:
     """A k-ary fat tree: k pods, (k/2)**2 cores, k**3/4 CAB slots.
 
     Edge switch ``e`` of pod ``p`` hosts ``k/2`` CABs and uplinks to
     every aggregation switch in its pod; aggregation switch ``a`` of pod
     ``p`` uplinks to cores ``a*(k/2) .. a*(k/2)+k/2-1``.  ``k`` must be
-    even and at most ``num_ports`` (each switch uses exactly k ports).
+    even and at most :data:`FABRIC_PORTS` (each switch uses exactly k
+    ports).
     """
     if k < 2 or k % 2:
         raise TopologyError(f"fat tree arity must be even and >= 2, not {k}")
-    if k > num_ports:
+    if k > FABRIC_PORTS:
         raise TopologyError(
-            f"fat tree arity {k} exceeds the {num_ports}-port HUB")
+            f"fat tree arity {k} exceeds the {FABRIC_PORTS}-port HUB")
     half = k // 2
     cores = [f"core_{i}" for i in range(half * half)]
     aggs = [[f"agg_{p}_{a}" for a in range(half)] for p in range(k)]
     edges = [[f"edge_{p}_{e}" for e in range(half)] for p in range(k)]
     hubs = cores + [name for pod in aggs for name in pod] \
         + [name for pod in edges for name in pod]
-    ledger = _PortLedger(num_ports)
+    ledger = _PortLedger()
     links = []
     for p in range(k):
         for a in range(half):
@@ -265,7 +269,7 @@ def fat_tree_fabric(k: int, num_ports: int = 16) -> FabricSpec:
                 index += 1
     spec = FabricSpec(name=f"fattree{k}", hubs=tuple(hubs),
                       links=tuple(links), cabs=tuple(cabs))
-    spec.validate(num_ports)
+    spec.validate()
     return spec
 
 

@@ -123,13 +123,11 @@ class StreamConnection:
         """Cumulative ack: everything below ``ack`` has been received."""
         if ack <= self.snd_una:
             return
-        cfg = self.manager.cfg.transport
-        estimator = self.manager.rto_for(self.dst_cab) \
-            if cfg.adaptive_rto else None
+        estimator = self.manager.rto_for(self.dst_cab)
         now = self.manager.sim.now
         for seq in range(self.snd_una, ack):
             record = self.unacked.pop(seq, None)
-            if record is None or estimator is None:
+            if record is None:
                 continue
             if record.retransmits == 0:
                 # Karn's rule: retransmitted packets give ambiguous RTTs.
@@ -145,15 +143,10 @@ class StreamConnection:
             self._cancel_timer()
 
     def _arm_timer(self) -> None:
-        cfg = self.manager.cfg.transport
         self._cancel_timer()
-        if cfg.adaptive_rto:
-            timeout_ns = self.manager.rto_for(
-                self.dst_cab).current_rto_ns()
-        else:
-            timeout_ns = cfg.retransmit_timeout_ns
         self._timer = self.manager.cab.timers.set(
-            timeout_ns, self._on_timeout)
+            self.manager.rto_for(self.dst_cab).current_rto_ns(),
+            self._on_timeout)
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:
@@ -163,8 +156,7 @@ class StreamConnection:
     def _on_timeout(self) -> None:
         if not self.unacked or self.failed is not None:
             return
-        if self.manager.cfg.transport.adaptive_rto:
-            self.manager.rto_for(self.dst_cab).on_timeout()
+        self.manager.rto_for(self.dst_cab).on_timeout()
         self.manager.sim.process(
             self._retransmit(),
             name=f"{self.manager.cab.name}.bs{self.channel}.rexmit")

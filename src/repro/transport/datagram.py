@@ -52,20 +52,19 @@ class DatagramProtocol:
 
     def send_piece(self, dst_cab: str, dst_mailbox: str,
                    data: Optional[bytes], size: int, msg_id: int,
-                   index: int, count: int, total_size: int,
-                   kind: str = "data", mode: str = "auto"):
+                   index: int, count: int, total_size: int):
         """Send one explicit fragment of a larger message (generator).
 
         Used by the node interfaces' packet pipeline (§6.2.2): the caller
         controls fragmentation so VME and fiber transfers can overlap;
         the receiver reassembles via the normal datagram path.
         """
-        header = {"proto": "dg", "dst_mailbox": dst_mailbox, "kind": kind,
+        header = {"proto": "dg", "dst_mailbox": dst_mailbox, "kind": "data",
                   "msg_id": msg_id, "frag": index, "nfrags": count,
                   "total_size": total_size, "src": self.manager.cab.name}
         payload = Payload(size, data=data, header=header)
         yield from self.manager.kernel.compute(SEND_PACKET_CPU_NS)
-        yield from self.manager.transmit_payload(dst_cab, payload, mode=mode)
+        yield from self.manager.transmit_payload(dst_cab, payload)
         self.manager.counters["fragments_sent"] += 1
 
     # ------------------------------------------------------------------

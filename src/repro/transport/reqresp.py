@@ -75,10 +75,10 @@ class RequestResponseProtocol:
         Raises :class:`TransportError` after the retry budget, or
         immediately when ``dst_cab``'s circuit breaker is open.
 
-        With ``timeout_ns=None`` and ``adaptive_rto`` enabled (the
-        default) each attempt waits the peer's current Jacobson/Karn
-        RTO, doubling with jitter after every timeout; an explicit
-        ``timeout_ns`` pins a fixed per-attempt deadline.
+        With ``timeout_ns=None`` (the default) each attempt waits the
+        peer's current Jacobson/Karn RTO, doubling with jitter after
+        every timeout; an explicit ``timeout_ns`` pins a fixed
+        per-attempt deadline.
         """
         cfg = self.manager.cfg.transport
         # An explicit 0 used to be silently replaced by the default
@@ -93,7 +93,7 @@ class RequestResponseProtocol:
                 f"max_retries must be >= 0, got {max_retries}")
         self.manager.check_peer(dst_cab)
         estimator = self.manager.rto_for(dst_cab) \
-            if timeout_ns is None and cfg.adaptive_rto else None
+            if timeout_ns is None else None
         request_id = next(self._request_ids)
         pending = _PendingRequest(request_id, Event(self.manager.sim))
         self._pending[request_id] = pending
@@ -111,11 +111,8 @@ class RequestResponseProtocol:
                 yield from self.manager.send_fragments(
                     dst_cab, dict(header), data, body_size,
                     extra_cpu_ns=RELIABILITY_CPU_NS)
-                if estimator is not None:
-                    wait_ns = estimator.current_rto_ns()
-                else:
-                    wait_ns = timeout_ns if timeout_ns is not None \
-                        else cfg.retransmit_timeout_ns
+                wait_ns = timeout_ns if estimator is None \
+                    else estimator.current_rto_ns()
                 deadline = self.manager.sim.timeout(wait_ns)
                 result = yield self.manager.sim.any_of(
                     [pending.response, deadline])

@@ -106,8 +106,7 @@ ARRIVALS = {
 
 
 def make_arrivals(name: str, mean_gap_ns: float,
-                  rng: Optional[random.Random] = None,
-                  **kwargs) -> ArrivalProcess:
+                  rng: Optional[random.Random] = None) -> ArrivalProcess:
     """Build an arrival process by name (``deterministic``, ``poisson``,
     ``bursty``)."""
     try:
@@ -118,4 +117,4 @@ def make_arrivals(name: str, mean_gap_ns: float,
             f"choose from {sorted(ARRIVALS)}") from None
     if cls is not DeterministicArrivals and rng is None:
         raise WorkloadError(f"arrival process {name!r} needs an RNG stream")
-    return cls(mean_gap_ns, rng, **kwargs)
+    return cls(mean_gap_ns, rng)

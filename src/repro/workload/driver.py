@@ -19,6 +19,12 @@ from .generators import Workload, WorkloadResult
 
 __all__ = ["SweepPoint", "SweepResult", "LoadSweep"]
 
+#: The knee is the highest load still served at this efficiency.
+KNEE_EFFICIENCY = 0.9
+#: Largest relative drop in achieved throughput between two load steps
+#: that still counts as a monotone curve.
+MONOTONE_TOLERANCE = 0.05
+
 
 @dataclass
 
@@ -38,12 +44,10 @@ class SweepPoint:
 class SweepResult:
     """The measured throughput/latency curve of one sweep."""
 
-    def __init__(self, points: list[SweepPoint],
-                 knee_efficiency: float = 0.9) -> None:
+    def __init__(self, points: list[SweepPoint]) -> None:
         if not points:
             raise WorkloadError("sweep produced no points")
         self.points = sorted(points, key=lambda p: p.offered_load)
-        self.knee_efficiency = knee_efficiency
 
     def __iter__(self):
         return iter(self.points)
@@ -56,27 +60,28 @@ class SweepResult:
     def achieved(self) -> list[float]:
         return [p.result.achieved_mbps for p in self.points]
 
-    def is_monotone(self, tolerance: float = 0.05) -> bool:
-        """Achieved throughput never drops by more than ``tolerance``
-        (relative) from one load step to the next."""
+    def is_monotone(self) -> bool:
+        """Achieved throughput never drops by more than
+        :data:`MONOTONE_TOLERANCE` (relative) from one load step to the
+        next."""
         curve = self.achieved
-        return all(b >= a * (1.0 - tolerance)
+        return all(b >= a * (1.0 - MONOTONE_TOLERANCE)
                    for a, b in zip(curve, curve[1:]))
 
     def knee(self) -> SweepPoint:
-        """The highest load still served at ``knee_efficiency``.
+        """The highest load still served at :data:`KNEE_EFFICIENCY`.
 
         Falls back to the first point if even the lightest load is past
         saturation.
         """
         efficient = [p for p in self.points
-                     if p.result.efficiency >= self.knee_efficiency]
+                     if p.result.efficiency >= KNEE_EFFICIENCY]
         return efficient[-1] if efficient else self.points[0]
 
     def saturated(self) -> bool:
         """True if the sweep reached past the knee (some load missed the
         efficiency bar), i.e. the knee is identifiable, not censored."""
-        return any(p.result.efficiency < self.knee_efficiency
+        return any(p.result.efficiency < KNEE_EFFICIENCY
                    for p in self.points)
 
     def table(self, experiment_id: str = "WL",
@@ -108,10 +113,8 @@ class LoadSweep:
 
     def __init__(self, topology_factory: Callable[[], object],
                  loads: Sequence[float],
-                 knee_efficiency: float = 0.9,
                  progress: Optional[Callable[[str], None]] = None,
                  observe: bool = False,
-                 observe_interval_ns: Optional[int] = None,
                  fault_scenario=None,
                  resilience: bool = False,
                  **workload_kwargs) -> None:
@@ -123,10 +126,8 @@ class LoadSweep:
             raise WorkloadError("pass loads via the sweep, not offered_load")
         self.topology_factory = topology_factory
         self.loads = list(loads)
-        self.knee_efficiency = knee_efficiency
         self.progress = progress
         self.observe = observe
-        self.observe_interval_ns = observe_interval_ns
         #: Campaign name or :class:`~repro.faults.FaultScenario` injected
         #: into every step's fresh system — each load point runs under the
         #: same (identically seeded) fault schedule.
@@ -148,8 +149,7 @@ class LoadSweep:
             if self.observe:
                 # Metrics only: event tracing over a whole sweep would
                 # record millions of events for no benefit.
-                observatory = system.observe(
-                    interval_ns=self.observe_interval_ns, trace=False)
+                observatory = system.observe(trace=False)
             workload = Workload(system, offered_load=load,
                                 **self.workload_kwargs)
             result = workload.run()
@@ -162,4 +162,4 @@ class LoadSweep:
                 self.progress(
                     f"load {load:.2f}: {result.achieved_mbps:.1f} Mb/s "
                     f"achieved, p99 {result.p_us(0.99):.1f} µs")
-        return SweepResult(points, knee_efficiency=self.knee_efficiency)
+        return SweepResult(points)

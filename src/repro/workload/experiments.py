@@ -84,9 +84,10 @@ def measure_hub_setup() -> dict:
     return {"setup_ns": heads[0] - 2 * hop_ns(cfg)}
 
 
-def measure_switching_rate(senders: int = 8) -> dict:
-    """Controller service rate with its command queue full (E2): every
-    CAB opens a distinct free output port, all at t=0."""
+def measure_switching_rate() -> dict:
+    """Controller service rate with its command queue full (E2): each of
+    8 CABs opens a distinct free output port, all at t=0."""
+    senders = 8
     cfg = NectarConfig()
     sim = Simulator()
     hub = Hub(sim, "hub0", cfg.hub, cfg.fiber)
@@ -148,10 +149,9 @@ def timed_send(system, src, dst, size: int, protocol: str = "datagram",
 
 
 def measure_cab_to_cab(size: int = 32, mode: str = "auto",
-                       cfg: Optional[NectarConfig] = None,
                        samples: int = 5) -> dict:
     """One-way latency between processes on two CABs (E4)."""
-    system = single_hub_system(2, cfg=cfg)
+    system = single_hub_system(2)
     a, b = system.cab("cab0"), system.cab("cab1")
     inbox = b.create_mailbox("inbox")
     latencies = []
@@ -192,11 +192,10 @@ def measure_throughput(size: int, mode: str = "auto",
 
 
 def measure_node_to_node(interface: str = "shm", size: int = 32,
-                         pipeline: bool = True,
-                         cfg: Optional[NectarConfig] = None) -> dict:
+                         pipeline: bool = True) -> dict:
     """One-way node-process to node-process latency (E5/E16/E17), and
     the interrupts the receiving node took for it (ablation A3)."""
-    system = single_hub_system(2, cfg=cfg, with_nodes=True)
+    system = single_hub_system(2, with_nodes=True)
     a, b = system.cab("cab0"), system.cab("cab1")
     if interface == "shm":
         ia, ib = SharedMemoryInterface(a), SharedMemoryInterface(b)
@@ -265,21 +264,20 @@ def measure_disjoint_pairs(num_pairs: int, message_bytes: int = 50_000,
                                           elapsed)}
 
 
-def measure_multihop(hubs: int, size: int = 32) -> dict:
-    """Latency across a chain of ``hubs`` HUBs (E9)."""
+def measure_multihop(hubs: int) -> dict:
+    """Latency of a 32-byte message across a chain of ``hubs`` HUBs
+    (E9)."""
     system = linear_system(hubs, cabs_per_hub=2)
     elapsed = timed_send(system, system.cab("cab0_0"),
-                         system.cab(f"cab{hubs - 1}_1"), size)
+                         system.cab(f"cab{hubs - 1}_1"), 32)
     return {"latency_us": units.to_us(elapsed), "hubs": hubs}
 
 
-def measure_lan_node_to_node(size: int = 32,
-                             cfg: Optional[NectarConfig] = None) -> dict:
+def measure_lan_node_to_node(size: int = 32) -> dict:
     """The Ethernet + kernel-stack baseline, same scenario as E5 (E7)."""
     from ..baseline import EthernetLan
-    cfg = cfg or NectarConfig()
     sim = Simulator()
-    lan = EthernetLan(sim, rng=cfg.rng_stream("lan"))
+    lan = EthernetLan(sim, rng=NectarConfig().rng_stream("lan"))
     a, b = lan.add_host("a"), lan.add_host("b")
     b.open_port("p")
     state = {}

@@ -38,16 +38,17 @@ from .slo import SLORecorder
 #: Mailbox names the workload subsystem claims on every participating CAB.
 SINK_MAILBOX = "wl-sink"
 SERVICE_MAILBOX = "wl-srv"
+#: Size of a closed-loop server's response.
+REPLY_BYTES = 32
 
 
 class WorkloadHost:
     """Per-CAB receive plumbing: a sink thread and (closed loop) a server."""
 
     def __init__(self, stack, recorder: SLORecorder,
-                 serve: bool = False, reply_bytes: int = 32) -> None:
+                 serve: bool = False) -> None:
         self.stack = stack
         self.recorder = recorder
-        self.reply_bytes = reply_bytes
         self.received = 0
         self.inbox = stack.create_mailbox(SINK_MAILBOX)
         stack.spawn(self._sink(), name="wl-sink")
@@ -70,7 +71,7 @@ class WorkloadHost:
         while True:
             request = yield from kernel.wait(self.service.get())
             yield from self.stack.transport.rpc.respond(
-                request, size=self.reply_bytes)
+                request, size=REPLY_BYTES)
 
 
 class OpenLoopGenerator:
@@ -130,7 +131,7 @@ class ClosedLoopGenerator:
 
     def __init__(self, stack, pattern: TrafficPattern,
                  recorder: SLORecorder, message_bytes: int, end_ns: int,
-                 window_depth: int = 4, think_ns: int = 0) -> None:
+                 window_depth: int = 4) -> None:
         if window_depth < 1:
             raise WorkloadError(f"window depth must be >= 1, "
                                 f"got {window_depth}")
@@ -140,7 +141,6 @@ class ClosedLoopGenerator:
         self.message_bytes = message_bytes
         self.end_ns = end_ns
         self.window_depth = window_depth
-        self.think_ns = think_ns
         self.completed = 0
 
     def start(self) -> None:
@@ -149,7 +149,6 @@ class ClosedLoopGenerator:
 
     def _worker(self):
         sim = self.stack.sim
-        kernel = self.stack.kernel
         src = self.stack.name
         while sim.now < self.end_ns:
             dst = self.pattern.destination(src)
@@ -164,8 +163,6 @@ class ClosedLoopGenerator:
             self.completed += 1
             self.recorder.record_delivery(issued, issued, sim.now,
                                           self.message_bytes)
-            if self.think_ns:
-                yield from kernel.sleep(self.think_ns)
 
 
 @dataclass
@@ -224,17 +221,14 @@ class Workload:
                  pattern: str = "uniform",
                  arrivals: str = "poisson",
                  mode: str = "open",
-                 cabs: Optional[list[str]] = None,
                  message_bytes: int = 512,
                  offered_load: float = 0.2,
                  warmup_ns: Optional[int] = None,
                  duration_ns: Optional[int] = None,
                  drain_ns: Optional[int] = None,
                  window_depth: int = 4,
-                 think_ns: int = 0,
                  salt: str = "wl",
-                 pattern_kwargs: Optional[dict] = None,
-                 arrival_kwargs: Optional[dict] = None) -> None:
+                 pattern_kwargs: Optional[dict] = None) -> None:
         if mode not in ("open", "closed"):
             raise WorkloadError(f"unknown workload mode {mode!r}")
         if not offered_load > 0:
@@ -245,20 +239,15 @@ class Workload:
                                 f"got {message_bytes}")
         self.system = system
         self.cfg = system.cfg
-        self.endpoints = list(cabs) if cabs is not None \
-            else list(system.cabs)
-        for name in self.endpoints:
-            system.cab(name)  # raises TopologyError on unknown names
+        self.endpoints = list(system.cabs)
         self.pattern_name = pattern
         self.arrivals_name = arrivals
         self.mode = mode
         self.message_bytes = message_bytes
         self.offered_load = offered_load
         self.window_depth = window_depth
-        self.think_ns = think_ns
         self.salt = salt
         self.pattern_kwargs = dict(pattern_kwargs or {})
-        self.arrival_kwargs = dict(arrival_kwargs or {})
         self.warmup_ns = units.ms(1) if warmup_ns is None else warmup_ns
         self.duration_ns = units.ms(5) if duration_ns is None \
             else duration_ns
@@ -297,15 +286,14 @@ class Workload:
                 arrivals = make_arrivals(
                     self.arrivals_name, self.mean_gap_ns,
                     self.cfg.rng_stream(
-                        f"{self.salt}:arrivals:{stack.name}"),
-                    **self.arrival_kwargs)
+                        f"{self.salt}:arrivals:{stack.name}"))
                 generator = OpenLoopGenerator(
                     stack, pattern, arrivals, recorder, self.message_bytes,
                     end_ns)
             else:
                 generator = ClosedLoopGenerator(
                     stack, pattern, recorder, self.message_bytes, end_ns,
-                    window_depth=self.window_depth, think_ns=self.think_ns)
+                    window_depth=self.window_depth)
             generator.start()
             generators.append(generator)
         self.system.run(until=end_ns + self.drain_ns)

@@ -136,3 +136,107 @@ def test_every_config_field_is_set_by_some_caller():
         f"{len(unset)} config field(s) that no call in "
         f"{', '.join(CALLER_DIRS)} sets; make them module constants: "
         f"{', '.join(unset)}")
+
+
+def _callee(call: ast.Call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def calls_seen(roots):
+    """What the calls under ``roots`` pass, by name only: every keyword
+    name; the callee names given ``*`` or ``**``; and the most
+    positional arguments any call of each callee name passes."""
+    keywords, starred, positional = set(), set(), {}
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                keywords.update(k.arg for k in node.keywords if k.arg)
+                name = _callee(node)
+                if name is None:
+                    continue
+                if any(isinstance(a, ast.Starred) for a in node.args) \
+                        or any(k.arg is None for k in node.keywords):
+                    starred.add(name)
+                positional[name] = max(positional.get(name, 0),
+                                       len(node.args))
+    return keywords, starred, positional
+
+
+def defaulted_parameters(package):
+    """``(label, callee name, parameter, positional slot)`` for every
+    defaulted parameter of every module-level function and method under
+    ``package``.  An ``__init__`` is called by its class name; a method's
+    slot does not count ``self`` / ``cls``; keyword-only parameters have
+    no slot."""
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        scopes = [(None, tree.body)] + [
+            (node.name, node.body) for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)]
+        for owner, body in scopes:
+            for fn in body:
+                if not isinstance(fn, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef)):
+                    continue
+                callee = owner if fn.name == "__init__" and owner \
+                    else fn.name
+                label = f"{path.stem}.{owner + '.' if owner else ''}" \
+                    f"{fn.name}"
+                args = fn.args.posonlyargs + fn.args.args
+                skip = 1 if owner and args \
+                    and args[0].arg in ("self", "cls") else 0
+                first = len(args) - len(fn.args.defaults)
+                for slot, arg in enumerate(args):
+                    if slot >= first:
+                        found.append((label, callee, arg.arg, slot - skip))
+                for arg, default in zip(fn.args.kwonlyargs,
+                                        fn.args.kw_defaults):
+                    if default is not None:
+                        found.append((label, callee, arg.arg, None))
+    return found
+
+
+def unset_parameters(package, caller_roots):
+    """The defaulted parameters under ``package`` that no call under
+    ``caller_roots`` sets: not by keyword name, not through ``*`` /
+    ``**`` to a callable of that name, not positionally."""
+    keywords, starred, positional = calls_seen(caller_roots)
+    return [f"{label}({name})"
+            for label, callee, name, slot in defaulted_parameters(package)
+            if name not in keywords and callee not in starred
+            and (slot is None or positional.get(callee, 0) <= slot)]
+
+
+def test_every_default_parameter_is_set_by_some_caller():
+    """A defaulted parameter nothing sets is a constant: it belongs in
+    the function body or at module level (ROADMAP aim 2), as the rule
+    above holds for config fields."""
+    unset = unset_parameters(ROOT / "src" / "repro",
+                             [ROOT / top for top in CALLER_DIRS])
+    assert not unset, (
+        f"{len(unset)} defaulted parameter(s) that no call in "
+        f"{', '.join(CALLER_DIRS)} sets; make them constants: "
+        f"{', '.join(unset)}")
+
+
+def test_default_parameter_scan_flags_what_nothing_sets(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "def by_keyword(a, b=1): pass\n"
+        "def never(a, c=2): pass\n"
+        "def through_star(a, d=3): pass\n"
+        "class Box:\n"
+        "    def __init__(self, e=4, f=5): pass\n"
+        "    def put(self, g=6, *, h=7): pass\n")
+    (tmp_path / "use.py").write_text(
+        "by_keyword(0, b=9)\nnever(0)\nthrough_star(*args)\n"
+        "Box(1).put(2)\n")
+    assert unset_parameters(package, [tmp_path]) == [
+        "mod.never(c)", "mod.Box.__init__(f)", "mod.Box.put(h)"]

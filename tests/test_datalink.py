@@ -271,14 +271,15 @@ class TestReceivePath:
 ASK_TIMEOUT_NS = 1_000_000
 
 
-def ask_status(system, datalink):
-    return (yield from datalink.query_first_hop(CommandOp.STATUS_OUTPUT, 1))
+def ask_status(system, datalink, timeout_ns=None):
+    return (yield from datalink.query_first_hop(
+        CommandOp.STATUS_OUTPUT, 1, timeout_ns=timeout_ns))
 
 
-def ask_local_fetch_add(system, datalink):
+def ask_local_fetch_add(system, datalink, timeout_ns=ASK_TIMEOUT_NS):
     return (yield from datalink.collective_command(
         CommandOp.SV_FETCH_ADD, 9, arg={"delta": 1},
-        timeout_ns=ASK_TIMEOUT_NS))
+        timeout_ns=timeout_ns))
 
 
 def ask_remote_fetch_add(system, datalink):
@@ -287,11 +288,11 @@ def ask_remote_fetch_add(system, datalink):
         timeout_ns=ASK_TIMEOUT_NS, hub_name="hub1"))
 
 
-def ask_link_probe(system, datalink):
+def ask_link_probe(system, datalink, timeout_ns=ASK_TIMEOUT_NS):
     port_a, port_b = system.router.parallel_links("hub0", "hub1")[0]
     return (yield from datalink.probe_link(
         system.hub("hub0"), port_a, system.hub("hub1"), port_b,
-        timeout_ns=ASK_TIMEOUT_NS))
+        timeout_ns=timeout_ns))
 
 
 class TestReplyTimeouts:
@@ -329,3 +330,29 @@ class TestReplyTimeouts:
         assert counters[counter] == 1
         assert stack.datalink.cab._reply_waiters == {}
         assert hub.counters["drops_disabled_port"] >= 1
+
+
+class TestExplicitDeadlines:
+    """An explicit reply deadline of 0 or less is an error, not a
+    silent switch to the default deadline."""
+
+    @pytest.mark.parametrize("timeout_ns", [0, -5])
+    @pytest.mark.parametrize("ask", [
+        ask_status, ask_local_fetch_add, ask_link_probe,
+    ], ids=["query_first_hop", "collective_command", "probe_link"])
+    def test_non_positive_deadline_rejected(self, ask, timeout_ns):
+        system = linear_system(2, 2)
+        stack = system.cab("cab0_0")
+        outcome = {}
+
+        def body():
+            try:
+                outcome["value"] = yield from ask(
+                    system, stack.datalink, timeout_ns)
+            except DatalinkError as exc:
+                outcome["error"] = str(exc)
+        stack.spawn(body())
+        system.run(until=100_000_000)
+        assert outcome == {
+            "error": f"reply timeout must be positive, got {timeout_ns}"}
+        assert stack.datalink.counters.get("reply_timeouts", 0) == 0

@@ -27,7 +27,10 @@ from repro.topology import single_hub_system
 ONE_DATAGRAM_ENTRIES = 43
 
 #: Opcodes executed in ``src/repro`` frames for the same scene, spawns
-#: included (CPython 3.11); a failure prints them by package.  11 669
+#: included (CPython 3.11); a failure prints them by package.  10 889
+#: before ``Fiber.send`` lost its never-passed ``wire_size`` argument:
+#: ``repro.hardware`` 2 564 -> 2 554 (a module-level size lookup, no
+#: ``None`` test per send), every other package unchanged.  11 669
 #: before a fixed delay became a yielded int and scheduling one call:
 #: ``repro.sim`` 7 197 -> 6 498 (no ``timeout()``/``Timeout`` pair per
 #: sleep, an inline grant per ``acquire``, ``call_in`` straight onto the
@@ -59,7 +62,7 @@ ONE_DATAGRAM_ENTRIES = 43
 #: ``repro.sim`` 8 815 -> 8 346 (no ``_waiting_on`` stores, no
 #: finished-process guard per resume), ``repro.hardware`` 2 902 -> 2 863
 #: (no ``try/finally`` per CPU grant).
-ONE_DATAGRAM_OPCODES = 10_889
+ONE_DATAGRAM_OPCODES = 10_879
 
 
 def one_datagram(drive=lambda run: run(), size=64, mode="auto"):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import THREAD_SWITCH_NS
+from repro.config import MAILBOX_CAPACITY, THREAD_SWITCH_NS
 from repro.errors import MailboxError, NodeError
 from repro.kernel.mailbox import Mailbox, Message
 from repro.sim import SimulationError
@@ -134,6 +134,15 @@ class TestMailbox:
         stack.sim.call_at(500, box.try_get)
         stack.sim.run()
         assert progress == [500]
+
+    def test_default_capacity(self, stack):
+        assert stack.create_mailbox("x").capacity == MAILBOX_CAPACITY
+
+    @pytest.mark.parametrize("capacity", [0, -3])
+    def test_capacity_below_one_rejected(self, stack, capacity):
+        with pytest.raises(MailboxError, match="capacity must be >= 1"):
+            stack.create_mailbox("x", capacity=capacity)
+        assert "x" not in stack.transport.mailboxes
 
     def test_memory_backing_allocated_and_freed(self, stack):
         box = Mailbox(stack.kernel, "box")

@@ -8,7 +8,6 @@ from repro.datalink.routing import Router
 from repro.errors import TopologyError
 from repro.scaleout import ScaleoutScenario, flow_paths, partition_fabric
 from repro.scaleout.partition import PartitionSystem, Partitioning
-from repro.topology import (fat_tree_system, hypercube_system, torus_system)
 from repro.topology.fabrics import (FabricSpec, build_system,
                                     fat_tree_fabric, hypercube_fabric,
                                     torus_fabric)
@@ -180,10 +179,10 @@ def test_build_system_replays_spec():
         assert (located_hub.name, located_port) == (hub, port)
 
 
-def test_builder_wrappers():
-    assert len(torus_system((2, 2)).hubs) == 4
-    assert len(hypercube_system(2, cabs_per_hub=2).cabs) == 8
-    assert len(fat_tree_system(4).cabs) == 16
+def test_build_system_replays_each_family():
+    assert len(build_system(torus_fabric((2, 2))).hubs) == 4
+    assert len(build_system(hypercube_fabric(2, cabs_per_hub=2)).cabs) == 8
+    assert len(build_system(fat_tree_fabric(4)).cabs) == 16
 
 
 # ----------------------------------------------------------------------
