@@ -107,7 +107,6 @@ class DsmNode:
             self.write_hits += 1
             new_version = cached[1] + 1
             self.cache[page] = ("write", new_version)
-            self.dsm._page_version_shadow[page] = new_version
             return new_version
         self.write_faults += 1
         started = self.dsm.system.sim.now
@@ -116,7 +115,6 @@ class DsmNode:
             manager.server, _REQ.pack(_OP_WRITE, page, self.index))
         version = int.from_bytes(response.data[:8], "little") + 1
         self.cache[page] = ("write", version)
-        self.dsm._page_version_shadow[page] = version
         self.dsm.write_fault_latency.add(self.dsm.system.sim.now - started)
         return version
 
@@ -205,9 +203,6 @@ class SharedVirtualMemory:
         self.invalidations = 0
         self.read_fault_latency = LatencyRecorder("read-fault")
         self.write_fault_latency = LatencyRecorder("write-fault")
-        #: Ground truth of the latest committed version per page (used
-        #: by coherence tests, not by the protocol).
-        self._page_version_shadow: dict[int, int] = {}
         self.nodes: list[DsmNode] = []
         for index, stack in enumerate(stacks):
             self.nodes.append(DsmNode(self, index, stack))
@@ -216,7 +211,6 @@ class SharedVirtualMemory:
         for page, state in self._pages.items():
             # Initial owner starts with a writable zero version.
             self.nodes[state.owner].cache[page] = ("write", 0)
-            self._page_version_shadow[page] = 0
 
     def _check_page(self, page: int) -> None:
         if not 0 <= page < self.num_pages:

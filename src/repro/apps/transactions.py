@@ -43,8 +43,6 @@ class Participant:
         self.locks: dict[str, int] = {}
         #: txn id -> staged writes.
         self.staged: dict[int, dict[str, int]] = {}
-        self.votes_yes = 0
-        self.votes_no = 0
         self.task = manager.runtime.create_task(f"txn-p{index}", stack)
         self.task.start(self._serve)
 
@@ -70,14 +68,12 @@ class Participant:
         conflict = any(self.locks.get(key, txn) != txn for key in writes)
         yield from self.stack.kernel.compute(LOG_FORCE_CPU_NS)
         if conflict:
-            self.votes_no += 1
             yield from task.respond(
                 message, json.dumps({"vote": "no"}).encode())
             return
         for key in writes:
             self.locks[key] = txn
         self.staged[txn] = writes
-        self.votes_yes += 1
         yield from task.respond(
             message, json.dumps({"vote": "yes"}).encode())
 

@@ -42,7 +42,6 @@ class EthernetMedium:
         self.free_at = 0
         self.collisions = 0
         self.frames_carried = 0
-        self.bytes_carried = 0
         self._starters: list[tuple[Event, int]] = []
         self._resolving = False
 
@@ -84,7 +83,6 @@ class EthernetStation:
         self.name = name
         self.rx_frames: Store = Store(self.sim)
         self.frames_sent = 0
-        self.backoffs = 0
         self._peers: dict[str, "EthernetStation"] = {}
 
     def register_peer(self, station: "EthernetStation") -> None:
@@ -118,11 +116,9 @@ class EthernetStation:
             if attempts >= LAN_MAX_ATTEMPTS:
                 raise LanError(f"{self.name}: frame dropped after "
                                f"{attempts} collisions")
-            self.backoffs += 1
             exponent = min(attempts, MAX_BACKOFF_EXPONENT)
             backoff_slots = self.medium.rng.randrange(2 ** exponent)
         self.frames_sent += 1
-        self.medium.bytes_carried += payload_bytes
         target = self._peers.get(dst)
         if target is None:
             raise LanError(f"{self.name}: unknown station {dst!r}")

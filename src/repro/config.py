@@ -24,7 +24,11 @@ from .sim import units
 # -- HUB (§4) ----------------------------------------------------------------
 
 #: Cycles to set up a connection and transfer the first byte — "ten
-#: cycles (700 nanoseconds)" (§4, goal 1).
+#: cycles (700 nanoseconds)" (§4, goal 1).  A target, not a cost: no
+#: model path reads it (only :attr:`HubConfig.setup_ns`, for the
+#: tests); the model's setup is ``PORT_COMMAND_CYCLES + 1 +
+#: TRANSFER_CYCLES``, and ``test_hub_cycle_decomposition`` holds the two
+#: equal.
 SETUP_CYCLES = 10
 #: Cycles of latency to move a byte through an established connection —
 #: "five cycles (350 nanoseconds)" (§4, goal 1).

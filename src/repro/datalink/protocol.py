@@ -158,7 +158,6 @@ class Datalink:
                 f"payload of {payload.size} B exceeds the HUB input queue; "
                 f"use circuit switching (§4.2.3)")
         yield from self.kernel.compute(SEND_OVERHEAD_NS)
-        self.cab.checksum.seal(payload)
         checksum_cost = self.cab.checksum.cost_ns(payload.size)
         if checksum_cost:
             yield from self.kernel.compute(checksum_cost)
@@ -272,7 +271,6 @@ class Datalink:
         edge_groups = [self.router.multicast_edges(self.cab.name, group)
                        for group in self._chain_groups(dst_cabs)]
         yield from self.kernel.compute(SEND_OVERHEAD_NS)
-        self.cab.checksum.seal(payload)
         checksum_cost = self.cab.checksum.cost_ns(payload.size)
         if checksum_cost:
             yield from self.kernel.compute(checksum_cost)

@@ -8,7 +8,7 @@ from .crossbar import Crossbar
 from .dma import DmaController
 from .fiber import Fiber
 from .frames import (COLLECTIVE_ARG_BYTES, COMMAND_BYTES, FRAMING_BYTES,
-                     HubCommand, Packet, Payload, Reply, fletcher16)
+                     HubCommand, Packet, Payload, Reply)
 from .hub import HARDWARE_VERSION, Hub
 from .hub_collectives import REDUCE_OPS, HubCollectiveUnit
 from .hub_commands import CommandOp
@@ -32,7 +32,7 @@ __all__ = [
     "HubController", "HubPort",
     "MemoryBlock", "MemoryRegion", "NodeHost", "Packet", "Payload",
     "ProtectionUnit",
-    "Reply", "TimerHandle", "VmeBus", "fletcher16",
+    "Reply", "TimerHandle", "VmeBus",
     "wire_cab_to_hub", "wire_hub_to_hub",
     "hub_bill_of_materials", "system_bill_of_materials",
 ]

@@ -5,16 +5,20 @@ software": with the unit enabled, checksums are computed on the fly as
 DMA streams data, adding zero time.  Disabling it (an ablation the
 benchmarks exercise) makes the caller charge
 ``SOFTWARE_CHECKSUM_NS_PER_BYTE`` of CPU time per byte instead.
+
+The model keeps the unit's cost and its verdict, not a checksum value:
+the verdict is :attr:`~repro.hardware.frames.Payload.corrupt`, which a
+faulted fiber or the fault injector sets and the receiving transport
+reads.
 """
 
 from __future__ import annotations
 
 from ..config import SOFTWARE_CHECKSUM_NS_PER_BYTE, CabConfig
-from .frames import Payload
 
 
 class ChecksumUnit:
-    """Seals and verifies payloads in flight (Fletcher-16, see ``Payload``)."""
+    """What checking a payload costs the CAB."""
 
     def __init__(self, cfg: CabConfig) -> None:
         self.cfg = cfg
@@ -28,9 +32,3 @@ class ChecksumUnit:
         if self.cfg.hardware_checksum:
             return 0
         return num_bytes * SOFTWARE_CHECKSUM_NS_PER_BYTE
-
-    def seal(self, payload: Payload) -> Payload:
-        return payload.seal()
-
-    def verify(self, payload: Payload) -> bool:
-        return payload.verify_checksum()

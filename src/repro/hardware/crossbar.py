@@ -24,7 +24,6 @@ class Crossbar:
         #: set when it first feeds an output (most ports of a large fabric
         #: never do).
         self._in_targets: dict[int, set[int]] = {}
-        self.connects_made = 0
         self.connects_refused = 0
 
     def _check_port(self, index: int) -> None:
@@ -52,7 +51,6 @@ class Crossbar:
             self._in_targets[in_port] = {out_port}
         else:
             targets.add(out_port)
-        self.connects_made += 1
         return True
 
     def disconnect(self, out_port: int) -> Optional[int]:

@@ -41,7 +41,6 @@ class DmaController:
         self.transfers = 0
         self.bytes_out = 0
         self.bytes_in = 0
-        self.bytes_vme = 0
 
     def register_metrics(self, sampler) -> None:
         """Sampled channel occupancy and cumulative transfer volume.
@@ -123,7 +122,6 @@ class DmaController:
             yield DMA_START_NS
             yield from self.cab.vme.transfer(num_bytes)
             self.transfers += 1
-            self.bytes_vme += num_bytes
         finally:
             self.cab.memory_pool.close_stream(stream)
             channel.release()

@@ -18,72 +18,27 @@ from .hub_commands import CommandOp
 if TYPE_CHECKING:  # pragma: no cover
     from .hub import Hub
 
-#: Fletcher-16 works modulo 255; the closed form below works modulo 255².
-_M = 255
-_M2 = _M * _M
-
-#: ``_SUM_INVERSE[(m - 1) % 255]`` is the inverse of ``2 + 255·(m − 1)``
-#: modulo 255².  It always exists: the factor is ≡ 2 modulo each of 3, 5
-#: and 17, the primes of 255.
-_SUM_INVERSE = tuple(pow(2 + _M * k, -1, _M2) for k in range(_M))
-
-
-def fletcher16(data: bytes) -> int:
-    """The checksum the CAB's hardware unit computes (Fletcher-16).
-
-    Closed form of the classic per-byte recurrence ``low += b;
-    high += low`` (both mod 255), which over ``m`` bytes ``b₀ … bₘ₋₁``
-    unrolls to ``low = S`` and ``high = W + S`` with ``S = Σ bᵢ`` and
-    ``W = Σ (m−1−i)·bᵢ``.  Since ``256ᵏ = (1 + 255)ᵏ ≡ 1 + 255·k
-    (mod 255²)``, the buffer read as one integer gives both sums at
-    once::
-
-        big-endian     A = Σ bᵢ·256^(m−1−i) ≡ S + 255·W
-        little-endian  B = Σ bᵢ·256^i       ≡ S + 255·Σ i·bᵢ
-        A + B ≡ S·(2 + 255·(m−1))                  (mod 255²)
-
-    so one multiplication by a precomputed inverse isolates ``S`` and
-    ``(A − S) / 255`` is ``W`` mod 255.  ``int.from_bytes`` and ``%`` by
-    a one-digit modulus are linear C passes, so no Python-level work is
-    done per byte.  Any contiguous byte buffer is accepted.  Checksums
-    are bit-identical to the per-byte form — pinned by differential and
-    property tests against the reference loop in
-    ``tests/test_properties.py``.
-    """
-    length = len(data)
-    if not length:
-        return 0
-    big = int.from_bytes(data, "big") % _M2
-    total = ((big + int.from_bytes(data, "little") % _M2)
-             * _SUM_INVERSE[(length - 1) % _M]) % _M2
-    weighted = (big - total) % _M2 // _M
-    return ((weighted + total) % _M) << 8 | total % _M
-
 
 @dataclass(slots=True)
 class Payload:
     """The data segment of a packet.
 
     ``size`` is what timing is computed from; ``data`` optionally carries
-    real bytes so integrity (checksums, reassembly) can be verified
-    end-to-end in tests.  ``header`` holds transport-layer fields — the
-    model keeps them structured rather than serialised, but charges
+    real bytes so integrity (reassembly) can be verified end-to-end in
+    tests.  ``header`` holds transport-layer fields — the model keeps
+    them structured rather than serialised, but charges
     ``header_bytes`` of wire size for them.
 
-    A sealed payload's checksum is computed only when something reads
-    it: ``size``/``data`` are fixed after construction and fault
-    injection flips ``corrupt``, never the bytes, so the value the
-    send-side DMA would attach always matches the bytes and only the
-    ``corrupt`` flag decides a verify.
+    ``corrupt`` is the checksum unit's verdict (§5.1): a faulted fiber
+    or the fault injector sets it, never the bytes, and the receiving
+    transport drops a corrupt payload.  The unit's cost is
+    :meth:`~repro.hardware.checksum.ChecksumUnit.cost_ns`.
     """
 
     size: int
     data: Optional[bytes] = None
     header: dict[str, Any] = field(default_factory=dict)
-    sealed: bool = False
     corrupt: bool = False
-    _checksum: Optional[int] = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.data is not None and len(self.data) != self.size:
@@ -91,27 +46,6 @@ class Payload:
                 f"payload size {self.size} != len(data) {len(self.data)}")
         if self.size < 0:
             raise ValueError(f"negative payload size {self.size}")
-
-    def seal(self) -> "Payload":
-        """Attach the checksum (as the send-side DMA would)."""
-        self.sealed = True
-        return self
-
-    @property
-    def checksum(self) -> Optional[int]:
-        """Fletcher-16 of ``data`` (of the size for synthetic payloads,
-        so they have one too); ``None`` until sealed, memoized after."""
-        if not self.sealed:
-            return None
-        if self._checksum is None:
-            self._checksum = fletcher16(
-                self.size.to_bytes(8, "little") if self.data is None
-                else self.data)
-        return self._checksum
-
-    def verify_checksum(self) -> bool:
-        """True if the payload is intact (fails when fault injection hit)."""
-        return not self.corrupt
 
 
 #: Bytes per HUB command on the wire — "each command is a sequence of

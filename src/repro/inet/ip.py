@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from ..errors import TransportError
 from ..hardware.frames import Payload
 from ..sim import Store
+from ..transport.reassembly import ReassemblyBuffer
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..system.builder import CabStack
@@ -66,7 +67,7 @@ def pack_ip_header(src: int, dst: int, protocol: int, total_length: int,
 
 def unpack_ip_header(data: bytes) -> dict[str, Any]:
     (ver_ihl, _tos, total_length, identification, flags_frag, ttl,
-     protocol, _checksum, src, dst) = _IP_HEADER.unpack_from(data)
+     protocol, _sum, src, dst) = _IP_HEADER.unpack_from(data)
     return {
         "version": ver_ihl >> 4,
         "total_length": total_length,
@@ -90,8 +91,11 @@ class IpLayer:
         self.sim = stack.sim
         self.address = cab_address(stack.name)
         self._upper: dict[int, Any] = {}
-        #: (src_cab, ip id) -> {offset: (size, bytes|None), ...}
-        self._partials: dict[tuple[str, int], dict] = {}
+        #: Partial datagrams by (src_cab, ip id); ids wrap, so a partial
+        #: past the timeout never takes a fragment of a later datagram.
+        self.reassembly = ReassemblyBuffer(
+            stack.system.cfg.transport.reassembly_timeout_ns,
+            keys_recur=True)
         self._ip_ids = count(1)
         self.packets_sent = 0
         self.packets_received = 0
@@ -125,7 +129,8 @@ class IpLayer:
         identification = next(self._ip_ids) & 0xFFFF
         dst_address = cab_address(dst_cab)
         payload_mtu = self.mtu - IP_HEADER_BYTES
-        offset = 0
+        nfrags = max(1, -(-size // payload_mtu))
+        offset = index = 0
         while True:
             piece = min(payload_mtu, size - offset)
             more = offset + piece < size
@@ -138,8 +143,8 @@ class IpLayer:
                 body = None
             payload = Payload(IP_HEADER_BYTES + piece, data=body, header={
                 "proto": "ip", "src": self.stack.name, "ip_id": identification,
-                "ip_proto": protocol, "frag_offset": offset,
-                "more_fragments": more, "segment_size": size})
+                "ip_proto": protocol, "frag": index, "nfrags": nfrags,
+                "total_size": size})
             yield from self.stack.kernel.compute(IP_CPU_NS)
             self.packets_sent += 1
             if more:
@@ -147,6 +152,7 @@ class IpLayer:
             yield from self.stack.transport.transmit_payload(
                 dst_cab, payload, mode="packet")
             offset += piece
+            index += 1
             if not more:
                 break
 
@@ -170,20 +176,13 @@ class IpLayer:
             body = payload.data[IP_HEADER_BYTES:]
         else:
             body = None
-        key = (header["src"], header["ip_id"])
-        partial = self._partials.setdefault(key, {})
-        piece_size = payload.size - IP_HEADER_BYTES
-        partial[header["frag_offset"]] = (piece_size, body)
-        total = header["segment_size"]
-        received = sum(size for size, _body in partial.values())
-        if received < total:
+        partial = self.reassembly.add_fragment(
+            (header["src"], header["ip_id"]),
+            Payload(payload.size - IP_HEADER_BYTES, data=body, header=header),
+            self.sim.now)
+        if partial is None:
             return
-        del self._partials[key]
-        if total and all(body is not None for _s, body in partial.values()):
-            segment = b"".join(body for _offset, (_s, body)
-                               in sorted(partial.items()))
-        else:
-            segment = None
+        total, segment = partial.assemble()
         upper = self._upper.get(header["ip_proto"])
         if upper is not None:
             yield from upper.segment_arrived(header["src"], segment, total)
@@ -223,7 +222,6 @@ class UdpLayer:
         self.ip = ip
         self.stack = ip.stack
         self.sockets: dict[int, UdpSocket] = {}
-        self.datagrams_received = 0
         ip.bind(PROTO_UDP, self)
 
     def open(self, port: int) -> UdpSocket:
@@ -246,7 +244,7 @@ class UdpLayer:
     def segment_arrived(self, src_cab: str, segment: Optional[bytes],
                         size: int):
         if segment is not None:
-            src_port, dst_port, length, _checksum = \
+            src_port, dst_port, length, _sum = \
                 _UDP_HEADER.unpack_from(segment)
             body = segment[UDP_HEADER_BYTES:]
         else:
@@ -256,7 +254,6 @@ class UdpLayer:
             (next(iter(self.sockets.values()), None))
         if socket is None:
             return
-        self.datagrams_received += 1
         yield from self.stack.board.cpu.execute(UDP_CPU_NS)
         socket.queue.put({"src_cab": src_cab, "src_port": src_port,
                           "data": body, "size": size - UDP_HEADER_BYTES})

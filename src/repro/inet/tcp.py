@@ -57,7 +57,7 @@ def pack_tcp_header(src_port: int, dst_port: int, seq: int, ack: int,
 
 
 def unpack_tcp_header(data: bytes) -> dict[str, Any]:
-    (src_port, dst_port, seq, ack, _offset, flags, window, _checksum,
+    (src_port, dst_port, seq, ack, _offset, flags, window, _sum,
      _urgent) = _TCP_HEADER.unpack_from(data)
     return {"src_port": src_port, "dst_port": dst_port, "seq": seq,
             "ack": ack, "flags": flags, "window": window}
@@ -126,7 +126,6 @@ class TcpConnection:
         # lifecycle
         self.established = self.sim.event()
         self.retransmissions = 0
-        self.segments_sent = 0
 
     # ------------------------------------------------------------------
 
@@ -225,7 +224,6 @@ class TcpConnection:
                                  segment.seq, self.rcv_nxt, flags,
                                  RECEIVE_WINDOW)
         body = header + segment.data if segment.data is not None else None
-        self.segments_sent += 1
         yield from self.stack.kernel.compute(TCP_CPU_NS)
         yield from self.layer.ip.send_segment(
             self.remote_cab, PROTO_TCP, body,

@@ -36,7 +36,6 @@ class Message:
     data: Optional[bytes] = None
     kind: str = "data"
     meta: dict[str, Any] = field(default_factory=dict)
-    enqueued_at: Optional[int] = None
     block: Optional["MemoryBlock"] = None
 
 
@@ -69,7 +68,6 @@ class Mailbox:
         self._writers: list[tuple[Message, Optional[Event]]] = []
         self.closed = False
         self.enqueued = 0
-        self.dequeued = 0
         self.peak_depth = 0
 
     def __len__(self) -> int:
@@ -188,7 +186,6 @@ class Mailbox:
                         break
                     message.block = self.region.alloc(message.size)
                 self._writers.pop(0)
-                message.enqueued_at = self.sim.now
                 self.messages.append(message)
                 self.enqueued += 1
                 self.peak_depth = max(self.peak_depth, len(self.messages))
@@ -214,7 +211,6 @@ class Mailbox:
         return None
 
     def _consume(self, message: Message) -> None:
-        self.dequeued += 1
         if message.block is not None and not message.block.freed:
             self.region.free(message.block)
             message.block = None

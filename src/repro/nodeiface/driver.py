@@ -41,7 +41,6 @@ class NetworkDriverInterface:
         #: Completed messages awaiting node processes, per port name.
         self._sockets: dict[str, Store] = {}
         self.reassembly = ReassemblyBuffer(REASSEMBLY_TIMEOUT_NS)
-        self.packets_relayed = 0
         # Register as a raw protocol with the CAB transport so inbound
         # 'nd' packets reach us.
         stack.transport.register_protocol(self)
@@ -81,11 +80,8 @@ class NetworkDriverInterface:
                       "src_node": node.name}
             payload = Payload(frag_size, data=chunk, header=header)
             # The CAB relays the raw packet with minimal handling.
-            yield from self._cab_relay(dst_cab, payload)
-
-    def _cab_relay(self, dst_cab: str, payload: Payload):
-        self.packets_relayed += 1
-        yield from self.stack.datalink.send(dst_cab, payload, mode="auto")
+            yield from self.stack.datalink.send(dst_cab, payload,
+                                                mode="auto")
 
     def receive(self, port: str):
         """Blocking read of the next complete message on ``port``."""

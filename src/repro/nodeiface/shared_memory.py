@@ -45,11 +45,7 @@ class SharedMemoryInterface:
         #: The special command mailbox node processes drop requests into.
         self.command_mailbox = Mailbox(stack.kernel,
                                        f"{stack.name}.cmd", 128)
-        self.sends_completed = 0
-        self.receives_completed = 0
-        self.polls = 0
-        self._dispatcher = stack.spawn(self._dispatch_loop(),
-                                       name="shm-dispatch")
+        stack.spawn(self._dispatch_loop(), name="shm-dispatch")
 
     # ------------------------------------------------------------------
     # node-side operations (generators run in node processes)
@@ -89,7 +85,6 @@ class SharedMemoryInterface:
                       "index": index, "count": count, "total": body_size,
                       "done": done if index == count - 1 else None}))
         yield done
-        self.sends_completed += 1
 
     def _post_command(self, command: Message):
         """Write a command descriptor into the CAB command mailbox."""
@@ -105,13 +100,11 @@ class SharedMemoryInterface:
         node = self.node
         while True:
             # One poll: read the mailbox status word over VME.
-            self.polls += 1
             yield from node.vme_read(POLL_BYTES)
             message = mailbox.try_get()
             if message is not None:
                 yield from node.vme_read(message.size)
                 yield from node.compute(MAILBOX_COMMAND_NS)
-                self.receives_completed += 1
                 return message
             yield POLL_INTERVAL_NS
 

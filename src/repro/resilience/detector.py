@@ -24,8 +24,7 @@ produce byte-identical timelines).  Healing actions hang off
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..errors import ConfigError
@@ -49,7 +48,6 @@ class TargetState:
     consecutive_successes: int = 0
     #: When the current failure streak began (MTTR bookkeeping).
     first_failure_ns: Optional[int] = None
-    last_rtt_ns: Optional[int] = None
 
 
 class FailureDetector:
@@ -63,7 +61,6 @@ class FailureDetector:
         #: Healing hooks: ``callback(state, old, new, time_ns)``.
         self.on_transition: list[Callable[[TargetState, str, str, int],
                                           None]] = []
-        self.counters: dict[str, int] = defaultdict(int)
 
     # ------------------------------------------------------------------
 
@@ -91,14 +88,10 @@ class FailureDetector:
     # evidence
     # ------------------------------------------------------------------
 
-    def report_success(self, target: str,
-                       rtt_ns: Optional[int] = None) -> None:
+    def report_success(self, target: str) -> None:
         ts = self.targets[target]
-        self.counters["successes"] += 1
         ts.consecutive_failures = 0
         ts.first_failure_ns = None
-        if rtt_ns is not None:
-            ts.last_rtt_ns = rtt_ns
         if ts.state == "alive":
             return
         if ts.state == "suspect":
@@ -119,7 +112,6 @@ class FailureDetector:
 
     def report_failure(self, target: str) -> None:
         ts = self.targets[target]
-        self.counters["failures"] += 1
         ts.consecutive_successes = 0
         ts.consecutive_failures += 1
         if ts.first_failure_ns is None:
@@ -143,8 +135,6 @@ class FailureDetector:
         if new in ("alive", "recovering"):
             ts.consecutive_failures = 0
         self.transitions.append((now, ts.target, old, new))
-        self.counters["transitions"] += 1
-        self.counters[f"to_{new}"] += 1
         for callback in self.on_transition:
             callback(ts, old, new, now)
 

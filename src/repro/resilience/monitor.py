@@ -87,8 +87,8 @@ class ResilienceManager:
         #: Healing log: one dict per detection/repair action, in order.
         self.events: list[dict] = []
         self._link_watches: dict[str, _LinkWatch] = {}
-        #: (observer CAB, peer CAB) -> {seq: send time} outstanding.
-        self._hb_pending: dict[tuple[str, str], dict[int, int]] = {}
+        #: (observer CAB, peer CAB) -> heartbeat seqs outstanding.
+        self._hb_pending: dict[tuple[str, str], set[int]] = {}
         self._hb_pairs: list[tuple[str, str]] = []
         self._down_since: dict[str, int] = {}
         self._started = False
@@ -172,7 +172,7 @@ class ResilienceManager:
                                 suspect_after=CAB_SUSPECT_AFTER,
                                 dead_after=CAB_DEAD_AFTER,
                                 recover_after=CAB_RECOVER_AFTER)
-            self._hb_pending[(observer, peer)] = {}
+            self._hb_pending[(observer, peer)] = set()
             stack = self.system.cabs[observer]
             stack.spawn(
                 self._heartbeat_loop(stack, peer, self._stagger(
@@ -216,7 +216,7 @@ class ResilienceManager:
                 self.counters["link_probe_failures"] += 1
                 self.detector.report_failure(watch.target)
             else:
-                self.detector.report_success(watch.target, rtt)
+                self.detector.report_success(watch.target)
             yield from kernel.sleep(LINK_PROBE_INTERVAL_NS)
 
     def _heartbeat_loop(self, stack, peer: str, offset_ns: int):
@@ -227,7 +227,7 @@ class ResilienceManager:
         yield from kernel.sleep(offset_ns)
         while True:
             seq += 1
-            pending[seq] = self.sim.now
+            pending.add(seq)
             self.counters["heartbeats_sent"] += 1
             # Fire-and-forget: a send wedged in open-retry toward a
             # stalled peer must not stop the timeout clock below, or a
@@ -236,8 +236,9 @@ class ResilienceManager:
             stack.spawn(self._heartbeat_send(stack, peer, seq),
                         name=f"res:hb-tx:{peer}")
             yield from kernel.sleep(HEARTBEAT_INTERVAL_NS)
-            if pending.pop(seq, None) is not None:
+            if seq in pending:
                 # Unanswered for a whole period: count it missed.
+                pending.remove(seq)
                 self.counters["heartbeat_timeouts"] += 1
                 self._report_heartbeat_miss(target)
 
@@ -268,7 +269,8 @@ class ResilienceManager:
             # No route / dead datalink: immediate failure evidence —
             # unless the timeout clock already counted this beat.
             self.counters["heartbeat_errors"] += 1
-            if pending.pop(seq, None) is not None:
+            if seq in pending:
+                pending.remove(seq)
                 self._report_heartbeat_miss(f"cab:{peer}")
 
     def _responder_loop(self, stack):
@@ -299,13 +301,12 @@ class ResilienceManager:
             pending = self._hb_pending.get((stack.name, peer))
             if pending is None:
                 continue
-            sent_at = pending.pop(seq, None)
+            pending.discard(seq)
             target = f"cab:{peer}"
             if target in self.detector.targets:
-                # Late responses (sent_at already timed out) still count:
+                # Late responses (seq already timed out) still count:
                 # they are exactly how a dead peer's recovery shows up.
-                rtt = None if sent_at is None else self.sim.now - sent_at
-                self.detector.report_success(target, rtt)
+                self.detector.report_success(target)
 
     def _uplink_probe_loop(self, stack, target: str, offset_ns: int):
         kernel = stack.kernel

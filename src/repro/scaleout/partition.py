@@ -292,7 +292,7 @@ class _BoundaryFiber(Fiber):
     Serialisation, cut-through timing, fault injection, and statistics
     are all inherited unchanged — the only difference is that the moment
     the base class would schedule the far-end delivery, the item is
-    sealed into an outbox envelope stamped with that same arrival time.
+    packed into an outbox envelope stamped with that same arrival time.
     """
 
     __slots__ = ("_outbox", "_dst_hub", "_dst_port")

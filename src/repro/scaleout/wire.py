@@ -69,8 +69,7 @@ def encode_item(item: Any) -> bytes:
             data = payload.data
             if data is not None and not isinstance(data, bytes):
                 data = bytes(data)
-            payload = (payload.size, data, payload.header, payload.sealed,
-                       payload.corrupt)
+            payload = (payload.size, data, payload.header, payload.corrupt)
         flat = (KIND_PACKET, item.origin,
                 [(c.op.value, c.hub_id, c.param, c.seq, c.origin, c.arg)
                  for c in item.commands],

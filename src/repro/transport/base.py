@@ -317,7 +317,7 @@ class TransportManager:
         checksum_cost = self.cab.checksum.cost_ns(payload.size)
         if checksum_cost:
             yield from self.cab.cpu.execute(checksum_cost)
-        if not self.cab.checksum.verify(payload):
+        if payload.corrupt:
             self.counters["checksum_drops"] += 1
             return
         handler = self._protocols[payload.header["proto"]]

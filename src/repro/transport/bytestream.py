@@ -57,7 +57,6 @@ class StreamConnection:
         self.acked = Broadcast(self.manager.sim)
         self.failed: Optional[TransportError] = None
         self._timer = None
-        self.messages_sent = 0
         self.retransmissions = 0
         proto.connections[(self.manager.cab.name, self.channel)] = self
 
@@ -106,7 +105,6 @@ class StreamConnection:
             yield from self.manager.kernel.wait(self.acked.wait())
             if self.failed is not None:
                 raise self.failed
-        self.messages_sent += 1
         return msg_id
 
     def _transmit(self, record: _Unacked):
@@ -211,9 +209,7 @@ class ByteStreamProtocol:
         self.connections: dict[tuple[str, int], StreamConnection] = {}
         self.receivers: dict[tuple[str, int], _RecvState] = {}
         self.retransmitted = 0
-        self.acks_sent = 0
         self.duplicates = 0
-        self.out_of_order_drops = 0
 
     # ------------------------------------------------------------------
 
@@ -250,7 +246,6 @@ class ByteStreamProtocol:
         seq = header["seq"]
         if seq > state.expected_seq:
             # A gap: go-back-N receivers drop out-of-order packets.
-            self.out_of_order_drops += 1
             return
         if seq < state.expected_seq:
             # Duplicate from a retransmission: re-ack so the sender moves.
@@ -283,6 +278,5 @@ class ByteStreamProtocol:
                       "ack": ack, "dst": data_header["src"],
                       "src": self.manager.cab.name}
         payload = Payload(0, header=ack_header)
-        self.acks_sent += 1
         yield from self.manager.transmit_payload(data_header["src"], payload,
                                                  mode="packet")

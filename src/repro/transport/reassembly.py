@@ -1,4 +1,5 @@
-"""Fragment reassembly shared by datagram and request-response (§6.2.2)."""
+"""Fragment reassembly shared by datagram, request-response, the node
+driver and IP (§6.2.2)."""
 
 from __future__ import annotations
 
@@ -48,10 +49,19 @@ class PartialMessage:
 
 
 class ReassemblyBuffer:
-    """Keyed partial-message store with age-based garbage collection."""
+    """Keyed partial-message store with age-based garbage collection.
 
-    def __init__(self, timeout_ns: int) -> None:
+    A transport message id never recurs, so a fragment that arrives
+    after the timeout still completes its own partial.  Where keys recur
+    (``keys_recur``: IP's 16-bit identification wraps) a partial past
+    the timeout expires even then, and the fragment starts a new one, as
+    RFC 791's reassembly timer has it: a stale fragment must not merge
+    into the datagram that reuses its id.
+    """
+
+    def __init__(self, timeout_ns: int, *, keys_recur: bool = False) -> None:
         self.timeout_ns = timeout_ns
+        self.keys_recur = keys_recur
         self._partials: dict[Any, PartialMessage] = {}
         self.expired = 0
 
@@ -59,10 +69,11 @@ class ReassemblyBuffer:
                      now: int) -> Optional[PartialMessage]:
         """Record a fragment; returns the partial if now complete."""
         header = payload.header
-        # Collect stale partials before the lookup, and never the key
-        # being updated: collecting afterwards could delete the very
-        # partial just completed (KeyError on the del below) or silently
-        # GC a fragment that would have completed an aging partial.
+        # Collect stale partials before the lookup, and (unless keys
+        # recur) never the key being updated: collecting afterwards could
+        # delete the very partial just completed (KeyError on the del
+        # below) or silently GC a fragment that would have completed an
+        # aging partial.
         self._collect(now, updating=key)
         partial = self._partials.get(key)
         if partial is None:
@@ -76,10 +87,10 @@ class ReassemblyBuffer:
             return partial
         return None
 
-    def _collect(self, now: int, updating: Any = None) -> None:
+    def _collect(self, now: int, updating: Any) -> None:
         stale = [key for key, partial in self._partials.items()
-                 if key != updating
-                 and now - partial.started_at > self.timeout_ns]
+                 if now - partial.started_at > self.timeout_ns
+                 and (key != updating or self.keys_recur)]
         for key in stale:
             del self._partials[key]
             self.expired += 1

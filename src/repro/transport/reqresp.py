@@ -55,7 +55,6 @@ class RequestResponseProtocol:
         #: (client, request_id) -> cached response (or in-progress marker).
         self._served: dict[tuple[str, int], Any] = {}
         self.requests_sent = 0
-        self.responses_sent = 0
         self.duplicate_requests = 0
         #: Aggregate request retransmissions (per-request counts live in
         #: the pending-request records; this survives their cleanup).
@@ -160,7 +159,6 @@ class RequestResponseProtocol:
         body_size = message_size(data, size)
         self._cache_response(client, request_id, (data, body_size))
         header = {"proto": "rr_rsp", "req_id": request_id}
-        self.responses_sent += 1
         yield from self.manager.send_fragments(
             client, header, data, body_size,
             extra_cpu_ns=RELIABILITY_CPU_NS)

@@ -81,7 +81,6 @@ class BurstyArrivals(ArrivalProcess):
             raise WorkloadError(f"duty cycle {duty_cycle} outside (0, 1]")
         self.rng = rng
         self.burst_length = burst_length
-        self.duty_cycle = duty_cycle
         self._in_burst = 0
         self._on_gap = duty_cycle * mean_gap_ns
         self._off_gap = (mean_gap_ns - self._on_gap) * burst_length \

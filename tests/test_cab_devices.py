@@ -7,7 +7,6 @@ from repro.config import (INTERRUPT_OVERHEAD_NS, SOFTWARE_CHECKSUM_NS_PER_BYTE,
 from repro.hardware import (CabBoard, Hub, Packet, Payload,
                             wire_cab_to_hub)
 from repro.hardware.checksum import ChecksumUnit
-from repro.hardware.frames import fletcher16
 from repro.hardware.timers import HardwareTimers
 from repro.hardware.vme import VmeBus
 from repro.sim import Simulator
@@ -131,16 +130,6 @@ class TestTimers:
 
 
 class TestChecksum:
-    def test_fletcher16_known_values(self):
-        assert fletcher16(b"") == 0
-        assert fletcher16(b"\x01") == (1 << 8) | 1
-        assert fletcher16(b"abcde") == 0xC8F0
-
-    def test_detects_bit_flips(self):
-        a = fletcher16(b"hello world")
-        b = fletcher16(b"hello worle")
-        assert a != b
-
     def test_hardware_unit_costs_nothing(self):
         unit = ChecksumUnit(CabConfig(hardware_checksum=True))
         assert unit.cost_ns(1_000_000) == 0
@@ -148,18 +137,6 @@ class TestChecksum:
     def test_software_fallback_costs_per_byte(self):
         unit = ChecksumUnit(CabConfig(hardware_checksum=False))
         assert unit.cost_ns(100) == 100 * SOFTWARE_CHECKSUM_NS_PER_BYTE
-
-    def test_seal_verify_roundtrip(self):
-        unit = ChecksumUnit(CabConfig())
-        payload = Payload(5, data=b"hello")
-        unit.seal(payload)
-        assert unit.verify(payload)
-        payload.corrupt = True
-        assert not unit.verify(payload)
-
-    def test_synthetic_payload_checksum(self):
-        payload = Payload(1024).seal()
-        assert payload.verify_checksum()
 
 
 class TestDma:

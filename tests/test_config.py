@@ -145,25 +145,64 @@ def _callee(call: ast.Call):
     return func.attr if isinstance(func, ast.Attribute) else None
 
 
+def registry_aliases(tree):
+    """``{variable: [function names]}`` for every variable assigned an
+    entry of a registry (a module-level dict whose values are all bare
+    names, e.g. ``builder = CAMPAIGNS[name]``): a call of the variable is
+    a call of each registered function."""
+    registries = {}
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        target = getattr(node, "target", None) or \
+            (node.targets[0] if isinstance(node, ast.Assign) else None)
+        if isinstance(value, ast.Dict) and isinstance(target, ast.Name) \
+                and value.values and all(isinstance(v, ast.Name)
+                                         for v in value.values):
+            registries[target.id] = [v.id for v in value.values]
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) \
+                and isinstance(node.value, ast.Subscript) \
+                and isinstance(node.value.value, ast.Name) \
+                and node.value.value.id in registries:
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    aliases[target.id] = registries[node.value.value.id]
+    return aliases
+
+
 def calls_seen(roots):
-    """What the calls under ``roots`` pass, by name only: every keyword
-    name; the callee names given ``*`` or ``**``; and the most
-    positional arguments any call of each callee name passes."""
-    keywords, starred, positional = set(), set(), {}
+    """What the calls under ``roots`` pass, keyed by callee name: the
+    keyword names each callee name is given; the callee names given
+    ``*`` or ``**``; and the most positional arguments any call of each
+    callee name passes.  ``partial(f, ...)`` counts as a call of ``f``,
+    and a call through a registry entry as a call of every registered
+    function (:func:`registry_aliases`).
+
+    Callees are matched by name only: same-named methods of different
+    classes still share what their calls pass."""
+    keywords, starred, positional = {}, set(), {}
     for root in roots:
         for path in sorted(root.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            tree = ast.parse(path.read_text(), str(path))
+            aliases = registry_aliases(tree)
+            for node in ast.walk(tree):
                 if not isinstance(node, ast.Call):
                     continue
-                keywords.update(k.arg for k in node.keywords if k.arg)
-                name = _callee(node)
+                name, args = _callee(node), node.args
+                if name == "partial" and args:
+                    name, args = _callee(ast.Call(args[0], [], [])), args[1:]
                 if name is None:
                     continue
-                if any(isinstance(a, ast.Starred) for a in node.args) \
-                        or any(k.arg is None for k in node.keywords):
-                    starred.add(name)
-                positional[name] = max(positional.get(name, 0),
-                                       len(node.args))
+                passed = {k.arg for k in node.keywords if k.arg}
+                spread = any(isinstance(a, ast.Starred) for a in args) \
+                    or any(k.arg is None for k in node.keywords)
+                for callee in aliases.get(name, [name]):
+                    keywords.setdefault(callee, set()).update(passed)
+                    if spread:
+                        starred.add(callee)
+                    positional[callee] = max(positional.get(callee, 0),
+                                             len(args))
     return keywords, starred, positional
 
 
@@ -204,12 +243,13 @@ def defaulted_parameters(package):
 
 def unset_parameters(package, caller_roots):
     """The defaulted parameters under ``package`` that no call under
-    ``caller_roots`` sets: not by keyword name, not through ``*`` /
-    ``**`` to a callable of that name, not positionally."""
+    ``caller_roots`` sets: not by keyword to a callable of that name,
+    not through ``*`` / ``**`` to one, not positionally."""
     keywords, starred, positional = calls_seen(caller_roots)
     return [f"{label}({name})"
             for label, callee, name, slot in defaulted_parameters(package)
-            if name not in keywords and callee not in starred
+            if name not in keywords.get(callee, ())
+            and callee not in starred
             and (slot is None or positional.get(callee, 0) <= slot)]
 
 
@@ -240,3 +280,24 @@ def test_default_parameter_scan_flags_what_nothing_sets(tmp_path):
         "Box(1).put(2)\n")
     assert unset_parameters(package, [tmp_path]) == [
         "mod.never(c)", "mod.Box.__init__(f)", "mod.Box.put(h)"]
+
+
+def test_default_parameter_scan_keys_keywords_by_callee(tmp_path):
+    """A keyword sets the parameter of the callee it is passed to, not
+    every parameter of that name; ``partial`` and registry entries are
+    calls of the function they hold."""
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "def lone(a, k=1): pass\n"
+        "def other(a, k=1): pass\n"
+        "def bound(a, m=1): pass\n"
+        "def entry(a, n=1): pass\n"
+        "REGISTRY = {'entry': entry}\n"
+        "def dispatch(name, **params):\n"
+        "    builder = REGISTRY[name]\n"
+        "    return builder(0, **params)\n")
+    (tmp_path / "use.py").write_text(
+        "from functools import partial\n"
+        "other(0, k=2)\nlone(0)\npartial(bound, m=3)(0)\n")
+    assert unset_parameters(package, [tmp_path]) == ["mod.lone(k)"]

@@ -1,6 +1,7 @@
 """Repository-wide conventions: links resolve, docstrings/__all__
-present, no process-global id counters, no fixed delay built as a
-``Timeout`` only to be yielded.
+present, no process-global id counters, no attribute written that
+nothing reads, no fixed delay built as a ``Timeout`` only to be
+yielded.
 
 Runs the same stdlib checkers the CI docs job runs
 (``tools/check_links.py``, ``tools/check_docstrings.py``) so a broken
@@ -121,6 +122,93 @@ def test_counter_check_catches_import_time_calls(tmp_path):
         "        self._ids = count(1)\n")
     assert import_time_counters(tmp_path) == ["bad.py:3", "bad.py:5",
                                               "bad.py:6"]
+
+
+#: Where an attribute may be read: everything that runs the model.
+READER_DIRS = ("src", "tests", "benchmarks", "tools", "examples")
+#: ``Enum`` reads ``_value_`` itself; a member sets it in ``__new__``.
+EXEMPT_ATTRIBUTES = {"_value_"}
+
+
+def unread_attributes(package, reader_roots):
+    """``{name: "path:line"}`` of every attribute stored under
+    ``package`` (``obj.name = ...``, ``obj.name += ...`` or a class-body
+    annotation such as a dataclass field) that no expression under
+    ``reader_roots`` loads and no string constant there contains as a
+    whitespace-separated word (``getattr`` names, keys, prose).
+
+    The scan works by name only, so it misses state that is:
+
+    * stored under a name some other object's attribute reads;
+    * named as a word in any string, prose included;
+    * written only by key (``self.table[key] = value`` into a table
+      nothing reads is a load of ``table``, not a store).
+    """
+    stored, loaded, words = {}, set(), set()
+    for root in reader_roots:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            inside = path.is_relative_to(package)
+            where = path.relative_to(package) if inside else None
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute):
+                    if isinstance(node.ctx, ast.Load):
+                        loaded.add(node.attr)
+                    elif inside and isinstance(node.ctx, ast.Store):
+                        stored.setdefault(node.attr,
+                                          f"{where}:{node.lineno}")
+                elif isinstance(node, ast.Constant) \
+                        and isinstance(node.value, str):
+                    words.update(node.value.split())
+                elif inside and isinstance(node, ast.ClassDef):
+                    for field in node.body:
+                        if isinstance(field, ast.AnnAssign) \
+                                and isinstance(field.target, ast.Name):
+                            stored.setdefault(field.target.id,
+                                              f"{where}:{field.lineno}")
+    return {name: where for name, where in sorted(stored.items())
+            if name not in loaded and name not in words
+            and name not in EXEMPT_ATTRIBUTES}
+
+
+def test_no_attribute_is_written_that_nothing_reads():
+    """State nothing loads is work on every write and a field a reader
+    must understand for nothing (ROADMAP aim 2)."""
+    found = unread_attributes(REPO_ROOT / "src" / "repro",
+                              [REPO_ROOT / top for top in READER_DIRS])
+    assert found == {}, "written, never read:\n" + "\n".join(
+        f"{name} ({where})" for name, where in found.items())
+
+
+def test_unread_attribute_check_catches_them(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "from dataclasses import dataclass\n"
+        "from enum import Enum\n"
+        "@dataclass\n"
+        "class Record:\n"
+        "    kept: int = 0\n"
+        "    stamped: int = 0\n"
+        "class Counter:\n"
+        "    def __init__(self):\n"
+        "        self.hits = 0\n"
+        "        self.misses = 0\n"
+        "        self.named = 0\n"
+        "    def hit(self, record):\n"
+        "        self.hits += 1\n"
+        "        record.stamped = 1\n"
+        "        return record.kept\n"
+        "class Op(Enum):\n"
+        "    A = 1\n"
+        "    def __new__(cls, value):\n"
+        "        op = object.__new__(cls)\n"
+        "        op._value_ = value\n"
+        "        return op\n")
+    (tmp_path / "use.py").write_text(
+        "print(counter.hits, getattr(counter, 'named'))\n")
+    assert unread_attributes(package, [tmp_path]) == {
+        "misses": "mod.py:10", "stamped": "mod.py:6"}
 
 
 def yielded_timeouts(root):

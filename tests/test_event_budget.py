@@ -27,7 +27,13 @@ from repro.topology import single_hub_system
 ONE_DATAGRAM_ENTRIES = 43
 
 #: Opcodes executed in ``src/repro`` frames for the same scene, spawns
-#: included (CPython 3.11); a failure prints them by package.  10 889
+#: included (CPython 3.11); a failure prints them by package.  10 879
+#: before the checksum became the payload's ``corrupt`` flag and unread
+#: state went: ``repro.hardware`` 2 554 -> 2 528 and ``repro.datalink``
+#: 545 -> 537 (no ``seal`` per send, no ``verify`` call chain per
+#: receive), ``repro.transport`` 672 -> 667 (one flag test),
+#: ``repro.kernel`` 579 -> 567 (no ``enqueued_at`` or ``dequeued`` store
+#: per message), every other package unchanged.  10 889
 #: before ``Fiber.send`` lost its never-passed ``wire_size`` argument:
 #: ``repro.hardware`` 2 564 -> 2 554 (a module-level size lookup, no
 #: ``None`` test per send), every other package unchanged.  11 669
@@ -62,7 +68,7 @@ ONE_DATAGRAM_ENTRIES = 43
 #: ``repro.sim`` 8 815 -> 8 346 (no ``_waiting_on`` stores, no
 #: finished-process guard per resume), ``repro.hardware`` 2 902 -> 2 863
 #: (no ``try/finally`` per CPU grant).
-ONE_DATAGRAM_OPCODES = 10_879
+ONE_DATAGRAM_OPCODES = 10_828
 
 
 def one_datagram(drive=lambda run: run(), size=64, mode="auto"):

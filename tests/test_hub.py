@@ -105,7 +105,7 @@ class TestOpenClose:
 
     def test_data_flows_after_open(self, rig):
         sim, hub, cabs = rig
-        payload = Payload(128, data=bytes(128)).seal()
+        payload = Payload(128, data=bytes(128))
         send_commands(cabs[0],
                       [command(CommandOp.OPEN_RETRY, "hub0", 1)],
                       payload=payload, close_after=True)
@@ -284,7 +284,7 @@ class TestSupervisor:
         sim, hub, cabs = rig
         send_commands(cabs[0], [command(CommandOp.SV_LOOPBACK_ON, "hub0", 0)])
         sim.run(until=100_000)
-        payload = Payload(64, data=bytes(64)).seal()
+        payload = Payload(64, data=bytes(64))
         send_commands(cabs[0], [], payload=payload)
         sim.run(until=300_000)
         assert len(getattr(cabs[0], "meta_received", [])) == 1

@@ -116,6 +116,50 @@ class TestUdp:
         assert got == [b"first", b"second"]
         assert wire_ids == [0xFFFF, 0]
 
+    @pytest.mark.parametrize("reuse", ["shorter", "same-size"])
+    def test_lost_fragment_expires_before_its_id_comes_round(self, reuse):
+        """A partial whose first fragment was lost is gone after the
+        reassembly timeout, so the next datagram under the same (wrapped)
+        identification arrives intact, not merged with the stale piece."""
+        system, layers = build_inet()
+        (_sa, ip_a, udp_a, _tca), (_sb, ip_b, udp_b, _tcb) = layers
+        timeout_ns = system.cfg.transport.reassembly_timeout_ns
+        handle = ip_b.handle
+
+        def drop_first_fragment(packet):
+            wire = unpack_ip_header(packet.payload.data)
+            if (wire["id"], wire["frag_offset"]) == (7, 0) and not dropped:
+                dropped.append(packet)
+                return iter(())
+            return handle(packet)
+        dropped = []
+        ip_b.handle = drop_first_fragment
+        server = udp_b.open(53)
+        client = udp_a.open(1111)
+        lost = bytes(range(256)) * 4            # two IP fragments
+        fresh = b"fourteen bytes" if reuse == "shorter" \
+            else bytes(range(255, -1, -1)) * 4
+        got = []
+
+        def receiver():
+            datagram = yield from server.receive()
+            got.append(datagram)
+
+        def sender():
+            ip_a._ip_ids = itertools.count(7)
+            yield from client.send("cab1", 53, data=lost)
+            yield from system.cab("cab0").kernel.sleep(
+                timeout_ns + 100_000_000)
+            ip_a._ip_ids = itertools.count(7)
+            yield from client.send("cab1", 53, data=fresh)
+        system.cab("cab1").spawn(receiver())
+        system.cab("cab0").spawn(sender())
+        system.run(until=timeout_ns + 200_000_000)
+        assert len(dropped) == 1
+        assert [(d["data"], d["size"]) for d in got] == [(fresh, len(fresh))]
+        assert len(ip_b.reassembly) == 0
+        assert ip_b.reassembly.expired == 1
+
     def test_port_conflict(self):
         _system, layers = build_inet()
         (_s, _ip, udp, _tcp) = layers[0]

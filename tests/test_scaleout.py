@@ -81,9 +81,8 @@ def assert_same_frame(original, decoded):
         assert (got is None) == (sent is None)
         if sent is not None:
             assert isinstance(got, Payload)
-            assert (got.size, got.header, got.sealed, got.corrupt,
-                    got.checksum) == (sent.size, sent.header, sent.sealed,
-                                      sent.corrupt, sent.checksum)
+            assert (got.size, got.header, got.corrupt) \
+                == (sent.size, sent.header, sent.corrupt)
             assert got.data is None if sent.data is None else \
                 (type(got.data) is bytes and got.data == bytes(sent.data))
         paths = [(original.reverse_path, decoded.reverse_path)]
@@ -162,7 +161,7 @@ def test_encoding_twice_gives_the_same_bytes():
     # What determinism relies on: a frame's blob is a function of the
     # frame, so nothing about *when* it was captured leaks into it.
     packet = Packet("cab0", commands=[],
-                    payload=Payload(4, data=bytearray(b"bcde")).seal())
+                    payload=Payload(4, data=bytearray(b"bcde")))
     packet.reverse_path = [(HUBS["hub_a"], 2)]
     assert encode_item(packet) == encode_item(packet)
     reply = Reply(seq=1, ok=True, hub_id="hub_a",
@@ -202,9 +201,8 @@ def _payloads(draw):
     size = draw(st.integers(0, 9000)) if data is None else len(data)
     if data is not None:
         data = draw(st.sampled_from((bytes, bytearray, memoryview)))(data)
-    payload = Payload(size, data=data, header=draw(_plain),
-                      corrupt=draw(st.booleans()))
-    return payload.seal() if draw(st.booleans()) else payload
+    return Payload(size, data=data, header=draw(_plain),
+                   corrupt=draw(st.booleans()))
 
 
 @st.composite
