@@ -5,7 +5,7 @@ every rank's body calls the same collectives in the same order, each
 call is a generator, and per-rank sequence numbers give matching epochs
 without any out-of-band agreement.
 
-Two execution modes (``cfg.collectives.mode``, override per group):
+Two execution modes (``cfg.collectives.mode``):
 
 * ``hub`` — barrier/allreduce are *in-network*: every rank issues one
   ``SV_BARRIER``/``SV_REDUCE`` to its attached HUB, the HUBs combine
@@ -78,7 +78,6 @@ class CollectiveGroup:
     """A fixed set of ranks with barrier/reduce/broadcast semantics."""
 
     def __init__(self, tasks: Sequence["Task"],
-                 mode: Optional[str] = None,
                  name: Optional[str] = None) -> None:
         if not tasks:
             raise CollectiveError("a collective group needs at least 1 rank")
@@ -90,9 +89,7 @@ class CollectiveGroup:
         self.router = self.system.router
         self.gid = _next_gid(self.system)
         self.name = name or f"group{self.gid}"
-        requested = mode or self.cfg.collectives.mode
-        if requested not in ("hub", "tree", "exchange"):
-            raise CollectiveError(f"unknown collective mode {requested!r}")
+        requested = self.cfg.collectives.mode
         if requested == "exchange":
             # Dimension exchange lives in the iPSC library; as a group
             # mode it means "software", i.e. the k-ary tree.

@@ -23,16 +23,19 @@ from .sim import units
 
 # -- HUB (§4) ----------------------------------------------------------------
 
+#: Controller cycle time — "every 70 nanosecond cycle" (§4, goal 2).
+HUB_CYCLE_NS = 70
 #: Cycles to set up a connection and transfer the first byte — "ten
 #: cycles (700 nanoseconds)" (§4, goal 1).  A target, not a cost: no
-#: model path reads it (only :attr:`HubConfig.setup_ns`, for the
-#: tests); the model's setup is ``PORT_COMMAND_CYCLES + 1 +
+#: model path reads it; the model's setup is ``PORT_COMMAND_CYCLES + 1 +
 #: TRANSFER_CYCLES``, and ``test_hub_cycle_decomposition`` holds the two
 #: equal.
 SETUP_CYCLES = 10
 #: Cycles of latency to move a byte through an established connection —
 #: "five cycles (350 nanoseconds)" (§4, goal 1).
 TRANSFER_CYCLES = 5
+#: One crossbar transfer, input queue to output register (350 ns).
+HUB_TRANSFER_NS = TRANSFER_CYCLES * HUB_CYCLE_NS
 #: Input queue per HUB port, which bounds the packet-switched packet size —
 #: "the length of the input queue, and thus the maximum packet size, is
 #: 1 kilobyte" (§4.2.3).  The CAB input queue is the same circuit (§5.2).
@@ -48,18 +51,8 @@ PORT_COMMAND_CYCLES = 4
 class HubConfig:
     """HUB crossbar-switch parameters (§4)."""
 
-    #: Controller cycle time — "every 70 nanosecond cycle" (§4, goal 2).
-    cycle_ns: int = 70
     #: I/O ports per HUB — 16 in the prototype (§4.1).
     num_ports: int = 16
-
-    @property
-    def setup_ns(self) -> int:
-        return SETUP_CYCLES * self.cycle_ns
-
-    @property
-    def transfer_ns(self) -> int:
-        return TRANSFER_CYCLES * self.cycle_ns
 
 
 # -- Fiber (§3.2) ------------------------------------------------------------
@@ -166,6 +159,10 @@ class DatalinkConfig:
 
 #: Transport header bytes carried in each packet.
 TRANSPORT_HEADER_BYTES = 16
+#: Maximum payload per packet: HUB input queue minus framing, commands
+#: and transport header (packet switching caps packets at 1 KB, §4.2.3;
+#: ``tests/test_config.py`` checks the sum fits).
+MAX_PAYLOAD_BYTES = 960
 #: Per-packet transport CPU cost on send (header build, window update).
 #: Calibrated: ~55 instructions on a 16 MHz SPARC ≈ 3.5 µs.
 SEND_PACKET_CPU_NS = 3_500
@@ -179,9 +176,6 @@ RELIABILITY_CPU_NS = 2_000
 class TransportConfig:
     """Transport-layer parameters (§6.2.2)."""
 
-    #: Maximum payload per packet: HUB input queue minus framing, commands
-    #: and transport header (packet switching caps packets at 1 KB, §4.2.3).
-    max_payload_bytes: int = 960
     #: Sliding-window size (packets) for the byte-stream protocol.
     window_packets: int = 8
     #: Retransmission timeout for byte-stream and request-response.
@@ -344,25 +338,18 @@ class NectarConfig:
         """Check cross-parameter consistency; raises :class:`ConfigError`."""
         if self.hub.num_ports < 2:
             raise ConfigError("a HUB needs at least 2 ports")
-        if self.hub.cycle_ns <= 0:
-            raise ConfigError("hub cycle time must be positive")
         if not 0.0 <= self.fiber.drop_probability <= 1.0:
             raise ConfigError("drop probability must be within [0, 1]")
         if not 0.0 <= self.fiber.corrupt_probability <= 1.0:
             raise ConfigError("corrupt probability must be within [0, 1]")
-        # Imported here: the hardware package imports this module.
-        from .hardware.frames import FRAMING_BYTES
-        max_packet = (self.transport.max_payload_bytes
-                      + TRANSPORT_HEADER_BYTES + FRAMING_BYTES)
-        if max_packet > INPUT_QUEUE_BYTES:
-            raise ConfigError(
-                f"max packet {max_packet} B exceeds the HUB input queue "
-                f"({INPUT_QUEUE_BYTES} B); packet switching would "
-                f"deadlock (§4.2.3)")
         if self.transport.window_packets < 1:
             raise ConfigError("byte-stream window must be >= 1 packet")
         if self.transport.retransmit_timeout_ns <= 0:
             raise ConfigError("retransmit timeout must be positive")
+        if self.transport.max_retransmits < 0:
+            raise ConfigError(
+                f"max_retransmits must be >= 0, got "
+                f"{self.transport.max_retransmits}")
         if not 0 < self.transport.min_rto_ns <= self.transport.max_rto_ns:
             raise ConfigError(
                 f"RTO clamp must satisfy 0 < min <= max, got "

@@ -118,11 +118,9 @@ class CabBoard:
         self.memory_pool = BandwidthPool(sim, MEMORY_BYTES_PER_NS,
                                          name=f"{name}.membw")
         self.data_memory = MemoryRegion(sim, f"{name}.data",
-                                        DATA_MEMORY_BYTES,
-                                        self.memory_pool, dma_capable=True)
+                                        DATA_MEMORY_BYTES, dma_capable=True)
         self.program_memory = MemoryRegion(sim, f"{name}.prog",
                                            PROGRAM_MEMORY_BYTES,
-                                           self.memory_pool,
                                            dma_capable=False)
         self.protection = ProtectionUnit(
             DATA_MEMORY_BYTES + PROGRAM_MEMORY_BYTES)

@@ -38,7 +38,6 @@ class DmaController:
         self.fiber_in = Resource(self.sim, capacity=1)
         self.vme_in = Resource(self.sim, capacity=1)
         self.vme_out = Resource(self.sim, capacity=1)
-        self.transfers = 0
         self.bytes_out = 0
         self.bytes_in = 0
 
@@ -82,7 +81,6 @@ class DmaController:
         try:
             yield DMA_START_NS
             yield self.cab.transmit(packet)
-            self.transfers += 1
             self.bytes_out += packet.wire_size()
         finally:
             self.cab.memory_pool.close_stream(stream)
@@ -106,7 +104,6 @@ class DmaController:
             residual = min(wire_size, DRAIN_RESIDUAL_BYTES)
             yield from self.cab.memory_pool.transfer(
                 residual, self.cab.memory_pool.capacity)
-            self.transfers += 1
             self.bytes_in += wire_size
         finally:
             self.cab.memory_pool.close_stream(stream)
@@ -121,7 +118,6 @@ class DmaController:
         try:
             yield DMA_START_NS
             yield from self.cab.vme.transfer(num_bytes)
-            self.transfers += 1
         finally:
             self.cab.memory_pool.close_stream(stream)
             channel.release()

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Optional
 
-from ..config import FiberConfig, HubConfig
+from ..config import HUB_CYCLE_NS, HUB_TRANSFER_NS, FiberConfig, HubConfig
 from ..errors import HubCommandError
 from ..sim import Simulator
 from .crossbar import Crossbar
@@ -142,7 +142,7 @@ class Hub:
                                                   reverse_path)
         else:
             # "Localized" commands execute inside the I/O port in a cycle.
-            yield self.cfg.cycle_ns
+            yield HUB_CYCLE_NS
             result = self._execute_local(command, in_port)
         if command.op.wants_reply:
             self._reply(command, result, reverse_path)
@@ -286,7 +286,7 @@ class Hub:
             raise HubCommandError(
                 f"{self.name}.p{in_port} is unwired; cannot return reply")
         # One crossbar transfer latency, then cycle-steal onto the fiber.
-        self.sim.call_in(self.cfg.transfer_ns,
+        self.sim.call_in(HUB_TRANSFER_NS,
                          lambda: port.out_fiber.send_priority(reply))
 
     # ------------------------------------------------------------------

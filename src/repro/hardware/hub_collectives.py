@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
+from ..config import HUB_TRANSFER_NS
 from ..errors import HubCommandError
 from .frames import HubCommand, Packet, Reply
 from .hub_commands import CommandOp
@@ -198,7 +199,7 @@ class HubCollectiveUnit:
     def _send_upstream(self, port, packet: Packet):
         # One crossbar transfer to the output register, then the fiber
         # serialises the command bytes.
-        yield self.hub.cfg.transfer_ns
+        yield HUB_TRANSFER_NS
         if port.out_fiber is None:  # pragma: no cover - unwired topology
             raise HubCommandError(
                 f"{self.hub.name}.p{port.index} is unwired; cannot "

@@ -20,6 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
+from ..config import HUB_CYCLE_NS
 from ..sim import Event
 from .frames import HubCommand
 from .hub_commands import CommandOp
@@ -55,7 +56,6 @@ class HubController:
     def __init__(self, hub: "Hub") -> None:
         self.hub = hub
         self.sim = hub.sim
-        self.cfg = hub.cfg
         #: The command whose 70 ns cycle is running (None: pipeline idle).
         self._current: Optional[ControllerJob] = None
         #: Commands that arrived during a cycle, oldest first.
@@ -86,7 +86,7 @@ class HubController:
     def _begin(self, job: ControllerJob) -> None:
         # One command per controller cycle (§4, goal 2).
         self._current = job
-        self.sim.call_in(self.cfg.cycle_ns, self._cycle_done)
+        self.sim.call_in(HUB_CYCLE_NS, self._cycle_done)
 
     def _cycle_done(self) -> None:
         self.commands_executed += 1
@@ -198,7 +198,7 @@ class HubController:
             # The retry watchdog (SV_SET_TIMEOUT): abandon a retrying
             # command that has waited the configured number of cycles.
             job.deadline_armed = True
-            delay = self.retry_timeout_cycles * self.cfg.cycle_ns
+            delay = self.retry_timeout_cycles * HUB_CYCLE_NS
             self.sim.call_in(delay, lambda: self._expire(out_port, job))
 
     def _expire(self, out_port: int, job: ControllerJob) -> None:
@@ -242,7 +242,7 @@ class HubController:
         sampler.add_utilization_probe(
             f"{name}.controller.util",
             lambda: self.commands_executed,
-            self.cfg.cycle_ns,
+            HUB_CYCLE_NS,
             description="fraction of controller cycles spent executing")
         sampler.add_probe(
             f"{name}.controller.queue_depth",

@@ -14,7 +14,8 @@ from collections import deque
 from dataclasses import replace as dc_replace
 from typing import TYPE_CHECKING, Any, Optional, Union
 
-from ..config import FIBER_NS_PER_BYTE, PORT_COMMAND_CYCLES
+from ..config import (FIBER_NS_PER_BYTE, HUB_CYCLE_NS, HUB_TRANSFER_NS,
+                      PORT_COMMAND_CYCLES)
 from ..sim.resources import _IDLE
 from .frames import Packet, Reply
 from .hub_commands import CommandOp
@@ -141,14 +142,13 @@ class HubPort:
 
     def _handle(self, packet: Packet, size: int, head_time: int):
         hub = self.hub
-        cfg = hub.cfg
         if packet.framing_error:
             # Damaged on the way in: discard after it drains the queue.
             hub.count("framing_errors")
             return
         if self.loopback:
             # Supervisor loopback: echo the packet back out our own fiber.
-            yield cfg.transfer_ns
+            yield HUB_TRANSFER_NS
             yield self.out_fiber.send(packet)
             hub.count("loopback_packets")
             return
@@ -169,7 +169,7 @@ class HubPort:
                 # (collective commands carry extension bytes).
                 yield round(command.wire_bytes() * FIBER_NS_PER_BYTE)
             first = False
-            yield PORT_COMMAND_CYCLES * cfg.cycle_ns
+            yield PORT_COMMAND_CYCLES * HUB_CYCLE_NS
             result = yield from hub.execute_command(
                 command, in_port=self.index,
                 reverse_path=list(packet.reverse_path))
@@ -189,7 +189,7 @@ class HubPort:
             return
         # Cut-through forwarding: 5 cycles from input queue to output
         # register (§4), then the output fiber serialises the bytes.
-        yield cfg.transfer_ns
+        yield HUB_TRANSFER_NS
         done_events = []
         for out_index in outputs:
             clone = self._clone_for(packet, len(outputs) > 1)

@@ -105,13 +105,12 @@ class MemoryRegion:
     """
 
     def __init__(self, sim: Simulator, name: str, size: int,
-                 pool: BandwidthPool, dma_capable: bool = True) -> None:
+                 dma_capable: bool = True) -> None:
         if size <= 0:
             raise ValueError(f"region size must be positive, got {size}")
         self.sim = sim
         self.name = name
         self.size = size
-        self.pool = pool
         self.dma_capable = dma_capable
         #: Sorted list of free extents as (offset, size).
         self._free: list[tuple[int, int]] = [(0, size)]

@@ -42,7 +42,6 @@ class HardwareTimers:
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.armed = 0
         self.expired = 0
         self.cancelled = 0
 
@@ -51,7 +50,6 @@ class HardwareTimers:
         if delay < 0:
             raise ValueError(f"negative timer delay {delay}")
         handle = TimerHandle(self.sim.now + delay, callback)
-        self.armed += 1
 
         def expire() -> None:
             if handle.cancelled:

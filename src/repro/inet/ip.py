@@ -18,6 +18,7 @@ import struct
 from itertools import count
 from typing import TYPE_CHECKING, Any, Optional
 
+from ..config import MAX_PAYLOAD_BYTES
 from ..errors import TransportError
 from ..hardware.frames import Payload
 from ..sim import Store
@@ -111,7 +112,7 @@ class IpLayer:
     @property
     def mtu(self) -> int:
         """Largest IP packet the Nectar datalink carries in one piece."""
-        return self.stack.system.cfg.transport.max_payload_bytes
+        return MAX_PAYLOAD_BYTES
 
     # ------------------------------------------------------------------
     # send path (generator, thread or interrupt continuation context)

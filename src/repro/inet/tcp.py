@@ -16,7 +16,7 @@ from __future__ import annotations
 import struct
 from typing import TYPE_CHECKING, Any, Optional
 
-from ..config import WAKEUP_NS
+from ..config import MAX_PAYLOAD_BYTES, WAKEUP_NS
 from ..errors import TransportError
 from ..sim import Broadcast, Store
 from .ip import PROTO_TCP, IpLayer
@@ -132,9 +132,8 @@ class TcpConnection:
     @property
     def mss(self) -> int:
         """Maximum segment size: Nectar packet minus IP+TCP headers."""
-        cfg = self.layer.stack.system.cfg.transport
         from .ip import IP_HEADER_BYTES
-        return cfg.max_payload_bytes - IP_HEADER_BYTES - TCP_HEADER_BYTES
+        return MAX_PAYLOAD_BYTES - IP_HEADER_BYTES - TCP_HEADER_BYTES
 
     @property
     def flight_size(self) -> int:

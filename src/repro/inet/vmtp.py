@@ -21,7 +21,7 @@ import struct
 from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from ..config import WAKEUP_NS
+from ..config import MAX_PAYLOAD_BYTES, WAKEUP_NS
 from ..errors import TransportError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -100,8 +100,7 @@ class VmtpLayer:
 
     def _segment_bytes(self) -> int:
         from .ip import IP_HEADER_BYTES
-        return (self.stack.system.cfg.transport.max_payload_bytes
-                - IP_HEADER_BYTES - VMTP_HEADER_BYTES)
+        return MAX_PAYLOAD_BYTES - IP_HEADER_BYTES - VMTP_HEADER_BYTES
 
     # ------------------------------------------------------------------
     # server side

@@ -30,7 +30,6 @@ class CabThread:
         self.kernel = kernel
         self.process = process
         self.name = name
-        self.switches = 0
 
     @property
     def is_alive(self) -> bool:

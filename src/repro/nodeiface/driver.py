@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional
 
+from ..config import MAX_PAYLOAD_BYTES
 from ..errors import NodeError
 from ..hardware.frames import Packet, Payload
 from ..sim import Store
@@ -65,8 +66,7 @@ class NetworkDriverInterface:
         """
         node = self.node
         body_size = message_size(data, size)
-        max_payload = self.stack.system.cfg.transport.max_payload_bytes
-        fragments = slice_data(data, body_size, max_payload)
+        fragments = slice_data(data, body_size, MAX_PAYLOAD_BYTES)
         msg_id = self.stack.transport.next_message_id()
         yield from node.syscall_cost()
         for index, (frag_size, chunk) in enumerate(fragments):

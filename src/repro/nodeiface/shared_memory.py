@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..config import MAILBOX_COMMAND_NS, POLL_INTERVAL_NS
+from ..config import MAILBOX_COMMAND_NS, MAX_PAYLOAD_BYTES, POLL_INTERVAL_NS
 from ..errors import NodeError
 from ..kernel.mailbox import Mailbox, Message
 from ..transport.base import message_size, slice_data
@@ -66,9 +66,8 @@ class SharedMemoryInterface:
         body_size = message_size(data, size)
         yield from node.compute(MAILBOX_COMMAND_NS)
         done = self.sim.event()
-        max_piece = self.stack.system.cfg.transport.max_payload_bytes
         if pipeline:
-            pieces = slice_data(data, body_size, max_piece)
+            pieces = slice_data(data, body_size, MAX_PAYLOAD_BYTES)
         else:
             yield from node.vme_write(body_size)
             pieces = [(body_size, data)]

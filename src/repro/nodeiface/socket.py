@@ -33,8 +33,6 @@ class SocketInterface:
         self.stack = stack
         self.node = stack.node
         self.sim = stack.sim
-        self.sends = 0
-        self.receives = 0
         #: node-side processes blocked in recv(), per mailbox name.
         self._blocked: dict[str, deque[Event]] = {}
         self._pumps: dict[str, object] = {}
@@ -56,7 +54,6 @@ class SocketInterface:
                                         body_size, done),
                          name="sock-send")
         yield done
-        self.sends += 1
 
     def _cab_send(self, dst_cab: str, dst_mailbox: str,
                   data: Optional[bytes], size: int, done: Event):
@@ -77,7 +74,6 @@ class SocketInterface:
         yield from node.schedule_cost()
         yield from node.vme_read(message.size)   # CAB memory → kernel
         yield from node.copy(message.size)       # kernel → user buffer
-        self.receives += 1
         return message
 
     # ------------------------------------------------------------------

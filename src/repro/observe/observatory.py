@@ -40,7 +40,6 @@ class Observatory:
         self.system = system
         self.registry = MetricRegistry()
         self.sampler = MetricSampler(system.sim, self.registry, interval_ns)
-        self.tracing = trace
         if trace:
             if system.tracer.limit is None:
                 system.tracer.set_limit(DEFAULT_TRACE_LIMIT)

@@ -46,7 +46,6 @@ class RtoEstimator:
         self.backoff = 1
         self._jitter_ns = 0
         self.samples = 0
-        self.timeouts = 0
 
     # ------------------------------------------------------------------
 
@@ -70,7 +69,6 @@ class RtoEstimator:
 
     def on_timeout(self) -> None:
         """A retransmission timer fired: double the backoff, re-jitter."""
-        self.timeouts += 1
         self.backoff = min(self.backoff * 2, MAX_BACKOFF)
         jitter_span = int(self.base_rto_ns() * self.cfg.rto_jitter)
         self._jitter_ns = self.rng.randrange(jitter_span) if jitter_span \

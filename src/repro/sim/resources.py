@@ -2,7 +2,7 @@
 
 These are the building blocks the hardware and kernel models share:
 
-* :class:`Store` — a bounded FIFO of items (fiber queues, mailboxes).
+* :class:`Store` — an unbounded FIFO of items (socket and frame queues).
 * :class:`Resource` — counted mutual exclusion (bus ownership, DMA
   channels).
 * :class:`Broadcast` — a repeating signal many processes can wait on.
@@ -19,10 +19,8 @@ from .events import Event
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Simulator
 
-INFINITY = float("inf")
-
 #: What every waiter queue is until its first waiter parks: as falsy as
-#: an empty deque, so the ``if self._putters`` fast paths cannot tell the
+#: an empty deque, so the ``if self._getters`` fast paths cannot tell the
 #: difference, but shared by all idle primitives.  Most queues of a large
 #: fabric never see a waiter, and an empty ``deque`` pre-allocates a
 #: 64-slot block.
@@ -30,53 +28,31 @@ _IDLE: tuple[()] = ()
 
 
 class Store:
-    """A FIFO item queue with optional capacity.
+    """An unbounded FIFO item queue.
 
-    ``put(item)`` and ``get()`` return events.  Puts block while the store
-    is full; gets block while it is empty.  Waiters are served in FIFO
-    order, which keeps simulations deterministic.
+    ``put(item)`` stores at once and returns its succeeded event;
+    ``get()`` returns an event that fires once an item is available.
+    Getters are served in FIFO order, which keeps simulations
+    deterministic.  The model's bounded buffer is the §6.1
+    :class:`~repro.kernel.mailbox.Mailbox`.
     """
 
-    def __init__(self, sim: "Simulator", capacity: float = INFINITY) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+    def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self.capacity = capacity
         self.items: deque[Any] = deque()
         self._getters: deque[Event] | tuple[()] = _IDLE
-        self._putters: deque[tuple[Event, Any]] | tuple[()] = _IDLE
 
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self.items) >= self.capacity
-
     def put(self, item: Any) -> Event:
-        """Event that fires (with ``item``) once the item is stored."""
+        """Store ``item``; the returned event has fired with it."""
         event = self.sim.event()
-        if not self._putters and len(self.items) < self.capacity:
-            # Fast path: room available, FIFO preserved (no queued putter
-            # to overtake).  Identical event ordering to _service().
-            self.items.append(item)
-            event.succeed(item)
-            if self._getters:
-                self._service()
-            return event
-        if self._putters is _IDLE:
-            self._putters = deque()
-        self._putters.append((event, item))
-        self._service()
-        return event
-
-    def try_put(self, item: Any) -> bool:
-        """Store ``item`` immediately if there is room; returns success."""
-        if self.is_full or self._putters:
-            return False
         self.items.append(item)
-        self._service()
-        return True
+        event.succeed(item)
+        if self._getters:
+            self._service()
+        return event
 
     def get(self) -> Event:
         """Event that fires with the oldest item once one is available."""
@@ -84,8 +60,6 @@ class Store:
         if self.items and not self._getters:
             # Fast path: an item is ready and no earlier getter waits.
             event.succeed(self.items.popleft())
-            if self._putters:
-                self._service()
             return event
         if self._getters is _IDLE:
             self._getters = deque()
@@ -96,24 +70,12 @@ class Store:
     def try_get(self) -> tuple[bool, Any]:
         """Pop the oldest item if present: returns ``(ok, item_or_None)``."""
         if self.items and not self._getters:
-            item = self.items.popleft()
-            self._service()
-            return True, item
+            return True, self.items.popleft()
         return False, None
 
     def _service(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._putters and len(self.items) < self.capacity:
-                event, item = self._putters.popleft()
-                self.items.append(item)
-                event.succeed(item)
-                progressed = True
-            while self._getters and self.items:
-                event = self._getters.popleft()
-                event.succeed(self.items.popleft())
-                progressed = True
+        while self._getters and self.items:
+            self._getters.popleft().succeed(self.items.popleft())
 
 
 class Resource:

@@ -36,22 +36,20 @@ class TraceRecord:
 class Tracer:
     """Collects :class:`TraceRecord` objects from instrumented components.
 
-    Tracing is off by default (zero overhead beyond one predicate check);
-    enable globally or per-kind.  A bounded ``limit`` turns the buffer
-    into a true ring: once full, each new record evicts the **oldest**
-    one in O(1) (the buffer is a ``deque`` with ``maxlen``), and
-    :attr:`dropped` counts the evictions so consumers can tell a
+    Tracing is off until :meth:`enable` (zero overhead beyond one
+    predicate check).  A bound set with :meth:`set_limit` turns the
+    buffer into a true ring: once full, each new record evicts the
+    **oldest** one in O(1) (the buffer is a ``deque`` with ``maxlen``),
+    and :attr:`dropped` counts the evictions so consumers can tell a
     truncated history from a complete one.
     """
 
-    def __init__(self, sim: "Simulator", enabled: bool = False,
-                 limit: Optional[int] = None) -> None:
+    def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self.enabled = enabled
-        self._records: deque[TraceRecord] = deque(maxlen=limit)
+        self.enabled = False
+        self._records: deque[TraceRecord] = deque()
         #: Records evicted from the ring so far (0 when unbounded).
         self.dropped = 0
-        self._kind_filter: Optional[set[str]] = None
 
     @property
     def limit(self) -> Optional[int]:
@@ -67,16 +65,13 @@ class Tracer:
         """The retained records, oldest first (a copy)."""
         return list(self._records)
 
-    def enable(self, kinds: Optional[list[str]] = None) -> None:
-        """Turn tracing on, optionally restricted to the given kinds."""
+    def enable(self) -> None:
+        """Turn tracing on."""
         self.enabled = True
-        self._kind_filter = set(kinds) if kinds else None
 
     def record(self, source: str, kind: str, **fields: Any) -> None:
-        """Emit a record (dropped unless tracing accepts this kind)."""
+        """Emit a record (dropped unless tracing is on)."""
         if not self.enabled:
-            return
-        if self._kind_filter is not None and kind not in self._kind_filter:
             return
         entry = TraceRecord(self.sim.now, source, kind, fields)
         ring = self._records

@@ -18,8 +18,9 @@ from collections import defaultdict
 from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from ..config import (MAILBOX_OP_NS, RECEIVE_PACKET_CPU_NS, SEND_PACKET_CPU_NS,
-                      TRANSPORT_HEADER_BYTES, NectarConfig)
+from ..config import (MAILBOX_OP_NS, MAX_PAYLOAD_BYTES, RECEIVE_PACKET_CPU_NS,
+                      SEND_PACKET_CPU_NS, TRANSPORT_HEADER_BYTES,
+                      NectarConfig)
 from ..errors import TransportError
 from ..hardware.frames import Packet, Payload
 from ..kernel.mailbox import Mailbox, Message
@@ -362,7 +363,7 @@ class TransportManager:
         if mode == "auto" and not self.datalink.packet_fits(size):
             mode = "circuit"
         max_fragment = size if (mode == "circuit" and size > 0) \
-            else self.cfg.transport.max_payload_bytes
+            else MAX_PAYLOAD_BYTES
         fragments = slice_data(data, size, max_fragment)
         nfrags = len(fragments)
         for index, (frag_size, chunk) in enumerate(fragments):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING, Any, Optional
 
-from ..config import RELIABILITY_CPU_NS, SEND_PACKET_CPU_NS
+from ..config import (MAX_PAYLOAD_BYTES, RELIABILITY_CPU_NS,
+                      SEND_PACKET_CPU_NS)
 from ..errors import TransportError
 from ..hardware.frames import Payload
 from ..kernel.mailbox import Message
@@ -78,7 +79,7 @@ class StreamConnection:
         cfg = self.manager.cfg.transport
         body_size = message_size(data, size)
         msg_id = self.manager.next_message_id()
-        fragments = slice_data(data, body_size, cfg.max_payload_bytes)
+        fragments = slice_data(data, body_size, MAX_PAYLOAD_BYTES)
         nfrags = len(fragments)
         last_seq = None
         for index, (frag_size, chunk) in enumerate(fragments):
@@ -209,7 +210,6 @@ class ByteStreamProtocol:
         self.connections: dict[tuple[str, int], StreamConnection] = {}
         self.receivers: dict[tuple[str, int], _RecvState] = {}
         self.retransmitted = 0
-        self.duplicates = 0
 
     # ------------------------------------------------------------------
 
@@ -249,7 +249,6 @@ class ByteStreamProtocol:
             return
         if seq < state.expected_seq:
             # Duplicate from a retransmission: re-ack so the sender moves.
-            self.duplicates += 1
             yield from self._send_ack(header, state.expected_seq)
             return
         state.expected_seq += 1

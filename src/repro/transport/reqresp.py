@@ -65,34 +65,20 @@ class RequestResponseProtocol:
     # ------------------------------------------------------------------
 
     def request(self, dst_cab: str, service_mailbox: str,
-                data: Optional[bytes] = None, size: Optional[int] = None,
-                timeout_ns: Optional[int] = None,
-                max_retries: Optional[int] = None):
+                data: Optional[bytes] = None, size: Optional[int] = None):
         """Issue a request and wait for the response (generator).
 
         Returns the response :class:`~repro.kernel.mailbox.Message`.
-        Raises :class:`TransportError` after the retry budget, or
-        immediately when ``dst_cab``'s circuit breaker is open.
+        Raises :class:`TransportError` after ``max_retransmits``
+        retransmissions, or immediately when ``dst_cab``'s circuit
+        breaker is open.
 
-        With ``timeout_ns=None`` (the default) each attempt waits the
-        peer's current Jacobson/Karn RTO, doubling with jitter after
-        every timeout; an explicit ``timeout_ns`` pins a fixed
-        per-attempt deadline.
+        Each attempt waits the peer's current Jacobson/Karn RTO, doubling
+        with jitter after every timeout; a fixed per-attempt deadline is
+        the zero-width RTO clamp (see :class:`~repro.config.TransportConfig`).
         """
-        cfg = self.manager.cfg.transport
-        # An explicit 0 used to be silently replaced by the default
-        # (falsy-zero `or`); both knobs are validated loudly instead.
-        if timeout_ns is not None and timeout_ns <= 0:
-            raise TransportError(
-                f"request timeout must be positive, got {timeout_ns}")
-        if max_retries is None:
-            max_retries = cfg.max_retransmits
-        elif max_retries < 0:
-            raise TransportError(
-                f"max_retries must be >= 0, got {max_retries}")
         self.manager.check_peer(dst_cab)
-        estimator = self.manager.rto_for(dst_cab) \
-            if timeout_ns is None else None
+        estimator = self.manager.rto_for(dst_cab)
         request_id = next(self._request_ids)
         pending = _PendingRequest(request_id, Event(self.manager.sim))
         self._pending[request_id] = pending
@@ -105,29 +91,25 @@ class RequestResponseProtocol:
             while True:
                 attempt += 1
                 self.requests_sent += 1
-                if attempt == 1:
-                    first_sent_ns = self.manager.sim.now
                 yield from self.manager.send_fragments(
                     dst_cab, dict(header), data, body_size,
                     extra_cpu_ns=RELIABILITY_CPU_NS)
-                wait_ns = timeout_ns if estimator is None \
-                    else estimator.current_rto_ns()
-                deadline = self.manager.sim.timeout(wait_ns)
+                deadline = self.manager.sim.timeout(
+                    estimator.current_rto_ns())
                 result = yield self.manager.sim.any_of(
                     [pending.response, deadline])
                 yield from self.manager.kernel.compute(WAKEUP_NS)
                 if pending.response in result:
-                    if estimator is not None:
-                        if pending.retransmits == 0:
-                            # Karn's rule: only un-retransmitted
-                            # exchanges give unambiguous RTT samples.
-                            estimator.on_sample(
-                                self.manager.sim.now - first_sent_ns)
-                        else:
-                            estimator.on_success()
+                    if pending.retransmits == 0:
+                        # Karn's rule: only un-retransmitted exchanges
+                        # give unambiguous RTT samples.
+                        estimator.on_sample(
+                            self.manager.sim.now - first_sent_ns)
+                    else:
+                        estimator.on_success()
                     self.manager.peer_success(dst_cab)
                     return pending.response.value
-                if attempt > max_retries:
+                if attempt > self.manager.cfg.transport.max_retransmits:
                     # The final attempt fails without retransmitting, so
                     # it must not inflate the retransmit counters.
                     self.manager.peer_failure(dst_cab)
@@ -135,8 +117,7 @@ class RequestResponseProtocol:
                         f"request {request_id} to {dst_cab}/"
                         f"{service_mailbox}: no response after "
                         f"{attempt} attempts")
-                if estimator is not None:
-                    estimator.on_timeout()
+                estimator.on_timeout()
                 pending.retransmits += 1
                 self.retransmits += 1
         finally:

@@ -86,7 +86,6 @@ class OpenLoopGenerator:
         self.recorder = recorder
         self.message_bytes = message_bytes
         self.end_ns = end_ns
-        self.emitted = 0
 
     def start(self) -> None:
         self.stack.spawn(self._body(), name="wl-open")
@@ -121,7 +120,6 @@ class OpenLoopGenerator:
             try:
                 yield from self.stack.transport.datagram.send(
                     dst, SINK_MAILBOX, size=self.message_bytes, meta=meta)
-                self.emitted += 1
             except (TransportError, DatalinkError):
                 self.recorder.record_error(intended)
 
@@ -280,7 +278,6 @@ class Workload:
         stacks = [self.system.cab(name) for name in self.endpoints]
         hosts = [WorkloadHost(stack, recorder, serve=(self.mode == "closed"))
                  for stack in stacks]
-        generators = []
         for stack in stacks:
             if self.mode == "open":
                 arrivals = make_arrivals(
@@ -295,10 +292,8 @@ class Workload:
                     stack, pattern, recorder, self.message_bytes, end_ns,
                     window_depth=self.window_depth)
             generator.start()
-            generators.append(generator)
         self.system.run(until=end_ns + self.drain_ns)
         self.hosts = hosts
-        self.generators = generators
         return WorkloadResult(
             pattern=self.pattern_name, mode=self.mode,
             offered_load=self.offered_load,

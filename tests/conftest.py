@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,19 @@ import pytest
 from repro.config import NectarConfig
 from repro.sim import Simulator
 from repro.topology import single_hub_system
+
+
+def fixed_timer(cfg: NectarConfig, timeout_ns: int,
+                retries: int | None = None) -> NectarConfig:
+    """``cfg`` with §6.2.2's fixed retransmission timer: the zero-width
+    RTO clamp arms exactly ``timeout_ns`` per attempt (a zero jitter
+    span draws nothing), and ``retries``, when given, is the
+    retransmission budget."""
+    transport = replace(cfg.transport, min_rto_ns=timeout_ns,
+                        max_rto_ns=timeout_ns, rto_jitter=0.0)
+    if retries is not None:
+        transport = replace(transport, max_retransmits=retries)
+    return replace(cfg, transport=transport)
 
 
 @pytest.fixture(scope="session")

@@ -6,19 +6,24 @@ import pytest
 
 from repro.collectives import (CollectiveGroup, tree_children, tree_depth,
                                tree_parent)
-from repro.config import NectarConfig
+from repro.config import MAX_PAYLOAD_BYTES, NectarConfig
 from repro.errors import CollectiveError
 from repro.nectarine import NectarineRuntime
 from repro.topology import linear_system, mesh_system, single_hub_system
 
 
-def make_group(system, count, mode=None, prefix="t", cabs=None):
+def make_group(system, count, prefix="t", cabs=None):
     """A runtime + one task per rank on distinct CABs (by default)."""
     runtime = NectarineRuntime(system)
     cabs = cabs or [system.cab(f"cab{i}") for i in range(count)]
     tasks = [runtime.create_task(f"{prefix}{i}", cab)
              for i, cab in enumerate(cabs)]
-    return CollectiveGroup(tasks, mode=mode), tasks
+    return CollectiveGroup(tasks), tasks
+
+
+def software(cfg):
+    """``cfg`` with the software-tree collective mode."""
+    return replace(cfg, collectives=replace(cfg.collectives, mode="tree"))
 
 
 def run_all(system, group, tasks, body, until=2_000_000_000):
@@ -117,8 +122,8 @@ class TestHubOffload:
         assert system.hubs["hub0"].counters["collective.fetch_adds"] == 4
 
     def test_fetch_add_refused_in_software_mode(self):
-        system = single_hub_system(2)
-        group, _tasks = make_group(system, 2, mode="tree")
+        system = single_hub_system(2, cfg=software(NectarConfig()))
+        group, _tasks = make_group(system, 2)
         with pytest.raises(CollectiveError, match="software mode"):
             next(group.fetch_add(0, register=1))
 
@@ -199,9 +204,7 @@ class TestPayloadSizes:
 
     @pytest.mark.parametrize("size", [1, 959, 960, 961, 4000])
     def test_broadcast_sizes(self, size):
-        cfg = NectarConfig()
-        boundary = cfg.transport.max_payload_bytes
-        assert boundary == 960  # the sizes above straddle it
+        assert MAX_PAYLOAD_BYTES == 960  # the sizes above straddle it
         system = single_hub_system(3, cfg=NectarConfig(seed=3))
         group, tasks = make_group(system, 3)
         body_bytes = bytes(i % 251 for i in range(size))
@@ -214,8 +217,8 @@ class TestPayloadSizes:
         assert got == {rank: body_bytes for rank in range(3)}
 
     def test_gather_across_fragmentation(self):
-        system = single_hub_system(3)
-        group, tasks = make_group(system, 3, mode="tree")
+        system = single_hub_system(3, cfg=software(NectarConfig()))
+        group, tasks = make_group(system, 3)
         chunks = {rank: bytes([rank]) * (900 + 100 * rank)
                   for rank in range(3)}
         out = {}
@@ -401,10 +404,10 @@ class TestFaultTolerance:
         from repro.faults import build_campaign
         cfg = NectarConfig(seed=77)
         cfg = replace(cfg, collectives=replace(
-            cfg.collectives, software_timeout_ns=5_000_000))
+            cfg.collectives, mode="tree", software_timeout_ns=5_000_000))
         system = single_hub_system(3, cfg=cfg)
         system.inject_faults(build_campaign("drop-burst", cfg))
-        group, tasks = make_group(system, 3, mode="tree")
+        group, tasks = make_group(system, 3)
         outcomes = {}
 
         def body(rank):

@@ -134,17 +134,19 @@ def unread_attributes(package, reader_roots):
     """``{name: "path:line"}`` of every attribute stored under
     ``package`` (``obj.name = ...``, ``obj.name += ...`` or a class-body
     annotation such as a dataclass field) that no expression under
-    ``reader_roots`` loads and no string constant there contains as a
-    whitespace-separated word (``getattr`` names, keys, prose).
+    ``reader_roots`` loads and no string constant there equals (a
+    ``getattr`` name, a key); a name that appears only inside prose is
+    unread.
 
     The scan works by name only, so it misses state that is:
 
     * stored under a name some other object's attribute reads;
-    * named as a word in any string, prose included;
+    * stored under a name some string constant equals for another
+      purpose (a dict key, a metric label);
     * written only by key (``self.table[key] = value`` into a table
       nothing reads is a load of ``table``, not a store).
     """
-    stored, loaded, words = {}, set(), set()
+    stored, loaded, strings = {}, set(), set()
     for root in reader_roots:
         for path in sorted(root.rglob("*.py")):
             tree = ast.parse(path.read_text(), str(path))
@@ -159,7 +161,7 @@ def unread_attributes(package, reader_roots):
                                           f"{where}:{node.lineno}")
                 elif isinstance(node, ast.Constant) \
                         and isinstance(node.value, str):
-                    words.update(node.value.split())
+                    strings.add(node.value)
                 elif inside and isinstance(node, ast.ClassDef):
                     for field in node.body:
                         if isinstance(field, ast.AnnAssign) \
@@ -167,7 +169,7 @@ def unread_attributes(package, reader_roots):
                             stored.setdefault(field.target.id,
                                               f"{where}:{field.lineno}")
     return {name: where for name, where in sorted(stored.items())
-            if name not in loaded and name not in words
+            if name not in loaded and name not in strings
             and name not in EXEMPT_ATTRIBUTES}
 
 
@@ -195,6 +197,7 @@ def test_unread_attribute_check_catches_them(tmp_path):
         "        self.hits = 0\n"
         "        self.misses = 0\n"
         "        self.named = 0\n"
+        "        self.described = 0\n"
         "    def hit(self, record):\n"
         "        self.hits += 1\n"
         "        record.stamped = 1\n"
@@ -206,9 +209,11 @@ def test_unread_attribute_check_catches_them(tmp_path):
         "        op._value_ = value\n"
         "        return op\n")
     (tmp_path / "use.py").write_text(
-        "print(counter.hits, getattr(counter, 'named'))\n")
+        "print(counter.hits, getattr(counter, 'named'))\n"
+        "print('described in prose only')\n")
     assert unread_attributes(package, [tmp_path]) == {
-        "misses": "mod.py:10", "stamped": "mod.py:6"}
+        "described": "mod.py:12", "misses": "mod.py:10",
+        "stamped": "mod.py:6"}
 
 
 def yielded_timeouts(root):

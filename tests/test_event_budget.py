@@ -27,7 +27,14 @@ from repro.topology import single_hub_system
 ONE_DATAGRAM_ENTRIES = 43
 
 #: Opcodes executed in ``src/repro`` frames for the same scene, spawns
-#: included (CPython 3.11); a failure prints them by package.  10 879
+#: included (CPython 3.11); a failure prints them by package.  10 828
+#: before the HUB cycle and the packet payload became module constants
+#: and the last unread counters went: ``repro.config`` 5 -> 0 (no
+#: ``transfer_ns`` property call per HUB hop), ``repro.hardware`` 2 528
+#: -> 2 507 (a global load per HUB delay, no DMA ``transfers`` count),
+#: ``repro.transport`` 667 -> 664 (a global payload size),
+#: ``repro.kernel`` 567 -> 561 (no ``switches`` store per thread), every
+#: other package unchanged.  10 879
 #: before the checksum became the payload's ``corrupt`` flag and unread
 #: state went: ``repro.hardware`` 2 554 -> 2 528 and ``repro.datalink``
 #: 545 -> 537 (no ``seal`` per send, no ``verify`` call chain per
@@ -68,7 +75,7 @@ ONE_DATAGRAM_ENTRIES = 43
 #: ``repro.sim`` 8 815 -> 8 346 (no ``_waiting_on`` stores, no
 #: finished-process guard per resume), ``repro.hardware`` 2 902 -> 2 863
 #: (no ``try/finally`` per CPU grant).
-ONE_DATAGRAM_OPCODES = 10_828
+ONE_DATAGRAM_OPCODES = 10_793
 
 
 def one_datagram(drive=lambda run: run(), size=64, mode="auto"):

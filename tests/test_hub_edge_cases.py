@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import NectarConfig
+from repro.config import MAX_PAYLOAD_BYTES, NectarConfig
 from repro.hardware import (CabBoard, CommandOp, Hub, HubCommand, Packet,
                             Payload, wire_cab_to_hub)
 from repro.sim import Simulator
@@ -122,7 +122,7 @@ class TestDatalinkEdgeCases:
 
     def test_exact_max_payload_packet(self, hub_pair):
         system, a, b = hub_pair
-        size = system.cfg.transport.max_payload_bytes
+        size = MAX_PAYLOAD_BYTES
         inbox = b.create_mailbox("inbox")
         got = []
 

@@ -8,8 +8,8 @@ controller switching rate (one connection per 70 ns cycle).
 
 import pytest
 
-from repro.config import (PORT_COMMAND_CYCLES, SETUP_CYCLES, TRANSFER_CYCLES,
-                          NectarConfig)
+from repro.config import (HUB_CYCLE_NS, PORT_COMMAND_CYCLES, SETUP_CYCLES,
+                          TRANSFER_CYCLES, NectarConfig)
 from repro.hardware import (CabBoard, CommandOp, Hub, HubCommand, Packet,
                             Payload, wire_cab_to_hub)
 from repro.sim import Simulator
@@ -64,7 +64,7 @@ class TestE1SetupLatency:
         # cycles are measured from command arrival at the port.
         command_arrival = hop
         hub_latency = (head_at_dst - hop) - command_arrival
-        assert hub_latency == SETUP_CYCLES * cfg.hub.cycle_ns == 700
+        assert hub_latency == SETUP_CYCLES * HUB_CYCLE_NS == 700
 
     def test_established_connection_is_5_cycles(self, timing_rig):
         """§4 goal 1: a byte through an open connection takes 350 ns."""
@@ -81,7 +81,7 @@ class TestE1SetupLatency:
         head_at_dst = dst.heads[-1][0]
         hop = fiber_hop_ns(cfg)
         hub_latency = (head_at_dst - start) - 2 * hop
-        assert hub_latency == TRANSFER_CYCLES * cfg.hub.cycle_ns == 350
+        assert hub_latency == TRANSFER_CYCLES * HUB_CYCLE_NS == 350
 
 
 class TestE2SwitchingRate:
@@ -99,7 +99,7 @@ class TestE2SwitchingRate:
 
     def test_switching_rate_is_cycle_limited(self, timing_rig):
         cfg, sim, hub, src, dst = timing_rig
-        assert 1e9 / cfg.hub.cycle_ns == pytest.approx(14_285_714, rel=0.01)
+        assert 1e9 / HUB_CYCLE_NS == pytest.approx(14_285_714, rel=0.01)
 
 
 class TestE3SingleHubConnectionUnderOneMicrosecond:
@@ -122,7 +122,7 @@ class TestE3SingleHubConnectionUnderOneMicrosecond:
         hop = fiber_hop_ns(cfg)
         reply_hop = cfg.fiber.propagation_ns + 3 * round(cfg.fiber.ns_per_byte)
         cycles = PORT_COMMAND_CYCLES + 1 + TRANSFER_CYCLES
-        internal = cycles * cfg.hub.cycle_ns
+        internal = cycles * HUB_CYCLE_NS
         assert arrival["t"] == hop + internal + reply_hop
         # End to end (including both fiber hops) the connection is
         # confirmed well under 2 µs; excluding fibers it is under 1 µs.

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import NectarConfig
+from repro.config import MAX_PAYLOAD_BYTES, NectarConfig
 from repro.errors import TransportError
 from repro.inet import (IP_HEADER_BYTES, TCP_HEADER_BYTES, IpLayer,
                         TcpLayer, UdpLayer, cab_address, format_address)
@@ -282,9 +282,8 @@ class TestTcp:
         assert failures.get("timeout")
 
     def test_mss_fits_nectar_packet(self):
-        system, sa, sb, client, server = self.connect_pair()
-        cfg = system.cfg.transport
-        assert client.mss == (cfg.max_payload_bytes - IP_HEADER_BYTES
+        _system, _sa, _sb, client, _server = self.connect_pair()
+        assert client.mss == (MAX_PAYLOAD_BYTES - IP_HEADER_BYTES
                               - TCP_HEADER_BYTES)
 
     def test_two_connections_demultiplex(self):

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import fixed_timer
 from repro.config import NectarConfig
 from repro.sim import units
 from repro.topology import figure7_system, linear_system, single_hub_system
@@ -146,11 +147,12 @@ class TestDeterminism:
 
 class TestFaultRecoveryEndToEnd:
     def test_reliable_stack_survives_a_bad_fiber_day(self):
-        """Drops + corruption together; byte-stream and RPC both hold."""
+        """Drops + corruption together; byte-stream and RPC both hold
+        under a fixed 5 ms retransmission timer."""
         cfg = NectarConfig(seed=13)
         cfg = replace(cfg, fiber=replace(
             cfg.fiber, drop_probability=0.1, corrupt_probability=0.1))
-        system = single_hub_system(3, cfg=cfg)
+        system = single_hub_system(3, cfg=fixed_timer(cfg, 5_000_000))
         a, b = system.cab("cab0"), system.cab("cab1")
         inbox = b.create_mailbox("data")
         svc = b.create_mailbox("svc")
@@ -175,8 +177,7 @@ class TestFaultRecoveryEndToEnd:
             for _ in range(4):
                 yield from connection.send(data=body)
             response = yield from a.transport.rpc.request(
-                "cab1", "svc", data=b"still there?",
-                timeout_ns=5_000_000)
+                "cab1", "svc", data=b"still there?")
             results["rpc"] = response.data
         a.spawn(workload())
         system.run(until=120_000_000_000)

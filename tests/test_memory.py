@@ -14,8 +14,7 @@ from repro.sim import Simulator
 
 @pytest.fixture
 def region(sim):
-    pool = BandwidthPool(sim, 0.066, name="test")
-    return MemoryRegion(sim, "data", 64 * 1024, pool)
+    return MemoryRegion(sim, "data", 64 * 1024)
 
 
 class TestBandwidthPool:
@@ -83,8 +82,7 @@ class TestAllocator:
             region.free(block)
 
     def test_foreign_block_rejected(self, sim, region):
-        other = MemoryRegion(sim, "other", 1024,
-                             BandwidthPool(sim, 0.1))
+        other = MemoryRegion(sim, "other", 1024)
         block = other.alloc(10)
         with pytest.raises(AllocationError):
             region.free(block)
@@ -107,7 +105,7 @@ class TestAllocator:
 def test_allocator_never_overlaps_and_never_leaks(sizes, data):
     """Property: live blocks never overlap; free space is conserved."""
     sim = Simulator()
-    region = MemoryRegion(sim, "r", 256 * 1024, BandwidthPool(sim, 1.0))
+    region = MemoryRegion(sim, "r", 256 * 1024)
     live = []
     for size in sizes:
         try:

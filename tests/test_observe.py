@@ -339,7 +339,9 @@ class TestTracerRing:
     def test_drop_oldest_and_counter(self):
         sim = Simulator()
         from repro.sim import Tracer
-        tracer = Tracer(sim, enabled=True, limit=3)
+        tracer = Tracer(sim)
+        tracer.set_limit(3)
+        tracer.enable()
         for index in range(5):
             tracer.record("src", f"k{index}")
         records = tracer.records

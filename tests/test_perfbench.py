@@ -96,7 +96,7 @@ class TestDisabledTracing:
     def test_disabled_tracer_records_nothing(self):
         cfg = NectarConfig(seed=1989)
         sim = Simulator()
-        tracer = Tracer(sim, enabled=False)
+        tracer = Tracer(sim)
         hub = Hub(sim, "hub0", cfg.hub, cfg.fiber, tracer=tracer)
         for _ in range(100):
             hub.count("probe")

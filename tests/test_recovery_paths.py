@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import fixed_timer
 from repro.config import MAX_ROUTE_ATTEMPTS, NectarConfig
 from repro.errors import DatalinkError, TransportError
 from repro.hardware import CommandOp, HubCommand
@@ -93,7 +94,8 @@ class TestRetryAccounting:
         retry budget, so a request that gave up after N retries reported
         N+1 — inflating every fault-campaign recovery report.
         """
-        system = single_hub_system(2)
+        system = single_hub_system(2, cfg=fixed_timer(
+            NectarConfig(), units.us(50), retries=3))
         client = system.cab("cab0")
         # The service CAB never answers: its uplink is dead.
         client.board.out_fiber.set_fault(down=True)
@@ -102,8 +104,7 @@ class TestRetryAccounting:
         def caller():
             try:
                 yield from client.transport.rpc.request(
-                    "cab1", "svc", size=64, timeout_ns=units.us(50),
-                    max_retries=3)
+                    "cab1", "svc", size=64)
             except TransportError as exc:
                 outcome["error"] = str(exc)
         client.spawn(caller())
@@ -224,7 +225,8 @@ class TestReliableUnderLoss:
 
     def test_rpc_at_most_once_under_drops(self):
         """Retransmitted requests never re-execute the server."""
-        system = single_hub_system(2, cfg=lossy_config(drop=0.05, seed=11))
+        system = single_hub_system(2, cfg=fixed_timer(
+            lossy_config(drop=0.05, seed=11), units.us(500), retries=50))
         client, server = system.cab("cab0"), system.cab("cab1")
         svc = server.create_mailbox("svc")
         executions = []
@@ -240,8 +242,7 @@ class TestReliableUnderLoss:
         def call():
             for _ in range(10):
                 response = yield from client.transport.rpc.request(
-                    "cab1", "svc", size=256, timeout_ns=units.us(500),
-                    max_retries=50)
+                    "cab1", "svc", size=256)
                 responses.append(response)
         server.spawn(serve())
         client.spawn(call())

@@ -7,23 +7,27 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import fixed_timer
 from repro.config import NectarConfig
 from repro.errors import TransportError
 from repro.topology import single_hub_system
 
 
-def lossy_system(seed, drop, corrupt=0.0):
+def lossy_config(seed, drop, corrupt=0.0):
     cfg = NectarConfig(seed=seed)
     # The shipped max_retransmits=10 bounds time-to-peer-failure for the
     # resilience layer; at drop=0.25 with lossy acks a packet exhausts it
     # with probability ~0.44^11 ≈ 1e-4 per example, so the "any loss"
     # property needs a persistence budget matched to the sampled rates
     # (0.44^65 is beyond any seed Hypothesis will ever draw).
-    cfg = replace(
+    return replace(
         cfg, fiber=replace(cfg.fiber, drop_probability=drop,
                            corrupt_probability=corrupt),
         transport=replace(cfg.transport, max_retransmits=64))
-    return single_hub_system(2, cfg=cfg)
+
+
+def lossy_system(seed, drop, corrupt=0.0):
+    return single_hub_system(2, cfg=lossy_config(seed, drop, corrupt))
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000),
@@ -55,7 +59,8 @@ def test_byte_stream_exact_delivery_under_any_loss(seed, drop, body):
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 def test_rpc_response_matches_request_under_loss(seed, drop, request):
-    system = lossy_system(seed, drop)
+    system = single_hub_system(2, cfg=fixed_timer(
+        lossy_config(seed, drop), 3_000_000, retries=30))
     a, b = system.cab("cab0"), system.cab("cab1")
     inbox = b.create_mailbox("svc")
     executions = []
@@ -71,8 +76,7 @@ def test_rpc_response_matches_request_under_loss(seed, drop, request):
 
     def client():
         response = yield from a.transport.rpc.request(
-            "cab1", "svc", data=request, timeout_ns=3_000_000,
-            max_retries=30)
+            "cab1", "svc", data=request)
         results.append(response.data)
     a.spawn(client())
     system.run(until=300_000_000_000)

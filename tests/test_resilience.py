@@ -240,20 +240,17 @@ class TestTransportIntegration:
         return outcome
 
     def test_zero_timeout_rejected_loudly(self):
-        system = single_hub_system(2)
-        a = system.cab("cab0")
-        outcome = self.run_client(
-            system, a, lambda: a.transport.rpc.request(
-                "cab1", "svc", data=b"x", timeout_ns=0))
-        assert "timeout must be positive" in outcome["error"]
+        # A fixed 0 ns timer is the zero-width clamp at 0.
+        cfg = NectarConfig()
+        with pytest.raises(ConfigError, match="RTO clamp"):
+            replace(cfg, transport=replace(cfg.transport, min_rto_ns=0,
+                                           max_rto_ns=0, rto_jitter=0.0))
 
     def test_negative_retry_budget_rejected(self):
-        system = single_hub_system(2)
-        a = system.cab("cab0")
-        outcome = self.run_client(
-            system, a, lambda: a.transport.rpc.request(
-                "cab1", "svc", data=b"x", max_retries=-1))
-        assert "max_retries" in outcome["error"]
+        cfg = NectarConfig()
+        with pytest.raises(ConfigError, match="max_retransmits"):
+            replace(cfg, transport=replace(cfg.transport,
+                                           max_retransmits=-1))
 
     def test_open_breaker_fails_fast(self):
         system = single_hub_system(2)

@@ -36,39 +36,10 @@ class TestStore:
         sim.run()
         assert times["got"] == (500, "late")
 
-    def test_capacity_blocks_put(self, sim):
-        store = Store(sim, capacity=1)
-        done = []
-
-        def producer():
-            yield store.put("first")
-            yield store.put("second")
-            done.append(sim.now)
-        sim.process(producer())
-        sim.call_at(100, lambda: store.try_get())
-        sim.run()
-        assert done == [100]
-
-    def test_try_put_respects_capacity(self, sim):
-        store = Store(sim, capacity=1)
-        assert store.try_put("one")
-        assert not store.try_put("two")
-
     def test_try_get_empty(self, sim):
         store = Store(sim)
         ok, item = store.try_get()
         assert not ok and item is None
-
-    def test_invalid_capacity(self, sim):
-        with pytest.raises(ValueError):
-            Store(sim, capacity=0)
-
-    def test_is_full(self, sim):
-        store = Store(sim, capacity=2)
-        store.try_put(1)
-        assert not store.is_full
-        store.try_put(2)
-        assert store.is_full
 
     def test_multiple_getters_fifo(self, sim):
         store = Store(sim)
@@ -207,50 +178,32 @@ class ModelResource:
 
 
 class ModelStore:
-    def __init__(self, capacity):
-        self.capacity, self.items, self.getters, self.putters, self.fired = \
-            capacity, [], [], [], []
+    def __init__(self):
+        self.items, self.getters, self.fired = [], [], []
 
     def put(self, tag, item):
-        self.putters.append((tag, item))
+        self.items.append(item)
+        self.fired.append((tag, item))
         self.service()
 
     def get(self, tag):
         self.getters.append(tag)
         self.service()
 
-    def try_put(self, item):
-        if len(self.items) >= self.capacity or self.putters:
-            return False
-        self.items.append(item)
-        self.service()
-        return True
-
     def try_get(self):
         if not self.items or self.getters:
             return False, None
-        item = self.items.pop(0)
-        self.service()
-        return True, item
+        return True, self.items.pop(0)
 
     def service(self):
-        progressed = True
-        while progressed:
-            progressed = False
-            while self.putters and len(self.items) < self.capacity:
-                tag, item = self.putters.pop(0)
-                self.items.append(item)
-                self.fired.append((tag, item))
-                progressed = True
-            while self.getters and self.items:
-                self.fired.append((self.getters.pop(0), self.items.pop(0)))
-                progressed = True
+        while self.getters and self.items:
+            self.fired.append((self.getters.pop(0), self.items.pop(0)))
 
 
 class TestLazyWaiterQueues:
     def test_idle_primitives_hold_no_deque(self, sim):
         store, lock = Store(sim), Resource(sim)
-        queues = (store._getters, store._putters, lock._waiters)
+        queues = (store._getters, lock._waiters)
         assert not any(queues)
         assert not any(isinstance(queue, deque) for queue in queues)
         # Traffic that never waits never builds one either.
@@ -258,7 +211,7 @@ class TestLazyWaiterQueues:
         lock.acquire(), lock.release()
         sim.run()
         assert not any(isinstance(queue, deque) for queue in (
-            store._getters, store._putters, lock._waiters))
+            store._getters, lock._waiters))
 
     def test_queues_are_per_instance_once_made(self, sim):
         first, second = Store(sim), Store(sim)
@@ -306,20 +259,17 @@ class TestLazyWaiterQueues:
         assert order == ["d", "c"]
 
     def test_store_getters_then_putters_park_and_drain(self, sim):
-        store = Store(sim, capacity=1)
+        store = Store(sim)
         gets = [(f"get{i}", store.get()) for i in range(2)]
         puts = [(f"put{i}", store.put(i)) for i in range(4)]
         order = fired_order(gets + puts)
         sim.run()
-        # put0 feeds get0, put1 feeds get1, put2 fills the slot, put3 parks.
-        assert order == ["put0", "get0", "put1", "get1", "put2"]
+        # put0 feeds get0, put1 feeds get1, put2 and put3 are stored.
+        assert order == ["put0", "get0", "put1", "get1", "put2", "put3"]
         assert [event.value for _tag, event in gets] == [0, 1]
-        assert len(store._putters) == 1
         assert store.try_get() == (True, 2)
-        sim.run()
-        assert order[-1] == "put3" and not store._putters
         assert store.try_get() == (True, 3) and not store.items
-        # Drained on both sides: parking again still works, in order.
+        # Drained: parking again still works, in order.
         order = fired_order([("late", store.get())])
         store.put("again")
         sim.run()
@@ -355,13 +305,12 @@ class TestLazyWaiterQueues:
         assert [tag for tag, event in events if not event.triggered] \
             == sorted(model.waiters)
 
-    @given(capacity=st.integers(1, 3),
-           ops=st.lists(st.sampled_from(["put", "get", "try_put", "try_get"]),
+    @given(ops=st.lists(st.sampled_from(["put", "get", "try_get"]),
                         max_size=40))
     @settings(max_examples=150, deadline=None)
-    def test_store_matches_reference_model(self, capacity, ops):
+    def test_store_matches_reference_model(self, ops):
         sim = Simulator()
-        store, model = Store(sim, capacity), ModelStore(capacity)
+        store, model = Store(sim), ModelStore()
         events = []
         for tag, op in enumerate(ops):
             if op == "put":
@@ -370,8 +319,6 @@ class TestLazyWaiterQueues:
             elif op == "get":
                 events.append((tag, store.get()))
                 model.get(tag)
-            elif op == "try_put":
-                assert store.try_put(tag) == model.try_put(tag)
             else:
                 assert store.try_get() == model.try_get()
         fired = []

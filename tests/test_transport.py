@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import fixed_timer
 from repro.config import NectarConfig
 from repro.errors import TransportError
 from repro.topology import linear_system, single_hub_system
@@ -268,14 +269,15 @@ class TestRequestResponse:
         assert outcome["data"] == b"fedcba"
 
     def test_retransmits_on_loss_and_succeeds(self):
-        system = single_hub_system(2, cfg=lossy_config(drop=0.3, seed=11))
+        system = single_hub_system(2, cfg=fixed_timer(
+            lossy_config(drop=0.3, seed=11), 3_000_000))
         a, b = system.cab("cab0"), system.cab("cab1")
         self.start_echo_server(b)
         outcome = {}
 
         def client():
             response = yield from a.transport.rpc.request(
-                "cab1", "svc", data=b"retry me", timeout_ns=3_000_000)
+                "cab1", "svc", data=b"retry me")
             outcome["data"] = response.data
         a.spawn(client())
         system.run(until=60_000_000_000)
@@ -283,7 +285,10 @@ class TestRequestResponse:
 
     def test_at_most_once_execution(self):
         """Duplicate requests are answered from the cache, not re-run."""
-        system = single_hub_system(2)
+        # Absurdly short timer forces client retransmissions even though
+        # the network is healthy.
+        system = single_hub_system(2, cfg=fixed_timer(
+            NectarConfig(), 30_000, retries=20))
         a, b = system.cab("cab0"), system.cab("cab1")
         inbox = b.create_mailbox("svc")
         executions = []
@@ -297,11 +302,8 @@ class TestRequestResponse:
         outcome = {}
 
         def client():
-            # Absurdly short timeout forces client retransmissions even
-            # though the network is healthy.
             response = yield from a.transport.rpc.request(
-                "cab1", "svc", data=b"x", timeout_ns=30_000,
-                max_retries=20)
+                "cab1", "svc", data=b"x")
             outcome["data"] = response.data
         a.spawn(client())
         system.run(until=60_000_000_000)
@@ -310,7 +312,8 @@ class TestRequestResponse:
         assert b.transport.rpc.duplicate_requests > 0
 
     def test_gives_up_after_retries(self):
-        system = single_hub_system(2, cfg=lossy_config(drop=1.0))
+        system = single_hub_system(2, cfg=fixed_timer(
+            lossy_config(drop=1.0), 1_000_000, retries=2))
         a, b = system.cab("cab0"), system.cab("cab1")
         b.create_mailbox("svc")
         outcome = {}
@@ -318,16 +321,17 @@ class TestRequestResponse:
         def client():
             try:
                 yield from a.transport.rpc.request(
-                    "cab1", "svc", data=b"x", timeout_ns=1_000_000,
-                    max_retries=2)
+                    "cab1", "svc", data=b"x")
             except TransportError:
                 outcome["failed"] = True
         a.spawn(client())
         system.run(until=60_000_000_000)
         assert outcome.get("failed")
 
-    def test_large_request_and_response(self, hub_pair):
-        system, a, b = hub_pair
+    def test_large_request_and_response(self):
+        system = single_hub_system(4, cfg=fixed_timer(NectarConfig(),
+                                                      500_000_000))
+        a, b = system.cab("cab0"), system.cab("cab1")
         inbox = b.create_mailbox("svc")
 
         def server():
@@ -338,7 +342,7 @@ class TestRequestResponse:
 
         def client():
             response = yield from a.transport.rpc.request(
-                "cab1", "svc", size=20_000, timeout_ns=500_000_000)
+                "cab1", "svc", size=20_000)
             outcome["size"] = response.size
         a.spawn(client())
         system.run(until=2_000_000_000)
