@@ -37,7 +37,7 @@ def scenario_small_message_latency():
 
     def sender():
         state["t0"] = system.now
-        yield from client.send("cab1", 7, size=64)
+        yield from client.send("cab1", 7, bytes(64))
     b.spawn(receiver())
     a.spawn(sender())
     system.run(until=100_000_000)
@@ -63,7 +63,7 @@ def scenario_bulk_throughput(size=200_000):
     def tcp_client():
         conn = yield from tcp_a.connect("cab1", 80)
         state["t0"] = system.now
-        yield from conn.send(size=size)
+        yield from conn.send(bytes(size))
     a.spawn(tcp_client())
     system.run(until=60_000_000_000)
     tcp = units.throughput_mbps(size, state["t"] - state["t0"])

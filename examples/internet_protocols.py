@@ -68,7 +68,7 @@ def main() -> None:
                 yield system.sim.timeout(200_000)
         system.sim.process(sample_cwnd())
         t0 = system.now
-        yield from connection.send(size=120_000)
+        yield from connection.send(bytes(120_000))
         out["tcp_us"] = units.to_us(system.now - t0)
     beta.spawn(tcp_server())
     alpha.spawn(tcp_client())

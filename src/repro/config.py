@@ -191,9 +191,10 @@ class TransportConfig:
     #: Backoff jitter as a fraction of the base RTO, drawn from the
     #: deterministic ``rto:<cab>-><peer>`` RNG stream.
     rto_jitter: float = 0.1
-    #: How long incomplete reassemblies (datagram and request-response)
-    #: are kept.  Generous: a pipelined 1 MB node send crosses VME at
-    #: 10 MB/s (~100 ms).
+    #: How long incomplete reassemblies (datagram, request-response, IP
+    #: and the node driver) are kept, counted from the first fragment.
+    #: Generous: a pipelined 1 MB shared-memory send crosses VME at
+    #: 10 MB/s (~100 ms), and a 200 KB node-driver send takes ~130 ms.
     reassembly_timeout_ns: int = 500_000_000
 
 

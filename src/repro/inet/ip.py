@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import struct
 from itertools import count
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any
 
 from ..config import MAX_PAYLOAD_BYTES
 from ..errors import TransportError
@@ -118,15 +118,13 @@ class IpLayer:
     # send path (generator, thread or interrupt continuation context)
     # ------------------------------------------------------------------
 
-    def send_segment(self, dst_cab: str, protocol: int,
-                     segment_data: Optional[bytes],
-                     segment_size: Optional[int] = None):
+    def send_segment(self, dst_cab: str, protocol: int, segment_data: bytes):
         """Encapsulate one upper-layer segment and transmit it.
 
         Fragments at the MTU; each fragment carries a real packed IPv4
         header on the wire.  The 16-bit identification wraps, as in IPv4.
         """
-        size = len(segment_data) if segment_size is None else segment_size
+        size = len(segment_data)
         identification = next(self._ip_ids) & 0xFFFF
         dst_address = cab_address(dst_cab)
         payload_mtu = self.mtu - IP_HEADER_BYTES
@@ -138,10 +136,7 @@ class IpLayer:
             header_bytes = pack_ip_header(
                 self.address, dst_address, protocol,
                 IP_HEADER_BYTES + piece, identification, offset, more)
-            if segment_data is not None:
-                body = header_bytes + segment_data[offset:offset + piece]
-            else:
-                body = None
+            body = header_bytes + segment_data[offset:offset + piece]
             payload = Payload(IP_HEADER_BYTES + piece, data=body, header={
                 "proto": "ip", "src": self.stack.name, "ip_id": identification,
                 "ip_proto": protocol, "frag": index, "nfrags": nfrags,
@@ -169,24 +164,20 @@ class IpLayer:
         header = payload.header
         yield from self.stack.board.cpu.execute(IP_CPU_NS)
         self.packets_received += 1
-        if payload.data is not None:
-            # Parse the real wire header and cross-check the metadata.
-            parsed = unpack_ip_header(payload.data)
-            if parsed["protocol"] != header["ip_proto"]:
-                return  # malformed; drop
-            body = payload.data[IP_HEADER_BYTES:]
-        else:
-            body = None
+        # Parse the real wire header and cross-check the metadata.
+        if unpack_ip_header(payload.data)["protocol"] != header["ip_proto"]:
+            return  # malformed; drop
+        body = payload.data[IP_HEADER_BYTES:]
         partial = self.reassembly.add_fragment(
             (header["src"], header["ip_id"]),
             Payload(payload.size - IP_HEADER_BYTES, data=body, header=header),
             self.sim.now)
         if partial is None:
             return
-        total, segment = partial.assemble()
+        _total, segment = partial.assemble()
         upper = self._upper.get(header["ip_proto"])
         if upper is not None:
-            yield from upper.segment_arrived(header["src"], segment, total)
+            yield from upper.segment_arrived(header["src"], segment)
 
 
 class UdpSocket:
@@ -197,10 +188,9 @@ class UdpSocket:
         self.port = port
         self.queue: Store = Store(layer.stack.sim)
 
-    def send(self, dst_cab: str, dst_port: int,
-             data: Optional[bytes] = None, size: Optional[int] = None):
+    def send(self, dst_cab: str, dst_port: int, data: bytes):
         """Send one UDP datagram (generator)."""
-        yield from self.layer.send(self.port, dst_cab, dst_port, data, size)
+        yield from self.layer.send(self.port, dst_cab, dst_port, data)
 
     def receive(self):
         """Wait for the next datagram (generator); returns a dict.
@@ -211,9 +201,6 @@ class UdpSocket:
         datagram = yield from self.layer.stack.kernel.wait(
             self.queue.get())
         return datagram
-
-    def close(self) -> None:
-        self.layer.sockets.pop(self.port, None)
 
 
 class UdpLayer:
@@ -232,30 +219,18 @@ class UdpLayer:
         self.sockets[port] = socket
         return socket
 
-    def send(self, src_port: int, dst_cab: str, dst_port: int,
-             data: Optional[bytes], size: Optional[int] = None):
-        body_size = len(data) if size is None else size
+    def send(self, src_port: int, dst_cab: str, dst_port: int, data: bytes):
         header = _UDP_HEADER.pack(src_port, dst_port,
-                                  UDP_HEADER_BYTES + body_size, 0)
-        segment = header + data if data is not None else None
-        yield from self.ip.send_segment(
-            dst_cab, PROTO_UDP, segment,
-            None if segment is not None else UDP_HEADER_BYTES + body_size)
+                                  UDP_HEADER_BYTES + len(data), 0)
+        yield from self.ip.send_segment(dst_cab, PROTO_UDP, header + data)
 
-    def segment_arrived(self, src_cab: str, segment: Optional[bytes],
-                        size: int):
-        if segment is not None:
-            src_port, dst_port, length, _sum = \
-                _UDP_HEADER.unpack_from(segment)
-            body = segment[UDP_HEADER_BYTES:]
-        else:
-            src_port = dst_port = 0
-            body = None
-        socket = self.sockets.get(dst_port) if segment is not None else \
-            (next(iter(self.sockets.values()), None))
+    def segment_arrived(self, src_cab: str, segment: bytes):
+        src_port, dst_port, _length, _sum = _UDP_HEADER.unpack_from(segment)
+        socket = self.sockets.get(dst_port)
         if socket is None:
             return
         yield from self.stack.board.cpu.execute(UDP_CPU_NS)
+        body = segment[UDP_HEADER_BYTES:]
         socket.queue.put({"src_cab": src_cab, "src_port": src_port,
-                          "data": body, "size": size - UDP_HEADER_BYTES})
+                          "data": body, "size": len(body)})
         yield from self.stack.kernel.wakeup_cost()

@@ -1,9 +1,12 @@
 """TCP over Nectar IP (§6.2.2 future work, implemented).
 
 A compact but real TCP: three-way handshake, byte sequence numbers,
-cumulative acks, out-of-order receive buffering, RTT estimation
-(Jacobson SRTT/RTTVAR), exponential RTO backoff, slow start, congestion
+cumulative acks, out-of-order receive buffering, slow start, congestion
 avoidance, fast retransmit on three duplicate acks, and FIN teardown.
+The SYN and data timers run on the clock the native transports use: the
+CAB's per-peer :class:`~repro.resilience.RtoEstimator` (Jacobson/Karn,
+exponential backoff), with ``cfg.transport.max_retransmits`` as the
+retry budget.
 
 Deliberate simplifications (documented for reviewers): no simultaneous
 open, no TIME_WAIT 2MSL timer, fixed receive window, no delayed acks,
@@ -40,14 +43,6 @@ TCP_CPU_NS = 6_000
 #: Fixed advertised receive window (bytes).
 RECEIVE_WINDOW = 64 * 1024
 
-#: Initial / minimum / maximum retransmission timeout.
-INITIAL_RTO_NS = 3_000_000
-MIN_RTO_NS = 500_000
-MAX_RTO_NS = 60_000_000_000
-
-MAX_SYN_RETRIES = 8
-MAX_DATA_RETRIES = 12
-
 
 def pack_tcp_header(src_port: int, dst_port: int, seq: int, ack: int,
                     flags: int, window: int) -> bytes:
@@ -68,9 +63,9 @@ class _Segment:
 
     __slots__ = ("seq", "size", "data", "sent_at", "retransmits")
 
-    def __init__(self, seq: int, size: int, data: Optional[bytes]) -> None:
-        self.seq = seq
-        self.size = size
+    def __init__(self, data: bytes) -> None:
+        self.seq = 0
+        self.size = len(data)
         self.data = data
         self.sent_at = 0
         self.retransmits = 0
@@ -112,15 +107,12 @@ class TcpConnection:
         self.cwnd = 2 * self.mss
         self.ssthresh = 64 * 1024
         self.dupacks = 0
-        self.srtt: Optional[float] = None
-        self.rttvar = 0.0
-        self.rto = INITIAL_RTO_NS
         self._retransmit_timer = None
         self._pending: list[_Segment] = []
         self.window_open = Broadcast(self.sim)
         # receive side
         self.rcv_nxt = 0
-        self.out_of_order: dict[int, tuple[int, Optional[bytes]]] = {}
+        self.out_of_order: dict[int, bytes] = {}
         self.delivered: Store = Store(self.sim)
         self.remote_closed = False
         # lifecycle
@@ -147,18 +139,12 @@ class TcpConnection:
     # user API (generators)
     # ------------------------------------------------------------------
 
-    def send(self, data: Optional[bytes] = None,
-             size: Optional[int] = None):
+    def send(self, data: bytes):
         """Reliably send bytes; returns once everything is acked."""
         if self.state not in ("ESTABLISHED",):
             raise TransportError(f"send() in state {self.state}")
-        body_size = len(data) if size is None else size
-        offset = 0
-        while offset < body_size:
-            piece = min(self.mss, body_size - offset)
-            chunk = data[offset:offset + piece] if data is not None else None
-            self._pending.append(_Segment(0, piece, chunk))
-            offset += piece
+        for offset in range(0, len(data), self.mss):
+            self._pending.append(_Segment(data[offset:offset + self.mss]))
         target = self.snd_una + self.flight_size \
             + sum(seg.size for seg in self._pending)
         yield from self._pump()
@@ -167,28 +153,21 @@ class TcpConnection:
             if self.state == "CLOSED":
                 raise TransportError("connection reset during send")
             yield from self._pump()
-        return body_size
+        return len(data)
 
     def receive(self, nbytes: int):
         """Block until ``nbytes`` have arrived in order.
 
-        Returns the bytes (or None if the stream carries synthetic
-        sizes).  Returns early with fewer bytes if the peer closed.
+        Returns early with fewer bytes if the peer closed.
         """
         collected = []
         got = 0
-        synthetic = False
         while got < nbytes:
             if self.remote_closed and not self.delivered.items:
                 break
-            size, chunk = yield self.delivered.get()
-            got += size
-            if chunk is None:
-                synthetic = True
-            else:
-                collected.append(chunk)
-        if synthetic or not collected:
-            return {"size": got, "data": None}
+            chunk = yield self.delivered.get()
+            got += len(chunk)
+            collected.append(chunk)
         return {"size": got, "data": b"".join(collected)}
 
     def close(self):
@@ -214,20 +193,16 @@ class TcpConnection:
             self.snd_nxt += segment.size
             self.unacked[segment.seq] = segment
             segment.sent_at = self.sim.now
-            yield from self._send_data(segment, first_time=True)
+            yield from self._send_data(segment)
         self._arm_timer()
 
-    def _send_data(self, segment: _Segment, first_time: bool):
-        flags = FLAG_ACK | FLAG_PSH
+    def _send_data(self, segment: _Segment):
         header = pack_tcp_header(self.local_port, self.remote_port,
-                                 segment.seq, self.rcv_nxt, flags,
-                                 RECEIVE_WINDOW)
-        body = header + segment.data if segment.data is not None else None
+                                 segment.seq, self.rcv_nxt,
+                                 FLAG_ACK | FLAG_PSH, RECEIVE_WINDOW)
         yield from self.stack.kernel.compute(TCP_CPU_NS)
         yield from self.layer.ip.send_segment(
-            self.remote_cab, PROTO_TCP, body,
-            None if body is not None
-            else TCP_HEADER_BYTES + segment.size)
+            self.remote_cab, PROTO_TCP, header + segment.data)
 
     def _emit(self, flags: int, seq: Optional[int] = None):
         """Send a control segment (SYN/ACK/FIN)."""
@@ -248,7 +223,8 @@ class TcpConnection:
             return
         self._cancel_timer()
         self._retransmit_timer = self.stack.board.timers.set(
-            int(self.rto), self._on_timeout)
+            self.stack.transport.rto_for(self.remote_cab).current_rto_ns(),
+            self._on_timeout)
 
     def _cancel_timer(self) -> None:
         if self._retransmit_timer is not None:
@@ -265,29 +241,17 @@ class TcpConnection:
         # RFC-style: collapse to one segment, back the timer off.
         self.ssthresh = max(self.flight_size // 2, 2 * self.mss)
         self.cwnd = self.mss
-        self.rto = min(self.rto * 2, MAX_RTO_NS)
         self.dupacks = 0
-        seq = min(self.unacked)
-        segment = self.unacked[seq]
+        segment = self.unacked[min(self.unacked)]
         segment.retransmits += 1
-        if segment.retransmits > MAX_DATA_RETRIES:
+        budget = self.stack.system.cfg.transport.max_retransmits
+        if segment.retransmits > budget:
             self._reset("too many retransmissions")
             return
+        self.stack.transport.rto_for(self.remote_cab).on_timeout()
         self.retransmissions += 1
-        yield from self._send_data(segment, first_time=False)
+        yield from self._send_data(segment)
         self._arm_timer()
-
-    def _update_rtt(self, sample_ns: int) -> None:
-        if self.srtt is None:
-            self.srtt = float(sample_ns)
-            self.rttvar = sample_ns / 2
-        else:
-            delta = abs(self.srtt - sample_ns)
-            self.rttvar = 0.75 * self.rttvar + 0.25 * delta
-            self.srtt = 0.875 * self.srtt + 0.125 * sample_ns
-        self.rto = max(MIN_RTO_NS,
-                       min(int(self.srtt + 4 * self.rttvar) * 2,
-                           MAX_RTO_NS))
 
     def _reset(self, reason: str) -> None:
         self.state = "CLOSED"
@@ -301,8 +265,7 @@ class TcpConnection:
     # inbound segment processing (generator, interrupt continuation)
     # ------------------------------------------------------------------
 
-    def on_segment(self, header: dict[str, Any],
-                   body: Optional[bytes], body_size: int):
+    def on_segment(self, header: dict[str, Any], body: bytes):
         yield from self.stack.board.cpu.execute(TCP_CPU_NS)
         flags = header["flags"]
         if flags & FLAG_SYN and flags & FLAG_ACK:
@@ -314,8 +277,8 @@ class TcpConnection:
             return
         if flags & FLAG_ACK:
             self._on_ack(header["ack"], header["window"])
-        if body_size > 0:
-            yield from self._on_data(header["seq"], body, body_size)
+        if body:
+            yield from self._on_data(header["seq"], body)
         if flags & FLAG_FIN:
             yield from self._on_fin(header)
         yield from self._pump()
@@ -340,11 +303,16 @@ class TcpConnection:
             return
         newly_acked = ack - self.snd_una
         self.dupacks = 0
+        estimator = self.stack.transport.rto_for(self.remote_cab)
         for seq in sorted(self.unacked):
             segment = self.unacked[seq]
             if seq + segment.size <= ack:
                 if segment.retransmits == 0:
-                    self._update_rtt(self.sim.now - segment.sent_at)
+                    # Karn's rule: retransmitted segments give ambiguous
+                    # round trips.
+                    estimator.on_sample(self.sim.now - segment.sent_at)
+                else:
+                    estimator.on_success()
                 del self.unacked[seq]
         self.snd_una = ack
         # Congestion window growth.
@@ -360,39 +328,36 @@ class TcpConnection:
             return
         self.ssthresh = max(self.flight_size // 2, 2 * self.mss)
         self.cwnd = self.ssthresh
-        seq = min(self.unacked)
-        segment = self.unacked[seq]
+        segment = self.unacked[min(self.unacked)]
         segment.retransmits += 1
         self.retransmissions += 1
-        self.sim.process(self._send_data(segment, first_time=False),
+        self.sim.process(self._send_data(segment),
                          name=f"{self.stack.name}.tcp-fastrexmit")
 
-    def _on_data(self, seq: int, body: Optional[bytes], size: int):
-        if seq + size <= self.rcv_nxt:
+    def _on_data(self, seq: int, body: bytes):
+        if seq + len(body) <= self.rcv_nxt:
             pass  # duplicate
         elif seq > self.rcv_nxt:
-            self.out_of_order[seq] = (size, body)
+            self.out_of_order[seq] = body
         else:
-            self._deliver(size - (self.rcv_nxt - seq),
-                          body[self.rcv_nxt - seq:]
-                          if body is not None else None)
-            self.rcv_nxt = seq + size
+            self._deliver(body[self.rcv_nxt - seq:])
+            self.rcv_nxt = seq + len(body)
             while self.rcv_nxt in self.out_of_order:
-                o_size, o_body = self.out_of_order.pop(self.rcv_nxt)
-                self._deliver(o_size, o_body)
-                self.rcv_nxt += o_size
+                queued = self.out_of_order.pop(self.rcv_nxt)
+                self._deliver(queued)
+                self.rcv_nxt += len(queued)
         yield from self._emit(FLAG_ACK)
 
-    def _deliver(self, size: int, body: Optional[bytes]) -> None:
-        if size > 0:
-            self.delivered.put((size, body))
+    def _deliver(self, body: bytes) -> None:
+        if body:
+            self.delivered.put(body)
 
     def _on_fin(self, header: dict[str, Any]):
         self.rcv_nxt = max(self.rcv_nxt, header["seq"] + 1)
         self.remote_closed = True
         if self.delivered._getters:
             # Wake blocked readers with an empty chunk so they can end.
-            self.delivered.put((0, b""))
+            self.delivered.put(b"")
         if self.state == "ESTABLISHED":
             self.state = "CLOSE_WAIT"
         elif self.state == "FIN_WAIT":
@@ -429,16 +394,22 @@ class TcpLayer:
                                    self._next_iss)
         self.connections[(local_port, dst_cab, dst_port)] = connection
         connection.state = "SYN_SENT"
-        for attempt in range(MAX_SYN_RETRIES):
+        estimator = self.stack.transport.rto_for(dst_cab)
+        attempts = self.stack.system.cfg.transport.max_retransmits + 1
+        first_sent_ns = self.sim.now
+        for attempt in range(attempts):
+            if attempt:
+                estimator.on_timeout()
             yield from connection._emit(FLAG_SYN, seq=connection.iss)
             connection.snd_nxt = connection.iss + 1
-            # Exponential backoff (RFC 6298 §5.5 style): linear growth
-            # exhausted the retry budget under sustained heavy loss.
-            deadline = self.sim.timeout(
-                min(INITIAL_RTO_NS << attempt, MAX_RTO_NS))
+            deadline = self.sim.timeout(estimator.current_rto_ns())
             result = yield self.sim.any_of([connection.established,
                                             deadline])
             if connection.established in result:
+                if attempt == 0:
+                    estimator.on_sample(self.sim.now - first_sent_ns)
+                else:
+                    estimator.on_success()
                 yield from self.stack.kernel.compute(WAKEUP_NS)
                 return connection
         raise TransportError(f"TCP connect to {dst_cab}:{dst_port} "
@@ -448,31 +419,13 @@ class TcpLayer:
     # demux from IP
     # ------------------------------------------------------------------
 
-    def segment_arrived(self, src_cab: str, segment: Optional[bytes],
-                        size: int):
-        if segment is not None:
-            header = unpack_tcp_header(segment)
-            body = segment[TCP_HEADER_BYTES:]
-            body_size = size - TCP_HEADER_BYTES
-        else:
-            # Synthetic traffic cannot be demultiplexed without headers;
-            # real header bytes always accompany control segments, so
-            # this only happens for bulk data on a known connection.
-            header = None
-            body = None
-            body_size = size - TCP_HEADER_BYTES
-        if header is None:
-            connection = next(iter(self.connections.values()), None)
-            if connection is not None:
-                yield from connection.on_segment(
-                    {"flags": FLAG_ACK | FLAG_PSH,
-                     "seq": connection.rcv_nxt, "ack": connection.snd_una,
-                     "window": RECEIVE_WINDOW}, body, body_size)
-            return
+    def segment_arrived(self, src_cab: str, segment: bytes):
+        header = unpack_tcp_header(segment)
         key = (header["dst_port"], src_cab, header["src_port"])
         connection = self.connections.get(key)
         if connection is not None:
-            yield from connection.on_segment(header, body, body_size)
+            yield from connection.on_segment(header,
+                                             segment[TCP_HEADER_BYTES:])
             return
         if header["flags"] & FLAG_SYN and not header["flags"] & FLAG_ACK:
             yield from self._passive_open(src_cab, header)

@@ -39,12 +39,9 @@ MAX_SEGMENTS = 32
 #: Per-packet VMTP processing on the CAB.
 VMTP_CPU_NS = 4_000
 
-#: Client retry timeout for a whole transaction attempt.
-RETRANS_TIMEOUT_NS = 3_000_000
 #: Receiver-side gap detection: NACK an incomplete group this long
 #: after its last arrival.
 NACK_DELAY_NS = 500_000
-MAX_RETRIES = 10
 
 _KIND_REQUEST = 0
 _KIND_RESPONSE = 1
@@ -121,7 +118,12 @@ class VmtpLayer:
     def transact(self, dst_cab: str, port: int, data: bytes):
         """Run one message transaction (generator); returns response
         bytes.  Missing request segments are NACK-driven and resent
-        selectively."""
+        selectively.
+
+        Each attempt waits the peer's current RTO from the CAB's shared
+        estimator, which backs off when that timer (not a NACK) ends the
+        attempt; the transaction fails after ``max_retransmits`` resends.
+        """
         if not isinstance(data, (bytes, bytearray)):
             raise TransportError("VMTP messages carry real bytes")
         data = bytes(data)
@@ -135,8 +137,11 @@ class VmtpLayer:
         state: dict[str, Any] = {"response": self.sim.event(),
                                  "nack": None}
         self._pending[txn] = state
+        estimator = self.stack.transport.rto_for(dst_cab)
+        attempts = self.stack.system.cfg.transport.max_retransmits + 1
+        first_sent_ns = self.sim.now
         try:
-            for attempt in range(MAX_RETRIES):
+            for attempt in range(attempts):
                 if state["nack"] is not None:
                     indices = [i for i in range(nsegs)
                                if state["nack"] & (1 << i)]
@@ -145,22 +150,30 @@ class VmtpLayer:
                 else:
                     indices = list(range(nsegs))
                     if attempt:
+                        # The timer, not a NACK, ended the last attempt.
+                        estimator.on_timeout()
                         self.selective_retransmits += nsegs
                 for index in indices:
                     yield from self._send_segment(
                         dst_cab, _KIND_REQUEST, port, txn, index, nsegs,
                         data, seg_bytes)
-                deadline = self.sim.timeout(RETRANS_TIMEOUT_NS)
+                deadline = self.sim.timeout(estimator.current_rto_ns())
                 state["wake"] = self.sim.event()   # NACK arrival
                 outcome = yield self.sim.any_of([state["response"],
                                                  state["wake"], deadline])
                 yield from self.stack.kernel.compute(WAKEUP_NS)
                 if state["response"] in outcome:
+                    if attempt == 0:
+                        # Karn's rule: only an exchange that was never
+                        # resent gives an unambiguous round trip.
+                        estimator.on_sample(self.sim.now - first_sent_ns)
+                    else:
+                        estimator.on_success()
                     self.transactions_completed += 1
                     return state["response"].value
             raise TransportError(
                 f"VMTP transaction {txn} to {dst_cab}:{port} failed "
-                f"after {MAX_RETRIES} attempts")
+                f"after {attempts} attempts")
         finally:
             self._pending.pop(txn, None)
 
@@ -187,11 +200,8 @@ class VmtpLayer:
         yield from self.ip.send_segment(dst_cab, PROTO_VMTP,
                                         header + padding)
 
-    def segment_arrived(self, src_cab: str, segment: Optional[bytes],
-                        size: int):
+    def segment_arrived(self, src_cab: str, segment: bytes):
         yield from self.stack.board.cpu.execute(VMTP_CPU_NS)
-        if segment is None:
-            return
         kind, txn, port, index, nsegs, mask = _HEADER.unpack_from(segment)
         chunk = segment[VMTP_HEADER_BYTES:]
         if kind == _KIND_REQUEST:

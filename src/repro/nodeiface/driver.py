@@ -24,9 +24,6 @@ from ..transport.reassembly import ReassemblyBuffer
 if TYPE_CHECKING:  # pragma: no cover
     from ..system.builder import CabStack
 
-#: How long incomplete node-side reassemblies are kept.
-REASSEMBLY_TIMEOUT_NS = 50_000_000
-
 
 class NetworkDriverInterface:
     """The 'dumb network' interface: node-resident protocol stack."""
@@ -41,7 +38,8 @@ class NetworkDriverInterface:
         self.sim = stack.sim
         #: Completed messages awaiting node processes, per port name.
         self._sockets: dict[str, Store] = {}
-        self.reassembly = ReassemblyBuffer(REASSEMBLY_TIMEOUT_NS)
+        self.reassembly = ReassemblyBuffer(
+            stack.system.cfg.transport.reassembly_timeout_ns)
         # Register as a raw protocol with the CAB transport so inbound
         # 'nd' packets reach us.
         stack.transport.register_protocol(self)

@@ -9,9 +9,10 @@ CAB-to-CAB heartbeats) feeds a suspicion-threshold
 (:meth:`~repro.datalink.routing.Router.mark_link_down` /
 :meth:`~repro.datalink.routing.Router.mark_link_up`); confirmed CAB
 deaths force-open per-peer :class:`CircuitBreaker`\\ s so reliable sends
-fail fast; and the reliable transports retransmit on an adaptive
-Jacobson/Karn :class:`RtoEstimator` instead of a fixed timer.  Every
-decision is deterministic per seed.  See ``docs/RESILIENCE.md``.
+fail fast; and every reliable protocol (byte-stream, request-response,
+and :mod:`repro.inet`'s TCP and VMTP) retransmits on the CAB's shared
+per-peer Jacobson/Karn :class:`RtoEstimator` instead of a fixed timer.
+Every decision is deterministic per seed.  See ``docs/RESILIENCE.md``.
 """
 
 from .breaker import CircuitBreaker

@@ -108,7 +108,8 @@ class TransportManager:
             for proto in handler.protos
         }
         #: Per-peer adaptive RTO state (Jacobson/Karn), shared by the
-        #: byte-stream and request-response protocols.
+        #: byte-stream and request-response protocols and by
+        #: ``repro.inet``'s TCP and VMTP.
         self._rto: dict[str, RtoEstimator] = {}
         #: Per-peer circuit breakers gating the reliable protocols.
         self._breakers: dict[str, CircuitBreaker] = {}

@@ -1,7 +1,7 @@
 """Repository-wide conventions: links resolve, docstrings/__all__
 present, no process-global id counters, no attribute written that
 nothing reads, no fixed delay built as a ``Timeout`` only to be
-yielded.
+yielded, no round-trip estimator outside the shared one.
 
 Runs the same stdlib checkers the CI docs job runs
 (``tools/check_links.py``, ``tools/check_docstrings.py``) so a broken
@@ -244,3 +244,44 @@ def test_yielded_timeout_check_catches_them(tmp_path):
         "    yield sim.any_of([deadline])\n"
         "    yield 5\n")
     assert yielded_timeouts(tmp_path) == ["bad.py:2"]
+
+
+def estimator_state_writes(root):
+    """``path:line`` of every store to an ``srtt`` or ``rttvar``
+    attribute under ``root`` outside ``resilience/rto.py``: every
+    protocol times its retries on the per-peer ``RtoEstimator``."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root).as_posix()
+        if relative == "resilience/rto.py":
+            continue
+        lines = sorted(
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and node.attr in ("srtt", "rttvar"))
+        found += [f"{relative}:{line}" for line in lines]
+    return found
+
+
+def test_one_round_trip_estimator():
+    found = estimator_state_writes(REPO_ROOT / "src" / "repro")
+    assert found == [], "use rto_for(peer) instead of:\n" + "\n".join(found)
+
+
+def test_estimator_state_check_catches_them(tmp_path):
+    (tmp_path / "resilience").mkdir()
+    (tmp_path / "resilience" / "rto.py").write_text(
+        "class RtoEstimator:\n"
+        "    def __init__(self):\n"
+        "        self.srtt = self.rttvar = None\n")
+    (tmp_path / "tcp.py").write_text(
+        "class Connection:\n"
+        "    def __init__(self, estimator):\n"
+        "        self.srtt = None\n"
+        "        self.rto, self.rttvar = 3, 0.0\n"
+        "        self.rttvar += 1\n"
+        "        print(estimator.srtt)\n")
+    assert estimator_state_writes(tmp_path) == [
+        "tcp.py:3", "tcp.py:4", "tcp.py:5"]

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import fixed_timer
 from repro.config import MAX_PAYLOAD_BYTES, NectarConfig
 from repro.errors import TransportError
 from repro.inet import (IP_HEADER_BYTES, TCP_HEADER_BYTES, IpLayer,
@@ -232,12 +233,14 @@ class TestTcp:
             result = yield from server.receive(40_000)
             out.update(result)
         sb.spawn(reader())
-        sa.spawn(client.send(size=40_000))
+        sa.spawn(client.send(bytes(40_000)))
         system.run(until=1_000_000_000)
         assert out["size"] == 40_000
         assert client.cwnd > initial_cwnd
 
     def test_rtt_estimated(self):
+        """Handshake and data feed the CAB's shared per-peer estimator,
+        the clock the native transports use."""
         system, sa, sb, client, server = self.connect_pair()
         out = {}
 
@@ -245,10 +248,12 @@ class TestTcp:
             result = yield from server.receive(5_000)
             out.update(result)
         sb.spawn(reader())
-        sa.spawn(client.send(size=5_000))
+        sa.spawn(client.send(bytes(5_000)))
         system.run(until=1_000_000_000)
-        assert client.srtt is not None
-        assert client.srtt < 1_000_000      # well under a millisecond
+        estimator = sa.transport.rto_for("cab1")
+        # One sample for the handshake, one per data segment.
+        assert estimator.samples == 1 + -(-5_000 // client.mss)
+        assert estimator.srtt < 1_000_000      # well under a millisecond
 
     def test_fin_wakes_blocked_reader(self):
         system, sa, sb, client, server = self.connect_pair()
@@ -268,18 +273,53 @@ class TestTcp:
         assert server.remote_closed
 
     def test_connect_to_dead_port_times_out(self):
-        system, layers = build_inet()
-        (sa, _ipa, _ua, tcp_a) = layers[0]
-        failures = {}
+        """Every SYN waits the peer's RTO (here a fixed 2 ms timer) and
+        the connect gives up after ``max_retransmits + 1`` of them."""
+        timer_ns, retries = 2_000_000, 4
+        system, layers = build_inet(
+            cfg=fixed_timer(NectarConfig(), timer_ns, retries=retries))
+        (sa, ip_a, _ua, tcp_a) = layers[0]
+        failures = []
 
         def client():
             try:
                 yield from tcp_a.connect("cab1", 4444)   # nobody listens
-            except TransportError:
-                failures["timeout"] = True
+            except TransportError as error:
+                failures.append((str(error), system.now))
         sa.spawn(client())
         system.run(until=120_000_000_000)
-        assert failures.get("timeout")
+        [(error, at_ns)] = failures
+        assert error == "TCP connect to cab1:4444 timed out"
+        assert ip_a.packets_sent == retries + 1
+        # Each SYN adds its TCP/IP send CPU (~16 µs) to the wait.
+        waits = (retries + 1) * timer_ns
+        assert waits < at_ns < waits + (retries + 1) * 50_000
+
+    def test_send_resets_after_the_retry_budget(self):
+        """Once the peer stops acking, a data segment is tried
+        ``max_retransmits + 1`` times, then the connection resets and
+        the blocked ``send`` fails."""
+        timer_ns, retries = 2_000_000, 3
+        system, sa, sb, client, server = self.connect_pair(
+            cfg=fixed_timer(NectarConfig(), timer_ns, retries=retries))
+        hub, port = system.router.cab_location("cab1")
+        hub.ports[port].enabled = False       # cab1's acks never leave
+        failures = []
+
+        def writer():
+            started = system.now
+            try:
+                yield from client.send(b"unanswered")
+            except TransportError as error:
+                failures.append((str(error), system.now - started))
+        sa.spawn(writer())
+        system.run(until=system.now + 1_000_000_000)
+        [(error, took_ns)] = failures
+        assert error == "connection reset during send"
+        assert client.state == "CLOSED"
+        assert client.retransmissions == retries
+        waits = (retries + 1) * timer_ns
+        assert waits < took_ns < waits + (retries + 1) * 50_000
 
     def test_mss_fits_nectar_packet(self):
         _system, _sa, _sb, client, _server = self.connect_pair()

@@ -175,6 +175,33 @@ class TestNetworkDriver:
         assert system.node("node1").busy_ns >= 4 * KERNEL_PROTOCOL_NS
         assert system.node("node1").interrupts >= 4
 
+    def test_long_send_outlives_a_later_arrival(self):
+        """A 200 KB driver send takes ~130 ms; a 64 B message from a
+        third CAB lands at ~62 ms.  Its arrival garbage-collects stale
+        partials, so the long message's must still be within the
+        configured reassembly timeout then, and both are delivered."""
+        system, nd_a, nd_b = self.make()
+        nd_c = NetworkDriverInterface(system.cab("cab2"))
+        body = bytes(range(256)) * 800
+        got = []
+
+        def receiver():
+            for _ in range(2):
+                message = yield from nd_b.receive("p")
+                got.append((message["src"], message["data"], system.now))
+
+        def late_sender():
+            yield 60_000_000
+            yield from nd_c.send("cab1", "p", data=b"late")
+        system.node("node1").run(receiver(), "rx")
+        system.node("node0").run(nd_a.send("cab1", "p", data=body), "tx")
+        system.node("node2").run(late_sender(), "tx")
+        system.run(until=1_000_000_000)
+        assert [(src, data) for src, data, _at in got] \
+            == [("cab2", b"late"), ("cab0", body)]
+        assert got[0][2] < 100_000_000 < got[1][2]
+        assert nd_b.reassembly.expired == 0
+
     def test_double_open_rejected(self):
         system, nd_a, nd_b = self.make()
         with pytest.raises(NodeError):

@@ -85,11 +85,11 @@ def test_rpc_response_matches_request_under_loss(seed, drop, request):
     assert executions == [request]
 
 
-def tcp_transfer(seed, body):
-    """``body`` over TCP cab0 -> cab1 at ``drop=0.12``: returns what the
+def tcp_transfer(cfg, body):
+    """``body`` over TCP cab0 -> cab1 under ``cfg``: returns what the
     server received and the errors the client's ``connect`` raised."""
     from repro.inet import IpLayer, TcpLayer
-    system = lossy_system(seed, drop=0.12)
+    system = single_hub_system(2, cfg=cfg)
     a, b = system.cab("cab0"), system.cab("cab1")
     tcp_a, tcp_b = TcpLayer(IpLayer(a)), TcpLayer(IpLayer(b))
     listener = tcp_b.listen(80)
@@ -115,7 +115,7 @@ def tcp_transfer(seed, body):
 
 @given(seed=st.integers(min_value=0, max_value=10_000),
        body=st.binary(min_size=1, max_size=3_000))
-# Seeds whose eight SYNs were all lost: the connect gives up.
+# Seeds that lost all eight SYNs under TCP's old fixed budget.
 @example(seed=6077, body=b"nectar")
 @example(seed=8002, body=b"nectar")
 @example(seed=9470, body=b"nectar")
@@ -123,31 +123,27 @@ def tcp_transfer(seed, body):
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 def test_tcp_exact_delivery_under_loss(seed, body):
-    """The model's promise: exact delivery once the connect succeeds, or
-    a ``TransportError`` from ``connect`` after ``MAX_SYN_RETRIES`` SYNs.
-    A SYN and its SYN-ACK cross four fibers, so a handshake loses a
-    packet with probability 1 - 0.88^4 ≈ 0.40 and all eight fail with
-    ~0.40^8 ≈ 6.5e-4 per example: a structured outcome, not a fault.
-    A data segment gives up after MAX_DATA_RETRIES + 1 = 13 tries,
-    ~0.40^13 ≈ 7e-6 per segment, which this property does not budget."""
-    results, refused = tcp_transfer(seed, body)
-    if refused:
-        assert [error for error, _ in refused] \
-            == ["TCP connect to cab1:80 timed out"]
-        assert results == []
-    else:
-        assert results == [body]
+    """Exact delivery, and the connect is never refused.  A SYN and its
+    SYN-ACK (or a segment and its ack) cross four fibers, so one try
+    loses a packet with probability 1 - 0.88^4 ≈ 0.40.  Both the
+    handshake and every data segment get ``max_retransmits + 1`` = 65
+    tries here, so either gives up with ~0.40^65 ≈ 1e-26 per example."""
+    results, refused = tcp_transfer(lossy_config(seed, 0.12), body)
+    assert refused == []
+    assert results == [body]
 
 
 def test_tcp_connect_gives_up_with_a_structured_error():
-    """Seed 6077 loses all eight handshakes: the client sees one
-    ``TransportError`` once every backoff has run out, and no thread
-    crashes the run."""
-    from repro.inet.tcp import INITIAL_RTO_NS, MAX_SYN_RETRIES
-    results, refused = tcp_transfer(6077, b"nectar")
+    """Under a fixed 3 ms timer with a budget of seven resends, seed
+    6077 loses all eight handshakes: the client sees one
+    ``TransportError`` after the eighth wait (24.125 ms: 8 × 3 ms plus
+    the SYNs' CPU), and no thread crashes the run."""
+    timer_ns, retries = 3_000_000, 7
+    results, refused = tcp_transfer(
+        fixed_timer(lossy_config(6077, 0.12), timer_ns, retries=retries),
+        b"nectar")
     assert results == []
     [(error, at_ns)] = refused
     assert error == "TCP connect to cab1:80 timed out"
-    backoffs = sum(INITIAL_RTO_NS << attempt
-                   for attempt in range(MAX_SYN_RETRIES))
-    assert backoffs <= at_ns < backoffs + 1_000_000
+    waits = (retries + 1) * timer_ns
+    assert waits < at_ns < waits + (retries + 1) * 50_000

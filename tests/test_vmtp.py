@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import fixed_timer
 from repro.config import NectarConfig
 from repro.errors import TransportError
 from repro.inet import IpLayer, VmtpLayer
@@ -12,8 +13,8 @@ from repro.inet.vmtp import MAX_SEGMENTS
 from repro.topology import single_hub_system
 
 
-def build(drop=0.0, seed=5):
-    cfg = NectarConfig(seed=seed)
+def build(drop=0.0, seed=5, cfg=None):
+    cfg = cfg or NectarConfig(seed=seed)
     if drop:
         cfg = replace(cfg, fiber=replace(cfg.fiber, drop_probability=drop))
     system = single_hub_system(2, cfg=cfg)
@@ -42,6 +43,8 @@ class TestVmtp:
         system.run(until=60_000_000)
         assert out["response"] == b"TINY"
         assert v_a.transactions_completed == 1
+        # A clean exchange is one Karn sample on the shared estimator.
+        assert a.transport.rto_for("cab1").samples == 1
 
     def test_multi_segment_packet_group(self):
         system, a, b, v_a, v_b = build()
@@ -135,17 +138,26 @@ class TestVmtp:
             next(v_a.transact("cab1", 42, 12345))
 
     def test_unknown_port_times_out(self):
-        system, a, b, v_a, v_b = build()
-        out = {}
+        """Every attempt waits the peer's RTO (here a fixed 3 ms timer);
+        the transaction fails after ``max_retransmits + 1`` of them."""
+        timer_ns, retries = 3_000_000, 5
+        system, a, b, v_a, v_b = build(
+            cfg=fixed_timer(NectarConfig(seed=5), timer_ns, retries=retries))
+        failures = []
 
         def client():
             try:
                 yield from v_a.transact("cab1", 404, b"nobody home")
-            except TransportError:
-                out["failed"] = True
+            except TransportError as error:
+                failures.append((str(error), system.now))
         a.spawn(client())
         system.run(until=300_000_000_000)
-        assert out.get("failed")
+        [(error, at_ns)] = failures
+        assert error.endswith(f"failed after {retries + 1} attempts")
+        assert v_a.ip.packets_sent == retries + 1
+        # Each attempt adds its VMTP/IP send CPU and the wakeup (~15 µs).
+        waits = (retries + 1) * timer_ns
+        assert waits < at_ns < waits + (retries + 1) * 50_000
 
     def test_duplicate_server_port_rejected(self):
         system, a, b, v_a, v_b = build()
